@@ -9,9 +9,9 @@ twofold:
 * **parity** — selections and per-trajectory utility vectors are
   byte-identical to the dense *and* sparse engines on every measured run,
   on every TOPS variant driver (cost, capacity, existing, market share),
-  through the NetClus index on the sharded (``shards=4``) path and the
-  warm coverage-cache path (``tools/check_bitset_parity.py`` re-asserts
-  this in CI on a fresh build).
+  and through the NetClus index on the warm coverage-cache path
+  (``tools/check_bitset_parity.py`` re-asserts this in CI on a fresh
+  build).
 * **speedup** — single-core greedy over the Fig. 10 scalability workload
   must run ≥ 5× faster on the bitset engine than on the dense engine;
   the measurement is recorded in ``benchmarks/BENCH_bitset_kernels.json``.
@@ -124,8 +124,8 @@ def _assert_variant_parity(coverages: dict, query: TOPSQuery) -> None:
             ), f"variant={variant}: {name} utilities diverged from dense"
 
 
-def _assert_index_parity(bundle, query: TOPSQuery, shards: int = 4) -> None:
-    """NetClus-index paths: warm covcache, auto resolution, sharded bitset."""
+def _assert_index_parity(bundle, query: TOPSQuery) -> None:
+    """NetClus-index paths: warm covcache and auto resolution."""
     problem = bundle.problem()
     index = problem.build_netclus_index(
         gamma=0.75,
@@ -135,15 +135,9 @@ def _assert_index_parity(bundle, query: TOPSQuery, shards: int = 4) -> None:
     # the sparse query warms the coverage cache; the bitset/auto queries
     # then materialise their views from the cached entries
     baseline = index.query(query, engine="sparse")
-    configurations = [
-        ("bitset", None),
-        ("auto", None),
-        ("bitset", shards),
-        ("auto", shards),
-    ]
-    for engine, num_shards in configurations:
-        result = index.query(query, engine=engine, shards=num_shards)
-        label = f"index engine={engine} shards={num_shards}"
+    for engine in ("bitset", "auto"):
+        result = index.query(query, engine=engine)
+        label = f"index engine={engine}"
         assert result.sites == baseline.sites, (
             f"{label}: selected {result.sites} != sparse {baseline.sites}"
         )

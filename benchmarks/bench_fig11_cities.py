@@ -86,7 +86,6 @@ def test_fig11_farm_panel(benchmark, tmp_path):
                     "sites": len(farm_result.sites),
                 }
             )
-        service.close()
     print()
     print_table(rows, title="Fig. 11d — multi-city batch through a budgeted farm")
     assert evictions >= 1

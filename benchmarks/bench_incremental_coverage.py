@@ -190,8 +190,6 @@ def _run(bundle, num_deltas: int, repeats: int = 3, engine: str = "sparse") -> d
             "materialise_seconds": round(cache_stats["materialise_seconds"], 4),
         },
     }
-    warm.close()
-    cold.close()
     return record
 
 

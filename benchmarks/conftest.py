@@ -36,7 +36,6 @@ SCRIPT_SMOKE_BENCHMARKS = (
     "bench_incremental_coverage",
     "bench_parallel_build",
     "bench_serving",
-    "bench_sharded_query",
 )
 
 

@@ -1,7 +1,7 @@
 """Framework of the invariant-enforcing static analysis suite.
 
 The project's correctness bar is byte-identical selections across every
-execution mode (dense/sparse engines, shard counts, warm vs cold coverage
+execution mode (dense/sparse/bitset engines, warm vs cold coverage
 cache, HTTP vs in-process), and the bug classes that historically broke it
 — last-ulp float ties, unordered iteration, service state mutated outside
 its critical section, observability surfaces drifting from the code — are

@@ -11,7 +11,6 @@ from repro.core.preference import (
 from repro.core.query import TOPSQuery, TOPSResult
 from repro.core.distances import DistanceOracle
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex
-from repro.core.shards import ShardedCoverage, shard_of
 from repro.core.covcache import CoverageCache, CoveragePart
 from repro.core.greedy import IncGreedy, LazyGreedy
 from repro.core.fm_greedy import FMGreedy
@@ -40,8 +39,6 @@ __all__ = [
     "DistanceOracle",
     "CoverageIndex",
     "SparseCoverageIndex",
-    "ShardedCoverage",
-    "shard_of",
     "CoverageCache",
     "CoveragePart",
     "IncGreedy",

@@ -23,8 +23,8 @@ construction) every utility is exactly 0.0 or 1.0, so the float sums the
 dense/sparse engines compute are integers below 2⁵³ — and a popcount
 converted to ``float64`` reproduces them bit for bit.  Combined with the
 shared ``GAIN_RTOL`` / ``tie_break_candidates`` tie discipline, IncGreedy,
-LazyGreedy, FMGreedy, every TOPS variant driver, ``ShardedCoverage`` parts
-and ``CoverageCache`` materialisation all run on this engine unchanged
+LazyGreedy, FMGreedy, every TOPS variant driver and ``CoverageCache``
+materialisation all run on this engine unchanged
 with byte-identical selections.
 
 The kernels are ``@kernel``-marked (rule RA010: no per-call ``np.zeros`` /

@@ -1,8 +1,8 @@
 """Persistent, incrementally maintained coverage parts (the format-v3 cache).
 
-``BENCH_sharded_query.json`` shows coverage *construction* — not greedy —
-dominating steady-state query latency, so this module makes the per-(τ, ψ)
-coverage a first-class artifact instead of a per-query throwaway:
+Coverage *construction* — not greedy — dominates steady-state query
+latency, so this module makes the per-(τ, ψ) coverage a first-class
+artifact instead of a per-query throwaway:
 
 * :class:`CoverageCache` — attached to a
   :class:`~repro.core.netclus.NetClusIndex` via
@@ -12,8 +12,8 @@ coverage a first-class artifact instead of a per-query throwaway:
   (the min-reduced, column-major sorted ``(row, column, d̂r ≤ τ)`` triples)
   plus the representative layout and the
   :attr:`~repro.core.netclus.NetClusIndex.version` it is valid at;
-* dense, sparse and sharded structures are *materialised views* over the
-  canonical entries, built on demand and kept per ``(engine, shards)``;
+* dense, sparse and bitset structures are *materialised views* over the
+  canonical entries, built on demand and kept per engine;
 * :meth:`CoverageCache.begin_delta` / :meth:`CoverageCache.finish_delta`
   bracket :meth:`~repro.core.netclus.NetClusIndex.apply_updates`: instead of
   invalidating, the parts are *patched* — only the trajectory rows and
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any
@@ -134,7 +133,7 @@ class CoveragePart:
     """Canonical coverage entries of one ``(τ, ψ)`` pair + materialised views.
 
     The triple arrays are always in canonical form (see
-    :func:`canonical_entries`); ``materialised`` maps ``(engine, shards)``
+    :func:`canonical_entries`); ``materialised`` maps an engine name
     to a ready-to-query :class:`~repro.core.netclus.ClusteredCoverage`
     built over them.  ``index_version`` is the
     :attr:`~repro.core.netclus.NetClusIndex.version` the entries are valid
@@ -152,7 +151,7 @@ class CoveragePart:
     estimates: np.ndarray
     rep_sites: list[int]
     rep_clusters: list[int]
-    materialised: dict[tuple[str, int], "ClusteredCoverage"] = field(
+    materialised: dict[str, "ClusteredCoverage"] = field(
         default_factory=dict, repr=False
     )
 
@@ -217,17 +216,14 @@ class CoverageCache:
     lock (the placement service's read/write lock already orders updates
     against queries; the internal lock additionally protects concurrent
     ``batch_query`` threads warming different keys).  Deep copies carry the
-    canonical entries but drop materialised views and any executor — a
-    copied index re-materialises lazily, with fresh locks.
+    canonical entries but drop materialised views — a copied index
+    re-materialises lazily, with fresh locks.
     """
 
     def __init__(self, limit: int = DEFAULT_PART_LIMIT) -> None:
         require(int(limit) >= 1, "coverage cache limit must be >= 1")
         self.limit = int(limit)
         self.parts: OrderedDict[tuple, CoveragePart] = OrderedDict()
-        #: optional executor for sharded materialisation (the placement
-        #: service injects its persistent pool); never copied or persisted
-        self.executor = None
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -269,15 +265,13 @@ class CoverageCache:
         tau_km: float,
         preference: PreferenceFunction,
         engine: str = "sparse",
-        shards: int = 1,
-        executor: Executor | None = None,
     ) -> "ClusteredCoverage | None":
         """Return a warm :class:`ClusteredCoverage` for ``(τ, ψ)``, or ``None``.
 
         A part bound to a stale ``index_version`` is *refused*: dropped
         (counted as an invalidation) and reported as a miss, so the caller
         falls back to a cold build — which re-stores fresh entries.
-        Materialises the requested ``(engine, shards)`` view on demand from
+        Materialises the requested engine's view on demand from
         the canonical entries; a materialisation is still a *hit* (no
         cluster-space recomputation happens), its cost is tracked
         separately in :attr:`materialise_seconds`.
@@ -296,12 +290,10 @@ class CoverageCache:
                 self.misses += 1
                 return None
             self.parts.move_to_end(key)
-            view = part.materialised.get((engine, int(shards)))
+            view = part.materialised.get(engine)
             if view is None:
-                view = self._materialise(
-                    index, part, engine, int(shards), executor or self.executor
-                )
-                part.materialised[(engine, int(shards))] = view
+                view = self._materialise(index, part, engine)
+                part.materialised[engine] = view
             self.hits += 1
             return view
 
@@ -346,7 +338,7 @@ class CoverageCache:
             rep_clusters=[int(c) for c in rep_clusters],
         )
         if prepared is not None:
-            part.materialised[(prepared.engine, prepared.num_shards)] = prepared
+            part.materialised[prepared.engine] = prepared
         with self._lock:
             self.parts[key] = part
             self.parts.move_to_end(key)
@@ -446,12 +438,9 @@ class CoverageCache:
                     with Timer() as patch_timer:
                         self._patch_part(index, part, batch, probe)
                         part.index_version = index.version
-                        views = list(part.materialised)
                         part.materialised = {
-                            (engine, shards): self._materialise(
-                                index, part, engine, shards, self.executor
-                            )
-                            for engine, shards in views
+                            engine: self._materialise(index, part, engine)
+                            for engine in list(part.materialised)
                         }
                 except Exception:
                     self.parts.pop(key, None)
@@ -591,14 +580,11 @@ class CoverageCache:
         index: "NetClusIndex",
         part: CoveragePart,
         engine: str,
-        shards: int,
-        executor: Executor | None = None,
     ) -> "ClusteredCoverage":
-        """Build one ``(engine, shards)`` view over the canonical entries."""
+        """Build one engine's view over the canonical entries."""
         from repro.core.bitcov import BitsetCoverageIndex
         from repro.core.coverage import CoverageIndex, SparseCoverageIndex
         from repro.core.netclus import ClusteredCoverage
-        from repro.core.shards import ShardedCoverage
 
         require(
             part.num_trajectories == len(index.trajectory_ids),
@@ -618,26 +604,12 @@ class CoverageCache:
         preference = part.preference_fn()
         num_sites = part.num_representatives
         trajectory_ids = index.trajectory_ids
+        coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
         with Timer() as timer:
             if engine in ("sparse", "bitset"):
                 # the canonical ≤τ entry stream fully determines both the
                 # sparse scores and (for binary ψ) the packed bit matrix
-                if shards > 1:
-                    coverage = ShardedCoverage.from_coverage_lists(
-                        part.rows,
-                        part.cols,
-                        part.estimates,
-                        num_trajectories=part.num_trajectories,
-                        num_sites=num_sites,
-                        tau_km=part.tau_km,
-                        preference=preference,
-                        num_shards=shards,
-                        site_labels=part.rep_sites,
-                        trajectory_ids=trajectory_ids,
-                        executor=executor,
-                        engine=engine,
-                    )
-                elif engine == "bitset":
+                if engine == "bitset":
                     coverage = BitsetCoverageIndex.from_coverage_lists(
                         part.rows,
                         part.cols,
@@ -668,25 +640,13 @@ class CoverageCache:
             else:
                 detours = np.full((part.num_trajectories, num_sites), np.inf)
                 detours[part.rows, part.cols] = part.estimates
-                if shards > 1:
-                    coverage = ShardedCoverage.from_detours(
-                        detours,
-                        part.tau_km,
-                        preference,
-                        num_shards=shards,
-                        engine="dense",
-                        site_labels=part.rep_sites,
-                        trajectory_ids=trajectory_ids,
-                        executor=executor,
-                    )
-                else:
-                    coverage = CoverageIndex(
-                        detours,
-                        part.tau_km,
-                        preference,
-                        site_labels=part.rep_sites,
-                        trajectory_ids=trajectory_ids,
-                    )
+                coverage = CoverageIndex(
+                    detours,
+                    part.tau_km,
+                    preference,
+                    site_labels=part.rep_sites,
+                    trajectory_ids=trajectory_ids,
+                )
         self.materialisations += 1
         self.materialise_seconds += timer.elapsed
         return ClusteredCoverage(
@@ -748,7 +708,6 @@ class CoverageCache:
         with self._lock:
             state = self.__dict__.copy()
             state["_lock"] = None
-            state["executor"] = None
             state["parts"] = OrderedDict(
                 (
                     key,

@@ -42,10 +42,6 @@ protocol kernels become popcounts (see :mod:`repro.core.bitcov`).
 :func:`resolve_engine` is the shared ``engine="auto"`` policy — bitset when
 ψ is binary, sparse otherwise.
 
-:class:`~repro.core.shards.ShardedCoverage` implements the same protocol
-over disjoint trajectory shards (one dense/sparse/bitset part each), which
-is how the distributed query path reuses the greedy solvers unchanged.
-
 The hot-path kernels (``marginal_gains`` / ``marginal_gain`` /
 ``gain_updates`` / ``absorb``) are marked with the ``@kernel`` decorator:
 their internal temporaries come from per-thread :class:`_ScratchPool`
@@ -138,9 +134,8 @@ class _ScratchPool:
 
 #: relative tolerance under which two marginal gains (or site weights) are
 #: treated as tied.  Float summation is not associative, so the same
-#: mathematical gain computed by different engines — dense vs sparse, or a
-#: sharded coordinator summing per-shard partials in shard order — can
-#: differ in the last few ulps; without a tolerance those phantom
+#: mathematical gain computed by different engines — dense vs sparse —
+#: can differ in the last few ulps; without a tolerance those phantom
 #: differences would decide selections instead of the paper's documented
 #: (weight, then site) tie-break.  1e-9 is ~6 orders of magnitude above
 #: accumulated summation noise and far below any genuine gain gap.
@@ -155,7 +150,7 @@ def tie_break_candidates(values: np.ndarray) -> np.ndarray:
     best value are all considered tied, and the caller applies its
     deterministic tie-break (site weight / site index) to them.  Using one
     rule everywhere is what makes selections identical across the dense,
-    sparse and sharded engines.
+    sparse and bitset engines.
     """
     best = np.max(values)
     tolerance = GAIN_RTOL * max(1.0, abs(float(best)))

@@ -22,9 +22,8 @@ through the *coverage protocol* (``marginal_gains`` / ``site_column`` /
 ``absorb`` / ``gain_updates``), so the same solvers drive a dense
 :class:`~repro.core.coverage.CoverageIndex`, a
 :class:`~repro.core.coverage.SparseCoverageIndex` (``"lazy"`` only — the
-fast path for realistic coverage), and a trajectory-sharded
-:class:`~repro.core.shards.ShardedCoverage`, whose gain coordinator sums
-per-shard marginal-gain vectors with identical selections.  The class also
+fast path for realistic coverage) and a binary-ψ
+:class:`~repro.core.bitcov.BitsetCoverageIndex`.  The class also
 supports an initial seed of *existing services* (Section 7.3) and per-site
 capacities (used by the TOPS-CAPACITY driver in ``repro.core.variants``).
 """
@@ -171,9 +170,7 @@ class IncGreedy:
         ``marginal`` and decremented when a covered trajectory's utility
         improves.  Runs entirely through the coverage protocol
         (``marginal_gains`` / ``site_column`` / ``gain_updates``), so the
-        same loop drives a plain dense index and a trajectory-sharded one
-        (:class:`~repro.core.shards.ShardedCoverage` coordinates the
-        per-shard evaluation).
+        same loop drives the dense and the bitset index.
         """
         coverage = self.coverage
         weights = coverage.site_weights

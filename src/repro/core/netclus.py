@@ -29,11 +29,7 @@ representative the detour to a trajectory is *estimated* as
 ``d̂r(T_j, r_i) = dr(T_j, c_j) + dr(c_j, c_i) + dr(c_i, r_i)`` using only
 information stored offline, the approximate covers ``T̂C`` are formed, and
 Inc-Greedy (or FM-greedy for the binary instance) runs over the cluster
-representatives.  With ``shards > 1`` the coverage is partitioned by
-trajectory into disjoint shards (:mod:`repro.core.shards`) whose gain
-vectors a coordinator sums — utilities are additive over disjoint
-trajectory sets, so sharded selections are identical to the unsharded
-path while the per-shard work can run concurrently.
+representatives.
 
 Dynamic updates (Section 6) — addition/deletion of candidate sites and
 trajectories — modify the affected clusters of every instance in place.
@@ -59,7 +55,6 @@ from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex, resolve_engine
 from repro.core.fm_greedy import FMGreedy
 from repro.core.greedy import IncGreedy, LazyGreedy
-from repro.core.shards import ShardedCoverage
 from repro.core.preference import PreferenceFunction
 from repro.core.query import TOPSQuery, TOPSResult
 from repro.network.graph import RoadNetwork
@@ -457,10 +452,8 @@ class ClusteredCoverage:
         The index instance ``I_p`` selected for τ (materialised on first
         access when the coverage was built with a deferred instance).
     coverage:
-        The coverage index over the cluster representatives (dense or
-        sparse, depending on the requested engine; a
-        :class:`~repro.core.shards.ShardedCoverage` over per-shard parts
-        when the coverage was prepared with ``shards > 1``).
+        The coverage index over the cluster representatives (dense,
+        sparse or bitset, depending on the requested engine).
     representative_sites:
         Node id of each representative, aligned with coverage columns.
     representative_clusters:
@@ -477,7 +470,7 @@ class ClusteredCoverage:
         self,
         instance: NetClusInstance | None = None,
         coverage: (
-            CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex | ShardedCoverage
+            CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
         ) = None,  # type: ignore[assignment]
         representative_sites: list[int] = None,  # type: ignore[assignment]
         representative_clusters: list[int] = None,  # type: ignore[assignment]
@@ -543,11 +536,6 @@ class ClusteredCoverage:
     def tau_km(self) -> float:
         """The coverage threshold the structures were built for."""
         return self.coverage.tau_km
-
-    @property
-    def num_shards(self) -> int:
-        """Trajectory shards of the coverage (1 for an unsharded build)."""
-        return getattr(self.coverage, "num_shards", 1)
 
     def existing_columns(self, existing_sites: Sequence[int]) -> list[int]:
         """Map existing service locations to representative columns.
@@ -648,7 +636,6 @@ class NetClusIndex:
         trajectory_nodes: dict[int, np.ndarray] | None = None,
         build_stats: Sequence["BuildStats"] | None = None,
         max_instances: int | None = None,
-        shards: int = 1,
     ) -> None:
         self.network = network
         self.sites = set(int(s) for s in sites)
@@ -664,12 +651,6 @@ class NetClusIndex:
         #: the ``max_instances`` cap the index was built with (``None`` =
         #: full ladder); round-tripped through the manifest
         self.max_instances = max_instances
-        #: default trajectory-shard count for :meth:`prepare_coverage` /
-        #: :meth:`query` (1 = unsharded).  Purely a query-time default —
-        #: sharding never changes selections — round-tripped through the
-        #: manifest so a service loading the index inherits the layout.
-        require(int(shards) >= 1, "shards must be >= 1")
-        self.shards = int(shards)
         self._trajectory_ids = list(trajectory_ids)
         self._trajectory_rows = {
             traj_id: row for row, traj_id in enumerate(self._trajectory_ids)
@@ -857,8 +838,6 @@ class NetClusIndex:
         preference: PreferenceFunction,
         engine: str = "dense",
         instance: NetClusInstance | None = None,
-        shards: int | None = None,
-        executor=None,
     ) -> ClusteredCoverage:
         """Build the reusable clustered-space coverage for one ``(τ, ψ)``.
 
@@ -879,31 +858,14 @@ class NetClusIndex:
           and ``"sparse"`` otherwise (see
           :func:`repro.core.coverage.resolve_engine`).
 
-        With ``shards > 1`` the trajectories are partitioned into that many
-        disjoint shards (deterministically, by trajectory id — see
-        :func:`repro.core.shards.shard_of`) and one dense/sparse part is
-        built per shard, wrapped in a
-        :class:`~repro.core.shards.ShardedCoverage` whose gain coordinator
-        makes every query result identical to the unsharded path.
-        ``shards=None`` uses the index default (:attr:`shards`);
-        *executor* optionally evaluates the per-shard gain work
-        concurrently (the placement service passes its persistent query
-        pool).
-
         The returned :class:`ClusteredCoverage` can answer any number of
         queries at this ``(τ, ψ)`` — pass it back via :meth:`query`'s
         ``prepared`` argument, or hand it to the solvers/variant drivers
         directly.  All distances are in kilometres.
         """
         engine = resolve_engine(engine, preference)
-        if shards is None:
-            shards = self.shards
-        shards = int(shards)
-        require(shards >= 1, "shards must be >= 1")
         if self.coverage_cache is not None:
-            warm = self.coverage_cache.lookup(
-                self, tau_km, preference, engine=engine, shards=shards, executor=executor
-            )
+            warm = self.coverage_cache.lookup(self, tau_km, preference, engine=engine)
             if warm is not None and (
                 instance is None or warm.instance_id == instance.instance_id
             ):
@@ -911,62 +873,34 @@ class NetClusIndex:
         if instance is None:
             instance = self.instance_for(tau_km)
         rows = self._trajectory_rows
-        coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex | ShardedCoverage
+        coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
         if engine in ("sparse", "bitset"):
             entry_rows, entry_cols, estimates, rep_sites, rep_clusters = (
                 instance.estimated_coverage_entries(rows, tau_km)
             )
-            if shards > 1:
-                coverage = ShardedCoverage.from_coverage_lists(
-                    entry_rows,
-                    entry_cols,
-                    estimates,
-                    num_trajectories=len(rows),
-                    num_sites=len(rep_sites),
-                    tau_km=tau_km,
-                    preference=preference,
-                    num_shards=shards,
-                    site_labels=rep_sites,
-                    trajectory_ids=self._trajectory_ids,
-                    executor=executor,
-                    engine=engine,
-                )
-            else:
-                part_cls: type[SparseCoverageIndex] | type[BitsetCoverageIndex] = (
-                    BitsetCoverageIndex if engine == "bitset" else SparseCoverageIndex
-                )
-                coverage = part_cls.from_coverage_lists(
-                    entry_rows,
-                    entry_cols,
-                    estimates,
-                    num_trajectories=len(rows),
-                    num_sites=len(rep_sites),
-                    tau_km=tau_km,
-                    preference=preference,
-                    site_labels=rep_sites,
-                    trajectory_ids=self._trajectory_ids,
-                )
+            part_cls: type[SparseCoverageIndex] | type[BitsetCoverageIndex] = (
+                BitsetCoverageIndex if engine == "bitset" else SparseCoverageIndex
+            )
+            coverage = part_cls.from_coverage_lists(
+                entry_rows,
+                entry_cols,
+                estimates,
+                num_trajectories=len(rows),
+                num_sites=len(rep_sites),
+                tau_km=tau_km,
+                preference=preference,
+                site_labels=rep_sites,
+                trajectory_ids=self._trajectory_ids,
+            )
         else:
             detours, rep_sites, rep_clusters = instance.estimated_detours(rows, tau_km)
-            if shards > 1:
-                coverage = ShardedCoverage.from_detours(
-                    detours,
-                    tau_km,
-                    preference,
-                    num_shards=shards,
-                    engine="dense",
-                    site_labels=rep_sites,
-                    trajectory_ids=self._trajectory_ids,
-                    executor=executor,
-                )
-            else:
-                coverage = CoverageIndex(
-                    detours,
-                    tau_km,
-                    preference,
-                    site_labels=rep_sites,
-                    trajectory_ids=self._trajectory_ids,
-                )
+            coverage = CoverageIndex(
+                detours,
+                tau_km,
+                preference,
+                site_labels=rep_sites,
+                trajectory_ids=self._trajectory_ids,
+            )
         prepared = ClusteredCoverage(
             instance=instance,
             coverage=coverage,
@@ -1009,7 +943,6 @@ class NetClusIndex:
         existing_sites: Sequence[int] = (),
         engine: str = "dense",
         prepared: ClusteredCoverage | None = None,
-        shards: int | None = None,
     ) -> TOPSResult:
         """Answer a TOPS query ``(k, τ, ψ)`` over the clustered space.
 
@@ -1046,12 +979,6 @@ class NetClusIndex:
             coverage from before a dynamic update is refused rather than
             silently serving stale selections).  Skips the
             instance-resolution and coverage-construction work entirely.
-        shards:
-            Trajectory-shard count for a coverage built here (``None`` =
-            the index default :attr:`shards`; ignored when *prepared* is
-            given — the prepared coverage fixes the layout).  Any value
-            returns identical selections and utilities; shards only split
-            the gain evaluation into independently evaluable pieces.
 
         Returns
         -------
@@ -1063,9 +990,7 @@ class NetClusIndex:
         engine = resolve_engine(engine, query.preference)
         with Timer() as timer:
             if prepared is None:
-                prepared = self.prepare_coverage(
-                    query.tau_km, query.preference, engine, shards=shards
-                )
+                prepared = self.prepare_coverage(query.tau_km, query.preference, engine)
             else:
                 require(
                     prepared.engine == engine,
@@ -1115,7 +1040,6 @@ class NetClusIndex:
                 "num_clusters": prepared.num_clusters,
                 "num_representatives": len(prepared.representative_sites),
                 "engine": engine,
-                "shards": prepared.num_shards,
             },
         )
 

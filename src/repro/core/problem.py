@@ -21,7 +21,6 @@ from repro.core.greedy import IncGreedy, LazyGreedy
 from repro.core.netclus import NetClusIndex
 from repro.core.optimal import OptimalSolver
 from repro.core.query import TOPSQuery, TOPSResult
-from repro.core.shards import ShardedCoverage
 from repro.network.graph import RoadNetwork
 from repro.trajectory.model import TrajectoryDataset
 from repro.utils.timer import Timer
@@ -96,8 +95,8 @@ class TOPSProblem:
         return self._detour_matrix
 
     def coverage(
-        self, query: TOPSQuery, engine: str = "dense", shards: int = 1
-    ) -> CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex | ShardedCoverage:
+        self, query: TOPSQuery, engine: str = "dense"
+    ) -> CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex:
         """Coverage structures (TC, SC, weights) for the query's (τ, ψ).
 
         ``engine="sparse"`` stores only the covered (trajectory, site) pairs
@@ -105,23 +104,9 @@ class TOPSProblem:
         by the CELF lazy greedy.  ``engine="bitset"`` packs the binary
         coverage into uint64 word blocks (binary ψ only) so gains become
         popcounts; ``engine="auto"`` picks bitset for binary ψ and sparse
-        otherwise.  ``shards > 1`` partitions the trajectories into
-        disjoint shards (one part each) behind a
-        :class:`~repro.core.shards.ShardedCoverage` gain coordinator —
-        selections are identical for any engine and shard count.
+        otherwise.  Selections are identical for any engine.
         """
         engine = resolve_engine(engine, query.preference)
-        require(int(shards) >= 1, "shards must be >= 1")
-        if int(shards) > 1:
-            return ShardedCoverage.from_detours(
-                self.detour_matrix(),
-                query.tau_km,
-                query.preference,
-                num_shards=int(shards),
-                engine=engine,
-                site_labels=self.sites,
-                trajectory_ids=self.trajectories.ids(),
-            )
         index_cls: type[CoverageIndex] | type[SparseCoverageIndex] | type[BitsetCoverageIndex]
         if engine == "sparse":
             index_cls = SparseCoverageIndex
@@ -250,18 +235,14 @@ class TOPSProblem:
         self,
         engine: str = "sparse",
         cache_size: int = 128,
-        shards: int | None = None,
-        query_workers: int | str = 1,
         **build_kwargs,
     ):
         """A lazily-built :class:`~repro.service.PlacementService` over this problem.
 
         *build_kwargs* are forwarded to :meth:`build_netclus_index`.  The
         offline phase runs on the first query (or ``service.save``), so
-        constructing the service is free; ``shards``/``query_workers``
-        configure the trajectory-sharded query path (results are identical
-        for any setting); see :mod:`repro.service` for the batch-query and
-        persistence surface.
+        constructing the service is free; see :mod:`repro.service` for the
+        batch-query and persistence surface.
         """
         from repro.service.placement import PlacementService
 
@@ -269,8 +250,6 @@ class TOPSProblem:
             self,
             engine=engine,
             cache_size=cache_size,
-            shards=shards,
-            query_workers=query_workers,
             **build_kwargs,
         )
 

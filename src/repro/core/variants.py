@@ -15,18 +15,15 @@
 
 All drivers operate through the coverage protocol shared by
 :class:`~repro.core.coverage.CoverageIndex`,
-:class:`~repro.core.coverage.SparseCoverageIndex`, the binary-ψ
-:class:`~repro.core.bitcov.BitsetCoverageIndex` and the
-trajectory-sharded :class:`~repro.core.shards.ShardedCoverage`, so they
-work unchanged on the flat site space (Inc-Greedy), on NetClus's clustered
-space (pass the coverage index built from estimated detours), on the
-dense, sparse or bitset engine, and on any shard count — sharded
-selections are identical to unsharded ones.  With a sparse index the
-greedy-based drivers automatically use the CELF lazy greedy
-(:class:`~repro.core.greedy.LazyGreedy`), which returns the same
-selections.  The one exception is :func:`solve_tops_min_inconvenience`,
+:class:`~repro.core.coverage.SparseCoverageIndex` and the binary-ψ
+:class:`~repro.core.bitcov.BitsetCoverageIndex`, so they work unchanged on
+the flat site space (Inc-Greedy), on NetClus's clustered space (pass the
+coverage index built from estimated detours), and on the dense, sparse or
+bitset engine.  With a sparse index the greedy-based drivers automatically
+use the CELF lazy greedy (:class:`~repro.core.greedy.LazyGreedy`), which
+returns the same selections.  The one exception is :func:`solve_tops_min_inconvenience`,
 whose τ = ∞ objective needs the full detour matrix and therefore requires
-the plain (unsharded) dense index.
+the dense index.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from repro.core.coverage import (
 )
 from repro.core.greedy import IncGreedy, LazyGreedy
 from repro.core.query import TOPSQuery, TOPSResult
-from repro.core.shards import ShardedCoverage
 from repro.utils.timer import Timer
 from repro.utils.validation import require, require_positive, require_probability
 
@@ -57,7 +53,7 @@ __all__ = [
 ]
 
 
-AnyCoverage = CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex | ShardedCoverage
+AnyCoverage = CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
 
 
 def _greedy_solver(coverage: AnyCoverage) -> IncGreedy | LazyGreedy:
@@ -241,9 +237,9 @@ def solve_tops_min_inconvenience(
 
     require(
         not getattr(coverage, "is_sparse", False)
-        and not isinstance(coverage, (ShardedCoverage, BitsetCoverageIndex)),
+        and not isinstance(coverage, BitsetCoverageIndex),
         "TOPS3 (min inconvenience) needs the full dense detour matrix; "
-        "build the coverage with the dense engine and shards=1",
+        "build the coverage with the dense engine",
     )
     with Timer() as timer:
         detours = np.where(np.isfinite(coverage.detours), coverage.detours, np.nan)

@@ -2,11 +2,7 @@
 
 The paper subsamples the Beijing candidate sites (100k–250k) and trajectories
 (20k–120k) and shows NetClus stays roughly an order of magnitude faster than
-Inc-Greedy throughout.  We sweep fractions of the scaled dataset instead,
-and add a third axis the paper's single-core setup could not explore:
-query latency as the trajectory-sharded query path splits the coverage
-into S shards evaluated by a worker pool (selections are identical for
-every S — the sweep asserts it).
+Inc-Greedy throughout.  We sweep fractions of the scaled dataset instead.
 """
 
 from __future__ import annotations
@@ -19,15 +15,12 @@ from repro.datasets import beijing_like
 from repro.datasets.base import DatasetBundle
 from repro.experiments.reporting import print_table
 from repro.experiments.runner import DEFAULT_TAU_RANGE
-from repro.service.placement import PlacementService
-from repro.service.specs import QuerySpec
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
 
 __all__ = [
     "run_varying_sites",
     "run_varying_trajectories",
-    "run_varying_shards",
     "run",
     "main",
 ]
@@ -95,80 +88,18 @@ def run_varying_trajectories(
     return rows
 
 
-def run_varying_shards(
-    bundle: DatasetBundle,
-    shard_counts: tuple[int, ...] = (1, 2, 4),
-    k: int = 10,
-    tau_km: float = 0.8,
-    engine: str = "sparse",
-    query_workers: int | str = "auto",
-    repeats: int = 3,
-    index=None,
-) -> list[dict]:
-    """Fig. 10c (repro extension): query latency vs trajectory-shard count.
-
-    Times the same ``(k, τ)`` batch through a
-    :class:`~repro.service.PlacementService` per shard count (cache
-    bypassed — every run measures real coverage-build + greedy work) over
-    one shared NetClus index (pass ``index=`` to reuse an already-built
-    one, e.g. the ``run_all`` context's).  Selections are asserted
-    identical to the unsharded baseline; the ``speedup`` column is against
-    shards=1 on the same service configuration.
-    """
-    if index is None:
-        problem = TOPSProblem(bundle.network, bundle.trajectories, bundle.sites)
-        index = problem.build_netclus_index(
-            tau_min_km=DEFAULT_TAU_RANGE[0], tau_max_km=DEFAULT_TAU_RANGE[1]
-        )
-    specs = [QuerySpec(k=k, tau_km=tau_km)]
-    rows: list[dict] = []
-    baseline_sites: tuple[int, ...] | None = None
-    baseline_seconds: float | None = None
-    for shards in shard_counts:
-        service = PlacementService(
-            index, engine=engine, shards=shards, query_workers=query_workers
-        )
-        best = np.inf
-        for _ in range(max(1, repeats)):
-            with Timer() as timer:
-                results = service.batch_query(specs, use_cache=False)
-            best = min(best, timer.elapsed)
-        service.close()
-        if baseline_sites is None:
-            baseline_sites = results[0].sites
-            baseline_seconds = best
-        elif results[0].sites != baseline_sites:
-            raise AssertionError(
-                f"sharded selection diverged at shards={shards}: "
-                f"{results[0].sites} != {baseline_sites}"
-            )
-        rows.append(
-            {
-                "shards": shards,
-                "query_workers": service.query_workers,
-                "query_runtime_s": best,
-                "speedup_vs_unsharded": baseline_seconds / best if best else 0.0,
-                "utility": results[0].utility,
-            }
-        )
-    return rows
-
-
 def run(
     scale: str = "small",
     seed: int = 42,
     bundle: DatasetBundle | None = None,
     engine: str = "dense",
-    index=None,
 ) -> dict[str, list[dict]]:
-    """All three scalability sweeps (``index=`` reuses a built NetClus index
-    for the shard panel)."""
+    """Both scalability sweeps."""
     if bundle is None:
         bundle = beijing_like(scale=scale, seed=seed)
     return {
         "varying_sites": run_varying_sites(bundle, engine=engine),
         "varying_trajectories": run_varying_trajectories(bundle, engine=engine),
-        "varying_shards": run_varying_shards(bundle, engine=engine, index=index),
     }
 
 
@@ -179,11 +110,6 @@ def main() -> dict[str, list[dict]]:
     print()
     print_table(
         panels["varying_trajectories"], title="Fig. 10b — scalability vs #trajectories"
-    )
-    print()
-    print_table(
-        panels["varying_shards"],
-        title="Fig. 10c — sharded query path vs shard count (repro extension)",
     )
     return panels
 

@@ -74,19 +74,10 @@ def _run_fig08(scale: str, seed: int, context) -> None:
 
 
 def _run_fig10(scale: str, seed: int, context) -> None:
-    # the shard panel reuses the context's index (same bundle + τ range),
-    # so --index-cache skips its offline build too
-    panels = fig10_scalability.run(
-        scale=scale, seed=seed, engine=context.engine, index=context.netclus
-    )
+    panels = fig10_scalability.run(scale=scale, seed=seed, engine=context.engine)
     print_table(panels["varying_sites"], title="Fig. 10a — scalability vs #sites")
     print()
     print_table(panels["varying_trajectories"], title="Fig. 10b — scalability vs #trajectories")
-    print()
-    print_table(
-        panels["varying_shards"],
-        title="Fig. 10c — sharded query path vs shard count (repro extension)",
-    )
 
 
 def _run_fig11(scale: str, seed: int, context) -> None:

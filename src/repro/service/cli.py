@@ -6,10 +6,7 @@ Six subcommands::
     python -m repro.service build --dataset beijing --scale tiny --out city.ncx
 
     # online phase: answer a JSON/CSV batch of query specs from the index
-    # (optionally over S trajectory shards evaluated by a worker pool —
-    #  selections are identical for any --shards / --query-workers)
-    python -m repro.service query --index city.ncx --specs specs.json \\
-        --shards 4 --query-workers auto
+    python -m repro.service query --index city.ncx --specs specs.json
 
     # serving phase: the asyncio HTTP front end (POST /query, POST /update,
     # GET /metrics, GET /healthz) with coalescing + bounded admission
@@ -79,9 +76,6 @@ def _dataset_builders() -> dict[str, Callable[..., DatasetBundle]]:
 # build
 # ---------------------------------------------------------------------- #
 def _cmd_build(args: argparse.Namespace) -> int:
-    if args.shards is not None and int(args.shards) < 1:
-        # fail before the (potentially long) offline build runs
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     builders = _dataset_builders()
     if args.dataset == "beijing":
         bundle = builders["beijing"](scale=args.scale or "small", seed=args.seed)
@@ -106,8 +100,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         representative_strategy=args.representative_strategy,
         workers=args.workers,  # already resolved by the argparse type
     )
-    if args.shards is not None:
-        index.shards = int(args.shards)
     directory = save_index(index, args.out, dataset=bundle.trajectories)
     for stat in index.build_stats:
         workers = f" ({stat.workers} workers)" if stat.workers > 1 else ""
@@ -146,8 +138,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     service = PlacementService.from_path(
         args.index,
         engine=args.engine,
-        shards=args.shards,
-        query_workers=args.query_workers,  # already resolved by the argparse type
         coverage_cache=True if args.coverage_cache else None,
     )
     results = service.batch_query(specs)
@@ -206,7 +196,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"({len(service.coverage_cache.describe_parts())} part(s) cached)"
         )
     print(
-        f"shards {service.effective_shards} x {service.query_workers} workers | "
         f"stage seconds: coverage {stats.coverage_build_seconds:.3f} | "
         f"greedy {stats.greedy_seconds:.3f} | replay {stats.replay_seconds:.3f}"
     )
@@ -225,8 +214,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = PlacementService.from_path(
         args.index,
         engine=args.engine,
-        shards=args.shards,
-        query_workers=args.query_workers,  # already resolved by the argparse type
         coverage_cache=True if args.coverage_cache else None,
     )
     server = PlacementServer(
@@ -289,8 +276,6 @@ def _cmd_farm(args: argparse.Namespace) -> int:
             None if args.memory_budget_mb is None else int(args.memory_budget_mb * 1e6)
         ),
         engine=args.engine,
-        shards=args.shards,
-        query_workers=args.query_workers,  # already resolved by the argparse type
         coverage_cache=True if args.coverage_cache else None,
     )
     for entry in args.tenant:
@@ -458,15 +443,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         f"instance cap "
         f"{'none (full ladder)' if max_instances is None else max_instances}"
     )
-    shards = int(manifest.get("shards", 1))
-    if shards > 1:
-        sizes = manifest.get("shard_sizes", [])
-        layout = (
-            ", ".join(str(s) for s in sizes) if sizes else "sizes not recorded"
-        )
-        print(f"shard layout     : {shards} shards (trajectories: {layout})")
-    else:
-        print("shard layout     : 1 shard (unsharded query path)")
     print(
         f"size             : {manifest['num_instances']} instances, "
         f"{manifest['num_trajectories']} trajectories, "
@@ -522,31 +498,27 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 f"{entry['num_representatives']:>6}"
             )
     if args.timings:
-        _print_probe_timings(args.index, manifest, shards)
+        _print_probe_timings(args.index, manifest)
     return 0
 
 
-def _print_probe_timings(index_path: str, manifest: dict, shards: int) -> None:
+def _print_probe_timings(index_path: str, manifest: dict) -> None:
     """Load the index and report per-stage timings of one probe batch.
 
     The probe runs a small k-sweep at a mid-range τ through a
-    :class:`PlacementService` configured with the manifest's shard layout,
-    then prints the service's per-stage query timings (coverage build /
-    greedy / prefix replay) — the live counterpart of the static manifest
-    numbers above.
+    :class:`PlacementService`, then prints the service's per-stage query
+    timings (coverage build / greedy / prefix replay) — the live
+    counterpart of the static manifest numbers above.
     """
     params = manifest["build_params"]
     tau = min(2.0 * float(params["tau_min_km"]), float(params["tau_max_km"]))
-    service = PlacementService.from_path(
-        index_path, shards=shards if shards > 1 else None, query_workers="auto"
-    )
+    service = PlacementService.from_path(index_path)
     specs = [QuerySpec(k=k, tau_km=tau) for k in (3, 5, 8)]
     service.batch_query(specs, use_cache=False)
     stats = service.stats
     print()
     print(
-        f"query timings    : probe batch ({len(specs)} specs at tau={tau:g} km, "
-        f"{service.effective_shards} shard(s) x {service.query_workers} workers)"
+        f"query timings    : probe batch ({len(specs)} specs at tau={tau:g} km)"
     )
     for stage, seconds in stats.stage_seconds().items():
         print(f"  {stage:<24} {seconds:8.4f}s")
@@ -596,14 +568,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "fan-out; the built index is identical to --workers 1); a positive "
         "integer or 'auto' (the usable-CPU count)",
     )
-    build.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="default trajectory-shard count stamped on the index for the "
-        "sharded query path (recorded in the manifest; selections are "
-        "identical for any value)",
-    )
     build.add_argument("--out", required=True, help="output index directory")
     build.set_defaults(func=_cmd_build)
 
@@ -616,21 +580,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=["dense", "sparse", "bitset", "auto"],
         help="coverage engine (bitset: binary-preference popcount kernels; "
         "auto: bitset for binary specs, sparse otherwise)",
-    )
-    query.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="trajectory-shard count for the query path (default: the "
-        "index's saved layout; results are identical for any value)",
-    )
-    query.add_argument(
-        "--query-workers",
-        type=resolve_workers,
-        default="auto",
-        help="threads of the shard-evaluation pool; a positive integer or "
-        "'auto' (the usable-CPU count, the default — so an index saved "
-        "with a shard layout is served with a matching pool)",
     )
     query.add_argument(
         "--coverage-cache",
@@ -688,20 +637,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=["dense", "sparse", "bitset", "auto"],
         help="coverage engine (bitset: binary-preference popcount kernels; "
         "auto: bitset for binary specs, sparse otherwise)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="trajectory-shard count for the query path (default: the "
-        "index's saved layout; results are identical for any value)",
-    )
-    serve.add_argument(
-        "--query-workers",
-        type=resolve_workers,
-        default="auto",
-        help="threads of the shard-evaluation pool; a positive integer or "
-        "'auto' (the usable-CPU count)",
     )
     serve.add_argument(
         "--coverage-cache",
@@ -769,21 +704,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="coverage engine for every tenant (bitset: binary-preference "
         "popcount kernels; auto: bitset for binary specs, sparse otherwise)",
     )
-    farm.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="trajectory-shard count for every tenant's query path "
-        "(default: each index's saved layout; results are identical for "
-        "any value)",
-    )
-    farm.add_argument(
-        "--query-workers",
-        type=resolve_workers,
-        default="auto",
-        help="threads of the shard-evaluation pool; a positive integer or "
-        "'auto' (the usable-CPU count)",
-    )
+    # accepted and ignored: the farm_http benchmark's frozen server
+    # command line still passes it
+    farm.add_argument("--query-workers", help=argparse.SUPPRESS)
     farm.add_argument(
         "--coverage-cache",
         action="store_true",

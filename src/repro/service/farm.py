@@ -93,9 +93,8 @@ class IndexFarm:
         ``None`` disables eviction (every loaded tenant stays resident).
     service_kwargs:
         Forwarded to every tenant's :class:`PlacementService` constructor
-        (``engine``, ``cache_size``, ``shards``, ``query_workers``,
-        ``coverage_cache``, ...), so all tenants share one serving
-        configuration.
+        (``engine``, ``cache_size``, ``coverage_cache``, ...), so all
+        tenants share one serving configuration.
 
     Examples
     --------
@@ -246,7 +245,6 @@ class IndexFarm:
         assert service is not None
         for key, value in service.stats.as_dict().items():
             record.folded_stats[key] = record.folded_stats.get(key, 0) + value
-        service.close()
         record.service = None
         if count:
             record.evictions += 1

@@ -19,13 +19,6 @@ shared work:
    dynamic updates (``service.index.add_site(...)``,
    :meth:`~NetClusIndex.apply_updates`, ...), so a served selection can
    never be stale.
-4. **Sharded gain evaluation** — with ``shards=S`` every coverage is
-   built as a :class:`~repro.core.shards.ShardedCoverage` (S disjoint
-   trajectory shards, deterministic by trajectory id) and
-   ``query_workers=N`` evaluates the per-shard marginal-gain work on a
-   persistent thread pool.  Sharding never changes results — selections
-   and utilities are identical to the unsharded path — it only splits the
-   gain evaluation into concurrently evaluable pieces.
 
 ``stats`` counts every resolution/build/run and every cache hit, and
 accumulates per-stage query timings (coverage build / greedy run / prefix
@@ -45,7 +38,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,7 +57,6 @@ from repro.service.serialization import load_index, save_index
 from repro.service.specs import QuerySpec
 from repro.trajectory.model import TrajectoryDataset
 from repro.utils.concurrency import guarded_by, holds_lock
-from repro.utils.parallel import resolve_workers
 from repro.utils.timer import KernelTimer, Timer
 from repro.utils.validation import require
 
@@ -263,7 +254,6 @@ class _PreparedGroup:
 
 
 @guarded_by("_cache_lock", "_cache", "_cache_version")
-@guarded_by("_executor_lock", "_executor")
 class PlacementService:
     """A persistent placement service over one city's NetClus index.
 
@@ -284,17 +274,6 @@ class PlacementService:
         Selections are identical for every engine.
     cache_size:
         Capacity of the LRU result cache (0 disables caching).
-    shards:
-        Trajectory-shard count for every coverage the service builds
-        (``None`` = the index's own default, which is 1 unless the saved
-        index carries a shard layout).  Sharding never changes results;
-        with ``shards > 1`` the gain evaluation splits into S independent
-        pieces that ``query_workers`` can evaluate concurrently.
-    query_workers:
-        Workers of the persistent shard-evaluation thread pool — a
-        positive integer or ``"auto"`` (the usable-CPU count).  Only
-        engaged when the effective shard count exceeds 1; ``1`` evaluates
-        shards in-line.
 
     Examples
     --------
@@ -315,8 +294,6 @@ class PlacementService:
         builder: Callable[[], NetClusIndex] | None = None,
         engine: str = "sparse",
         cache_size: int = 128,
-        shards: int | None = None,
-        query_workers: int | str = 1,
         coverage_cache: bool | None = None,
         coverage_cache_limit: int | None = None,
     ) -> None:
@@ -329,15 +306,10 @@ class PlacementService:
             f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}",
         )
         require(cache_size >= 0, "cache_size must be non-negative")
-        if shards is not None:
-            require(int(shards) >= 1, "shards must be >= 1")
-            shards = int(shards)
         self._index = index
         self._builder = builder
         self.engine = engine
         self.cache_size = cache_size
-        self.shards = shards
-        self.query_workers = resolve_workers(query_workers)
         #: coverage-cache policy: ``True`` enables the index's persistent
         #: :class:`~repro.core.covcache.CoverageCache` (zero-rebuild
         #: steady-state queries), ``False`` detaches it, ``None`` (default)
@@ -353,14 +325,10 @@ class PlacementService:
         # concurrency: readers (batch_query) share the index lock, writers
         # (apply_updates) take it exclusively; the cache has its own mutex
         # (it mutates on reads too — LRU recency), and the lazy index build
-        # runs at most once behind its own lock.  The shard-evaluation
-        # executor is created lazily (at most once) and persists across
-        # queries.
+        # runs at most once behind its own lock.
         self._index_lock = _ReadWriteLock()
         self._cache_lock = threading.RLock()
         self._build_lock = threading.Lock()
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # construction / persistence
@@ -372,8 +340,6 @@ class PlacementService:
         *,
         engine: str = "sparse",
         cache_size: int = 128,
-        shards: int | None = None,
-        query_workers: int | str = 1,
         coverage_cache: bool | None = None,
         coverage_cache_limit: int | None = None,
         **build_kwargs: Any,
@@ -389,8 +355,6 @@ class PlacementService:
             builder=lambda: problem.build_netclus_index(**build_kwargs),
             engine=engine,
             cache_size=cache_size,
-            shards=shards,
-            query_workers=query_workers,
             coverage_cache=coverage_cache,
             coverage_cache_limit=coverage_cache_limit,
         )
@@ -404,20 +368,17 @@ class PlacementService:
         *,
         engine: str = "sparse",
         cache_size: int = 128,
-        shards: int | None = None,
-        query_workers: int | str = 1,
         coverage_cache: bool | None = None,
         coverage_cache_limit: int | None = None,
     ) -> "PlacementService":
         """A service over a persisted index directory (see ``save``).
 
         Fingerprints are verified on load; a *network*/*dataset* that does
-        not match what the index was built on is refused.  ``shards=None``
-        inherits the saved index's shard layout (manifest ``shards`` key).
-        A format-v3 directory with coverage parts cold-starts warm: the
-        parts are attached on load (``coverage_cache=None`` keeps them;
-        ``False`` drops them; ``True`` additionally enables the cache even
-        when the directory carried no parts).
+        not match what the index was built on is refused.  A format-v3
+        directory with coverage parts cold-starts warm: the parts are
+        attached on load (``coverage_cache=None`` keeps them; ``False``
+        drops them; ``True`` additionally enables the cache even when the
+        directory carried no parts).
         """
         return cls(
             index=load_index(
@@ -428,8 +389,6 @@ class PlacementService:
             ),
             engine=engine,
             cache_size=cache_size,
-            shards=shards,
-            query_workers=query_workers,
             coverage_cache=coverage_cache,
             coverage_cache_limit=coverage_cache_limit,
         )
@@ -475,48 +434,6 @@ class PlacementService:
         from an observability probe.
         """
         return None if self._index is None else int(self._index.version)
-
-    @property
-    def effective_shards(self) -> int:
-        """The shard count every coverage is built with (resolves the index default)."""
-        if self.shards is not None:
-            return self.shards
-        return int(getattr(self.index, "shards", 1))
-
-    def _shard_executor(self) -> ThreadPoolExecutor | None:
-        """The persistent shard-evaluation pool (created at most once).
-
-        ``None`` when sharding or the worker count makes a pool pointless;
-        the pool is shared by every query and survives across batches — a
-        served process pays the thread start-up exactly once.
-        """
-        if self.query_workers <= 1 or self.effective_shards <= 1:
-            return None
-        # always under the lock: a lock-free fast-path read of
-        # self._executor races with close() swapping the pool out, and the
-        # uncontended acquire costs nothing next to a shard evaluation
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=min(self.query_workers, self.effective_shards),
-                    thread_name_prefix="shard-eval",
-                )
-            return self._executor
-
-    def close(self) -> None:
-        """Shut the shard-evaluation pool down (idempotent).
-
-        Takes the index lock exclusively, so an in-flight ``batch_query``
-        (a reader holding the pool) finishes before the pool shuts down —
-        concurrent queries can never observe a dead executor.  Queries
-        remain valid afterwards: the next sharded query simply re-creates
-        the pool.
-        """
-        with self._index_lock.write_locked():
-            with self._executor_lock:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=True)
-                    self._executor = None
 
     def save(self, path: str | Path, dataset: TrajectoryDataset | None = None) -> Path:
         """Persist the index to *path* (a directory); returns the path.
@@ -630,15 +547,11 @@ class PlacementService:
             for position, spec in enumerate(specs):
                 if isinstance(spec, TOPSQuery) and not is_registered(spec.preference):
                     # unregistered ψ: answer outside the spec machinery,
-                    # but with the same shard layout + worker pool and the
-                    # same per-stage timing accounting as spec queries
+                    # but with the same per-stage timing accounting as
+                    # spec queries
                     with Timer() as build_timer:
                         prepared = index.prepare_coverage(
-                            spec.tau_km,
-                            spec.preference,
-                            engine=self.engine,
-                            shards=self.effective_shards,
-                            executor=self._shard_executor(),
+                            spec.tau_km, spec.preference, engine=self.engine
                         )
                     prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
                     with Timer() as run_timer:
@@ -705,10 +618,7 @@ class PlacementService:
         """
         groups: dict[tuple, _PreparedGroup] = {}
         instances: dict[float, object] = {}
-        executor = self._shard_executor()
         cache = getattr(self.index, "coverage_cache", None)
-        if cache is not None:
-            cache.executor = executor
         for position in pending:
             spec = resolved[position]
             key = spec.coverage_key
@@ -720,11 +630,7 @@ class PlacementService:
                     # materialisation over the canonical entries
                     with Timer() as timer:
                         prepared = self.index.prepare_coverage(
-                            spec.tau_km,
-                            preference,
-                            engine=self.engine,
-                            shards=self.effective_shards,
-                            executor=executor,
+                            spec.tau_km, preference, engine=self.engine
                         )
                     prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
                     self.stats.bump(
@@ -745,8 +651,6 @@ class PlacementService:
                         preference,
                         engine=self.engine,
                         instance=instances[spec.tau_km],
-                        shards=self.effective_shards,
-                        executor=executor,
                     )
                 prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
                 self.stats.bump(
@@ -883,7 +787,6 @@ class PlacementService:
             # the engine the group's coverage was actually built with
             # (``self.engine`` may be the unresolved "auto" policy)
             "engine": group.prepared.engine,
-            "shards": group.prepared.num_shards,
             "coverage_build_seconds": group.build_seconds,
         }
 

@@ -31,13 +31,10 @@ loadable: they come back with ``version`` 0 and, for ``most_frequent``
 indexes, without visit counts (their re-elections fall back to proximity,
 the pre-v2 behaviour).
 
-The manifest may additionally carry *optional shard keys* — ``shards``
-(the index's default trajectory-shard count for the sharded query path)
-and ``shard_sizes`` (trajectories per shard under the deterministic
-id-hash layout, for ``inspect``).  They are written only for indexes whose
-default is sharded (``shards > 1``); v1 and v2 manifests without them load
-unchanged with ``shards`` 1.  Sharding is purely a query-time layout — it
-never affects the payload, the fingerprints, or any selection.
+Manifests from older releases may carry ``shards``/``shard_sizes`` keys
+(the layout of a since-removed sharded query path).  They never affected
+the payload, the fingerprints or any selection; loads ignore them and
+saves no longer write them.
 
 Format v3 adds *optional coverage parts* — the canonical per-(τ, ψ)
 coverage entries of the index's :class:`~repro.core.covcache.CoverageCache`
@@ -420,14 +417,6 @@ def save_index(
         },
         "index_version": index.version,
         **(
-            {
-                "shards": index.shards,
-                "shard_sizes": _shard_sizes(index),
-            }
-            if index.shards > 1
-            else {}
-        ),
-        **(
             {"build_stats": [stat.as_dict() for stat in index.build_stats]}
             if index.build_stats
             else {}
@@ -618,14 +607,6 @@ def _attach_coverage_parts(
                 rep_clusters=[int(c) for c in rep_clusters],
             ),
         )
-
-
-def _shard_sizes(index: NetClusIndex) -> list[int]:
-    """Trajectories per shard under the index's default shard layout."""
-    from repro.core.shards import shard_assignments
-
-    assignments = shard_assignments(index.trajectory_ids, index.shards)
-    return np.bincount(assignments, minlength=index.shards).astype(int).tolist()
 
 
 def _payload_arrays(index: NetClusIndex) -> dict[str, np.ndarray]:
@@ -941,7 +922,6 @@ def load_index(
             if params.get("max_instances") is not None
             else None
         ),
-        shards=int(manifest.get("shards", 1)),
     )
     if with_coverage and manifest.get("coverage_parts"):
         if format_version >= 4:

@@ -11,14 +11,6 @@ Being a frozen dataclass of primitives, a spec can be used directly as an
 LRU-cache key and round-trips through JSON/CSV (:meth:`QuerySpec.to_dict` /
 :meth:`QuerySpec.from_dict`), which is what the ``python -m repro.service
 query`` CLI reads.
-
-Deliberately *not* part of a spec: execution-layout knobs like the
-trajectory-shard count or the query worker pool.  Sharding never changes a
-result (selections are identical for any ``shards``/``query_workers``),
-so it lives on the :class:`~repro.service.PlacementService` — keeping it
-out of the spec means a cached result stays valid when the service's
-layout changes, and two deployments with different shard counts produce
-interchangeable result sets for the same spec batch.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 Everything in the library that accepts a ``workers`` knob — the offline
 build (``NetClusIndex.build``/``build_index``), the service CLI, the
-experiment harness (``run_all``), the placement service's
-``query_workers`` and the benchmarks — accepts either a positive integer
-or the string ``"auto"``.  ``"auto"`` resolves to the number of CPUs this
+experiment harness (``run_all``) and the benchmarks — accepts either a
+positive integer or the string ``"auto"``.  ``"auto"`` resolves to the number of CPUs this
 process may *actually* schedule on (the cgroup/affinity-aware count), not
 the machine-wide ``os.cpu_count()``: on a two-core CI container a request
 for "all the cores" must come back 2, not the host's 64, or the pool
@@ -40,8 +39,8 @@ def capped_cpu_workers(cap: int) -> int:
 
     Benchmarks that document an N-way measurement (e.g. "a 4-worker
     build") size their pools with this so a container with fewer usable
-    CPUs never oversubscribes; both the parallel-build and sharded-query
-    benchmarks use it.
+    CPUs never oversubscribes; the parallel-build and serving benchmarks
+    use it.
     """
     return min(int(cap), usable_cpu_count())
 
@@ -51,8 +50,15 @@ def resolve_workers(workers: int | str) -> int:
 
     ``"auto"`` (case-insensitive) resolves to :func:`usable_cpu_count`;
     integers (or integer-valued strings, as argparse hands them over) are
-    validated to be >= 1.
+    validated to be >= 1.  Booleans and non-integral floats are refused
+    rather than truncated to a worker count.
     """
+    if isinstance(workers, bool) or (
+        isinstance(workers, float) and not workers.is_integer()
+    ):
+        raise ValueError(
+            f"workers must be a positive integer or 'auto', got {workers!r}"
+        )
     if isinstance(workers, str):
         if workers.strip().lower() == "auto":
             return usable_cpu_count()

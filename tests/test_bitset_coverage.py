@@ -16,7 +16,6 @@ from hypothesis.extra import numpy as hnp
 
 import repro.core.bitcov as bitcov_module
 import repro.core.coverage as coverage_module
-import repro.core.shards as shards_module
 from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.coverage import (
     CoverageIndex,
@@ -31,7 +30,6 @@ from repro.core.preference import (
     LinearPreference,
     make_preference,
 )
-from repro.core.shards import ShardedCoverage
 from repro.utils.timer import KernelTimer
 
 
@@ -217,27 +215,21 @@ SMALL_DETOURS = hnp.arrays(
 class TestBinaryScoresAreExactlyZeroOne:
     """The invariant that makes popcount == float sum: every registered
     binary ψ scores exactly {0.0, 1.0} over the ≤τ entry set, on every
-    engine and shard layout."""
+    engine."""
 
-    @pytest.mark.parametrize("shards", [1, 4])
     @pytest.mark.parametrize("engine", ["dense", "sparse", "bitset"])
     @pytest.mark.parametrize("preference_name", BINARY_PREFERENCES)
     @given(detours=SMALL_DETOURS)
     @settings(max_examples=25, deadline=None)
-    def test_scores_are_binary(self, preference_name, engine, shards, detours):
+    def test_scores_are_binary(self, preference_name, engine, detours):
         preference = make_preference(preference_name)
         tau = 1.0
-        if shards > 1:
-            coverage = ShardedCoverage.from_detours(
-                detours, tau, preference, num_shards=shards, engine=engine
-            )
-        else:
-            cls = {
-                "dense": CoverageIndex,
-                "sparse": SparseCoverageIndex,
-                "bitset": BitsetCoverageIndex,
-            }[engine]
-            coverage = cls(detours, tau, preference)
+        cls = {
+            "dense": CoverageIndex,
+            "sparse": SparseCoverageIndex,
+            "bitset": BitsetCoverageIndex,
+        }[engine]
+        coverage = cls(detours, tau, preference)
         entry_rows, entry_cols = np.nonzero(np.asarray(detours) <= tau)
         total_entries = 0
         for col in range(coverage.num_sites):
@@ -263,24 +255,18 @@ class TestLabelMapCache:
             ("dense", coverage_module),
             ("sparse", coverage_module),
             ("bitset", bitcov_module),
-            ("sharded", shards_module),
         ],
     )
     def test_mapping_built_once(self, rng, monkeypatch, engine, module):
         detours = random_detours(rng, 48, 12)
         labels = list(range(100, 112))
         preference = BinaryPreference()
-        if engine == "sharded":
-            coverage = ShardedCoverage.from_detours(
-                detours, 0.8, preference, num_shards=3, site_labels=labels
-            )
-        else:
-            cls = {
-                "dense": CoverageIndex,
-                "sparse": SparseCoverageIndex,
-                "bitset": BitsetCoverageIndex,
-            }[engine]
-            coverage = cls(detours, 0.8, preference, site_labels=labels)
+        cls = {
+            "dense": CoverageIndex,
+            "sparse": SparseCoverageIndex,
+            "bitset": BitsetCoverageIndex,
+        }[engine]
+        coverage = cls(detours, 0.8, preference, site_labels=labels)
         calls = {"count": 0}
 
         def counting_build(site_labels):
@@ -325,15 +311,3 @@ class TestKernelTimer:
         assert calls["absorb"] == 1
         assert calls["gain_updates"] == 1
         assert all(seconds >= 0.0 for seconds in timer.seconds().values())
-
-    def test_sharded_attach_propagates_to_parts(self, rng):
-        detours = random_detours(rng, 60, 10)
-        coverage = ShardedCoverage.from_detours(
-            detours, 0.8, BinaryPreference(), num_shards=3, engine="bitset"
-        )
-        timer = KernelTimer()
-        coverage.attach_kernel_timer(timer)
-        assert all(part.kernel_timer is timer for part in coverage.parts)
-        coverage.marginal_gains(np.zeros(60))
-        # one record per shard part, none double-counted by the coordinator
-        assert timer.calls()["marginal_gains"] == 3

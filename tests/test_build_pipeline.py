@@ -1,6 +1,6 @@
 """Tests for the staged build pipeline (`repro.core.build`).
 
-Covers the pipeline's stage records, the workers=1 vs workers=N parity
+Covers the pipeline's stage records, `workers` resolution, the workers=1 vs workers=N parity
 guarantee (state, selections, serialized payload), manifest round-tripping
 of the per-stage stats, worker-failure propagation, and the shared
 trajectory-registration kernel.
@@ -19,6 +19,7 @@ from repro.core.query import TOPSQuery
 from repro.datasets import beijing_like
 from repro.network.shortest_path import ShortestPathEngine
 from repro.service.serialization import load_index, payload_digest, save_index
+from repro.utils.parallel import resolve_workers, usable_cpu_count
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,28 @@ class TestStagedPipeline:
             NetClusIndex.build(
                 bundle.network, bundle.trajectories, bundle.sites, workers=0
             )
+
+
+class TestResolveWorkers:
+    def test_auto_resolves_to_usable_cpus(self):
+        assert resolve_workers("auto") == usable_cpu_count()
+        assert resolve_workers("AUTO") == usable_cpu_count()
+        assert usable_cpu_count() >= 1
+
+    def test_integers_pass_through(self):
+        assert resolve_workers(3) == 3
+        assert resolve_workers("2") == 2
+
+    @pytest.mark.parametrize("workers", [0, "banana", 2.5, True, 0.9])
+    def test_invalid_values_raise(self, workers):
+        with pytest.raises(ValueError, match=repr(workers)):
+            resolve_workers(workers)
+
+    def test_auto_accepted_by_build(self, bundle):
+        index = bundle.problem().build_netclus_index(
+            tau_max_km=1.0, max_instances=1, workers="auto"
+        )
+        assert index.num_instances == 1
 
 
 class TestParallelParity:

@@ -13,7 +13,7 @@ seeded generator of arbitrary interleavings of
 * query probes on multiple ``(τ, ψ)`` keys,
 
 and after **every** step byte-compares the warm index against a cache-free
-twin across ``engine ∈ {dense, sparse}`` and ``shards ∈ {1, 4}``.  A failure
+twin across ``engine ∈ {dense, sparse}``.  A failure
 prints the reproducing seed and the full op script.
 
 Also covers the cache's unit-level contracts: LRU bounds, the unregistered-ψ
@@ -44,7 +44,6 @@ KEYS: tuple[tuple[float, PreferenceFunction], ...] = (
     (2.0, LinearPreference()),
 )
 ENGINES = ("dense", "sparse")
-SHARD_COUNTS = (1, 4)
 NUM_OPS = 12
 
 
@@ -187,24 +186,23 @@ def assert_parity(warm, seed, ops, step):
     cold.coverage_cache = None
     for tau, preference in KEYS:
         for engine in ENGINES:
-            for shards in SHARD_COUNTS:
-                query = TOPSQuery(k=5, tau_km=tau, preference=preference)
-                a = warm.query(query, engine=engine, shards=shards)
-                b = cold.query(query, engine=engine, shards=shards)
-                context = (
-                    f"(tau={tau}, psi={preference.spec()[0]}, engine={engine}, "
-                    f"shards={shards}) diverged after step {step}.\n"
-                    f"Reproduce with:\n{format_script(seed, ops, step)}"
+            query = TOPSQuery(k=5, tau_km=tau, preference=preference)
+            a = warm.query(query, engine=engine)
+            b = cold.query(query, engine=engine)
+            context = (
+                f"(tau={tau}, psi={preference.spec()[0]}, engine={engine}) "
+                f"diverged after step {step}.\n"
+                f"Reproduce with:\n{format_script(seed, ops, step)}"
+            )
+            if list(a.sites) != list(b.sites):
+                pytest.fail(
+                    f"warm selection {list(a.sites)} != cold {list(b.sites)} {context}"
                 )
-                if list(a.sites) != list(b.sites):
-                    pytest.fail(
-                        f"warm selection {list(a.sites)} != cold {list(b.sites)} {context}"
-                    )
-                if (
-                    np.asarray(a.per_trajectory_utility).tobytes()
-                    != np.asarray(b.per_trajectory_utility).tobytes()
-                ):
-                    pytest.fail(f"per-trajectory utilities diverged {context}")
+            if (
+                np.asarray(a.per_trajectory_utility).tobytes()
+                != np.asarray(b.per_trajectory_utility).tobytes()
+            ):
+                pytest.fail(f"per-trajectory utilities diverged {context}")
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,29 @@ def test_same_tau_different_capacity_needs_two_runs(service):
     assert service.stats.greedy_runs == 2
 
 
+def test_stage_timings_accumulate(service):
+    service.batch_query([QuerySpec(k=3, tau_km=0.8)], use_cache=False)
+    stats = service.stats
+    assert stats.coverage_build_seconds > 0.0
+    assert stats.greedy_seconds > 0.0
+    stages = stats.stage_seconds()
+    # fixed stages plus one kernel_<name>_seconds entry per kernel hit
+    assert {
+        name for name in stages if not name.startswith("kernel_")
+    } == {
+        "coverage_build_seconds",
+        "coverage_materialise_seconds",
+        "greedy_seconds",
+        "replay_seconds",
+    }
+    assert any(name.startswith("kernel_") for name in stages)
+    result = service.query(QuerySpec(k=2, tau_km=0.8), use_cache=False)
+    assert "coverage_build_seconds" in result.stage_seconds()
+    assert "greedy_run_seconds" in result.stage_seconds()
+    stats.reset()
+    assert stats.coverage_build_seconds == 0
+
+
 def test_roundtrip_batch_acceptance_property(tiny_problem, tiny_netclus, tmp_path):
     """save → load → batch_query equals a freshly built index on a mixed batch."""
     path = save_index(tiny_netclus, tmp_path / "city.ncx")

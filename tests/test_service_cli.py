@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.service import cli
 from repro.service.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -349,76 +354,34 @@ class TestBuildPipelineFlags:
         )
 
 
-class TestShardedCLI:
-    """``build --shards``, ``query --shards/--query-workers``, sharded inspect."""
+def test_inspect_timings_probe(built_index, capsys):
+    assert main(["inspect", "--index", str(built_index), "--timings"]) == 0
+    out = capsys.readouterr().out
+    assert "query timings" in out
+    assert "coverage_build_seconds" in out
+    assert "greedy_seconds" in out
 
-    @pytest.fixture(scope="class")
-    def sharded_index(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli-sharded") / "city.ncx"
-        code = main(
-            [
-                "build",
-                "--dataset", "beijing",
-                "--scale", "tiny",
-                "--tau-max", "2.0",
-                "--max-instances", "3",
-                "--workers", "auto",
-                "--shards", "3",
-                "--out", str(path),
-            ]
-        )
-        assert code == 0
-        return path
 
-    def test_shards_recorded_in_manifest(self, sharded_index):
-        manifest = json.loads((sharded_index / "manifest.json").read_text())
-        assert manifest["shards"] == 3
-        assert len(manifest["shard_sizes"]) == 3
-        assert sum(manifest["shard_sizes"]) == manifest["num_trajectories"]
+def test_query_prints_stage_seconds(built_index, tmp_path, capsys):
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([{"k": 4, "tau_km": 0.8}, {"k": 7, "tau_km": 0.8}]))
+    assert main(["query", "--index", str(built_index), "--specs", str(specs)]) == 0
+    assert "stage seconds" in capsys.readouterr().out
 
-    def test_inspect_reports_shard_layout(self, sharded_index, capsys):
-        assert main(["inspect", "--index", str(sharded_index)]) == 0
-        out = capsys.readouterr().out
-        assert "shard layout" in out
-        assert "3 shards" in out
 
-    def test_inspect_timings_probe(self, sharded_index, capsys):
-        assert main(["inspect", "--index", str(sharded_index), "--timings"]) == 0
-        out = capsys.readouterr().out
-        assert "query timings" in out
-        assert "coverage_build_seconds" in out
-        assert "greedy_seconds" in out
-
-    def test_query_matches_unsharded_answers(self, sharded_index, tmp_path, capsys):
-        specs = tmp_path / "specs.json"
-        specs.write_text(json.dumps([{"k": 4, "tau_km": 0.8}, {"k": 7, "tau_km": 0.8}]))
-        out_sharded = tmp_path / "sharded.json"
-        out_plain = tmp_path / "plain.json"
-        assert main(
-            [
-                "query",
-                "--index", str(sharded_index),
-                "--specs", str(specs),
-                "--query-workers", "auto",
-                "--output", str(out_sharded),
-            ]
-        ) == 0
-        assert "stage seconds" in capsys.readouterr().out
-        assert main(
-            [
-                "query",
-                "--index", str(sharded_index),
-                "--specs", str(specs),
-                "--shards", "1",
-                "--output", str(out_plain),
-            ]
-        ) == 0
-        sharded_rows = json.loads(out_sharded.read_text())
-        plain_rows = json.loads(out_plain.read_text())
-        for got, want in zip(sharded_rows, plain_rows):
-            assert got["sites"] == want["sites"]
-            assert got["utility"] == want["utility"]
-
-    def test_unsharded_inspect_prints_single_shard(self, built_index, capsys):
-        assert main(["inspect", "--index", str(built_index)]) == 0
-        assert "1 shard (unsharded query path)" in capsys.readouterr().out
+def test_farm_accepts_the_benchmark_server_flags(monkeypatch):
+    """The farm_http benchmark starts ``farm`` with a frozen flag tuple."""
+    source = (REPO_ROOT / "perfbench" / "farm_http.py").read_text()
+    assignment = next(
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "SERVER_FLAGS" for target in node.targets)
+    )
+    server_flags = ast.literal_eval(assignment.value)
+    parsed = []
+    monkeypatch.setattr(cli, "_cmd_farm", lambda args: parsed.append(args) or 0)
+    argv = ["farm", "--memory-budget-mb", "1.5", "--port", "0", *server_flags]
+    assert main([*argv, "--tenant", "a=city.ncx"]) == 0
+    assert parsed[0].tenant == ["a=city.ncx"]
+    assert parsed[0].coverage_cache is True

@@ -264,20 +264,6 @@ class TestLockDisciplineRegressions:
         # in lockstep: a torn reset would break the 0.5-per-bump ratio
         assert stats.greedy_seconds == pytest.approx(0.5 * stats.queries_served)
 
-    def test_shard_executor_reads_are_locked_on_every_call(self, base_index):
-        service = PlacementService(
-            copy.deepcopy(base_index), engine="sparse", shards=2, query_workers=2
-        )
-        probe = _RecordingLock()
-        service._executor_lock = probe
-        first = service._shard_executor()
-        assert first is not None
-        # the old double-checked fast path skipped the lock once the pool
-        # existed — every resolution must acquire now
-        assert service._shard_executor() is first
-        assert probe.acquisitions == 2
-        service.close()
-
     def test_coverage_cache_deepcopy_and_pickle_hold_the_cache_lock(self):
         import pickle
 

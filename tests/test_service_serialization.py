@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -334,6 +335,38 @@ def test_v3_parts_round_trip(warm_saved_index):
     stats = loaded.coverage_cache.stats()
     assert stats["hits"] == len(WARM_QUERIES)
     assert stats["stores"] == 0
+
+
+def test_legacy_shard_keys_are_ignored(warm_saved_index, tmp_path, capsys):
+    """Manifests written with the removed ``shards``/``shard_sizes`` keys
+    load, inspect and answer exactly like the same directory without them;
+    a re-save drops the keys."""
+    from repro.service.cli import main
+
+    _, path = warm_saved_index
+    legacy = shutil.copytree(path, tmp_path / "legacy.ncx")
+    num_trajectories = load_manifest(path)["num_trajectories"]
+    third = num_trajectories // 3
+    _set_manifest(
+        legacy,
+        lambda m: m.update(
+            shards=3, shard_sizes=[third, third, num_trajectories - 2 * third]
+        ),
+    )
+    assert main(["inspect", "--index", str(legacy), "--timings"]) == 0
+    assert "query timings" in capsys.readouterr().out
+    plain, with_keys = load_index(path), load_index(legacy)
+    for query in WARM_QUERIES + MIXED_QUERIES:
+        for engine in ("dense", "sparse"):
+            a = plain.query(query, engine=engine)
+            b = with_keys.query(query, engine=engine)
+            assert list(a.sites) == list(b.sites)
+            assert (
+                np.asarray(a.per_trajectory_utility).tobytes()
+                == np.asarray(b.per_trajectory_utility).tobytes()
+            )
+    resaved = load_manifest(save_index(with_keys, tmp_path / "resaved.ncx"))
+    assert "shards" not in resaved and "shard_sizes" not in resaved
 
 
 def test_v3_with_coverage_false_skips_parts(warm_saved_index):

@@ -76,6 +76,25 @@ class TestAgainstDense:
                     dense.marginal_gain(col, utilities, cap)
                 )
 
+    def test_gain_updates_match_dense(self, rng):
+        detours = random_detours(rng, 120, 30, density=0.5, scale=3.0)
+        dense = CoverageIndex(detours, 1.2, LinearPreference())
+        sparse = SparseCoverageIndex(detours, 1.2, LinearPreference())
+        utilities = rng.uniform(0.0, 0.4, dense.num_trajectories)
+        rows = np.arange(0, dense.num_trajectories, 3, dtype=np.int64)
+        old = utilities[rows]
+        new = old + 0.25
+        np.testing.assert_allclose(
+            sparse.gain_updates(rows, old, new),
+            dense.gain_updates(rows, old, new),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+        assert np.array_equal(
+            sparse.gain_updates(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)),
+            np.zeros(dense.num_sites),
+        )
+
 
 class TestEdgeCases:
     def test_empty_coverage(self):

@@ -261,7 +261,6 @@ class TestTypingGate:
         for module in (
             "src/repro/core/coverage.py",
             "src/repro/core/covcache.py",
-            "src/repro/core/shards.py",
             "src/repro/service",
         ):
             assert module in text

@@ -1,12 +1,11 @@
 """CI gate: the bitset engine must answer byte-identically to sparse/dense.
 
 Builds the NetClus index for the small Beijing-like workload once, then
-compares three configurations against the ``engine="sparse"`` baseline:
+compares two configurations against the ``engine="sparse"`` baseline:
 
 * ``engine="bitset"`` on a binary-ψ spec batch (k-sweeps, two τ,
   capacity, budget, existing services — every selection rule the bitset
   kernels serve; TOPS3 min-inconvenience is excluded, it is dense-only);
-* ``engine="bitset"`` with ``shards=4`` and a worker pool;
 * ``engine="auto"`` on a *mixed*-ψ batch — binary specs must resolve to
   the bitset engine, graded specs to sparse, with identical answers.
 
@@ -17,7 +16,7 @@ for element and per-trajectory utility vectors via
 ``np.ndarray.tobytes``.  Exits non-zero on any divergence.  Run from the
 repository root::
 
-    python tools/check_bitset_parity.py [--scale tiny|small|medium] [--shards 4]
+    python tools/check_bitset_parity.py [--scale tiny|small|medium]
 """
 
 from __future__ import annotations
@@ -77,8 +76,6 @@ def _compare(baseline, results, specs, label: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--scale", default="small", choices=["tiny", "small", "medium"])
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--query-workers", default="auto")
     args = parser.parse_args(argv)
 
     bundle = beijing_like(scale=args.scale, seed=42)
@@ -101,20 +98,6 @@ def main(argv=None) -> int:
         "engine=bitset",
     )
 
-    sharded_service = PlacementService(
-        index,
-        engine="bitset",
-        shards=args.shards,
-        query_workers=args.query_workers,
-    )
-    failures += _compare(
-        binary_baseline,
-        sharded_service.batch_query(binary_specs, use_cache=False),
-        binary_specs,
-        f"engine=bitset shards={args.shards}",
-    )
-    sharded_service.close()
-
     auto_service = PlacementService(index, engine="auto")
     failures += _compare(
         mixed_baseline,
@@ -128,7 +111,7 @@ def main(argv=None) -> int:
         return 1
     print(
         "OK: bitset and auto answers are byte-identical to the sparse "
-        f"baseline (plain, shards={args.shards}, warm coverage cache)"
+        "baseline (plain and warm coverage cache)"
     )
     return 0
 

@@ -4,10 +4,9 @@ Builds the Beijing-like workload once, saves it in both writable formats
 (v3 compressed ``.npz``, v4 packed mmap blob), reloads each, and runs the
 same query battery against all three indexes — fresh / v3-loaded /
 v4-loaded — byte-comparing selections and per-trajectory utilities
-(``float64`` buffers, not approximate sums) across four scenarios:
+(``float64`` buffers, not approximate sums) across three scenarios:
 
 * **plain** — sparse-engine queries over several (k, τ);
-* **shards=4** — the same battery with the gain evaluation sharded;
 * **warm covcache** — a second copy saved *with* persisted coverage
   parts, so the loaded indexes answer through the zero-copy part path;
 * **post-update** — the same :class:`UpdateBatch` applied to all three
@@ -39,12 +38,11 @@ from repro.service.serialization import load_index, save_index  # noqa: E402
 QUERIES = ((5, 0.6), (3, 1.2), (8, 2.4))
 
 
-def _probe(index: NetClusIndex, shards: int | None = None) -> list[tuple]:
+def _probe(index: NetClusIndex) -> list[tuple]:
     """Selections + exact utility bytes for the whole query battery."""
     out = []
     for k, tau_km in QUERIES:
-        kwargs = {} if shards is None else {"shards": shards}
-        result = index.query(TOPSQuery(k=k, tau_km=tau_km), engine="sparse", **kwargs)
+        result = index.query(TOPSQuery(k=k, tau_km=tau_km), engine="sparse")
         utilities = np.asarray(result.per_trajectory_utility, dtype=np.float64)
         out.append((tuple(result.sites), utilities.tobytes()))
     return out
@@ -81,12 +79,6 @@ def main(argv=None) -> int:
         v4 = load_index(save_index(fresh, root / "plain_v4"))
 
         ok &= _compare("plain", _probe(fresh), _probe(v3), _probe(v4))
-        ok &= _compare(
-            "shards=4",
-            _probe(fresh, shards=4),
-            _probe(v3, shards=4),
-            _probe(v4, shards=4),
-        )
 
         # a second copy saved with persisted coverage parts: warm every
         # battery τ so the loaded indexes answer through the part path
