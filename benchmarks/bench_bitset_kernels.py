@@ -10,8 +10,8 @@ twofold:
   byte-identical to the dense *and* sparse engines on every measured run,
   on every TOPS variant driver (cost, capacity, existing, market share),
   and through the NetClus index on the warm coverage-cache path
-  (``tools/check_bitset_parity.py`` re-asserts this in CI on a fresh
-  build).
+  (the bitset section of ``tools/check_parity.py`` re-asserts this in CI
+  on a fresh build).
 * **speedup** — single-core greedy over the Fig. 10 scalability workload
   must run ≥ 5× faster on the bitset engine than on the dense engine;
   the measurement is recorded in ``benchmarks/BENCH_bitset_kernels.json``.

@@ -32,7 +32,6 @@ from repro.experiments.runner import build_context
 #: silently diverging from the script steps.
 SCRIPT_SMOKE_BENCHMARKS = (
     "bench_bitset_kernels",
-    "bench_cold_start",
     "bench_incremental_coverage",
     "bench_parallel_build",
     "bench_serving",

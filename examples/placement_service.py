@@ -5,7 +5,7 @@ queried many times at varying (τ, k, cost, capacity).  This example walks the
 full service lifecycle:
 
 1. build a city + trajectories and a NetClus index (offline phase),
-2. save the index to disk (versioned .npz payload + JSON manifest),
+2. save the index to disk (packed payload.bin blob + JSON manifest),
 3. reload it in a fresh :class:`~repro.service.PlacementService`,
 4. answer a mixed batch of query specs with shared-work amortisation,
 5. show the cache and the work counters doing their job.

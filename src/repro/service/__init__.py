@@ -5,10 +5,11 @@ placements at varying (τ, k, cost, capacity).  This package turns the
 in-memory :class:`~repro.core.netclus.NetClusIndex` into a service:
 
 * :mod:`repro.service.serialization` — versioned on-disk format
-  (:func:`save_index` / :func:`load_index`): a NumPy ``.npz`` payload plus a
-  JSON manifest with format version, build parameters and graph/trajectory
-  fingerprints.  A loaded index answers ``query`` / ``add_site`` /
-  ``add_trajectory`` identically to a freshly built one.
+  (:func:`save_index` / :func:`load_index`): a packed ``payload.bin`` blob,
+  mapped read-only on load, plus a JSON manifest with format version, the
+  blob's offset table, build parameters and graph/trajectory fingerprints.
+  A loaded index answers ``query`` / ``add_site`` / ``add_trajectory``
+  identically to a freshly built one.
 * :mod:`repro.service.specs` — :class:`QuerySpec`, the hashable,
   JSON/CSV-serialisable description of one placement request
   (k, τ, ψ, capacity, budget, existing sites).

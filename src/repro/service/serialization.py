@@ -1,18 +1,22 @@
 """Versioned on-disk persistence for :class:`~repro.core.netclus.NetClusIndex`.
 
-An index directory holds exactly two files:
+An index directory (format v4) holds exactly two files:
 
-* ``payload.npz`` — every array of the index in NumPy's native ``.npz``
-  container: the road network (nodes, coordinates, edges), the candidate-site
-  set, the trajectory registry, and, per instance, the cluster arrays in
-  flattened CSR-style form (see ``docs/index-format.md`` for the full key
-  listing).
-* ``manifest.json`` — human-readable metadata: format version, build
-  parameters (γ, τ_min, τ_max, representative strategy, instance cap), the
-  index's dynamic-update ``version`` counter, the staged build pipeline's
-  per-stage :class:`~repro.core.build.BuildStats` records, per-instance
-  statistics, and three fingerprints — the SHA-256 of the payload file, of
-  the road network, and of the trajectory registry.
+* ``payload.bin`` — one *aligned packed blob*: every payload array's raw
+  little-endian bytes at a 64-byte-aligned offset, in sorted key order.
+  The arrays are the road network (nodes, coordinates, edges), the
+  candidate-site set, the trajectory registry, the visit-count bookkeeping
+  of ``most_frequent`` indexes, per instance the cluster arrays in
+  flattened CSR-style form, and the optional coverage parts (see
+  ``docs/index-format.md`` for the full key listing).
+* ``manifest.json`` — human-readable metadata: format version, the
+  ``payload_arrays`` offset table (offset, nbytes, dtype, shape per key),
+  build parameters (γ, τ_min, τ_max, representative strategy, instance
+  cap), the index's dynamic-update ``version`` counter, the staged build
+  pipeline's per-stage :class:`~repro.core.build.BuildStats` records,
+  per-instance statistics, the coverage-part listing, and three
+  fingerprints — the SHA-256 of the payload file, of the road network, and
+  of the trajectory registry.
 
 Loading refuses to proceed on any fingerprint or version mismatch
 (:class:`IndexFormatError`), so a stale or corrupted index can never silently
@@ -23,36 +27,6 @@ to a freshly built one: queries, dynamic updates (``add_site``,
 dict insertion orders (they decide tie-breaks in representative re-election)
 and every per-cluster array.
 
-Format v2 additionally round-trips the index ``version`` counter and, for
-indexes built with ``representative_strategy="most_frequent"``, the
-visit-count bookkeeping (per-node trajectory counts + per-trajectory unique
-node lists) that dynamic re-election needs.  Format-v1 directories remain
-loadable: they come back with ``version`` 0 and, for ``most_frequent``
-indexes, without visit counts (their re-elections fall back to proximity,
-the pre-v2 behaviour).
-
-Manifests from older releases may carry ``shards``/``shard_sizes`` keys
-(the layout of a since-removed sharded query path).  They never affected
-the payload, the fingerprints or any selection; loads ignore them and
-saves no longer write them.
-
-Format v3 adds *optional coverage parts* — the canonical per-(τ, ψ)
-coverage entries of the index's :class:`~repro.core.covcache.CoverageCache`
-as extra ``cov<slot>_*`` payload arrays plus a manifest ``coverage_parts``
-listing (τ, ψ spec, instance, the ``index_version`` each part was computed
-at, entry counts).  Parts are loaded lazily — ``.npz`` members decompress
-per array, so reading the index never touches part payloads it does not
-need — and a part whose recorded ``index_version`` does not match the
-manifest's is *refused* (skipped with a clean fallback to a cold rebuild);
-a structurally inconsistent part (missing arrays, length mismatches,
-out-of-range entries) raises :class:`IndexFormatError`.  v1/v2 directories
-load exactly as before; a v3 directory without parts is identical to a v2
-one apart from the version stamp.
-
-Format v4 replaces the compressed ``.npz`` container with one *aligned
-packed blob* (``payload.bin``): every payload array's raw little-endian
-bytes at a 64-byte-aligned offset, described by a ``payload_arrays``
-offset table in the manifest (offset, nbytes, dtype, shape per key).
 :func:`load_index` maps the blob once (``np.memmap`` read-only) and hands
 out zero-copy array views, so a cold load touches only the manifest, the
 fingerprint-bearing structural arrays, and whatever instances/parts the
@@ -61,23 +35,37 @@ first query actually needs:
 * index instances rebuild *lazily* — ``index.instances`` is a sequence
   that materialises each :class:`~repro.core.netclus.NetClusInstance` on
   first access, so a query at one τ pays for one ladder rung, not all;
-* coverage parts attach as zero-copy views over the blob; their range
-  validation is deferred to materialisation (the coverage constructors
-  re-check), while shape/registry consistency is still verified eagerly
-  from the offset table alone;
+* coverage parts (the canonical per-(τ, ψ) entries of the index's
+  :class:`~repro.core.covcache.CoverageCache`) attach as zero-copy views;
+  their range validation is deferred to materialisation (the coverage
+  constructors re-check), while shape/registry consistency is verified
+  eagerly from the offset table alone.  A part recorded at a different
+  ``index_version`` than the manifest's is *refused* (skipped with a clean
+  fallback to a cold rebuild); a structurally inconsistent part raises
+  :class:`IndexFormatError`;
 * every view is read-only (``writeable=False``); the index's mutation
-  paths copy-on-write, so ``apply_updates`` on a v4-loaded index never
+  paths copy-on-write, so ``apply_updates`` on a loaded index never
   writes through to the mapped file.
 
-Integrity for v4 rests on the offset table: the blob's size must equal
-the manifest's ``payload_total_bytes`` (truncation check) and every entry
-must lie in bounds with ``nbytes`` matching its dtype/shape product — any
-mismatch raises :class:`IndexFormatError` before a single page is
-touched.  The whole-file ``payload_sha256`` fingerprint is still written
-(offline verification) but no longer hashed on load — that is the point:
-a v4 load reads only what the first query needs.  :func:`save_index`
-writes v4 by default; pass ``format_version=3`` for the compressed
-``.npz`` layout (bit-identical to what PR 9 wrote).
+Integrity rests on the offset table: the blob's size must equal the
+manifest's ``payload_total_bytes`` (truncation check) and every entry must
+lie in bounds with ``nbytes`` matching its dtype/shape product — any
+mismatch raises :class:`IndexFormatError` before a single page is touched.
+The whole-file ``payload_sha256`` fingerprint is still written (offline
+verification) but not hashed on load: a load reads only what the first
+query needs.
+
+:func:`save_index` writes v4 only.  Directories written by older releases
+(v1–v3: a compressed ``payload.npz`` holding the same arrays under the
+same keys) still load: the ``.npz`` is hash-checked against the manifest's
+``payload_sha256``, decompressed once into read-only arrays, and from
+there every load follows the v4 path.  v1 directories come back with
+``version`` 0; v1 ``most_frequent`` indexes carry no visit counts (their
+re-elections fall back to proximity).  Saving a loaded legacy index
+rewrites the directory as v4 — that is the migration.  Manifests from
+older releases may also carry ``shards``/``shard_sizes`` keys (the layout
+of a since-removed sharded query path); loads ignore them and saves no
+longer write them.
 """
 
 from __future__ import annotations
@@ -111,26 +99,24 @@ __all__ = [
     "payload_digest",
 ]
 
-#: the version written by :func:`save_index`; bump on any layout change
+#: the only version written by :func:`save_index`; bump on any layout change
 FORMAT_VERSION = 4
-#: the versions :func:`load_index` can read (older versions load with
-#: documented fallbacks; see the module docstring)
+#: the versions :func:`load_index` can read (v1–v3 through the legacy
+#: ``.npz`` adapter; see the module docstring)
 SUPPORTED_FORMAT_VERSIONS = (1, 2, 3, 4)
-#: the versions :func:`save_index` can write (v3 for the compressed
-#: ``.npz`` layout, v4 for the mmap-able packed blob)
-WRITABLE_FORMAT_VERSIONS = (3, 4)
 FORMAT_NAME = "netclus-index"
 MANIFEST_FILE = "manifest.json"
-PAYLOAD_FILE = "payload.npz"
-#: format-v4 payload: one packed blob of raw array bytes, described by the
+#: the payload: one packed blob of raw array bytes, described by the
 #: manifest's ``payload_arrays`` offset table
 PAYLOAD_BLOB_FILE = "payload.bin"
+#: the compressed payload of v1–v3 directories (read, never written)
+LEGACY_PAYLOAD_FILE = "payload.npz"
 #: every array in the v4 blob starts at a multiple of this (cache-line
 #: alignment; comfortably covers any numpy itemsize)
 BLOB_ALIGN = 64
 #: index of the ``build_seconds`` entry inside each ``i<id>_meta`` payload
 #: array — the one slot timing-insensitive comparisons zero out (see
-#: :func:`payload_digest` and ``tools/check_build_parity.py``)
+#: :func:`payload_digest` and the build section of ``tools/check_parity.py``)
 META_BUILD_SECONDS_SLOT = 2
 
 
@@ -350,16 +336,14 @@ def save_index(
     path: str | Path,
     dataset: TrajectoryDataset | None = None,
     trajectory_content: str | None = None,
-    *,
-    format_version: int = FORMAT_VERSION,
 ) -> Path:
-    """Persist *index* to directory *path* (created if missing).
+    """Persist *index* to directory *path* (created if missing) in format v4.
 
-    Writes the payload (``payload.bin`` packed blob for the default
-    format v4, ``payload.npz`` for ``format_version=3``) and
-    ``manifest.json`` (metadata + fingerprints).  Returns the directory
-    path.  The format is documented in ``docs/index-format.md``; load with
-    :func:`load_index`.
+    Writes the ``payload.bin`` packed blob and ``manifest.json`` (offset
+    table, metadata, fingerprints).  Returns the directory path.  The
+    format is documented in ``docs/index-format.md``; load with
+    :func:`load_index`.  Saving over a v1–v3 directory migrates it: its
+    ``payload.npz`` is removed once the new manifest has been committed.
 
     When *dataset* (the trajectories the index was built on) is supplied,
     its content fingerprint is recorded too, letting :func:`load_index`
@@ -370,11 +354,6 @@ def save_index(
     re-saving after a site-only delta) may pass it via
     *trajectory_content* instead; it is ignored when *dataset* is given.
     """
-    if format_version not in WRITABLE_FORMAT_VERSIONS:
-        raise IndexFormatError(
-            f"cannot write format version {format_version!r} (writable: "
-            f"{sorted(WRITABLE_FORMAT_VERSIONS)})"
-        )
     directory = Path(path)
     if dataset is not None and not dataset_matches(index, dataset):
         raise IndexFormatError(
@@ -387,27 +366,14 @@ def save_index(
     payload = _payload_arrays(index)
     coverage_arrays, coverage_parts = _coverage_part_arrays(index)
     payload.update(coverage_arrays)
-    blob_keys: dict[str, dict[str, Any]] = {}
-    total_bytes = 0
-    if format_version >= 4:
-        payload_path = directory / PAYLOAD_BLOB_FILE
-        blob_keys, total_bytes = _write_blob(payload_path, payload)
-        # a directory re-saved in v4 must not keep a stale .npz around
-        (directory / PAYLOAD_FILE).unlink(missing_ok=True)
-    else:
-        payload_path = directory / PAYLOAD_FILE
-        with open(payload_path, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-        (directory / PAYLOAD_BLOB_FILE).unlink(missing_ok=True)
+    payload_path = directory / PAYLOAD_BLOB_FILE
+    blob_keys, total_bytes = _write_blob(payload_path, payload)
 
     manifest = {
         "format": FORMAT_NAME,
-        "format_version": format_version,
-        **(
-            {"payload_arrays": blob_keys, "payload_total_bytes": total_bytes}
-            if format_version >= 4
-            else {}
-        ),
+        "format_version": FORMAT_VERSION,
+        "payload_arrays": blob_keys,
+        "payload_total_bytes": total_bytes,
         "build_params": {
             "gamma": index.gamma,
             "tau_min_km": index.tau_min_km,
@@ -457,6 +423,9 @@ def save_index(
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     os.replace(manifest_staging, directory / MANIFEST_FILE)
+    # only now is the directory v4: unlinking a v1–v3 payload any earlier
+    # would leave its still-current legacy manifest without a payload
+    (directory / LEGACY_PAYLOAD_FILE).unlink(missing_ok=True)
     return directory
 
 
@@ -494,28 +463,21 @@ def _coverage_part_arrays(
 def _attach_coverage_parts(
     index: NetClusIndex,
     manifest: dict[str, Any],
-    *,
-    available: set[str],
-    fetch: Any,
-    lazy: bool,
-    known_instance_ids: set[int] | None,
+    arrays: dict[str, np.ndarray],
+    instance_ids: list[int],
 ) -> None:
-    """Attach the manifest's coverage parts to *index* (formats v3/v4).
+    """Attach the manifest's coverage parts to *index*.
 
-    *fetch* maps a payload key to its array: the open ``np.load`` handle's
-    ``__getitem__`` for v3 (only accepted parts decompress), the blob-view
-    mapping's for v4.  A part recorded at a different ``index_version``
-    than the manifest's is refused (skipped); structural corruption raises
-    :class:`IndexFormatError`.
-
-    With ``lazy=True`` (v4) the entry arrays stay zero-copy read-only
-    views and the per-entry range checks are *deferred* — the coverage
-    constructors re-validate at materialisation, so the cold load never
-    pages a part in.  Shape consistency (entry counts, representative
-    arrays, dtypes) is still verified eagerly: for v4 it comes from the
-    offset table, which costs no page faults.  ``known_instance_ids``
-    replaces the instance scan so attaching never materialises the lazy
-    instance ladder.
+    A part recorded at a different ``index_version`` than the manifest's
+    is refused (skipped); structural corruption raises
+    :class:`IndexFormatError`.  The entry arrays stay read-only views and
+    the per-entry range checks are *deferred* — the coverage constructors
+    re-validate at materialisation, so the cold load never pages a part
+    in.  Shape consistency (entry counts, representative arrays, dtypes)
+    is still verified eagerly; for a mapped blob it comes from the offset
+    table, which costs no page faults.  Instance ids are checked against
+    the manifest's *instance_ids*, so attaching never materialises the
+    lazy instance ladder.
     """
     from repro.core.covcache import CoveragePart, coverage_cache_key
     from repro.core.preference import is_registered, make_preference
@@ -524,13 +486,14 @@ def _attach_coverage_parts(
     if not part_entries:
         return
     cache = index.enable_coverage_cache(limit=max(len(part_entries), 1))
+    known_instance_ids = set(instance_ids)
     for entry in part_entries:
         if int(entry.get("index_version", -1)) != index.version:
             continue  # stale part: refuse, fall back to a cold rebuild
         slot = int(entry["slot"])
         prefix = f"cov{slot}_"
         label = f"coverage part {slot}"
-        missing = [key for key in _COVERAGE_PART_KEYS if prefix + key not in available]
+        missing = [key for key in _COVERAGE_PART_KEYS if prefix + key not in arrays]
         if missing:
             raise IndexFormatError(
                 f"{label}: payload arrays missing ({', '.join(missing)})"
@@ -547,27 +510,15 @@ def _attach_coverage_parts(
             raise IndexFormatError(f"{label}: unregistered preference {name!r}")
         tau_km = float(entry["tau_km"])
         instance_id = int(entry["instance_id"])
-        if known_instance_ids is not None:
-            if instance_id not in known_instance_ids:
-                raise IndexFormatError(f"{label}: index has no instance {instance_id}")
-        elif not any(inst.instance_id == instance_id for inst in index.instances):
+        if instance_id not in known_instance_ids:
             raise IndexFormatError(f"{label}: index has no instance {instance_id}")
-        if lazy:
-            rows = fetch(prefix + "rows")
-            cols = fetch(prefix + "cols")
-            estimates = fetch(prefix + "est")
-            if (
-                rows.dtype != np.int64
-                or cols.dtype != np.int64
-                or estimates.dtype != np.float64
-            ):
-                raise IndexFormatError(f"{label}: entry arrays have wrong dtypes")
-        else:
-            rows = fetch(prefix + "rows").astype(np.int64)
-            cols = fetch(prefix + "cols").astype(np.int64)
-            estimates = fetch(prefix + "est").astype(np.float64)
-        rep_sites = fetch(prefix + "rep_sites").astype(np.int64)
-        rep_clusters = fetch(prefix + "rep_clusters").astype(np.int64)
+        rows = arrays[prefix + "rows"]
+        cols = arrays[prefix + "cols"]
+        estimates = arrays[prefix + "est"]
+        if rows.dtype != np.int64 or cols.dtype != np.int64 or estimates.dtype != np.float64:
+            raise IndexFormatError(f"{label}: entry arrays have wrong dtypes")
+        rep_sites = arrays[prefix + "rep_sites"]
+        rep_clusters = arrays[prefix + "rep_clusters"]
         declared = int(entry.get("num_entries", len(rows)))
         if not (len(rows) == len(cols) == len(estimates) == declared):
             raise IndexFormatError(
@@ -583,13 +534,6 @@ def _attach_coverage_parts(
                 f"{label}: registry size mismatch "
                 f"({num_trajectories} != {index.num_trajectories})"
             )
-        if not lazy and len(rows) and (
-            int(rows.min()) < 0
-            or int(rows.max()) >= num_trajectories
-            or int(cols.min()) < 0
-            or int(cols.max()) >= len(rep_sites)
-        ):
-            raise IndexFormatError(f"{label}: entry indices out of range")
         key = coverage_cache_key(tau_km, preference)
         cache.attach_part(
             key,
@@ -796,13 +740,13 @@ def load_index(
         not stored in the index; this is purely a guard for callers that
         will score results exactly against it.
     with_coverage:
-        Whether to attach the manifest's coverage parts (format v3) to the
-        loaded index's :class:`~repro.core.covcache.CoverageCache`, so a
-        placement service cold-starts warm.  ``False`` skips the part
-        payloads entirely (they are stored as separate ``.npz`` members and
-        are then never decompressed).  Parts recorded at a stale
-        ``index_version`` are refused — skipped with a clean fallback to
-        cold rebuilds — while structurally corrupted parts raise.
+        Whether to attach the manifest's coverage parts to the loaded
+        index's :class:`~repro.core.covcache.CoverageCache`, so a
+        placement service cold-starts warm.  ``False`` leaves the part
+        arrays unattached (their blob pages are then never touched).
+        Parts recorded at a stale ``index_version`` are refused — skipped
+        with a clean fallback to cold rebuilds — while structurally
+        corrupted parts raise.
 
     Raises
     ------
@@ -812,32 +756,17 @@ def load_index(
     """
     directory = Path(path)
     manifest = load_manifest(directory)
-    format_version = int(manifest.get("format_version", 1))
     fingerprints = manifest.get("fingerprints", {})
     arrays: dict[str, np.ndarray]
-    if format_version >= 4:
-        # v4: map the packed blob once; views are zero-copy and read-only,
-        # and nothing below this line decompresses or hashes the payload —
+    if int(manifest["format_version"]) >= 4:
+        # map the packed blob once; views are zero-copy and read-only, and
+        # nothing below this line decompresses or hashes the payload —
         # integrity rests on the offset-table validation in _open_blob plus
         # the structural fingerprint checks over the arrays actually read
         blob, table = _open_blob(directory, manifest)
         arrays = _blob_views(blob, table)
     else:
-        payload_path = directory / PAYLOAD_FILE
-        if not payload_path.is_file():
-            raise IndexFormatError(f"no {PAYLOAD_FILE} in {directory}")
-        actual_payload = _file_sha256(payload_path)
-        if actual_payload != fingerprints.get("payload_sha256"):
-            raise IndexFormatError(
-                "payload fingerprint mismatch: payload.npz does not match the "
-                "manifest (corrupted or partially written index)"
-            )
-        with np.load(payload_path) as payload:
-            # coverage parts stay lazy: .npz members decompress per array, so
-            # the structural load never touches cov<slot>_* payloads
-            arrays = {
-                key: payload[key] for key in payload.files if not key.startswith("cov")
-            }
+        arrays = _legacy_arrays(directory, fingerprints)
 
     if network is None:
         network = _rebuild_network(arrays)
@@ -875,37 +804,23 @@ def load_index(
 
     params = manifest["build_params"]
     instance_ids = [int(entry["instance_id"]) for entry in manifest["instances"]]
-    instances: Sequence[NetClusInstance]
-    if format_version >= 4:
-        # lazy ladder: a query at one τ materialises one instance; update
-        # paths (which iterate every instance) materialise the rest on demand
-        instances = _LazyInstances(arrays, instance_ids)
-    else:
-        instances = [_rebuild_instance(arrays, instance_id) for instance_id in instance_ids]
     node_visit_counts = None
     trajectory_nodes = None
-    if "visit_counts" in arrays:  # format v2, most_frequent indexes only
-        if format_version >= 4:
-            # zero-copy read-only views; NetClusIndex copies-on-write
-            node_visit_counts = arrays["visit_counts"]
-            indptr = arrays["traj_nodes_indptr"]
-            flat = arrays["traj_nodes_flat"]
-            trajectory_nodes = {
-                traj_id: flat[int(indptr[row]) : int(indptr[row + 1])]
-                for row, traj_id in enumerate(trajectory_ids)
-            }
-        else:
-            node_visit_counts = arrays["visit_counts"].astype(np.int64)
-            indptr = arrays["traj_nodes_indptr"]
-            flat = arrays["traj_nodes_flat"]
-            trajectory_nodes = {
-                traj_id: flat[int(indptr[row]) : int(indptr[row + 1])].astype(np.int64)
-                for row, traj_id in enumerate(trajectory_ids)
-            }
+    if "visit_counts" in arrays:  # most_frequent indexes only (v2 and later)
+        # zero-copy read-only views; NetClusIndex copies-on-write
+        node_visit_counts = arrays["visit_counts"]
+        indptr = arrays["traj_nodes_indptr"]
+        flat = arrays["traj_nodes_flat"]
+        trajectory_nodes = {
+            traj_id: flat[int(indptr[row]) : int(indptr[row + 1])]
+            for row, traj_id in enumerate(trajectory_ids)
+        }
     index = NetClusIndex(
         network=network,
         sites=[int(s) for s in arrays["sites"]],
-        instances=instances,
+        # lazy ladder: a query at one τ materialises one instance; update
+        # paths (which iterate every instance) materialise the rest on demand
+        instances=_LazyInstances(arrays, instance_ids),
         tau_min_km=float(params["tau_min_km"]),
         tau_max_km=float(params["tau_max_km"]),
         gamma=float(params["gamma"]),
@@ -923,27 +838,31 @@ def load_index(
             else None
         ),
     )
-    if with_coverage and manifest.get("coverage_parts"):
-        if format_version >= 4:
-            _attach_coverage_parts(
-                index,
-                manifest,
-                available=set(arrays),
-                fetch=arrays.__getitem__,
-                lazy=True,
-                known_instance_ids=set(instance_ids),
-            )
-        else:
-            with np.load(payload_path) as payload:
-                _attach_coverage_parts(
-                    index,
-                    manifest,
-                    available=set(payload.files),
-                    fetch=payload.__getitem__,
-                    lazy=False,
-                    known_instance_ids=None,
-                )
+    if with_coverage:
+        _attach_coverage_parts(index, manifest, arrays, instance_ids)
     return index
+
+
+def _legacy_arrays(directory: Path, fingerprints: dict[str, Any]) -> dict[str, np.ndarray]:
+    """The payload arrays of a v1–v3 directory, as read-only arrays.
+
+    The compressed ``payload.npz`` holds the same arrays under the same
+    keys as the v4 blob.  It is hash-checked against the manifest, then
+    decompressed once; from here on the load is the v4 path.
+    """
+    payload_path = directory / LEGACY_PAYLOAD_FILE
+    if not payload_path.is_file():
+        raise IndexFormatError(f"no {LEGACY_PAYLOAD_FILE} in {directory}")
+    if _file_sha256(payload_path) != fingerprints.get("payload_sha256"):
+        raise IndexFormatError(
+            f"payload fingerprint mismatch: {LEGACY_PAYLOAD_FILE} does not match "
+            "the manifest (corrupted or partially written index)"
+        )
+    with np.load(payload_path) as payload:
+        arrays = {key: payload[key] for key in payload.files}
+    for array in arrays.values():
+        array.flags.writeable = False
+    return arrays
 
 
 def _rebuild_network(arrays: dict[str, np.ndarray]) -> RoadNetwork:
@@ -1002,7 +921,7 @@ def _rebuild_instance(arrays: dict[str, np.ndarray], instance_id: int) -> NetClu
 
 
 class _LazyInstances(Sequence[NetClusInstance]):
-    """The v4 instance ladder: rebuild each instance on first access.
+    """The loaded instance ladder: rebuild each instance on first access.
 
     Positional access (the query path's τ snapping) materialises exactly
     one rung; iteration (update paths, ``storage_bytes``) materialises

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.netclus import UpdateBatch
 from repro.core.query import TOPSQuery
 from repro.core.preference import ConvexProbabilityPreference, LinearPreference
 from repro.network.generators import grid_network
@@ -18,9 +22,44 @@ from repro.service import (
     load_manifest,
     save_index,
 )
-from repro.service.serialization import trajectory_fingerprint
+from repro.service import serialization
+from repro.service.serialization import payload_digest, trajectory_fingerprint
 from repro.trajectory.generators import commuter_trajectories
 from repro.trajectory.model import Trajectory
+
+
+#: a format-v3 directory (compressed ``payload.npz``) written by an older
+#: release from the ``tiny_problem`` data with the ``WARM_QUERIES`` parts;
+#: see ``tests/fixtures/legacy/README.md`` for how it was made
+LEGACY_FIXTURE = Path(__file__).parent / "fixtures" / "legacy" / "v3_warm.ncx"
+
+
+def _legacy_copy(tmp_path, name="legacy.ncx", mutate=None):
+    """A writable copy of the legacy fixture, its manifest optionally edited."""
+    path = shutil.copytree(LEGACY_FIXTURE, tmp_path / name)
+    if mutate is not None:
+        _set_manifest(path, mutate)
+    return path
+
+
+def _directory_digests(path):
+    return {
+        entry.name: hashlib.sha256(entry.read_bytes()).hexdigest()
+        for entry in sorted(path.iterdir())
+    }
+
+
+def _assert_same_answers(a_index, b_index, queries, engines=("dense", "sparse")):
+    """Selections and per-trajectory utility bytes agree for every query."""
+    for query in queries:
+        for engine in engines:
+            a = a_index.query(query, engine=engine)
+            b = b_index.query(query, engine=engine)
+            assert list(a.sites) == list(b.sites)
+            assert (
+                np.asarray(a.per_trajectory_utility).tobytes()
+                == np.asarray(b.per_trajectory_utility).tobytes()
+            )
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +227,7 @@ def test_save_refuses_foreign_dataset(saved_index, tiny_problem, tmp_path):
 def test_load_refuses_corrupted_payload(saved_index, tmp_path):
     """v3's whole-file hash catches an appended byte; v4's size check does."""
     index, _ = saved_index
-    path = save_index(index, tmp_path / "corrupt3.ncx", format_version=3)
+    path = _legacy_copy(tmp_path, "corrupt3.ncx")
     payload = path / "payload.npz"
     payload.write_bytes(payload.read_bytes() + b"tampered")
     with pytest.raises(IndexFormatError, match="payload fingerprint"):
@@ -247,25 +286,10 @@ def test_index_version_round_trips(tiny_problem, tmp_path):
     assert load_manifest(path)["index_version"] == 2
 
 
-def test_v1_directory_still_loads(saved_index, tmp_path):
-    """A format-v1 manifest (no index_version) loads with version 0."""
-    index, _ = saved_index
-    path = save_index(index, tmp_path / "v1.ncx", format_version=3)
-    manifest_path = path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 1
-    del manifest["index_version"]
-    manifest_path.write_text(json.dumps(manifest))
-    loaded = load_index(path)
-    assert loaded.version == 0
-    query = TOPSQuery(k=4, tau_km=1.0)
-    assert loaded.query(query).sites == index.query(query).sites
-
-
 # ---------------------------------------------------------------------- #
-# formats v3/v4: persisted coverage parts (PR 7/PR 10) — cross-format
-# load matrix: every part test below runs against both the compressed
-# .npz layout and the packed mmap blob
+# persisted coverage parts — load matrix: every part test below runs
+# against the committed legacy v3 directory (compressed .npz) and a fresh
+# v4 save (packed mmap blob) of the same warm index
 # ---------------------------------------------------------------------- #
 WARM_QUERIES = [
     TOPSQuery(k=4, tau_km=1.0),
@@ -273,17 +297,19 @@ WARM_QUERIES = [
 ]
 
 
-@pytest.fixture(params=[3, 4], ids=["v3", "v4"])
+@pytest.fixture(params=["v3", "v4"])
 def warm_saved_index(request, tiny_problem, tmp_path):
-    """An index with a warm coverage cache, persisted with its parts."""
+    """An index with a warm coverage cache, persisted with its parts (v4),
+    or a copy of the legacy fixture holding the same parts (v3)."""
     index = tiny_problem.build_netclus_index(
         gamma=0.75, tau_min_km=0.4, tau_max_km=4.0
     )
     index.enable_coverage_cache()
     for query in WARM_QUERIES:
         index.query(query, engine="sparse")
-    path = save_index(index, tmp_path / "warm.ncx", format_version=request.param)
-    return index, path
+    if request.param == "v3":
+        return index, _legacy_copy(tmp_path, "warm.ncx")
+    return index, save_index(index, tmp_path / "warm.ncx")
 
 
 def _set_manifest(path, mutate):
@@ -293,27 +319,11 @@ def _set_manifest(path, mutate):
     manifest_path.write_text(json.dumps(manifest))
 
 
-def test_v2_directory_still_loads(saved_index, tmp_path):
-    """A format-v2 manifest (no coverage_parts vocabulary) loads unchanged."""
-    index, _ = saved_index
-    path = save_index(index, tmp_path / "v2.ncx", format_version=3)
-    _set_manifest(path, lambda m: m.update(format_version=2))
-    loaded = load_index(path)
-    assert loaded.version == index.version
-    assert loaded.coverage_cache is None
-    query = TOPSQuery(k=4, tau_km=1.0)
-    assert loaded.query(query).sites == index.query(query).sites
-
-
-def test_without_parts_loads_cold(saved_index, tmp_path):
-    """v3/v4 are supersets: an index saved without a cache has no parts and
-    loads exactly as before."""
-    index, path = saved_index
+def test_without_parts_loads_cold(saved_index):
+    """An index saved without a cache has no parts and loads cold."""
+    _, path = saved_index
     assert "coverage_parts" not in load_manifest(path)
     assert load_index(path).coverage_cache is None
-    v3_path = save_index(index, tmp_path / "cold3.ncx", format_version=3)
-    assert "coverage_parts" not in load_manifest(v3_path)
-    assert load_index(v3_path).coverage_cache is None
 
 
 def test_v3_parts_round_trip(warm_saved_index):
@@ -538,16 +548,8 @@ def test_v4_missing_blob_raises(saved_index, tmp_path):
         load_index(path)
 
 
-def test_save_refuses_unwritable_format_version(saved_index, tmp_path):
-    index, _ = saved_index
-    with pytest.raises(IndexFormatError, match="cannot write format version"):
-        save_index(index, tmp_path / "v2w.ncx", format_version=2)
-
-
 def test_v4_loaded_views_are_read_only(warm_saved_index):
     _, path = warm_saved_index
-    if not (path / "payload.bin").is_file():
-        pytest.skip("v3 layout")
     loaded = load_index(path)
     for instance in loaded.instances:
         assert instance is not None  # materialises through the lazy ladder
@@ -617,12 +619,14 @@ def test_v4_apply_updates_never_writes_through(tmp_path):
 def test_v4_loaded_index_resaves_identically(warm_saved_index, tmp_path):
     """save(load(dir)) reproduces the payload — the farm's write-through
     eviction path depends on a loaded index serialising like the original."""
-    from repro.service.serialization import payload_digest
-
     index, path = warm_saved_index
+    # the legacy fixture's build_seconds slots come from another build
+    include_timings = not (path / "payload.npz").is_file()
     loaded = load_index(path)
     resaved = save_index(loaded, tmp_path / "resave.ncx")
-    assert payload_digest(loaded) == payload_digest(index)
+    assert load_manifest(resaved)["format_version"] == 4
+    digests = {payload_digest(x, include_timings=include_timings) for x in (loaded, index)}
+    assert len(digests) == 1
     reloaded = load_index(resaved)
     for query in WARM_QUERIES:
         assert reloaded.query(query, engine="sparse").sites == index.query(
@@ -653,3 +657,99 @@ def test_most_frequent_visit_data_round_trips(tmp_path):
     for instance_a, instance_b in zip(index.instances, loaded.instances):
         for cluster_a, cluster_b in zip(instance_a.clusters, instance_b.clusters):
             assert cluster_a.representative == cluster_b.representative
+
+
+# ---------------------------------------------------------------------- #
+# legacy v1–v3 directories: read through the v4 load path, migrated by
+# the next save
+# ---------------------------------------------------------------------- #
+def _as_v1(manifest):
+    """v1 had no index_version and no coverage parts."""
+    manifest.update(format_version=1)
+    del manifest["index_version"]
+    del manifest["coverage_parts"]
+
+
+def _as_v2(manifest):
+    manifest.update(format_version=2)
+    del manifest["coverage_parts"]
+
+
+def _without_parts(manifest):
+    del manifest["coverage_parts"]
+
+
+LEGACY_VARIANTS = {"v1": _as_v1, "v2": _as_v2, "v3": None, "v3-no-parts": _without_parts}
+
+
+@pytest.mark.parametrize("variant", sorted(LEGACY_VARIANTS))
+def test_legacy_directory_answers_like_a_fresh_build(saved_index, tmp_path, variant):
+    """Every legacy variant loads read-only (v1 at version 0), attaches
+    parts only when it has them, answers byte-identically to a fresh
+    build on both engines, and re-saves as a v4 directory."""
+    index, _ = saved_index
+    path = _legacy_copy(tmp_path, mutate=LEGACY_VARIANTS[variant])
+    manifest = load_manifest(path)
+    arrays = serialization._legacy_arrays(path, manifest["fingerprints"])
+    assert not any(array.flags.writeable for array in arrays.values())
+    loaded = load_index(path)
+    assert loaded.version == manifest.get("index_version", 0) == index.version
+    assert (loaded.coverage_cache is not None) == ("coverage_parts" in manifest)
+    _assert_same_answers(index, loaded, WARM_QUERIES + MIXED_QUERIES)
+
+    resaved = save_index(loaded, tmp_path / "resaved.ncx")
+    assert load_manifest(resaved)["format_version"] == 4
+    assert sorted(entry.name for entry in resaved.iterdir()) == ["manifest.json", "payload.bin"]
+    _assert_same_answers(index, load_index(resaved), WARM_QUERIES + MIXED_QUERIES)
+
+
+def test_legacy_resave_after_update_migrates_in_place(tiny_problem, tmp_path):
+    """Load the legacy fixture, update it and save over it: the directory
+    becomes v4 and answers like a fresh build given the same update."""
+    fixture_before = _directory_digests(LEGACY_FIXTURE)
+    path = _legacy_copy(tmp_path)
+    loaded = load_index(path)
+    batch = UpdateBatch(
+        remove_sites=sorted(loaded.sites)[:2],
+        remove_trajectories=list(loaded.trajectory_ids)[:5],
+    )
+    loaded.apply_updates(batch)
+    save_index(loaded, path)
+
+    assert not (path / "payload.npz").exists()
+    assert (path / "payload.bin").is_file()
+    assert load_manifest(path)["format_version"] == 4
+    assert _directory_digests(LEGACY_FIXTURE) == fixture_before
+
+    fresh = tiny_problem.build_netclus_index(gamma=0.75, tau_min_km=0.4, tau_max_km=4.0)
+    fresh.apply_updates(batch)
+    reloaded = load_index(path)
+    # the patched warm parts were persisted at the post-update version
+    assert len(reloaded.coverage_cache.describe_parts()) == len(WARM_QUERIES)
+    _assert_same_answers(fresh, reloaded, WARM_QUERIES + MIXED_QUERIES)
+
+
+def test_crash_before_manifest_commit_keeps_legacy_directory(
+    saved_index, tmp_path, monkeypatch
+):
+    """A migration that dies before its manifest rename leaves the legacy
+    payload in place: the directory still loads as the legacy index."""
+    index, _ = saved_index
+    path = _legacy_copy(tmp_path)
+    loaded = load_index(path)
+    real_replace = os.replace
+
+    def crash_on_manifest(src, dst):
+        if Path(dst).name == "manifest.json":
+            raise OSError("simulated crash before the manifest rename")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(serialization.os, "replace", crash_on_manifest)
+    with pytest.raises(OSError, match="simulated crash"):
+        save_index(loaded, path)
+    monkeypatch.undo()
+
+    assert load_manifest(path)["format_version"] == 3
+    recovered = load_index(path)
+    assert len(recovered.coverage_cache.describe_parts()) == len(WARM_QUERIES)
+    _assert_same_answers(index, recovered, WARM_QUERIES + MIXED_QUERIES)

@@ -1,0 +1,318 @@
+"""CI gate: every alternative query path answers byte-identically.
+
+Generates the Beijing-like workload once, builds its NetClus index with
+``workers=1`` (the reference) and ``workers=2``, then runs four sections.
+Each prints one OK line; the bitset, mmap and covcache sections each work
+on their own deep copy of the ``workers=1`` build.
+
+* **build** — the ``workers=2`` build serializes byte-identically to the
+  ``workers=1`` build: the canonical
+  :func:`repro.service.serialization.payload_digest` and every entry of
+  the saved ``payload.bin`` blob, re-read through the manifest offset
+  table, with the per-instance ``build_seconds`` timing slots zeroed (the
+  one entry that legitimately differs between two builds of the same data).
+* **bitset** — ``engine="bitset"`` on binary-ψ specs (k-sweeps, two τ,
+  capacity, budget, existing services) and ``engine="auto"`` on a
+  mixed-ψ batch answer like the ``engine="sparse"`` baseline.  All three
+  services build their coverage cold (no coverage cache).
+* **mmap** — v4 loads answer like the in-memory index on a sparse query
+  battery: plain, with persisted warm coverage parts, and after the same
+  :class:`UpdateBatch` is applied to both (the load's copy-on-write path).
+* **covcache** — a warm service whose coverage parts are patched by a
+  seeded stream of ``--ops`` mixed deltas answers like a cache-free
+  service on a deep copy after every delta, does zero coverage builds
+  after warm-up, and still answers identically with zero builds after a
+  save with parts and a reload.
+
+Every comparison checks the selected sites element by element and the
+per-trajectory utility vectors with ``np.ndarray.tobytes``.  Exits
+non-zero on any divergence.  Run from the repository root::
+
+    python tools/check_parity.py [--scale tiny|small|medium] [--ops 50]
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.core.netclus import NetClusIndex, UpdateBatch  # noqa: E402
+from repro.core.query import TOPSQuery  # noqa: E402
+from repro.datasets import beijing_like  # noqa: E402
+from repro.service.placement import PlacementService  # noqa: E402
+from repro.service.serialization import (  # noqa: E402
+    META_BUILD_SECONDS_SLOT,
+    PAYLOAD_BLOB_FILE,
+    load_index,
+    load_manifest,
+    payload_digest,
+    save_index,
+)
+from repro.service.specs import QuerySpec  # noqa: E402
+from repro.trajectory.generators import commuter_trajectories  # noqa: E402
+from repro.trajectory.model import Trajectory  # noqa: E402
+
+#: the parallel build compared against ``workers=1``
+WORKERS = 2
+#: seed of the covcache section's delta stream
+DELTA_SEED = 2024
+#: engine of the covcache section's warm and cold services
+COVCACHE_ENGINE = "sparse"
+BUILD_PARAMS = dict(gamma=0.75, tau_min_km=0.4, tau_max_km=8.0)
+#: the mmap section's query battery: (k, τ) pairs spanning the ladder
+MMAP_QUERIES = tuple(TOPSQuery(k=k, tau_km=tau) for k, tau in ((5, 0.6), (3, 1.2), (8, 2.4)))
+BINARY_SPECS = (
+    QuerySpec(k=3, tau_km=0.8),
+    QuerySpec(k=8, tau_km=0.8),
+    QuerySpec(k=5, tau_km=1.6),
+    QuerySpec(k=4, tau_km=0.8, capacity=15),
+    QuerySpec(k=1, tau_km=0.8, budget=5.0),
+    QuerySpec(k=3, tau_km=1.6, existing_sites=(0, 5)),
+)
+#: binary and graded ψ together: the ``auto`` resolution workload
+MIXED_SPECS = BINARY_SPECS + (
+    QuerySpec(k=5, tau_km=0.8, preference="linear"),
+    QuerySpec(k=5, tau_km=0.8, preference="exponential"),
+)
+#: four (τ, ψ) coverage-cache keys plus every selection rule
+COVCACHE_SPECS = BINARY_SPECS + (
+    QuerySpec(k=5, tau_km=0.8, preference="linear"),
+    QuerySpec(k=5, tau_km=1.6, preference="exponential"),
+)
+
+
+def _compare(label: str, requests, want, got) -> int:
+    """Print and count the requests whose two answers differ."""
+    failures = 0
+    for request, expected, actual in zip(requests, want, got, strict=True):
+        if list(actual.sites) != list(expected.sites):
+            print(f"FAIL [{label} {request}]: sites {actual.sites} != {expected.sites}")
+            failures += 1
+        elif (
+            np.asarray(actual.per_trajectory_utility).tobytes()
+            != np.asarray(expected.per_trajectory_utility).tobytes()
+        ):
+            print(f"FAIL [{label} {request}]: per-trajectory utilities diverge")
+            failures += 1
+    return failures
+
+
+def _blob_arrays(directory: Path) -> dict[str, np.ndarray]:
+    """Writable copies of every payload array, via the offset table."""
+    manifest = load_manifest(directory)
+    blob = np.fromfile(directory / PAYLOAD_BLOB_FILE, dtype=np.uint8)
+    return {
+        key: blob[entry["offset"] : entry["offset"] + entry["nbytes"]]
+        .view(np.dtype(str(entry["dtype"])))
+        .reshape(tuple(entry["shape"]))
+        .copy()
+        for key, entry in manifest["payload_arrays"].items()
+    }
+
+
+def check_build(sequential: NetClusIndex, parallel: NetClusIndex, root: Path) -> int:
+    left = payload_digest(sequential, include_timings=False)
+    right = payload_digest(parallel, include_timings=False)
+    if left != right:
+        print(f"FAIL [build]: payload digests diverge ({left[:16]} != {right[:16]})")
+        return 1
+    # second opinion through the real on-disk writer
+    left_arrays = _blob_arrays(save_index(sequential, root / "sequential"))
+    right_arrays = _blob_arrays(save_index(parallel, root / "parallel"))
+    if sorted(left_arrays) != sorted(right_arrays):
+        print("FAIL [build]: payload key sets differ")
+        return 1
+    failures = 0
+    for key, a in left_arrays.items():
+        b = right_arrays[key]
+        if key.endswith("_meta"):
+            a[META_BUILD_SECONDS_SLOT] = b[META_BUILD_SECONDS_SLOT] = 0.0
+        if a.tobytes() != b.tobytes():
+            print(f"FAIL [build]: payload entry {key!r} differs")
+            failures += 1
+    if not failures:
+        print(
+            f"OK build   : workers={WORKERS} payload digest {left[:16]}… and "
+            f"{len(left_arrays)} payload.bin entries equal workers=1"
+        )
+    return failures
+
+
+def check_bitset(index: NetClusIndex) -> int:
+    baseline = PlacementService(index, engine="sparse")
+    binary_want = baseline.batch_query(list(BINARY_SPECS), use_cache=False)
+    mixed_want = baseline.batch_query(list(MIXED_SPECS), use_cache=False)
+    bitset = PlacementService(index, engine="bitset")
+    auto = PlacementService(index, engine="auto")
+    failures = _compare(
+        "bitset engine=bitset",
+        BINARY_SPECS,
+        binary_want,
+        bitset.batch_query(list(BINARY_SPECS), use_cache=False),
+    )
+    failures += _compare(
+        "bitset engine=auto",
+        MIXED_SPECS,
+        mixed_want,
+        auto.batch_query(list(MIXED_SPECS), use_cache=False),
+    )
+    if not failures:
+        print(
+            f"OK bitset  : {len(BINARY_SPECS)} binary specs (engine=bitset) and "
+            f"{len(MIXED_SPECS)} mixed-ψ specs (engine=auto) equal sparse"
+        )
+    return failures
+
+
+def _probe(index: NetClusIndex) -> list:
+    return [index.query(query, engine="sparse") for query in MMAP_QUERIES]
+
+
+def check_mmap(fresh: NetClusIndex, root: Path) -> int:
+    warm = copy.deepcopy(fresh)
+    loaded = load_index(save_index(fresh, root / "plain"))
+    failures = _compare("mmap plain", MMAP_QUERIES, _probe(fresh), _probe(loaded))
+    # warm every battery τ so the load answers through the persisted parts
+    warm.enable_coverage_cache()
+    _probe(warm)
+    warm_loaded = load_index(save_index(warm, root / "warm"))
+    failures += _compare("mmap warm covcache", MMAP_QUERIES, _probe(warm), _probe(warm_loaded))
+    batch = UpdateBatch(
+        remove_sites=tuple(sorted(fresh.sites)[:2]),
+        remove_trajectories=tuple(fresh.trajectory_ids[:5]),
+    )
+    fresh.apply_updates(batch)
+    loaded.apply_updates(batch)
+    failures += _compare("mmap post-update", MMAP_QUERIES, _probe(fresh), _probe(loaded))
+    if not failures:
+        print(
+            f"OK mmap    : {len(MMAP_QUERIES)} queries equal after v4 save/load — "
+            "plain, warm covcache, post-update"
+        )
+    return failures
+
+
+def _delta_stream(rng, index, pool, num_ops):
+    """Yield up to ``num_ops`` update batches against the evolving index."""
+    pool = list(pool)
+    removed_sites: list[int] = []
+    for _ in range(num_ops):
+        kind = int(rng.integers(0, 4))
+        if kind == 0 and len(pool) >= 2:
+            take = int(rng.integers(1, 4))
+            batch = UpdateBatch(add_trajectories=pool[:take])
+            del pool[:take]
+        elif kind == 1 and index.num_trajectories > 25:
+            ids = list(index.trajectory_ids)
+            picks = rng.choice(len(ids), size=int(rng.integers(1, 4)), replace=False)
+            batch = UpdateBatch(remove_trajectories=[ids[int(p)] for p in sorted(picks)])
+        elif kind == 2 and removed_sites:
+            batch = UpdateBatch(add_sites=list(removed_sites))
+            removed_sites.clear()
+        elif len(index.sites) > 12:
+            sites = sorted(index.sites)
+            picks = rng.choice(len(sites), size=int(rng.integers(1, 3)), replace=False)
+            victims = [sites[int(p)] for p in sorted(picks)]
+            removed_sites.extend(victims)
+            batch = UpdateBatch(remove_sites=victims)
+        else:
+            continue
+        yield batch
+
+
+def _cold_answers(index: NetClusIndex) -> list:
+    cold_index = copy.deepcopy(index)
+    cold_index.coverage_cache = None
+    cold = PlacementService(cold_index, engine=COVCACHE_ENGINE)
+    return cold.batch_query(list(COVCACHE_SPECS), use_cache=False)
+
+
+def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
+    # a held-out trajectory pool for additions, ids above the live range
+    extra = commuter_trajectories(index.network, 30, seed=777)
+    next_id = max(index.trajectory_ids) + 1
+    pool = [
+        Trajectory.from_nodes(next_id + i, list(t.nodes), index.network)
+        for i, t in enumerate(extra)
+    ]
+    specs = list(COVCACHE_SPECS)
+    warm = PlacementService(index, engine=COVCACHE_ENGINE, coverage_cache=True)
+    warm.batch_query(specs, use_cache=False)  # warm-up: the only cold builds
+    builds_after_warmup = warm.stats.coverage_builds
+
+    failures = 0
+    steps = 0
+    rng = np.random.default_rng(DELTA_SEED)
+    for batch in _delta_stream(rng, index, pool, num_ops):
+        warm.apply_updates(batch)
+        steps += 1
+        failures += _compare(
+            f"covcache step={steps}",
+            specs,
+            _cold_answers(index),
+            warm.batch_query(specs, use_cache=False),
+        )
+    extra_builds = warm.stats.coverage_builds - builds_after_warmup
+    if extra_builds:
+        print(f"FAIL [covcache]: {extra_builds} coverage builds after warm-up (expected 0)")
+        failures += 1
+
+    # on-disk round trip: save with parts, load, compare again
+    reloaded = PlacementService(
+        load_index(save_index(index, root / "covcache")), engine=COVCACHE_ENGINE
+    )
+    failures += _compare(
+        "covcache disk-round-trip",
+        specs,
+        _cold_answers(index),
+        reloaded.batch_query(specs, use_cache=False),
+    )
+    if reloaded.stats.coverage_builds:
+        print(
+            f"FAIL [covcache]: reloaded index performed "
+            f"{reloaded.stats.coverage_builds} coverage builds (expected 0)"
+        )
+        failures += 1
+    if not failures:
+        patches = warm.coverage_cache.stats()["patches"]
+        print(
+            f"OK covcache: {steps} deltas x {len(specs)} specs equal cold rebuilds "
+            f"({patches} part patches, 0 builds after warm-up and after reload)"
+        )
+    return failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--scale", default="small", choices=["tiny", "small", "medium"])
+    parser.add_argument("--ops", type=int, default=50)
+    args = parser.parse_args(argv)
+
+    problem = beijing_like(scale=args.scale, seed=42).problem()
+    print(f"Building the {args.scale} Beijing-like index with workers=1 and {WORKERS}...")
+    sequential = problem.build_netclus_index(workers=1, **BUILD_PARAMS)
+    parallel = problem.build_netclus_index(workers=WORKERS, **BUILD_PARAMS)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        failures = check_build(sequential, parallel, root)
+        failures += check_bitset(copy.deepcopy(sequential))
+        failures += check_mmap(copy.deepcopy(sequential), root)
+        failures += check_covcache(copy.deepcopy(sequential), args.ops, root)
+    if failures:
+        print(f"FAIL: {failures} divergence(s)")
+        return 1
+    print("OK: all parity sections passed")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
