@@ -1,12 +1,12 @@
 """Benchmark — ablations of design choices (Section 4.2 and implementation).
 
-Regenerates the representative-selection, greedy-update-strategy and
-GDSP-counting ablation tables and measures the two greedy update strategies.
+Regenerates the representative-selection, greedy-loop and GDSP-counting
+ablation tables and measures the two greedy loops.
 """
 
 from __future__ import annotations
 
-from repro.core.greedy import IncGreedy
+from repro.core.greedy import IncGreedy, LazyGreedy
 from repro.core.query import TOPSQuery
 from repro.experiments.figures import ablation_design_choices
 from repro.experiments.reporting import print_table
@@ -16,16 +16,16 @@ def test_inc_greedy_incremental_updates(benchmark, small_context):
     """Algorithm 1's incremental marginal updates (k = 10)."""
     query = TOPSQuery(k=10, tau_km=0.8)
     coverage = small_context.coverage(query)
-    greedy = IncGreedy(coverage, update_strategy="incremental")
+    greedy = IncGreedy(coverage)
     columns, _, _ = benchmark(lambda: greedy.select(10))
     assert len(columns) == 10
 
 
-def test_inc_greedy_recompute_updates(benchmark, small_context):
-    """Full marginal recomputation per iteration (k = 10)."""
+def test_celf_lazy_heap(benchmark, small_context):
+    """The CELF heap capacitated queries run, here uncapacitated (k = 10)."""
     query = TOPSQuery(k=10, tau_km=0.8)
     coverage = small_context.coverage(query)
-    greedy = IncGreedy(coverage, update_strategy="recompute")
+    greedy = LazyGreedy(coverage)
     columns, _, _ = benchmark(lambda: greedy.select(10))
     assert len(columns) == 10
 
@@ -36,7 +36,7 @@ def test_ablation_tables(benchmark, tiny_bundle):
             "representative_strategy": ablation_design_choices.run_representative_strategy(
                 tiny_bundle, k_values=(5,)
             ),
-            "update_strategy": ablation_design_choices.run_update_strategy(tiny_bundle, k=5),
+            "greedy_loop": ablation_design_choices.run_greedy_loop(tiny_bundle, k=5),
             "gdsp_counting": ablation_design_choices.run_gdsp_counting(tiny_bundle),
         }
 
@@ -44,11 +44,11 @@ def test_ablation_tables(benchmark, tiny_bundle):
     print()
     print_table(panels["representative_strategy"], title="Ablation — representative selection")
     print()
-    print_table(panels["update_strategy"], title="Ablation — greedy update strategy")
+    print_table(panels["greedy_loop"], title="Ablation — greedy loop (incremental vs CELF)")
     print()
     print_table(panels["gdsp_counting"], title="Ablation — GDSP coverage counting")
-    # the two update strategies must land on the same utility
-    utilities = [row["utility"] for row in panels["update_strategy"]]
+    # the two greedy loops must land on the same utility
+    utilities = [row["utility"] for row in panels["greedy_loop"]]
     assert abs(utilities[0] - utilities[1]) < 1e-6
     # the closest-to-center strategy should not be materially worse
     for row in panels["representative_strategy"]:

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex
-from repro.core.greedy import IncGreedy, LazyGreedy
+from repro.core.greedy import IncGreedy
 from repro.core.query import TOPSQuery
 from repro.core.variants import (
     solve_tops_capacity,
@@ -76,13 +76,6 @@ def _build_engines(detours: np.ndarray, query: TOPSQuery) -> dict:
         name: cls(detours, query.tau_km, query.preference)
         for name, cls in ENGINE_CLASSES.items()
     }
-
-
-def _greedy_select(coverage, k: int):
-    """The production solver dispatch: CELF for sparse, incremental else."""
-    if getattr(coverage, "is_sparse", False):
-        return LazyGreedy(coverage).select(k)
-    return IncGreedy(coverage).select(k)
 
 
 def _assert_selection_parity(selections: dict, label: str) -> None:
@@ -164,14 +157,14 @@ def _measure_engines(detours: np.ndarray, query: TOPSQuery, rounds: int = 3) -> 
     selections: dict[str, tuple] = {}
     for name, coverage in coverages.items():
         seconds[name], selections[name] = _best_of(
-            lambda coverage=coverage: _greedy_select(coverage, query.k), rounds
+            lambda coverage=coverage: IncGreedy(coverage).select(query.k), rounds
         )
     _assert_selection_parity(selections, f"k={query.k} tau={query.tau_km}")
     _assert_variant_parity(coverages, query)
     # profile one bitset pass through the kernel timer for the record
     timer = KernelTimer()
     coverages["bitset"].attach_kernel_timer(timer)
-    _greedy_select(coverages["bitset"], query.k)
+    IncGreedy(coverages["bitset"]).select(query.k)
     coverages["bitset"].attach_kernel_timer(None)
     return {
         "num_trajectories": int(detours.shape[0]),

@@ -39,7 +39,7 @@ from repro.core.preference import (
 )
 from repro.core.distances import DistanceOracle
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex
-from repro.core.greedy import IncGreedy, LazyGreedy
+from repro.core.greedy import IncGreedy
 from repro.core.fm_greedy import FMGreedy
 from repro.core.optimal import OptimalSolver
 from repro.core.netclus import NetClusIndex
@@ -62,7 +62,6 @@ __all__ = [
     "CoverageIndex",
     "SparseCoverageIndex",
     "IncGreedy",
-    "LazyGreedy",
     "FMGreedy",
     "OptimalSolver",
     "NetClusIndex",

@@ -12,7 +12,7 @@ from repro.core.query import TOPSQuery, TOPSResult
 from repro.core.distances import DistanceOracle
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex
 from repro.core.covcache import CoverageCache, CoveragePart
-from repro.core.greedy import IncGreedy, LazyGreedy
+from repro.core.greedy import IncGreedy
 from repro.core.fm_greedy import FMGreedy
 from repro.core.optimal import OptimalSolver
 from repro.core.gdsp import GreedyGDSP, Cluster
@@ -42,7 +42,6 @@ __all__ = [
     "CoverageCache",
     "CoveragePart",
     "IncGreedy",
-    "LazyGreedy",
     "FMGreedy",
     "OptimalSolver",
     "GreedyGDSP",

@@ -693,6 +693,9 @@ class SparseCoverageIndex:
     @kernel
     def marginal_gains(self, utilities: np.ndarray) -> np.ndarray:
         """Marginal utility of every site in one pass over the stored entries."""
+        if self.nnz == 0:
+            # np.bincount over no entries returns int64, not float64
+            return np.zeros(self.num_sites, dtype=np.float64)  # noqa: RA010
         residual = self._scratch.get("mg_entries", (self.nnz,))
         np.take(utilities, self._csc_rows, out=residual)
         np.subtract(self._csc_data, residual, out=residual)

@@ -1,31 +1,28 @@
 """Inc-Greedy: the (1 − 1/e) greedy heuristic for TOPS (Section 3.3).
 
 Inc-Greedy maximises the monotone submodular utility by repeatedly adding the
-site with the largest marginal gain.  Three equivalent evaluation strategies
-are provided:
+site with the largest marginal gain.  :meth:`IncGreedy.select` is the one
+greedy entry point on every engine; the query, not the engine, picks the
+loop:
 
-* ``update_strategy="incremental"`` — the paper's Algorithm 1: per-site
-  marginal utilities ``U_θ(s_i)`` and per-pair residual gains ``α_ji`` are
-  maintained and updated only for the trajectories covered by the newly
-  selected site (and the sites covering those trajectories);
-* ``update_strategy="recompute"`` — each iteration recomputes all marginal
-  gains as ``Σ_j max(0, ψ(T_j, s_i) − U_j)`` with one vectorised NumPy pass;
-* ``update_strategy="lazy"`` — CELF-style lazy greedy (:class:`LazyGreedy`):
-  cached marginal gains are valid upper bounds by submodularity, so each
-  iteration only re-evaluates sites popped from a max-heap until the top
-  entry is fresh.  On sparse instances this evaluates a small fraction of
-  the ``k·n`` gains the other strategies touch.
+* without capacities it runs the paper's Algorithm 1: per-site marginal
+  utilities ``U_θ(s_i)`` are kept and decreased (``gain_updates``) only for
+  the sites covering the trajectories the newly selected site improves;
+* with per-site capacities (Section 7.2) a site's gain is the sum of its
+  largest ``cap`` residual gains, which Algorithm 1's per-pair bookkeeping
+  does not maintain, so the selection runs the CELF lazy heap of
+  :class:`LazyGreedy`: cached gains are upper bounds by submodularity, and
+  each iteration re-evaluates only the sites it pops until the top entry is
+  fresh.
 
-All strategies return identical selections (ties broken by site weight, then
-by the larger site label, per the paper).  Every strategy runs purely
-through the *coverage protocol* (``marginal_gains`` / ``site_column`` /
-``absorb`` / ``gain_updates``), so the same solvers drive a dense
+Both loops return the same selections (ties broken by site weight, then by
+the larger site label, per the paper) and run purely through the *coverage
+protocol* (``marginal_gains`` / ``marginal_gain`` / ``site_column`` /
+``absorb`` / ``gain_updates``), so they drive a dense
 :class:`~repro.core.coverage.CoverageIndex`, a
-:class:`~repro.core.coverage.SparseCoverageIndex` (``"lazy"`` only — the
-fast path for realistic coverage) and a binary-ψ
-:class:`~repro.core.bitcov.BitsetCoverageIndex`.  The class also
-supports an initial seed of *existing services* (Section 7.3) and per-site
-capacities (used by the TOPS-CAPACITY driver in ``repro.core.variants``).
+:class:`~repro.core.coverage.SparseCoverageIndex` and a binary-ψ
+:class:`~repro.core.bitcov.BitsetCoverageIndex` alike.  The selection can
+also be seeded with *existing services* (Section 7.3).
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.coverage import (
     GAIN_RTOL,
     CoverageIndex,
@@ -49,33 +47,21 @@ __all__ = ["IncGreedy", "LazyGreedy", "greedy_max_coverage_columns"]
 
 
 class IncGreedy:
-    """Greedy TOPS solver operating on a :class:`CoverageIndex`.
+    """Greedy TOPS solver over any coverage engine.
 
     Parameters
     ----------
     coverage:
-        The coverage structures built for the query's (τ, ψ).
-    update_strategy:
-        ``"incremental"`` (Algorithm 1 of the paper) or ``"recompute"``.
+        The coverage structures built for the query's (τ, ψ): a dense,
+        sparse or bitset index.
     """
 
     algorithm_name = "inc-greedy"
 
     def __init__(
-        self,
-        coverage: CoverageIndex | SparseCoverageIndex,
-        update_strategy: str = "incremental",
+        self, coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
     ) -> None:
-        require(
-            update_strategy in ("incremental", "recompute", "lazy"),
-            "update_strategy must be 'incremental', 'recompute' or 'lazy'",
-        )
-        require(
-            update_strategy == "lazy" or not getattr(coverage, "is_sparse", False),
-            "a SparseCoverageIndex requires update_strategy='lazy'",
-        )
         self.coverage = coverage
-        self.update_strategy = update_strategy
 
     # ------------------------------------------------------------------ #
     def select(
@@ -96,7 +82,8 @@ class IncGreedy:
         capacities:
             Optional per-site capacities (max number of trajectories a site
             may serve).  When provided, a site's marginal utility is the sum
-            of its largest ``cap`` per-trajectory gains (Section 7.2).
+            of its largest ``cap`` per-trajectory gains (Section 7.2) and the
+            selection runs :class:`LazyGreedy`'s CELF loop.
 
         Returns
         -------
@@ -111,57 +98,15 @@ class IncGreedy:
             k is always a prefix of the selection for any larger k.
         """
         require(k >= 1, "k must be >= 1")
-        if self.update_strategy == "lazy":
+        if capacities is not None:
             return LazyGreedy(self.coverage).select(
                 k, existing_columns=existing_columns, capacities=capacities
             )
-        utilities = np.zeros(self.coverage.num_trajectories, dtype=np.float64)
-        if existing_columns:
-            utilities = self.coverage.per_trajectory_utility(list(existing_columns))
-        forbidden = set(int(c) for c in existing_columns)
-
-        if self.update_strategy == "recompute" or capacities is not None:
-            return self._select_recompute(k, utilities, forbidden, capacities)
-        return self._select_incremental(k, utilities, forbidden)
-
-    # ------------------------------------------------------------------ #
-    def _select_recompute(
-        self,
-        k: int,
-        utilities: np.ndarray,
-        forbidden: set[int],
-        capacities: np.ndarray | None,
-    ) -> tuple[list[int], np.ndarray, list[float]]:
-        coverage = self.coverage
-        weights = coverage.site_weights
-        num_sites = coverage.num_sites
-        selected: list[int] = []
-        gains: list[float] = []
-        for _ in range(min(k, num_sites - len(forbidden))):
-            if capacities is None:
-                marginal = coverage.marginal_gains(utilities)
-            else:
-                marginal = np.asarray(
-                    [
-                        coverage.marginal_gain(col, utilities, int(capacities[col]))
-                        for col in range(num_sites)
-                    ]
-                )
-            if forbidden:
-                marginal[list(forbidden)] = -np.inf
-            best = _argmax_with_tie_break(marginal, weights)
-            if marginal[best] <= 0.0 and selected:
-                break
-            selected.append(int(best))
-            forbidden.add(int(best))
-            gains.append(float(marginal[best]))
-            capacity = None if capacities is None else int(capacities[best])
-            utilities = coverage.absorb(utilities, int(best), capacity)
-        return selected, utilities, gains
+        return self._select_incremental(k, existing_columns)
 
     # ------------------------------------------------------------------ #
     def _select_incremental(
-        self, k: int, utilities: np.ndarray, forbidden: set[int]
+        self, k: int, existing_columns: Sequence[int]
     ) -> tuple[list[int], np.ndarray, list[float]]:
         """Algorithm 1 of the paper with α_ji maintained implicitly.
 
@@ -170,11 +115,15 @@ class IncGreedy:
         ``marginal`` and decremented when a covered trajectory's utility
         improves.  Runs entirely through the coverage protocol
         (``marginal_gains`` / ``site_column`` / ``gain_updates``), so the
-        same loop drives the dense and the bitset index.
+        same loop drives every engine.
         """
         coverage = self.coverage
         weights = coverage.site_weights
         num_sites = coverage.num_sites
+        utilities = np.zeros(coverage.num_trajectories, dtype=np.float64)
+        if existing_columns:
+            utilities = coverage.per_trajectory_utility(list(existing_columns))
+        forbidden = set(int(c) for c in existing_columns)
         # U_1(s_i) = w_i adjusted for any existing-service seed utilities
         marginal = coverage.marginal_gains(utilities)
         selected: list[int] = []
@@ -185,6 +134,11 @@ class IncGreedy:
                 masked[list(forbidden)] = -np.inf
             best = _argmax_with_tie_break(masked, weights)
             best_gain = float(masked[best])
+            if selected and best_gain <= GAIN_RTOL * max(1.0, gains[0]):
+                # gains kept by subtraction carry a few ulps of drift, so a
+                # site whose true gain is zero can show a tiny residue:
+                # settle the stop test on its exact gain
+                best_gain = coverage.marginal_gain(best, utilities)
             if best_gain <= 0.0 and selected:
                 break
             selected.append(int(best))
@@ -225,8 +179,8 @@ class IncGreedy:
         TOPSResult
             ``sites`` are node ids in selection order; ``utility`` is the
             total ψ-utility (for the binary ψ, the number of covered
-            trajectories); ``metadata`` carries the per-step marginal gains
-            and the update strategy used.
+            trajectories); ``metadata["marginal_gains"]`` carries the
+            per-step marginal gains.
         """
         with Timer() as timer:
             existing_columns = (
@@ -242,12 +196,12 @@ class IncGreedy:
             per_trajectory_utility=tuple(float(u) for u in utilities),
             elapsed_seconds=timer.elapsed,
             algorithm=self.algorithm_name,
-            metadata={"marginal_gains": gains, "update_strategy": self.update_strategy},
+            metadata={"marginal_gains": gains},
         )
 
 
 class LazyGreedy:
-    """CELF lazy greedy: Inc-Greedy's selections at a fraction of the work.
+    """CELF lazy greedy: the capacity loop behind :meth:`IncGreedy.select`.
 
     By submodularity a site's marginal gain only shrinks as the selection
     grows, so gains computed in earlier iterations are valid upper bounds.
@@ -255,24 +209,15 @@ class LazyGreedy:
     cached gain with the paper's tie-break (gain, then site weight, then the
     larger site column); each iteration pops entries, re-evaluating stale
     ones, until the top of the heap is fresh — that site is the exact argmax,
-    so the selection is identical to :class:`IncGreedy`'s.
-
-    Works on both a dense :class:`~repro.core.coverage.CoverageIndex` and a
-    :class:`~repro.core.coverage.SparseCoverageIndex`; with the sparse index a
-    gain re-evaluation touches only the site's covered trajectories, which is
-    what makes this the fast engine for realistic (sparse) instances.
-
-    ``last_num_evaluations`` records how many marginal gains the previous
-    :meth:`select` call actually computed (the eager strategies always
-    compute ``k·n``).
+    so the selection is identical to the incremental loop's.  Capacitated
+    gains (the sum of a site's largest ``cap`` residuals) are only available
+    per site through ``marginal_gain``, which is why this loop serves them.
     """
 
-    algorithm_name = "lazy-greedy"
-
-    def __init__(self, coverage: CoverageIndex | SparseCoverageIndex) -> None:
+    def __init__(
+        self, coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
+    ) -> None:
         self.coverage = coverage
-        self.update_strategy = "lazy"
-        self.last_num_evaluations = 0
 
     # ------------------------------------------------------------------ #
     def select(
@@ -306,7 +251,6 @@ class LazyGreedy:
                     for col in range(num_sites)
                 ]
             )
-        evaluations = num_sites
 
         heap = [
             (-initial[col], -weights[col], -col)
@@ -324,7 +268,6 @@ class LazyGreedy:
             col = int(-neg_col)
             if stamp[col] != iteration:
                 gain = coverage.marginal_gain(col, utilities, capacity_of(col))
-                evaluations += 1
                 stamp[col] = iteration
                 heapq.heappush(heap, (-gain, neg_weight, neg_col))
                 continue
@@ -335,7 +278,7 @@ class LazyGreedy:
             # every entry whose cached upper bound ties it within GAIN_RTOL
             # (a true tie always has cached >= true >= top - tol) so the
             # winner comes from the same (gain, weight, site) rule the
-            # eager strategies apply — never from last-ulp summation noise
+            # incremental loop applies — never from last-ulp summation noise
             tolerance = GAIN_RTOL * max(1.0, abs(gain))
             ties = [(gain, float(-neg_weight), col)]
             outbid = []
@@ -344,7 +287,6 @@ class LazyGreedy:
                 other = int(-other_neg_col)
                 if stamp[other] != iteration:
                     fresh = coverage.marginal_gain(other, utilities, capacity_of(other))
-                    evaluations += 1
                     stamp[other] = iteration
                     if fresh >= gain - tolerance:
                         ties.append((fresh, float(-other_neg_weight), other))
@@ -364,32 +306,7 @@ class LazyGreedy:
             gains.append(winner_gain)
             utilities = coverage.absorb(utilities, winner, capacity_of(winner))
             iteration += 1
-        self.last_num_evaluations = evaluations
         return selected, utilities, gains
-
-    # ------------------------------------------------------------------ #
-    def solve(self, query: TOPSQuery, existing_sites: Sequence[int] = ()) -> TOPSResult:
-        """Run the lazy selection and wrap it in a :class:`TOPSResult`."""
-        with Timer() as timer:
-            existing_columns = (
-                self.coverage.columns_for_labels(existing_sites) if existing_sites else []
-            )
-            columns, utilities, gains = self.select(
-                query.k, existing_columns=existing_columns
-            )
-        sites = tuple(int(self.coverage.site_labels[c]) for c in columns)
-        return TOPSResult(
-            sites=sites,
-            utility=float(np.sum(utilities)),
-            per_trajectory_utility=tuple(float(u) for u in utilities),
-            elapsed_seconds=timer.elapsed,
-            algorithm=self.algorithm_name,
-            metadata={
-                "marginal_gains": gains,
-                "update_strategy": self.update_strategy,
-                "num_gain_evaluations": self.last_num_evaluations,
-            },
-        )
 
 
 # ---------------------------------------------------------------------- #
@@ -420,8 +337,8 @@ def _lazy_tie_winner(ties: list[tuple[float, float, int]]) -> tuple[float, int]:
     """The canonical winner of a CELF tie set: gain, then weight, then site.
 
     Mirrors :func:`_argmax_with_tie_break` on the (gain, weight, column)
-    triples the lazy loop collected, so the lazy strategy resolves ties
-    exactly like the eager ones.
+    triples the CELF loop collected, so it resolves ties exactly like the
+    incremental loop.
     """
     tie_gains = np.asarray([entry[0] for entry in ties])
     tie_weights = np.asarray([entry[1] for entry in ties])

@@ -54,7 +54,7 @@ import numpy as np
 from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex, resolve_engine
 from repro.core.fm_greedy import FMGreedy
-from repro.core.greedy import IncGreedy, LazyGreedy
+from repro.core.greedy import IncGreedy
 from repro.core.preference import PreferenceFunction
 from repro.core.query import TOPSQuery, TOPSResult
 from repro.network.graph import RoadNetwork
@@ -966,12 +966,12 @@ class NetClusIndex:
             Node ids of already-operating services (Section 7.3).
         engine:
             Coverage representation: ``"dense"`` builds the estimated-detour
-            matrix and runs the paper's Inc-Greedy; ``"sparse"`` feeds the
-            qualifying estimates into a sparse index and runs the CELF lazy
-            greedy; ``"bitset"`` packs the binary coverage into uint64
-            words and runs Inc-Greedy on popcount gains (binary ψ only);
-            ``"auto"`` picks bitset for binary ψ and sparse otherwise —
-            the selections are identical across all engines.
+            matrix; ``"sparse"`` feeds the qualifying estimates into a
+            sparse index; ``"bitset"`` packs the binary coverage into
+            uint64 words with popcount gains (binary ψ only);
+            ``"auto"`` picks bitset for binary ψ and sparse otherwise.
+            Inc-Greedy runs the same loop on every engine, so the
+            selections are identical.
         prepared:
             A :class:`ClusteredCoverage` from :meth:`prepare_coverage` to
             reuse; its ``(τ, engine)`` must match the query and its
@@ -1016,12 +1016,7 @@ class NetClusIndex:
                 utilities = coverage.per_trajectory_utility(columns)
                 algorithm = "fm-netclus"
             else:
-                greedy = (
-                    LazyGreedy(coverage)
-                    if getattr(coverage, "is_sparse", False)
-                    else IncGreedy(coverage)
-                )
-                columns, utilities, _ = greedy.select(
+                columns, utilities, _ = IncGreedy(coverage).select(
                     query.k, existing_columns=existing_columns
                 )
                 algorithm = self.algorithm_name

@@ -17,7 +17,7 @@ from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex, resolve_engine
 from repro.core.distances import DistanceOracle
 from repro.core.fm_greedy import FMGreedy
-from repro.core.greedy import IncGreedy, LazyGreedy
+from repro.core.greedy import IncGreedy
 from repro.core.netclus import NetClusIndex
 from repro.core.optimal import OptimalSolver
 from repro.core.query import TOPSQuery, TOPSResult
@@ -100,8 +100,8 @@ class TOPSProblem:
         """Coverage structures (TC, SC, weights) for the query's (τ, ψ).
 
         ``engine="sparse"`` stores only the covered (trajectory, site) pairs
-        in CSR/CSC form — the fast representation for realistic τ, consumed
-        by the CELF lazy greedy.  ``engine="bitset"`` packs the binary
+        in CSR/CSC form — the fast representation for realistic τ.
+        ``engine="bitset"`` packs the binary
         coverage into uint64 word blocks (binary ψ only) so gains become
         popcounts; ``engine="auto"`` picks bitset for binary ψ and sparse
         otherwise.  Selections are identical for any engine.
@@ -149,12 +149,12 @@ class TOPSProblem:
         num_sketches:
             Number of FM sketches f for ``method="fm-greedy"``.
         engine:
-            Coverage representation: with ``"sparse"`` the greedy runs as
-            CELF lazy greedy over CSR/CSC structures; ``"bitset"`` runs
-            Inc-Greedy over popcount gains (binary ψ only); ``"auto"``
-            picks bitset for binary ψ and sparse otherwise.  All engines
-            return the same selections as the dense Inc-Greedy.  The
-            optimal solver requires the dense engine.
+            Coverage representation: ``"sparse"`` runs Inc-Greedy over
+            CSR/CSC structures; ``"bitset"`` runs it over popcount gains
+            (binary ψ only); ``"auto"`` picks bitset for binary ψ and
+            sparse otherwise.  All engines return the same selections as
+            the dense Inc-Greedy.  The optimal solver requires the dense
+            engine.
 
         Returns
         -------
@@ -171,12 +171,7 @@ class TOPSProblem:
             coverage = self.coverage(query, engine=engine)
         preprocess_seconds = timer.elapsed
         if method == "inc-greedy":
-            solver = (
-                LazyGreedy(coverage)
-                if getattr(coverage, "is_sparse", False)
-                else IncGreedy(coverage)
-            )
-            result = solver.solve(query, existing_sites=existing_sites)
+            result = IncGreedy(coverage).solve(query, existing_sites=existing_sites)
         elif method == "fm-greedy":
             result = FMGreedy(coverage, num_sketches=num_sketches).solve(query)
         elif method == "optimal":

@@ -19,9 +19,10 @@ All drivers operate through the coverage protocol shared by
 :class:`~repro.core.bitcov.BitsetCoverageIndex`, so they work unchanged on
 the flat site space (Inc-Greedy), on NetClus's clustered space (pass the
 coverage index built from estimated detours), and on the dense, sparse or
-bitset engine.  With a sparse index the greedy-based drivers automatically
-use the CELF lazy greedy (:class:`~repro.core.greedy.LazyGreedy`), which
-returns the same selections.  The one exception is :func:`solve_tops_min_inconvenience`,
+bitset engine: the greedy-based drivers call
+:meth:`~repro.core.greedy.IncGreedy.select`, which runs Algorithm 1's
+incremental loop, or the CELF heap when capacities are given.  The one
+exception is :func:`solve_tops_min_inconvenience`,
 whose τ = ∞ objective needs the full detour matrix and therefore requires
 the dense index.
 """
@@ -39,7 +40,7 @@ from repro.core.coverage import (
     SparseCoverageIndex,
     tie_break_candidates,
 )
-from repro.core.greedy import IncGreedy, LazyGreedy
+from repro.core.greedy import IncGreedy
 from repro.core.query import TOPSQuery, TOPSResult
 from repro.utils.timer import Timer
 from repro.utils.validation import require, require_positive, require_probability
@@ -54,13 +55,6 @@ __all__ = [
 
 
 AnyCoverage = CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
-
-
-def _greedy_solver(coverage: AnyCoverage) -> IncGreedy | LazyGreedy:
-    """The greedy solver matching the coverage representation."""
-    if getattr(coverage, "is_sparse", False):
-        return LazyGreedy(coverage)
-    return IncGreedy(coverage)
 
 
 def solve_tops_cost(
@@ -134,12 +128,8 @@ def solve_tops_capacity(
     caps = np.asarray(capacities, dtype=float)
     require(len(caps) == coverage.num_sites, "capacities length mismatch")
     require(bool(np.all(caps >= 0)), "capacities must be non-negative")
-    if getattr(coverage, "is_sparse", False):
-        greedy: IncGreedy | LazyGreedy = LazyGreedy(coverage)
-    else:
-        greedy = IncGreedy(coverage, update_strategy="recompute")
     with Timer() as timer:
-        columns, utilities, gains = greedy.select(query.k, capacities=caps)
+        columns, utilities, gains = IncGreedy(coverage).select(query.k, capacities=caps)
     return TOPSResult(
         sites=tuple(int(coverage.site_labels[c]) for c in columns),
         utility=float(np.sum(utilities)),
@@ -161,8 +151,7 @@ def solve_tops_with_existing(
     by the existing services; the returned ``sites`` are only the *new* k
     sites, matching Section 7.3.
     """
-    greedy = _greedy_solver(coverage)
-    result = greedy.solve(query, existing_sites=existing_sites)
+    result = IncGreedy(coverage).solve(query, existing_sites=existing_sites)
     metadata = dict(result.metadata)
     metadata["existing_sites"] = tuple(int(s) for s in existing_sites)
     return TOPSResult(

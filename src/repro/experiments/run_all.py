@@ -136,7 +136,7 @@ def _run_ablations(scale: str, seed: int, context) -> None:
     panels = ablation_design_choices.run(scale=scale, seed=seed)
     print_table(panels["representative_strategy"], title="Ablation — representative selection")
     print()
-    print_table(panels["update_strategy"], title="Ablation — greedy update strategy")
+    print_table(panels["greedy_loop"], title="Ablation — greedy loop (incremental vs CELF)")
     print()
     print_table(panels["gdsp_counting"], title="Ablation — GDSP coverage counting")
 
@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> None:
         default="dense",
         choices=["dense", "sparse", "bitset", "auto"],
         help="coverage + greedy engine: the paper's dense matrices, the "
-        "CSR/CSC coverage with CELF lazy greedy, the uint64 popcount "
+        "CSR/CSC coverage over the covered pairs, the uint64 popcount "
         "engine (binary ψ only), or auto (bitset for binary ψ, sparse "
         "otherwise) — same selections on every engine",
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex, resolve_engine
 from repro.core.fm_greedy import FMGreedy
-from repro.core.greedy import IncGreedy, LazyGreedy
+from repro.core.greedy import IncGreedy
 from repro.core.netclus import NetClusIndex
 from repro.core.problem import TOPSProblem
 from repro.core.query import TOPSQuery, TOPSResult
@@ -107,15 +107,11 @@ class ExperimentContext:
 
     # ------------------------------------------------------------------ #
     def run_inc_greedy(self, query: TOPSQuery) -> TOPSResult:
-        """Greedy on the flat site space (includes covering-set build time).
+        """Inc-Greedy on the flat site space (includes covering-set build time).
 
-        Runs the paper's Inc-Greedy on the dense and bitset engines and the
-        equivalent CELF lazy greedy on the sparse engine.
+        Runs the paper's Algorithm 1 on whichever engine the runner builds.
         """
-        coverage = self.fresh_coverage(query)
-        if getattr(coverage, "is_sparse", False):
-            return LazyGreedy(coverage).solve(query)
-        return IncGreedy(coverage).solve(query)
+        return IncGreedy(self.fresh_coverage(query)).solve(query)
 
     def run_fm_greedy(self, query: TOPSQuery) -> TOPSResult:
         """FM-sketch greedy on the flat site space (includes covering-set build)."""
@@ -191,7 +187,7 @@ def build_context(
 
     ``engine`` selects the coverage + greedy engine for every driver that
     goes through the context: ``"dense"`` (the paper's matrices),
-    ``"sparse"`` (CSR/CSC coverage with CELF lazy greedy), ``"bitset"``
+    ``"sparse"`` (CSR/CSC coverage over the covered pairs), ``"bitset"``
     (uint64-packed binary coverage with popcount gains; binary ψ only) or
     ``"auto"`` (bitset for binary ψ, sparse otherwise).
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.covcache import CoverageCache
 from repro.core.coverage import ENGINES
-from repro.core.greedy import IncGreedy, LazyGreedy
+from repro.core.greedy import IncGreedy
 from repro.core.netclus import ClusteredCoverage, NetClusIndex, UpdateBatch
 from repro.core.preference import is_registered
 from repro.core.query import TOPSQuery, TOPSResult
@@ -267,7 +267,7 @@ class PlacementService:
         on first use (lazy construction; see :meth:`from_problem`).
     engine:
         Coverage engine for every query: ``"sparse"`` (default — CSR/CSC
-        coverage with the CELF lazy greedy), ``"dense"`` (the paper's
+        coverage over the covered pairs), ``"dense"`` (the paper's
         matrices), ``"bitset"`` (uint64-packed binary coverage with
         popcount gains; binary ψ only) or ``"auto"`` (bitset when the
         spec's ψ is binary, sparse otherwise — resolved per spec).
@@ -325,10 +325,14 @@ class PlacementService:
         # concurrency: readers (batch_query) share the index lock, writers
         # (apply_updates) take it exclusively; the cache has its own mutex
         # (it mutates on reads too — LRU recency), and the lazy index build
-        # runs at most once behind its own lock.
+        # runs at most once behind its own lock.  Saves share the index
+        # read lock with queries but serialise among themselves on
+        # ``_save_lock``: every save stages through the same temporary
+        # file names, so two concurrent saves would race on them.
         self._index_lock = _ReadWriteLock()
         self._cache_lock = threading.RLock()
         self._build_lock = threading.Lock()
+        self._save_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # construction / persistence
@@ -441,10 +445,12 @@ class PlacementService:
         Pass the *dataset* the index was built on to additionally record a
         trajectory-content fingerprint in the manifest (see
         :func:`~repro.service.serialization.save_index`).  Takes the index
-        read lock, so a save never captures a mid-update index.
+        read lock, so a save never captures a mid-update index, and inside
+        it a save mutex, so two saves through one service never interleave
+        their staging files (queries are not blocked by a save).
         """
         index = self.index
-        with self._index_lock.read_locked():
+        with self._index_lock.read_locked(), self._save_lock:
             return save_index(index, path, dataset=dataset)
 
     # ------------------------------------------------------------------ #
@@ -702,12 +708,7 @@ class PlacementService:
             else np.full(coverage.num_sites, int(lead.capacity), dtype=np.int64)
         )
         with Timer() as run_timer:
-            greedy = (
-                LazyGreedy(coverage)
-                if getattr(coverage, "is_sparse", False)
-                else IncGreedy(coverage)
-            )
-            columns, utilities, gains = greedy.select(
+            columns, utilities, gains = IncGreedy(coverage).select(
                 lead.k, existing_columns=existing_columns, capacities=capacities
             )
         self.stats.bump(greedy_runs=1, greedy_seconds=run_timer.elapsed)

@@ -70,13 +70,9 @@ class TestRepresentativeStrategy:
 
 
 class TestAblationDrivers:
-    def test_update_strategy_rows(self, tiny_bundle):
-        rows = ablation_design_choices.run_update_strategy(tiny_bundle, k=4)
-        assert {row["update_strategy"] for row in rows} == {
-            "incremental",
-            "recompute",
-            "lazy",
-        }
+    def test_greedy_loop_rows(self, tiny_bundle):
+        rows = ablation_design_choices.run_greedy_loop(tiny_bundle, k=4)
+        assert [row["loop"] for row in rows] == ["incremental", "lazy"]
         utilities = [row["utility"] for row in rows]
         assert max(utilities) - min(utilities) < 1e-6
 

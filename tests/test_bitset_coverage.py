@@ -23,7 +23,7 @@ from repro.core.coverage import (
     build_label_map,
     resolve_engine,
 )
-from repro.core.greedy import IncGreedy, LazyGreedy
+from repro.core.greedy import IncGreedy
 from repro.core.preference import (
     PREFERENCE_REGISTRY,
     BinaryPreference,
@@ -127,7 +127,7 @@ class TestProtocolParity:
         engines = build_engines(detours)
         runs = {
             "dense": IncGreedy(engines["dense"]).select(6),
-            "sparse": LazyGreedy(engines["sparse"]).select(6),
+            "sparse": IncGreedy(engines["sparse"]).select(6),
             "bitset": IncGreedy(engines["bitset"]).select(6),
         }
         columns = {name: run[0] for name, run in runs.items()}

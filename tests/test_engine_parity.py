@@ -3,15 +3,17 @@
 The contract under test: the sparse (CSR/CSC) and bitset (packed uint64)
 engines expose the same coverage structures, gain vectors, absorbed
 utilities and greedy selections as the dense reference engine, for every
-preference each engine supports — across all greedy strategies, the TOPS
-variant drivers, FM-greedy, the NetClus clustered space, dynamically
-updated indexes, and the placement service.
+preference each engine supports — across both greedy loops (checked
+against the full-recompute oracle), the TOPS variant drivers, FM-greedy,
+the NetClus clustered space, dynamically updated indexes, and the
+placement service.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from greedy_oracle import ORACLE_CASES, assert_matches_oracle, recompute_select
 
 from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex
@@ -206,14 +208,50 @@ class TestProtocolParity:
 # ---------------------------------------------------------------------- #
 # greedy selection parity
 # ---------------------------------------------------------------------- #
+def _with_near_ties(detours):
+    """Plant exact and near ties: columns 10–14 copy 0–4 exactly, and
+    columns 15–19 copy 5–9 shifted by 1e-13 km — gains that differ far
+    below ``GAIN_RTOL``, which every loop must treat as ties."""
+    planted = detours.copy()
+    planted[:, 10:15] = detours[:, 0:5]
+    planted[:, 15:20] = detours[:, 5:10] + 1e-13
+    return planted
+
+
+@pytest.mark.parametrize("capacity", [None, 9], ids=["uncapacitated", "cap9"])
+@pytest.mark.parametrize("existing", [(), (2, 5)], ids=["fresh", "existing"])
+@pytest.mark.parametrize("near_ties", [False, True], ids=["random", "near-ties"])
+@pytest.mark.parametrize(("engine", "pref_name"), ORACLE_CASES)
+def test_select_matches_recompute_oracle(rng, engine, pref_name, near_ties, existing, capacity):
+    """``IncGreedy.select`` equals the recompute oracle on every engine and ψ,
+    with and without existing sites, capacities and near-tied gains."""
+    detours = _random_detours(rng)
+    if near_ties:
+        detours = _with_near_ties(detours)
+    dense, coverage = _pair(detours, engine, pref_name)
+    capacities = None if capacity is None else np.full(dense.num_sites, capacity)
+    expected = recompute_select(
+        dense, 8, existing_columns=list(existing), capacities=capacities
+    )
+    assert_matches_oracle(
+        IncGreedy(coverage).select(8, existing_columns=list(existing), capacities=capacities),
+        expected,
+    )
+    # the CELF heap (the capacity loop) also answers uncapacitated queries
+    assert_matches_oracle(
+        LazyGreedy(coverage).select(8, existing_columns=list(existing), capacities=capacities),
+        expected,
+    )
+
+
 @pytest.mark.parametrize("pref_name", ["binary", "linear", "exponential"])
 class TestSelectionParity:
     def test_dense_strategies_agree(self, rng, pref_name):
         detours = _random_detours(rng)
         dense = CoverageIndex(detours, TAU_KM, make_preference(pref_name))
-        expected = IncGreedy(dense, "incremental").select(8)
-        _assert_same_selection(IncGreedy(dense, "recompute").select(8), expected)
-        _assert_same_selection(LazyGreedy(dense).select(8), expected)
+        expected = recompute_select(dense, 8)
+        assert_matches_oracle(IncGreedy(dense).select(8), expected)
+        assert_matches_oracle(LazyGreedy(dense).select(8), expected)
 
     def test_sparse_lazy_matches_dense(self, rng, pref_name):
         detours = _random_detours(rng)
@@ -221,9 +259,10 @@ class TestSelectionParity:
         dense = CoverageIndex(detours, TAU_KM, preference)
         sparse = SparseCoverageIndex(detours, TAU_KM, preference)
         expected = IncGreedy(dense).select(8)
+        _assert_same_selection(IncGreedy(sparse).select(8), expected)
         _assert_same_selection(LazyGreedy(sparse).select(8), expected)
         query = TOPSQuery(k=8, tau_km=TAU_KM, preference=preference)
-        _assert_same_result(LazyGreedy(sparse).solve(query), IncGreedy(dense).solve(query))
+        _assert_same_result(IncGreedy(sparse).solve(query), IncGreedy(dense).solve(query))
 
     def test_capacities_and_existing_sites(self, rng, pref_name):
         detours = _random_detours(rng)
@@ -231,27 +270,31 @@ class TestSelectionParity:
         dense = CoverageIndex(detours, TAU_KM, preference)
         sparse = SparseCoverageIndex(detours, TAU_KM, preference)
         capacities = np.full(dense.num_sites, 11)
-        expected = IncGreedy(dense, "recompute").select(
-            6, existing_columns=[2, 5], capacities=capacities
-        )
-        actual = LazyGreedy(sparse).select(
-            6, existing_columns=[2, 5], capacities=capacities
-        )
-        _assert_same_selection(actual, expected)
+        expected = recompute_select(dense, 6, existing_columns=[2, 5], capacities=capacities)
+        actual = IncGreedy(sparse).select(6, existing_columns=[2, 5], capacities=capacities)
+        assert_matches_oracle(actual, expected)
 
 
-@pytest.mark.parametrize("strategy", ["incremental", "recompute"])
-def test_bitset_strategies_match_dense(rng, strategy):
+@pytest.mark.parametrize("loop", [IncGreedy, LazyGreedy], ids=["incremental", "lazy"])
+def test_bitset_strategies_match_dense(rng, loop):
     detours = _random_detours(rng)
     dense = CoverageIndex(detours, TAU_KM, BinaryPreference())
     bitset = BitsetCoverageIndex(detours, TAU_KM, BinaryPreference())
-    _assert_same_selection(
-        IncGreedy(bitset, strategy).select(8), IncGreedy(dense, strategy).select(8)
+    assert_matches_oracle(loop(bitset).select(8), recompute_select(dense, 8))
+    assert_matches_oracle(
+        loop(bitset).select(8, existing_columns=[4]),
+        recompute_select(dense, 8, existing_columns=[4]),
     )
-    _assert_same_selection(
-        LazyGreedy(bitset).select(8, existing_columns=[4]),
-        IncGreedy(dense, strategy).select(8, existing_columns=[4]),
-    )
+
+
+@pytest.mark.parametrize("tau_km", [0.4, 0.8, 1.6])
+def test_flat_space_dense_sparse_parity_on_beijing_like(tiny_problem, tau_km):
+    """Dense and sparse Inc-Greedy select alike on a Beijing-like detour matrix."""
+    detours = tiny_problem.detour_matrix()
+    query = TOPSQuery(k=10, tau_km=tau_km)
+    dense = CoverageIndex(detours, tau_km, query.preference)
+    sparse = SparseCoverageIndex(detours, tau_km, query.preference)
+    _assert_same_selection(IncGreedy(sparse).select(10), IncGreedy(dense).select(10))
 
 
 # ---------------------------------------------------------------------- #
@@ -340,7 +383,7 @@ def test_netclus_query_parity_across_engines(tiny_netclus, engine, pref_name):
 def test_problem_coverage_engine_parity(grid_problem, binary_query, engine):
     dense = grid_problem.coverage(binary_query, engine="dense")
     other = grid_problem.coverage(binary_query, engine=engine)
-    _assert_same_selection(LazyGreedy(other).select(5), IncGreedy(dense).select(5))
+    _assert_same_selection(IncGreedy(other).select(5), IncGreedy(dense).select(5))
     _assert_same_result(
         grid_problem.solve(binary_query, engine=engine),
         grid_problem.solve(binary_query, engine="dense"),

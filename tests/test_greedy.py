@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from greedy_oracle import assert_matches_oracle, recompute_select
 
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex
 from repro.core.greedy import IncGreedy, LazyGreedy, greedy_max_coverage_columns
 from repro.core.preference import (
     BinaryPreference,
+    ConvexProbabilityPreference,
     ExponentialPreference,
     LinearPreference,
 )
@@ -54,15 +56,9 @@ class TestPaperExample:
 class TestStrategiesAgree:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_incremental_equals_recompute(self, grid_coverage, k):
-        incremental = IncGreedy(grid_coverage, update_strategy="incremental")
-        recompute = IncGreedy(grid_coverage, update_strategy="recompute")
-        cols_a, util_a, _ = incremental.select(k)
-        cols_b, util_b, _ = recompute.select(k)
-        assert float(np.sum(util_a)) == pytest.approx(float(np.sum(util_b)), rel=1e-9)
-
-    def test_invalid_strategy(self, grid_coverage):
-        with pytest.raises(ValueError):
-            IncGreedy(grid_coverage, update_strategy="bogus")
+        assert_matches_oracle(
+            IncGreedy(grid_coverage).select(k), recompute_select(grid_coverage, k)
+        )
 
 
 class TestSelection:
@@ -134,6 +130,7 @@ class TestSolve:
     def test_solve_returns_result(self, grid_coverage, binary_query):
         result = IncGreedy(grid_coverage).solve(binary_query)
         assert result.algorithm == "inc-greedy"
+        assert list(result.metadata) == ["marginal_gains"]
         assert len(result.sites) == binary_query.k
         assert result.utility == pytest.approx(sum(result.per_trajectory_utility))
         assert result.elapsed_seconds >= 0.0
@@ -155,11 +152,16 @@ def random_instance(rng):
     return detours, tau
 
 
-PREFERENCES = [BinaryPreference(), LinearPreference(), ExponentialPreference()]
+PREFERENCES = [
+    BinaryPreference(),
+    LinearPreference(),
+    ExponentialPreference(),
+    ConvexProbabilityPreference(),
+]
 
 
 class TestLazyGreedyEquivalence:
-    """CELF must return exactly Inc-Greedy's selections (paper tie-breaks)."""
+    """Both loops return exactly the recompute oracle's selections."""
 
     def test_paper_example(self, paper_example):
         columns, utilities, _ = LazyGreedy(paper_example).select(2)
@@ -174,12 +176,10 @@ class TestLazyGreedyEquivalence:
         dense = CoverageIndex(detours, tau, preference)
         sparse = SparseCoverageIndex(detours, tau, preference)
         k = int(rng.integers(1, 8))
-        reference, ref_util, ref_gains = IncGreedy(dense, "recompute").select(k)
+        expected = recompute_select(dense, k)
         for coverage in (dense, sparse):
-            columns, utilities, gains = LazyGreedy(coverage).select(k)
-            assert columns == reference
-            assert np.allclose(utilities, ref_util)
-            assert np.allclose(gains, ref_gains)
+            assert_matches_oracle(IncGreedy(coverage).select(k), expected)
+            assert_matches_oracle(LazyGreedy(coverage).select(k), expected)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_with_weighted_trajectories(self, seed):
@@ -190,9 +190,10 @@ class TestLazyGreedyEquivalence:
         sparse = SparseCoverageIndex(
             detours, tau, LinearPreference(), trajectory_weights=weights
         )
-        reference, _, _ = IncGreedy(dense, "recompute").select(5)
-        assert LazyGreedy(dense).select(5)[0] == reference
-        assert LazyGreedy(sparse).select(5)[0] == reference
+        expected = recompute_select(dense, 5)
+        for coverage in (dense, sparse):
+            assert_matches_oracle(IncGreedy(coverage).select(5), expected)
+            assert_matches_oracle(LazyGreedy(coverage).select(5), expected)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("preference", [BinaryPreference(), LinearPreference()])
@@ -204,13 +205,11 @@ class TestLazyGreedyEquivalence:
         dense = CoverageIndex(detours, tau, preference)
         sparse = SparseCoverageIndex(detours, tau, preference)
         k = int(rng.integers(1, 8))
-        reference, ref_util, _ = IncGreedy(dense, "recompute").select(
-            k, capacities=capacities
-        )
+        expected = recompute_select(dense, k, capacities=capacities)
         for coverage in (dense, sparse):
-            columns, utilities, _ = LazyGreedy(coverage).select(k, capacities=capacities)
-            assert columns == reference
-            assert np.allclose(utilities, ref_util)
+            assert_matches_oracle(
+                IncGreedy(coverage).select(k, capacities=capacities), expected
+            )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_with_existing_columns(self, seed):
@@ -220,18 +219,17 @@ class TestLazyGreedyEquivalence:
         existing = list(rng.choice(n, size=min(2, n), replace=False))
         dense = CoverageIndex(detours, tau, LinearPreference())
         sparse = SparseCoverageIndex(detours, tau, LinearPreference())
-        reference, ref_util, _ = IncGreedy(dense, "recompute").select(
-            4, existing_columns=list(existing)
-        )
+        expected = recompute_select(dense, 4, existing_columns=list(existing))
         for coverage in (dense, sparse):
-            columns, utilities, _ = LazyGreedy(coverage).select(
-                4, existing_columns=list(existing)
+            assert_matches_oracle(
+                IncGreedy(coverage).select(4, existing_columns=list(existing)), expected
             )
-            assert columns == reference
-            assert np.allclose(utilities, ref_util)
+            assert_matches_oracle(
+                LazyGreedy(coverage).select(4, existing_columns=list(existing)), expected
+            )
 
     def test_matches_incremental_utility_on_grid(self, grid_coverage):
-        incremental = IncGreedy(grid_coverage, update_strategy="incremental")
+        incremental = IncGreedy(grid_coverage)
         for k in (1, 3, 5):
             _, util_inc, _ = incremental.select(k)
             _, util_lazy, _ = LazyGreedy(grid_coverage).select(k)
@@ -245,51 +243,41 @@ class TestLazyGreedyEquivalence:
         scores = np.asarray([[1.0, 1.0, 0.4], [1.0, 1.0, 0.0]])
         cov = coverage_from_scores(scores)
         assert LazyGreedy(cov).select(1)[0] == [1]
-        assert IncGreedy(cov, "recompute").select(1)[0] == [1]
+        assert IncGreedy(cov).select(1)[0] == [1]
+        assert recompute_select(cov, 1)[0] == [1]
 
 
 class TestLazyGreedyBehaviour:
-    def test_update_strategy_entry_point(self, grid_coverage):
-        via_inc = IncGreedy(grid_coverage, update_strategy="lazy").select(5)
-        direct = LazyGreedy(grid_coverage).select(5)
-        assert via_inc[0] == direct[0]
-
-    def test_sparse_coverage_requires_lazy(self):
-        sparse = SparseCoverageIndex(np.zeros((2, 2)), 1.0, BinaryPreference())
-        with pytest.raises(ValueError):
-            IncGreedy(sparse, update_strategy="incremental")
-        columns, _, _ = IncGreedy(sparse, update_strategy="lazy").select(1)
-        assert len(columns) == 1
-
-    def test_lazy_evaluates_fewer_gains(self, grid_coverage):
+    def test_query_picks_the_loop(self, grid_coverage, monkeypatch):
+        """Every engine runs the incremental loop; only capacities reach CELF."""
         sparse = SparseCoverageIndex(
-            grid_coverage.detours,
-            grid_coverage.tau_km,
-            grid_coverage.preference,
+            grid_coverage.detours, grid_coverage.tau_km, grid_coverage.preference
         )
-        greedy = LazyGreedy(sparse)
-        k = 8
-        greedy.select(k)
-        eager_evaluations = k * sparse.num_sites
-        assert greedy.last_num_evaluations < eager_evaluations
+        celf_calls = []
+        celf_select = LazyGreedy.select
 
-    def test_solve_reports_metadata(self, grid_coverage, binary_query):
-        result = LazyGreedy(grid_coverage).solve(binary_query)
-        assert result.algorithm == "lazy-greedy"
-        assert len(result.sites) == binary_query.k
-        assert result.metadata["update_strategy"] == "lazy"
-        assert result.metadata["num_gain_evaluations"] >= grid_coverage.num_sites
+        def recording_select(self, *args, **kwargs):
+            celf_calls.append(kwargs.get("capacities"))
+            return celf_select(self, *args, **kwargs)
+
+        monkeypatch.setattr(LazyGreedy, "select", recording_select)
+        for coverage in (grid_coverage, sparse):
+            IncGreedy(coverage).select(5)
+        assert celf_calls == []
+        capacities = np.full(sparse.num_sites, 4)
+        IncGreedy(sparse).select(5, capacities=capacities)
+        assert len(celf_calls) == 1 and celf_calls[0] is capacities
 
     def test_empty_coverage_selects_one_site(self):
-        """On a fully empty instance both solvers pick exactly one zero-gain site."""
+        """On a fully empty instance both loops pick exactly one zero-gain site."""
         detours = np.full((3, 4), np.inf)
         dense = CoverageIndex(detours, 1.0, BinaryPreference())
         sparse = SparseCoverageIndex(detours, 1.0, BinaryPreference())
-        reference, _, _ = IncGreedy(dense, "recompute").select(3)
-        columns, utilities, _ = LazyGreedy(sparse).select(3)
-        assert columns == reference
-        assert len(columns) == 1
-        assert float(np.sum(utilities)) == 0.0
+        expected = recompute_select(dense, 3)
+        assert len(expected[0]) == 1
+        assert float(np.sum(expected[1])) == 0.0
+        assert_matches_oracle(IncGreedy(sparse).select(3), expected)
+        assert_matches_oracle(LazyGreedy(sparse).select(3), expected)
 
 
 class TestGreedyMaxCoverage:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from greedy_oracle import assert_matches_oracle, recompute_select
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.coverage import CoverageIndex
+from repro.core.coverage import CoverageIndex, SparseCoverageIndex
 from repro.core.greedy import IncGreedy
 from repro.core.optimal import OptimalSolver
 from repro.core.preference import BinaryPreference, ExponentialPreference, LinearPreference
@@ -114,9 +115,10 @@ class TestGreedyProperties:
     @settings(max_examples=40, deadline=None)
     def test_incremental_matches_recompute(self, detours, preference, k):
         coverage = make_coverage(detours, preference)
-        util_a = IncGreedy(coverage, "incremental").select(k)[1].sum()
-        util_b = IncGreedy(coverage, "recompute").select(k)[1].sum()
-        assert util_a == pytest.approx(util_b, abs=1e-9)
+        sparse = SparseCoverageIndex(np.asarray(detours), 1.0, preference)
+        expected = recompute_select(coverage, k)
+        assert_matches_oracle(IncGreedy(coverage).select(k), expected)
+        assert_matches_oracle(IncGreedy(sparse).select(k), expected)
 
     @given(detours=SMALL_DETOURS, k=st.integers(1, 5))
     @settings(max_examples=30, deadline=None)

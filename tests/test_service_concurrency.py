@@ -7,7 +7,9 @@ The service contract under parallel callers:
   exclusive — a reader observes either the pre- or the post-update index,
   never a mix, and the result cache can never serve a pre-update answer
   to a post-update query (no stale-cache reads);
-* the lazy index build happens exactly once however many threads race it.
+* the lazy index build happens exactly once however many threads race it;
+* saves through one service never interleave: two threads updating and
+  saving one directory leave it holding the final state, byte for byte.
 
 The hammer test drives both sides at once and checks every observed
 result against the two legitimate index states, which it computes up
@@ -17,6 +19,8 @@ front from deep copies.
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -191,6 +195,54 @@ class TestConcurrentCacheAndBuild:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(hammer, range(500)))
         assert service.stats.queries_served == 500
+
+
+class TestConcurrentSaves:
+    ROUNDS = 8
+
+    def test_updates_and_saves_in_two_threads_commit_the_final_state(
+        self, base_index, tmp_path
+    ):
+        """Two writers (update, then save to one directory) must never collide
+        on the staging files, and the last save must be the final index."""
+        service = PlacementService(copy.deepcopy(base_index), engine="sparse", cache_size=0)
+        target = tmp_path / "city.ncx"
+        service.save(target)
+        sites = sorted(service.index.sites)
+        start = threading.Barrier(2)
+        errors: list[BaseException] = []
+
+        def writer(parity: int) -> None:
+            try:
+                start.wait()
+                for step in range(self.ROUNDS):
+                    site = sites[2 * step + parity]
+                    service.apply_updates(UpdateBatch(remove_sites=(site,)))
+                    service.save(target)
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(p,)) for p in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+        payload = (target / "payload.bin").read_bytes()
+        manifest = json.loads((target / "manifest.json").read_text())
+        assert manifest["fingerprints"]["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+        assert not list(target.glob("*.tmp"))
+        reference = tmp_path / "serial.ncx"
+        service.save(reference)
+        assert payload == (reference / "payload.bin").read_bytes()
+
+        reloaded = PlacementService.from_path(target, engine="sparse", cache_size=0)
+        assert reloaded.index.version == service.index.version
+        for got, want in zip(reloaded.batch_query(SPECS), service.batch_query(SPECS)):
+            assert got.sites == want.sites
+            assert got.per_trajectory_utility == want.per_trajectory_utility
 
 
 class _RecordingLock:

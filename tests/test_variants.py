@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from greedy_oracle import ORACLE_CASES, recompute_select
 
-from repro.core.coverage import CoverageIndex
+from repro.core.coverage import GAIN_RTOL, CoverageIndex
 from repro.core.greedy import IncGreedy
 from repro.core.preference import (
     BinaryPreference,
     ConvexProbabilityPreference,
     InconveniencePreference,
     LinearPreference,
+    make_preference,
 )
 from repro.core.query import TOPSQuery
 from repro.core.variants import (
@@ -78,7 +80,7 @@ class TestTopsCapacity:
     def test_infinite_capacity_equals_tops(self, grid_coverage, binary_query):
         caps = np.full(grid_coverage.num_sites, grid_coverage.num_trajectories + 1)
         capped = solve_tops_capacity(grid_coverage, binary_query, caps)
-        plain = IncGreedy(grid_coverage, update_strategy="recompute").solve(binary_query)
+        plain = IncGreedy(grid_coverage).solve(binary_query)
         assert capped.utility == pytest.approx(plain.utility)
 
     def test_utility_increases_with_capacity(self, grid_coverage, binary_query):
@@ -236,3 +238,38 @@ class TestVariantsOnSparseEngine:
         )
         with pytest.raises(ValueError):
             solve_tops_min_inconvenience(sparse, query)
+
+
+@pytest.mark.parametrize(("engine", "pref_name"), ORACLE_CASES)
+class TestGreedyDriversMatchOracle:
+    """The greedy-based drivers equal the full-recompute reference greedy."""
+
+    @staticmethod
+    def _setup(grid_problem, engine, pref_name):
+        query = TOPSQuery(k=6, tau_km=1.0, preference=make_preference(pref_name))
+        dense = grid_problem.coverage(query, engine="dense")
+        return query, dense, grid_problem.coverage(query, engine=engine)
+
+    @staticmethod
+    def _assert_matches(result, dense, expected):
+        columns, utilities, gains = expected
+        assert result.sites == tuple(int(dense.site_labels[c]) for c in columns)
+        assert np.asarray(result.per_trajectory_utility).tobytes() == utilities.tobytes()
+        np.testing.assert_allclose(
+            result.metadata["marginal_gains"], gains, rtol=GAIN_RTOL, atol=GAIN_RTOL
+        )
+
+    def test_capacity(self, grid_problem, engine, pref_name):
+        query, dense, coverage = self._setup(grid_problem, engine, pref_name)
+        caps = site_capacities_normal(dense.num_sites, dense.num_trajectories, seed=7)
+        expected = recompute_select(dense, query.k, capacities=caps)
+        self._assert_matches(solve_tops_capacity(coverage, query, caps), dense, expected)
+
+    def test_with_existing(self, grid_problem, engine, pref_name):
+        query, dense, coverage = self._setup(grid_problem, engine, pref_name)
+        first = recompute_select(dense, 2)[0]
+        existing = [int(dense.site_labels[c]) for c in first]
+        expected = recompute_select(dense, query.k, existing_columns=first)
+        self._assert_matches(
+            solve_tops_with_existing(coverage, query, existing), dense, expected
+        )

@@ -73,6 +73,8 @@ BINARY_SPECS = (
     QuerySpec(k=3, tau_km=0.8),
     QuerySpec(k=8, tau_km=0.8),
     QuerySpec(k=5, tau_km=1.6),
+    # deep enough that one wrong sparse gain update changes the selection
+    QuerySpec(k=40, tau_km=1.6),
     QuerySpec(k=4, tau_km=0.8, capacity=15),
     QuerySpec(k=1, tau_km=0.8, budget=5.0),
     QuerySpec(k=3, tau_km=1.6, existing_sites=(0, 5)),
