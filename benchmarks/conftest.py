@@ -30,12 +30,7 @@ from repro.experiments.runner import build_context
 #: that forgets to register, or a registered module that drops its
 #: ``--smoke`` flag, fails the pytest ``-k smoke`` pass instead of
 #: silently diverging from the script steps.
-SCRIPT_SMOKE_BENCHMARKS = (
-    "bench_bitset_kernels",
-    "bench_incremental_coverage",
-    "bench_parallel_build",
-    "bench_serving",
-)
+SCRIPT_SMOKE_BENCHMARKS = ("bench_bitset_kernels",)
 
 
 def script_entry_modules() -> tuple[str, ...]:

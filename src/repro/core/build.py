@@ -1,18 +1,11 @@
 """Staged offline build pipeline for the NetClus index.
 
 The offline phase (Section 4 of the paper) decomposes into four explicit
-stages, run in order over the whole instance ladder:
+stages, run in order over the whole instance ladder on one shared
+shortest-path engine:
 
-1. **clustering** — one Greedy-GDSP run per index instance.  The ``t``
-   clusterings are mutually independent (each sees only the road network
-   and its radius ``R_p``), which makes this stage the natural unit of
-   parallelism: with ``workers > 1`` the per-instance work fans out over a
-   ``multiprocessing`` pool whose workers are initialised with a picklable
-   CSR payload of the network (:meth:`ShortestPathEngine.to_payload`) —
-   no :class:`RoadNetwork` dictionaries ever cross the process boundary.
-   The neighbour-list distance sweeps (stage 4's heavy part) ride along in
-   the same per-instance task so a parallel build ships each instance to a
-   worker exactly once.
+1. **clustering** — one Greedy-GDSP run per index instance (each sees only
+   the road network and its radius ``R_p``).
 2. **representatives** — per cluster, elect the representative candidate
    site under the index's ``representative_strategy``.
 3. **registration** — register every trajectory into every instance via
@@ -23,31 +16,24 @@ stages, run in order over the whole instance ladder:
    round-trip ``4 R_p (1 + γ)``.
 
 Each stage produces a :class:`BuildStats` record (stage name, seconds,
-per-instance breakdown, worker count) which the resulting index carries in
+per-instance breakdown) which the resulting index carries in
 :attr:`NetClusIndex.build_stats`; ``save_index`` persists the records in
 the manifest so ``inspect`` and the Table 11 driver can report the stage
-breakdown of a loaded index.
-
-**Parity guarantee.** ``workers=1`` is the exact sequential path; any
-``workers > 1`` build is state-, selection- and serialization-identical to
-it: every stage is deterministic (Greedy-GDSP's greedy order, FM-sketch
-hashing, the registration kernel's insertion order, the neighbour sort),
-so only wall-clock time changes.  ``benchmarks/bench_parallel_build.py``
-and the CI parity step compare the serialized payloads byte for byte
-(timings excluded — they are the one thing a parallel build legitimately
-changes).
+breakdown of a loaded index.  Every stage is deterministic (Greedy-GDSP's
+greedy order, FM-sketch hashing, the registration kernel's insertion
+order, the neighbour sort), so two builds of the same data serialize
+identically apart from their timings.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.gdsp import GDSPResult, GreedyGDSP
+from repro.core.gdsp import GreedyGDSP
 from repro.core.netclus import (
     NetClusCluster,
     NetClusIndex,
@@ -57,7 +43,6 @@ from repro.core.netclus import (
 from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import ShortestPathEngine
 from repro.trajectory.model import TrajectoryDataset
-from repro.utils.parallel import resolve_workers
 from repro.utils.timer import Timer
 from repro.utils.validation import require, require_positive
 
@@ -77,18 +62,13 @@ class BuildStats:
         Stage name — one of ``"clustering"``, ``"representatives"``,
         ``"registration"``, ``"neighbors"``.
     seconds:
-        Total work seconds of the stage, summed across instances.  For a
-        parallel stage this is CPU work, not wall-clock (the whole build's
-        wall-clock is what ``workers`` shrinks).
-    workers:
-        Number of processes the stage ran on (1 = in the build process).
+        Total seconds of the stage, summed across instances.
     per_instance_seconds:
         The stage's seconds per index instance, in instance order.
     """
 
     stage: str
     seconds: float
-    workers: int = 1
     per_instance_seconds: tuple[float, ...] = field(default_factory=tuple)
 
     def as_dict(self) -> dict[str, Any]:
@@ -96,17 +76,18 @@ class BuildStats:
         return {
             "stage": self.stage,
             "seconds": self.seconds,
-            "workers": self.workers,
             "per_instance_seconds": list(self.per_instance_seconds),
         }
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "BuildStats":
-        """Inverse of :meth:`as_dict` (manifest loading)."""
+        """Inverse of :meth:`as_dict` (manifest loading).
+
+        Older manifests' per-stage ``"workers"`` counts are ignored.
+        """
         return cls(
             stage=str(payload["stage"]),
             seconds=float(payload["seconds"]),
-            workers=int(payload.get("workers", 1)),
             per_instance_seconds=tuple(
                 float(s) for s in payload.get("per_instance_seconds", ())
             ),
@@ -140,58 +121,6 @@ def compute_neighbor_lists(
     return neighbor_lists
 
 
-# ---------------------------------------------------------------------- #
-# worker side
-# ---------------------------------------------------------------------- #
-#: per-worker shortest-path engine, rebuilt from the CSR payload once per
-#: process by the pool initializer
-_WORKER_ENGINE: ShortestPathEngine | None = None
-
-
-def _init_worker(payload: dict[str, np.ndarray]) -> None:
-    """Pool initializer: restore the shortest-path engine from CSR arrays."""
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = ShortestPathEngine.from_payload(payload)
-
-
-def _instance_task(
-    task: tuple[int, float, float, bool, int, int],
-) -> tuple[int, GDSPResult, list[list[tuple[int, float]]], float, float]:
-    """One parallel unit: cluster one instance and sweep its neighbour lists.
-
-    Returns ``(instance_id, gdsp_result, neighbor_lists, clustering_seconds,
-    neighbors_seconds)``.  Runs in a pool worker against the process-local
-    engine; everything it computes is deterministic in (network, radius).
-    """
-    instance_id, radius_km, gamma, use_fm_sketches, num_sketches, chunk_size = task
-    engine = _WORKER_ENGINE
-    gdsp = GreedyGDSP(
-        None,
-        engine=engine,
-        use_fm_sketches=use_fm_sketches,
-        num_sketches=num_sketches,
-        chunk_size=chunk_size,
-    )
-    gdsp_result = gdsp.cluster(radius_km)
-    with Timer() as neighbor_timer:
-        neighbor_lists = compute_neighbor_lists(
-            [cluster.center for cluster in gdsp_result.clusters],
-            engine,
-            radius_km,
-            gamma,
-        )
-    return (
-        instance_id,
-        gdsp_result,
-        neighbor_lists,
-        gdsp_result.build_seconds,
-        neighbor_timer.elapsed,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# the pipeline
-# ---------------------------------------------------------------------- #
 def build_index(
     network: RoadNetwork,
     dataset: TrajectoryDataset,
@@ -205,20 +134,10 @@ def build_index(
     gdsp_chunk_size: int = 512,
     max_instances: int | None = None,
     representative_strategy: str = "closest",
-    workers: int | str = 1,
-    mp_start_method: str | None = None,
 ) -> NetClusIndex:
     """Run the staged offline build pipeline; see the module docstring.
 
     Parameters mirror :meth:`NetClusIndex.build` (which delegates here).
-    ``workers=1`` runs the exact sequential path; ``workers > 1`` fans the
-    independent per-instance clustering (and neighbour sweeps) out over a
-    ``multiprocessing`` pool and produces an identical index; ``"auto"``
-    resolves to the usable-CPU count
-    (:func:`repro.utils.parallel.resolve_workers`).  A worker
-    that raises propagates its exception out of this function before any
-    index object exists — a failed parallel build never yields a
-    half-built index.
     """
     require_positive(gamma, "gamma")
     require_positive(tau_min_km, "tau_min_km")
@@ -227,7 +146,6 @@ def build_index(
         representative_strategy in ("closest", "most_frequent"),
         "representative_strategy must be 'closest' or 'most_frequent'",
     )
-    workers = resolve_workers(workers)
     site_set = set(int(s) for s in sites)
     for site in sorted(site_set):
         require(network.has_node(site), f"site {site} is not a network node")
@@ -241,39 +159,20 @@ def build_index(
     visit_counts = dataset.node_visit_counts(network.num_nodes)
     stats: list[BuildStats] = []
 
-    # stage 1 — per-instance GDSP clustering (the parallel stage); parallel
-    # tasks also carry home the stage-4 neighbour sweeps so each instance
-    # crosses the process boundary exactly once
-    if workers > 1 and num_instances > 1:
-        outcomes = _run_parallel_clustering(
-            engine,
-            radii,
-            gamma,
-            use_fm_sketches,
-            num_sketches,
-            gdsp_chunk_size,
-            workers,
-            mp_start_method,
-        )
-    else:
-        workers = 1
-        gdsp = GreedyGDSP(
-            network,
-            engine=engine,
-            use_fm_sketches=use_fm_sketches,
-            num_sketches=num_sketches,
-            chunk_size=gdsp_chunk_size,
-        )
-        outcomes = []
-        for radius in radii:
-            gdsp_result = gdsp.cluster(radius)
-            outcomes.append((gdsp_result, None, gdsp_result.build_seconds, 0.0))
-    clustering_per_instance = [outcome[2] for outcome in outcomes]
+    # stage 1 — per-instance GDSP clustering
+    gdsp = GreedyGDSP(
+        network,
+        engine=engine,
+        use_fm_sketches=use_fm_sketches,
+        num_sketches=num_sketches,
+        chunk_size=gdsp_chunk_size,
+    )
+    gdsp_results = [gdsp.cluster(radius) for radius in radii]
+    clustering_per_instance = [result.build_seconds for result in gdsp_results]
     stats.append(
         BuildStats(
             stage="clustering",
             seconds=sum(clustering_per_instance),
-            workers=workers,
             per_instance_seconds=tuple(clustering_per_instance),
         )
     )
@@ -281,7 +180,7 @@ def build_index(
     # stage 2 — representative election
     election_per_instance: list[float] = []
     instances: list[NetClusInstance] = []
-    for instance_id, (gdsp_result, _, _, _) in enumerate(outcomes):
+    for instance_id, gdsp_result in enumerate(gdsp_results):
         with Timer() as election_timer:
             clusters: list[NetClusCluster] = []
             for gdsp_cluster in gdsp_result.clusters:
@@ -334,27 +233,23 @@ def build_index(
         )
     )
 
-    # stage 4 — neighbour lists (already swept by the workers in a
-    # parallel build; computed here on the shared engine otherwise)
+    # stage 4 — neighbour lists
     neighbors_per_instance: list[float] = []
-    for instance, (_, neighbor_lists, _, neighbor_seconds) in zip(instances, outcomes):
-        if neighbor_lists is None:
-            with Timer() as neighbor_timer:
-                neighbor_lists = compute_neighbor_lists(
-                    [cluster.center for cluster in instance.clusters],
-                    engine,
-                    instance.radius_km,
-                    gamma,
-                )
-            neighbor_seconds = neighbor_timer.elapsed
+    for instance in instances:
+        with Timer() as neighbor_timer:
+            neighbor_lists = compute_neighbor_lists(
+                [cluster.center for cluster in instance.clusters],
+                engine,
+                instance.radius_km,
+                gamma,
+            )
         for cluster, neighbors in zip(instance.clusters, neighbor_lists):
             cluster.neighbors = neighbors
-        neighbors_per_instance.append(neighbor_seconds)
+        neighbors_per_instance.append(neighbor_timer.elapsed)
     stats.append(
         BuildStats(
             stage="neighbors",
             seconds=sum(neighbors_per_instance),
-            workers=workers,
             per_instance_seconds=tuple(neighbors_per_instance),
         )
     )
@@ -391,37 +286,3 @@ def build_index(
     index._engine = engine
     return index
 
-
-def _run_parallel_clustering(
-    engine: ShortestPathEngine,
-    radii: Sequence[float],
-    gamma: float,
-    use_fm_sketches: bool,
-    num_sketches: int,
-    gdsp_chunk_size: int,
-    workers: int,
-    mp_start_method: str | None,
-) -> list[tuple[GDSPResult, list[list[tuple[int, float]]], float, float]]:
-    """Fan the per-instance tasks out over a process pool, in instance order.
-
-    Workers are initialised once with the engine's CSR payload; tasks are
-    scheduled one at a time (``chunksize=1``) so the skewed per-instance
-    costs balance across the pool.  Any worker exception propagates out of
-    ``pool.map`` and the pool is torn down before it reaches the caller.
-    """
-    payload = engine.to_payload()
-    tasks = [
-        (p, radius, gamma, use_fm_sketches, num_sketches, gdsp_chunk_size)
-        for p, radius in enumerate(radii)
-    ]
-    context = multiprocessing.get_context(mp_start_method)
-    processes = min(workers, len(tasks))
-    with context.Pool(
-        processes, initializer=_init_worker, initargs=(payload,)
-    ) as pool:
-        results = pool.map(_instance_task, tasks, chunksize=1)
-    results.sort(key=lambda item: item[0])
-    return [
-        (gdsp_result, neighbor_lists, clustering_seconds, neighbor_seconds)
-        for _, gdsp_result, neighbor_lists, clustering_seconds, neighbor_seconds in results
-    ]

@@ -31,7 +31,7 @@ from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import ShortestPathEngine
 from repro.sketch.fm import FMSketchFamily
 from repro.utils.timer import Timer
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require_positive
 
 __all__ = ["Cluster", "GreedyGDSP", "GDSPResult"]
 
@@ -81,9 +81,7 @@ class GreedyGDSP:
     Parameters
     ----------
     network:
-        The road network to cluster.  May be ``None`` when *engine* is
-        given — the solver only ever computes through the engine, which is
-        how build workers run it from a pickled CSR payload alone.
+        The road network to cluster.
     engine:
         Optional pre-built shortest-path engine (reused across radii when
         building the multi-resolution NetClus index).  Constructing a fresh
@@ -100,16 +98,12 @@ class GreedyGDSP:
 
     def __init__(
         self,
-        network: RoadNetwork | None,
+        network: RoadNetwork,
         engine: ShortestPathEngine | None = None,
         use_fm_sketches: bool = False,
         num_sketches: int = 30,
         chunk_size: int = 512,
     ) -> None:
-        require(
-            network is not None or engine is not None,
-            "GreedyGDSP needs a road network or a pre-built engine",
-        )
         self.network = network
         self.engine = engine if engine is not None else ShortestPathEngine(network)
         self.use_fm_sketches = use_fm_sketches

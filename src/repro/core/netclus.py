@@ -7,8 +7,7 @@ and ``t = ⌊log_{1+γ}(τ_max/τ_min)⌋ + 1`` instances, the road network is
 partitioned by Greedy-GDSP into clusters of round-trip radius at most
 ``2 R_p``.  Construction runs through the staged pipeline of
 :mod:`repro.core.build` (clustering → representative election → trajectory
-registration → neighbour lists; ``workers=N`` parallelises the independent
-per-instance clusterings with an identical result).  Every cluster stores
+registration → neighbour lists).  Every cluster stores
 
 1. its center ``c_i``,
 2. its representative ``r_i`` — the candidate site closest to the center,
@@ -709,8 +708,6 @@ class NetClusIndex:
         gdsp_chunk_size: int = 512,
         max_instances: int | None = None,
         representative_strategy: str = "closest",
-        workers: int | str = 1,
-        mp_start_method: str | None = None,
     ) -> "NetClusIndex":
         """Construct the index (offline phase).
 
@@ -740,17 +737,6 @@ class NetClusIndex:
             ``"closest"`` — the candidate site nearest to the cluster center
             (the paper's choice), or ``"most_frequent"`` — the candidate site
             visited by the largest number of trajectories.
-        workers:
-            Number of processes for the independent per-instance
-            clusterings.  ``1`` (default) runs everything in-process;
-            ``N > 1`` fans the per-instance work out over a
-            ``multiprocessing`` pool and is guaranteed to produce a
-            state-, selection- and serialization-identical index;
-            ``"auto"`` resolves to the usable-CPU count.
-        mp_start_method:
-            Optional ``multiprocessing`` start method for ``workers > 1``
-            (``"fork"``/``"spawn"``/``"forkserver"``; default: the
-            platform default).
 
         Returns
         -------
@@ -774,8 +760,6 @@ class NetClusIndex:
             gdsp_chunk_size=gdsp_chunk_size,
             max_instances=max_instances,
             representative_strategy=representative_strategy,
-            workers=workers,
-            mp_start_method=mp_start_method,
         )
 
     @staticmethod
@@ -1122,11 +1106,11 @@ class NetClusIndex:
     def add_trajectories(self, trajectories: Sequence[Trajectory]) -> int:
         """Add *trajectories* to every instance; returns the number added.
 
-        Ids must be new.  A batch registers trajectories instance by
-        instance through a vectorised node→(cluster, round-trip) lookup
-        built once per instance, instead of chasing per-node dictionaries
-        for every trajectory; a single trajectory takes the plain scalar
-        path, so one-at-a-time callers pay no table-building overhead.
+        Ids must be new.  Every addition, a single trajectory included,
+        registers instance by instance through
+        :func:`register_trajectory_batch` — the lexsort + grouped-minimum
+        kernel the offline build uses — against each instance's cached
+        node→(cluster, round-trip) lookup table.
         """
         trajectories = list(trajectories)
         batch_ids: set[int] = set()

@@ -199,16 +199,11 @@ class TOPSProblem:
         num_sketches: int = 30,
         max_instances: int | None = None,
         representative_strategy: str = "closest",
-        workers: int | str = 1,
     ) -> NetClusIndex:
         """Build a NetClus index over this problem's data (offline phase).
 
         Parameters are forwarded to :meth:`NetClusIndex.build`; distances
-        (``tau_min_km``, ``tau_max_km``) are in kilometres.  ``workers``
-        fans the independent per-instance clusterings out over a process
-        pool (the resulting index is identical to a ``workers=1`` build;
-        ``"auto"`` resolves to the usable-CPU count).
-        The returned index answers any ``(k, τ, ψ)`` with τ in the
+        (``tau_min_km``, ``tau_max_km``) are in kilometres.  The returned index answers any ``(k, τ, ψ)`` with τ in the
         supported range without touching this problem's detour matrix
         again; persist it with :func:`repro.service.save_index`.
         """
@@ -223,7 +218,6 @@ class TOPSProblem:
             num_sketches=num_sketches,
             max_instances=max_instances,
             representative_strategy=representative_strategy,
-            workers=workers,
         )
 
     def placement_service(

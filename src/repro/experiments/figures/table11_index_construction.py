@@ -24,15 +24,10 @@ def run(
     seed: int = 42,
     gamma: float = 0.75,
     context: ExperimentContext | None = None,
-    workers: int = 1,
 ) -> list[dict]:
-    """Per-instance construction statistics (one row per cluster radius).
-
-    ``workers`` parallelises the offline phase when the context is built
-    here (it has no effect on an already-built *context* index).
-    """
+    """Per-instance construction statistics (one row per cluster radius)."""
     if context is None:
-        context = build_context(scale=scale, seed=seed, gamma=gamma, workers=workers)
+        context = build_context(scale=scale, seed=seed, gamma=gamma)
     return [
         {
             "radius_km": stats["radius_km"],
@@ -59,7 +54,6 @@ def stage_rows(context: ExperimentContext) -> list[dict]:
             "stage": stat.stage,
             "seconds": stat.seconds,
             "share_pct": 100.0 * stat.seconds / total,
-            "workers": stat.workers,
         }
         for stat in context.netclus.build_stats
     ]

@@ -35,7 +35,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.reporting import print_table
 from repro.experiments.runner import build_context
-from repro.utils.parallel import resolve_workers
 from repro.utils.timer import Timer
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -189,14 +188,6 @@ def main(argv: list[str] | None = None) -> None:
         "present (fingerprint-checked), built and saved otherwise — skips "
         "the offline phase on repeat runs",
     )
-    parser.add_argument(
-        "--workers",
-        type=resolve_workers,
-        default=1,
-        help="processes for the NetClus offline phase (per-instance "
-        "clustering fan-out; the built index is identical to --workers 1); "
-        "a positive integer or 'auto' (the usable-CPU count)",
-    )
     args = parser.parse_args(argv)
 
     selected = args.only if args.only else list(EXPERIMENTS)
@@ -213,7 +204,6 @@ def main(argv: list[str] | None = None) -> None:
         seed=args.seed,
         engine=args.engine,
         index_path=args.index_cache,
-        workers=args.workers,
     )
     for name in selected:
         description, runner = EXPERIMENTS[name]

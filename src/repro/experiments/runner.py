@@ -31,7 +31,6 @@ from repro.service.serialization import (
     load_manifest,
     save_index,
 )
-from repro.utils.parallel import resolve_workers
 from repro.utils.timer import Timer
 
 __all__ = ["ExperimentContext", "build_context", "DEFAULT_GAMMA", "DEFAULT_TAU_RANGE"]
@@ -181,7 +180,6 @@ def build_context(
     bundle: DatasetBundle | None = None,
     engine: str = "dense",
     index_path: str | Path | None = None,
-    workers: int | str = 1,
 ) -> ExperimentContext:
     """Build an :class:`ExperimentContext` (Beijing-like by default).
 
@@ -190,12 +188,6 @@ def build_context(
     ``"sparse"`` (CSR/CSC coverage over the covered pairs), ``"bitset"``
     (uint64-packed binary coverage with popcount gains; binary ψ only) or
     ``"auto"`` (bitset for binary ψ, sparse otherwise).
-
-    ``workers`` parallelises the NetClus offline phase over a process pool
-    (per-instance clustering); the built index is identical to a
-    sequential build, only faster on multi-core machines.  ``"auto"``
-    resolves to the usable-CPU count
-    (:func:`repro.utils.parallel.resolve_workers`).
 
     ``index_path`` persists the NetClus index across runs: when the
     directory holds a saved index it is loaded instead of rebuilt (the
@@ -241,7 +233,6 @@ def build_context(
             tau_min_km=tau_min_km,
             tau_max_km=tau_max_km,
             num_sketches=num_sketches,
-            workers=resolve_workers(workers),
         )
         if index_path is not None:
             save_index(netclus, index_path, dataset=bundle.trajectories)

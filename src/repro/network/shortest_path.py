@@ -130,54 +130,6 @@ class ShortestPathEngine:
         self.num_nodes = int(self._csr.shape[0])
 
     # ------------------------------------------------------------------ #
-    def to_payload(self) -> dict[str, np.ndarray]:
-        """Flatten the engine into picklable CSR arrays.
-
-        The payload carries everything the bulk computations touch — the
-        forward and reverse CSR adjacencies — without the Python-dict
-        :class:`RoadNetwork` behind them, so it ships to a worker process
-        cheaply.  Restore with :meth:`from_payload`.
-        """
-        return {
-            "csr_data": self._csr.data,
-            "csr_indices": self._csr.indices,
-            "csr_indptr": self._csr.indptr,
-            "csr_rev_data": self._csr_rev.data,
-            "csr_rev_indices": self._csr_rev.indices,
-            "csr_rev_indptr": self._csr_rev.indptr,
-            "num_nodes": np.int64(self._csr.shape[0]),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, np.ndarray]) -> "ShortestPathEngine":
-        """Rebuild an engine from :meth:`to_payload` arrays (worker side).
-
-        The restored engine has no :class:`RoadNetwork` attached
-        (``engine.network is None``); every bulk computation
-        (``distances_from``/``distances_to``/``round_trip_matrix``/
-        ``bounded_round_trip_neighbors``) works purely off the CSR matrices.
-        """
-        from scipy.sparse import csr_matrix
-
-        n = int(payload["num_nodes"])
-        engine = cls.__new__(cls)
-        engine.network = None
-        engine._csr = csr_matrix(
-            (payload["csr_data"], payload["csr_indices"], payload["csr_indptr"]),
-            shape=(n, n),
-        )
-        engine._csr_rev = csr_matrix(
-            (
-                payload["csr_rev_data"],
-                payload["csr_rev_indices"],
-                payload["csr_rev_indptr"],
-            ),
-            shape=(n, n),
-        )
-        engine.num_nodes = n
-        return engine
-
-    # ------------------------------------------------------------------ #
     def distances_from(
         self, sources: Sequence[int], limit: float = np.inf
     ) -> np.ndarray:

@@ -57,7 +57,6 @@ from repro.datasets.base import DatasetBundle
 from repro.service.placement import PlacementService
 from repro.service.serialization import load_manifest, save_index
 from repro.service.specs import QuerySpec
-from repro.utils.parallel import resolve_workers
 
 __all__ = ["main"]
 
@@ -98,12 +97,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
         tau_max_km=args.tau_max,
         max_instances=args.max_instances,
         representative_strategy=args.representative_strategy,
-        workers=args.workers,  # already resolved by the argparse type
     )
     directory = save_index(index, args.out, dataset=bundle.trajectories)
     for stat in index.build_stats:
-        workers = f" ({stat.workers} workers)" if stat.workers > 1 else ""
-        print(f"  stage {stat.stage:<16} {stat.seconds:7.2f}s{workers}")
+        print(f"  stage {stat.stage:<16} {stat.seconds:7.2f}s")
     print(
         f"Saved {index.num_instances} instances "
         f"({index.storage_bytes() / 1e6:.2f} MB payload estimate, built in "
@@ -460,12 +457,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print()
         print("offline pipeline :")
         for stat in build_stats:
-            workers = (
-                f" ({stat.get('workers', 1)} workers)"
-                if stat.get("workers", 1) > 1
-                else ""
-            )
-            print(f"  {stat['stage']:<16} {stat['seconds']:7.2f}s{workers}")
+            print(f"  {stat['stage']:<16} {stat['seconds']:7.2f}s")
     print()
     header = (
         f"{'inst':>4} {'radius_km':>10} {'tau range (km)':>18} "
@@ -559,14 +551,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=["closest", "most_frequent"],
         help="how clusters elect their representative site: nearest to the "
         "center (the paper's choice) or most visited by trajectories",
-    )
-    build.add_argument(
-        "--workers",
-        type=resolve_workers,
-        default=1,
-        help="processes for the offline phase (per-instance clustering "
-        "fan-out; the built index is identical to --workers 1); a positive "
-        "integer or 'auto' (the usable-CPU count)",
     )
     build.add_argument("--out", required=True, help="output index directory")
     build.set_defaults(func=_cmd_build)

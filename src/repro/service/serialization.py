@@ -572,8 +572,7 @@ def payload_digest(index: NetClusIndex, include_timings: bool = True) -> str:
     iff their serialized payloads are byte-identical.  With
     ``include_timings=False`` the per-instance ``build_seconds`` slot of
     each ``i<id>_meta`` array is zeroed first — the one payload entry that
-    legitimately differs between two builds of the same data (e.g. the
-    ``workers=1`` vs ``workers=N`` parity check).
+    legitimately differs between two builds of the same data.
     """
     arrays = _payload_arrays(index)
     if not include_timings:

@@ -52,7 +52,7 @@ The correctness mechanics, not the routing, are the point of this module:
 
 :func:`serve_in_background` runs a server on a dedicated event-loop
 thread and returns a :class:`ServerHandle` — the harness the test suite
-and ``benchmarks/bench_serving.py`` drive real sockets through.
+drives real sockets through.
 """
 
 from __future__ import annotations
@@ -98,6 +98,14 @@ _PHRASES = {
 
 class _BadRequest(ValueError):
     """A client error the handler converts into a 400 response."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line over the reader's limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's LimitOverrunError, re-raised by readline
+        raise _BadRequest("request or header line too long") from None
 
 
 @guarded_by("_lock", "_samples", "_cursor", "_total", "_capacity")
@@ -419,7 +427,7 @@ class PlacementServer:
     async def _read_request(self, reader: asyncio.StreamReader) -> _Request | None:
         """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket."""
         try:
-            request_line = await reader.readline()
+            request_line = await _read_line(reader)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             return None
         if not request_line:
@@ -430,7 +438,7 @@ class PlacementServer:
         method, target, version = parts
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             if len(headers) > 100:
@@ -439,9 +447,11 @@ class PlacementServer:
             if not separator:
                 raise _BadRequest(f"malformed header line: {line!r}")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0:
-            raise _BadRequest("negative content-length")
+        length_text = headers.get("content-length", "0") or "0"
+        # int() would also take "+5", "-1", "1_0" and non-ASCII digits
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _BadRequest(f"malformed content-length: {length_text!r}")
+        length = int(length_text)
         if length > self.max_body_bytes:
             raise _BadRequest(f"request body over {self.max_body_bytes} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -1042,8 +1052,8 @@ def serve_in_background(
             host, port = handle.address
             ...  # real HTTP against the live server
 
-    This is the harness the server test-suite and the serving benchmark
-    drive sockets through; the CLI's ``serve`` subcommand runs the same
-    server on the main thread instead.
+    This is the harness the server test-suite drives sockets through; the
+    CLI's ``serve`` and ``farm`` subcommands run the same server on the
+    main thread instead.
     """
     return ServerHandle(PlacementServer(service, **server_kwargs)).start()

@@ -1,25 +1,20 @@
 """Tests for the staged build pipeline (`repro.core.build`).
 
-Covers the pipeline's stage records, `workers` resolution, the workers=1 vs workers=N parity
-guarantee (state, selections, serialized payload), manifest round-tripping
-of the per-stage stats, worker-failure propagation, and the shared
+Covers the pipeline's stage records, build determinism (serialized
+payload), manifest round-tripping of the per-stage stats, and the shared
 trajectory-registration kernel.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.core.build import STAGES, BuildStats, build_index
 from repro.core.netclus import NetClusIndex, register_trajectory_batch
-from repro.core.query import TOPSQuery
 from repro.datasets import beijing_like
 from repro.network.shortest_path import ShortestPathEngine
 from repro.service.serialization import load_index, payload_digest, save_index
-from repro.utils.parallel import resolve_workers, usable_cpu_count
 
 
 @pytest.fixture(scope="module")
@@ -34,46 +29,13 @@ def sequential_index(bundle):
     )
 
 
-@pytest.fixture(scope="module")
-def parallel_index(bundle):
-    return NetClusIndex.build(
-        bundle.network, bundle.trajectories, bundle.sites, tau_max_km=4.0, workers=2
-    )
-
-
-def _assert_state_identical(left: NetClusIndex, right: NetClusIndex) -> None:
-    """Full structural equality, including dict insertion orders."""
-    assert left.num_instances == right.num_instances
-    assert left.trajectory_ids == right.trajectory_ids
-    assert left.sites == right.sites
-    for a, b in zip(left.instances, right.instances):
-        assert a.radius_km == b.radius_km
-        assert a.node_to_cluster == b.node_to_cluster
-        assert a.mean_dominating_set_size == b.mean_dominating_set_size
-        assert len(a.clusters) == len(b.clusters)
-        for ca, cb in zip(a.clusters, b.clusters):
-            assert ca.center == cb.center
-            assert ca.representative == cb.representative
-            assert ca.representative_round_trip_km == cb.representative_round_trip_km
-            assert list(ca.nodes.items()) == list(cb.nodes.items())
-            assert list(ca.trajectory_list.items()) == list(cb.trajectory_list.items())
-            assert ca.neighbors == cb.neighbors
-
-
 class TestStagedPipeline:
     def test_stage_records(self, sequential_index):
         stages = [stat.stage for stat in sequential_index.build_stats]
         assert stages == list(STAGES)
         for stat in sequential_index.build_stats:
             assert stat.seconds >= 0.0
-            assert stat.workers == 1
             assert len(stat.per_instance_seconds) == sequential_index.num_instances
-
-    def test_parallel_stage_records(self, parallel_index):
-        by_stage = {stat.stage: stat for stat in parallel_index.build_stats}
-        assert by_stage["clustering"].workers == 2
-        assert by_stage["representatives"].workers == 1
-        assert by_stage["registration"].workers == 1
 
     def test_instance_build_seconds_sum_to_stage_totals(self, sequential_index):
         stage_total = sum(stat.seconds for stat in sequential_index.build_stats)
@@ -84,96 +46,14 @@ class TestStagedPipeline:
         for stat in sequential_index.build_stats:
             assert BuildStats.from_dict(stat.as_dict()) == stat
 
-    def test_workers_one_is_default(self, bundle):
-        index = build_index(
+    def test_rebuild_serializes_identically(self, bundle, sequential_index):
+        """Every stage is deterministic: only the timings differ."""
+        rebuilt = build_index(
             bundle.network, bundle.trajectories, bundle.sites, tau_max_km=4.0
         )
-        assert all(stat.workers == 1 for stat in index.build_stats)
-
-    def test_invalid_workers_rejected(self, bundle):
-        with pytest.raises(ValueError):
-            NetClusIndex.build(
-                bundle.network, bundle.trajectories, bundle.sites, workers=0
-            )
-
-
-class TestResolveWorkers:
-    def test_auto_resolves_to_usable_cpus(self):
-        assert resolve_workers("auto") == usable_cpu_count()
-        assert resolve_workers("AUTO") == usable_cpu_count()
-        assert usable_cpu_count() >= 1
-
-    def test_integers_pass_through(self):
-        assert resolve_workers(3) == 3
-        assert resolve_workers("2") == 2
-
-    @pytest.mark.parametrize("workers", [0, "banana", 2.5, True, 0.9])
-    def test_invalid_values_raise(self, workers):
-        with pytest.raises(ValueError, match=repr(workers)):
-            resolve_workers(workers)
-
-    def test_auto_accepted_by_build(self, bundle):
-        index = bundle.problem().build_netclus_index(
-            tau_max_km=1.0, max_instances=1, workers="auto"
-        )
-        assert index.num_instances == 1
-
-
-class TestParallelParity:
-    def test_state_identical(self, sequential_index, parallel_index):
-        _assert_state_identical(sequential_index, parallel_index)
-
-    def test_serialization_identical(self, sequential_index, parallel_index):
-        assert payload_digest(
+        assert payload_digest(rebuilt, include_timings=False) == payload_digest(
             sequential_index, include_timings=False
-        ) == payload_digest(parallel_index, include_timings=False)
-
-    def test_selections_identical(self, sequential_index, parallel_index):
-        for tau in (0.6, 1.2, 2.4):
-            for engine in ("dense", "sparse"):
-                query = TOPSQuery(k=4, tau_km=tau)
-                a = sequential_index.query(query, engine=engine)
-                b = parallel_index.query(query, engine=engine)
-                assert a.sites == b.sites
-                assert (
-                    np.asarray(a.per_trajectory_utility).tobytes()
-                    == np.asarray(b.per_trajectory_utility).tobytes()
-                )
-
-    def test_most_frequent_strategy_parity(self, bundle):
-        kwargs = dict(
-            tau_max_km=2.0, max_instances=3, representative_strategy="most_frequent"
         )
-        sequential = NetClusIndex.build(
-            bundle.network, bundle.trajectories, bundle.sites, **kwargs
-        )
-        parallel = NetClusIndex.build(
-            bundle.network, bundle.trajectories, bundle.sites, workers=2, **kwargs
-        )
-        _assert_state_identical(sequential, parallel)
-        assert payload_digest(sequential, include_timings=False) == payload_digest(
-            parallel, include_timings=False
-        )
-
-    def test_fm_sketch_gdsp_parity(self, bundle):
-        kwargs = dict(tau_max_km=2.0, max_instances=2, use_fm_sketches=True)
-        sequential = NetClusIndex.build(
-            bundle.network, bundle.trajectories, bundle.sites, **kwargs
-        )
-        parallel = NetClusIndex.build(
-            bundle.network, bundle.trajectories, bundle.sites, workers=2, **kwargs
-        )
-        _assert_state_identical(sequential, parallel)
-
-    def test_parallel_index_supports_dynamic_updates(self, bundle, parallel_index):
-        import copy
-
-        index = copy.deepcopy(parallel_index)
-        site = sorted(index.sites)[0]
-        index.remove_site(site)
-        assert site not in index.sites
-        index.add_site(site)
-        assert site in index.sites
 
 
 class TestManifestStats:
@@ -209,58 +89,6 @@ class TestManifestStats:
         loaded = load_index(directory)
         assert loaded.build_stats == []
         assert loaded.max_instances is None
-
-
-def _exploding_task(task):
-    """Module-level (hence picklable) stand-in for the worker task."""
-    raise RuntimeError(f"injected worker fault on instance {task[0]}")
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="worker fault injection relies on the fork start method",
-)
-class TestWorkerFailure:
-    def test_crashing_worker_propagates_cleanly(self, bundle, monkeypatch):
-        """A worker exception surfaces as-is; no half-built index escapes."""
-        import repro.core.build as build_module
-
-        monkeypatch.setattr(build_module, "_instance_task", _exploding_task)
-        with pytest.raises(RuntimeError, match="injected worker fault"):
-            build_index(
-                bundle.network,
-                bundle.trajectories,
-                bundle.sites,
-                tau_max_km=4.0,
-                workers=2,
-                mp_start_method="fork",
-            )
-
-    def test_build_recovers_after_worker_failure(self, bundle, monkeypatch):
-        """The failure leaves no global state behind: the next build works."""
-        import repro.core.build as build_module
-
-        original = build_module._instance_task
-        monkeypatch.setattr(build_module, "_instance_task", _exploding_task)
-        with pytest.raises(RuntimeError):
-            build_index(
-                bundle.network,
-                bundle.trajectories,
-                bundle.sites,
-                tau_max_km=4.0,
-                workers=2,
-                mp_start_method="fork",
-            )
-        monkeypatch.setattr(build_module, "_instance_task", original)
-        index = build_index(
-            bundle.network,
-            bundle.trajectories,
-            bundle.sites,
-            tau_max_km=4.0,
-            workers=2,
-            mp_start_method="fork",
-        )
-        assert index.num_instances > 0
 
 
 class TestRegistrationKernel:
@@ -331,25 +159,7 @@ class TestRegistrationKernel:
         assert [dict(c.trajectory_list) for c in instance.clusters] == before
 
 
-class TestEnginePayload:
-    def test_payload_round_trip_preserves_distances(self, bundle):
-        engine = ShortestPathEngine(bundle.network)
-        restored = ShortestPathEngine.from_payload(engine.to_payload())
-        assert restored.network is None
-        assert restored.num_nodes == bundle.network.num_nodes
-        sources = [0, 3, 7]
-        np.testing.assert_array_equal(
-            engine.distances_from(sources), restored.distances_from(sources)
-        )
-        np.testing.assert_array_equal(
-            engine.distances_to(sources), restored.distances_to(sources)
-        )
-        left = engine.bounded_round_trip_neighbors(0.5)
-        right = restored.bounded_round_trip_neighbors(0.5)
-        assert left.keys() == right.keys()
-        for node in left:
-            np.testing.assert_array_equal(left[node], right[node])
-
+class TestEngineWrapper:
     def test_module_wrapper_reuses_engine(self, bundle):
         from repro.network.shortest_path import bounded_round_trip_neighbors
 

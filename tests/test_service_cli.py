@@ -276,11 +276,11 @@ def test_site_only_update_keeps_content_fingerprint(built_index, tmp_path):
 
 
 class TestBuildPipelineFlags:
-    """`build --workers/--representative-strategy` and manifest round-trips."""
+    """`build --representative-strategy/--max-instances` and manifest round-trips."""
 
     @pytest.fixture(scope="class")
-    def parallel_index(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli_parallel") / "city.ncx"
+    def strategy_index(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli_strategy") / "city.ncx"
         code = main(
             [
                 "build",
@@ -288,7 +288,6 @@ class TestBuildPipelineFlags:
                 "--scale", "tiny",
                 "--tau-max", "2.0",
                 "--max-instances", "3",
-                "--workers", "2",
                 "--representative-strategy", "most_frequent",
                 "--out", str(path),
             ]
@@ -296,17 +295,17 @@ class TestBuildPipelineFlags:
         assert code == 0
         return path
 
-    def test_flags_round_trip_through_manifest(self, parallel_index):
-        manifest = json.loads((parallel_index / "manifest.json").read_text())
+    def test_flags_round_trip_through_manifest(self, strategy_index):
+        manifest = json.loads((strategy_index / "manifest.json").read_text())
         params = manifest["build_params"]
         assert params["representative_strategy"] == "most_frequent"
         assert params["max_instances"] == 3
         stages = [stat["stage"] for stat in manifest["build_stats"]]
         assert stages == ["clustering", "representatives", "registration", "neighbors"]
-        assert manifest["build_stats"][0]["workers"] == 2
+        assert "workers" not in manifest["build_stats"][0]
 
-    def test_inspect_reports_flags_and_stages(self, parallel_index, capsys):
-        assert main(["inspect", "--index", str(parallel_index)]) == 0
+    def test_inspect_reports_flags_and_stages(self, strategy_index, capsys):
+        assert main(["inspect", "--index", str(strategy_index)]) == 0
         out = capsys.readouterr().out
         assert "most_frequent" in out
         assert "instance cap 3" in out
@@ -328,30 +327,6 @@ class TestBuildPipelineFlags:
         out = capsys.readouterr().out
         assert "stage clustering" in out
         assert "stage registration" in out
-
-    def test_parallel_cli_build_equals_sequential(self, tmp_path):
-        """The CLI-level parity: same dataset, workers=1 vs workers=2."""
-        from repro.service.serialization import load_index, payload_digest
-
-        sequential_path = tmp_path / "seq.ncx"
-        parallel_path = tmp_path / "par.ncx"
-        for path, workers in ((sequential_path, "1"), (parallel_path, "2")):
-            assert main(
-                [
-                    "build",
-                    "--dataset", "beijing",
-                    "--scale", "tiny",
-                    "--tau-max", "2.0",
-                    "--max-instances", "3",
-                    "--workers", workers,
-                    "--out", str(path),
-                ]
-            ) == 0
-        left = load_index(sequential_path)
-        right = load_index(parallel_path)
-        assert payload_digest(left, include_timings=False) == payload_digest(
-            right, include_timings=False
-        )
 
 
 def test_inspect_timings_probe(built_index, capsys):

@@ -685,7 +685,8 @@ LEGACY_VARIANTS = {"v1": _as_v1, "v2": _as_v2, "v3": None, "v3-no-parts": _witho
 @pytest.mark.parametrize("variant", sorted(LEGACY_VARIANTS))
 def test_legacy_directory_answers_like_a_fresh_build(saved_index, tmp_path, variant):
     """Every legacy variant loads read-only (v1 at version 0), attaches
-    parts only when it has them, answers byte-identically to a fresh
+    parts only when it has them, keeps its stage records (their stale
+    ``workers`` counts ignored), answers byte-identically to a fresh
     build on both engines, and re-saves as a v4 directory."""
     index, _ = saved_index
     path = _legacy_copy(tmp_path, mutate=LEGACY_VARIANTS[variant])
@@ -695,10 +696,18 @@ def test_legacy_directory_answers_like_a_fresh_build(saved_index, tmp_path, vari
     loaded = load_index(path)
     assert loaded.version == manifest.get("index_version", 0) == index.version
     assert (loaded.coverage_cache is not None) == ("coverage_parts" in manifest)
+    assert all(stat["workers"] == 1 for stat in manifest["build_stats"])
+    assert [stat.as_dict() for stat in loaded.build_stats] == [
+        {key: value for key, value in stat.items() if key != "workers"}
+        for stat in manifest["build_stats"]
+    ]
     _assert_same_answers(index, loaded, WARM_QUERIES + MIXED_QUERIES)
 
     resaved = save_index(loaded, tmp_path / "resaved.ncx")
     assert load_manifest(resaved)["format_version"] == 4
+    assert load_manifest(resaved)["build_stats"] == [
+        stat.as_dict() for stat in loaded.build_stats
+    ]
     assert sorted(entry.name for entry in resaved.iterdir()) == ["manifest.json", "payload.bin"]
     _assert_same_answers(index, load_index(resaved), WARM_QUERIES + MIXED_QUERIES)
 

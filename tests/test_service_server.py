@@ -3,8 +3,8 @@
 Everything here drives a real server over real sockets: the
 :func:`~repro.service.server.serve_in_background` handle binds an
 ephemeral port on a dedicated event-loop thread and the tests speak plain
-``http.client`` to it — the same path the benchmark harness and the CI
-serving-smoke job exercise.
+``http.client`` (or raw socket bytes) to it — the same server the CI
+serving-smoke job exercises.
 
 The coalescing / backpressure / timeout / drain tests inject a
 :class:`GatedService` whose ``batch_query`` blocks on an event until the
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -198,6 +199,40 @@ def test_metrics_exposes_service_and_server_counters(served):
     # HELP/TYPE headers rendered once per metric name
     helps = [line for line in lines if line.startswith("# HELP")]
     assert len(helps) == len(set(helps))
+
+
+def _raw_exchange(address: tuple[str, int], data: bytes) -> bytes:
+    """Send raw request bytes, half-close, and read the reply to EOF."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"Content-Length: abc\r\n",
+        b"Content-Length: +5\r\n",
+        b"Content-Length: 1_0\r\n",
+        b"X-Padding: " + b"a" * (70 * 1024) + b"\r\n",
+    ],
+    ids=["non-numeric-length", "signed-length", "underscore-length", "oversized-header"],
+)
+def test_malformed_headers_answer_400_and_close(served, head):
+    handle, _, _ = served
+    before = handle.server.stats.responses_by_status.get(400, 0)
+    reply = _raw_exchange(
+        handle.address, b"POST /query HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n"
+    )
+    assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+    assert b"\r\nConnection: close\r\n" in reply
+    assert handle.server.stats.responses_by_status.get(400, 0) == before + 1
+    status, _, _ = request(handle.address, "GET", "/healthz")
+    assert status == 200
 
 
 # ---------------------------------------------------------------------- #
@@ -387,6 +422,58 @@ def test_update_rejects_bad_deltas(mutable_served):
         handle.address, "POST", "/update", {"remove_sites": [99999]}
     )
     assert status == 400
+
+
+def test_concurrent_keep_alive_queries_and_updates_all_succeed(mutable_served):
+    """Mixed load: keep-alive query clients beside a writer toggling one
+    site; every request answers 200 and every update is applied."""
+    handle, service = mutable_served
+    site = sorted(service.index.sites)[0]
+    version_before = service.index.version
+    num_updates, queries_per_client = 6, 8
+    specs = [{"k": 3, "tau_km": 0.8}, {"k": 5, "tau_km": 1.6, "preference": "linear"}]
+    statuses: list[int] = []
+    applied: list[int] = []
+    lock = threading.Lock()
+
+    def query_client(seed: int) -> None:
+        conn = http.client.HTTPConnection(*handle.address, timeout=30)
+        try:
+            for i in range(queries_per_client):
+                spec = specs[(seed + i) % len(specs)]
+                conn.request("POST", "/query", body=json.dumps([spec]))
+                response = conn.getresponse()
+                response.read()
+                with lock:
+                    statuses.append(response.status)
+        finally:
+            conn.close()
+
+    def updater() -> None:
+        conn = http.client.HTTPConnection(*handle.address, timeout=30)
+        try:
+            for i in range(num_updates):
+                key = "add_sites" if i % 2 else "remove_sites"
+                conn.request("POST", "/update", body=json.dumps({key: [site]}))
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                with lock:
+                    statuses.append(response.status)
+                    applied.append(body.get("applied", 0))
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=query_client, args=(seed,)) for seed in range(3)]
+    threads.append(threading.Thread(target=updater))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert statuses == [200] * (3 * queries_per_client + num_updates)
+    assert sum(applied) == num_updates
+    assert service.index.version == version_before + num_updates
+    assert site in service.index.sites
 
 
 def test_update_then_query_served_from_patched_coverage_cache(tiny_problem):

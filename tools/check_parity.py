@@ -1,16 +1,9 @@
 """CI gate: every alternative query path answers byte-identically.
 
-Generates the Beijing-like workload once, builds its NetClus index with
-``workers=1`` (the reference) and ``workers=2``, then runs four sections.
-Each prints one OK line; the bitset, mmap and covcache sections each work
-on their own deep copy of the ``workers=1`` build.
+Generates the Beijing-like workload and builds its NetClus index once,
+then runs three sections.  Each prints one OK line and works on its own
+deep copy of that build.
 
-* **build** — the ``workers=2`` build serializes byte-identically to the
-  ``workers=1`` build: the canonical
-  :func:`repro.service.serialization.payload_digest` and every entry of
-  the saved ``payload.bin`` blob, re-read through the manifest offset
-  table, with the per-instance ``build_seconds`` timing slots zeroed (the
-  one entry that legitimately differs between two builds of the same data).
 * **bitset** — ``engine="bitset"`` on binary-ψ specs (k-sweeps, two τ,
   capacity, budget, existing services) and ``engine="auto"`` on a
   mixed-ψ batch answer like the ``engine="sparse"`` baseline.  All three
@@ -48,20 +41,11 @@ from repro.core.netclus import NetClusIndex, UpdateBatch  # noqa: E402
 from repro.core.query import TOPSQuery  # noqa: E402
 from repro.datasets import beijing_like  # noqa: E402
 from repro.service.placement import PlacementService  # noqa: E402
-from repro.service.serialization import (  # noqa: E402
-    META_BUILD_SECONDS_SLOT,
-    PAYLOAD_BLOB_FILE,
-    load_index,
-    load_manifest,
-    payload_digest,
-    save_index,
-)
+from repro.service.serialization import load_index, save_index  # noqa: E402
 from repro.service.specs import QuerySpec  # noqa: E402
 from repro.trajectory.generators import commuter_trajectories  # noqa: E402
 from repro.trajectory.model import Trajectory  # noqa: E402
 
-#: the parallel build compared against ``workers=1``
-WORKERS = 2
 #: seed of the covcache section's delta stream
 DELTA_SEED = 2024
 #: engine of the covcache section's warm and cold services
@@ -104,47 +88,6 @@ def _compare(label: str, requests, want, got) -> int:
         ):
             print(f"FAIL [{label} {request}]: per-trajectory utilities diverge")
             failures += 1
-    return failures
-
-
-def _blob_arrays(directory: Path) -> dict[str, np.ndarray]:
-    """Writable copies of every payload array, via the offset table."""
-    manifest = load_manifest(directory)
-    blob = np.fromfile(directory / PAYLOAD_BLOB_FILE, dtype=np.uint8)
-    return {
-        key: blob[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        .view(np.dtype(str(entry["dtype"])))
-        .reshape(tuple(entry["shape"]))
-        .copy()
-        for key, entry in manifest["payload_arrays"].items()
-    }
-
-
-def check_build(sequential: NetClusIndex, parallel: NetClusIndex, root: Path) -> int:
-    left = payload_digest(sequential, include_timings=False)
-    right = payload_digest(parallel, include_timings=False)
-    if left != right:
-        print(f"FAIL [build]: payload digests diverge ({left[:16]} != {right[:16]})")
-        return 1
-    # second opinion through the real on-disk writer
-    left_arrays = _blob_arrays(save_index(sequential, root / "sequential"))
-    right_arrays = _blob_arrays(save_index(parallel, root / "parallel"))
-    if sorted(left_arrays) != sorted(right_arrays):
-        print("FAIL [build]: payload key sets differ")
-        return 1
-    failures = 0
-    for key, a in left_arrays.items():
-        b = right_arrays[key]
-        if key.endswith("_meta"):
-            a[META_BUILD_SECONDS_SLOT] = b[META_BUILD_SECONDS_SLOT] = 0.0
-        if a.tobytes() != b.tobytes():
-            print(f"FAIL [build]: payload entry {key!r} differs")
-            failures += 1
-    if not failures:
-        print(
-            f"OK build   : workers={WORKERS} payload digest {left[:16]}… and "
-            f"{len(left_arrays)} payload.bin entries equal workers=1"
-        )
     return failures
 
 
@@ -299,16 +242,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     problem = beijing_like(scale=args.scale, seed=42).problem()
-    print(f"Building the {args.scale} Beijing-like index with workers=1 and {WORKERS}...")
-    sequential = problem.build_netclus_index(workers=1, **BUILD_PARAMS)
-    parallel = problem.build_netclus_index(workers=WORKERS, **BUILD_PARAMS)
+    print(f"Building the {args.scale} Beijing-like index...")
+    index = problem.build_netclus_index(**BUILD_PARAMS)
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        failures = check_build(sequential, parallel, root)
-        failures += check_bitset(copy.deepcopy(sequential))
-        failures += check_mmap(copy.deepcopy(sequential), root)
-        failures += check_covcache(copy.deepcopy(sequential), args.ops, root)
+        failures = check_bitset(copy.deepcopy(index))
+        failures += check_mmap(copy.deepcopy(index), root)
+        failures += check_covcache(copy.deepcopy(index), args.ops, root)
     if failures:
         print(f"FAIL: {failures} divergence(s)")
         return 1
