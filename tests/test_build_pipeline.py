@@ -1,8 +1,9 @@
 """Tests for the staged build pipeline (`repro.core.build`).
 
-Covers the pipeline's stage records, build determinism (serialized
-payload), manifest round-tripping of the per-stage stats, and the shared
-trajectory-registration kernel.
+Covers the pipeline's stage records, build determinism (state,
+selections, serialized payload), parameter validation, fault propagation
+out of every stage, manifest round-tripping of the per-stage stats, and
+the shared trajectory-registration kernel.
 """
 
 from __future__ import annotations
@@ -10,8 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.build as build_module
 from repro.core.build import STAGES, BuildStats, build_index
+from repro.core.gdsp import GreedyGDSP
 from repro.core.netclus import NetClusIndex, register_trajectory_batch
+from repro.core.query import TOPSQuery
 from repro.datasets import beijing_like
 from repro.network.shortest_path import ShortestPathEngine
 from repro.service.serialization import load_index, payload_digest, save_index
@@ -27,6 +31,32 @@ def sequential_index(bundle):
     return NetClusIndex.build(
         bundle.network, bundle.trajectories, bundle.sites, tau_max_km=4.0
     )
+
+
+@pytest.fixture(scope="module")
+def rebuilt_index(bundle):
+    return NetClusIndex.build(
+        bundle.network, bundle.trajectories, bundle.sites, tau_max_km=4.0
+    )
+
+
+def _assert_state_identical(left: NetClusIndex, right: NetClusIndex) -> None:
+    """Full structural equality, including dict insertion orders."""
+    assert left.num_instances == right.num_instances
+    assert left.trajectory_ids == right.trajectory_ids
+    assert left.sites == right.sites
+    for a, b in zip(left.instances, right.instances):
+        assert a.radius_km == b.radius_km
+        assert a.node_to_cluster == b.node_to_cluster
+        assert a.mean_dominating_set_size == b.mean_dominating_set_size
+        assert len(a.clusters) == len(b.clusters)
+        for ca, cb in zip(a.clusters, b.clusters):
+            assert ca.center == cb.center
+            assert ca.representative == cb.representative
+            assert ca.representative_round_trip_km == cb.representative_round_trip_km
+            assert list(ca.nodes.items()) == list(cb.nodes.items())
+            assert list(ca.trajectory_list.items()) == list(cb.trajectory_list.items())
+            assert ca.neighbors == cb.neighbors
 
 
 class TestStagedPipeline:
@@ -53,6 +83,92 @@ class TestStagedPipeline:
         )
         assert payload_digest(rebuilt, include_timings=False) == payload_digest(
             sequential_index, include_timings=False
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"gamma": 0.0},
+            {"tau_min_km": 0.0},
+            {"tau_min_km": 2.0, "tau_max_km": 2.0},
+            {"representative_strategy": "bogus"},
+            {"sites": [10**9]},
+        ],
+        ids=["gamma-zero", "tau-min-zero", "tau-max-not-above-min",
+             "unknown-strategy", "site-off-network"],
+    )
+    def test_invalid_parameters_rejected(self, bundle, overrides):
+        kwargs = {"sites": bundle.sites, "tau_max_km": 4.0, **overrides}
+        sites = kwargs.pop("sites")
+        with pytest.raises(ValueError):
+            build_index(bundle.network, bundle.trajectories, sites, **kwargs)
+
+
+class TestBuildDeterminism:
+    """Two builds of the same data agree in everything but their timings."""
+
+    def test_state_identical(self, sequential_index, rebuilt_index):
+        _assert_state_identical(sequential_index, rebuilt_index)
+
+    def test_selections_identical(self, sequential_index, rebuilt_index):
+        for tau in (0.6, 1.2, 2.4):
+            for engine in ("dense", "sparse"):
+                query = TOPSQuery(k=4, tau_km=tau)
+                a = sequential_index.query(query, engine=engine)
+                b = rebuilt_index.query(query, engine=engine)
+                assert a.sites == b.sites
+                assert (
+                    np.asarray(a.per_trajectory_utility).tobytes()
+                    == np.asarray(b.per_trajectory_utility).tobytes()
+                )
+
+    def test_most_frequent_strategy_determinism(self, bundle):
+        kwargs = dict(
+            tau_max_km=2.0, max_instances=3, representative_strategy="most_frequent"
+        )
+        first, second = (
+            NetClusIndex.build(
+                bundle.network, bundle.trajectories, bundle.sites, **kwargs
+            )
+            for _ in range(2)
+        )
+        _assert_state_identical(first, second)
+        assert payload_digest(first, include_timings=False) == payload_digest(
+            second, include_timings=False
+        )
+
+    def test_fm_sketch_gdsp_determinism(self, bundle):
+        kwargs = dict(tau_max_km=2.0, max_instances=2, use_fm_sketches=True)
+        first, second = (
+            NetClusIndex.build(
+                bundle.network, bundle.trajectories, bundle.sites, **kwargs
+            )
+            for _ in range(2)
+        )
+        _assert_state_identical(first, second)
+
+
+def _injected_fault(*args, **kwargs):
+    raise RuntimeError("injected build fault")
+
+
+#: per stage, the (owner, attribute) the stage calls into
+STAGE_ENTRY_POINTS = {
+    "clustering": (GreedyGDSP, "cluster"),
+    "representatives": (NetClusIndex, "_elect_representative"),
+    "registration": (build_module, "register_trajectory_batch"),
+    "neighbors": (build_module, "compute_neighbor_lists"),
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_fault_propagates(bundle, monkeypatch, stage):
+    """A fault in any stage surfaces as-is; no half-built index escapes."""
+    owner, attribute = STAGE_ENTRY_POINTS[stage]
+    monkeypatch.setattr(owner, attribute, _injected_fault)
+    with pytest.raises(RuntimeError, match="injected build fault"):
+        build_index(
+            bundle.network, bundle.trajectories, bundle.sites, tau_max_km=4.0
         )
 
 

@@ -328,6 +328,21 @@ class TestBuildPipelineFlags:
         assert "stage clustering" in out
         assert "stage registration" in out
 
+    def test_cli_build_equals_library_build(self, strategy_index):
+        """The CLI adds nothing to the build: the same dataset and flags
+        through the library give the same payload."""
+        from repro.datasets import beijing_like
+        from repro.service.serialization import load_index, payload_digest
+
+        direct = beijing_like(scale="tiny", seed=42).problem().build_netclus_index(
+            tau_max_km=2.0,
+            max_instances=3,
+            representative_strategy="most_frequent",
+        )
+        assert payload_digest(load_index(strategy_index), include_timings=False) == (
+            payload_digest(direct, include_timings=False)
+        )
+
 
 def test_inspect_timings_probe(built_index, capsys):
     assert main(["inspect", "--index", str(built_index), "--timings"]) == 0

@@ -219,8 +219,19 @@ def _raw_exchange(address: tuple[str, int], data: bytes) -> bytes:
         b"Content-Length: +5\r\n",
         b"Content-Length: 1_0\r\n",
         b"X-Padding: " + b"a" * (70 * 1024) + b"\r\n",
+        b"Content-Length: -1\r\n",
+        b"Content-Length: \xb2\r\n",  # latin-1 superscript two: isdigit(), not int()
+        b"Content-Length: 999999999999\r\n",
     ],
-    ids=["non-numeric-length", "signed-length", "underscore-length", "oversized-header"],
+    ids=[
+        "non-numeric-length",
+        "signed-length",
+        "underscore-length",
+        "oversized-header",
+        "negative-length",
+        "non-ascii-digit-length",
+        "over-body-limit",
+    ],
 )
 def test_malformed_headers_answer_400_and_close(served, head):
     handle, _, _ = served
@@ -233,6 +244,16 @@ def test_malformed_headers_answer_400_and_close(served, head):
     assert handle.server.stats.responses_by_status.get(400, 0) == before + 1
     status, _, _ = request(handle.address, "GET", "/healthz")
     assert status == 200
+
+
+def test_oversized_request_line_answers_400_and_close(served):
+    handle, _, _ = served
+    before = handle.server.stats.responses_by_status.get(400, 0)
+    target = b"/query?" + b"a" * (70 * 1024)
+    reply = _raw_exchange(handle.address, b"GET " + target + b" HTTP/1.1\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+    assert b"\r\nConnection: close\r\n" in reply
+    assert handle.server.stats.responses_by_status.get(400, 0) == before + 1
 
 
 # ---------------------------------------------------------------------- #
