@@ -1,4 +1,4 @@
-"""Persistent, incrementally maintained coverage parts (the format-v3 cache).
+"""Persistent, incrementally maintained coverage parts.
 
 Coverage *construction* — not greedy — dominates steady-state query
 latency, so this module makes the per-(τ, ψ) coverage a first-class
@@ -13,7 +13,9 @@ artifact instead of a per-query throwaway:
   plus the representative layout and the
   :attr:`~repro.core.netclus.NetClusIndex.version` it is valid at;
 * dense, sparse and bitset structures are *materialised views* over the
-  canonical entries, built on demand and kept per engine;
+  canonical entries, built on demand and kept per engine by
+  :func:`materialise_coverage` — the same builder a cold
+  :meth:`~repro.core.netclus.NetClusIndex.prepare_coverage` uses;
 * :meth:`CoverageCache.begin_delta` / :meth:`CoverageCache.finish_delta`
   bracket :meth:`~repro.core.netclus.NetClusIndex.apply_updates`: instead of
   invalidating, the parts are *patched* — only the trajectory rows and
@@ -22,23 +24,22 @@ artifact instead of a per-query throwaway:
   from the patched entries so the very next query runs greedy with zero
   coverage-build work.
 
-Parity is the repo's standard bar — byte-identical selections and
-per-trajectory utilities against a cold build — and rests on three facts:
+Parity is the repo's standard bar — byte-identical coverage structures,
+selections and per-trajectory utilities against a cold build — and rests
+on three facts:
 
-1. every registered ψ is exactly 0 beyond τ and the covered mask is
-   geometric (``d̂r ≤ τ``), so the ≤ τ entry set determines scores, mask,
-   selections and utilities for *both* engines (a dense matrix rebuilt
-   from the entries carries ``inf`` where a cold build kept an unusable
-   estimate > τ — invisible to every score-level consumer);
-2. entry values are recomputed with the *same float expression* as the
-   cold path (``leg + center_distance + rep_leg``, evaluated left to
-   right over the same per-cluster arrays), so patched entries are
+1. cold builds and cache hits materialise every engine's view from the
+   same canonical ≤ τ entries with the same function, so a warm view is
+   the cold view (the dense matrix is ``inf`` beyond τ in both);
+2. patched entries come from the same kernel as the cold path
+   (:meth:`~repro.core.netclus.NetClusInstance.coverage_entries`, the
+   float expression ``(leg + center_distance) + rep_leg``), so they are
    bit-equal to freshly computed ones;
 3. ``min``-reduction over duplicate ``(row, column)`` pairs is associative,
    so reducing carried + recomputed groups equals reducing the cold
    emission stream.
 
-Parts are persisted as optional payloads of index format v3 (see
+Parts are persisted in the index directory's payload blob (see
 ``docs/index-format.md``); a part whose recorded ``index_version`` no
 longer matches the index is *refused* — dropped with a clean fallback to a
 cold rebuild — never served stale.
@@ -54,6 +55,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.bitcov import BitsetCoverageIndex
+from repro.core.coverage import CoverageIndex, SparseCoverageIndex, canonical_entries
 from repro.core.preference import PreferenceFunction, is_registered, make_preference
 from repro.utils.concurrency import guarded_by, holds_lock
 from repro.utils.timer import Timer
@@ -72,6 +75,7 @@ __all__ = [
     "CoveragePart",
     "coverage_cache_key",
     "canonical_entries",
+    "materialise_coverage",
 ]
 
 #: default maximum number of (τ, ψ) parts kept (least recently used wins)
@@ -95,37 +99,6 @@ def coverage_cache_key(
         str(name),
         tuple(sorted((str(k), float(v)) for k, v in params.items())),
     )
-
-
-def canonical_entries(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    estimates: np.ndarray,
-    tau_km: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonicalise coverage triples: ≤ τ, finite, min-reduced, column-major.
-
-    The exact filtering + ``np.lexsort((rows, cols))`` + ``minimum.reduceat``
-    pipeline of :meth:`SparseCoverageIndex.from_coverage_lists`, so feeding
-    the canonical form back through that constructor reproduces the cold
-    structures byte for byte (the lexsort is stable and the input already
-    sorted, making it the identity).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    estimates = np.asarray(estimates, dtype=np.float64)
-    keep = np.isfinite(estimates) & (estimates <= float(tau_km))
-    rows, cols, estimates = rows[keep], cols[keep], estimates[keep]
-    if len(rows):
-        order = np.lexsort((rows, cols))
-        rows, cols, estimates = rows[order], cols[order], estimates[order]
-        boundary = np.empty(len(rows), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(boundary)
-        rows, cols = rows[starts], cols[starts]
-        estimates = np.minimum.reduceat(estimates, starts)
-    return rows, cols, estimates
 
 
 @dataclass
@@ -309,21 +282,18 @@ class CoverageCache:
         rep_clusters: list[int],
         instance_id: int,
         prepared: "ClusteredCoverage | None" = None,
-        already_canonical: bool = False,
     ) -> CoveragePart | None:
         """Store freshly computed coverage entries for ``(τ, ψ)``.
 
         Called from the cold path of
-        :meth:`~repro.core.netclus.NetClusIndex.prepare_coverage` with the
-        raw entry stream (sparse engine) or the entries extracted from the
-        dense matrix; *prepared* optionally seeds the materialised-view map
-        so the structure just built is served back warm.
+        :meth:`~repro.core.netclus.NetClusIndex.prepare_coverage` with
+        entries already in canonical form (:func:`canonical_entries`);
+        *prepared* optionally seeds the materialised-view map so the
+        structure just built is served back warm.
         """
         key = coverage_cache_key(tau_km, preference)
         if key is None:
             return None
-        if not already_canonical:
-            rows, cols, estimates = canonical_entries(rows, cols, estimates, tau_km)
         part = CoveragePart(
             tau_km=float(tau_km),
             preference_name=key[1],
@@ -348,7 +318,7 @@ class CoverageCache:
         return part
 
     def attach_part(self, key: tuple, part: CoveragePart) -> None:
-        """Attach a part loaded from disk (format v3) without counting a store."""
+        """Attach a part loaded from an index directory without counting a store."""
         with self._lock:
             self.parts[key] = part
             self.parts.move_to_end(key)
@@ -522,7 +492,7 @@ class CoverageCache:
         registry = index._trajectory_rows
         recompute = sorted(cid for cid in changed if cid in new_position)
         if recompute:
-            r_rows, r_cols, r_estimates = instance.estimated_column_entries(
+            r_rows, r_cols, r_estimates, _, _ = instance.coverage_entries(
                 registry, tau_km, recompute
             )
             merged_rows.append(r_rows)
@@ -535,19 +505,10 @@ class CoverageCache:
                 trajectory.traj_id: registry[trajectory.traj_id]
                 for trajectory in batch.add_trajectories
             }
-            a_rows, a_cols, a_estimates, _, _ = instance.estimated_coverage_entries(
-                subset, tau_km
+            carried = [cid for cid in new_rep_clusters if cid not in changed]
+            a_rows, a_cols, a_estimates, _, _ = instance.coverage_entries(
+                subset, tau_km, carried
             )
-            if recompute:
-                recomputed_cols = np.asarray(
-                    [new_position[cid] for cid in recompute], dtype=np.int64
-                )
-                fresh = ~np.isin(a_cols, recomputed_cols)
-                a_rows, a_cols, a_estimates = (
-                    a_rows[fresh],
-                    a_cols[fresh],
-                    a_estimates[fresh],
-                )
             merged_rows.append(a_rows)
             merged_cols.append(a_cols)
             merged_estimates.append(a_estimates)
@@ -581,84 +542,27 @@ class CoverageCache:
         part: CoveragePart,
         engine: str,
     ) -> "ClusteredCoverage":
-        """Build one engine's view over the canonical entries."""
-        from repro.core.bitcov import BitsetCoverageIndex
-        from repro.core.coverage import CoverageIndex, SparseCoverageIndex
-        from repro.core.netclus import ClusteredCoverage
-
+        """Build one engine's view over the part's canonical entries."""
         require(
             part.num_trajectories == len(index.trajectory_ids),
             "coverage part registry size does not match the index",
         )
-        # On a lazily-rebuilt ladder (v4 mmap loads) defer the instance:
-        # the hit path only reads its summary scalars, so the rung's
-        # cluster dictionaries are never rebuilt unless something
-        # downstream (existing-site mapping, patching) asks for them.
-        instance = None
-        instance_factory = None
-        instance_summary = _instance_summary_of(index, part.instance_id)
-        if instance_summary is not None:
-            instance_factory = partial(_instance_of, index, part.instance_id)
-        else:
-            instance = _instance_of(index, part.instance_id)
-        preference = part.preference_fn()
-        num_sites = part.num_representatives
-        trajectory_ids = index.trajectory_ids
-        coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
         with Timer() as timer:
-            if engine in ("sparse", "bitset"):
-                # the canonical ≤τ entry stream fully determines both the
-                # sparse scores and (for binary ψ) the packed bit matrix
-                if engine == "bitset":
-                    coverage = BitsetCoverageIndex.from_coverage_lists(
-                        part.rows,
-                        part.cols,
-                        part.estimates,
-                        num_trajectories=part.num_trajectories,
-                        num_sites=num_sites,
-                        tau_km=part.tau_km,
-                        preference=preference,
-                        site_labels=part.rep_sites,
-                        trajectory_ids=trajectory_ids,
-                    )
-                else:
-                    # stored parts hold exactly the canonical entry form,
-                    # so the sparse builder can skip its identity
-                    # filter + lexsort + min-reduce pass on every hit
-                    coverage = SparseCoverageIndex.from_coverage_lists(
-                        part.rows,
-                        part.cols,
-                        part.estimates,
-                        num_trajectories=part.num_trajectories,
-                        num_sites=num_sites,
-                        tau_km=part.tau_km,
-                        preference=preference,
-                        site_labels=part.rep_sites,
-                        trajectory_ids=trajectory_ids,
-                        canonical=True,
-                    )
-            else:
-                detours = np.full((part.num_trajectories, num_sites), np.inf)
-                detours[part.rows, part.cols] = part.estimates
-                coverage = CoverageIndex(
-                    detours,
-                    part.tau_km,
-                    preference,
-                    site_labels=part.rep_sites,
-                    trajectory_ids=trajectory_ids,
-                )
+            view = materialise_coverage(
+                index,
+                part.tau_km,
+                part.preference_fn(),
+                part.rows,
+                part.cols,
+                part.estimates,
+                part.rep_sites,
+                part.rep_clusters,
+                part.instance_id,
+                engine,
+            )
         self.materialisations += 1
         self.materialise_seconds += timer.elapsed
-        return ClusteredCoverage(
-            instance=instance,
-            coverage=coverage,
-            representative_sites=list(part.rep_sites),
-            representative_clusters=list(part.rep_clusters),
-            engine=engine,
-            index_version=part.index_version,
-            instance_factory=instance_factory,
-            instance_summary=instance_summary,
-        )
+        return view
 
     # ------------------------------------------------------------------ #
     # reporting / copying
@@ -732,6 +636,90 @@ class CoverageCache:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
+
+
+def materialise_coverage(
+    index: "NetClusIndex",
+    tau_km: float,
+    preference: PreferenceFunction,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    estimates: np.ndarray,
+    rep_sites: list[int],
+    rep_clusters: list[int],
+    instance_id: int,
+    engine: str,
+    instance: "NetClusInstance | None" = None,
+) -> "ClusteredCoverage":
+    """One engine's :class:`~repro.core.netclus.ClusteredCoverage` over
+    canonical entries — the single view builder of cold builds and cache hits.
+
+    The canonical ≤ τ entries determine every engine: the sparse index
+    takes them as they are, the bitset index packs them, and the dense
+    matrix holds them with ``inf`` in every other cell.  Without an
+    explicit *instance*, a lazily-rebuilt ladder (v4 mmap loads) defers
+    the rung: a warm hit only reads its summary scalars, so the rung's
+    cluster dictionaries are rebuilt only if something downstream
+    (existing-site mapping, patching) asks for them.
+    """
+    from repro.core.netclus import ClusteredCoverage
+
+    trajectory_ids = index.trajectory_ids
+    num_trajectories = len(trajectory_ids)
+    instance_factory = None
+    instance_summary = None
+    if instance is None:
+        instance_summary = _instance_summary_of(index, instance_id)
+        if instance_summary is not None:
+            instance_factory = partial(_instance_of, index, instance_id)
+        else:
+            instance = _instance_of(index, instance_id)
+    coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
+    if engine == "dense":
+        detours = np.full((num_trajectories, len(rep_sites)), np.inf)
+        detours[rows, cols] = estimates
+        coverage = CoverageIndex(
+            detours,
+            tau_km,
+            preference,
+            site_labels=rep_sites,
+            trajectory_ids=trajectory_ids,
+        )
+    elif engine == "bitset":
+        coverage = BitsetCoverageIndex.from_coverage_lists(
+            rows,
+            cols,
+            estimates,
+            num_trajectories=num_trajectories,
+            num_sites=len(rep_sites),
+            tau_km=tau_km,
+            preference=preference,
+            site_labels=rep_sites,
+            trajectory_ids=trajectory_ids,
+        )
+    else:
+        coverage = SparseCoverageIndex.from_coverage_lists(
+            rows,
+            cols,
+            estimates,
+            num_trajectories=num_trajectories,
+            num_sites=len(rep_sites),
+            tau_km=tau_km,
+            preference=preference,
+            site_labels=rep_sites,
+            trajectory_ids=trajectory_ids,
+            canonical=True,
+        )
+    return ClusteredCoverage(
+        instance=instance,
+        coverage=coverage,
+        representative_sites=list(rep_sites),
+        representative_clusters=list(rep_clusters),
+        engine=engine,
+        index_version=index.version,
+        instance_factory=instance_factory,
+        instance_summary=instance_summary,
+    )
 
 
 def _instance_of(index: "NetClusIndex", instance_id: int) -> "NetClusInstance":

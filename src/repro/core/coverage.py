@@ -68,6 +68,7 @@ __all__ = [
     "ENGINES",
     "GAIN_RTOL",
     "build_label_map",
+    "canonical_entries",
     "resolve_engine",
     "tie_break_candidates",
 ]
@@ -438,6 +439,38 @@ def _top_capacity_sum(residual: np.ndarray, capacity: int | None) -> float:
     return float(top.sum())
 
 
+def canonical_entries(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    estimates: np.ndarray,
+    tau_km: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonicalise coverage triples: ≤ τ, finite, min-reduced, column-major.
+
+    Keeps the finite entries within τ, orders them by ``(column, row)``
+    with a stable ``np.lexsort`` and keeps the smallest estimate of every
+    duplicate cell.  The result is independent of the input order, and
+    canonicalising it again is the identity — the entry form
+    :meth:`SparseCoverageIndex.from_coverage_lists` builds from and the
+    coverage cache stores.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    estimates = np.asarray(estimates, dtype=np.float64)
+    keep = np.isfinite(estimates) & (estimates <= float(tau_km))
+    rows, cols, estimates = rows[keep], cols[keep], estimates[keep]
+    if len(rows):
+        order = np.lexsort((rows, cols))
+        rows, cols, estimates = rows[order], cols[order], estimates[order]
+        boundary = np.empty(len(rows), dtype=bool)
+        boundary[0] = True
+        boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(boundary)
+        rows, cols = rows[starts], cols[starts]
+        estimates = np.minimum.reduceat(estimates, starts)
+    return rows, cols, estimates
+
+
 class SparseCoverageIndex:
     """CSR/CSC preference scores, covering sets and site weights for one (τ, ψ).
 
@@ -504,10 +537,10 @@ class SparseCoverageIndex:
         minimum estimate over a representative's neighbouring clusters.
 
         ``canonical=True`` promises the triples are already in this form —
-        finite, ≤ τ, unique pairs, column-major order (the invariant
-        :func:`repro.core.covcache.canonical_entries` maintains for stored
-        coverage parts) — and skips the filter + sort + min-reduce pass,
-        which is a pure identity on such input.  Range checks still run.
+        finite, ≤ τ, unique pairs, column-major order (the output of
+        :func:`canonical_entries`, which stored coverage parts keep) — and
+        skips that pass, which is a pure identity on such input.  Range
+        checks still run.
         """
         index = cls.__new__(cls)
         rows = np.asarray(rows, dtype=np.int64)
@@ -518,8 +551,7 @@ class SparseCoverageIndex:
             "rows, cols and detours must have equal lengths",
         )
         if not canonical:
-            keep = np.isfinite(detour_values) & (detour_values <= float(tau_km))
-            rows, cols, detour_values = rows[keep], cols[keep], detour_values[keep]
+            rows, cols, detour_values = canonical_entries(rows, cols, detour_values, tau_km)
         if len(rows):
             require(
                 int(rows.min()) >= 0 and int(rows.max()) < num_trajectories,
@@ -529,16 +561,6 @@ class SparseCoverageIndex:
                 int(cols.min()) >= 0 and int(cols.max()) < num_sites,
                 "site column out of range",
             )
-        if not canonical and len(rows):
-            # min-reduce duplicate (row, col) pairs
-            order = np.lexsort((rows, cols))
-            rows, cols, detour_values = rows[order], cols[order], detour_values[order]
-            boundary = np.empty(len(rows), dtype=bool)
-            boundary[0] = True
-            boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(boundary)
-            rows, cols = rows[starts], cols[starts]
-            detour_values = np.minimum.reduceat(detour_values, starts)
         index._init_from_entries(
             rows,
             cols,

@@ -46,12 +46,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.bitcov import BitsetCoverageIndex
-from repro.core.coverage import CoverageIndex, SparseCoverageIndex, resolve_engine
+from repro.core.covcache import DEFAULT_PART_LIMIT, CoverageCache, materialise_coverage
+from repro.core.coverage import (
+    CoverageIndex,
+    SparseCoverageIndex,
+    canonical_entries,
+    resolve_engine,
+)
 from repro.core.fm_greedy import FMGreedy
 from repro.core.greedy import IncGreedy
 from repro.core.preference import PreferenceFunction
@@ -254,167 +261,119 @@ class NetClusInstance:
         return float(np.mean([len(c.neighbors) for c in self.clusters]))
 
     # ------------------------------------------------------------------ #
-    def estimated_detours(
-        self, trajectory_rows: dict[int, int], tau_km: float
-    ) -> tuple[np.ndarray, list[int], list[int]]:
-        """Build the estimated-detour matrix of the clustered space.
+    def coverage_entries(
+        self,
+        trajectory_rows: dict[int, int],
+        tau_km: float,
+        cluster_ids: Sequence[int] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
+        """The clustered-space coverage entries with ``d̂r ≤ τ`` (Section 5.1).
+
+        Every representative ``r_i`` is estimated against the trajectories
+        of its own cluster and of each neighbour cluster whose center lies
+        within τ: ``d̂r(T_j, r_i) = dr(T_j, c_j) + dr(c_j, c_i) + dr(c_i, r_i)``,
+        evaluated left to right.  A ``(row, column)`` pair reached through
+        several source clusters is emitted once per source; consumers keep
+        the smallest estimate (:func:`~repro.core.coverage.canonical_entries`).
 
         Parameters
         ----------
         trajectory_rows:
-            Mapping ``traj_id -> row`` fixing the row order of the matrix.
+            Mapping ``traj_id -> row``; trajectories it does not name are
+            skipped, so a partial mapping restricts the rows.
         tau_km:
-            Coverage threshold; used only to skip neighbours whose centers are
-            already farther than τ (their estimates cannot qualify).
-
-        Returns
-        -------
-        (detours, representative_sites, representative_cluster_ids)
-            ``detours`` has shape ``(len(trajectory_rows), #representatives)``
-            with ``inf`` where no estimate is available.
-        """
-        reps = self.representatives()
-        rep_sites = [cluster.representative for cluster in reps]
-        rep_cluster_ids = [cluster.cluster_id for cluster in reps]
-        detours = np.full((len(trajectory_rows), len(reps)), np.inf)
-        cluster_rows, cluster_legs = self._trajectory_arrays(trajectory_rows)
-
-        for col, cluster in enumerate(reps):
-            rep_leg = cluster.representative_round_trip_km
-            column = detours[:, col]
-            # the cluster itself plus its neighbours contribute trajectories
-            sources: list[tuple[int, float]] = [(cluster.cluster_id, 0.0)]
-            for neighbor_id, center_distance in cluster.neighbors:
-                if center_distance > tau_km:
-                    continue
-                sources.append((neighbor_id, center_distance))
-            for source_id, center_distance in sources:
-                rows = cluster_rows[source_id]
-                if len(rows) == 0:
-                    continue
-                estimates = cluster_legs[source_id] + center_distance + rep_leg
-                np.minimum.at(column, rows, estimates)
-        return detours, rep_sites, rep_cluster_ids
-
-    def estimated_coverage_entries(
-        self, trajectory_rows: dict[int, int], tau_km: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
-        """Sparse coverage lists of the clustered space: qualifying estimates only.
-
-        The sparse counterpart of :meth:`estimated_detours`: instead of an
-        ``(m, #representatives)`` matrix full of ``inf``, it returns the
-        (trajectory row, representative column, estimated detour) triples with
-        ``d̂r ≤ τ`` — exactly the entries that can contribute coverage.
-        Duplicate (row, column) pairs (one per contributing neighbour
-        cluster) are left to the consumer, which keeps the smallest estimate;
-        :meth:`SparseCoverageIndex.from_coverage_lists` does this natively.
+            Coverage threshold.
+        cluster_ids:
+            Restrict the columns to the representatives of these clusters
+            (``None``: every representative).
 
         Returns
         -------
         (rows, cols, estimates, representative_sites, representative_cluster_ids)
+            Columns are positions in the current :meth:`representatives`
+            list, which the last two lists describe in full.
         """
         reps = self.representatives()
         rep_sites = [cluster.representative for cluster in reps]
         rep_cluster_ids = [cluster.cluster_id for cluster in reps]
-        cluster_rows, cluster_legs = self._trajectory_arrays(trajectory_rows)
-
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        estimate_parts: list[np.ndarray] = []
-        for col, cluster in enumerate(reps):
-            rep_leg = cluster.representative_round_trip_km
-            sources: list[tuple[int, float]] = [(cluster.cluster_id, 0.0)]
-            for neighbor_id, center_distance in cluster.neighbors:
-                if center_distance > tau_km:
-                    continue
-                sources.append((neighbor_id, center_distance))
-            for source_id, center_distance in sources:
-                rows = cluster_rows[source_id]
-                if len(rows) == 0:
-                    continue
-                estimates = cluster_legs[source_id] + center_distance + rep_leg
-                within = estimates <= tau_km
-                if not np.any(within):
-                    continue
-                row_parts.append(rows[within])
-                col_parts.append(np.full(int(within.sum()), col, dtype=np.int64))
-                estimate_parts.append(estimates[within])
-        if row_parts:
-            all_rows = np.concatenate(row_parts)
-            all_cols = np.concatenate(col_parts)
-            all_estimates = np.concatenate(estimate_parts)
+        if cluster_ids is None:
+            columns = list(range(len(reps)))
         else:
-            all_rows = np.empty(0, dtype=np.int64)
-            all_cols = np.empty(0, dtype=np.int64)
-            all_estimates = np.empty(0, dtype=np.float64)
-        return all_rows, all_cols, all_estimates, rep_sites, rep_cluster_ids
+            wanted = {int(c) for c in cluster_ids}
+            columns = [col for col, cid in enumerate(rep_cluster_ids) if cid in wanted]
+        selected = [reps[col] for col in columns]
 
-    def estimated_column_entries(
-        self, trajectory_rows: dict[int, int], tau_km: float, cluster_ids: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Qualifying estimates of the representative columns of *cluster_ids*.
+        # 1. membership CSR: cluster -> (registry rows, legs)
+        member_offsets, member_rows, member_legs = self._membership(trajectory_rows)
 
-        A column-restricted :meth:`estimated_coverage_entries` — same source
-        enumeration, same float expression, same ≤ τ filter — used by the
-        coverage cache to recompute only the columns a dynamic update
-        touched (a representative re-election changes every estimate of its
-        column, nothing else).  Returned column indices are positions in the
-        *current* :meth:`representatives` list.
-        """
-        wanted = set(int(c) for c in cluster_ids)
-        cluster_rows, cluster_legs = self._trajectory_arrays(trajectory_rows)
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        estimate_parts: list[np.ndarray] = []
-        for col, cluster in enumerate(self.representatives()):
-            if cluster.cluster_id not in wanted:
-                continue
-            rep_leg = cluster.representative_round_trip_km
-            sources: list[tuple[int, float]] = [(cluster.cluster_id, 0.0)]
-            for neighbor_id, center_distance in cluster.neighbors:
-                if center_distance > tau_km:
-                    continue
-                sources.append((neighbor_id, center_distance))
-            for source_id, center_distance in sources:
-                rows = cluster_rows[source_id]
-                if len(rows) == 0:
-                    continue
-                estimates = cluster_legs[source_id] + center_distance + rep_leg
-                within = estimates <= tau_km
-                if not np.any(within):
-                    continue
-                row_parts.append(rows[within])
-                col_parts.append(np.full(int(within.sum()), col, dtype=np.int64))
-                estimate_parts.append(estimates[within])
-        if row_parts:
-            return (
-                np.concatenate(row_parts),
-                np.concatenate(col_parts),
-                np.concatenate(estimate_parts),
-            )
+        # 2. (column, source cluster, center distance, representative leg)
+        #    pairs: each column's own cluster first, then its neighbours
+        pair_counts = np.fromiter(
+            (len(cluster.neighbors) + 1 for cluster in selected), np.int64, len(selected)
+        )
+        own = np.cumsum(pair_counts) - pair_counts
+        is_neighbor = np.ones(int(pair_counts.sum()), dtype=bool)
+        is_neighbor[own] = False
+        neighbors = list(chain.from_iterable(cluster.neighbors for cluster in selected))
+        sources = np.empty(len(is_neighbor), dtype=np.int64)
+        sources[own] = [cluster.cluster_id for cluster in selected]
+        sources[is_neighbor] = [neighbor_id for neighbor_id, _ in neighbors]
+        centers = np.zeros(len(is_neighbor), dtype=np.float64)
+        centers[is_neighbor] = [center_distance for _, center_distance in neighbors]
+        rep_legs = [cluster.representative_round_trip_km for cluster in selected]
+        pair_cols = np.repeat(np.asarray(columns, dtype=np.int64), pair_counts)
+        pair_rep_legs = np.repeat(np.asarray(rep_legs, dtype=np.float64), pair_counts)
+        near = centers <= tau_km
+        sources, centers = sources[near], centers[near]
+        pair_cols, pair_rep_legs = pair_cols[near], pair_rep_legs[near]
+
+        # 3. expand every pair over its source cluster's members
+        starts = member_offsets[sources]
+        lengths = member_offsets[sources + 1] - starts
+        shifts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        members = np.arange(len(shifts), dtype=np.int64) + shifts
+
+        # 4. the estimate in the online phase's float order, one ≤ τ filter
+        estimates = (
+            member_legs[members]
+            + np.repeat(centers, lengths)
+            + np.repeat(pair_rep_legs, lengths)
+        )
+        within = estimates <= tau_km
         return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
+            member_rows[members][within],
+            np.repeat(pair_cols, lengths)[within],
+            estimates[within],
+            rep_sites,
+            rep_cluster_ids,
         )
 
-    def _trajectory_arrays(
+    def _membership(
         self, trajectory_rows: dict[int, int]
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-cluster (row indices, legs) arrays for the indexed trajectories."""
-        cluster_rows: list[np.ndarray] = []
-        cluster_legs: list[np.ndarray] = []
-        for cluster in self.clusters:
-            rows: list[int] = []
-            legs: list[float] = []
-            for traj_id, leg in cluster.trajectory_list.items():
-                row = trajectory_rows.get(traj_id)
-                if row is not None:
-                    rows.append(row)
-                    legs.append(leg)
-            cluster_rows.append(np.asarray(rows, dtype=np.int64))
-            cluster_legs.append(np.asarray(legs, dtype=np.float64))
-        return cluster_rows, cluster_legs
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cluster → (registry rows, legs) CSR over the mapped trajectories.
+
+        Returns ``(offsets, rows, legs)``: cluster ``c``'s members are
+        ``rows[offsets[c]:offsets[c + 1]]`` in trajectory-list order.  Ids
+        are matched by binary search over the sorted mapping keys, so no
+        array is sized by the largest id.
+        """
+        lists = [cluster.trajectory_list for cluster in self.clusters]
+        sizes = np.fromiter(map(len, lists), np.int64, len(lists))
+        total = int(sizes.sum())
+        ids = np.fromiter(chain.from_iterable(lists), np.int64, total)
+        legs = np.fromiter(chain.from_iterable(tl.values() for tl in lists), np.float64, total)
+        known_ids = np.fromiter(trajectory_rows.keys(), np.int64, len(trajectory_rows))
+        known_rows = np.fromiter(trajectory_rows.values(), np.int64, len(trajectory_rows))
+        order = np.argsort(known_ids)
+        known_ids, known_rows = known_ids[order], known_rows[order]
+        at = np.searchsorted(known_ids, ids)
+        found = at < len(known_ids)
+        found[found] = known_ids[at[found]] == ids[found]
+        owners = np.repeat(np.arange(len(lists), dtype=np.int64), sizes)[found]
+        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=len(lists)), out=offsets[1:])
+        return offsets, known_rows[at[found]], legs[found]
 
     def storage_bytes(self) -> int:
         """Approximate bytes of the per-cluster payload (Table 7 / Table 9)."""
@@ -458,7 +417,8 @@ class ClusteredCoverage:
     representative_clusters:
         Cluster id of each representative, aligned with coverage columns.
     engine:
-        ``"dense"`` or ``"sparse"`` — which representation was built.
+        ``"dense"``, ``"sparse"`` or ``"bitset"`` — which representation
+        was built (``"auto"`` is resolved before building).
     index_version:
         The :attr:`NetClusIndex.version` the structures were built at;
         :meth:`NetClusIndex.query` refuses a prepared coverage whose version
@@ -666,12 +626,12 @@ class NetClusIndex:
         self._node_visit_counts = node_visit_counts
         self._trajectory_nodes = trajectory_nodes
         self._engine: ShortestPathEngine | None = None
-        #: optional persistent coverage cache (format v3 / zero-rebuild
-        #: queries); ``None`` until :meth:`enable_coverage_cache` attaches
-        #: one — opt-in, so plain indexes behave exactly as before
-        self.coverage_cache = None
+        #: optional persistent coverage cache (zero-rebuild queries);
+        #: ``None`` until :meth:`enable_coverage_cache` attaches one —
+        #: opt-in, so plain indexes behave exactly as before
+        self.coverage_cache: CoverageCache | None = None
 
-    def enable_coverage_cache(self, limit: int | None = None):
+    def enable_coverage_cache(self, limit: int | None = None) -> CoverageCache:
         """Attach (or return) the index's :class:`~repro.core.covcache.CoverageCache`.
 
         Once enabled, :meth:`prepare_coverage` serves warm ``(τ, ψ)``
@@ -681,8 +641,6 @@ class NetClusIndex:
         zero coverage-build work.  Idempotent; *limit* resizes the LRU part
         budget when given.
         """
-        from repro.core.covcache import DEFAULT_PART_LIMIT, CoverageCache
-
         if self.coverage_cache is None:
             self.coverage_cache = CoverageCache(
                 limit=DEFAULT_PART_LIMIT if limit is None else limit
@@ -825,22 +783,18 @@ class NetClusIndex:
     ) -> ClusteredCoverage:
         """Build the reusable clustered-space coverage for one ``(τ, ψ)``.
 
-        Resolves the index instance for *tau_km* (or reuses a
-        caller-resolved *instance* — how the placement service shares one
-        resolution across several ψ at the same τ) and materialises the
-        coverage structures over its cluster representatives:
-
-        * ``engine="dense"`` — the estimated-detour matrix wrapped in a
-          :class:`~repro.core.coverage.CoverageIndex` (the paper's setup);
-        * ``engine="sparse"`` — the qualifying estimates fed straight into a
-          :class:`~repro.core.coverage.SparseCoverageIndex` (never
-          materialising the dense matrix);
-        * ``engine="bitset"`` — the same ≤τ entries packed into
-          :class:`~repro.core.bitcov.BitsetCoverageIndex` word blocks
-          (binary ψ only; gains become popcounts);
-        * ``engine="auto"`` — resolves to ``"bitset"`` when ``ψ.is_binary``
-          and ``"sparse"`` otherwise (see
-          :func:`repro.core.coverage.resolve_engine`).
+        Resolves the index instance for *tau_km* (or takes a caller-resolved
+        *instance* — how the placement service shares one resolution across
+        several ψ at the same τ; any instance other than
+        ``instance_for(tau_km)`` raises ``ValueError``).  A warm
+        coverage-cache part is served as it is; otherwise
+        :meth:`NetClusInstance.coverage_entries` computes the ≤ τ entries,
+        they are canonicalised once, stored if a cache is attached, and
+        materialised as the *engine*'s view — ``"dense"``, ``"sparse"``,
+        ``"bitset"`` (binary ψ only), or ``"auto"`` (see
+        :func:`repro.core.coverage.resolve_engine`).  Every view holds the
+        same entries; the dense matrix is ``inf`` wherever the estimate
+        exceeds τ.
 
         The returned :class:`ClusteredCoverage` can answer any number of
         queries at this ``(τ, ψ)`` — pass it back via :meth:`query`'s
@@ -848,70 +802,40 @@ class NetClusIndex:
         directly.  All distances are in kilometres.
         """
         engine = resolve_engine(engine, preference)
+        if instance is not None:
+            expected = self.instance_for(tau_km).instance_id
+            require(
+                instance.instance_id == expected,
+                f"instance {instance.instance_id} does not serve tau_km={tau_km} "
+                f"(instance_for gives {expected})",
+            )
         if self.coverage_cache is not None:
             warm = self.coverage_cache.lookup(self, tau_km, preference, engine=engine)
-            if warm is not None and (
-                instance is None or warm.instance_id == instance.instance_id
-            ):
+            if warm is not None:
                 return warm
         if instance is None:
             instance = self.instance_for(tau_km)
-        rows = self._trajectory_rows
-        coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
-        if engine in ("sparse", "bitset"):
-            entry_rows, entry_cols, estimates, rep_sites, rep_clusters = (
-                instance.estimated_coverage_entries(rows, tau_km)
-            )
-            part_cls: type[SparseCoverageIndex] | type[BitsetCoverageIndex] = (
-                BitsetCoverageIndex if engine == "bitset" else SparseCoverageIndex
-            )
-            coverage = part_cls.from_coverage_lists(
-                entry_rows,
-                entry_cols,
-                estimates,
-                num_trajectories=len(rows),
-                num_sites=len(rep_sites),
-                tau_km=tau_km,
-                preference=preference,
-                site_labels=rep_sites,
-                trajectory_ids=self._trajectory_ids,
-            )
-        else:
-            detours, rep_sites, rep_clusters = instance.estimated_detours(rows, tau_km)
-            coverage = CoverageIndex(
-                detours,
-                tau_km,
-                preference,
-                site_labels=rep_sites,
-                trajectory_ids=self._trajectory_ids,
-            )
-        prepared = ClusteredCoverage(
+        rows, cols, estimates, rep_sites, rep_clusters = instance.coverage_entries(
+            self._trajectory_rows, tau_km
+        )
+        entries = canonical_entries(rows, cols, estimates, tau_km)
+        prepared = materialise_coverage(
+            self,
+            tau_km,
+            preference,
+            *entries,
+            rep_sites,
+            rep_clusters,
+            instance.instance_id,
+            engine,
             instance=instance,
-            coverage=coverage,
-            representative_sites=rep_sites,
-            representative_clusters=rep_clusters,
-            engine=engine,
-            index_version=self.version,
         )
         if self.coverage_cache is not None:
-            if engine in ("sparse", "bitset"):
-                cached_rows, cached_cols, cached_estimates = (
-                    entry_rows,
-                    entry_cols,
-                    estimates,
-                )
-            else:
-                # the ≤ τ entries of the dense matrix — its values beyond τ
-                # are score-0 / uncovered and never affect a selection
-                cached_rows, cached_cols = np.nonzero(detours <= tau_km)
-                cached_estimates = detours[cached_rows, cached_cols]
             self.coverage_cache.store_entries(
                 self,
                 tau_km,
                 preference,
-                cached_rows,
-                cached_cols,
-                cached_estimates,
+                *entries,
                 rep_sites,
                 rep_clusters,
                 instance.instance_id,

@@ -14,7 +14,6 @@ NetClus clustered space.
 
 from __future__ import annotations
 
-
 from repro.core.coverage import CoverageIndex
 from repro.core.query import TOPSQuery
 from repro.core.variants import solve_tops_capacity, solve_tops_cost
@@ -28,16 +27,9 @@ __all__ = ["run_cost", "run_capacity", "run", "main"]
 
 def _netclus_coverage(context: ExperimentContext, query: TOPSQuery) -> CoverageIndex:
     """Clustered-space coverage index (estimated detours over representatives)."""
-    instance = context.netclus.instance_for(query.tau_km)
-    rows = {traj_id: row for row, traj_id in enumerate(context.bundle.trajectories.ids())}
-    detours, rep_sites, _ = instance.estimated_detours(rows, query.tau_km)
-    return CoverageIndex(
-        detours,
-        query.tau_km,
-        query.preference,
-        site_labels=rep_sites,
-        trajectory_ids=context.bundle.trajectories.ids(),
-    )
+    return context.netclus.prepare_coverage(
+        query.tau_km, query.preference, engine="dense"
+    ).coverage
 
 
 def run_cost(

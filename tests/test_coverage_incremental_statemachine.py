@@ -293,6 +293,32 @@ def test_single_item_mutator_falls_back_to_rebuild(world):
     )
 
 
+def test_foreign_instance_is_refused_and_never_cached(world):
+    """``prepare_coverage(instance=...)`` with a rung that does not serve τ
+    must raise, not store that rung's coverage under τ's cache key."""
+    index = build(world)
+    index.enable_coverage_cache()
+    query = TOPSQuery(k=5, tau_km=1.2)
+    rung = index.instance_for(query.tau_km)
+    foreign = next(i for i in index.instances if i.instance_id != rung.instance_id)
+    with pytest.raises(ValueError, match="does not serve"):
+        index.prepare_coverage(query.tau_km, query.preference, engine="sparse", instance=foreign)
+    assert index.coverage_cache.stats()["parts"] == 0
+
+    prepared = index.prepare_coverage(
+        query.tau_km, query.preference, engine="sparse", instance=rung
+    )
+    assert prepared.instance_id == rung.instance_id
+    warm_answer = index.query(query, engine="sparse")
+    cold_answer = build(world).query(query, engine="sparse")
+    assert warm_answer.metadata["instance_id"] == rung.instance_id
+    assert list(warm_answer.sites) == list(cold_answer.sites)
+    assert (
+        np.asarray(warm_answer.per_trajectory_utility).tobytes()
+        == np.asarray(cold_answer.per_trajectory_utility).tobytes()
+    )
+
+
 def test_deepcopy_drops_views_but_keeps_parts(world):
     index = build(world)
     index.enable_coverage_cache()

@@ -11,6 +11,8 @@ placement service.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from greedy_oracle import ORACLE_CASES, assert_matches_oracle, recompute_select
@@ -377,6 +379,23 @@ def test_netclus_query_parity_across_engines(tiny_netclus, engine, pref_name):
     ):
         _assert_same_result(result, baseline)
         assert "shards" not in result.metadata
+
+
+def test_warm_dense_view_is_the_cold_dense_build(tiny_netclus):
+    """A dense view materialised from cached entries is the cold dense build."""
+    preference = make_preference("linear")
+    cold_index = copy.deepcopy(tiny_netclus)
+    cold_index.coverage_cache = None
+    cold = cold_index.prepare_coverage(0.8, preference, engine="dense").coverage
+    warm_index = copy.deepcopy(tiny_netclus)
+    warm_index.coverage_cache = None
+    cache = warm_index.enable_coverage_cache()
+    warm_index.prepare_coverage(0.8, preference, engine="sparse")
+    warm = warm_index.prepare_coverage(0.8, preference, engine="dense").coverage
+    assert cache.stats()["materialisations"] == 1
+    assert warm.detours.tobytes() == cold.detours.tobytes()
+    assert warm.scores.tobytes() == cold.scores.tobytes()
+    assert np.array_equal(warm.coverage_mask(), cold.coverage_mask())
 
 
 @pytest.mark.parametrize("engine", ["sparse", "bitset", "auto"])

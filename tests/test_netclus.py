@@ -148,10 +148,10 @@ class TestInstanceSelection:
 class TestEstimatedDetours:
     def test_estimates_upper_bound_exact(self, index, tiny_problem):
         """d̂r(T, r_i) ≥ dr(T, r_i): the clustered estimate never undershoots."""
-        query_tau = 0.8
-        instance = index.instance_for(query_tau)
+        instance = index.instance_for(0.8)
         rows = {tid: i for i, tid in enumerate(tiny_problem.trajectories.ids())}
-        detours, rep_sites, _ = instance.estimated_detours(rows, query_tau)
+        # an effectively infinite τ keeps every estimate, not just the covers
+        entry_rows, entry_cols, estimates, rep_sites, _ = instance.coverage_entries(rows, 1e9)
         oracle = tiny_problem.oracle
         exact = np.stack(
             [
@@ -159,25 +159,24 @@ class TestEstimatedDetours:
                 for trajectory in tiny_problem.trajectories
             ]
         )
-        finite = np.isfinite(detours)
-        assert np.all(detours[finite] >= exact[finite] - 1e-6)
+        assert len(estimates) > 0
+        assert np.all(estimates >= exact[entry_rows, entry_cols] - 1e-6)
 
     def test_approximate_cover_subset_of_exact(self, index, tiny_problem):
         """T̂C(r_i) ⊆ TC(r_i) (Section 5.1)."""
         query_tau = 0.8
         instance = index.instance_for(query_tau)
         rows = {tid: i for i, tid in enumerate(tiny_problem.trajectories.ids())}
-        detours, rep_sites, _ = instance.estimated_detours(rows, query_tau)
+        entry_rows, entry_cols, _, rep_sites, _ = instance.coverage_entries(rows, query_tau)
         oracle = tiny_problem.oracle
         for col, site in enumerate(rep_sites):
-            approx_cover = set(np.flatnonzero(detours[:, col] <= query_tau))
+            approx_cover = set(entry_rows[entry_cols == col].tolist())
             exact_cover = {
                 row
                 for row, trajectory in enumerate(tiny_problem.trajectories)
                 if oracle.detour(trajectory, site) <= query_tau + 1e-9
             }
             assert approx_cover <= exact_cover
-
 
 class TestQuery:
     def test_returns_k_sites(self, index):
@@ -257,21 +256,6 @@ class TestSparseEngine:
         dense = index.query(query, existing_sites=seed_sites, engine="dense")
         sparse = index.query(query, existing_sites=seed_sites, engine="sparse")
         assert sparse.sites == dense.sites
-
-    def test_sparse_entries_match_dense_matrix(self, index):
-        """The coverage-list extraction agrees with the estimated-detour matrix."""
-        instance = index.instance_for(0.8)
-        rows = {traj_id: row for row, traj_id in enumerate(index._trajectory_ids)}
-        detours, rep_sites, _ = instance.estimated_detours(rows, 0.8)
-        entry_rows, entry_cols, estimates, sparse_sites, _ = (
-            instance.estimated_coverage_entries(rows, 0.8)
-        )
-        assert sparse_sites == rep_sites
-        rebuilt = np.full_like(detours, np.inf)
-        np.minimum.at(rebuilt, (entry_rows, entry_cols), estimates)
-        qualifying = detours <= 0.8
-        assert np.array_equal(qualifying, rebuilt <= 0.8)
-        assert np.allclose(rebuilt[qualifying], detours[qualifying])
 
     def test_invalid_engine_rejected(self, index):
         with pytest.raises(ValueError):

@@ -212,12 +212,82 @@ class TestDetourProperties:
         tau = 0.9
         instance = index.instance_for(tau)
         rows = {tid: i for i, tid in enumerate(dataset.ids())}
-        estimates, rep_sites, _ = instance.estimated_detours(rows, tau)
+        # an effectively infinite τ keeps every estimate, not just the covers
+        entry_rows, entry_cols, estimates, rep_sites, _ = instance.coverage_entries(rows, 1e9)
         exact = np.stack(
             [
                 oracle.detour_vector(t)[[oracle.site_index[s] for s in rep_sites]]
                 for t in dataset
             ]
         )
-        finite = np.isfinite(estimates)
-        assert np.all(estimates[finite] >= exact[finite] - 1e-6)
+        assert np.all(estimates >= exact[entry_rows, entry_cols] - 1e-6)
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 1_000), tau=st.sampled_from([0.5, 0.9, 1.6, 3.0]))
+    def test_coverage_entries_contract(self, seed, tau):
+        """The coverage kernel is the Section 5.1 estimate, restricts exactly
+        to rows × columns, accepts any trajectory id, and its τ = 1e9 dense
+        view is the minimum over every neighbour cluster (what TOPS3 reads)."""
+        from repro.core.coverage import canonical_entries
+        from repro.core.netclus import NetClusIndex
+        from repro.core.preference import InconveniencePreference
+        from repro.network.generators import random_planar_network
+        from repro.trajectory.generators import random_route_trajectories
+        from repro.trajectory.model import Trajectory, TrajectoryDataset
+
+        rng = np.random.default_rng(seed)
+        network = random_planar_network(30, area_km=4.0, seed=seed % 13)
+        routes = list(random_route_trajectories(network, 8, seed=seed))
+        # ids ≥ 2**40, sparse and registered out of id order
+        big_ids = (1 << 40) + 7 * rng.permutation(len(routes))
+        dataset = TrajectoryDataset(
+            Trajectory(int(tid), t.nodes, t.cumulative_km, t.timestamps)
+            for tid, t in zip(big_ids, routes)
+        )
+        index = NetClusIndex.build(
+            network,
+            dataset,
+            network.node_ids()[::2],
+            gamma=0.75,
+            tau_min_km=0.4,
+            tau_max_km=2.0,
+        )
+        registry = {tid: row for row, tid in enumerate(dataset.ids())}
+
+        def reference(instance, tau):
+            """d̂r per cell: one Python loop per (representative, source)."""
+            reps = instance.representatives()
+            matrix = np.full((len(registry), len(reps)), np.inf)
+            for col, cluster in enumerate(reps):
+                for source, center in [(cluster.cluster_id, 0.0), *cluster.neighbors]:
+                    if center > tau:
+                        continue
+                    members = instance.clusters[source].trajectory_list
+                    for tid, leg in members.items():
+                        estimate = leg + center + cluster.representative_round_trip_km
+                        row = registry[tid]
+                        if estimate <= tau:
+                            matrix[row, col] = min(matrix[row, col], estimate)
+            return matrix
+
+        instance = index.instance_for(tau)
+        rows, cols, estimates, _, rep_clusters = instance.coverage_entries(registry, tau)
+        full = canonical_entries(rows, cols, estimates, tau)
+        dense = np.full((len(registry), len(rep_clusters)), np.inf)
+        dense[full[0], full[1]] = full[2]
+        assert dense.tobytes() == reference(instance, tau).tobytes()
+
+        subset = {tid: row for tid, row in registry.items() if rng.random() < 0.5}
+        cluster_ids = [c.cluster_id for c in instance.clusters if rng.random() < 0.5]
+        rows, cols, estimates, _, _ = instance.coverage_entries(subset, tau, cluster_ids)
+        restricted = canonical_entries(rows, cols, estimates, tau)
+        wanted = set(cluster_ids)
+        columns = [col for col, cid in enumerate(rep_clusters) if cid in wanted]
+        inside = np.isin(full[0], list(subset.values())) & np.isin(full[1], columns)
+        for got, expected in zip(restricted, full):
+            assert got.tobytes() == expected[inside].tobytes()
+
+        dense = index.prepare_coverage(
+            1e9, InconveniencePreference(), engine="dense"
+        ).coverage.detours
+        assert dense.tobytes() == reference(index.instance_for(1e9), 1e9).tobytes()
