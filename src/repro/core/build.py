@@ -29,15 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.gdsp import GreedyGDSP
+from repro.core.gdsp import GDSPResult, GreedyGDSP
 from repro.core.netclus import (
-    NetClusCluster,
     NetClusIndex,
     NetClusInstance,
+    Ragged,
     register_trajectory_batch,
 )
 from repro.network.graph import RoadNetwork
@@ -99,26 +100,27 @@ def compute_neighbor_lists(
     engine: ShortestPathEngine,
     radius_km: float,
     gamma: float,
-) -> list[list[tuple[int, float]]]:
+) -> Ragged:
     """Neighbour lists ``CL(g_i)`` for one instance's cluster centers.
 
     For every cluster, the (cluster id, center round-trip distance) pairs
-    of the clusters whose centers lie within round-trip
+    of the other clusters whose centers lie within round-trip
     ``4 R_p (1 + γ)``, sorted by distance (ties keep cluster-id order).
     """
     centers = list(centers)
     threshold = 4.0 * radius_km * (1.0 + gamma)
     forward = engine.distances_from(centers, limit=threshold)[:, centers]
     round_trip = forward + forward.T
-    neighbor_lists: list[list[tuple[int, float]]] = []
-    for i in range(len(centers)):
-        neighbor_ids = np.flatnonzero(round_trip[i] <= threshold)
-        neighbors = [
-            (int(j), float(round_trip[i, j])) for j in neighbor_ids if int(j) != i
-        ]
-        neighbors.sort(key=lambda item: item[1])
-        neighbor_lists.append(neighbors)
-    return neighbor_lists
+    within = round_trip <= threshold
+    np.fill_diagonal(within, False)
+    owners, neighbor_ids = np.nonzero(within)
+    distances = round_trip[owners, neighbor_ids]
+    order = np.lexsort((neighbor_ids, distances, owners))
+    return Ragged(
+        np.concatenate(([0], np.cumsum(within.sum(axis=1), dtype=np.int64))),
+        neighbor_ids[order].astype(np.int64),
+        distances[order].astype(np.float64),
+    )
 
 
 def build_index(
@@ -182,26 +184,13 @@ def build_index(
     instances: list[NetClusInstance] = []
     for instance_id, gdsp_result in enumerate(gdsp_results):
         with Timer() as election_timer:
-            clusters: list[NetClusCluster] = []
-            for gdsp_cluster in gdsp_result.clusters:
-                cluster = NetClusCluster(
-                    cluster_id=gdsp_cluster.cluster_id,
-                    center=gdsp_cluster.center,
-                    nodes=dict(
-                        zip(gdsp_cluster.nodes, gdsp_cluster.node_round_trip_km)
-                    ),
-                )
-                NetClusIndex._elect_representative(
-                    cluster, site_set, representative_strategy, visit_counts
-                )
-                clusters.append(cluster)
-            instance = NetClusInstance(
-                instance_id=instance_id,
-                radius_km=radii[instance_id],
-                gamma=gamma,
-                clusters=clusters,
-                node_to_cluster=dict(gdsp_result.node_to_cluster),
-                mean_dominating_set_size=gdsp_result.mean_dominating_set_size,
+            instance = _clustered_instance(instance_id, radii[instance_id], gamma, gdsp_result)
+            NetClusIndex._elect_representative(
+                instance,
+                np.arange(instance.num_clusters),
+                site_set,
+                representative_strategy,
+                visit_counts,
             )
             instances.append(instance)
         election_per_instance.append(election_timer.elapsed)
@@ -221,9 +210,7 @@ def build_index(
     registration_per_instance: list[float] = []
     for instance in instances:
         with Timer() as registration_timer:
-            register_trajectory_batch(
-                instance, network.num_nodes, traj_ids, node_arrays
-            )
+            register_trajectory_batch(instance, traj_ids, node_arrays)
         registration_per_instance.append(registration_timer.elapsed)
     stats.append(
         BuildStats(
@@ -237,14 +224,9 @@ def build_index(
     neighbors_per_instance: list[float] = []
     for instance in instances:
         with Timer() as neighbor_timer:
-            neighbor_lists = compute_neighbor_lists(
-                [cluster.center for cluster in instance.clusters],
-                engine,
-                instance.radius_km,
-                gamma,
+            instance.nb = compute_neighbor_lists(
+                instance.centers.tolist(), engine, instance.radius_km, gamma
             )
-        for cluster, neighbors in zip(instance.clusters, neighbor_lists):
-            cluster.neighbors = neighbors
         neighbors_per_instance.append(neighbor_timer.elapsed)
     stats.append(
         BuildStats(
@@ -286,3 +268,35 @@ def build_index(
     index._engine = engine
     return index
 
+
+def _clustered_instance(
+    instance_id: int, radius_km: float, gamma: float, gdsp_result: GDSPResult
+) -> NetClusInstance:
+    """An instance holding one GDSP clustering, before any election or
+    registration: centers, member nodes in GDSP order and the node →
+    cluster assignment."""
+    members = [
+        dict(zip(cluster.nodes, cluster.node_round_trip_km))
+        for cluster in gdsp_result.clusters
+    ]
+    indptr = np.zeros(len(members) + 1, dtype=np.int64)
+    np.cumsum([len(nodes) for nodes in members], out=indptr[1:])
+    assignment = gdsp_result.node_to_cluster
+    return NetClusInstance(
+        instance_id=instance_id,
+        radius_km=radius_km,
+        gamma=gamma,
+        centers=np.asarray([c.center for c in gdsp_result.clusters], dtype=np.int64),
+        nodes=Ragged(
+            indptr,
+            np.fromiter(chain.from_iterable(members), np.int64, int(indptr[-1])),
+            np.fromiter(
+                chain.from_iterable(nodes.values() for nodes in members),
+                np.float64,
+                int(indptr[-1]),
+            ),
+        ),
+        n2c_nodes=np.fromiter(assignment.keys(), np.int64, len(assignment)),
+        n2c_clusters=np.fromiter(assignment.values(), np.int64, len(assignment)),
+        mean_dominating_set_size=gdsp_result.mean_dominating_set_size,
+    )

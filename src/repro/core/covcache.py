@@ -50,7 +50,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -163,10 +162,9 @@ class _DeltaProbe:
     version_before: int
     #: sorted registry rows of the trajectories about to be removed
     removed_rows: np.ndarray
-    #: per instance (only those backing live parts): cluster_id →
-    #: (representative, representative_round_trip_km) for every cluster
-    #: that currently has a representative
-    rep_state: dict[int, dict[int, tuple[int, float]]]
+    #: per instance id (only those backing live parts): copies of the
+    #: instance's ``(reps, rep_rt)`` arrays
+    rep_state: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
 @guarded_by(
@@ -362,18 +360,11 @@ class CoverageCache:
                 dtype=np.int64,
             )
         )
-        rep_state: dict[int, dict[int, tuple[int, float]]] = {}
-        for instance in index.instances:
-            if instance.instance_id not in instance_ids:
-                continue
-            rep_state[instance.instance_id] = {
-                cluster.cluster_id: (
-                    int(cluster.representative),
-                    float(cluster.representative_round_trip_km),
-                )
-                for cluster in instance.clusters
-                if cluster.has_representative
-            }
+        rep_state = {
+            instance.instance_id: (instance.reps.copy(), instance.rep_rt.copy())
+            for instance in index.instances
+            if instance.instance_id in instance_ids
+        }
         return _DeltaProbe(
             version_before=index.version,
             removed_rows=removed_rows,
@@ -459,27 +450,14 @@ class CoverageCache:
             cols, estimates = cols[keep], estimates[keep]
 
         # 2. representative diff → carried vs recomputed columns
-        old_state = probe.rep_state.get(part.instance_id, {})
-        new_reps = instance.representatives()
-        new_rep_sites = [cluster.representative for cluster in new_reps]
-        new_rep_clusters = [cluster.cluster_id for cluster in new_reps]
-        new_state = {
-            cluster.cluster_id: (
-                int(cluster.representative),
-                float(cluster.representative_round_trip_km),
-            )
-            for cluster in new_reps
-        }
-        changed = {
-            cid
-            for cid in set(old_state) | set(new_state)
-            if old_state.get(cid) != new_state.get(cid)
-        }
-        new_position = {cid: col for col, cid in enumerate(new_rep_clusters)}
-        old_to_new = np.full(len(part.rep_clusters), -1, dtype=np.int64)
-        for old_col, cid in enumerate(part.rep_clusters):
-            if cid not in changed and cid in new_position:
-                old_to_new[old_col] = new_position[cid]
+        old_reps, old_rep_rt = probe.rep_state[part.instance_id]
+        has_rep = instance.reps >= 0
+        changed = (old_reps != instance.reps) | (has_rep & (old_rep_rt != instance.rep_rt))
+        new_rep_clusters = np.flatnonzero(has_rep)
+        new_position = np.full(len(has_rep), -1, dtype=np.int64)
+        new_position[new_rep_clusters] = np.arange(len(new_rep_clusters))
+        new_position[changed] = -1
+        old_to_new = new_position[np.asarray(part.rep_clusters, dtype=np.int64)]
         if len(cols):
             mapped = old_to_new[cols]
             keep = mapped >= 0
@@ -490,8 +468,8 @@ class CoverageCache:
         merged_estimates = [estimates]
 
         registry = index._trajectory_rows
-        recompute = sorted(cid for cid in changed if cid in new_position)
-        if recompute:
+        recompute = np.flatnonzero(changed & has_rep)
+        if len(recompute):
             r_rows, r_cols, r_estimates, _, _ = instance.coverage_entries(
                 registry, tau_km, recompute
             )
@@ -505,7 +483,7 @@ class CoverageCache:
                 trajectory.traj_id: registry[trajectory.traj_id]
                 for trajectory in batch.add_trajectories
             }
-            carried = [cid for cid in new_rep_clusters if cid not in changed]
+            carried = np.flatnonzero(~changed & has_rep)
             a_rows, a_cols, a_estimates, _, _ = instance.coverage_entries(
                 subset, tau_km, carried
             )
@@ -520,8 +498,8 @@ class CoverageCache:
             np.concatenate(merged_estimates),
             tau_km,
         )
-        part.rep_sites = [int(s) for s in new_rep_sites]
-        part.rep_clusters = [int(c) for c in new_rep_clusters]
+        part.rep_sites = instance.reps[new_rep_clusters].tolist()
+        part.rep_clusters = new_rep_clusters.tolist()
         expected = (
             part.num_trajectories - int(removed.size) + len(batch.add_trajectories)
         )
@@ -656,24 +634,15 @@ def materialise_coverage(
 
     The canonical ≤ τ entries determine every engine: the sparse index
     takes them as they are, the bitset index packs them, and the dense
-    matrix holds them with ``inf`` in every other cell.  Without an
-    explicit *instance*, a lazily-rebuilt ladder (v4 mmap loads) defers
-    the rung: a warm hit only reads its summary scalars, so the rung's
-    cluster dictionaries are rebuilt only if something downstream
-    (existing-site mapping, patching) asks for them.
+    matrix holds them with ``inf`` in every other cell.  *instance*
+    defaults to the index's instance with id *instance_id*.
     """
     from repro.core.netclus import ClusteredCoverage
 
     trajectory_ids = index.trajectory_ids
     num_trajectories = len(trajectory_ids)
-    instance_factory = None
-    instance_summary = None
     if instance is None:
-        instance_summary = _instance_summary_of(index, instance_id)
-        if instance_summary is not None:
-            instance_factory = partial(_instance_of, index, instance_id)
-        else:
-            instance = _instance_of(index, instance_id)
+        instance = _instance_of(index, instance_id)
     coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
     if engine == "dense":
         detours = np.full((num_trajectories, len(rep_sites)), np.inf)
@@ -717,47 +686,12 @@ def materialise_coverage(
         representative_clusters=list(rep_clusters),
         engine=engine,
         index_version=index.version,
-        instance_factory=instance_factory,
-        instance_summary=instance_summary,
     )
 
 
 def _instance_of(index: "NetClusIndex", instance_id: int) -> "NetClusInstance":
-    """The live index instance with the given id (refuse if gone).
-
-    A lazily-rebuilt ladder (v4 mmap loads) answers id → position without
-    materialising, so only the matching rung is ever rebuilt; a plain list
-    is scanned.
-    """
-    instances = index.instances
-    position_of = getattr(instances, "position_of", None)
-    if position_of is not None:
-        position = position_of(instance_id)
-        if position is None:
-            raise KeyError(f"index has no instance {instance_id}")
-        return instances[position]
-    for instance in instances:
+    """The live index instance with the given id (refuse if gone)."""
+    for instance in index.instances:
         if instance.instance_id == instance_id:
             return instance
     raise KeyError(f"index has no instance {instance_id}")
-
-
-def _instance_summary_of(
-    index: "NetClusIndex", instance_id: int
-) -> tuple[int, float, int] | None:
-    """``(id, radius_km, num_clusters)`` without materialising, or ``None``.
-
-    ``None`` means the instance ladder cannot answer cheaply (a plain
-    eager list) — the caller should materialise via :func:`_instance_of`
-    instead (refusing there if the id is gone).
-    """
-    instances = index.instances
-    position_of = getattr(instances, "position_of", None)
-    summary_of = getattr(instances, "summary_of", None)
-    if position_of is None or summary_of is None:
-        return None
-    position = position_of(instance_id)
-    if position is None:
-        raise KeyError(f"index has no instance {instance_id}")
-    summary: tuple[int, float, int] = summary_of(position)
-    return summary

@@ -31,7 +31,8 @@ Inc-Greedy (or FM-greedy for the binary instance) runs over the cluster
 representatives.
 
 Dynamic updates (Section 6) — addition/deletion of candidate sites and
-trajectories — modify the affected clusters of every instance in place.
+trajectories — edit the affected clusters of every instance: vectorised
+edits of the instance's arrays, each made on a copy (copy-on-write).
 Updates can be applied one at a time (:meth:`NetClusIndex.add_trajectory`
 and friends) or, far cheaper per item, as a batch through
 :class:`UpdateBatch`/:meth:`NetClusIndex.apply_updates` and the plural
@@ -46,8 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +74,7 @@ __all__ = [
     "NetClusInstance",
     "NetClusIndex",
     "ClusteredCoverage",
+    "Ragged",
     "UpdateBatch",
     "register_trajectory_batch",
 ]
@@ -85,29 +86,26 @@ _TAU_BOUNDARY_RTOL = 1e-9
 
 def register_trajectory_batch(
     instance: "NetClusInstance",
-    num_nodes: int,
     traj_ids: Sequence[int],
     node_arrays: Sequence[np.ndarray],
 ) -> None:
     """Register a batch of trajectories into one index instance.
 
     The single registration implementation shared by the offline build and
-    the streaming update engine.  Builds dense node→cluster and
-    node→round-trip lookup arrays once per instance (cached on the
-    instance), then reduces the *whole batch's* (trajectory, node) pairs to
-    per-(cluster, trajectory) minimum legs with a single lexsort + grouped
-    minimum instead of per-node dictionary probes per trajectory.
+    the streaming update engine.  Maps the *whole batch's* (trajectory,
+    node) pairs through the instance's cached node→cluster and
+    node→round-trip lookup arrays, then reduces them to per-(cluster,
+    trajectory) minimum legs with a single lexsort + grouped minimum.
 
-    The produced trajectory lists carry, per cluster, ``dr(T, c_i)`` — the
-    minimum round-trip from any visited member node to the cluster center —
-    with dict insertion order equal to batch order (clusters see
-    trajectories in the order they were registered, which downstream
-    tie-breaks rely on).  Node ids outside ``[0, num_nodes)`` or outside
-    every cluster are ignored, like an unclustered node in a per-node walk.
+    Each cluster's trajectory list gains ``dr(T, c_i)`` — the minimum
+    round-trip from any visited member node to the cluster center — after
+    its existing entries, in batch order (clusters see trajectories in the
+    order they were registered, which downstream tie-breaks rely on).  Node
+    ids outside the network or outside every cluster are ignored.
     """
-    cluster_of, round_trip_of = instance.node_lookup_arrays(num_nodes)
     if not len(node_arrays):
         return
+    cluster_of, round_trip_of = instance.node_lookup_arrays()
     all_nodes = np.concatenate(list(node_arrays))
     positions = np.repeat(
         np.arange(len(node_arrays)), [len(nodes) for nodes in node_arrays]
@@ -123,8 +121,8 @@ def register_trajectory_batch(
     cluster_ids, legs, positions = cluster_ids[valid], legs[valid], positions[valid]
     if len(cluster_ids) == 0:
         return
-    # group by (cluster, batch position): position-minor order reproduces
-    # the insertion order of a per-trajectory registration walk
+    # group by (cluster, batch position): cluster-major runs, position-minor
+    # order reproduces the insertion order of a per-trajectory walk
     order = np.lexsort((positions, cluster_ids))
     cluster_ids, legs, positions = (
         cluster_ids[order],
@@ -136,18 +134,93 @@ def register_trajectory_batch(
         (cluster_ids[1:] != cluster_ids[:-1]) | (positions[1:] != positions[:-1]),
     ]
     starts = np.flatnonzero(boundary)
-    min_legs = np.minimum.reduceat(legs, starts)
-    clusters = instance.clusters
-    traj_ids = [int(t) for t in traj_ids]
-    for cluster_id, position, leg in zip(
-        cluster_ids[starts].tolist(), positions[starts].tolist(), min_legs.tolist()
-    ):
-        clusters[cluster_id].trajectory_list[traj_ids[position]] = leg
+    ids = np.asarray(traj_ids, dtype=np.int64)
+    instance.tl = instance.tl.append(
+        cluster_ids[starts], ids[positions[starts]], np.minimum.reduceat(legs, starts)
+    )
+
+
+class Ragged(NamedTuple):
+    """Per-cluster ragged lists in CSR form.
+
+    Cluster ``c`` owns ``ids[indptr[c]:indptr[c + 1]]`` and the aligned
+    ``vals`` slice, in list order.  Edits return a new :class:`Ragged` and
+    never write into the arrays, so read-only views (a mapped index blob)
+    are copied exactly when, and only where, something changes them.
+    """
+
+    indptr: np.ndarray
+    ids: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def empty(cls, num_rows: int) -> "Ragged":
+        """``num_rows`` empty lists."""
+        return cls(
+            np.zeros(num_rows + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+
+    @property
+    def num_rows(self) -> int:
+        """Number of lists (clusters)."""
+        return len(self.indptr) - 1
+
+    def lengths(self) -> np.ndarray:
+        """Length of every list."""
+        return np.diff(self.indptr)
+
+    def owners(self) -> np.ndarray:
+        """The owning row of every entry."""
+        return np.repeat(np.arange(self.num_rows, dtype=np.int64), self.lengths())
+
+    def expand(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lengths, entries)``: every entry position of *rows*, row by row."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        shifts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return lengths, np.arange(len(shifts), dtype=np.int64) + shifts
+
+    def keep(self, mask: np.ndarray) -> "Ragged":
+        """The entries where *mask* holds, each list keeping its order."""
+        if mask.all():
+            return self
+        kept = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+        return Ragged(kept[self.indptr], self.ids[mask], self.vals[mask])
+
+    def append(self, owners: np.ndarray, ids: np.ndarray, vals: np.ndarray) -> "Ragged":
+        """Append entries (*owners* non-decreasing) after each list's entries."""
+        if not len(owners):
+            return self
+        all_owners = np.concatenate((self.owners(), owners))
+        # a stable sort of two sorted runs is one linear merge; existing
+        # entries precede new ones within each list
+        order = np.argsort(all_owners, kind="stable")
+        indptr = np.zeros(self.num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(all_owners, minlength=self.num_rows), out=indptr[1:])
+        return Ragged(
+            indptr,
+            np.concatenate((self.ids, ids)).astype(np.int64, copy=False)[order],
+            np.concatenate((self.vals, vals)).astype(np.float64, copy=False)[order],
+        )
+
+    def rows(self) -> list[list[tuple[int, float]]]:
+        """Every list as Python ``(id, value)`` pairs (snapshots, reports)."""
+        ids, vals, bounds = self.ids.tolist(), self.vals.tolist(), self.indptr.tolist()
+        return [
+            list(zip(ids[start:stop], vals[start:stop]))
+            for start, stop in zip(bounds, bounds[1:])
+        ]
 
 
 @dataclass
 class NetClusCluster:
-    """All per-cluster information stored by a NetClus index instance."""
+    """A read-only snapshot of one cluster of a :class:`NetClusInstance`.
+
+    Built on demand by :attr:`NetClusInstance.clusters` for tests and
+    reports; editing it does not change the instance.
+    """
 
     cluster_id: int
     center: int
@@ -169,23 +242,57 @@ class NetClusCluster:
 
 
 class NetClusInstance:
-    """One clustering resolution ``I_p`` of the NetClus index."""
+    """One clustering resolution ``I_p`` of the NetClus index.
+
+    The state is a handful of arrays — exactly the ones an index directory
+    stores, so a loaded instance wraps read-only views of the mapped blob:
+
+    * ``centers`` — center node of every cluster;
+    * ``reps`` / ``rep_rt`` — representative node (−1: none) and its
+      round-trip distance to the center (``inf``: none);
+    * ``nodes`` — member nodes with their round-trip to the center, in
+      GDSP order (which breaks re-election ties);
+    * ``tl`` — the trajectory lists ``T L(g_i)`` (trajectory id,
+      ``dr(T, c_i)``), in registration order;
+    * ``nb`` — the neighbour lists ``CL(g_i)`` (cluster id,
+      ``dr(c_i, c_j)``), nearest first;
+    * ``n2c_nodes`` / ``n2c_clusters`` — the node → cluster assignment.
+
+    Updates replace an array with an edited copy rather than writing into
+    it, so a loaded instance never writes through to its file.
+    """
 
     def __init__(
         self,
         instance_id: int,
         radius_km: float,
         gamma: float,
-        clusters: list[NetClusCluster],
-        node_to_cluster: dict[int, int],
+        *,
+        centers: np.ndarray,
+        nodes: Ragged,
+        n2c_nodes: np.ndarray,
+        n2c_clusters: np.ndarray,
+        reps: np.ndarray | None = None,
+        rep_rt: np.ndarray | None = None,
+        tl: Ragged | None = None,
+        nb: Ragged | None = None,
         build_seconds: float = 0.0,
         mean_dominating_set_size: float = 0.0,
     ) -> None:
+        num_clusters = len(centers)
         self.instance_id = instance_id
         self.radius_km = radius_km
         self.gamma = gamma
-        self.clusters = clusters
-        self.node_to_cluster = node_to_cluster
+        self.centers = centers
+        self.nodes = nodes
+        self.n2c_nodes = n2c_nodes
+        self.n2c_clusters = n2c_clusters
+        self.reps = np.full(num_clusters, -1, dtype=np.int64) if reps is None else reps
+        self.rep_rt = (
+            np.full(num_clusters, np.inf, dtype=np.float64) if rep_rt is None else rep_rt
+        )
+        self.tl = Ragged.empty(num_clusters) if tl is None else tl
+        self.nb = Ragged.empty(num_clusters) if nb is None else nb
         self.build_seconds = build_seconds
         self.mean_dominating_set_size = mean_dominating_set_size
         self._node_lookup: tuple[np.ndarray, np.ndarray] | None = None
@@ -194,78 +301,102 @@ class NetClusInstance:
     @property
     def num_clusters(self) -> int:
         """η_p — number of clusters in this instance."""
-        return len(self.clusters)
+        return len(self.centers)
+
+    @property
+    def num_representatives(self) -> int:
+        """Number of clusters that have a representative candidate site."""
+        return int(np.count_nonzero(self.reps >= 0))
 
     @property
     def tau_range(self) -> tuple[float, float]:
         """The half-open range of coverage thresholds this instance serves."""
         return 4.0 * self.radius_km, 4.0 * self.radius_km * (1.0 + self.gamma)
 
-    def representatives(self) -> list[NetClusCluster]:
-        """Clusters that have a representative candidate site."""
-        return [cluster for cluster in self.clusters if cluster.has_representative]
+    @property
+    def clusters(self) -> list[NetClusCluster]:
+        """A per-cluster snapshot of the arrays, built on every access."""
+        nodes, tl, nb = self.nodes.rows(), self.tl.rows(), self.nb.rows()
+        reps, rep_rt = self.reps.tolist(), self.rep_rt.tolist()
+        return [
+            NetClusCluster(
+                cluster_id=cid,
+                center=center,
+                nodes=dict(nodes[cid]),
+                representative=reps[cid] if reps[cid] >= 0 else None,
+                representative_round_trip_km=rep_rt[cid] if reps[cid] >= 0 else math.inf,
+                trajectory_list=dict(tl[cid]),
+                neighbors=nb[cid],
+            )
+            for cid, center in enumerate(self.centers.tolist())
+        ]
 
-    def cluster_of_node(self, node: int) -> NetClusCluster:
-        """Return the cluster containing *node*."""
-        return self.clusters[self.node_to_cluster[node]]
+    @property
+    def node_to_cluster(self) -> dict[int, int]:
+        """A snapshot of the node → cluster assignment, in insertion order."""
+        return dict(zip(self.n2c_nodes.tolist(), self.n2c_clusters.tolist()))
 
-    def node_lookup_arrays(self, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    def node_lookup_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense node→cluster and node→round-trip lookup arrays (cached).
 
-        Cluster membership is fixed after the offline build except for the
-        rare dynamic attach of an unclustered node, which calls
-        :meth:`invalidate_node_lookup`; the arrays are therefore built once
-        and shared by every batched registration.
+        Indexed by node id up to the largest clustered node; ``-1`` / ``inf``
+        mark a node outside every cluster.  Cluster membership is fixed
+        after the offline build except for the rare dynamic attach of an
+        unclustered node (:meth:`attach_node`), which drops the cache.
         """
-        if self._node_lookup is None or len(self._node_lookup[0]) != num_nodes:
-            cluster_of = np.full(num_nodes, -1, dtype=np.int64)
-            if self.node_to_cluster:
-                keys = np.fromiter(
-                    self.node_to_cluster.keys(), np.int64, len(self.node_to_cluster)
-                )
-                values = np.fromiter(
-                    self.node_to_cluster.values(), np.int64, len(self.node_to_cluster)
-                )
-                cluster_of[keys] = values
-            round_trip_of = np.full(num_nodes, np.inf, dtype=np.float64)
-            for cluster in self.clusters:
-                if not cluster.nodes:
-                    continue
-                member_ids = np.fromiter(
-                    cluster.nodes.keys(), np.int64, len(cluster.nodes)
-                )
-                member_legs = np.fromiter(
-                    cluster.nodes.values(), np.float64, len(cluster.nodes)
-                )
-                # only the owning cluster's leg counts (a node can also appear
-                # in another cluster's nodes after a dynamic attach)
-                owned = cluster_of[member_ids] == cluster.cluster_id
-                round_trip_of[member_ids[owned]] = member_legs[owned]
+        if self._node_lookup is None:
+            size = 0
+            for ids in (self.n2c_nodes, self.nodes.ids):
+                if len(ids):
+                    size = max(size, int(ids.max()) + 1)
+            cluster_of = np.full(size, -1, dtype=np.int64)
+            cluster_of[self.n2c_nodes] = self.n2c_clusters
+            round_trip_of = np.full(size, np.inf, dtype=np.float64)
+            # only the owning cluster's leg counts (a node can also appear
+            # in another cluster's nodes after a dynamic attach)
+            owned = cluster_of[self.nodes.ids] == self.nodes.owners()
+            round_trip_of[self.nodes.ids[owned]] = self.nodes.vals[owned]
             self._node_lookup = (cluster_of, round_trip_of)
         return self._node_lookup
 
-    def invalidate_node_lookup(self) -> None:
-        """Drop the cached lookup arrays (cluster membership changed)."""
+    def cluster_ids_of(self, nodes: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The cluster of every node in *nodes* (``-1``: none)."""
+        cluster_of, _ = self.node_lookup_arrays()
+        nodes = np.asarray(nodes, dtype=np.int64)
+        found = np.full(len(nodes), -1, dtype=np.int64)
+        inside = (nodes >= 0) & (nodes < len(cluster_of))
+        found[inside] = cluster_of[nodes[inside]]
+        return found
+
+    def attach_node(self, node: int, cluster_id: int, round_trip_km: float) -> None:
+        """Make an unclustered *node* a member of cluster *cluster_id*."""
+        self.n2c_nodes = np.append(self.n2c_nodes, np.int64(node))
+        self.n2c_clusters = np.append(self.n2c_clusters, np.int64(cluster_id))
+        self.nodes = self.nodes.append(
+            np.asarray([cluster_id], dtype=np.int64),
+            np.asarray([node], dtype=np.int64),
+            np.asarray([round_trip_km], dtype=np.float64),
+        )
         self._node_lookup = None
 
     def mean_trajectory_list_size(self) -> float:
         """Average |T L| across clusters (Table 11)."""
-        if not self.clusters:
+        if not self.num_clusters:
             return 0.0
-        return float(np.mean([c.num_trajectories for c in self.clusters]))
+        return float(np.mean(self.tl.lengths()))
 
     def mean_neighbor_count(self) -> float:
         """Average |CL| across clusters (Table 11)."""
-        if not self.clusters:
+        if not self.num_clusters:
             return 0.0
-        return float(np.mean([len(c.neighbors) for c in self.clusters]))
+        return float(np.mean(self.nb.lengths()))
 
     # ------------------------------------------------------------------ #
     def coverage_entries(
         self,
         trajectory_rows: dict[int, int],
         tau_km: float,
-        cluster_ids: Sequence[int] | None = None,
+        cluster_ids: Sequence[int] | np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
         """The clustered-space coverage entries with ``d̂r ≤ τ`` (Section 5.1).
 
@@ -290,100 +421,84 @@ class NetClusInstance:
         Returns
         -------
         (rows, cols, estimates, representative_sites, representative_cluster_ids)
-            Columns are positions in the current :meth:`representatives`
-            list, which the last two lists describe in full.
+            Columns are positions in the list of clusters that have a
+            representative (ascending cluster id), which the last two lists
+            describe in full.
         """
-        reps = self.representatives()
-        rep_sites = [cluster.representative for cluster in reps]
-        rep_cluster_ids = [cluster.cluster_id for cluster in reps]
+        rep_clusters = np.flatnonzero(self.reps >= 0)
         if cluster_ids is None:
-            columns = list(range(len(reps)))
+            columns = np.arange(len(rep_clusters), dtype=np.int64)
         else:
-            wanted = {int(c) for c in cluster_ids}
-            columns = [col for col, cid in enumerate(rep_cluster_ids) if cid in wanted]
-        selected = [reps[col] for col in columns]
+            wanted = np.fromiter(cluster_ids, np.int64, len(cluster_ids))
+            columns = np.flatnonzero(np.isin(rep_clusters, wanted))
+        selected = rep_clusters[columns]
 
         # 1. membership CSR: cluster -> (registry rows, legs)
-        member_offsets, member_rows, member_legs = self._membership(trajectory_rows)
+        members = self._membership(trajectory_rows)
 
         # 2. (column, source cluster, center distance, representative leg)
         #    pairs: each column's own cluster first, then its neighbours
-        pair_counts = np.fromiter(
-            (len(cluster.neighbors) + 1 for cluster in selected), np.int64, len(selected)
-        )
+        neighbor_counts, neighbor_entries = self.nb.expand(selected)
+        pair_counts = neighbor_counts + 1
         own = np.cumsum(pair_counts) - pair_counts
         is_neighbor = np.ones(int(pair_counts.sum()), dtype=bool)
         is_neighbor[own] = False
-        neighbors = list(chain.from_iterable(cluster.neighbors for cluster in selected))
         sources = np.empty(len(is_neighbor), dtype=np.int64)
-        sources[own] = [cluster.cluster_id for cluster in selected]
-        sources[is_neighbor] = [neighbor_id for neighbor_id, _ in neighbors]
+        sources[own] = selected
+        sources[is_neighbor] = self.nb.ids[neighbor_entries]
         centers = np.zeros(len(is_neighbor), dtype=np.float64)
-        centers[is_neighbor] = [center_distance for _, center_distance in neighbors]
-        rep_legs = [cluster.representative_round_trip_km for cluster in selected]
-        pair_cols = np.repeat(np.asarray(columns, dtype=np.int64), pair_counts)
-        pair_rep_legs = np.repeat(np.asarray(rep_legs, dtype=np.float64), pair_counts)
+        centers[is_neighbor] = self.nb.vals[neighbor_entries]
+        pair_cols = np.repeat(columns, pair_counts)
+        pair_rep_legs = np.repeat(self.rep_rt[selected], pair_counts)
         near = centers <= tau_km
         sources, centers = sources[near], centers[near]
         pair_cols, pair_rep_legs = pair_cols[near], pair_rep_legs[near]
 
         # 3. expand every pair over its source cluster's members
-        starts = member_offsets[sources]
-        lengths = member_offsets[sources + 1] - starts
-        shifts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        members = np.arange(len(shifts), dtype=np.int64) + shifts
+        lengths, entries = members.expand(sources)
 
         # 4. the estimate in the online phase's float order, one ≤ τ filter
         estimates = (
-            member_legs[members]
+            members.vals[entries]
             + np.repeat(centers, lengths)
             + np.repeat(pair_rep_legs, lengths)
         )
         within = estimates <= tau_km
         return (
-            member_rows[members][within],
+            members.ids[entries][within],
             np.repeat(pair_cols, lengths)[within],
             estimates[within],
-            rep_sites,
-            rep_cluster_ids,
+            self.reps[rep_clusters].tolist(),
+            rep_clusters.tolist(),
         )
 
-    def _membership(
-        self, trajectory_rows: dict[int, int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cluster → (registry rows, legs) CSR over the mapped trajectories.
+    def _membership(self, trajectory_rows: dict[int, int]) -> Ragged:
+        """Cluster → (registry rows, legs) over the mapped trajectories.
 
-        Returns ``(offsets, rows, legs)``: cluster ``c``'s members are
-        ``rows[offsets[c]:offsets[c + 1]]`` in trajectory-list order.  Ids
+        The trajectory lists with every id replaced by its registry row and
+        every unmapped trajectory dropped, in trajectory-list order.  Ids
         are matched by binary search over the sorted mapping keys, so no
         array is sized by the largest id.
         """
-        lists = [cluster.trajectory_list for cluster in self.clusters]
-        sizes = np.fromiter(map(len, lists), np.int64, len(lists))
-        total = int(sizes.sum())
-        ids = np.fromiter(chain.from_iterable(lists), np.int64, total)
-        legs = np.fromiter(chain.from_iterable(tl.values() for tl in lists), np.float64, total)
         known_ids = np.fromiter(trajectory_rows.keys(), np.int64, len(trajectory_rows))
         known_rows = np.fromiter(trajectory_rows.values(), np.int64, len(trajectory_rows))
         order = np.argsort(known_ids)
         known_ids, known_rows = known_ids[order], known_rows[order]
+        ids = self.tl.ids
         at = np.searchsorted(known_ids, ids)
         found = at < len(known_ids)
         found[found] = known_ids[at[found]] == ids[found]
-        owners = np.repeat(np.arange(len(lists), dtype=np.int64), sizes)[found]
-        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owners, minlength=len(lists)), out=offsets[1:])
-        return offsets, known_rows[at[found]], legs[found]
+        kept = self.tl.keep(found)
+        return Ragged(kept.indptr, known_rows[at[found]], kept.vals)
 
     def storage_bytes(self) -> int:
-        """Approximate bytes of the per-cluster payload (Table 7 / Table 9)."""
-        total = 0
-        for cluster in self.clusters:
-            total += 16 * len(cluster.nodes)
-            total += 16 * len(cluster.trajectory_list)
-            total += 16 * len(cluster.neighbors)
-            total += 32  # center, representative, radii bookkeeping
-        return total
+        """Approximate bytes of the per-cluster payload (Table 7 / Table 9).
+
+        16 bytes per member node, trajectory-list entry and neighbour, plus
+        32 per cluster for its center, representative and radii.
+        """
+        entries = len(self.nodes.ids) + len(self.tl.ids) + len(self.nb.ids)
+        return 16 * entries + 32 * self.num_clusters
 
 
 class ClusteredCoverage:
@@ -396,19 +511,10 @@ class ClusteredCoverage:
     per ``(τ, ψ)`` group of a batch, which is what amortises the
     instance-resolution and coverage-construction work.
 
-    The backing instance may be supplied *deferred*: a coverage-cache hit
-    only ever reads three instance scalars (id, radius, cluster count) for
-    result metadata, so on a lazily-rebuilt ladder (v4 mmap loads) the
-    cache passes ``instance_factory`` + ``instance_summary`` instead of a
-    materialised instance, and the rung's cluster dictionaries are only
-    rebuilt if something genuinely needs them (``existing_sites`` mapping,
-    update patching).
-
     Attributes
     ----------
     instance:
-        The index instance ``I_p`` selected for τ (materialised on first
-        access when the coverage was built with a deferred instance).
+        The index instance ``I_p`` selected for τ.
     coverage:
         The coverage index over the cluster representatives (dense,
         sparse or bitset, depending on the requested engine).
@@ -427,69 +533,19 @@ class ClusteredCoverage:
 
     def __init__(
         self,
-        instance: NetClusInstance | None = None,
-        coverage: (
-            CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
-        ) = None,  # type: ignore[assignment]
-        representative_sites: list[int] = None,  # type: ignore[assignment]
-        representative_clusters: list[int] = None,  # type: ignore[assignment]
-        engine: str = None,  # type: ignore[assignment]
+        instance: NetClusInstance,
+        coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex,
+        representative_sites: list[int],
+        representative_clusters: list[int],
+        engine: str,
         index_version: int = 0,
-        *,
-        instance_factory: Callable[[], NetClusInstance] | None = None,
-        instance_summary: tuple[int, float, int] | None = None,
     ) -> None:
-        require(
-            (instance is None) != (instance_factory is None),
-            "ClusteredCoverage needs exactly one of instance or instance_factory",
-        )
-        require(
-            instance is not None or instance_summary is not None,
-            "a deferred instance needs an (id, radius_km, num_clusters) summary",
-        )
-        require(coverage is not None, "ClusteredCoverage needs a coverage index")
-        require(engine is not None, "ClusteredCoverage needs an engine name")
-        self._instance = instance
-        self._instance_factory = instance_factory
-        self._instance_summary = instance_summary
+        self.instance = instance
         self.coverage = coverage
-        self.representative_sites = (
-            list(representative_sites) if representative_sites is not None else []
-        )
-        self.representative_clusters = (
-            list(representative_clusters) if representative_clusters is not None else []
-        )
+        self.representative_sites = list(representative_sites)
+        self.representative_clusters = list(representative_clusters)
         self.engine = engine
         self.index_version = int(index_version)
-
-    @property
-    def instance(self) -> NetClusInstance:
-        """The backing instance, rebuilding a deferred one on first access."""
-        if self._instance is None:
-            assert self._instance_factory is not None
-            self._instance = self._instance_factory()
-        return self._instance
-
-    @property
-    def instance_id(self) -> int:
-        """Instance id — answered from the summary without materialising."""
-        if self._instance is None and self._instance_summary is not None:
-            return int(self._instance_summary[0])
-        return self.instance.instance_id
-
-    @property
-    def instance_radius_km(self) -> float:
-        """Instance cluster radius — summary-backed like :attr:`instance_id`."""
-        if self._instance is None and self._instance_summary is not None:
-            return float(self._instance_summary[1])
-        return self.instance.radius_km
-
-    @property
-    def num_clusters(self) -> int:
-        """Instance cluster count — summary-backed like :attr:`instance_id`."""
-        if self._instance is None and self._instance_summary is not None:
-            return int(self._instance_summary[2])
-        return self.instance.num_clusters
 
     @property
     def tau_km(self) -> float:
@@ -507,10 +563,7 @@ class ClusteredCoverage:
             cid: col for col, cid in enumerate(self.representative_clusters)
         }
         columns: list[int] = []
-        for site in existing_sites:
-            cluster_id = self.instance.node_to_cluster.get(int(site))
-            if cluster_id is None:
-                continue
+        for cluster_id in self.instance.cluster_ids_of(existing_sites).tolist():
             column = cluster_to_column.get(cluster_id)
             if column is not None and column not in columns:
                 columns.append(column)
@@ -626,6 +679,9 @@ class NetClusIndex:
         self._node_visit_counts = node_visit_counts
         self._trajectory_nodes = trajectory_nodes
         self._engine: ShortestPathEngine | None = None
+        #: the network's payload arrays and graph fingerprint, cached by the
+        #: first save or seeded by a load (no update changes the network)
+        self._network_payload: tuple[dict[str, np.ndarray], str] | None = None
         #: optional persistent coverage cache (zero-rebuild queries);
         #: ``None`` until :meth:`enable_coverage_cache` attaches one —
         #: opt-in, so plain indexes behave exactly as before
@@ -722,34 +778,46 @@ class NetClusIndex:
 
     @staticmethod
     def _elect_representative(
-        cluster: NetClusCluster,
-        sites: set[int],
+        instance: NetClusInstance,
+        cluster_ids: np.ndarray,
+        sites: Collection[int],
         strategy: str,
         visit_counts: np.ndarray | None,
     ) -> None:
-        """Choose the cluster representative among its candidate sites.
+        """Elect the representative of each cluster in *cluster_ids* afresh.
 
-        ``"closest"`` picks the site with the smallest round-trip distance to
-        the cluster center; ``"most_frequent"`` picks the site visited by the
-        largest number of trajectories (ties broken by proximity to the
-        center).  The stored ``representative_round_trip_km`` is always the
-        representative's distance to the center, as the online estimate needs
-        it regardless of how the representative was elected.
+        ``"closest"`` picks the candidate site with the smallest round-trip
+        distance to the cluster center; ``"most_frequent"`` picks the site
+        visited by the largest number of trajectories (ties broken by
+        proximity to the center).  Remaining ties go to the earlier member
+        in GDSP order.  The stored ``rep_rt`` is always the representative's
+        distance to the center, as the online estimate needs it regardless
+        of how the representative was elected; a cluster without a
+        candidate site gets ``-1`` / ``inf``.
         """
-        candidate_sites = [
-            (node, round_trip) for node, round_trip in cluster.nodes.items() if node in sites
-        ]
-        if not candidate_sites:
+        cluster_ids = np.unique(np.asarray(cluster_ids, dtype=np.int64))
+        if not len(cluster_ids):
             return
+        lengths, entries = instance.nodes.expand(cluster_ids)
+        owners = np.repeat(cluster_ids, lengths)
+        members = instance.nodes.ids[entries]
+        is_site = np.isin(members, np.fromiter(sites, np.int64, len(sites)))
+        owners, entries, members = owners[is_site], entries[is_site], members[is_site]
+        legs = instance.nodes.vals[entries]
         if strategy == "most_frequent" and visit_counts is not None:
-            best_node, best_round_trip = max(
-                candidate_sites,
-                key=lambda item: (visit_counts[item[0]], -item[1]),
-            )
+            order = np.lexsort((entries, legs, -visit_counts[members], owners))
         else:
-            best_node, best_round_trip = min(candidate_sites, key=lambda item: item[1])
-        cluster.representative = best_node
-        cluster.representative_round_trip_km = best_round_trip
+            order = np.lexsort((entries, legs, owners))
+        ranked = owners[order]
+        # the first candidate of every cluster's run wins
+        best = order[np.r_[True, ranked[1:] != ranked[:-1]]] if len(order) else order
+        reps = instance.reps.copy()
+        rep_rt = instance.rep_rt.copy()
+        reps[cluster_ids] = -1
+        rep_rt[cluster_ids] = np.inf
+        reps[owners[best]] = members[best]
+        rep_rt[owners[best]] = legs[best]
+        instance.reps, instance.rep_rt = reps, rep_rt
 
     # ------------------------------------------------------------------ #
     # online query
@@ -936,11 +1004,9 @@ class NetClusIndex:
             elapsed_seconds=timer.elapsed,
             algorithm=algorithm,
             metadata={
-                # summary-backed accessors: a coverage-cache hit reports
-                # these without materialising the backing instance
-                "instance_id": prepared.instance_id,
-                "instance_radius_km": prepared.instance_radius_km,
-                "num_clusters": prepared.num_clusters,
+                "instance_id": prepared.instance.instance_id,
+                "instance_radius_km": prepared.instance.radius_km,
+                "num_clusters": prepared.instance.num_clusters,
                 "num_representatives": len(prepared.representative_sites),
                 "engine": engine,
             },
@@ -1053,9 +1119,7 @@ class NetClusIndex:
         traj_ids = [trajectory.traj_id for trajectory in trajectories]
         node_arrays = [t.nodes_array() for t in trajectories]
         for instance in self.instances:
-            register_trajectory_batch(
-                instance, self.network.num_nodes, traj_ids, node_arrays
-            )
+            register_trajectory_batch(instance, traj_ids, node_arrays)
         if self._tracks_visits:
             self._ensure_writable_visit_counts()
             touched: set[int] = set()
@@ -1077,8 +1141,8 @@ class NetClusIndex:
     def remove_trajectories(self, traj_ids: Sequence[int]) -> int:
         """Remove the given trajectories; returns the number removed.
 
-        A batch pays the trajectory-registry rebuild and the sweep over the
-        per-cluster trajectory lists once, instead of once per id.
+        A batch pays the trajectory-registry rebuild and one ``isin`` mask
+        over each instance's trajectory lists, instead of one per id.
         """
         removal_order = [int(t) for t in traj_ids]
         removed: set[int] = set()
@@ -1092,10 +1156,9 @@ class NetClusIndex:
         self._trajectory_rows = {
             traj_id: row for row, traj_id in enumerate(self._trajectory_ids)
         }
+        removed_ids = np.fromiter(removed, np.int64, len(removed))
         for instance in self.instances:
-            for cluster in instance.clusters:
-                for traj_id in sorted(removed.intersection(cluster.trajectory_list)):
-                    del cluster.trajectory_list[traj_id]
+            instance.tl = instance.tl.keep(~np.isin(instance.tl.ids, removed_ids))
         if self._tracks_visits:
             self._ensure_writable_visit_counts()
             touched: set[int] = set()
@@ -1128,24 +1191,19 @@ class NetClusIndex:
             return 0
         self.sites.update(new_site_set)
         for instance in self.instances:
-            affected: set[int] = set()
-            for site in new_sites:
-                cluster_id = instance.node_to_cluster.get(site)
-                if cluster_id is None:
-                    # node unseen by this instance (should not happen when the
-                    # instance clustered every node); attach to nearest center
-                    cluster_id = self._nearest_cluster(instance, site)
-                    instance.node_to_cluster[site] = cluster_id
-                    instance.invalidate_node_lookup()
-                cluster = instance.clusters[cluster_id]
-                if site not in cluster.nodes:
-                    cluster.nodes[site] = self._round_trip_to_center(
-                        cluster.center, site
-                    )
-                    instance.invalidate_node_lookup()
-                affected.add(cluster_id)
-            for cluster_id in sorted(affected):
-                self._reelect(instance.clusters[cluster_id])
+            affected = instance.cluster_ids_of(new_sites)
+            for position in np.flatnonzero(affected < 0).tolist():
+                # node unseen by this instance (should not happen when the
+                # instance clustered every node); attach to nearest center
+                site = new_sites[position]
+                cluster_id = self._nearest_cluster(instance, site)
+                instance.attach_node(
+                    site,
+                    cluster_id,
+                    self._round_trip_to_center(int(instance.centers[cluster_id]), site),
+                )
+                affected[position] = cluster_id
+            self._reelect(instance, affected)
         self.version += 1
         return len(new_sites)
 
@@ -1167,17 +1225,13 @@ class NetClusIndex:
         if not removed:
             return 0
         self.sites.difference_update(removed_set)
+        removed_ids = np.asarray(removed, dtype=np.int64)
         for instance in self.instances:
-            affected: set[int] = set()
-            for site in removed:
-                cluster_id = instance.node_to_cluster.get(site)
-                if (
-                    cluster_id is not None
-                    and instance.clusters[cluster_id].representative in removed_set
-                ):
-                    affected.add(cluster_id)
-            for cluster_id in sorted(affected):
-                self._reelect(instance.clusters[cluster_id])
+            cluster_ids = instance.cluster_ids_of(removed_ids)
+            cluster_ids = cluster_ids[cluster_ids >= 0]
+            self._reelect(
+                instance, cluster_ids[np.isin(instance.reps[cluster_ids], removed_ids)]
+            )
         self.version += 1
         return len(removed)
 
@@ -1206,12 +1260,14 @@ class NetClusIndex:
         ):
             self._node_visit_counts = np.array(self._node_visit_counts, dtype=np.int64)
 
-    def _reelect(self, cluster: NetClusCluster) -> None:
-        """Re-run the representative election of one cluster from scratch."""
-        cluster.representative = None
-        cluster.representative_round_trip_km = math.inf
+    def _reelect(self, instance: NetClusInstance, cluster_ids: np.ndarray) -> None:
+        """Re-run the representative election of these clusters from scratch."""
         self._elect_representative(
-            cluster, self.sites, self.representative_strategy, self._node_visit_counts
+            instance,
+            cluster_ids,
+            self.sites,
+            self.representative_strategy,
+            self._node_visit_counts,
         )
 
     def _reelect_clusters_of_nodes(self, nodes: set[int]) -> None:
@@ -1220,14 +1276,10 @@ class NetClusIndex:
         Called when visit counts changed: under ``most_frequent`` a count
         change can flip the election anywhere the trajectory passed.
         """
+        node_ids = np.fromiter(nodes, np.int64, len(nodes))
         for instance in self.instances:
-            affected = {
-                cluster_id
-                for node in nodes
-                if (cluster_id := instance.node_to_cluster.get(node)) is not None
-            }
-            for cluster_id in sorted(affected):
-                self._reelect(instance.clusters[cluster_id])
+            cluster_ids = instance.cluster_ids_of(node_ids)
+            self._reelect(instance, cluster_ids[cluster_ids >= 0])
 
     def _shortest_path_engine(self) -> ShortestPathEngine:
         """The shared shortest-path engine (built once, reused by updates)."""
@@ -1238,9 +1290,7 @@ class NetClusIndex:
     def _nearest_cluster(self, instance: NetClusInstance, node: int) -> int:
         engine = self._shortest_path_engine()
         round_trip = engine.round_trip_from(node)
-        centers = [cluster.center for cluster in instance.clusters]
-        distances = [round_trip[center] for center in centers]
-        return int(np.argmin(distances))
+        return int(np.argmin(round_trip[instance.centers]))
 
     def _round_trip_to_center(self, center: int, node: int) -> float:
         engine = self._shortest_path_engine()

@@ -41,7 +41,7 @@ def run(
         fmg_bytes = incg_bytes + 4 * num_sketches * coverage.num_sites
         netclus_bytes = netclus_memory_bytes(context.netclus, tau_km)
         instance = context.netclus.instance_for(tau_km)
-        fm_netclus_bytes = netclus_bytes + 4 * num_sketches * len(instance.representatives())
+        fm_netclus_bytes = netclus_bytes + 4 * num_sketches * instance.num_representatives
         # measured engine footprints (binary ψ so the bitset engine applies)
         binary_query = TOPSQuery(k=5, tau_km=tau_km, preference=BinaryPreference())
         engine_bytes = {

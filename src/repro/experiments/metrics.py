@@ -65,7 +65,7 @@ def netclus_memory_bytes(index: NetClusIndex, tau_km: float) -> int:
     lists, which is why the footprint *decreases* as τ grows (Table 9).
     """
     instance = index.instance_for(tau_km)
-    reps = len(instance.representatives())
+    reps = instance.num_representatives
     # estimated-detour matrix in the clustered space
     matrix_bytes = 8 * reps * index.num_trajectories
     return int(instance.storage_bytes() + matrix_bytes)

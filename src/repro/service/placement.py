@@ -778,12 +778,11 @@ class PlacementService:
         )
 
     def _group_metadata(self, group: _PreparedGroup) -> dict:
-        # summary-backed accessors: a coverage-cache hit answers these
-        # without materialising the backing instance
+        instance = group.prepared.instance
         return {
-            "instance_id": group.prepared.instance_id,
-            "instance_radius_km": group.prepared.instance_radius_km,
-            "num_clusters": group.prepared.num_clusters,
+            "instance_id": instance.instance_id,
+            "instance_radius_km": instance.radius_km,
+            "num_clusters": instance.num_clusters,
             "num_representatives": len(group.prepared.representative_sites),
             # the engine the group's coverage was actually built with
             # (``self.engine`` may be the unresolved "auto" policy)

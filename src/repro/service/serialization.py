@@ -23,18 +23,17 @@ Loading refuses to proceed on any fingerprint or version mismatch
 answer queries for the wrong city.  A loaded index is behaviourally identical
 to a freshly built one: queries, dynamic updates (``add_site``,
 ``add_trajectory``, :meth:`~repro.core.netclus.NetClusIndex.apply_updates`,
-...) and storage statistics all agree, because the serialisation preserves
-dict insertion orders (they decide tie-breaks in representative re-election)
-and every per-cluster array.
+...) and storage statistics all agree, because the payload holds every
+instance's state arrays as they are, per-cluster orders included (they
+decide tie-breaks in representative re-election).
 
 :func:`load_index` maps the blob once (``np.memmap`` read-only) and hands
-out zero-copy array views, so a cold load touches only the manifest, the
-fingerprint-bearing structural arrays, and whatever instances/parts the
-first query actually needs:
+out zero-copy array views, so a cold load does no per-cluster work:
 
-* index instances rebuild *lazily* — ``index.instances`` is a sequence
-  that materialises each :class:`~repro.core.netclus.NetClusInstance` on
-  first access, so a query at one τ pays for one ladder rung, not all;
+* every :class:`~repro.core.netclus.NetClusInstance` wraps its arrays'
+  views directly, after O(length) structural checks (offsets, id ranges,
+  dtypes, lengths) that turn a damaged blob into
+  :class:`IndexFormatError` instead of a wrong answer;
 * coverage parts (the canonical per-(τ, ψ) entries of the index's
   :class:`~repro.core.covcache.CoverageCache`) attach as zero-copy views;
   their range validation is deferred to materialisation (the coverage
@@ -52,8 +51,9 @@ manifest's ``payload_total_bytes`` (truncation check) and every entry must
 lie in bounds with ``nbytes`` matching its dtype/shape product — any
 mismatch raises :class:`IndexFormatError` before a single page is touched.
 The whole-file ``payload_sha256`` fingerprint is still written (offline
-verification) but not hashed on load: a load reads only what the first
-query needs.
+verification; :func:`save_index` hashes the bytes as it writes them) but
+not hashed on load.  A loaded index keeps the network's views and verified
+fingerprint, so re-saving it never re-flattens the network.
 
 :func:`save_index` writes v4 only.  Directories written by older releases
 (v1–v3: a compressed ``payload.npz`` holding the same arrays under the
@@ -72,16 +72,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
-from collections.abc import Sequence
 from pathlib import Path
-from typing import Any, overload
+from typing import Any
 
 import numpy as np
 
 from repro.core.build import BuildStats
-from repro.core.netclus import NetClusCluster, NetClusIndex, NetClusInstance
+from repro.core.netclus import NetClusIndex, NetClusInstance, Ragged
 from repro.network.graph import RoadNetwork
 from repro.trajectory.model import TrajectoryDataset
 
@@ -178,7 +176,7 @@ def trajectory_fingerprint(trajectory_ids: list[int] | np.ndarray) -> str:
     ``0..m-1``; pass the dataset to :func:`save_index` to additionally
     record a content fingerprint (:func:`dataset_fingerprint`).
     """
-    ids = np.asarray(list(trajectory_ids), dtype=np.int64)
+    ids = np.asarray(trajectory_ids, dtype=np.int64)
     return hashlib.sha256(ids.tobytes()).hexdigest()
 
 
@@ -218,13 +216,15 @@ def _file_sha256(path: Path) -> str:
 # ---------------------------------------------------------------------- #
 def _write_blob(
     path: Path, payload: dict[str, np.ndarray]
-) -> tuple[dict[str, dict[str, Any]], int]:
-    """Write the v4 packed blob; return (offset table, total bytes).
+) -> tuple[dict[str, dict[str, Any]], int, str]:
+    """Write the v4 packed blob; return (offset table, total bytes, SHA-256).
 
     Arrays are laid out in sorted key order, each at a 64-byte-aligned
     offset, as raw contiguous little-endian bytes.  The layout is fully
     deterministic, so two indexes with equal payload arrays produce
     byte-identical blobs (the same property ``payload_digest`` relies on).
+    The SHA-256 covers exactly the bytes written, padding included, so it
+    is the file's hash without reading the file back.
 
     The blob is written to a temporary sibling and atomically renamed
     into place: a re-save over a directory whose previous blob is still
@@ -234,6 +234,7 @@ def _write_blob(
     """
     table: dict[str, dict[str, Any]] = {}
     cursor = 0
+    digest = hashlib.sha256()
     staging = path.with_name(path.name + ".tmp")
     with open(staging, "wb") as handle:
         for key in sorted(payload):
@@ -243,6 +244,7 @@ def _write_blob(
             pad = (-cursor) % BLOB_ALIGN
             if pad:
                 handle.write(b"\x00" * pad)
+                digest.update(b"\x00" * pad)
                 cursor += pad
             table[key] = {
                 "offset": cursor,
@@ -250,10 +252,12 @@ def _write_blob(
                 "dtype": array.dtype.str,
                 "shape": list(array.shape),
             }
-            handle.write(array.tobytes())
+            raw = array.reshape(-1).view(np.uint8).data
+            handle.write(raw)
+            digest.update(raw)
             cursor += int(array.nbytes)
     os.replace(staging, path)
-    return table, cursor
+    return table, cursor, digest.hexdigest()
 
 
 def _open_blob(
@@ -310,19 +314,16 @@ def _blob_views(
     blob: np.memmap, table: dict[str, dict[str, Any]]
 ) -> dict[str, np.ndarray]:
     """Zero-copy read-only array views over a validated v4 blob."""
+    # one .view(np.ndarray) drops the memmap wrapper, whose per-slice and
+    # per-element bookkeeping costs microseconds a call; the plain ndarray
+    # keeps the mapping alive through .base and stays zero-copy + read-only
+    raw = blob.view(np.ndarray)
     views: dict[str, np.ndarray] = {}
     for key, entry in table.items():
         offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
         dtype = np.dtype(str(entry["dtype"]))
         shape = tuple(int(dim) for dim in entry["shape"])
-        # .view(np.ndarray) drops the memmap wrapper (its per-element
-        # __getitem__ bookkeeping costs ~1µs/access, which the ragged dict
-        # rebuilds would pay hundreds of thousands of times); the plain
-        # ndarray view keeps the mapping alive through .base and stays
-        # zero-copy + read-only
-        view = (
-            blob[offset : offset + nbytes].view(dtype).reshape(shape).view(np.ndarray)
-        )
+        view = raw[offset : offset + nbytes].view(dtype).reshape(shape)
         view.flags.writeable = False  # inherited from mode="r"; made explicit
         views[key] = view
     return views
@@ -366,8 +367,7 @@ def save_index(
     payload = _payload_arrays(index)
     coverage_arrays, coverage_parts = _coverage_part_arrays(index)
     payload.update(coverage_arrays)
-    payload_path = directory / PAYLOAD_BLOB_FILE
-    blob_keys, total_bytes = _write_blob(payload_path, payload)
+    blob_keys, total_bytes, payload_sha256 = _write_blob(directory / PAYLOAD_BLOB_FILE, payload)
 
     manifest = {
         "format": FORMAT_NAME,
@@ -396,8 +396,8 @@ def save_index(
         "storage_bytes": index.storage_bytes(),
         "build_seconds": index.build_seconds(),
         "fingerprints": {
-            "payload_sha256": _file_sha256(payload_path),
-            "graph": graph_fingerprint(index.network),
+            "payload_sha256": payload_sha256,
+            "graph": _network_payload(index)[1],
             "trajectories": trajectory_fingerprint(index.trajectory_ids),
             **(
                 {"trajectory_content": trajectory_content}
@@ -411,7 +411,7 @@ def save_index(
                 "radius_km": instance.radius_km,
                 "tau_range_km": list(instance.tau_range),
                 "num_clusters": instance.num_clusters,
-                "num_representatives": len(instance.representatives()),
+                "num_representatives": instance.num_representatives,
                 "build_seconds": instance.build_seconds,
                 "mean_dominating_set_size": instance.mean_dominating_set_size,
             }
@@ -476,8 +476,7 @@ def _attach_coverage_parts(
     in.  Shape consistency (entry counts, representative arrays, dtypes)
     is still verified eagerly; for a mapped blob it comes from the offset
     table, which costs no page faults.  Instance ids are checked against
-    the manifest's *instance_ids*, so attaching never materialises the
-    lazy instance ladder.
+    the manifest's *instance_ids*.
     """
     from repro.core.covcache import CoveragePart, coverage_cache_key
     from repro.core.preference import is_registered, make_preference
@@ -547,15 +546,15 @@ def _attach_coverage_parts(
                 rows=rows,
                 cols=cols,
                 estimates=estimates,
-                rep_sites=[int(s) for s in rep_sites],
-                rep_clusters=[int(c) for c in rep_clusters],
+                rep_sites=rep_sites.tolist(),
+                rep_clusters=rep_clusters.tolist(),
             ),
         )
 
 
 def _payload_arrays(index: NetClusIndex) -> dict[str, np.ndarray]:
     """Every payload array of *index*, exactly as ``save_index`` writes them."""
-    payload = _network_arrays(index.network)
+    payload = dict(_network_payload(index)[0])
     payload["sites"] = np.asarray(sorted(index.sites), dtype=np.int64)
     payload["trajectory_ids"] = np.asarray(index.trajectory_ids, dtype=np.int64)
     payload.update(_visit_arrays(index))
@@ -586,6 +585,18 @@ def payload_digest(index: NetClusIndex, include_timings: bool = True) -> str:
         digest.update(key.encode())
         digest.update(np.ascontiguousarray(arrays[key]).tobytes())
     return digest.hexdigest()
+
+
+def _network_payload(index: NetClusIndex) -> tuple[dict[str, np.ndarray], str]:
+    """The network's payload arrays and graph fingerprint, computed once.
+
+    No update changes an index's network, so the first call caches both on
+    the index; a load seeds the cache with what it verified.
+    """
+    if index._network_payload is None:
+        arrays = _network_arrays(index.network)
+        index._network_payload = (arrays, _graph_fingerprint_from_arrays(arrays))
+    return index._network_payload
 
 
 def _network_arrays(network: RoadNetwork) -> dict[str, np.ndarray]:
@@ -633,16 +644,14 @@ def _visit_arrays(index: NetClusIndex) -> dict[str, np.ndarray]:
     }
 
 
+#: the per-cluster ragged lists of an instance, stored as
+#: ``<key>_indptr`` / ``<key>_ids`` / ``<key>_vals``
+_RAGGED_KEYS = ("nodes", "tl", "nb")
+
+
 def _instance_arrays(instance: NetClusInstance) -> dict[str, np.ndarray]:
-    """Flatten one index instance into payload arrays (CSR-style ragged lists)."""
+    """One index instance's payload arrays: its own state arrays, as they are."""
     prefix = f"i{instance.instance_id}_"
-    clusters = instance.clusters
-    for position, cluster in enumerate(clusters):
-        if cluster.cluster_id != position:
-            raise IndexFormatError(
-                f"instance {instance.instance_id}: cluster_id {cluster.cluster_id} "
-                f"is not positional (expected {position}); cannot serialise"
-            )
     arrays: dict[str, np.ndarray] = {
         prefix + "meta": np.asarray(
             [
@@ -653,36 +662,17 @@ def _instance_arrays(instance: NetClusInstance) -> dict[str, np.ndarray]:
             ],
             dtype=np.float64,
         ),
-        prefix + "centers": np.asarray([c.center for c in clusters], dtype=np.int64),
-        prefix + "reps": np.asarray(
-            [c.representative if c.representative is not None else -1 for c in clusters],
-            dtype=np.int64,
-        ),
-        prefix + "rep_rt": np.asarray(
-            [c.representative_round_trip_km for c in clusters], dtype=np.float64
-        ),
+        prefix + "centers": instance.centers,
+        prefix + "reps": instance.reps,
+        prefix + "rep_rt": instance.rep_rt,
+        prefix + "n2c_nodes": instance.n2c_nodes,
+        prefix + "n2c_clusters": instance.n2c_clusters,
     }
-    # the three ragged per-cluster lists, each as (indptr, ids, values);
-    # iteration order is preserved — it decides ties in re-election
-    for key, pairs in (
-        ("nodes", [list(c.nodes.items()) for c in clusters]),
-        ("tl", [list(c.trajectory_list.items()) for c in clusters]),
-        ("nb", [c.neighbors for c in clusters]),
-    ):
-        counts = np.asarray([len(p) for p in pairs], dtype=np.int64)
-        indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        flat = [item for p in pairs for item in p]
-        arrays[prefix + key + "_indptr"] = indptr
-        arrays[prefix + key + "_ids"] = np.asarray(
-            [item[0] for item in flat], dtype=np.int64
-        )
-        arrays[prefix + key + "_vals"] = np.asarray(
-            [item[1] for item in flat], dtype=np.float64
-        )
-    n2c = list(instance.node_to_cluster.items())
-    arrays[prefix + "n2c_nodes"] = np.asarray([n for n, _ in n2c], dtype=np.int64)
-    arrays[prefix + "n2c_clusters"] = np.asarray([c for _, c in n2c], dtype=np.int64)
+    for key in _RAGGED_KEYS:
+        ragged: Ragged = getattr(instance, key)
+        arrays[prefix + key + "_indptr"] = ragged.indptr
+        arrays[prefix + key + "_ids"] = ragged.ids
+        arrays[prefix + key + "_vals"] = ragged.vals
     return arrays
 
 
@@ -771,15 +761,16 @@ def load_index(
         network = _rebuild_network(arrays)
         # the graph was just rebuilt from the payload's canonical
         # flattening — hash those arrays directly
-        actual_graph = _graph_fingerprint_from_arrays(arrays)
+        network_arrays = {key: arrays[key] for key in _NETWORK_KEYS}
     else:
-        actual_graph = graph_fingerprint(network)
+        network_arrays = _network_arrays(network)
+    actual_graph = _graph_fingerprint_from_arrays(network_arrays)
     if actual_graph != fingerprints.get("graph"):
         raise IndexFormatError(
             "graph fingerprint mismatch: the supplied road network is not "
             "the one this index was built on"
         )
-    trajectory_ids = [int(t) for t in arrays["trajectory_ids"]]
+    trajectory_ids = arrays["trajectory_ids"].tolist()
     if trajectory_fingerprint(trajectory_ids) != fingerprints.get("trajectories"):
         raise IndexFormatError(
             "trajectory fingerprint mismatch: payload registry does not "
@@ -816,10 +807,11 @@ def load_index(
         }
     index = NetClusIndex(
         network=network,
-        sites=[int(s) for s in arrays["sites"]],
-        # lazy ladder: a query at one τ materialises one instance; update
-        # paths (which iterate every instance) materialise the rest on demand
-        instances=_LazyInstances(arrays, instance_ids),
+        sites=arrays["sites"].tolist(),
+        instances=[
+            _load_instance(arrays, instance_id, network.num_nodes)
+            for instance_id in instance_ids
+        ],
         tau_min_km=float(params["tau_min_km"]),
         tau_max_km=float(params["tau_max_km"]),
         gamma=float(params["gamma"]),
@@ -837,6 +829,7 @@ def load_index(
             else None
         ),
     )
+    index._network_payload = (network_arrays, actual_graph)
     if with_coverage:
         _attach_coverage_parts(index, manifest, arrays, instance_ids)
     return index
@@ -875,142 +868,89 @@ def _rebuild_network(arrays: dict[str, np.ndarray]) -> RoadNetwork:
     )
 
 
-def _rebuild_instance(arrays: dict[str, np.ndarray], instance_id: int) -> NetClusInstance:
-    """Reconstruct one index instance from payload arrays."""
+#: the int64 and float64 arrays of one instance, by key suffix
+_INSTANCE_INT_KEYS = (
+    "centers",
+    "reps",
+    "n2c_nodes",
+    "n2c_clusters",
+    *(key + part for key in _RAGGED_KEYS for part in ("_indptr", "_ids")),
+)
+_INSTANCE_FLOAT_KEYS = ("meta", "rep_rt", *(key + "_vals" for key in _RAGGED_KEYS))
+
+
+def _load_instance(
+    arrays: dict[str, np.ndarray], instance_id: int, num_nodes: int
+) -> NetClusInstance:
+    """Wrap one instance's payload arrays after checking their structure.
+
+    A v4 load hashes nothing, so these O(length) checks are what stands
+    between a damaged blob and a query: every ``indptr`` runs from 0 up to
+    its list's length without decreasing, cluster ids lie in ``[0, η)``,
+    node ids in ``[0, num_nodes)``, every representative is ``-1`` or such
+    a node with a finite round-trip, and dtypes and lengths agree.  Any
+    failure raises :class:`IndexFormatError`.
+    """
     prefix = f"i{instance_id}_"
-    meta = arrays[prefix + "meta"]
-    centers = arrays[prefix + "centers"]
-    reps = arrays[prefix + "reps"]
-    rep_rt = arrays[prefix + "rep_rt"]
-    ragged = {
-        key: (
-            arrays[prefix + key + "_indptr"],
-            arrays[prefix + key + "_ids"],
-            arrays[prefix + key + "_vals"],
-        )
-        for key in ("nodes", "tl", "nb")
-    }
-    clusters: list[NetClusCluster] = []
-    for cid in range(len(centers)):
-        cluster = NetClusCluster(
-            cluster_id=cid,
-            center=int(centers[cid]),
-            nodes=_ragged_dict(ragged["nodes"], cid),
-            representative=int(reps[cid]) if reps[cid] >= 0 else None,
-            representative_round_trip_km=float(rep_rt[cid])
-            if reps[cid] >= 0
-            else math.inf,
-            trajectory_list=_ragged_dict(ragged["tl"], cid),
-            neighbors=_ragged_pairs(ragged["nb"], cid),
-        )
-        clusters.append(cluster)
-    node_to_cluster = {
-        int(node): int(cid)
-        for node, cid in zip(arrays[prefix + "n2c_nodes"], arrays[prefix + "n2c_clusters"])
-    }
+    label = f"instance {instance_id}"
+    found: dict[str, np.ndarray] = {}
+    for suffix, dtype in (
+        *((key, np.int64) for key in _INSTANCE_INT_KEYS),
+        *((key, np.float64) for key in _INSTANCE_FLOAT_KEYS),
+    ):
+        array = arrays.get(prefix + suffix)
+        if array is None:
+            raise IndexFormatError(f"{label}: payload array {prefix + suffix} missing")
+        if array.dtype != dtype or array.ndim != 1:
+            raise IndexFormatError(f"{label}: {suffix} is not a 1-d {np.dtype(dtype)} array")
+        found[suffix] = array
+    num_clusters = len(found["centers"])
+    if len(found["meta"]) != 4:
+        raise IndexFormatError(f"{label}: meta holds {len(found['meta'])} values, not 4")
+    if not len(found["reps"]) == len(found["rep_rt"]) == num_clusters:
+        raise IndexFormatError(f"{label}: reps/rep_rt lengths differ from the cluster count")
+    if len(found["n2c_nodes"]) != len(found["n2c_clusters"]):
+        raise IndexFormatError(f"{label}: n2c_nodes and n2c_clusters lengths differ")
+    ragged: dict[str, Ragged] = {}
+    for key in _RAGGED_KEYS:
+        indptr, ids, vals = (found[key + part] for part in ("_indptr", "_ids", "_vals"))
+        if len(indptr) != num_clusters + 1 or len(ids) != len(vals):
+            raise IndexFormatError(f"{label}: {key} arrays have inconsistent lengths")
+        if indptr[0] != 0 or indptr[-1] != len(ids) or np.any(indptr[1:] < indptr[:-1]):
+            raise IndexFormatError(f"{label}: {key}_indptr is not a valid offset array")
+        ragged[key] = Ragged(indptr, ids, vals)
+    for suffix, bound in (
+        ("nb_ids", num_clusters),
+        ("n2c_clusters", num_clusters),
+        ("nodes_ids", num_nodes),
+        ("n2c_nodes", num_nodes),
+        ("centers", num_nodes),
+    ):
+        _require_range(found[suffix], bound, f"{label}: {suffix}")
+    reps, rep_rt = found["reps"], found["rep_rt"]
+    has_rep = reps >= 0
+    _require_range(reps[has_rep], num_nodes, f"{label}: reps")
+    if np.any(reps < -1) or not np.all(np.isfinite(rep_rt[has_rep])):
+        raise IndexFormatError(f"{label}: reps/rep_rt hold an invalid representative")
+    meta = found["meta"]
     return NetClusInstance(
         instance_id=int(instance_id),
         radius_km=float(meta[0]),
         gamma=float(meta[1]),
-        clusters=clusters,
-        node_to_cluster=node_to_cluster,
+        centers=found["centers"],
+        nodes=ragged["nodes"],
+        n2c_nodes=found["n2c_nodes"],
+        n2c_clusters=found["n2c_clusters"],
+        reps=reps,
+        rep_rt=rep_rt,
+        tl=ragged["tl"],
+        nb=ragged["nb"],
         build_seconds=float(meta[2]),
         mean_dominating_set_size=float(meta[3]),
     )
 
 
-class _LazyInstances(Sequence[NetClusInstance]):
-    """The loaded instance ladder: rebuild each instance on first access.
-
-    Positional access (the query path's τ snapping) materialises exactly
-    one rung; iteration (update paths, ``storage_bytes``) materialises
-    front-to-back and stops where the consumer stops, so e.g. the coverage
-    cache's linear ``instance_id`` scan never touches rungs past its match.
-    Materialised instances are cached — every access returns the same
-    object, preserving the identity semantics of an eager list.
-    """
-
-    def __init__(self, arrays: dict[str, np.ndarray], instance_ids: list[int]) -> None:
-        self._arrays = arrays
-        self._instance_ids = list(instance_ids)
-        self._cache: list[NetClusInstance | None] = [None] * len(self._instance_ids)
-
-    def __len__(self) -> int:
-        return len(self._instance_ids)
-
-    def materialised_count(self) -> int:
-        """How many rungs have been rebuilt so far (observability/tests)."""
-        return sum(1 for instance in self._cache if instance is not None)
-
-    def position_of(self, instance_id: int) -> int | None:
-        """Ladder position of the rung with this id, or ``None``.
-
-        Answered from the manifest's id list, so e.g. the coverage cache
-        can jump straight to a part's backing rung instead of scanning
-        (and thereby rebuilding) every rung below it.
-        """
-        try:
-            return self._instance_ids.index(int(instance_id))
-        except ValueError:
-            return None
-
-    def summary_of(self, position: int) -> tuple[int, float, int]:
-        """``(instance_id, radius_km, num_clusters)`` of one rung, cheaply.
-
-        Reads two payload arrays (the 4-float meta record and the center
-        list's length) instead of rebuilding the rung — the coverage
-        cache uses this to report query metadata for a warm part without
-        materialising its backing instance.
-        """
-        cached = self._cache[position]
-        if cached is not None:
-            return (cached.instance_id, cached.radius_km, cached.num_clusters)
-        instance_id = self._instance_ids[position]
-        prefix = f"i{instance_id}_"
-        meta = self._arrays[prefix + "meta"]
-        num_clusters = int(self._arrays[prefix + "centers"].shape[0])
-        return (int(instance_id), float(meta[0]), num_clusters)
-
-    @overload
-    def __getitem__(self, position: int) -> NetClusInstance: ...
-
-    @overload
-    def __getitem__(self, position: slice) -> Sequence[NetClusInstance]: ...
-
-    def __getitem__(
-        self, position: int | slice
-    ) -> "NetClusInstance | Sequence[NetClusInstance]":
-        if isinstance(position, slice):
-            return [self[i] for i in range(*position.indices(len(self)))]
-        index = int(position)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        instance = self._cache[index]
-        if instance is None:
-            instance = _rebuild_instance(self._arrays, self._instance_ids[index])
-            self._cache[index] = instance
-        return instance
-
-
-def _ragged_slice(
-    ragged: tuple[np.ndarray, np.ndarray, np.ndarray], index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    indptr, ids, vals = ragged
-    start, stop = int(indptr[index]), int(indptr[index + 1])
-    return ids[start:stop], vals[start:stop]
-
-
-def _ragged_dict(
-    ragged: tuple[np.ndarray, np.ndarray, np.ndarray], index: int
-) -> dict[int, float]:
-    ids, vals = _ragged_slice(ragged, index)
-    return {int(i): float(v) for i, v in zip(ids, vals)}
-
-
-def _ragged_pairs(
-    ragged: tuple[np.ndarray, np.ndarray, np.ndarray], index: int
-) -> list[tuple[int, float]]:
-    ids, vals = _ragged_slice(ragged, index)
-    return [(int(i), float(v)) for i, v in zip(ids, vals)]
+def _require_range(values: np.ndarray, bound: int, label: str) -> None:
+    """Raise :class:`IndexFormatError` unless every value lies in ``[0, bound)``."""
+    if len(values) and (values.min() < 0 or values.max() >= bound):
+        raise IndexFormatError(f"{label} holds a value outside [0, {bound})")

@@ -258,7 +258,6 @@ class TestRegistrationKernel:
         before = [dict(c.trajectory_list) for c in instance.clusters]
         register_trajectory_batch(
             instance,
-            bundle.network.num_nodes,
             [10_000],
             [np.asarray([-5, bundle.network.num_nodes + 3], dtype=np.int64)],
         )
@@ -271,7 +270,7 @@ class TestRegistrationKernel:
         )
         instance = index.instances[0]
         before = [dict(c.trajectory_list) for c in instance.clusters]
-        register_trajectory_batch(instance, bundle.network.num_nodes, [], [])
+        register_trajectory_batch(instance, [], [])
         assert [dict(c.trajectory_list) for c in instance.clusters] == before
 
 

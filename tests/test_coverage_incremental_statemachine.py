@@ -36,6 +36,7 @@ from repro.core.preference import (
 )
 from repro.core.query import TOPSQuery
 from repro.network.generators import grid_network
+from repro.service.serialization import load_index, payload_digest, save_index
 from repro.trajectory.generators import commuter_trajectories
 
 #: the (τ, ψ) keys every parity sweep probes
@@ -241,6 +242,40 @@ def test_statemachine_parity(world, seed, strategy):
     assert stats["patches"] == batches_applied * len(KEYS)
 
 
+@pytest.mark.parametrize("seed,strategy", [(11, "closest"), (23, "most_frequent")])
+def test_v4_loaded_twin_tracks_every_batch(world, tmp_path, seed, strategy):
+    """An index loaded from a v4 save (read-only views over the mapped
+    blob) and the in-memory index it was saved from take the same batches;
+    after every batch both serialise identically and answer alike."""
+    network, base, held_out, sites = world
+    memory = build(world, strategy)
+    memory.enable_coverage_cache()
+    for tau, preference in KEYS:
+        memory.query(TOPSQuery(k=5, tau_km=tau, preference=preference), engine="sparse")
+    loaded = load_index(save_index(memory, tmp_path / "twin.ncx"))
+    rng = np.random.default_rng(seed)
+    ops = generate_ops(rng, network, memory, held_out)
+    labels = {label for label, _ in ops}
+    assert "add_sites" in labels and labels & {"remove_sites", "mixed"}
+    removed_sites: list[int] = []
+    for step, op in enumerate(ops):
+        batch = op_to_batch(op, memory, held_out, removed_sites)
+        if batch is None:
+            continue
+        memory.apply_updates(batch)
+        loaded.apply_updates(batch)
+        context = f"after step {step}:\n{format_script(seed, ops, step)}"
+        expected = payload_digest(memory, include_timings=False)
+        assert payload_digest(loaded, include_timings=False) == expected, context
+        for tau, preference in KEYS:
+            query = TOPSQuery(k=5, tau_km=tau, preference=preference)
+            a = memory.query(query, engine="sparse")
+            b = loaded.query(query, engine="sparse")
+            assert list(a.sites) == list(b.sites), context
+            utilities = [np.asarray(r.per_trajectory_utility).tobytes() for r in (a, b)]
+            assert utilities[0] == utilities[1], context
+
+
 # ---------------------------------------------------------------------- #
 # unit-level contracts
 # ---------------------------------------------------------------------- #
@@ -308,7 +343,7 @@ def test_foreign_instance_is_refused_and_never_cached(world):
     prepared = index.prepare_coverage(
         query.tau_km, query.preference, engine="sparse", instance=rung
     )
-    assert prepared.instance_id == rung.instance_id
+    assert prepared.instance is rung
     warm_answer = index.query(query, engine="sparse")
     cold_answer = build(world).query(query, engine="sparse")
     assert warm_answer.metadata["instance_id"] == rung.instance_id

@@ -156,6 +156,8 @@ class TestRemoveSite:
             n for n in cluster.nodes if n in index.sites and n != victim
         ]
         index.remove_site(victim)
+        # ``clusters`` is a snapshot: re-read it after the mutation
+        cluster = instance.clusters[cluster.cluster_id]
         if remaining_sites:
             assert cluster.representative in remaining_sites
             expected = min(cluster.nodes[n] for n in remaining_sites)

@@ -256,13 +256,14 @@ class TestDetourProperties:
 
         def reference(instance, tau):
             """d̂r per cell: one Python loop per (representative, source)."""
-            reps = instance.representatives()
+            clusters = instance.clusters
+            reps = [cluster for cluster in clusters if cluster.has_representative]
             matrix = np.full((len(registry), len(reps)), np.inf)
             for col, cluster in enumerate(reps):
                 for source, center in [(cluster.cluster_id, 0.0), *cluster.neighbors]:
                     if center > tau:
                         continue
-                    members = instance.clusters[source].trajectory_list
+                    members = clusters[source].trajectory_list
                     for tid, leg in members.items():
                         estimate = leg + center + cluster.representative_round_trip_km
                         row = registry[tid]

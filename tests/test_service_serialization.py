@@ -561,18 +561,154 @@ def test_v4_loaded_views_are_read_only(warm_saved_index):
             part.rows[0] = 0
 
 
-def test_v4_instances_rebuild_lazily(saved_index):
+def _instance_state(instance):
+    """Every state array of one instance, by payload key suffix."""
+    state = {
+        key: getattr(instance, key)
+        for key in ("centers", "reps", "rep_rt", "n2c_nodes", "n2c_clusters")
+    }
+    for key in ("nodes", "tl", "nb"):
+        ragged = getattr(instance, key)
+        for part in ("indptr", "ids", "vals"):
+            state[f"{key}_{part}"] = getattr(ragged, part)
+    return state
+
+
+def _mapped_file(array):
+    """The file an array view maps, or ``None`` for an in-memory array."""
+    base = array
+    while base is not None and not isinstance(base, np.memmap):
+        base = base.base
+    return None if base is None else Path(base.filename)
+
+
+def test_v4_instances_are_views_copied_on_first_write(saved_index):
+    """A v4-loaded instance wraps read-only views over the mapped blob; the
+    first update copies only the arrays it edits."""
     _, path = saved_index
     loaded = load_index(path)
-    ladder = loaded.instances
-    assert ladder.materialised_count() == 0
-    loaded.query(TOPSQuery(k=3, tau_km=0.5))
-    assert 0 < ladder.materialised_count() < len(ladder)
-    # full iteration still materialises everything, with identity stability
-    first = ladder[0]
-    assert ladder[0] is first
-    assert len(list(ladder)) == len(ladder)
-    assert ladder.materialised_count() == len(ladder)
+    blob = (path / "payload.bin").resolve()
+    before = [_instance_state(instance) for instance in loaded.instances]
+    for state in before:
+        for name, array in state.items():
+            assert not array.flags.writeable, name
+            assert _mapped_file(array) == blob, name
+
+    victim = loaded.trajectory_ids[0]
+    loaded.remove_trajectories([victim])
+    for instance, old in zip(loaded.instances, before):
+        edited = {"tl_indptr", "tl_ids", "tl_vals"} if victim in old["tl_ids"] else set()
+        for name, array in _instance_state(instance).items():
+            if name in edited:
+                assert array is not old[name] and _mapped_file(array) is None, name
+                assert victim not in instance.tl.ids
+            else:
+                assert array is old[name], name
+
+    instance = loaded.instances[0]
+    after_removal = _instance_state(instance)
+    representative = int(instance.reps[instance.reps >= 0][0])
+    loaded.remove_sites([representative])
+    for name, array in _instance_state(instance).items():
+        if name in ("reps", "rep_rt"):
+            assert array is not after_removal[name] and _mapped_file(array) is None
+        else:
+            assert array is after_removal[name], name
+    assert representative not in instance.reps
+
+
+@pytest.fixture(scope="module")
+def corruptible_index(tmp_path_factory):
+    """``beijing_like("tiny", seed=1)`` saved as v4, and its sparse answer."""
+    from repro.core.netclus import NetClusIndex
+    from repro.datasets import beijing_like
+
+    bundle = beijing_like("tiny", seed=1)
+    index = NetClusIndex.build(
+        bundle.network, bundle.trajectories, bundle.sites, gamma=0.75, tau_max_km=4.0
+    )
+    path = save_index(index, tmp_path_factory.mktemp("corrupt") / "city.ncx")
+    answer = index.query(TOPSQuery(k=5, tau_km=0.8), engine="sparse")
+    return path, answer.sites
+
+
+def _poke(key, position, value):
+    """Overwrite one element of payload array *key* in the blob."""
+
+    def mutate(path, table, arrays):
+        entry = table[key]
+        mapped = np.memmap(
+            path / "payload.bin",
+            dtype=np.dtype(entry["dtype"]),
+            mode="r+",
+            offset=entry["offset"],
+            shape=tuple(entry["shape"]),
+        )
+        mapped[position] = value(arrays) if callable(value) else value
+        mapped.flush()
+        del mapped
+
+    return mutate
+
+
+def _retable(edit):
+    """Edit the offset table (dtype, shape, presence) of the manifest."""
+
+    def mutate(path, table, arrays):
+        _tamper_offset_table(path, edit)
+
+    return mutate
+
+
+def _shorten(key):
+    def edit(table):
+        table[key]["shape"][0] -= 1
+        table[key]["nbytes"] -= np.dtype(table[key]["dtype"]).itemsize
+
+    return edit
+
+
+CORRUPTIONS = {
+    "tl_indptr_decreases": _poke("i1_tl_indptr", 3, lambda a: a["i1_tl_indptr"][5]),
+    "nodes_indptr_nonzero_start": _poke("i1_nodes_indptr", 0, 1),
+    "nb_indptr_short_end": _poke("i1_nb_indptr", -1, lambda a: a["i1_nb_indptr"][-1] - 1),
+    "nb_id_negative": _poke("i1_nb_ids", 0, -1),
+    "nb_id_out_of_range": _poke("i1_nb_ids", 0, lambda a: len(a["i1_centers"])),
+    "n2c_cluster_out_of_range": _poke("i1_n2c_clusters", 0, lambda a: len(a["i1_centers"])),
+    "node_id_out_of_range": _poke("i1_nodes_ids", 0, lambda a: len(a["net_node_ids"])),
+    "n2c_node_negative": _poke("i1_n2c_nodes", 0, -3),
+    "center_out_of_range": _poke("i1_centers", 0, lambda a: len(a["net_node_ids"])),
+    "rep_below_minus_one": _poke("i1_reps", 0, -2),
+    "rep_out_of_range": _poke(
+        "i1_reps",
+        slice(None),
+        lambda a: np.where(a["i1_reps"] >= 0, len(a["net_node_ids"]), -1),
+    ),
+    "rep_rt_not_finite": _poke(
+        "i1_rep_rt", slice(None), lambda a: np.where(a["i1_reps"] >= 0, np.nan, np.inf)
+    ),
+    "reps_wrong_dtype": _retable(lambda table: table["i1_reps"].update(dtype="<f8")),
+    "rep_rt_wrong_length": _retable(_shorten("i1_rep_rt")),
+    "tl_vals_wrong_length": _retable(_shorten("i1_tl_vals")),
+    "nb_vals_missing": _retable(lambda table: table.pop("i1_nb_vals")),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_v4_corrupt_instance_arrays_refused_at_load(corruptible_index, tmp_path, corruption):
+    """A damaged instance array in a v4 blob raises IndexFormatError at load
+    instead of answering wrongly or failing with a numpy error later."""
+    source, expected_sites = corruptible_index
+    path = Path(shutil.copytree(source, tmp_path / "city.ncx"))
+    intact = load_index(path).query(TOPSQuery(k=5, tau_km=0.8), engine="sparse")
+    assert intact.sites == expected_sites
+    manifest = load_manifest(path)
+    views = serialization._blob_views(*serialization._open_blob(path, manifest))
+    arrays = {key: np.array(view) for key, view in views.items()}
+    del views
+    CORRUPTIONS[corruption](path, manifest["payload_arrays"], arrays)
+    with pytest.raises(IndexFormatError, match="instance 1"):
+        load_index(path)
 
 
 def test_v4_apply_updates_never_writes_through(tmp_path):
