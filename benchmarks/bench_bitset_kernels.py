@@ -7,11 +7,11 @@ OR, ``gain_updates`` a popcount over a row-mask delta.  The contract is
 twofold:
 
 * **parity** — selections and per-trajectory utility vectors are
-  byte-identical to the dense *and* sparse engines on every measured run,
-  on every TOPS variant driver (cost, capacity, existing, market share),
-  and through the NetClus index on the warm coverage-cache path
-  (the bitset section of ``tools/check_parity.py`` re-asserts this in CI
-  on a fresh build).
+  byte-identical to the dense *and* sparse engines on every measured run
+  and on every TOPS variant driver (cost, capacity, existing, market
+  share).  NetClus answers binary-ψ queries on the bitset engine; the
+  bitset section of ``tools/check_parity.py`` compares those answers with
+  sparse views of the same coverage in CI.
 * **speedup** — single-core greedy over the Fig. 10 scalability workload
   must run ≥ 5× faster on the bitset engine than on the dense engine;
   the measurement is recorded in ``benchmarks/BENCH_bitset_kernels.json``.
@@ -44,7 +44,6 @@ from repro.core.variants import (
 )
 from repro.datasets import beijing_like
 from repro.experiments.reporting import print_table
-from repro.experiments.runner import DEFAULT_TAU_RANGE
 from repro.utils.timer import KernelTimer
 
 BENCH_JSON = Path(__file__).parent / "BENCH_bitset_kernels.json"
@@ -117,29 +116,6 @@ def _assert_variant_parity(coverages: dict, query: TOPSQuery) -> None:
             ), f"variant={variant}: {name} utilities diverged from dense"
 
 
-def _assert_index_parity(bundle, query: TOPSQuery) -> None:
-    """NetClus-index paths: warm covcache and auto resolution."""
-    problem = bundle.problem()
-    index = problem.build_netclus_index(
-        gamma=0.75,
-        tau_min_km=DEFAULT_TAU_RANGE[0],
-        tau_max_km=DEFAULT_TAU_RANGE[1],
-    )
-    # the sparse query warms the coverage cache; the bitset/auto queries
-    # then materialise their views from the cached entries
-    baseline = index.query(query, engine="sparse")
-    for engine in ("bitset", "auto"):
-        result = index.query(query, engine=engine)
-        label = f"index engine={engine}"
-        assert result.sites == baseline.sites, (
-            f"{label}: selected {result.sites} != sparse {baseline.sites}"
-        )
-        assert (
-            np.asarray(result.per_trajectory_utility).tobytes()
-            == np.asarray(baseline.per_trajectory_utility).tobytes()
-        ), f"{label}: per-trajectory utilities diverged from sparse"
-
-
 def _best_of(fn, rounds: int = 3):
     best = float("inf")
     result = None
@@ -184,11 +160,10 @@ def _measure_engines(detours: np.ndarray, query: TOPSQuery, rounds: int = 3) -> 
     }
 
 
-def _smoke_record(bundle) -> dict:
-    """The CI-sized run: synthetic kernels + end-to-end parity on *bundle*."""
+def _smoke_record() -> dict:
+    """The CI-sized run: the synthetic kernel workload."""
     query = TOPSQuery(k=10, tau_km=0.8)
     row = _measure_engines(_synthetic_detours(), query, rounds=1)
-    _assert_index_parity(bundle, TOPSQuery(k=5, tau_km=0.8))
     return {
         "workload": "synthetic-binary",
         "rows": [row],
@@ -203,7 +178,6 @@ def _fig10_record(rounds: int = 3) -> dict:
     detours = bundle.problem().detour_matrix()
     query = TOPSQuery(k=10, tau_km=0.8)
     row = _measure_engines(detours, query, rounds=rounds)
-    _assert_index_parity(bundle, TOPSQuery(k=5, tau_km=0.8))
     return {
         "workload": bundle.name,
         "rows": [row],
@@ -212,9 +186,9 @@ def _fig10_record(rounds: int = 3) -> dict:
     }
 
 
-def test_bitset_kernels_smoke(tiny_bundle):
+def test_bitset_kernels_smoke():
     """Fast CI check: ≥ 3× on the synthetic workload, full parity suite."""
-    record = _smoke_record(tiny_bundle)
+    record = _smoke_record()
     print()
     print_table(record["rows"], title="Bitset kernels — smoke (synthetic workload)")
     assert record["speedup"] >= SMOKE_TARGET_SPEEDUP, record
@@ -235,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="synthetic workload + tiny-bundle parity (the CI configuration)",
+        help="synthetic workload only (the CI configuration)",
     )
     return parser
 
@@ -244,7 +218,7 @@ def main(argv=None) -> int:
     """Script entry point: ``--smoke`` for the CI-sized run."""
     args = build_parser().parse_args(argv)
     if args.smoke:
-        record = _smoke_record(beijing_like(scale="tiny", seed=42))
+        record = _smoke_record()
         print_table(record["rows"], title="Bitset kernels — smoke (synthetic workload)")
         assert record["speedup"] >= SMOKE_TARGET_SPEEDUP, record
     else:

@@ -6,8 +6,8 @@ shortest-path engine, the trajectory registry rebuild and the per-instance
 node→cluster lookup tables across the whole batch, where the singular calls
 pay that setup per item.  Both paths are required to leave the index in a
 byte-identical state — ``_assert_identical_answers`` compares site
-selections and raw per-trajectory utility bytes across τ and both coverage
-engines before any timing is reported.
+selections and raw per-trajectory utility bytes across τ before any timing
+is reported.
 
 ``test_update_throughput_smoke`` is the fast CI check (tiny workload);
 ``test_update_throughput_table10_small`` runs the 400-item mixed batch on
@@ -109,15 +109,14 @@ def _sequential_apply(index, batch):
 def _assert_identical_answers(left, right):
     """Both indexes must answer every probe byte-identically."""
     for tau in (0.8, 1.6, 3.2):
-        for engine in ("dense", "sparse"):
-            query = TOPSQuery(k=5, tau_km=tau)
-            a = left.query(query, engine=engine)
-            b = right.query(query, engine=engine)
-            assert a.sites == b.sites, f"selection mismatch at tau={tau} ({engine})"
-            assert (
-                np.asarray(a.per_trajectory_utility).tobytes()
-                == np.asarray(b.per_trajectory_utility).tobytes()
-            ), f"utility mismatch at tau={tau} ({engine})"
+        query = TOPSQuery(k=5, tau_km=tau)
+        a = left.query(query)
+        b = right.query(query)
+        assert a.sites == b.sites, f"selection mismatch at tau={tau}"
+        assert (
+            np.asarray(a.per_trajectory_utility).tobytes()
+            == np.asarray(b.per_trajectory_utility).tobytes()
+        ), f"utility mismatch at tau={tau}"
 
 
 def _compare_update_paths(bundle, num_items, seed=42, rounds=3):

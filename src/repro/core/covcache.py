@@ -12,15 +12,16 @@ artifact instead of a per-query throwaway:
   (the min-reduced, column-major sorted ``(row, column, d̂r ≤ τ)`` triples)
   plus the representative layout and the
   :attr:`~repro.core.netclus.NetClusIndex.version` it is valid at;
-* dense, sparse and bitset structures are *materialised views* over the
-  canonical entries, built on demand and kept per engine by
-  :func:`materialise_coverage` — the same builder a cold
+* each part keeps one *materialised view* over the canonical entries —
+  the bitset index when ψ is binary, the sparse index otherwise (the
+  ``"auto"`` rule of :func:`~repro.core.coverage.resolve_engine`) — built
+  on demand by :func:`materialise_coverage`, the same builder a cold
   :meth:`~repro.core.netclus.NetClusIndex.prepare_coverage` uses;
 * :meth:`CoverageCache.begin_delta` / :meth:`CoverageCache.finish_delta`
   bracket :meth:`~repro.core.netclus.NetClusIndex.apply_updates`: instead of
   invalidating, the parts are *patched* — only the trajectory rows and
   representative columns the :class:`~repro.core.netclus.UpdateBatch`
-  touched are recomputed, and every previously materialised view is rebuilt
+  touched are recomputed, and a previously materialised view is rebuilt
   from the patched entries so the very next query runs greedy with zero
   coverage-build work.
 
@@ -28,9 +29,9 @@ Parity is the repo's standard bar — byte-identical coverage structures,
 selections and per-trajectory utilities against a cold build — and rests
 on three facts:
 
-1. cold builds and cache hits materialise every engine's view from the
-   same canonical ≤ τ entries with the same function, so a warm view is
-   the cold view (the dense matrix is ``inf`` beyond τ in both);
+1. cold builds and cache hits materialise the view from the same
+   canonical ≤ τ entries with the same function, so a warm view is the
+   cold view;
 2. patched entries come from the same kernel as the cold path
    (:meth:`~repro.core.netclus.NetClusInstance.coverage_entries`, the
    float expression ``(leg + center_distance) + rep_leg``), so they are
@@ -55,7 +56,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.bitcov import BitsetCoverageIndex
-from repro.core.coverage import CoverageIndex, SparseCoverageIndex, canonical_entries
+from repro.core.coverage import SparseCoverageIndex, canonical_entries, resolve_engine
 from repro.core.preference import PreferenceFunction, is_registered, make_preference
 from repro.utils.concurrency import guarded_by, holds_lock
 from repro.utils.timer import Timer
@@ -102,12 +103,12 @@ def coverage_cache_key(
 
 @dataclass
 class CoveragePart:
-    """Canonical coverage entries of one ``(τ, ψ)`` pair + materialised views.
+    """Canonical coverage entries of one ``(τ, ψ)`` pair + its materialised view.
 
     The triple arrays are always in canonical form (see
-    :func:`canonical_entries`); ``materialised`` maps an engine name
-    to a ready-to-query :class:`~repro.core.netclus.ClusteredCoverage`
-    built over them.  ``index_version`` is the
+    :func:`canonical_entries`); ``view`` is the ready-to-query
+    :class:`~repro.core.netclus.ClusteredCoverage` built over them, or
+    ``None`` until a lookup materialises it.  ``index_version`` is the
     :attr:`~repro.core.netclus.NetClusIndex.version` the entries are valid
     at — a mismatch means the part must be refused, never served.
     """
@@ -123,9 +124,7 @@ class CoveragePart:
     estimates: np.ndarray
     rep_sites: list[int]
     rep_clusters: list[int]
-    materialised: dict[str, "ClusteredCoverage"] = field(
-        default_factory=dict, repr=False
-    )
+    view: "ClusteredCoverage | None" = field(default=None, repr=False)
 
     @property
     def num_entries(self) -> int:
@@ -235,15 +234,14 @@ class CoverageCache:
         index: "NetClusIndex",
         tau_km: float,
         preference: PreferenceFunction,
-        engine: str = "sparse",
     ) -> "ClusteredCoverage | None":
         """Return a warm :class:`ClusteredCoverage` for ``(τ, ψ)``, or ``None``.
 
         A part bound to a stale ``index_version`` is *refused*: dropped
         (counted as an invalidation) and reported as a miss, so the caller
         falls back to a cold build — which re-stores fresh entries.
-        Materialises the requested engine's view on demand from
-        the canonical entries; a materialisation is still a *hit* (no
+        Materialises the part's view on demand from the canonical
+        entries; a materialisation is still a *hit* (no
         cluster-space recomputation happens), its cost is tracked
         separately in :attr:`materialise_seconds`.
         """
@@ -261,12 +259,10 @@ class CoverageCache:
                 self.misses += 1
                 return None
             self.parts.move_to_end(key)
-            view = part.materialised.get(engine)
-            if view is None:
-                view = self._materialise(index, part, engine)
-                part.materialised[engine] = view
+            if part.view is None:
+                part.view = self._materialise(index, part)
             self.hits += 1
-            return view
+            return part.view
 
     def store_entries(
         self,
@@ -286,8 +282,8 @@ class CoverageCache:
         Called from the cold path of
         :meth:`~repro.core.netclus.NetClusIndex.prepare_coverage` with
         entries already in canonical form (:func:`canonical_entries`);
-        *prepared* optionally seeds the materialised-view map so the
-        structure just built is served back warm.
+        *prepared* optionally seeds the part's view so the structure just
+        built is served back warm.
         """
         key = coverage_cache_key(tau_km, preference)
         if key is None:
@@ -304,9 +300,8 @@ class CoverageCache:
             estimates=estimates,
             rep_sites=[int(s) for s in rep_sites],
             rep_clusters=[int(c) for c in rep_clusters],
+            view=prepared,
         )
-        if prepared is not None:
-            part.materialised[prepared.engine] = prepared
         with self._lock:
             self.parts[key] = part
             self.parts.move_to_end(key)
@@ -379,7 +374,7 @@ class CoverageCache:
         Parts that were already stale when the batch started are refused
         (dropped); a part whose patch fails for any reason is likewise
         dropped — the fallback is always a clean cold rebuild, never a
-        possibly-wrong warm answer.  Previously materialised views are
+        possibly-wrong warm answer.  A previously materialised view is
         rebuilt immediately from the patched entries ("query-ready
         maintenance": the cost lands on the update, and the next query at
         the key does zero coverage work).  Returns the number of parts
@@ -399,10 +394,8 @@ class CoverageCache:
                     with Timer() as patch_timer:
                         self._patch_part(index, part, batch, probe)
                         part.index_version = index.version
-                        part.materialised = {
-                            engine: self._materialise(index, part, engine)
-                            for engine in list(part.materialised)
-                        }
+                        if part.view is not None:
+                            part.view = self._materialise(index, part)
                 except Exception:
                     self.parts.pop(key, None)
                     self.invalidations += 1
@@ -518,9 +511,8 @@ class CoverageCache:
         self,
         index: "NetClusIndex",
         part: CoveragePart,
-        engine: str,
     ) -> "ClusteredCoverage":
-        """Build one engine's view over the part's canonical entries."""
+        """Build the view over the part's canonical entries."""
         require(
             part.num_trajectories == len(index.trajectory_ids),
             "coverage part registry size does not match the index",
@@ -536,7 +528,6 @@ class CoverageCache:
                 part.rep_sites,
                 part.rep_clusters,
                 part.instance_id,
-                engine,
             )
         self.materialisations += 1
         self.materialise_seconds += timer.elapsed
@@ -626,40 +617,30 @@ def materialise_coverage(
     rep_sites: list[int],
     rep_clusters: list[int],
     instance_id: int,
-    engine: str,
     instance: "NetClusInstance | None" = None,
 ) -> "ClusteredCoverage":
-    """One engine's :class:`~repro.core.netclus.ClusteredCoverage` over
-    canonical entries — the single view builder of cold builds and cache hits.
+    """The :class:`~repro.core.netclus.ClusteredCoverage` over canonical
+    entries — the single view builder of cold builds and cache hits.
 
-    The canonical ≤ τ entries determine every engine: the sparse index
-    takes them as they are, the bitset index packs them, and the dense
-    matrix holds them with ``inf`` in every other cell.  *instance*
-    defaults to the index's instance with id *instance_id*.
+    ψ picks the structure (:func:`~repro.core.coverage.resolve_engine`'s
+    ``"auto"`` rule): a binary ψ packs the entries into a
+    :class:`~repro.core.bitcov.BitsetCoverageIndex`, any other ψ keeps them
+    as they are in a :class:`~repro.core.coverage.SparseCoverageIndex`.
+    Both give the same selections and per-trajectory utilities.
+    *instance* defaults to the index's instance with id *instance_id*.
     """
     from repro.core.netclus import ClusteredCoverage
 
     trajectory_ids = index.trajectory_ids
-    num_trajectories = len(trajectory_ids)
     if instance is None:
         instance = _instance_of(index, instance_id)
-    coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
-    if engine == "dense":
-        detours = np.full((num_trajectories, len(rep_sites)), np.inf)
-        detours[rows, cols] = estimates
-        coverage = CoverageIndex(
-            detours,
-            tau_km,
-            preference,
-            site_labels=rep_sites,
-            trajectory_ids=trajectory_ids,
-        )
-    elif engine == "bitset":
+    coverage: SparseCoverageIndex | BitsetCoverageIndex
+    if resolve_engine("auto", preference) == "bitset":
         coverage = BitsetCoverageIndex.from_coverage_lists(
             rows,
             cols,
             estimates,
-            num_trajectories=num_trajectories,
+            num_trajectories=len(trajectory_ids),
             num_sites=len(rep_sites),
             tau_km=tau_km,
             preference=preference,
@@ -671,7 +652,7 @@ def materialise_coverage(
             rows,
             cols,
             estimates,
-            num_trajectories=num_trajectories,
+            num_trajectories=len(trajectory_ids),
             num_sites=len(rep_sites),
             tau_km=tau_km,
             preference=preference,
@@ -684,7 +665,6 @@ def materialise_coverage(
         coverage=coverage,
         representative_sites=list(rep_sites),
         representative_clusters=list(rep_clusters),
-        engine=engine,
         index_version=index.version,
     )
 

@@ -39,8 +39,10 @@ greedy solvers and the TOPS variant drivers:
 :class:`~repro.core.bitcov.BitsetCoverageIndex` is the third engine: for a
 binary ψ it packs the coverage into ``uint64`` bitset blocks so the same
 protocol kernels become popcounts (see :mod:`repro.core.bitcov`).
-:func:`resolve_engine` is the shared ``engine="auto"`` policy — bitset when
-ψ is binary, sparse otherwise.
+:func:`resolve_engine` is the ``engine="auto"`` policy — bitset when ψ is
+binary, sparse otherwise.  The flat space (``TOPSProblem.coverage``) lets
+the caller pick any engine; NetClus's clustered space always applies the
+``"auto"`` rule (:func:`~repro.core.covcache.materialise_coverage`).
 
 The hot-path kernels (``marginal_gains`` / ``marginal_gain`` /
 ``gain_updates`` / ``absorb``) are marked with the ``@kernel`` decorator:
@@ -73,7 +75,7 @@ __all__ = [
     "tie_break_candidates",
 ]
 
-#: engine names accepted everywhere an ``engine=`` knob exists
+#: engine names the flat space's ``engine=`` knob accepts
 ENGINES = ("dense", "sparse", "bitset", "auto")
 
 
@@ -83,8 +85,6 @@ def resolve_engine(engine: str, preference: PreferenceFunction) -> str:
     ``"auto"`` picks the packed bitset engine when ψ is binary (its
     popcount kernels are exact because binary scores are {0, 1}) and the
     sparse engine otherwise; concrete names pass through after validation.
-    Callers resolve *before* touching the coverage cache so that cache
-    views are always keyed by a concrete engine name.
     """
     require(
         engine in ENGINES,

@@ -28,7 +28,10 @@ representative the detour to a trajectory is *estimated* as
 ``d̂r(T_j, r_i) = dr(T_j, c_j) + dr(c_j, c_i) + dr(c_i, r_i)`` using only
 information stored offline, the approximate covers ``T̂C`` are formed, and
 Inc-Greedy (or FM-greedy for the binary instance) runs over the cluster
-representatives.
+representatives.  ψ alone picks how the covers are stored: packed bitsets
+for a binary ψ, sparse CSR/CSC lists otherwise
+(:func:`~repro.core.covcache.materialise_coverage`); the selections do
+not depend on it.
 
 Dynamic updates (Section 6) — addition/deletion of candidate sites and
 trajectories — edit the affected clusters of every instance: vectorised
@@ -53,12 +56,7 @@ import numpy as np
 
 from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.covcache import DEFAULT_PART_LIMIT, CoverageCache, materialise_coverage
-from repro.core.coverage import (
-    CoverageIndex,
-    SparseCoverageIndex,
-    canonical_entries,
-    resolve_engine,
-)
+from repro.core.coverage import CoverageIndex, SparseCoverageIndex, canonical_entries
 from repro.core.fm_greedy import FMGreedy
 from repro.core.greedy import IncGreedy
 from repro.core.preference import PreferenceFunction
@@ -516,15 +514,12 @@ class ClusteredCoverage:
     instance:
         The index instance ``I_p`` selected for τ.
     coverage:
-        The coverage index over the cluster representatives (dense,
-        sparse or bitset, depending on the requested engine).
+        The coverage index over the cluster representatives: bitset for a
+        binary ψ, sparse otherwise (see :func:`materialise_coverage`).
     representative_sites:
         Node id of each representative, aligned with coverage columns.
     representative_clusters:
         Cluster id of each representative, aligned with coverage columns.
-    engine:
-        ``"dense"``, ``"sparse"`` or ``"bitset"`` — which representation
-        was built (``"auto"`` is resolved before building).
     index_version:
         The :attr:`NetClusIndex.version` the structures were built at;
         :meth:`NetClusIndex.query` refuses a prepared coverage whose version
@@ -537,14 +532,12 @@ class ClusteredCoverage:
         coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex,
         representative_sites: list[int],
         representative_clusters: list[int],
-        engine: str,
         index_version: int = 0,
     ) -> None:
         self.instance = instance
         self.coverage = coverage
         self.representative_sites = list(representative_sites)
         self.representative_clusters = list(representative_clusters)
-        self.engine = engine
         self.index_version = int(index_version)
 
     @property
@@ -846,7 +839,6 @@ class NetClusIndex:
         self,
         tau_km: float,
         preference: PreferenceFunction,
-        engine: str = "dense",
         instance: NetClusInstance | None = None,
     ) -> ClusteredCoverage:
         """Build the reusable clustered-space coverage for one ``(τ, ψ)``.
@@ -858,18 +850,14 @@ class NetClusIndex:
         coverage-cache part is served as it is; otherwise
         :meth:`NetClusInstance.coverage_entries` computes the ≤ τ entries,
         they are canonicalised once, stored if a cache is attached, and
-        materialised as the *engine*'s view — ``"dense"``, ``"sparse"``,
-        ``"bitset"`` (binary ψ only), or ``"auto"`` (see
-        :func:`repro.core.coverage.resolve_engine`).  Every view holds the
-        same entries; the dense matrix is ``inf`` wherever the estimate
-        exceeds τ.
+        materialised by :func:`~repro.core.covcache.materialise_coverage`:
+        a bitset index when ψ is binary, a sparse index otherwise.
 
         The returned :class:`ClusteredCoverage` can answer any number of
         queries at this ``(τ, ψ)`` — pass it back via :meth:`query`'s
         ``prepared`` argument, or hand it to the solvers/variant drivers
         directly.  All distances are in kilometres.
         """
-        engine = resolve_engine(engine, preference)
         if instance is not None:
             expected = self.instance_for(tau_km).instance_id
             require(
@@ -878,7 +866,7 @@ class NetClusIndex:
                 f"(instance_for gives {expected})",
             )
         if self.coverage_cache is not None:
-            warm = self.coverage_cache.lookup(self, tau_km, preference, engine=engine)
+            warm = self.coverage_cache.lookup(self, tau_km, preference)
             if warm is not None:
                 return warm
         if instance is None:
@@ -895,7 +883,6 @@ class NetClusIndex:
             rep_sites,
             rep_clusters,
             instance.instance_id,
-            engine,
             instance=instance,
         )
         if self.coverage_cache is not None:
@@ -917,7 +904,6 @@ class NetClusIndex:
         use_fm_sketches: bool = False,
         num_sketches: int = 30,
         existing_sites: Sequence[int] = (),
-        engine: str = "dense",
         prepared: ClusteredCoverage | None = None,
     ) -> TOPSResult:
         """Answer a TOPS query ``(k, τ, ψ)`` over the clustered space.
@@ -940,17 +926,9 @@ class NetClusIndex:
             Number of FM sketches f when *use_fm_sketches* is set.
         existing_sites:
             Node ids of already-operating services (Section 7.3).
-        engine:
-            Coverage representation: ``"dense"`` builds the estimated-detour
-            matrix; ``"sparse"`` feeds the qualifying estimates into a
-            sparse index; ``"bitset"`` packs the binary coverage into
-            uint64 words with popcount gains (binary ψ only);
-            ``"auto"`` picks bitset for binary ψ and sparse otherwise.
-            Inc-Greedy runs the same loop on every engine, so the
-            selections are identical.
         prepared:
             A :class:`ClusteredCoverage` from :meth:`prepare_coverage` to
-            reuse; its ``(τ, engine)`` must match the query and its
+            reuse; its τ must match the query and its
             ``index_version`` the current :attr:`version` (a prepared
             coverage from before a dynamic update is refused rather than
             silently serving stale selections).  Skips the
@@ -961,17 +939,12 @@ class NetClusIndex:
         TOPSResult
             Selected sites (node ids, in selection order), clustered-space
             utility, per-trajectory utilities, and metadata identifying the
-            instance and engine used.
+            instance used.
         """
-        engine = resolve_engine(engine, query.preference)
         with Timer() as timer:
             if prepared is None:
-                prepared = self.prepare_coverage(query.tau_km, query.preference, engine)
+                prepared = self.prepare_coverage(query.tau_km, query.preference)
             else:
-                require(
-                    prepared.engine == engine,
-                    "prepared coverage was built with a different engine",
-                )
                 require(
                     prepared.tau_km == query.tau_km,
                     "prepared coverage was built for a different tau_km",
@@ -1008,7 +981,6 @@ class NetClusIndex:
                 "instance_radius_km": prepared.instance.radius_km,
                 "num_clusters": prepared.instance.num_clusters,
                 "num_representatives": len(prepared.representative_sites),
-                "engine": engine,
             },
         )
 

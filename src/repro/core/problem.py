@@ -26,7 +26,34 @@ from repro.trajectory.model import TrajectoryDataset
 from repro.utils.timer import Timer
 from repro.utils.validation import require
 
-__all__ = ["TOPSProblem"]
+__all__ = ["TOPSProblem", "flat_coverage"]
+
+#: the flat-space coverage class of each concrete engine name
+_ENGINE_CLASSES: dict[
+    str, type[CoverageIndex] | type[SparseCoverageIndex] | type[BitsetCoverageIndex]
+] = {"dense": CoverageIndex, "sparse": SparseCoverageIndex, "bitset": BitsetCoverageIndex}
+
+
+def flat_coverage(
+    detours: np.ndarray,
+    query: TOPSQuery,
+    engine: str,
+    site_labels: Sequence[int],
+    trajectory_ids: Sequence[int],
+) -> CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex:
+    """The flat-space coverage of a detour matrix on the requested *engine*.
+
+    *engine* is ``"dense"``, ``"sparse"``, ``"bitset"`` (binary ψ only)
+    or ``"auto"`` (:func:`~repro.core.coverage.resolve_engine`).
+    """
+    index_cls = _ENGINE_CLASSES[resolve_engine(engine, query.preference)]
+    return index_cls(
+        detours,
+        query.tau_km,
+        query.preference,
+        site_labels=site_labels,
+        trajectory_ids=trajectory_ids,
+    )
 
 
 class TOPSProblem:
@@ -106,20 +133,8 @@ class TOPSProblem:
         popcounts; ``engine="auto"`` picks bitset for binary ψ and sparse
         otherwise.  Selections are identical for any engine.
         """
-        engine = resolve_engine(engine, query.preference)
-        index_cls: type[CoverageIndex] | type[SparseCoverageIndex] | type[BitsetCoverageIndex]
-        if engine == "sparse":
-            index_cls = SparseCoverageIndex
-        elif engine == "bitset":
-            index_cls = BitsetCoverageIndex
-        else:
-            index_cls = CoverageIndex
-        return index_cls(
-            self.detour_matrix(),
-            query.tau_km,
-            query.preference,
-            site_labels=self.sites,
-            trajectory_ids=self.trajectories.ids(),
+        return flat_coverage(
+            self.detour_matrix(), query, engine, self.sites, self.trajectories.ids()
         )
 
     # ------------------------------------------------------------------ #
@@ -220,12 +235,7 @@ class TOPSProblem:
             representative_strategy=representative_strategy,
         )
 
-    def placement_service(
-        self,
-        engine: str = "sparse",
-        cache_size: int = 128,
-        **build_kwargs,
-    ):
+    def placement_service(self, cache_size: int = 128, **build_kwargs):
         """A lazily-built :class:`~repro.service.PlacementService` over this problem.
 
         *build_kwargs* are forwarded to :meth:`build_netclus_index`.  The
@@ -235,12 +245,7 @@ class TOPSProblem:
         """
         from repro.service.placement import PlacementService
 
-        return PlacementService.from_problem(
-            self,
-            engine=engine,
-            cache_size=cache_size,
-            **build_kwargs,
-        )
+        return PlacementService.from_problem(self, cache_size=cache_size, **build_kwargs)
 
     # ------------------------------------------------------------------ #
     def evaluate(self, sites: Sequence[int], query: TOPSQuery) -> tuple[float, np.ndarray]:

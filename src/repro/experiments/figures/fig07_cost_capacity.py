@@ -14,7 +14,8 @@ NetClus clustered space.
 
 from __future__ import annotations
 
-from repro.core.coverage import CoverageIndex
+from repro.core.bitcov import BitsetCoverageIndex
+from repro.core.coverage import SparseCoverageIndex
 from repro.core.query import TOPSQuery
 from repro.core.variants import solve_tops_capacity, solve_tops_cost
 from repro.datasets.workloads import site_capacities_normal, site_costs_normal
@@ -25,11 +26,11 @@ from repro.utils.timer import Timer
 __all__ = ["run_cost", "run_capacity", "run", "main"]
 
 
-def _netclus_coverage(context: ExperimentContext, query: TOPSQuery) -> CoverageIndex:
+def _netclus_coverage(
+    context: ExperimentContext, query: TOPSQuery
+) -> SparseCoverageIndex | BitsetCoverageIndex:
     """Clustered-space coverage index (estimated detours over representatives)."""
-    return context.netclus.prepare_coverage(
-        query.tau_km, query.preference, engine="dense"
-    ).coverage
+    return context.netclus.prepare_coverage(query.tau_km, query.preference).coverage
 
 
 def run_cost(

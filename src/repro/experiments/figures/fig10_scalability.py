@@ -36,7 +36,7 @@ def _run_both(
             gamma=gamma, tau_min_km=DEFAULT_TAU_RANGE[0], tau_max_km=DEFAULT_TAU_RANGE[1]
         )
     with Timer() as netclus_timer:
-        netclus = index.query(query, engine=engine)
+        netclus = index.query(query)
     return {
         "incg_runtime_s": incg_timer.elapsed,
         "netclus_runtime_s": netclus_timer.elapsed,

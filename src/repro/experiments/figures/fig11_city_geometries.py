@@ -42,7 +42,7 @@ def run(
             gamma=gamma, tau_min_km=DEFAULT_TAU_RANGE[0], tau_max_km=DEFAULT_TAU_RANGE[1]
         )
         with Timer() as netclus_timer:
-            netclus = index.query(query, engine=engine)
+            netclus = index.query(query)
         rows.append(
             {
                 "city": short_name,

@@ -55,7 +55,7 @@ def run(
             tau_min_km=DEFAULT_TAU_RANGE[0], tau_max_km=DEFAULT_TAU_RANGE[1]
         )
         with Timer() as netclus_timer:
-            netclus = index.query(query, engine=engine)
+            netclus = index.query(query)
         rows.append(
             {
                 "length_band_km": f"{low:.0f}-{high:.0f}",

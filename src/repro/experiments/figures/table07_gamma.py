@@ -43,7 +43,7 @@ def run(
                 tau_min_km=DEFAULT_TAU_RANGE[0],
                 tau_max_km=DEFAULT_TAU_RANGE[1],
             )
-        result = index.query(query, engine=engine)
+        result = index.query(query)
         candidate_pct = problem.utility_percent(result.sites, query)
         rows.append(
             {

@@ -169,10 +169,11 @@ def main(argv: list[str] | None = None) -> None:
         "--engine",
         default="dense",
         choices=["dense", "sparse", "bitset", "auto"],
-        help="coverage + greedy engine: the paper's dense matrices, the "
-        "CSR/CSC coverage over the covered pairs, the uint64 popcount "
-        "engine (binary ψ only), or auto (bitset for binary ψ, sparse "
-        "otherwise) — same selections on every engine",
+        help="flat-space coverage + greedy engine: the paper's dense "
+        "matrices, the CSR/CSC coverage over the covered pairs, the uint64 "
+        "popcount engine (binary ψ only), or auto (bitset for binary ψ, "
+        "sparse otherwise) — same selections on every engine; NetClus "
+        "always uses the auto structure",
     )
     parser.add_argument(
         "--only",

@@ -16,11 +16,11 @@ from pathlib import Path
 
 
 from repro.core.bitcov import BitsetCoverageIndex
-from repro.core.coverage import CoverageIndex, SparseCoverageIndex, resolve_engine
+from repro.core.coverage import CoverageIndex, SparseCoverageIndex
 from repro.core.fm_greedy import FMGreedy
 from repro.core.greedy import IncGreedy
 from repro.core.netclus import NetClusIndex
-from repro.core.problem import TOPSProblem
+from repro.core.problem import TOPSProblem, flat_coverage
 from repro.core.query import TOPSQuery, TOPSResult
 from repro.datasets import beijing_like
 from repro.datasets.base import DatasetBundle
@@ -48,7 +48,9 @@ class ExperimentContext:
     netclus: NetClusIndex
     gamma: float = DEFAULT_GAMMA
     num_sketches: int = 30
-    engine: str = "dense"  # "dense", "sparse", "bitset" or "auto" coverage + greedy engine
+    #: flat-space coverage engine ("dense", "sparse", "bitset" or "auto");
+    #: NetClus's clustered space picks its own structure from ψ
+    engine: str = "dense"
     _service: PlacementService | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #
@@ -67,7 +69,7 @@ class ExperimentContext:
         service counters still apply.
         """
         if self._service is None:
-            self._service = PlacementService(self.netclus, engine=self.engine)
+            self._service = PlacementService(self.netclus)
         return self._service
 
     def coverage(
@@ -87,21 +89,12 @@ class ExperimentContext:
         detour matrix from the oracle's tables on every query, while NetClus
         answers purely from its pre-built index.
         """
-        detours = self.problem.oracle.detour_matrix(self.problem.trajectories)
-        engine = resolve_engine(self.engine, query.preference)
-        index_cls: type[CoverageIndex] | type[SparseCoverageIndex] | type[BitsetCoverageIndex]
-        if engine == "sparse":
-            index_cls = SparseCoverageIndex
-        elif engine == "bitset":
-            index_cls = BitsetCoverageIndex
-        else:
-            index_cls = CoverageIndex
-        return index_cls(
-            detours,
-            query.tau_km,
-            query.preference,
-            site_labels=self.problem.sites,
-            trajectory_ids=self.problem.trajectories.ids(),
+        return flat_coverage(
+            self.problem.oracle.detour_matrix(self.problem.trajectories),
+            query,
+            self.engine,
+            self.problem.sites,
+            self.problem.trajectories.ids(),
         )
 
     # ------------------------------------------------------------------ #
@@ -134,7 +127,6 @@ class ExperimentContext:
             query,
             use_fm_sketches=True,
             num_sketches=self.num_sketches,
-            engine=self.engine,
         )
 
     def exact_utility_percent(self, result: TOPSResult, query: TOPSQuery) -> float:
@@ -183,11 +175,13 @@ def build_context(
 ) -> ExperimentContext:
     """Build an :class:`ExperimentContext` (Beijing-like by default).
 
-    ``engine`` selects the coverage + greedy engine for every driver that
-    goes through the context: ``"dense"`` (the paper's matrices),
+    ``engine`` selects the flat-space coverage engine for every driver
+    that goes through the context: ``"dense"`` (the paper's matrices),
     ``"sparse"`` (CSR/CSC coverage over the covered pairs), ``"bitset"``
     (uint64-packed binary coverage with popcount gains; binary ψ only) or
-    ``"auto"`` (bitset for binary ψ, sparse otherwise).
+    ``"auto"`` (bitset for binary ψ, sparse otherwise).  NetClus queries
+    always use the ``"auto"`` structure; selections are the same on every
+    engine.
 
     ``index_path`` persists the NetClus index across runs: when the
     directory holds a saved index it is loaded instead of rebuilt (the

@@ -133,16 +133,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if not specs:
         raise SystemExit(f"{args.specs}: no query specs found")
     service = PlacementService.from_path(
-        args.index,
-        engine=args.engine,
-        coverage_cache=True if args.coverage_cache else None,
+        args.index, coverage_cache=True if args.coverage_cache else None
     )
     results = service.batch_query(specs)
     if args.save_coverage:
         if service.coverage_cache is None:
             raise SystemExit(
                 "--save-coverage needs a coverage cache; pass --coverage-cache "
-                "or query a v3 index saved with coverage parts"
+                "or query an index saved with coverage parts"
             )
         directory = save_index(
             service.index,
@@ -209,9 +207,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import PlacementServer
 
     service = PlacementService.from_path(
-        args.index,
-        engine=args.engine,
-        coverage_cache=True if args.coverage_cache else None,
+        args.index, coverage_cache=True if args.coverage_cache else None
     )
     server = PlacementServer(
         service,
@@ -272,7 +268,6 @@ def _cmd_farm(args: argparse.Namespace) -> int:
         memory_budget_bytes=(
             None if args.memory_budget_mb is None else int(args.memory_budget_mb * 1e6)
         ),
-        engine=args.engine,
         coverage_cache=True if args.coverage_cache else None,
     )
     for entry in args.tenant:
@@ -479,7 +474,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             f"{'part':>4} {'tau_km':>7} {'preference':<14} {'inst':>4} "
             f"{'version':>7} {'entries':>9} {'reps':>6}"
         )
-        print(f"coverage parts   : {len(coverage_parts)} warm (format v3)")
+        print(f"coverage parts   : {len(coverage_parts)} warm")
         print(header)
         print("-" * len(header))
         for entry in coverage_parts:
@@ -559,24 +554,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     query.add_argument("--index", required=True, help="index directory (from build)")
     query.add_argument("--specs", required=True, help="JSON array or CSV of specs")
     query.add_argument(
-        "--engine",
-        default="sparse",
-        choices=["dense", "sparse", "bitset", "auto"],
-        help="coverage engine (bitset: binary-preference popcount kernels; "
-        "auto: bitset for binary specs, sparse otherwise)",
-    )
-    query.add_argument(
         "--coverage-cache",
         action="store_true",
         help="keep materialised coverage in an in-process cache so repeated "
-        "(tau, preference) specs skip the coverage build (a v3 index saved "
+        "(tau, preference) specs skip the coverage build (an index saved "
         "with coverage parts enables this automatically)",
     )
     query.add_argument(
         "--save-coverage",
         action="store_true",
         help="after answering, save the warmed coverage parts back into the "
-        "index directory (format v3) so later runs start warm",
+        "index directory so later runs start warm",
     )
     query.add_argument("--output", default=None, help="write results JSON here")
     query.set_defaults(func=_cmd_query)
@@ -616,18 +604,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="seconds to let in-flight requests finish on shutdown",
     )
     serve.add_argument(
-        "--engine",
-        default="sparse",
-        choices=["dense", "sparse", "bitset", "auto"],
-        help="coverage engine (bitset: binary-preference popcount kernels; "
-        "auto: bitset for binary specs, sparse otherwise)",
-    )
-    serve.add_argument(
         "--coverage-cache",
         action="store_true",
         help="keep materialised coverage warm across requests — POST /update "
         "patches the cached parts instead of forcing a coverage rebuild on "
-        "the next query (a v3 index with saved parts enables this "
+        "the next query (an index saved with coverage parts enables this "
         "automatically)",
     )
     serve.set_defaults(func=_cmd_serve)
@@ -681,15 +662,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=10.0,
         help="seconds to let in-flight requests finish on shutdown",
     )
-    farm.add_argument(
-        "--engine",
-        default="sparse",
-        choices=["dense", "sparse", "bitset", "auto"],
-        help="coverage engine for every tenant (bitset: binary-preference "
-        "popcount kernels; auto: bitset for binary specs, sparse otherwise)",
-    )
     # accepted and ignored: the farm_http benchmark's frozen server
-    # command line still passes it
+    # command line still passes both (ψ picks the coverage structure)
+    farm.add_argument("--engine", choices=["auto"], help=argparse.SUPPRESS)
     farm.add_argument("--query-workers", help=argparse.SUPPRESS)
     farm.add_argument(
         "--coverage-cache",

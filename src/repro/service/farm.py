@@ -10,7 +10,7 @@ milliseconds and pays per-tenant load cost only on first use.
 
 **Memory budget.** ``memory_budget_bytes`` caps the summed
 ``storage_bytes`` of resident tenants (the manifest's Table 9-style
-per-engine accounting — cluster arrays, trajectory lists, neighbor maps).
+accounting — cluster arrays, trajectory lists, neighbor maps).
 When loading a tenant would exceed the budget, least-recently-used
 resident tenants are evicted until it fits; the tenant being touched is
 never evicted to make room for itself, so one oversized index still
@@ -93,8 +93,8 @@ class IndexFarm:
         ``None`` disables eviction (every loaded tenant stays resident).
     service_kwargs:
         Forwarded to every tenant's :class:`PlacementService` constructor
-        (``engine``, ``cache_size``, ``coverage_cache``, ...), so all
-        tenants share one serving configuration.
+        (``cache_size``, ``coverage_cache``, ...), so all tenants share one
+        serving configuration.
 
     Examples
     --------

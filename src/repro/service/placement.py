@@ -46,7 +46,6 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.core.covcache import CoverageCache
-from repro.core.coverage import ENGINES
 from repro.core.greedy import IncGreedy
 from repro.core.netclus import ClusteredCoverage, NetClusIndex, UpdateBatch
 from repro.core.preference import is_registered
@@ -61,6 +60,19 @@ from repro.utils.timer import KernelTimer, Timer
 from repro.utils.validation import require
 
 __all__ = ["PlacementService", "ServiceStats"]
+
+
+def _require_auto(engine: str) -> None:
+    """Refuse any coverage-engine request but ``"auto"``.
+
+    ψ picks the clustered coverage structure; ``engine="auto"`` is still
+    accepted because existing callers pass it.
+    """
+    require(
+        engine == "auto",
+        f"engine={engine!r} is not supported: the clustered coverage "
+        'structure follows ψ; pass engine="auto" or leave it out',
+    )
 
 
 @guarded_by("_condition", "_active_readers", "_writer_active", "_writers_waiting")
@@ -266,14 +278,20 @@ class PlacementService:
         Alternative to *index*: a zero-argument callable building the index
         on first use (lazy construction; see :meth:`from_problem`).
     engine:
-        Coverage engine for every query: ``"sparse"`` (default — CSR/CSC
-        coverage over the covered pairs), ``"dense"`` (the paper's
-        matrices), ``"bitset"`` (uint64-packed binary coverage with
-        popcount gains; binary ψ only) or ``"auto"`` (bitset when the
-        spec's ψ is binary, sparse otherwise — resolved per spec).
-        Selections are identical for every engine.
+        Accepted for existing callers and only as ``"auto"``: the
+        clustered coverage is a bitset index for a binary ψ and a sparse
+        index otherwise (see
+        :func:`~repro.core.covcache.materialise_coverage`); any other value
+        raises ``ValueError``.
     cache_size:
         Capacity of the LRU result cache (0 disables caching).
+    coverage_cache, coverage_cache_limit:
+        Coverage-cache policy: ``True`` enables the index's persistent
+        :class:`~repro.core.covcache.CoverageCache` (zero-rebuild
+        steady-state queries), ``False`` detaches it, ``None`` (default)
+        keeps whatever the index already has — e.g. parts loaded from an
+        index directory.  A limit resizes the cache the policy leaves in
+        place (:meth:`~repro.core.covcache.CoverageCache.resize`).
 
     Examples
     --------
@@ -292,7 +310,7 @@ class PlacementService:
         index: NetClusIndex | None = None,
         *,
         builder: Callable[[], NetClusIndex] | None = None,
-        engine: str = "sparse",
+        engine: str = "auto",
         cache_size: int = 128,
         coverage_cache: bool | None = None,
         coverage_cache_limit: int | None = None,
@@ -301,20 +319,13 @@ class PlacementService:
             (index is not None) or (builder is not None),
             "PlacementService needs an index or a builder",
         )
-        require(
-            engine in ENGINES,
-            f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}",
-        )
+        _require_auto(engine)
         require(cache_size >= 0, "cache_size must be non-negative")
+        if coverage_cache_limit is not None:
+            require(int(coverage_cache_limit) >= 1, "coverage cache limit must be >= 1")
         self._index = index
         self._builder = builder
-        self.engine = engine
         self.cache_size = cache_size
-        #: coverage-cache policy: ``True`` enables the index's persistent
-        #: :class:`~repro.core.covcache.CoverageCache` (zero-rebuild
-        #: steady-state queries), ``False`` detaches it, ``None`` (default)
-        #: keeps whatever the index already has — e.g. parts loaded from a
-        #: format-v3 directory
         self._coverage_cache_opt = coverage_cache
         self._coverage_cache_limit = coverage_cache_limit
         if index is not None:
@@ -342,7 +353,6 @@ class PlacementService:
         cls,
         problem: Any,
         *,
-        engine: str = "sparse",
         cache_size: int = 128,
         coverage_cache: bool | None = None,
         coverage_cache_limit: int | None = None,
@@ -357,7 +367,6 @@ class PlacementService:
         """
         return cls(
             builder=lambda: problem.build_netclus_index(**build_kwargs),
-            engine=engine,
             cache_size=cache_size,
             coverage_cache=coverage_cache,
             coverage_cache_limit=coverage_cache_limit,
@@ -370,7 +379,7 @@ class PlacementService:
         network: RoadNetwork | None = None,
         dataset: TrajectoryDataset | None = None,
         *,
-        engine: str = "sparse",
+        engine: str = "auto",
         cache_size: int = 128,
         coverage_cache: bool | None = None,
         coverage_cache_limit: int | None = None,
@@ -378,12 +387,14 @@ class PlacementService:
         """A service over a persisted index directory (see ``save``).
 
         Fingerprints are verified on load; a *network*/*dataset* that does
-        not match what the index was built on is refused.  A format-v3
-        directory with coverage parts cold-starts warm: the parts are
-        attached on load (``coverage_cache=None`` keeps them; ``False``
-        drops them; ``True`` additionally enables the cache even when the
-        directory carried no parts).
+        not match what the index was built on is refused.  A directory
+        with coverage parts cold-starts warm: the parts are attached on
+        load (``coverage_cache=None`` keeps them; ``False`` drops them;
+        ``True`` additionally enables the cache even when the directory
+        carried no parts).  *engine* accepts only ``"auto"``, as in the
+        constructor.
         """
+        _require_auto(engine)
         return cls(
             index=load_index(
                 path,
@@ -391,7 +402,6 @@ class PlacementService:
                 dataset=dataset,
                 with_coverage=coverage_cache is not False,
             ),
-            engine=engine,
             cache_size=cache_size,
             coverage_cache=coverage_cache,
             coverage_cache_limit=coverage_cache_limit,
@@ -421,7 +431,7 @@ class PlacementService:
         elif self._coverage_cache_opt is False:
             index.coverage_cache = None
         elif self._coverage_cache_limit is not None and index.coverage_cache is not None:
-            index.coverage_cache.limit = int(self._coverage_cache_limit)
+            index.coverage_cache.resize(self._coverage_cache_limit)
 
     @property
     def coverage_cache(self) -> CoverageCache | None:
@@ -556,14 +566,10 @@ class PlacementService:
                     # but with the same per-stage timing accounting as
                     # spec queries
                     with Timer() as build_timer:
-                        prepared = index.prepare_coverage(
-                            spec.tau_km, spec.preference, engine=self.engine
-                        )
+                        prepared = index.prepare_coverage(spec.tau_km, spec.preference)
                     prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
                     with Timer() as run_timer:
-                        results[position] = index.query(
-                            spec, engine=self.engine, prepared=prepared
-                        )
+                        results[position] = index.query(spec, prepared=prepared)
                     self.stats.bump(
                         instance_resolutions=1,
                         coverage_builds=1,
@@ -635,9 +641,7 @@ class PlacementService:
                     # resolution, no coverage build — at most a view
                     # materialisation over the canonical entries
                     with Timer() as timer:
-                        prepared = self.index.prepare_coverage(
-                            spec.tau_km, preference, engine=self.engine
-                        )
+                        prepared = self.index.prepare_coverage(spec.tau_km, preference)
                     prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
                     self.stats.bump(
                         coverage_cache_hits=1,
@@ -655,7 +659,6 @@ class PlacementService:
                     prepared = self.index.prepare_coverage(
                         spec.tau_km,
                         preference,
-                        engine=self.engine,
                         instance=instances[spec.tau_km],
                     )
                 prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
@@ -784,9 +787,6 @@ class PlacementService:
             "instance_radius_km": instance.radius_km,
             "num_clusters": instance.num_clusters,
             "num_representatives": len(group.prepared.representative_sites),
-            # the engine the group's coverage was actually built with
-            # (``self.engine`` may be the unresolved "auto" policy)
-            "engine": group.prepared.engine,
             "coverage_build_seconds": group.build_seconds,
         }
 

@@ -15,6 +15,8 @@ query`` CLI reads.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
@@ -64,13 +66,17 @@ class QuerySpec:
     existing_sites: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        require(
+            isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool),
+            f"k must be an integer, got {self.k!r}",
+        )
         require_positive(self.k, "k")
-        require_positive(self.tau_km, "tau_km")
-        require_positive(self.site_cost, "site_cost")
+        _require_finite_positive(self.tau_km, "tau_km")
+        _require_finite_positive(self.site_cost, "site_cost")
         if self.capacity is not None:
             require(self.capacity >= 0, "capacity must be non-negative")
         if self.budget is not None:
-            require_positive(self.budget, "budget")
+            _require_finite_positive(self.budget, "budget")
             require(
                 self.capacity is None,
                 "budget and capacity cannot be combined in one spec",
@@ -80,6 +86,7 @@ class QuerySpec:
                 "budgeted specs do not support existing_sites",
             )
         # normalise mutable/unsorted inputs so equal specs hash equally
+        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(
             self,
             "preference_params",
@@ -162,7 +169,9 @@ class QuerySpec:
         Recognised keys: ``k``, ``tau_km``, ``preference``,
         ``preference_params`` (object), ``capacity``, ``budget``,
         ``site_cost``, ``existing_sites`` (list).  Unknown keys raise, so a
-        typo in a batch file fails loudly instead of being ignored.
+        typo in a batch file fails loudly instead of being ignored.  ``k``
+        must be integral (``3``, ``3.0`` or the CSV string ``"3"``; never
+        ``2.5`` or a bool), and τ, budget and site cost finite.
         """
         known = {
             "k",
@@ -179,7 +188,7 @@ class QuerySpec:
         require("k" in payload and "tau_km" in payload, "a spec needs k and tau_km")
         params = payload.get("preference_params", {})
         return cls(
-            k=int(payload["k"]),
+            k=_integral(payload["k"], "k"),
             tau_km=float(payload["tau_km"]),
             preference=str(payload.get("preference", "binary")),
             preference_params=tuple(sorted((str(k), float(v)) for k, v in params.items())),
@@ -192,6 +201,19 @@ class QuerySpec:
     def with_k(self, k: int) -> "QuerySpec":
         """A copy of this spec with a different k."""
         return replace(self, k=k)
+
+
+def _integral(value: Any, name: str) -> int:
+    """An integer from a JSON number or CSV string, refusing truncation."""
+    require(not isinstance(value, bool), f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float):
+        require(value.is_integer(), f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_finite_positive(value: float, name: str) -> None:
+    require_positive(value, name)
+    require(math.isfinite(value), f"{name} must be finite, got {value!r}")
 
 
 def _opt_int(value: Any) -> int | None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from coverage_reference import answer_on, views_for
 
 import repro.core.build as build_module
 from repro.core.build import STAGES, BuildStats, build_index
@@ -112,10 +113,10 @@ class TestBuildDeterminism:
 
     def test_selections_identical(self, sequential_index, rebuilt_index):
         for tau in (0.6, 1.2, 2.4):
-            for engine in ("dense", "sparse"):
-                query = TOPSQuery(k=4, tau_km=tau)
-                a = sequential_index.query(query, engine=engine)
-                b = rebuilt_index.query(query, engine=engine)
+            query = TOPSQuery(k=4, tau_km=tau)
+            for view in views_for(query.preference):
+                a = answer_on(sequential_index, query, view)
+                b = answer_on(rebuilt_index, query, view)
                 assert a.sites == b.sites
                 assert (
                     np.asarray(a.per_trajectory_utility).tobytes()

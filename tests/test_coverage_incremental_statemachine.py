@@ -13,7 +13,8 @@ seeded generator of arbitrary interleavings of
 * query probes on multiple ``(τ, ψ)`` keys,
 
 and after **every** step byte-compares the warm index against a cache-free
-twin across ``engine ∈ {dense, sparse}``.  A failure
+twin, on the ψ-chosen views and on dense (and, for binary ψ, sparse)
+references built from the warm part's and the twin's entries.  A failure
 prints the reproducing seed and the full op script.
 
 Also covers the cache's unit-level contracts: LRU bounds, the unregistered-ψ
@@ -26,6 +27,7 @@ import copy
 
 import numpy as np
 import pytest
+from coverage_reference import answer_on, views_for
 
 from repro.core.covcache import CoverageCache, coverage_cache_key
 from repro.core.netclus import NetClusIndex, UpdateBatch
@@ -44,7 +46,6 @@ KEYS: tuple[tuple[float, PreferenceFunction], ...] = (
     (1.2, BinaryPreference()),
     (2.0, LinearPreference()),
 )
-ENGINES = ("dense", "sparse")
 NUM_OPS = 12
 
 
@@ -186,12 +187,13 @@ def assert_parity(warm, seed, ops, step):
     cold = copy.deepcopy(warm)
     cold.coverage_cache = None
     for tau, preference in KEYS:
-        for engine in ENGINES:
+        part = warm.coverage_cache.parts[coverage_cache_key(tau, preference)]
+        for view in views_for(preference):
             query = TOPSQuery(k=5, tau_km=tau, preference=preference)
-            a = warm.query(query, engine=engine)
-            b = cold.query(query, engine=engine)
+            a = answer_on(warm, query, view, part=part)
+            b = answer_on(cold, query, view)
             context = (
-                f"(tau={tau}, psi={preference.spec()[0]}, engine={engine}) "
+                f"(tau={tau}, psi={preference.spec()[0]}, view={view}) "
                 f"diverged after step {step}.\n"
                 f"Reproduce with:\n{format_script(seed, ops, step)}"
             )
@@ -219,8 +221,7 @@ def test_statemachine_parity(world, seed, strategy):
 
     # warm every (τ, ψ) key up front so each later batch exercises a patch
     for tau, preference in KEYS:
-        for engine in ENGINES:
-            warm.query(TOPSQuery(k=5, tau_km=tau, preference=preference), engine=engine)
+        warm.query(TOPSQuery(k=5, tau_km=tau, preference=preference))
 
     batches_applied = 0
     for step, op in enumerate(ops):
@@ -230,7 +231,7 @@ def test_statemachine_parity(world, seed, strategy):
             batches_applied += 1
         else:
             tau, preference = KEYS[op[1]["key"]]
-            warm.query(TOPSQuery(k=4, tau_km=tau, preference=preference), engine="sparse")
+            warm.query(TOPSQuery(k=4, tau_km=tau, preference=preference))
         assert_parity(warm, seed, ops, step)
 
     stats = warm.coverage_cache.stats()
@@ -251,7 +252,7 @@ def test_v4_loaded_twin_tracks_every_batch(world, tmp_path, seed, strategy):
     memory = build(world, strategy)
     memory.enable_coverage_cache()
     for tau, preference in KEYS:
-        memory.query(TOPSQuery(k=5, tau_km=tau, preference=preference), engine="sparse")
+        memory.query(TOPSQuery(k=5, tau_km=tau, preference=preference))
     loaded = load_index(save_index(memory, tmp_path / "twin.ncx"))
     rng = np.random.default_rng(seed)
     ops = generate_ops(rng, network, memory, held_out)
@@ -269,8 +270,8 @@ def test_v4_loaded_twin_tracks_every_batch(world, tmp_path, seed, strategy):
         assert payload_digest(loaded, include_timings=False) == expected, context
         for tau, preference in KEYS:
             query = TOPSQuery(k=5, tau_km=tau, preference=preference)
-            a = memory.query(query, engine="sparse")
-            b = loaded.query(query, engine="sparse")
+            a = memory.query(query)
+            b = loaded.query(query)
             assert list(a.sites) == list(b.sites), context
             utilities = [np.asarray(r.per_trajectory_utility).tobytes() for r in (a, b)]
             assert utilities[0] == utilities[1], context
@@ -283,7 +284,7 @@ def test_lru_bound(world):
     index = build(world)
     index.enable_coverage_cache(limit=2)
     for tau in (0.8, 1.2, 1.6, 2.0):
-        index.query(TOPSQuery(k=3, tau_km=tau), engine="sparse")
+        index.query(TOPSQuery(k=3, tau_km=tau))
     stats = index.coverage_cache.stats()
     assert stats["parts"] == 2
     described = index.coverage_cache.describe_parts()
@@ -298,7 +299,7 @@ def test_unregistered_preference_bypasses_cache(world):
     assert coverage_cache_key(1.0, CustomPreference()) is None
     index = build(world)
     index.enable_coverage_cache()
-    index.prepare_coverage(1.2, CustomPreference(), engine="sparse")
+    index.prepare_coverage(1.2, CustomPreference())
     assert index.coverage_cache.stats()["parts"] == 0
 
 
@@ -309,18 +310,18 @@ def test_single_item_mutator_falls_back_to_rebuild(world):
     index = build(world)
     index.enable_coverage_cache()
     query = TOPSQuery(k=5, tau_km=1.2)
-    index.query(query, engine="sparse")
+    index.query(query)
     assert index.coverage_cache.stats()["parts"] == 1
 
     index.remove_trajectory(list(base.ids())[3])  # bumps version, no patch
-    warm_answer = index.query(query, engine="sparse")
+    warm_answer = index.query(query)
     stats = index.coverage_cache.stats()
     assert stats["invalidations"] == 1  # the stale part was dropped...
     assert stats["stores"] == 2  # ...and a fresh one stored
 
     cold = copy.deepcopy(index)
     cold.coverage_cache = None
-    cold_answer = cold.query(query, engine="sparse")
+    cold_answer = cold.query(query)
     assert list(warm_answer.sites) == list(cold_answer.sites)
     assert (
         np.asarray(warm_answer.per_trajectory_utility).tobytes()
@@ -337,15 +338,15 @@ def test_foreign_instance_is_refused_and_never_cached(world):
     rung = index.instance_for(query.tau_km)
     foreign = next(i for i in index.instances if i.instance_id != rung.instance_id)
     with pytest.raises(ValueError, match="does not serve"):
-        index.prepare_coverage(query.tau_km, query.preference, engine="sparse", instance=foreign)
+        index.prepare_coverage(query.tau_km, query.preference, instance=foreign)
     assert index.coverage_cache.stats()["parts"] == 0
 
     prepared = index.prepare_coverage(
-        query.tau_km, query.preference, engine="sparse", instance=rung
+        query.tau_km, query.preference, instance=rung
     )
     assert prepared.instance is rung
-    warm_answer = index.query(query, engine="sparse")
-    cold_answer = build(world).query(query, engine="sparse")
+    warm_answer = index.query(query)
+    cold_answer = build(world).query(query)
     assert warm_answer.metadata["instance_id"] == rung.instance_id
     assert list(warm_answer.sites) == list(cold_answer.sites)
     assert (
@@ -357,15 +358,15 @@ def test_foreign_instance_is_refused_and_never_cached(world):
 def test_deepcopy_drops_views_but_keeps_parts(world):
     index = build(world)
     index.enable_coverage_cache()
-    index.query(TOPSQuery(k=5, tau_km=1.2), engine="sparse")
+    index.query(TOPSQuery(k=5, tau_km=1.2))
     clone = copy.deepcopy(index)
     assert clone.coverage_cache is not index.coverage_cache
     assert clone.coverage_cache.stats()["parts"] == 1
     for part in clone.coverage_cache.parts.values():
-        assert part.materialised == {}
+        assert part.view is None
     # the cloned cache still answers warm (re-materialises from its arrays)
     before = clone.coverage_cache.stats()["hits"]
-    clone.query(TOPSQuery(k=5, tau_km=1.2), engine="sparse")
+    clone.query(TOPSQuery(k=5, tau_km=1.2))
     assert clone.coverage_cache.stats()["hits"] == before + 1
 
 
@@ -383,7 +384,7 @@ def test_limit_resize(world):
     index.enable_coverage_cache(limit=4)
     assert isinstance(index.coverage_cache, CoverageCache)
     for tau in (0.8, 1.2, 1.6, 2.0):
-        index.query(TOPSQuery(k=3, tau_km=tau), engine="sparse")
+        index.query(TOPSQuery(k=3, tau_km=tau))
     assert index.coverage_cache.stats()["parts"] == 4
     index.enable_coverage_cache(limit=1)  # idempotent enable + shrink
     assert index.coverage_cache.stats()["parts"] == 1

@@ -6,7 +6,9 @@ utilities and greedy selections as the dense reference engine, for every
 preference each engine supports — across both greedy loops (checked
 against the full-recompute oracle), the TOPS variant drivers, FM-greedy,
 the NetClus clustered space, dynamically updated indexes, and the
-placement service.
+placement service.  The clustered space builds only the view ψ picks, so
+its tests compare that view against dense and sparse references built
+from the same canonical entries (``coverage_reference.py``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import copy
 
 import numpy as np
 import pytest
+from coverage_reference import reference_kinds, reference_view, seed_reference_views
 from greedy_oracle import ORACLE_CASES, assert_matches_oracle, recompute_select
 
 from repro.core.bitcov import BitsetCoverageIndex
@@ -359,43 +362,46 @@ def test_min_inconvenience_refuses_sparse_coverage(rng):
 # ---------------------------------------------------------------------- #
 # NetClus clustered space and the flat problem
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    ("engine", "pref_name"),
-    [
-        ("sparse", "binary"),
-        ("bitset", "binary"),
-        ("auto", "binary"),
-        ("sparse", "linear"),
-        ("auto", "linear"),
-    ],
-)
-def test_netclus_query_parity_across_engines(tiny_netclus, engine, pref_name):
-    query = TOPSQuery(k=6, tau_km=0.9, preference=make_preference(pref_name))
-    baseline = tiny_netclus.query(query, engine="dense")
-    prepared = tiny_netclus.prepare_coverage(query.tau_km, query.preference, engine=engine)
-    for result in (
-        tiny_netclus.query(query, engine=engine),
-        tiny_netclus.query(query, engine=engine, prepared=prepared),
-    ):
-        _assert_same_result(result, baseline)
-        assert "shards" not in result.metadata
+@pytest.mark.parametrize("tau_km", [0.9, 1.6])
+@pytest.mark.parametrize("pref_name", ["binary", "linear", "exponential"])
+def test_netclus_query_parity_against_references(tiny_netclus, pref_name, tau_km):
+    """The ψ-chosen view answers like dense (and, for binary ψ, sparse)
+    references built from the same canonical entries."""
+    query = TOPSQuery(k=6, tau_km=tau_km, preference=make_preference(pref_name))
+    prepared = tiny_netclus.prepare_coverage(query.tau_km, query.preference)
+    chosen = BitsetCoverageIndex if query.preference.is_binary else SparseCoverageIndex
+    assert type(prepared.coverage) is chosen
+    answers = (
+        tiny_netclus.query(query),
+        tiny_netclus.query(query, prepared=prepared),
+    )
+    for kind in reference_kinds(query.preference):
+        reference = reference_view(tiny_netclus, tau_km, query.preference, kind)
+        baseline = tiny_netclus.query(query, prepared=reference)
+        for result in answers:
+            _assert_same_result(result, baseline)
+            assert "shards" not in result.metadata
 
 
-def test_warm_dense_view_is_the_cold_dense_build(tiny_netclus):
-    """A dense view materialised from cached entries is the cold dense build."""
-    preference = make_preference("linear")
+@pytest.mark.parametrize("pref_name", ["binary", "linear"])
+def test_warm_view_is_the_cold_build(tiny_netclus, pref_name):
+    """A view materialised from cached entries is the cold build."""
+    preference = make_preference(pref_name)
     cold_index = copy.deepcopy(tiny_netclus)
     cold_index.coverage_cache = None
-    cold = cold_index.prepare_coverage(0.8, preference, engine="dense").coverage
+    cold = cold_index.prepare_coverage(0.8, preference).coverage
     warm_index = copy.deepcopy(tiny_netclus)
     warm_index.coverage_cache = None
-    cache = warm_index.enable_coverage_cache()
-    warm_index.prepare_coverage(0.8, preference, engine="sparse")
-    warm = warm_index.prepare_coverage(0.8, preference, engine="dense").coverage
-    assert cache.stats()["materialisations"] == 1
-    assert warm.detours.tobytes() == cold.detours.tobytes()
-    assert warm.scores.tobytes() == cold.scores.tobytes()
-    assert np.array_equal(warm.coverage_mask(), cold.coverage_mask())
+    warm_index.enable_coverage_cache()
+    warm_index.prepare_coverage(0.8, preference)
+    warm_index = copy.deepcopy(warm_index)  # keeps the entries, drops the view
+    warm = warm_index.prepare_coverage(0.8, preference).coverage
+    assert warm_index.coverage_cache.stats()["materialisations"] == 1
+    assert type(warm) is type(cold)
+    assert warm.site_weights.tobytes() == cold.site_weights.tobytes()
+    for column in range(cold.num_sites):
+        for got, want in zip(warm.site_column(column), cold.site_column(column)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("engine", ["sparse", "bitset", "auto"])
@@ -429,11 +435,13 @@ def test_engine_parity_survives_apply_updates(tiny_bundle):
         )
     )
     assert new_id in index.trajectory_ids
-    query = TOPSQuery(k=5, tau_km=0.8)
-    baseline = index.query(query, engine="dense")
-    assert not set(baseline.sites) & set(removable)
-    for engine in ("sparse", "bitset", "auto"):
-        _assert_same_result(index.query(query, engine=engine), baseline)
+    for preference in (BinaryPreference(), make_preference("linear")):
+        query = TOPSQuery(k=5, tau_km=0.8, preference=preference)
+        result = index.query(query)
+        assert not set(result.sites) & set(removable)
+        for kind in reference_kinds(preference):
+            reference = reference_view(index, query.tau_km, preference, kind)
+            _assert_same_result(result, index.query(query, prepared=reference))
 
 
 # ---------------------------------------------------------------------- #
@@ -450,12 +458,27 @@ def _mixed_specs():
     ]
 
 
-@pytest.mark.parametrize("engine", ["dense", "auto"])
-def test_service_batch_results_identical_across_engines(tiny_netclus, engine):
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_service_batch_results_identical_to_reference_views(tiny_netclus, kind):
+    """Service answers equal those served from *kind* views of the same
+    coverage-cache parts' entries (sparse references for binary ψ only)."""
     specs = _mixed_specs()
-    expected = PlacementService(tiny_netclus, engine="sparse").batch_query(specs)
-    results = PlacementService(tiny_netclus, engine=engine).batch_query(specs)
+    index = copy.deepcopy(tiny_netclus)
+    index.coverage_cache = None
+    expected = PlacementService(index, coverage_cache=True).batch_query(specs)
+    reference_index = copy.deepcopy(index)
+    parts = reference_index.coverage_cache.parts
+    if kind == "sparse":
+        for key in [key for key, part in parts.items() if not part.preference_fn().is_binary]:
+            del parts[key]
+    seeded = seed_reference_views(reference_index, kind)
+    assert seeded >= 2
+    reference = PlacementService(reference_index, cache_size=0)
+    results = reference.batch_query(specs)
     assert len(results) == len(expected)
-    for got, want in zip(results, expected):
+    for spec, got, want in zip(specs, results, expected):
+        if kind == "sparse" and not spec.preference_fn().is_binary:
+            continue
         _assert_same_result(got, want)
-        assert "shards" not in got.metadata
+        assert "shards" not in want.metadata
+    assert reference.stats.coverage_cache_hits == seeded

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from coverage_reference import reference_kinds, reference_view
 
 from repro.core.preference import BinaryPreference, LinearPreference
 from repro.core.query import TOPSQuery
@@ -227,36 +228,46 @@ class TestQuery:
         assert utilities == sorted(utilities)
 
 
-class TestSparseEngine:
-    """The sparse (CSR + lazy greedy) engine must reproduce the dense answers."""
+class TestCoverageView:
+    """ψ picks the clustered coverage (bitset for binary, sparse otherwise);
+    it must answer like dense and sparse references of the same entries."""
+
+    @staticmethod
+    def _references(index, query):
+        for kind in reference_kinds(query.preference):
+            yield reference_view(index, query.tau_km, query.preference, kind)
 
     @pytest.mark.parametrize("tau", [0.4, 0.8, 1.6, 3.0])
     @pytest.mark.parametrize(
         "preference", [BinaryPreference(), LinearPreference()], ids=["binary", "linear"]
     )
-    def test_engines_agree(self, index, tau, preference):
+    def test_views_agree(self, index, tau, preference):
         query = TOPSQuery(k=5, tau_km=tau, preference=preference)
-        dense = index.query(query, engine="dense")
-        sparse = index.query(query, engine="sparse")
-        assert sparse.sites == dense.sites
-        assert sparse.utility == pytest.approx(dense.utility)
-        assert sparse.metadata["engine"] == "sparse"
-        assert dense.metadata["engine"] == "dense"
+        chosen = index.query(query)
+        for reference in self._references(index, query):
+            expected = index.query(query, prepared=reference)
+            assert chosen.sites == expected.sites
+            assert chosen.utility == pytest.approx(expected.utility)
+        assert "engine" not in chosen.metadata
 
-    def test_engines_agree_with_fm_sketches(self, index):
+    def test_views_agree_with_fm_sketches(self, index):
         query = TOPSQuery(k=4, tau_km=0.8)
-        dense = index.query(query, use_fm_sketches=True, engine="dense")
-        sparse = index.query(query, use_fm_sketches=True, engine="sparse")
-        assert sparse.sites == dense.sites
-        assert sparse.algorithm == dense.algorithm == "fm-netclus"
+        chosen = index.query(query, use_fm_sketches=True)
+        for reference in self._references(index, query):
+            expected = index.query(query, use_fm_sketches=True, prepared=reference)
+            assert chosen.sites == expected.sites
+            assert chosen.algorithm == expected.algorithm == "fm-netclus"
 
-    def test_engines_agree_with_existing_sites(self, index, tiny_problem):
+    def test_views_agree_with_existing_sites(self, index, tiny_problem):
         query = TOPSQuery(k=3, tau_km=0.8)
         seed_sites = list(tiny_problem.sites[:2])
-        dense = index.query(query, existing_sites=seed_sites, engine="dense")
-        sparse = index.query(query, existing_sites=seed_sites, engine="sparse")
-        assert sparse.sites == dense.sites
+        chosen = index.query(query, existing_sites=seed_sites)
+        for reference in self._references(index, query):
+            expected = index.query(query, existing_sites=seed_sites, prepared=reference)
+            assert chosen.sites == expected.sites
 
-    def test_invalid_engine_rejected(self, index):
-        with pytest.raises(ValueError):
-            index.query(TOPSQuery(k=2, tau_km=0.8), engine="bogus")
+    def test_engine_option_is_gone(self, index):
+        with pytest.raises(TypeError):
+            index.query(TOPSQuery(k=2, tau_km=0.8), engine="sparse")
+        with pytest.raises(TypeError):
+            index.prepare_coverage(0.8, BinaryPreference(), engine="dense")

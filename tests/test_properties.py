@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from coverage_reference import reference_view
 from greedy_oracle import assert_matches_oracle, recompute_select
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -288,7 +289,12 @@ class TestDetourProperties:
         for got, expected in zip(restricted, full):
             assert got.tobytes() == expected[inside].tobytes()
 
-        dense = index.prepare_coverage(
-            1e9, InconveniencePreference(), engine="dense"
-        ).coverage.detours
-        assert dense.tobytes() == reference(index.instance_for(1e9), 1e9).tobytes()
+        # the ψ-chosen view at τ = 1e9 against a dense reference of the
+        # same canonical entries
+        chosen = index.prepare_coverage(1e9, InconveniencePreference()).coverage
+        dense = reference_view(index, 1e9, InconveniencePreference(), "dense").coverage
+        assert dense.detours.tobytes() == reference(index.instance_for(1e9), 1e9).tobytes()
+        assert np.array_equal(chosen.coverage_mask(), dense.coverage_mask())
+        for col in range(dense.num_sites):
+            for got, want in zip(chosen.site_column(col), dense.site_column(col)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

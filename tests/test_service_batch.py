@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from coverage_reference import reference_view, seed_reference_views
 
 from repro.core.query import TOPSQuery
 from repro.core.variants import solve_tops_capacity, solve_tops_cost
@@ -12,7 +15,7 @@ from repro.service import PlacementService, QuerySpec, save_index
 
 @pytest.fixture()
 def service(tiny_netclus):
-    return PlacementService(tiny_netclus, engine="sparse")
+    return PlacementService(tiny_netclus)
 
 
 MIXED_SPECS = [
@@ -40,7 +43,7 @@ def _assert_same_result(a, b):
 def test_batch_matches_sequential(tiny_netclus, service):
     batch = service.batch_query(MIXED_SPECS, use_cache=False)
     for spec, batched in zip(MIXED_SPECS, batch):
-        alone = PlacementService(tiny_netclus, engine="sparse").query(
+        alone = PlacementService(tiny_netclus).query(
             spec, use_cache=False
         )
         _assert_same_result(batched, alone)
@@ -51,50 +54,57 @@ def test_plain_specs_match_index_query(tiny_netclus, service):
     for spec in MIXED_SPECS:
         if spec.capacity is not None or spec.budget is not None:
             continue
-        direct = tiny_netclus.query(spec.to_query(), engine="sparse")
+        direct = tiny_netclus.query(spec.to_query())
         served = service.query(spec, use_cache=False)
         _assert_same_result(served, direct)
 
 
+def _chosen_and_dense(index, spec):
+    """The ψ-chosen clustered coverage and a dense reference of it."""
+    preference = spec.preference_fn()
+    yield index.prepare_coverage(spec.tau_km, preference).coverage
+    yield reference_view(index, spec.tau_km, preference, "dense").coverage
+
+
 def test_capacity_spec_matches_variant_driver(tiny_netclus, service):
     spec = QuerySpec(k=4, tau_km=1.6, capacity=25)
-    prepared = tiny_netclus.prepare_coverage(
-        spec.tau_km, spec.preference_fn(), engine="sparse"
-    )
-    caps = np.full(prepared.coverage.num_sites, spec.capacity)
-    direct = solve_tops_capacity(prepared.coverage, spec.to_query(), caps)
     served = service.query(spec, use_cache=False)
-    _assert_same_result(served, direct)
+    for coverage in _chosen_and_dense(tiny_netclus, spec):
+        caps = np.full(coverage.num_sites, spec.capacity)
+        direct = solve_tops_capacity(coverage, spec.to_query(), caps)
+        _assert_same_result(served, direct)
 
 
 def test_budget_spec_matches_variant_driver(tiny_netclus, service):
     spec = QuerySpec(k=4, tau_km=0.8, budget=3.0)
-    prepared = tiny_netclus.prepare_coverage(
-        spec.tau_km, spec.preference_fn(), engine="sparse"
-    )
-    costs = np.full(prepared.coverage.num_sites, 1.0)
-    direct = solve_tops_cost(prepared.coverage, spec.budget, costs)
     served = service.query(spec, use_cache=False)
-    _assert_same_result(served, direct)
+    for coverage in _chosen_and_dense(tiny_netclus, spec):
+        costs = np.full(coverage.num_sites, 1.0)
+        direct = solve_tops_cost(coverage, spec.budget, costs)
+        _assert_same_result(served, direct)
     assert served.algorithm == "tops-cost"
 
 
 def test_tops_query_input_accepted(tiny_netclus, service):
     query = TOPSQuery(k=5, tau_km=0.8)
-    direct = tiny_netclus.query(query, engine="sparse")
+    direct = tiny_netclus.query(query)
     served = service.query(query, use_cache=False)
     _assert_same_result(served, direct)
 
 
-def test_dense_engine_parity(tiny_netclus):
-    sparse = PlacementService(tiny_netclus, engine="sparse")
-    dense = PlacementService(tiny_netclus, engine="dense")
+def test_dense_reference_parity(tiny_netclus):
+    """Answers equal those served from dense views of the same parts."""
+    index = copy.deepcopy(tiny_netclus)
+    index.coverage_cache = None
+    chosen = PlacementService(index, coverage_cache=True)
     specs = [s for s in MIXED_SPECS if s.budget is None]
-    for a, b in zip(
-        sparse.batch_query(specs, use_cache=False),
-        dense.batch_query(specs, use_cache=False),
-    ):
+    expected = chosen.batch_query(specs, use_cache=False)
+    dense_index = copy.deepcopy(index)
+    seed_reference_views(dense_index, "dense")
+    dense = PlacementService(dense_index)
+    for a, b in zip(expected, dense.batch_query(specs, use_cache=False)):
         _assert_same_result(a, b)
+    assert dense.stats.coverage_builds == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -279,7 +289,7 @@ def test_custom_preference_query_falls_back_to_index(tiny_netclus, service):
             return np.where(detour_km <= tau_km / 2.0, 1.0, 0.5)
 
     query = TOPSQuery(k=4, tau_km=1.2, preference=StepPreference())
-    direct = tiny_netclus.query(query, engine="sparse")
+    direct = tiny_netclus.query(query)
     served = service.query(query, use_cache=False)
     _assert_same_result(served, direct)
     assert service.cache_len == 0  # unserialisable specs stay uncached
@@ -294,11 +304,11 @@ def test_subclass_of_registered_preference_not_coerced(tiny_netclus, service):
             return super().raw_score(detour_km, tau_km) ** 3
 
     query = TOPSQuery(k=4, tau_km=1.6, preference=SteeperLinear())
-    direct = tiny_netclus.query(query, engine="sparse")
+    direct = tiny_netclus.query(query)
     served = service.query(query)
     _assert_same_result(served, direct)
     plain = tiny_netclus.query(
-        TOPSQuery(k=4, tau_km=1.6, preference=LinearPreference()), engine="sparse"
+        TOPSQuery(k=4, tau_km=1.6, preference=LinearPreference())
     )
     assert served.utility != pytest.approx(plain.utility)  # really used the subclass
     with pytest.raises(ValueError, match="not a registered preference"):
@@ -317,7 +327,7 @@ def test_existing_sites_spec(tiny_netclus, service):
     existing = (min(tiny_netclus.sites),)
     spec = QuerySpec(k=3, tau_km=0.8, existing_sites=existing)
     direct = tiny_netclus.query(
-        spec.to_query(), existing_sites=existing, engine="sparse"
+        spec.to_query(), existing_sites=existing
     )
     served = service.query(spec, use_cache=False)
     _assert_same_result(served, direct)
@@ -326,10 +336,8 @@ def test_existing_sites_spec(tiny_netclus, service):
 def test_cache_auto_invalidates_on_index_mutation(tiny_netclus):
     """Mutating the index through its own API (no invalidate_cache() call)
     must drop stale cached selections before the next query is served."""
-    import copy
-
     index = copy.deepcopy(tiny_netclus)
-    service = PlacementService(index, engine="sparse")
+    service = PlacementService(index)
     spec = QuerySpec(k=4, tau_km=0.8)
     before = service.query(spec)
     assert service.cache_len == 1
@@ -339,7 +347,7 @@ def test_cache_auto_invalidates_on_index_mutation(tiny_netclus):
     after = service.query(spec)
     assert service.stats.cache_hits == 0  # the stale entry was not served
     assert victim not in after.sites
-    assert after.sites == index.query(TOPSQuery(k=4, tau_km=0.8), engine="sparse").sites
+    assert after.sites == index.query(TOPSQuery(k=4, tau_km=0.8)).sites
 
     # the repopulated cache serves hits again until the next mutation
     assert service.query(spec) is after
@@ -353,12 +361,10 @@ def test_cache_auto_invalidates_on_index_mutation(tiny_netclus):
 def test_batch_update_invalidates_cache_once(tiny_netclus):
     """apply_updates between queries drops the cache exactly like singular
     updates do (the version counter moves once per non-empty sub-batch)."""
-    import copy
-
     from repro.core.netclus import UpdateBatch
 
     index = copy.deepcopy(tiny_netclus)
-    service = PlacementService(index, engine="sparse")
+    service = PlacementService(index)
     spec = QuerySpec(k=3, tau_km=1.0)
     first = service.query(spec)
     sites = sorted(index.sites)[:2]
@@ -371,3 +377,51 @@ def test_batch_update_invalidates_cache_once(tiny_netclus):
     assert service.stats.cache_hits == 0
     assert all(site not in second.sites for site in sites)
     assert first.sites != second.sites or first is not second
+
+
+# ---------------------------------------------------------------------- #
+# constructor options
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("engine", ["dense", "sparse", "bitset", "bogus"])
+def test_engine_other_than_auto_is_refused(tiny_netclus, tmp_path, engine):
+    """ψ picks the coverage structure; only ``engine="auto"`` is accepted."""
+    with pytest.raises(ValueError, match="auto"):
+        PlacementService(tiny_netclus, engine=engine)
+    with pytest.raises(ValueError, match="auto"):
+        PlacementService.from_path(tmp_path / "never-read.ncx", engine=engine)
+    directory = save_index(tiny_netclus, tmp_path / "city.ncx")
+    spec = QuerySpec(k=4, tau_km=0.8)
+    expected = PlacementService(tiny_netclus).query(spec)
+    for service in (
+        PlacementService(tiny_netclus, engine="auto"),
+        PlacementService.from_path(directory, engine="auto"),
+    ):
+        _assert_same_result(service.query(spec), expected)
+
+
+@pytest.fixture(scope="module")
+def four_part_directory(tiny_netclus, tmp_path_factory):
+    """A saved index carrying four warm coverage parts."""
+    index = copy.deepcopy(tiny_netclus)
+    index.coverage_cache = None
+    index.enable_coverage_cache()
+    for tau in (0.6, 0.8, 1.2, 1.6):
+        index.query(TOPSQuery(k=3, tau_km=tau))
+    assert len(index.coverage_cache) == 4
+    return save_index(index, tmp_path_factory.mktemp("parts") / "city.ncx")
+
+
+@pytest.mark.parametrize("limit", [2, 0, -3])
+def test_coverage_cache_limit_resizes_loaded_parts(four_part_directory, limit):
+    """``coverage_cache_limit`` with the default policy goes through
+    ``CoverageCache.resize``: it evicts down to the limit at once and
+    refuses a limit below 1, like ``coverage_cache=True`` does."""
+    if limit < 1:
+        with pytest.raises(ValueError, match="limit"):
+            PlacementService.from_path(four_part_directory, coverage_cache_limit=limit)
+        return
+    service = PlacementService.from_path(four_part_directory, coverage_cache_limit=limit)
+    assert service.coverage_cache.limit == limit
+    assert len(service.coverage_cache) == limit
+    service.query(QuerySpec(k=3, tau_km=2.4))  # a cold build stores one more part
+    assert len(service.coverage_cache) == limit

@@ -375,3 +375,29 @@ def test_farm_accepts_the_benchmark_server_flags(monkeypatch):
     assert main([*argv, "--tenant", "a=city.ncx"]) == 0
     assert parsed[0].tenant == ["a=city.ncx"]
     assert parsed[0].coverage_cache is True
+
+
+@pytest.mark.parametrize("engine", ["dense", "sparse", "bitset"])
+def test_farm_refuses_engines_other_than_auto(monkeypatch, capsys, engine):
+    """``farm --engine`` is hidden and accepts only the benchmark's ``auto``."""
+    parsed = []
+    monkeypatch.setattr(cli, "_cmd_farm", lambda args: parsed.append(args) or 0)
+    argv = ["farm", "--tenant", "a=city.ncx", "--engine"]
+    assert main([*argv, "auto"]) == 0
+    assert len(parsed) == 1
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, engine])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert len(parsed) == 1
+
+
+@pytest.mark.parametrize("command", ["query", "serve"])
+def test_query_and_serve_have_no_engine_flag(command, capsys):
+    argv = [command, "--index", "city.ncx", "--engine", "auto"]
+    if command == "query":
+        argv += ["--specs", "specs.json"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err

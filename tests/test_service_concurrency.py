@@ -57,13 +57,13 @@ def _expected_answers(index: NetClusIndex, batch: UpdateBatch | None):
     private = copy.deepcopy(index)
     if batch is not None:
         private.apply_updates(batch)
-    service = PlacementService(private, engine="sparse", cache_size=0)
+    service = PlacementService(private, cache_size=0)
     return [tuple(result.sites) for result in service.batch_query(SPECS)]
 
 
 def _update_batch_changing_selections(index: NetClusIndex) -> UpdateBatch:
     """Removing the top pick of the k=3 query must change its selection."""
-    service = PlacementService(copy.deepcopy(index), engine="sparse")
+    service = PlacementService(copy.deepcopy(index))
     top_site = service.batch_query([SPECS[0]])[0].sites[0]
     return UpdateBatch(remove_sites=(int(top_site),))
 
@@ -81,7 +81,7 @@ class TestQueryUpdateHammer:
         assert expected_before != expected_after, "update must change selections"
 
         service = PlacementService(
-            index, engine="sparse", cache_size=64, coverage_cache=coverage_cache
+            index, cache_size=64, coverage_cache=coverage_cache
         )
         update_done_at: list[float] = []
         failures: list[str] = []
@@ -134,7 +134,7 @@ class TestQueryUpdateHammer:
 
     def test_apply_updates_returns_item_count_and_bumps_version(self, base_index):
         index = copy.deepcopy(base_index)
-        service = PlacementService(index, engine="sparse")
+        service = PlacementService(index)
         before = index.version
         site = sorted(index.sites)[-1]
         applied = service.apply_updates(UpdateBatch(remove_sites=(site,)))
@@ -142,7 +142,7 @@ class TestQueryUpdateHammer:
         assert index.version == before + 1
 
     def test_cache_dropped_inside_update_critical_section(self, base_index):
-        service = PlacementService(copy.deepcopy(base_index), engine="sparse")
+        service = PlacementService(copy.deepcopy(base_index))
         service.batch_query(SPECS)
         assert service.cache_len == len(SPECS)
         batch = UpdateBatch(remove_sites=(sorted(service.index.sites)[0],))
@@ -161,7 +161,7 @@ class TestConcurrentCacheAndBuild:
                 max_instances=2,
             )
 
-        service = PlacementService(builder=builder, engine="sparse")
+        service = PlacementService(builder=builder)
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = list(
                 pool.map(
@@ -173,7 +173,7 @@ class TestConcurrentCacheAndBuild:
         assert len(set(results)) == 1
 
     def test_parallel_readers_share_consistent_cache(self, base_index):
-        service = PlacementService(copy.deepcopy(base_index), engine="sparse")
+        service = PlacementService(copy.deepcopy(base_index))
         reference = tuple(service.query(SPECS[1]).sites)
 
         def read(_: int):
@@ -187,7 +187,7 @@ class TestConcurrentCacheAndBuild:
         assert stats.cache_hits + stats.cache_misses == stats.queries_served
 
     def test_counter_bumps_are_atomic(self, base_index):
-        service = PlacementService(copy.deepcopy(base_index), engine="sparse")
+        service = PlacementService(copy.deepcopy(base_index))
 
         def hammer(_: int) -> None:
             service.stats.bump(queries_served=1)
@@ -205,7 +205,7 @@ class TestConcurrentSaves:
     ):
         """Two writers (update, then save to one directory) must never collide
         on the staging files, and the last save must be the final index."""
-        service = PlacementService(copy.deepcopy(base_index), engine="sparse", cache_size=0)
+        service = PlacementService(copy.deepcopy(base_index), cache_size=0)
         target = tmp_path / "city.ncx"
         service.save(target)
         sites = sorted(service.index.sites)
@@ -238,7 +238,7 @@ class TestConcurrentSaves:
         service.save(reference)
         assert payload == (reference / "payload.bin").read_bytes()
 
-        reloaded = PlacementService.from_path(target, engine="sparse", cache_size=0)
+        reloaded = PlacementService.from_path(target, cache_size=0)
         assert reloaded.index.version == service.index.version
         for got, want in zip(reloaded.batch_query(SPECS), service.batch_query(SPECS)):
             assert got.sites == want.sites
@@ -278,7 +278,7 @@ class TestLockDisciplineRegressions:
     """
 
     def test_stage_seconds_snapshot_is_taken_under_the_stats_lock(self, base_index):
-        service = PlacementService(copy.deepcopy(base_index), engine="sparse")
+        service = PlacementService(copy.deepcopy(base_index))
         probe = _RecordingLock()
         service.stats._lock = probe
         before = probe.acquisitions
@@ -292,7 +292,7 @@ class TestLockDisciplineRegressions:
         }
 
     def test_reset_zeroes_under_the_stats_lock(self, base_index):
-        service = PlacementService(copy.deepcopy(base_index), engine="sparse")
+        service = PlacementService(copy.deepcopy(base_index))
         service.batch_query(SPECS)
         probe = _RecordingLock()
         service.stats._lock = probe
@@ -302,7 +302,7 @@ class TestLockDisciplineRegressions:
         assert all(value == 0 for value in service.stats.as_dict().values())
 
     def test_reset_is_atomic_against_concurrent_bumps(self, base_index):
-        stats = PlacementService(copy.deepcopy(base_index), engine="sparse").stats
+        stats = PlacementService(copy.deepcopy(base_index)).stats
 
         def bump(_: int) -> None:
             stats.bump(queries_served=1, greedy_seconds=0.5)

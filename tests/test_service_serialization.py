@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from coverage_reference import answer_on, views_for
 
 from repro.core.netclus import UpdateBatch
 from repro.core.query import TOPSQuery
@@ -49,12 +50,13 @@ def _directory_digests(path):
     }
 
 
-def _assert_same_answers(a_index, b_index, queries, engines=("dense", "sparse")):
-    """Selections and per-trajectory utility bytes agree for every query."""
+def _assert_same_answers(a_index, b_index, queries):
+    """Selections and per-trajectory utility bytes agree for every query,
+    on the ψ-chosen views and on references of the same entries."""
     for query in queries:
-        for engine in engines:
-            a = a_index.query(query, engine=engine)
-            b = b_index.query(query, engine=engine)
+        for view in views_for(query.preference):
+            a = answer_on(a_index, query, view)
+            b = answer_on(b_index, query, view)
             assert list(a.sites) == list(b.sites)
             assert (
                 np.asarray(a.per_trajectory_utility).tobytes()
@@ -84,13 +86,13 @@ MIXED_QUERIES = [
 # ---------------------------------------------------------------------- #
 # round-trip equivalence
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
-def test_roundtrip_query_parity(saved_index, engine):
+@pytest.mark.parametrize("view", ["chosen", "dense"])
+def test_roundtrip_query_parity(saved_index, view):
     index, path = saved_index
     loaded = load_index(path)
     for query in MIXED_QUERIES:
-        fresh = index.query(query, engine=engine)
-        reloaded = loaded.query(query, engine=engine)
+        fresh = answer_on(index, query, view)
+        reloaded = answer_on(loaded, query, view)
         assert reloaded.sites == fresh.sites
         assert reloaded.utility == pytest.approx(fresh.utility)
         assert reloaded.per_trajectory_utility == pytest.approx(
@@ -306,7 +308,7 @@ def warm_saved_index(request, tiny_problem, tmp_path):
     )
     index.enable_coverage_cache()
     for query in WARM_QUERIES:
-        index.query(query, engine="sparse")
+        index.query(query)
     if request.param == "v3":
         return index, _legacy_copy(tmp_path, "warm.ncx")
     return index, save_index(index, tmp_path / "warm.ncx")
@@ -335,8 +337,8 @@ def test_v3_parts_round_trip(warm_saved_index):
     assert len(loaded.coverage_cache.describe_parts()) == len(WARM_QUERIES)
     # warm answers match the original, and no store/patch was needed
     for query in WARM_QUERIES:
-        a = index.query(query, engine="sparse")
-        b = loaded.query(query, engine="sparse")
+        a = index.query(query)
+        b = loaded.query(query)
         assert list(a.sites) == list(b.sites)
         assert (
             np.asarray(a.per_trajectory_utility).tobytes()
@@ -367,9 +369,9 @@ def test_legacy_shard_keys_are_ignored(warm_saved_index, tmp_path, capsys):
     assert "query timings" in capsys.readouterr().out
     plain, with_keys = load_index(path), load_index(legacy)
     for query in WARM_QUERIES + MIXED_QUERIES:
-        for engine in ("dense", "sparse"):
-            a = plain.query(query, engine=engine)
-            b = with_keys.query(query, engine=engine)
+        for view in views_for(query.preference):
+            a = answer_on(plain, query, view)
+            b = answer_on(with_keys, query, view)
             assert list(a.sites) == list(b.sites)
             assert (
                 np.asarray(a.per_trajectory_utility).tobytes()
@@ -397,8 +399,8 @@ def test_v3_stale_part_refused_not_crash(warm_saved_index):
     loaded = load_index(path)
     assert len(loaded.coverage_cache.describe_parts()) == len(WARM_QUERIES) - 1
     for query in WARM_QUERIES:  # including the refused key
-        a = index.query(query, engine="sparse")
-        b = loaded.query(query, engine="sparse")
+        a = index.query(query)
+        b = loaded.query(query)
         assert list(a.sites) == list(b.sites)
         assert (
             np.asarray(a.per_trajectory_utility).tobytes()
@@ -418,8 +420,8 @@ def test_v3_all_parts_stale_loads_without_cacheless_crash(warm_saved_index):
     cache = loaded.coverage_cache
     assert cache is None or not cache.describe_parts()
     query = WARM_QUERIES[0]
-    assert loaded.query(query, engine="sparse").sites == index.query(
-        query, engine="sparse"
+    assert loaded.query(query).sites == index.query(
+        query
     ).sites
 
 
@@ -628,7 +630,7 @@ def corruptible_index(tmp_path_factory):
         bundle.network, bundle.trajectories, bundle.sites, gamma=0.75, tau_max_km=4.0
     )
     path = save_index(index, tmp_path_factory.mktemp("corrupt") / "city.ncx")
-    answer = index.query(TOPSQuery(k=5, tau_km=0.8), engine="sparse")
+    answer = index.query(TOPSQuery(k=5, tau_km=0.8))
     return path, answer.sites
 
 
@@ -700,7 +702,7 @@ def test_v4_corrupt_instance_arrays_refused_at_load(corruptible_index, tmp_path,
     instead of answering wrongly or failing with a numpy error later."""
     source, expected_sites = corruptible_index
     path = Path(shutil.copytree(source, tmp_path / "city.ncx"))
-    intact = load_index(path).query(TOPSQuery(k=5, tau_km=0.8), engine="sparse")
+    intact = load_index(path).query(TOPSQuery(k=5, tau_km=0.8))
     assert intact.sites == expected_sites
     manifest = load_manifest(path)
     views = serialization._blob_views(*serialization._open_blob(path, manifest))
@@ -729,7 +731,7 @@ def test_v4_apply_updates_never_writes_through(tmp_path):
     )
     index.enable_coverage_cache()
     query = TOPSQuery(k=4, tau_km=1.0)
-    index.query(query, engine="sparse")
+    index.query(query)
     path = save_index(index, tmp_path / "cow.ncx")
     blob_before = (path / "payload.bin").read_bytes()
     manifest_before = (path / "manifest.json").read_bytes()
@@ -741,8 +743,8 @@ def test_v4_apply_updates_never_writes_through(tmp_path):
     )
     loaded.apply_updates(batch)
     index.apply_updates(batch)
-    a = index.query(query, engine="sparse")
-    b = loaded.query(query, engine="sparse")
+    a = index.query(query)
+    b = loaded.query(query)
     assert list(a.sites) == list(b.sites)
     assert (
         np.asarray(a.per_trajectory_utility).tobytes()
@@ -765,8 +767,8 @@ def test_v4_loaded_index_resaves_identically(warm_saved_index, tmp_path):
     assert len(digests) == 1
     reloaded = load_index(resaved)
     for query in WARM_QUERIES:
-        assert reloaded.query(query, engine="sparse").sites == index.query(
-            query, engine="sparse"
+        assert reloaded.query(query).sites == index.query(
+            query
         ).sites
 
 
@@ -823,7 +825,8 @@ def test_legacy_directory_answers_like_a_fresh_build(saved_index, tmp_path, vari
     """Every legacy variant loads read-only (v1 at version 0), attaches
     parts only when it has them, keeps its stage records (their stale
     ``workers`` counts ignored), answers byte-identically to a fresh
-    build on both engines, and re-saves as a v4 directory."""
+    build on the chosen and reference views, and re-saves as a v4
+    directory."""
     index, _ = saved_index
     path = _legacy_copy(tmp_path, mutate=LEGACY_VARIANTS[variant])
     manifest = load_manifest(path)

@@ -142,6 +142,26 @@ def test_bad_spec_400(served):
     assert "typo" in body["error"]
     status, _, _ = request(handle.address, "POST", "/query", [])
     assert status == 400
+    # non-finite floats (an overflowing literal or JSON's Infinity) and a k
+    # that is not an integer: each is a client error, never a 500 or a
+    # truncated k, and never a 200 whose body is not valid JSON
+    host, port = handle.address
+    for raw in (
+        b'[{"k": 3, "tau_km": 1e400}]',
+        b'[{"k": 3, "tau_km": Infinity}]',
+        b'[{"k": 2.5, "tau_km": 0.8}]',
+        b'[{"k": true, "tau_km": 0.8}]',
+        b'[{"k": 1, "tau_km": 0.8, "budget": 1e400}]',
+        b'[{"k": 1, "tau_km": 0.8, "budget": 3.0, "site_cost": Infinity}]',
+    ):
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("POST", "/query", body=raw)
+            response = conn.getresponse()
+            assert response.status == 400, raw
+            assert "error" in json.loads(response.read())
+        finally:
+            conn.close()
 
 
 def test_served_placements_byte_identical_to_direct_service(served):
@@ -507,7 +527,7 @@ def test_update_then_query_served_from_patched_coverage_cache(tiny_problem):
     index = tiny_problem.build_netclus_index(
         gamma=0.75, tau_min_km=0.4, tau_max_km=4.0
     )
-    service = PlacementService(index, engine="sparse", coverage_cache=True)
+    service = PlacementService(index, coverage_cache=True)
     spec = {"k": 5, "tau_km": 0.8}
     with serve_in_background(service) as handle:
         status, _, before = request(handle.address, "POST", "/query", [spec])
@@ -534,7 +554,7 @@ def test_update_then_query_served_from_patched_coverage_cache(tiny_problem):
         # byte parity against a cold coverage build on the updated index
         cold_index = copy.deepcopy(service.index)
         cold_index.coverage_cache = None
-        cold = PlacementService(cold_index, engine="sparse")
+        cold = PlacementService(cold_index)
         want = cold.batch_query([QuerySpec(k=5, tau_km=0.8)], use_cache=False)[0]
         assert tuple(after["results"][0]["sites"]) == want.sites
         assert (

@@ -6,8 +6,8 @@ Covers the PR-3 update subsystem:
   in exactly the state the one-at-a-time calls produce (selection-identical,
   per-trajectory-utility-identical, cluster-state-identical);
 * randomized update sequences match an index rebuilt from scratch on the
-  final data, under both representative strategies and both coverage
-  engines;
+  final data, under both representative strategies, on the ψ-chosen
+  clustered coverage and on a dense reference of the same entries;
 * dynamic re-election honours ``representative_strategy="most_frequent"``
   (the pre-PR-3 code always re-elected by proximity);
 * the monotonic :attr:`NetClusIndex.version` counter;
@@ -20,6 +20,7 @@ import copy
 
 import numpy as np
 import pytest
+from coverage_reference import answer_on, reference_view
 
 from repro.core.netclus import NetClusIndex, UpdateBatch
 from repro.core.query import TOPSQuery
@@ -68,12 +69,12 @@ def assert_same_state(left: NetClusIndex, right: NetClusIndex) -> None:
 
 
 def assert_same_answers(left: NetClusIndex, right: NetClusIndex, taus=(0.4, 0.8, 1.6)):
-    """Byte-identical query answers across τ and both engines."""
+    """Byte-identical query answers across τ, chosen and dense views."""
     for tau in taus:
-        for engine in ("dense", "sparse"):
+        for view in ("chosen", "dense"):
             query = TOPSQuery(k=5, tau_km=tau)
-            a = left.query(query, engine=engine)
-            b = right.query(query, engine=engine)
+            a = answer_on(left, query, view)
+            b = answer_on(right, query, view)
             assert a.sites == b.sites
             assert (
                 np.asarray(a.per_trajectory_utility).tobytes()
@@ -142,8 +143,8 @@ def test_update_batch_len():
 # randomized update sequences == rebuild from scratch
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("strategy", ["closest", "most_frequent"])
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
-def test_randomized_updates_match_rebuild(world, strategy, engine):
+@pytest.mark.parametrize("view", ["chosen", "dense"])
+def test_randomized_updates_match_rebuild(world, strategy, view):
     network, base, held_out, sites = world
     index = build(world, strategy)
     rng = np.random.default_rng(5)
@@ -177,8 +178,8 @@ def test_randomized_updates_match_rebuild(world, strategy, engine):
     )
     for tau in (0.4, 0.8, 1.6, 3.0):
         query = TOPSQuery(k=5, tau_km=tau)
-        updated = index.query(query, engine=engine)
-        fresh = rebuilt.query(query, engine=engine)
+        updated = answer_on(index, query, view)
+        fresh = answer_on(rebuilt, query, view)
         assert updated.sites == fresh.sites
         assert np.allclose(
             updated.per_trajectory_utility, fresh.per_trajectory_utility
@@ -430,12 +431,15 @@ def test_stale_prepared_coverage_refused(world):
     from repro.core.preference import BinaryPreference
 
     index = build(world)
-    prepared = index.prepare_coverage(0.8, BinaryPreference(), engine="dense")
+    prepared = index.prepare_coverage(0.8, BinaryPreference())
+    reference = reference_view(index, 0.8, BinaryPreference(), "dense")
     query = TOPSQuery(k=3, tau_km=0.8)
-    index.query(query, prepared=prepared)  # fresh: fine
+    for coverage in (prepared, reference):
+        index.query(query, prepared=coverage)  # fresh: fine
     index.remove_site(sorted(index.sites)[0])
-    with pytest.raises(ValueError, match="stale"):
-        index.query(query, prepared=prepared)
+    for coverage in (prepared, reference):
+        with pytest.raises(ValueError, match="stale"):
+            index.query(query, prepared=coverage)
     # a re-prepared coverage works again
-    fresh = index.prepare_coverage(0.8, BinaryPreference(), engine="dense")
+    fresh = index.prepare_coverage(0.8, BinaryPreference())
     index.query(query, prepared=fresh)

@@ -4,11 +4,13 @@ Generates the Beijing-like workload and builds its NetClus index once,
 then runs three sections.  Each prints one OK line and works on its own
 deep copy of that build.
 
-* **bitset** — ``engine="bitset"`` on binary-ψ specs (k-sweeps, two τ,
-  capacity, budget, existing services) and ``engine="auto"`` on a
-  mixed-ψ batch answer like the ``engine="sparse"`` baseline.  All three
-  services build their coverage cold (no coverage cache).
-* **mmap** — v4 loads answer like the in-memory index on a sparse query
+* **bitset** — the service's answers on a mixed-ψ batch (binary-ψ
+  k-sweeps, two τ, capacity, budget, existing services, plus graded ψ)
+  equal a second service's answers over sparse views built from the same
+  coverage parts' entries.  ψ picks the service's views, so every
+  binary-ψ spec is answered by the bitset kernels on one side and the
+  sparse kernels on the other.
+* **mmap** — v4 loads answer like the in-memory index on a query
   battery: plain, with persisted warm coverage parts, and after the same
   :class:`UpdateBatch` is applied to both (the load's copy-on-write path).
 * **covcache** — a warm service whose coverage parts are patched by a
@@ -37,7 +39,9 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.netclus import NetClusIndex, UpdateBatch  # noqa: E402
+from repro.core.bitcov import BitsetCoverageIndex  # noqa: E402
+from repro.core.coverage import SparseCoverageIndex  # noqa: E402
+from repro.core.netclus import ClusteredCoverage, NetClusIndex, UpdateBatch  # noqa: E402
 from repro.core.query import TOPSQuery  # noqa: E402
 from repro.datasets import beijing_like  # noqa: E402
 from repro.service.placement import PlacementService  # noqa: E402
@@ -48,8 +52,6 @@ from repro.trajectory.model import Trajectory  # noqa: E402
 
 #: seed of the covcache section's delta stream
 DELTA_SEED = 2024
-#: engine of the covcache section's warm and cold services
-COVCACHE_ENGINE = "sparse"
 BUILD_PARAMS = dict(gamma=0.75, tau_min_km=0.4, tau_max_km=8.0)
 #: the mmap section's query battery: (k, τ) pairs spanning the ladder
 MMAP_QUERIES = tuple(TOPSQuery(k=k, tau_km=tau) for k, tau in ((5, 0.6), (3, 1.2), (8, 2.4)))
@@ -63,7 +65,7 @@ BINARY_SPECS = (
     QuerySpec(k=1, tau_km=0.8, budget=5.0),
     QuerySpec(k=3, tau_km=1.6, existing_sites=(0, 5)),
 )
-#: binary and graded ψ together: the ``auto`` resolution workload
+#: binary and graded ψ together: the bitset section's batch
 MIXED_SPECS = BINARY_SPECS + (
     QuerySpec(k=5, tau_km=0.8, preference="linear"),
     QuerySpec(k=5, tau_km=0.8, preference="exponential"),
@@ -91,34 +93,59 @@ def _compare(label: str, requests, want, got) -> int:
     return failures
 
 
+def _sparse_view(index: NetClusIndex, part) -> ClusteredCoverage:
+    """A sparse view over one coverage part's canonical entries."""
+    instance = next(i for i in index.instances if i.instance_id == part.instance_id)
+    coverage = SparseCoverageIndex.from_coverage_lists(
+        part.rows,
+        part.cols,
+        part.estimates,
+        num_trajectories=len(index.trajectory_ids),
+        num_sites=len(part.rep_sites),
+        tau_km=part.tau_km,
+        preference=part.preference_fn(),
+        site_labels=part.rep_sites,
+        trajectory_ids=index.trajectory_ids,
+    )
+    return ClusteredCoverage(
+        instance, coverage, part.rep_sites, part.rep_clusters, index_version=index.version
+    )
+
+
 def check_bitset(index: NetClusIndex) -> int:
-    baseline = PlacementService(index, engine="sparse")
-    binary_want = baseline.batch_query(list(BINARY_SPECS), use_cache=False)
-    mixed_want = baseline.batch_query(list(MIXED_SPECS), use_cache=False)
-    bitset = PlacementService(index, engine="bitset")
-    auto = PlacementService(index, engine="auto")
+    index.coverage_cache = None
+    service = PlacementService(index, coverage_cache=True)
+    got = service.batch_query(list(MIXED_SPECS), use_cache=False)
+    bitset_parts = sum(
+        isinstance(part.view.coverage, BitsetCoverageIndex)
+        for part in index.coverage_cache.parts.values()
+    )
+    reference = copy.deepcopy(index)  # keeps the parts' entries, drops their views
+    for part in reference.coverage_cache.parts.values():
+        part.view = _sparse_view(reference, part)
+    sparse = PlacementService(reference)
     failures = _compare(
-        "bitset engine=bitset",
-        BINARY_SPECS,
-        binary_want,
-        bitset.batch_query(list(BINARY_SPECS), use_cache=False),
-    )
-    failures += _compare(
-        "bitset engine=auto",
+        "bitset vs sparse views",
         MIXED_SPECS,
-        mixed_want,
-        auto.batch_query(list(MIXED_SPECS), use_cache=False),
+        sparse.batch_query(list(MIXED_SPECS), use_cache=False),
+        got,
     )
+    if not bitset_parts or sparse.stats.coverage_builds:
+        print(
+            f"FAIL [bitset]: {bitset_parts} bitset parts, "
+            f"{sparse.stats.coverage_builds} reference builds (expected >0 and 0)"
+        )
+        failures += 1
     if not failures:
         print(
-            f"OK bitset  : {len(BINARY_SPECS)} binary specs (engine=bitset) and "
-            f"{len(MIXED_SPECS)} mixed-ψ specs (engine=auto) equal sparse"
+            f"OK bitset  : {len(MIXED_SPECS)} mixed-ψ specs on {bitset_parts} bitset "
+            "part(s) equal sparse views of the same entries"
         )
     return failures
 
 
 def _probe(index: NetClusIndex) -> list:
-    return [index.query(query, engine="sparse") for query in MMAP_QUERIES]
+    return [index.query(query) for query in MMAP_QUERIES]
 
 
 def check_mmap(fresh: NetClusIndex, root: Path) -> int:
@@ -176,7 +203,7 @@ def _delta_stream(rng, index, pool, num_ops):
 def _cold_answers(index: NetClusIndex) -> list:
     cold_index = copy.deepcopy(index)
     cold_index.coverage_cache = None
-    cold = PlacementService(cold_index, engine=COVCACHE_ENGINE)
+    cold = PlacementService(cold_index)
     return cold.batch_query(list(COVCACHE_SPECS), use_cache=False)
 
 
@@ -189,7 +216,7 @@ def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
         for i, t in enumerate(extra)
     ]
     specs = list(COVCACHE_SPECS)
-    warm = PlacementService(index, engine=COVCACHE_ENGINE, coverage_cache=True)
+    warm = PlacementService(index, coverage_cache=True)
     warm.batch_query(specs, use_cache=False)  # warm-up: the only cold builds
     builds_after_warmup = warm.stats.coverage_builds
 
@@ -211,9 +238,7 @@ def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
         failures += 1
 
     # on-disk round trip: save with parts, load, compare again
-    reloaded = PlacementService(
-        load_index(save_index(index, root / "covcache")), engine=COVCACHE_ENGINE
-    )
+    reloaded = PlacementService(load_index(save_index(index, root / "covcache")))
     failures += _compare(
         "covcache disk-round-trip",
         specs,
