@@ -36,9 +36,13 @@ on three facts:
    (:meth:`~repro.core.netclus.NetClusInstance.coverage_entries`, the
    float expression ``(leg + center_distance) + rep_leg``), so they are
    bit-equal to freshly computed ones;
-3. ``min``-reduction over duplicate ``(row, column)`` pairs is associative,
-   so reducing carried + recomputed groups equals reducing the cold
-   emission stream.
+3. carried entries stay canonical through a patch (row compaction and
+   the column remap are both monotone), the new entries' cells are
+   disjoint from the carried ones, and ``min``-reduction over duplicate
+   ``(row, column)`` pairs is associative — so canonicalising only the
+   new entries and splicing them into the carried ones by cell key
+   (:func:`splice_entries`) equals canonicalising the cold emission
+   stream.
 
 Parts are persisted in the index directory's payload blob (see
 ``docs/index-format.md``); a part whose recorded ``index_version`` no
@@ -56,7 +60,12 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.bitcov import BitsetCoverageIndex
-from repro.core.coverage import SparseCoverageIndex, canonical_entries, resolve_engine
+from repro.core.coverage import (
+    SparseCoverageIndex,
+    canonical_entries,
+    cell_keys,
+    resolve_engine,
+)
 from repro.core.preference import PreferenceFunction, is_registered, make_preference
 from repro.utils.concurrency import guarded_by, holds_lock
 from repro.utils.timer import Timer
@@ -76,6 +85,7 @@ __all__ = [
     "coverage_cache_key",
     "canonical_entries",
     "materialise_coverage",
+    "splice_entries",
 ]
 
 #: default maximum number of (τ, ψ) parts kept (least recently used wins)
@@ -394,8 +404,9 @@ class CoverageCache:
                     with Timer() as patch_timer:
                         self._patch_part(index, part, batch, probe)
                         part.index_version = index.version
-                        if part.view is not None:
-                            part.view = self._materialise(index, part)
+                    # timed by _materialise into materialise_seconds
+                    if part.view is not None:
+                        part.view = self._materialise(index, part)
                 except Exception:
                     self.parts.pop(key, None)
                     self.invalidations += 1
@@ -425,7 +436,12 @@ class CoverageCache:
            recomputed over the full post-batch registry;
         3. compute entries of the *added* trajectories against the carried
            columns (the recomputed ones already include them);
-        4. merge and re-canonicalise.
+        4. canonicalise only the new entries and splice them into the
+           carried ones (:func:`splice_entries`).  Steps 1–2 keep the
+           carried entries canonical — row compaction and the column
+           remap are both monotone — and the new entries cover cells the
+           carried ones do not (recomputed columns, added rows), so no
+           re-sort of the whole part is needed.
         """
         instance = _instance_of(index, part.instance_id)
         tau_km = part.tau_km
@@ -456,19 +472,12 @@ class CoverageCache:
             keep = mapped >= 0
             rows, cols, estimates = rows[keep], mapped[keep], estimates[keep]
 
-        merged_rows = [rows]
-        merged_cols = [cols]
-        merged_estimates = [estimates]
-
+        # raw (rows, cols, estimates) of the cells the batch touched
+        new: list[tuple[np.ndarray, ...]] = []
         registry = index._trajectory_rows
         recompute = np.flatnonzero(changed & has_rep)
         if len(recompute):
-            r_rows, r_cols, r_estimates, _, _ = instance.coverage_entries(
-                registry, tau_km, recompute
-            )
-            merged_rows.append(r_rows)
-            merged_cols.append(r_cols)
-            merged_estimates.append(r_estimates)
+            new.append(instance.coverage_entries(registry, tau_km, recompute)[:3])
 
         # 3. added trajectories × carried columns
         if batch.add_trajectories:
@@ -477,20 +486,17 @@ class CoverageCache:
                 for trajectory in batch.add_trajectories
             }
             carried = np.flatnonzero(~changed & has_rep)
-            a_rows, a_cols, a_estimates, _, _ = instance.coverage_entries(
-                subset, tau_km, carried
-            )
-            merged_rows.append(a_rows)
-            merged_cols.append(a_cols)
-            merged_estimates.append(a_estimates)
+            new.append(instance.coverage_entries(subset, tau_km, carried)[:3])
 
-        # 4. merge + re-canonicalise
-        part.rows, part.cols, part.estimates = canonical_entries(
-            np.concatenate(merged_rows),
-            np.concatenate(merged_cols),
-            np.concatenate(merged_estimates),
-            tau_km,
-        )
+        # 4. canonicalise the new entries, splice them into the carried ones
+        if new:
+            rows, cols, estimates = splice_entries(
+                (rows, cols, estimates),
+                tuple(np.concatenate(arrays) for arrays in zip(*new)),
+                tau_km,
+                len(registry) + 1,
+            )
+        part.rows, part.cols, part.estimates = rows, cols, estimates
         part.rep_sites = instance.reps[new_rep_clusters].tolist()
         part.rep_clusters = new_rep_clusters.tolist()
         expected = (
@@ -666,6 +672,44 @@ def materialise_coverage(
         representative_sites=list(rep_sites),
         representative_clusters=list(rep_clusters),
         index_version=index.version,
+    )
+
+
+def splice_entries(
+    carried: tuple[np.ndarray, np.ndarray, np.ndarray],
+    new: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tau_km: float,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge raw *new* coverage triples into canonical *carried* ones.
+
+    *carried* must already be canonical (:func:`canonical_entries`) and
+    *new* may hold duplicates, entries above τ and non-finite values, but
+    none of its cells may be a carried cell; every row must be below
+    *width*.  Only the new triples are canonicalised; they are then
+    inserted at the positions one ``np.searchsorted`` on the
+    :func:`~repro.core.coverage.cell_keys` of both sides gives, so the
+    result equals ``canonical_entries`` of the concatenation byte for byte
+    at the cost of one pass over the carried entries instead of a sort.
+    A new cell that collides with a carried one is refused
+    (``ValueError``), never merged silently.
+    """
+    rows, cols, estimates = carried
+    new_rows, new_cols, new_estimates = canonical_entries(*new, tau_km)
+    if not len(new_rows):
+        return rows, cols, estimates
+    carried_keys = cell_keys(rows, cols, width)
+    new_keys = cell_keys(new_rows, new_cols, width)
+    at = np.searchsorted(carried_keys, new_keys)
+    inside = at < len(carried_keys)
+    require(
+        not np.any(carried_keys[at[inside]] == new_keys[inside]),
+        "new coverage entries overlap carried cells",
+    )
+    return (
+        np.insert(rows, at, new_rows),
+        np.insert(cols, at, new_cols),
+        np.insert(estimates, at, new_estimates),
     )
 
 

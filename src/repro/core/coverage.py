@@ -71,9 +71,12 @@ __all__ = [
     "GAIN_RTOL",
     "build_label_map",
     "canonical_entries",
+    "cell_keys",
     "resolve_engine",
     "tie_break_candidates",
 ]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: engine names the flat space's ``engine=`` knob accepts
 ENGINES = ("dense", "sparse", "bitset", "auto")
@@ -439,6 +442,23 @@ def _top_capacity_sum(residual: np.ndarray, capacity: int | None) -> float:
     return float(top.sum())
 
 
+def cell_keys(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """The int64 key ``col·width + row`` of every coverage cell.
+
+    With rows in ``[0, width)`` and non-negative columns the keys order
+    cells like ``(column, row)`` and distinct cells get distinct keys.
+    Refuses (``ValueError``) rather than wraps when the largest key would
+    overflow int64.
+    """
+    width = int(width)
+    if len(cols):
+        require(
+            int(cols.max()) * width + width - 1 <= _INT64_MAX,
+            f"coverage cell keys overflow int64 (column {int(cols.max())}, width {width})",
+        )
+    return cols * width + rows
+
+
 def canonical_entries(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -448,11 +468,12 @@ def canonical_entries(
     """Canonicalise coverage triples: ≤ τ, finite, min-reduced, column-major.
 
     Keeps the finite entries within τ, orders them by ``(column, row)``
-    with a stable ``np.lexsort`` and keeps the smallest estimate of every
-    duplicate cell.  The result is independent of the input order, and
-    canonicalising it again is the identity — the entry form
-    :meth:`SparseCoverageIndex.from_coverage_lists` builds from and the
-    coverage cache stores.
+    with one stable ``np.argsort`` on the single int64 key of
+    :func:`cell_keys` and keeps the smallest estimate of every duplicate
+    cell.  Rows and columns must be non-negative.  The result is
+    independent of the input order, and canonicalising it again is the
+    identity — the entry form :meth:`SparseCoverageIndex.from_coverage_lists`
+    builds from and the coverage cache stores.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -460,11 +481,17 @@ def canonical_entries(
     keep = np.isfinite(estimates) & (estimates <= float(tau_km))
     rows, cols, estimates = rows[keep], cols[keep], estimates[keep]
     if len(rows):
-        order = np.lexsort((rows, cols))
+        require(
+            int(rows.min()) >= 0 and int(cols.min()) >= 0,
+            "coverage rows and columns must be non-negative",
+        )
+        keys = cell_keys(rows, cols, int(rows.max()) + 1)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
         rows, cols, estimates = rows[order], cols[order], estimates[order]
         boundary = np.empty(len(rows), dtype=bool)
         boundary[0] = True
-        boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
         starts = np.flatnonzero(boundary)
         rows, cols = rows[starts], cols[starts]
         estimates = np.minimum.reduceat(estimates, starts)
@@ -642,7 +669,9 @@ class SparseCoverageIndex:
 
         # CSR (row-major) — SC(T_j) lookups and per-trajectory scans
         if entry_order == "col":
-            rorder = np.lexsort((cols, rows))
+            # column-major input with unique cells: a stable sort on the
+            # row alone keeps the columns ascending within each row
+            rorder = np.argsort(rows, kind="stable")
             csr_rows, csr_cols, csr_data = rows[rorder], cols[rorder], scores[rorder]
         else:
             csr_rows, csr_cols, csr_data = rows, cols, scores

@@ -900,7 +900,8 @@ class PlacementServer:
         coverage_cache = getattr(service, "coverage_cache", None)
         if coverage_cache is not None:
             for name, value in coverage_cache.stats().items():
-                kind = "counter" if isinstance(value, int) else "gauge"
+                # every stat but the live part count is cumulative
+                kind = "gauge" if name == "parts" else "counter"
                 _render_metric(
                     lines,
                     f"netclus_covcache_{name}",

@@ -41,6 +41,16 @@ def answer_on(index, query, view, part=None):
     return index.query(query, prepared=reference)
 
 
+def cold_entries(index, tau_km):
+    """``(rows, cols, estimates, rep_sites, rep_clusters)`` computed cold:
+    the canonical ``≤ τ`` entries of the index's instance for τ."""
+    instance = index.instance_for(tau_km)
+    rows, cols, estimates, rep_sites, rep_clusters = instance.coverage_entries(
+        index._trajectory_rows, tau_km
+    )
+    return (*canonical_entries(rows, cols, estimates, tau_km), rep_sites, rep_clusters)
+
+
 def reference_view(index, tau_km, preference, kind, part=None) -> ClusteredCoverage:
     """A ``"dense"`` or ``"sparse"`` view over the canonical entries.
 
@@ -49,10 +59,7 @@ def reference_view(index, tau_km, preference, kind, part=None) -> ClusteredCover
     """
     if part is None:
         instance = index.instance_for(tau_km)
-        rows, cols, estimates, rep_sites, rep_clusters = instance.coverage_entries(
-            index._trajectory_rows, tau_km
-        )
-        rows, cols, estimates = canonical_entries(rows, cols, estimates, tau_km)
+        rows, cols, estimates, rep_sites, rep_clusters = cold_entries(index, tau_km)
     else:
         instance = next(i for i in index.instances if i.instance_id == part.instance_id)
         rows, cols, estimates = part.rows, part.cols, part.estimates

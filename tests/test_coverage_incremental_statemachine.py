@@ -12,10 +12,12 @@ seeded generator of arbitrary interleavings of
 * mixed batches, and
 * query probes on multiple ``(τ, ψ)`` keys,
 
-and after **every** step byte-compares the warm index against a cache-free
-twin, on the ψ-chosen views and on dense (and, for binary ψ, sparse)
-references built from the warm part's and the twin's entries.  A failure
-prints the reproducing seed and the full op script.
+and after **every** step byte-compares each warm part's canonical entries
+with a cold ``coverage_entries`` + ``canonical_entries`` of its key, and
+the warm index's answers with a cache-free twin's, on the ψ-chosen views
+and on dense (and, for binary ψ, sparse) references built from the warm
+part's and the twin's entries.  A failure prints the reproducing seed
+and the full op script.
 
 Also covers the cache's unit-level contracts: LRU bounds, the unregistered-ψ
 bypass, staleness fallback on single-item mutators, and deepcopy hygiene.
@@ -24,10 +26,11 @@ bypass, staleness fallback on single-item mutators, and deepcopy hygiene.
 from __future__ import annotations
 
 import copy
+import time
 
 import numpy as np
 import pytest
-from coverage_reference import answer_on, views_for
+from coverage_reference import answer_on, cold_entries, views_for
 
 from repro.core.covcache import CoverageCache, coverage_cache_key
 from repro.core.netclus import NetClusIndex, UpdateBatch
@@ -183,11 +186,29 @@ def format_script(seed, ops, upto):
 # the state machine
 # ---------------------------------------------------------------------- #
 def assert_parity(warm, seed, ops, step):
-    """Byte-compare warm-cache answers vs a cache-free twin, full matrix."""
+    """Byte-compare warm-cache parts and answers vs a cache-free twin.
+
+    Every live part's canonical entries must equal a cold canonicalised
+    ``coverage_entries`` of its key byte for byte, and the answers must
+    match across the full view matrix.
+    """
     cold = copy.deepcopy(warm)
     cold.coverage_cache = None
     for tau, preference in KEYS:
         part = warm.coverage_cache.parts[coverage_cache_key(tau, preference)]
+        rows, cols, estimates, rep_sites, rep_clusters = cold_entries(warm, tau)
+        for name, got, want in (
+            ("rows", part.rows, rows),
+            ("cols", part.cols, cols),
+            ("estimates", part.estimates, estimates),
+        ):
+            if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+                pytest.fail(
+                    f"part {name} (tau={tau}, psi={preference.spec()[0]}) differ "
+                    f"from a cold build after step {step}.\n"
+                    f"Reproduce with:\n{format_script(seed, ops, step)}"
+                )
+        assert (part.rep_sites, part.rep_clusters) == (rep_sites, rep_clusters)
         for view in views_for(preference):
             query = TOPSQuery(k=5, tau_km=tau, preference=preference)
             a = answer_on(warm, query, view, part=part)
@@ -388,3 +409,27 @@ def test_limit_resize(world):
     assert index.coverage_cache.stats()["parts"] == 4
     index.enable_coverage_cache(limit=1)  # idempotent enable + shrink
     assert index.coverage_cache.stats()["parts"] == 1
+
+
+def test_patch_seconds_exclude_rematerialisation(world, monkeypatch):
+    """``finish_delta`` counts the patch in ``patch_seconds`` and the view
+    rebuild in ``materialise_seconds`` — each once, never both."""
+    import repro.core.covcache as covcache
+
+    index = build(world)
+    index.enable_coverage_cache()
+    index.query(TOPSQuery(k=5, tau_km=1.2))
+    real = covcache.materialise_coverage
+
+    def slow_materialise(*args, **kwargs):
+        time.sleep(0.2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(covcache, "materialise_coverage", slow_materialise)
+    before = index.coverage_cache.stats()
+    index.apply_updates(UpdateBatch(remove_trajectories=[index.trajectory_ids[0]]))
+    after = index.coverage_cache.stats()
+    assert after["patches"] == before["patches"] + 1
+    assert after["materialisations"] == before["materialisations"] + 1
+    assert after["materialise_seconds"] - before["materialise_seconds"] >= 0.2
+    assert after["patch_seconds"] - before["patch_seconds"] < 0.2

@@ -298,3 +298,81 @@ class TestDetourProperties:
         for col in range(dense.num_sites):
             for got, want in zip(chosen.site_column(col), dense.site_column(col)):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# ---------------------------------------------------------------------- #
+# coverage-part splice
+# ---------------------------------------------------------------------- #
+
+#: triple values: within τ = 1, above it, exactly τ and non-finite
+SPLICE_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=2.0),
+    st.just(1.0),
+    st.just(np.inf),
+    st.just(np.nan),
+)
+SPLICE_MODES = (
+    "random",
+    "empty_carried",
+    "no_new",
+    "all_columns_recomputed",
+    "all_rows_removed",
+)
+
+
+def _triples(cells_and_values):
+    """``(rows, cols, estimates)`` arrays of ``[((row, col), value), ...]``."""
+    rows = np.asarray([cell[0] for cell, _ in cells_and_values], dtype=np.int64)
+    cols = np.asarray([cell[1] for cell, _ in cells_and_values], dtype=np.int64)
+    values = np.asarray([value for _, value in cells_and_values], dtype=np.float64)
+    return rows, cols, values
+
+
+class TestSpliceProperties:
+    @pytest.mark.parametrize("mode", SPLICE_MODES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_splice_equals_full_canonicalisation(self, mode, data):
+        """Splicing raw new triples into a canonical carried part equals
+        canonicalising the concatenation, byte for byte, whenever the new
+        cells lie in recomputed columns or added rows (what a patch
+        produces)."""
+        from repro.core.covcache import splice_entries
+        from repro.core.coverage import canonical_entries
+
+        tau = 1.0
+        surviving = 0 if mode == "all_rows_removed" else data.draw(st.integers(0, 12))
+        added = data.draw(st.integers(0, 4))
+        num_rows = surviving + added
+        num_cols = data.draw(st.integers(1, 8))
+        if mode == "all_columns_recomputed":
+            recomputed = set(range(num_cols))
+        else:
+            recomputed = data.draw(st.sets(st.integers(0, num_cols - 1)))
+        carried_cols = [c for c in range(num_cols) if c not in recomputed]
+
+        carried_cells = [(r, c) for c in carried_cols for r in range(surviving)]
+        carried_raw = []
+        if carried_cells and mode != "empty_carried":
+            carried_raw = data.draw(
+                st.lists(st.tuples(st.sampled_from(carried_cells), SPLICE_VALUES))
+            )
+        carried = canonical_entries(*_triples(carried_raw), tau)
+
+        new_cells = [(r, c) for c in sorted(recomputed) for r in range(num_rows)]
+        new_cells += [(r, c) for c in carried_cols for r in range(surviving, num_rows)]
+        new_raw = []
+        if new_cells and mode != "no_new":
+            # few distinct cells, many triples: duplicates are the rule
+            new_raw = data.draw(
+                st.lists(st.tuples(st.sampled_from(new_cells), SPLICE_VALUES), max_size=30)
+            )
+        new = _triples(new_raw)
+
+        got = splice_entries(carried, new, tau, num_rows + 1)
+        want = canonical_entries(
+            *(np.concatenate(pair) for pair in zip(carried, new)), tau
+        )
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes()

@@ -569,6 +569,19 @@ def test_update_then_query_served_from_patched_coverage_cache(tiny_problem):
         assert status == 200
         assert "netclus_covcache_patches 1" in text
         assert "netclus_covcache_parts 1" in text
+        # the live part count rises and falls; every other stat is cumulative
+        assert "# TYPE netclus_covcache_parts gauge" in text
+        for name in (
+            "hits",
+            "misses",
+            "stores",
+            "patches",
+            "invalidations",
+            "materialisations",
+            "patch_seconds",
+            "materialise_seconds",
+        ):
+            assert f"# TYPE netclus_covcache_{name} counter" in text
 
 
 # ---------------------------------------------------------------------- #

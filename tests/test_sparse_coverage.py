@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.coverage import CoverageIndex, SparseCoverageIndex
+from repro.core.covcache import splice_entries
+from repro.core.coverage import (
+    CoverageIndex,
+    SparseCoverageIndex,
+    canonical_entries,
+    cell_keys,
+)
 from repro.core.preference import BinaryPreference, LinearPreference
 
 
@@ -157,6 +163,67 @@ class TestEdgeCases:
         assert sparse.storage_bytes() < dense.storage_bytes()
 
 
+class TestCanonicalEntries:
+    def test_single_key_sort_matches_lexsort(self, rng):
+        """Cells come out in ``(column, row)`` order, each once, with the
+        smallest estimate of its duplicates."""
+        rows = rng.integers(0, 50, 400)
+        cols = rng.integers(0, 20, 400)
+        estimates = np.round(rng.random(400), 1)
+        got = canonical_entries(rows, cols, estimates, 0.7)
+        keep = estimates <= 0.7
+        order = np.lexsort((rows[keep], cols[keep]))
+        cells = sorted(set(zip(cols[keep][order].tolist(), rows[keep][order].tolist())))
+        assert list(zip(got[1].tolist(), got[0].tolist())) == cells
+        for row, col, estimate in zip(*got):
+            same = keep & (rows == row) & (cols == col)
+            assert estimate == estimates[same].min()
+
+    def test_huge_indices_are_refused_not_wrapped(self):
+        """col·width + row past int64 raises instead of wrapping."""
+        with pytest.raises(ValueError, match="overflow"):
+            canonical_entries([0, 2**40], [2**30, 0], [0.1, 0.2], tau_km=1.0)
+        with pytest.raises(ValueError, match="overflow"):
+            cell_keys(np.asarray([0, 1]), np.asarray([2**40, 0]), 2**30)
+        # the largest key that fits is accepted
+        width = 2**32
+        assert cell_keys(np.asarray([width - 1]), np.asarray([2**31 - 2]), width)[0] == (
+            (2**31 - 2) * width + width - 1
+        )
+
+    def test_negative_indices_are_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            canonical_entries([-1], [0], [0.1], tau_km=1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            canonical_entries([0], [-3], [0.1], tau_km=1.0)
+
+
+class TestSpliceEntries:
+    def carried(self):
+        return canonical_entries([0, 1, 0, 2], [0, 0, 2, 2], [0.1, 0.2, 0.3, 0.4], 1.0)
+
+    def test_splice_key_overflow_is_refused(self):
+        new = (np.asarray([0]), np.asarray([1]), np.asarray([0.5]))
+        with pytest.raises(ValueError, match="overflow"):
+            splice_entries(self.carried(), new, 1.0, 2**62)
+
+    def test_new_cell_overlapping_a_carried_one_is_refused(self):
+        new = (np.asarray([1]), np.asarray([0]), np.asarray([0.05]))
+        with pytest.raises(ValueError, match="overlap"):
+            splice_entries(self.carried(), new, 1.0, 4)
+
+    def test_new_entries_land_between_carried_ones(self):
+        new = (
+            np.asarray([2, 3, 1, 2]),
+            np.asarray([1, 2, 1, 1]),
+            np.asarray([0.6, 0.7, 2.0, 0.5]),
+        )
+        rows, cols, estimates = splice_entries(self.carried(), new, 1.0, 4)
+        assert rows.tolist() == [0, 1, 2, 0, 2, 3]
+        assert cols.tolist() == [0, 0, 1, 2, 2, 2]
+        assert estimates.tolist() == [0.1, 0.2, 0.5, 0.3, 0.4, 0.7]
+
+
 class TestFromCoverageLists:
     def test_matches_dense_construction(self, rng):
         detours = random_detours(rng, 30, 15)
@@ -174,6 +241,18 @@ class TestFromCoverageLists:
         assert from_lists.nnz == from_dense.nnz
         assert np.allclose(from_lists.site_weights, from_dense.site_weights)
         assert np.array_equal(from_lists.coverage_mask(), from_dense.coverage_mask())
+        # column-major input derives its CSR order by a stable row sort; the
+        # dense path starts row-major — both views must be byte-equal
+        for name in (
+            "_csr_indptr",
+            "_csr_cols",
+            "_csr_data",
+            "_csc_indptr",
+            "_csc_rows",
+            "_csc_data",
+        ):
+            got, want = getattr(from_lists, name), getattr(from_dense, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     def test_duplicates_keep_smallest_detour(self):
         """NetClus emits one estimate per neighbouring cluster; keep the min."""

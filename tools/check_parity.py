@@ -14,10 +14,11 @@ deep copy of that build.
   battery: plain, with persisted warm coverage parts, and after the same
   :class:`UpdateBatch` is applied to both (the load's copy-on-write path).
 * **covcache** — a warm service whose coverage parts are patched by a
-  seeded stream of ``--ops`` mixed deltas answers like a cache-free
-  service on a deep copy after every delta, does zero coverage builds
-  after warm-up, and still answers identically with zero builds after a
-  save with parts and a reload.
+  seeded stream of ``--ops`` mixed deltas holds, after every delta, the
+  same canonical entries in every part as a cold build of its key (byte
+  for byte) and answers like a cache-free service on a deep copy.  It
+  does zero coverage builds after warm-up, and still answers identically
+  with zero builds after a save with parts and a reload.
 
 Every comparison checks the selected sites element by element and the
 per-trajectory utility vectors with ``np.ndarray.tobytes``.  Exits
@@ -40,7 +41,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.bitcov import BitsetCoverageIndex  # noqa: E402
-from repro.core.coverage import SparseCoverageIndex  # noqa: E402
+from repro.core.coverage import SparseCoverageIndex, canonical_entries  # noqa: E402
 from repro.core.netclus import ClusteredCoverage, NetClusIndex, UpdateBatch  # noqa: E402
 from repro.core.query import TOPSQuery  # noqa: E402
 from repro.datasets import beijing_like  # noqa: E402
@@ -207,6 +208,28 @@ def _cold_answers(index: NetClusIndex) -> list:
     return cold.batch_query(list(COVCACHE_SPECS), use_cache=False)
 
 
+def _compare_entries(label: str, index: NetClusIndex) -> int:
+    """Count parts whose entries differ from a cold canonicalised build."""
+    failures = 0
+    for part in index.coverage_cache.parts.values():
+        instance = index.instance_for(part.tau_km)
+        rows, cols, estimates, rep_sites, rep_clusters = instance.coverage_entries(
+            index._trajectory_rows, part.tau_km
+        )
+        want = canonical_entries(rows, cols, estimates, part.tau_km)
+        got = (part.rows, part.cols, part.estimates)
+        same = part.instance_id == instance.instance_id and all(
+            g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want)
+        )
+        if not same or (part.rep_sites, part.rep_clusters) != (rep_sites, rep_clusters):
+            print(
+                f"FAIL [{label}]: part (tau={part.tau_km}, psi={part.preference_name}) "
+                "entries differ from a cold build"
+            )
+            failures += 1
+    return failures
+
+
 def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
     # a held-out trajectory pool for additions, ids above the live range
     extra = commuter_trajectories(index.network, 30, seed=777)
@@ -226,6 +249,7 @@ def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
     for batch in _delta_stream(rng, index, pool, num_ops):
         warm.apply_updates(batch)
         steps += 1
+        failures += _compare_entries(f"covcache step={steps}", index)
         failures += _compare(
             f"covcache step={steps}",
             specs,
@@ -254,7 +278,7 @@ def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
     if not failures:
         patches = warm.coverage_cache.stats()["patches"]
         print(
-            f"OK covcache: {steps} deltas x {len(specs)} specs equal cold rebuilds "
+            f"OK covcache: {steps} deltas x {len(specs)} specs and parts equal cold rebuilds "
             f"({patches} part patches, 0 builds after warm-up and after reload)"
         )
     return failures
