@@ -2,9 +2,8 @@
 
 Pure-stdlib AST rules guarding the invariants the runtime parity tests
 can only sample: determinism of the selection path (RA001–RA004), the
-declarative lock discipline of the serving layer (RA005–RA006), the
-code↔docs↔registry surfaces that otherwise drift (RA007–RA009), and the
-allocation discipline of the hot ``@kernel`` functions (RA010).
+declarative lock discipline of the serving layer (RA005–RA006),
+and the code↔docs↔registry surfaces that otherwise drift (RA007–RA009).
 
 Run it as a module::
 
@@ -27,7 +26,6 @@ from .base import (
     SourceFile,
     run_analysis,
 )
-from .alloc import KernelAllocations
 from .determinism import (
     RawFloatComparison,
     UnorderedIteration,
@@ -62,7 +60,6 @@ ALL_ANALYZERS: tuple[type[Analyzer], ...] = (
     MetricsStatsDrift,  # RA007
     CliDocsDrift,  # RA008
     BenchRegistryDrift,  # RA009
-    KernelAllocations,  # RA010
 )
 
 #: rule families (documentation / --list-rules grouping)
@@ -70,7 +67,6 @@ FAMILIES: dict[str, tuple[str, ...]] = {
     "determinism": ("RA001", "RA002", "RA003", "RA004"),
     "locks": ("RA005", "RA006"),
     "drift": ("RA007", "RA008", "RA009"),
-    "alloc": ("RA010",),
 }
 
 

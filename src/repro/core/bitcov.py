@@ -27,10 +27,8 @@ LazyGreedy, FMGreedy, every TOPS variant driver and ``CoverageCache``
 materialisation all run on this engine unchanged
 with byte-identical selections.
 
-The kernels are ``@kernel``-marked (rule RA010: no per-call ``np.zeros`` /
-``np.empty`` / ``.astype`` temporaries) and draw their scratch from the
-same per-thread :class:`~repro.core.coverage._ScratchPool` the float
-engines use.
+The kernels are ``@kernel``-marked, so an attached
+:class:`~repro.utils.timer.KernelTimer` times them like the float engines'.
 
 The packed layout assumes a little-endian platform (``np.packbits`` /
 ``np.unpackbits`` with ``bitorder="little"`` against ``uint64`` byte
@@ -44,7 +42,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.coverage import (
-    _ScratchPool,
     _top_capacity_sum,
     build_label_map,
     labels_to_columns,
@@ -62,12 +59,11 @@ __all__ = ["BitsetCoverageIndex"]
 WORD_BITS = 64
 
 
-def _pack_bool_into(mask: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Pack a boolean row vector into *words* (little-endian uint64)."""
+def _pack_bool(mask: np.ndarray, num_words: int) -> np.ndarray:
+    """Pack a boolean row vector into *num_words* little-endian uint64 words."""
+    words = np.zeros(num_words, dtype=np.uint64)
     packed = np.packbits(mask, bitorder="little")
-    byte_view = words.view(np.uint8)
-    byte_view[: packed.size] = packed
-    byte_view[packed.size :] = 0
+    words.view(np.uint8)[: packed.size] = packed
     return words
 
 
@@ -238,7 +234,6 @@ class BitsetCoverageIndex:
         self._site_weights = np.bitwise_count(self._blocks).sum(
             axis=1, dtype=np.float64
         )
-        self._scratch = _ScratchPool()
         self._label_to_col: dict[int, int] | None = None
         self.kernel_timer: KernelTimer | None = None
 
@@ -301,11 +296,8 @@ class BitsetCoverageIndex:
 
     # ------------------------------------------------------------------ #
     def _pack_uncovered(self, utilities: np.ndarray) -> np.ndarray:
-        """Packed mask of rows whose current utility is 0 (scratch-backed)."""
-        mask = self._scratch.get("uncovered_mask", (self.num_trajectories,), np.bool_)
-        np.less_equal(utilities, 0.0, out=mask)
-        words = self._scratch.get("uncovered_words", (self._num_words,), np.uint64)
-        return _pack_bool_into(mask, words)
+        """Packed mask of rows whose current utility is 0."""
+        return _pack_bool(utilities <= 0.0, self._num_words)
 
     @kernel
     def marginal_gains(self, utilities: np.ndarray) -> np.ndarray:
@@ -314,13 +306,8 @@ class BitsetCoverageIndex:
         Exact for the engine's own utility vectors, which are always
         {0.0, 1.0}-valued (binary ψ, unit weights).
         """
-        words = self._pack_uncovered(utilities)
-        shape = (self.num_sites, self._num_words)
-        masked = self._scratch.get("masked_blocks", shape, np.uint64)
-        np.bitwise_and(self._blocks, words[np.newaxis, :], out=masked)
-        counts = self._scratch.get("popcounts", shape, np.uint8)
-        np.bitwise_count(masked, out=counts)
-        return counts.sum(axis=1, dtype=np.float64)
+        masked = self._blocks & self._pack_uncovered(utilities)
+        return np.bitwise_count(masked).sum(axis=1, dtype=np.float64)
 
     @kernel
     def marginal_gain(
@@ -328,17 +315,12 @@ class BitsetCoverageIndex:
     ) -> float:
         """Marginal utility of one site, optionally capacity-limited."""
         if capacity is None:
-            words = self._pack_uncovered(utilities)
-            masked = self._scratch.get("masked_column", (self._num_words,), np.uint64)
-            np.bitwise_and(self._blocks[int(col)], words, out=masked)
+            masked = self._blocks[int(col)] & self._pack_uncovered(utilities)
             return float(np.bitwise_count(masked).sum(dtype=np.float64))
         # the capacitated path serves the unpacked column through the same
         # top-capacity code as the sparse engine (byte-identical serving)
         rows, values = self.site_column(col)
-        residual = self._scratch.get("mg_column", (len(rows),))
-        np.take(utilities, rows, out=residual)
-        np.subtract(values, residual, out=residual)
-        np.maximum(residual, 0.0, out=residual)
+        residual = np.maximum(values - utilities[rows], 0.0)
         return _top_capacity_sum(residual, capacity)
 
     @kernel
@@ -365,17 +347,10 @@ class BitsetCoverageIndex:
         ``delta`` packs the improved rows.
         """
         row_index = np.asarray(rows, dtype=np.int64)
-        mask = self._scratch.get("delta_mask", (self.num_trajectories,), np.bool_)
-        mask[:] = False
+        mask = np.zeros(self.num_trajectories, dtype=bool)
         mask[row_index] = True
-        words = self._scratch.get("delta_words", (self._num_words,), np.uint64)
-        _pack_bool_into(mask, words)
-        shape = (self.num_sites, self._num_words)
-        masked = self._scratch.get("masked_blocks", shape, np.uint64)
-        np.bitwise_and(self._blocks, words[np.newaxis, :], out=masked)
-        counts = self._scratch.get("popcounts", shape, np.uint8)
-        np.bitwise_count(masked, out=counts)
-        return counts.sum(axis=1, dtype=np.float64)
+        masked = self._blocks & _pack_bool(mask, self._num_words)
+        return np.bitwise_count(masked).sum(axis=1, dtype=np.float64)
 
     def utilities_for_selection(
         self,

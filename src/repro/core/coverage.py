@@ -46,15 +46,13 @@ the caller pick any engine; NetClus's clustered space always applies the
 
 The hot-path kernels (``marginal_gains`` / ``marginal_gain`` /
 ``gain_updates`` / ``absorb``) are marked with the ``@kernel`` decorator:
-their internal temporaries come from per-thread :class:`_ScratchPool`
-buffers instead of fresh allocations (enforced statically by rule RA010),
-and an attached :class:`~repro.utils.timer.KernelTimer` records per-kernel
-call counts and seconds.
+an attached :class:`~repro.utils.timer.KernelTimer` records per-kernel call
+counts and seconds.  Their temporaries are plain per-call arrays, so one
+coverage view can serve concurrent greedy runs without sharing state.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Sequence
 
 import numpy as np
@@ -97,44 +95,6 @@ def resolve_engine(engine: str, preference: PreferenceFunction) -> str:
         return "bitset" if preference.is_binary else "sparse"
     return engine
 
-
-class _ScratchPool:
-    """Per-thread, grow-only scratch arrays for the allocation-free kernels.
-
-    Buffers are keyed by name and live in thread-local storage: warm
-    coverage-cache views are shared across concurrent query threads, so a
-    plain per-instance buffer would be corrupted by parallel greedy runs.
-    A returned array is a view over a flat backing buffer and stays valid
-    until the same (thread, name) pair is requested again — exactly the
-    lifetime of a kernel-internal temporary.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def get(
-        self, name: str, shape: tuple[int, ...], dtype: Any = np.float64
-    ) -> np.ndarray:
-        """A contiguous scratch array of *shape* (contents undefined)."""
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        buffers: dict[str, np.ndarray] | None = getattr(self._local, "buffers", None)
-        if buffers is None:
-            buffers = {}
-            self._local.buffers = buffers
-        backing = buffers.get(name)
-        if backing is None or backing.size < size or backing.dtype != np.dtype(dtype):
-            backing = np.empty(max(size, 1), dtype=dtype)
-            buffers[name] = backing
-        return backing[:size].reshape(shape)
-
-    # thread-local storage cannot be pickled; a fresh pool is equivalent
-    def __getstate__(self) -> dict[str, Any]:
-        return {}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self._local = threading.local()
 
 #: relative tolerance under which two marginal gains (or site weights) are
 #: treated as tied.  Float summation is not associative, so the same
@@ -226,7 +186,6 @@ class CoverageIndex:
         # iff the detour is within τ, even when ψ scores it 0 (e.g. a linear
         # ψ at detour exactly τ); the sparse index keeps the same entries
         self._covered_mask = finite <= self.tau_km
-        self._scratch = _ScratchPool()
         self._label_to_col: dict[int, int] | None = None
         self.kernel_timer: KernelTimer | None = None
 
@@ -297,9 +256,7 @@ class CoverageIndex:
     @kernel
     def marginal_gains(self, utilities: np.ndarray) -> np.ndarray:
         """Marginal utility of every site given current per-trajectory utilities."""
-        residual = self._scratch.get("mg_matrix", self.scores.shape)
-        np.subtract(self.scores, utilities[:, np.newaxis], out=residual)
-        np.maximum(residual, 0.0, out=residual)
+        residual = np.maximum(self.scores - utilities[:, np.newaxis], 0.0)
         return residual.sum(axis=0)
 
     @kernel
@@ -307,9 +264,7 @@ class CoverageIndex:
         self, col: int, utilities: np.ndarray, capacity: int | None = None
     ) -> float:
         """Marginal utility of one site, optionally capacity-limited."""
-        residual = self._scratch.get("mg_column", (self.num_trajectories,))
-        np.subtract(self.scores[:, col], utilities, out=residual)
-        np.maximum(residual, 0.0, out=residual)
+        residual = np.maximum(self.scores[:, col] - utilities, 0.0)
         return _top_capacity_sum(residual, capacity)
 
     @kernel
@@ -336,17 +291,10 @@ class CoverageIndex:
         row_index = np.asarray(rows, dtype=np.int64)
         old = np.asarray(old_values, dtype=np.float64)
         new = np.asarray(new_values, dtype=np.float64)
-        shape = (len(row_index), self.num_sites)
-        affected = self._scratch.get("gu_affected", shape)
-        np.take(self.scores, row_index, axis=0, out=affected)
-        old_alpha = self._scratch.get("gu_alpha", shape)
-        np.subtract(affected, old[:, np.newaxis], out=old_alpha)
-        np.maximum(old_alpha, 0.0, out=old_alpha)
-        # reuse `affected` for the new-residual matrix
-        np.subtract(affected, new[:, np.newaxis], out=affected)
-        np.maximum(affected, 0.0, out=affected)
-        np.subtract(old_alpha, affected, out=old_alpha)
-        return old_alpha.sum(axis=0)
+        affected = self.scores[row_index]
+        drop = np.maximum(affected - old[:, np.newaxis], 0.0)
+        drop -= np.maximum(affected - new[:, np.newaxis], 0.0)
+        return drop.sum(axis=0)
 
     def utilities_for_selection(
         self,
@@ -685,7 +633,6 @@ class SparseCoverageIndex:
         self._site_weights = np.bincount(
             csc_cols, weights=csc_data, minlength=self.num_sites
         )
-        self._scratch = _ScratchPool()
         self._label_to_col: dict[int, int] | None = None
         self.kernel_timer: KernelTimer | None = None
 
@@ -746,11 +693,8 @@ class SparseCoverageIndex:
         """Marginal utility of every site in one pass over the stored entries."""
         if self.nnz == 0:
             # np.bincount over no entries returns int64, not float64
-            return np.zeros(self.num_sites, dtype=np.float64)  # noqa: RA010
-        residual = self._scratch.get("mg_entries", (self.nnz,))
-        np.take(utilities, self._csc_rows, out=residual)
-        np.subtract(self._csc_data, residual, out=residual)
-        np.maximum(residual, 0.0, out=residual)
+            return np.zeros(self.num_sites, dtype=np.float64)
+        residual = np.maximum(self._csc_data - utilities[self._csc_rows], 0.0)
         # np.bincount with float weights already returns float64
         return np.bincount(self._entry_cols, weights=residual, minlength=self.num_sites)
 
@@ -760,10 +704,7 @@ class SparseCoverageIndex:
     ) -> float:
         """Marginal utility of one site, optionally capacity-limited."""
         rows, values = self.site_column(col)
-        residual = self._scratch.get("mg_column", (len(rows),))
-        np.take(utilities, rows, out=residual)
-        np.subtract(values, residual, out=residual)
-        np.maximum(residual, 0.0, out=residual)
+        residual = np.maximum(values - utilities[rows], 0.0)
         return _top_capacity_sum(residual, capacity)
 
     @kernel
@@ -798,23 +739,14 @@ class SparseCoverageIndex:
         counts = stops - starts
         total = int(counts.sum())
         if total == 0:
-            # the zero vector escapes as the result, not a per-call temporary
-            return np.zeros(self.num_sites, dtype=np.float64)  # noqa: RA010
+            return np.zeros(self.num_sites, dtype=np.float64)
         # flatten the per-row CSR slices into one entry list
         offsets = np.repeat(starts - np.r_[0, np.cumsum(counts)[:-1]], counts)
-        entry_indices = self._scratch.get("gu_indices", (total,), np.int64)
-        np.add(np.arange(total, dtype=np.int64), offsets, out=entry_indices)
-        entry_cols = self._scratch.get("gu_cols", (total,), np.int64)
-        np.take(self._csr_cols, entry_indices, out=entry_cols)
-        entry_scores = self._scratch.get("gu_scores", (total,))
-        np.take(self._csr_data, entry_indices, out=entry_scores)
-        drop = self._scratch.get("gu_drop", (total,))
-        np.subtract(entry_scores, np.repeat(old, counts), out=drop)
-        np.maximum(drop, 0.0, out=drop)
-        # reuse `entry_scores` for the new-residual entries
-        np.subtract(entry_scores, np.repeat(new, counts), out=entry_scores)
-        np.maximum(entry_scores, 0.0, out=entry_scores)
-        np.subtract(drop, entry_scores, out=drop)
+        entry_indices = np.arange(total, dtype=np.int64) + offsets
+        entry_scores = self._csr_data[entry_indices]
+        drop = np.maximum(entry_scores - np.repeat(old, counts), 0.0)
+        drop -= np.maximum(entry_scores - np.repeat(new, counts), 0.0)
+        entry_cols = self._csr_cols[entry_indices]
         # np.bincount with float weights already returns float64
         return np.bincount(entry_cols, weights=drop, minlength=self.num_sites)
 

@@ -35,13 +35,14 @@ out zero-copy array views, so a cold load does no per-cluster work:
   dtypes, lengths) that turn a damaged blob into
   :class:`IndexFormatError` instead of a wrong answer;
 * coverage parts (the canonical per-(τ, ψ) entries of the index's
-  :class:`~repro.core.covcache.CoverageCache`) attach as zero-copy views;
-  their range validation is deferred to materialisation (the coverage
-  constructors re-check), while shape/registry consistency is verified
-  eagerly from the offset table alone.  A part recorded at a different
-  ``index_version`` than the manifest's is *refused* (skipped with a clean
-  fallback to a cold rebuild); a structurally inconsistent part raises
-  :class:`IndexFormatError`;
+  :class:`~repro.core.covcache.CoverageCache`) attach as zero-copy views
+  after one vectorised pass proves them canonical: rows and columns in
+  range, finite estimates within τ, cells in strictly increasing
+  ``(column, row)`` order.  Materialisation and patching trust that order,
+  so a part failing the pass raises :class:`IndexFormatError` rather than
+  answering wrongly.  A part recorded at a different ``index_version``
+  than the manifest's is *refused* (skipped with a clean fallback to a
+  cold rebuild);
 * every view is read-only (``writeable=False``); the index's mutation
   paths copy-on-write, so ``apply_updates`` on a loaded index never
   writes through to the mapped file.
@@ -470,15 +471,15 @@ def _attach_coverage_parts(
 
     A part recorded at a different ``index_version`` than the manifest's
     is refused (skipped); structural corruption raises
-    :class:`IndexFormatError`.  The entry arrays stay read-only views and
-    the per-entry range checks are *deferred* — the coverage constructors
-    re-validate at materialisation, so the cold load never pages a part
-    in.  Shape consistency (entry counts, representative arrays, dtypes)
-    is still verified eagerly; for a mapped blob it comes from the offset
-    table, which costs no page faults.  Instance ids are checked against
-    the manifest's *instance_ids*.
+    :class:`IndexFormatError`.  The entry arrays stay read-only views, but
+    each is read once here: materialisation (``canonical=True``) and
+    :func:`~repro.core.covcache.splice_entries` trust a part to be
+    canonical, so rows, columns, estimates and the cell order are checked
+    before the part is attached.  Instance ids are checked against the
+    manifest's *instance_ids*.
     """
     from repro.core.covcache import CoveragePart, coverage_cache_key
+    from repro.core.coverage import cell_keys
     from repro.core.preference import is_registered, make_preference
 
     part_entries = manifest.get("coverage_parts", [])
@@ -533,6 +534,13 @@ def _attach_coverage_parts(
                 f"{label}: registry size mismatch "
                 f"({num_trajectories} != {index.num_trajectories})"
             )
+        _require_range(rows, num_trajectories, f"{label}: rows")
+        _require_range(cols, len(rep_sites), f"{label}: cols")
+        if not (np.isfinite(estimates) & (estimates <= tau_km)).all():
+            raise IndexFormatError(f"{label}: an estimate is not finite or exceeds τ")
+        keys = cell_keys(rows, cols, num_trajectories + 1)
+        if (keys[1:] <= keys[:-1]).any():
+            raise IndexFormatError(f"{label}: entries are not in canonical order")
         key = coverage_cache_key(tau_km, preference)
         cache.attach_part(
             key,

@@ -24,26 +24,20 @@ the contract *declarative* so the static lock-discipline checker
       @holds_lock("_lock")
       def _materialise(self, ...): ...
 
-* :func:`kernel` — a method decorator marking a numeric hot-path kernel.
-  The allocation-discipline checker (rule RA010) flags per-call
-  ``np.zeros`` / ``np.empty`` / ``.astype`` temporaries inside marked
-  functions — kernels are expected to reuse scratch buffers via ``out=``
-  arguments.  At runtime the marker doubles as the kernel-timing hook:
-  when the bound instance carries a non-``None`` ``kernel_timer``
-  attribute (see :class:`repro.utils.timer.KernelTimer`), each call's
-  wall-clock duration is recorded under the function's name; without a
-  timer attached the wrapper is a single attribute lookup.
+* :func:`kernel` — a method decorator marking a numeric hot-path kernel
+  as a timing hook: when the bound instance carries a non-``None``
+  ``kernel_timer`` attribute (see :class:`repro.utils.timer.KernelTimer`),
+  each call's wall-clock duration is recorded under the function's name;
+  without a timer attached the wrapper is a single attribute lookup.
 
-The markers are otherwise **no-ops at runtime** apart from recording
-their declarations: :func:`guarded_by` stores a ``__guarded_attributes__``
-mapping on the class (and in a module registry for introspection),
-:func:`holds_lock` stamps ``__holds_locks__`` on the function, and
-:func:`kernel` stamps ``__is_kernel__``.  The static analyzer reads the
-decorators syntactically from the AST — it never imports the analysed
-code — so the markers double as documentation that cannot silently rot: a
-guarded attribute touched outside its critical section (or a kernel
-allocating fresh temporaries) fails ``python -m repro.analysis`` (and CI)
-at commit time.
+The lock markers are **no-ops at runtime** apart from recording their
+declarations: :func:`guarded_by` stores a ``__guarded_attributes__``
+mapping on the class (and in a module registry for introspection), and
+:func:`holds_lock` stamps ``__holds_locks__`` on the function.  The static
+analyzer reads the decorators syntactically from the AST — it never
+imports the analysed code — so the markers double as documentation that
+cannot silently rot: a guarded attribute touched outside its critical
+section fails ``python -m repro.analysis`` (and CI) at commit time.
 """
 
 from __future__ import annotations
@@ -60,7 +54,6 @@ __all__ = [
     "guarded_by",
     "held_locks",
     "holds_lock",
-    "is_kernel",
     "kernel",
 ]
 
@@ -71,8 +64,6 @@ _F = TypeVar("_F", bound=Callable)
 GUARD_ATTRIBUTE = "__guarded_attributes__"
 #: attribute the method decorator stores its declarations under
 HOLDS_ATTRIBUTE = "__holds_locks__"
-#: attribute the kernel decorator stamps on marked functions
-KERNEL_ATTRIBUTE = "__is_kernel__"
 
 
 @dataclass(frozen=True)
@@ -142,19 +133,12 @@ def holds_lock(lock: str) -> Callable[[_F], _F]:
 
 
 def kernel(func: _F) -> _F:
-    """Mark a numeric hot-path kernel (allocation discipline + timing).
+    """Mark a numeric hot-path kernel as a timing hook.
 
-    The static allocation checker (rule RA010) flags fresh ``np.zeros`` /
-    ``np.empty`` / ``.astype`` arrays inside marked functions: a kernel
-    runs on every greedy step, so its temporaries must come from reused
-    scratch buffers (``out=`` arguments), with the only sanctioned
-    exception being the escaping result array (suppress with a justified
-    ``# noqa: RA010``).
-
-    At runtime the wrapper records per-call wall-clock seconds on the
-    instance's ``kernel_timer`` when one is attached (see
-    ``attach_kernel_timer`` on the coverage classes); with no timer the
-    overhead is one attribute lookup.
+    The wrapper records per-call wall-clock seconds on the instance's
+    ``kernel_timer`` when one is attached (see ``attach_kernel_timer`` on
+    the coverage classes); with no timer the overhead is one attribute
+    lookup.
     """
     name = func.__name__
 
@@ -169,13 +153,7 @@ def kernel(func: _F) -> _F:
         finally:
             timer.record(name, time.perf_counter() - started)
 
-    wrapper.__is_kernel__ = True  # type: ignore[attr-defined]
     return cast(_F, wrapper)
-
-
-def is_kernel(func: Callable) -> bool:
-    """Whether *func* was marked with :func:`kernel`."""
-    return bool(getattr(func, KERNEL_ATTRIBUTE, False))
 
 
 def guarded_attributes(cls: type) -> Mapping[str, GuardSpec]:

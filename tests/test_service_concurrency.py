@@ -21,10 +21,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.core.netclus import NetClusIndex, UpdateBatch
@@ -185,6 +187,53 @@ class TestConcurrentCacheAndBuild:
         stats = service.stats
         # every query either hit the cache or recomputed the same answer
         assert stats.cache_hits + stats.cache_misses == stats.queries_served
+
+    def test_concurrent_greedy_on_shared_warm_views(self, base_index):
+        """With the result cache off, every thread runs the greedy kernels
+        itself over the same warm coverage views — a bitset view (binary ψ)
+        and a sparse view (linear ψ) — and must get the serial answers."""
+        specs = [
+            QuerySpec(k=6, tau_km=0.8),
+            QuerySpec(k=4, tau_km=0.8, capacity=5),
+            QuerySpec(k=6, tau_km=1.6, preference="linear"),
+            QuerySpec(k=4, tau_km=1.6, preference="linear", capacity=5),
+        ]
+        service = PlacementService(
+            copy.deepcopy(base_index), cache_size=0, coverage_cache=True
+        )
+
+        def answers() -> list[tuple[tuple[int, ...], bytes]]:
+            return [
+                (
+                    tuple(result.sites),
+                    np.asarray(result.per_trajectory_utility).tobytes(),
+                )
+                for result in service.batch_query(specs)
+            ]
+
+        serial = answers()
+        views = {
+            type(part.view.coverage).__name__
+            for part in service.coverage_cache.parts.values()
+        }
+        assert views == {"BitsetCoverageIndex", "SparseCoverageIndex"}
+        builds = service.stats.coverage_builds
+        start_barrier = threading.Barrier(8)
+
+        def run(_: int) -> list[list[tuple[tuple[int, ...], bytes]]]:
+            start_barrier.wait()
+            return [answers() for _ in range(6)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the kernels
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                observed = list(pool.map(run, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(batch == serial for runs in observed for batch in runs)
+        assert service.stats.coverage_builds == builds
+        assert service.stats.cache_hits == 0
 
     def test_counter_bumps_are_atomic(self, base_index):
         service = PlacementService(copy.deepcopy(base_index))

@@ -713,6 +713,56 @@ def test_v4_corrupt_instance_arrays_refused_at_load(corruptible_index, tmp_path,
         load_index(path)
 
 
+#: the linear-ψ query whose coverage part the part-corruption test damages
+PART_QUERY = TOPSQuery(k=5, tau_km=0.8, preference=LinearPreference())
+
+
+@pytest.fixture(scope="module")
+def corruptible_part(tmp_path_factory):
+    """``beijing_like("tiny", seed=1)`` saved as v4 with one warm linear-ψ
+    coverage part (slot 0), and that query's answer."""
+    from repro.core.netclus import NetClusIndex
+    from repro.datasets import beijing_like
+
+    bundle = beijing_like("tiny", seed=1)
+    index = NetClusIndex.build(
+        bundle.network, bundle.trajectories, bundle.sites, gamma=0.75, tau_max_km=4.0
+    )
+    index.enable_coverage_cache()
+    answer = index.query(PART_QUERY)
+    path = save_index(index, tmp_path_factory.mktemp("part") / "city.ncx")
+    return path, answer.sites
+
+
+PART_CORRUPTIONS = {
+    "entries_reversed": [
+        _poke(key, slice(None), lambda a, key=key: a[key][::-1])
+        for key in ("cov0_rows", "cov0_cols", "cov0_est")
+    ],
+    "estimate_above_tau": [_poke("cov0_est", 0, PART_QUERY.tau_km * 1.5)],
+    "estimate_nan": [_poke("cov0_est", -1, np.nan)],
+    "row_out_of_range": [_poke("cov0_rows", -1, 10**6)],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(PART_CORRUPTIONS))
+def test_v4_corrupt_coverage_part_refused_at_load(corruptible_part, tmp_path, corruption):
+    """A coverage part that is out of canonical order, holds an estimate
+    above τ or a NaN, or names a row past the registry raises
+    IndexFormatError at load instead of being materialised and served."""
+    source, expected_sites = corruptible_part
+    path = Path(shutil.copytree(source, tmp_path / "city.ncx"))
+    assert load_index(path).query(PART_QUERY).sites == expected_sites
+    manifest = load_manifest(path)
+    views = serialization._blob_views(*serialization._open_blob(path, manifest))
+    arrays = {key: np.array(view) for key, view in views.items()}
+    del views
+    for mutate in PART_CORRUPTIONS[corruption]:
+        mutate(path, manifest["payload_arrays"], arrays)
+    with pytest.raises(IndexFormatError, match="coverage part 0"):
+        load_index(path)
+
+
 def test_v4_apply_updates_never_writes_through(tmp_path):
     """The read-only contract: a mutate-and-query session on a v4-loaded
     index succeeds (copy-on-write) and leaves the file bytes untouched."""

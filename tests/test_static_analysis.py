@@ -102,6 +102,11 @@ class TestRuleFixtures:
         assert all(f.rule == rule for f in report.suppressed)
         assert report.ok
 
+    def test_every_corpus_belongs_to_a_registered_rule(self):
+        """A deleted rule's fixture corpus must go with it (and vice versa)."""
+        corpora = {path.name for path in FIXTURES.iterdir() if path.is_dir()}
+        assert corpora == {rule.lower() for rule in RULES}
+
     def test_findings_carry_rule_message_and_hint(self):
         root = FIXTURES / "ra001" / "fires"
         (finding,) = run_analysis(root, analyzers_for(["RA001"])).findings
