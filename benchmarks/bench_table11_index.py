@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.gdsp import GreedyGDSP
-from repro.experiments.figures import table11_index_construction
+from repro.experiments.figures import ablation_design_choices, table11_index_construction
 from repro.experiments.reporting import print_table
 
 
@@ -34,3 +34,14 @@ def test_table11_rows(benchmark, small_context):
     # coarser radii -> fewer clusters and longer per-cluster trajectory lists
     assert clusters == sorted(clusters, reverse=True)
     assert trajectory_lists[-1] >= trajectory_lists[0]
+
+
+def test_table11_and_gdsp_counting_smoke(tiny_context):
+    """CI-sized run of the Table 11 driver and of both GDSP counting modes."""
+    rows = table11_index_construction.run(context=tiny_context)
+    clusters = [row["num_clusters"] for row in rows]
+    assert clusters == sorted(clusters, reverse=True)
+    assert all(row["mean_dominating_set"] >= 1.0 for row in rows)
+    counting = ablation_design_choices.run_gdsp_counting(tiny_context.bundle)
+    assert [row["counting"] for row in counting] == ["exact-lazy", "fm-sketch"]
+    assert all(row["num_clusters"] > 0 for row in counting)

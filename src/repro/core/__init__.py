@@ -15,7 +15,7 @@ from repro.core.covcache import CoverageCache, CoveragePart
 from repro.core.greedy import IncGreedy
 from repro.core.fm_greedy import FMGreedy
 from repro.core.optimal import OptimalSolver
-from repro.core.gdsp import GreedyGDSP, Cluster
+from repro.core.gdsp import GreedyGDSP
 from repro.core.netclus import NetClusIndex, NetClusInstance
 from repro.core.build import BuildStats, build_index
 from repro.core.variants import (
@@ -45,7 +45,6 @@ __all__ = [
     "FMGreedy",
     "OptimalSolver",
     "GreedyGDSP",
-    "Cluster",
     "NetClusIndex",
     "NetClusInstance",
     "BuildStats",

@@ -5,7 +5,9 @@ stages, run in order over the whole instance ladder on one shared
 shortest-path engine:
 
 1. **clustering** — one Greedy-GDSP run per index instance (each sees only
-   the road network and its radius ``R_p``).
+   the road network and its radius ``R_p``).  GDSP emits the centers and the
+   members with their round trips to the center, taken from its own
+   dominance sweep, as the arrays the instance stores.
 2. **representatives** — per cluster, elect the representative candidate
    site under the index's ``representative_strategy``.
 3. **registration** — register every trajectory into every instance via
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -133,7 +134,6 @@ def build_index(
     tau_max_km: float = 8.0,
     use_fm_sketches: bool = False,
     num_sketches: int = 30,
-    gdsp_chunk_size: int = 512,
     max_instances: int | None = None,
     representative_strategy: str = "closest",
 ) -> NetClusIndex:
@@ -167,7 +167,6 @@ def build_index(
         engine=engine,
         use_fm_sketches=use_fm_sketches,
         num_sketches=num_sketches,
-        chunk_size=gdsp_chunk_size,
     )
     gdsp_results = [gdsp.cluster(radius) for radius in radii]
     clustering_per_instance = [result.build_seconds for result in gdsp_results]
@@ -265,7 +264,6 @@ def build_index(
         build_stats=stats,
         max_instances=max_instances,
     )
-    index._engine = engine
     return index
 
 
@@ -273,30 +271,16 @@ def _clustered_instance(
     instance_id: int, radius_km: float, gamma: float, gdsp_result: GDSPResult
 ) -> NetClusInstance:
     """An instance holding one GDSP clustering, before any election or
-    registration: centers, member nodes in GDSP order and the node →
-    cluster assignment."""
-    members = [
-        dict(zip(cluster.nodes, cluster.node_round_trip_km))
-        for cluster in gdsp_result.clusters
-    ]
-    indptr = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum([len(nodes) for nodes in members], out=indptr[1:])
-    assignment = gdsp_result.node_to_cluster
+    registration: GDSP's centers and members, and the node → cluster
+    assignment they imply."""
+    nodes = gdsp_result.members
     return NetClusInstance(
         instance_id=instance_id,
         radius_km=radius_km,
         gamma=gamma,
-        centers=np.asarray([c.center for c in gdsp_result.clusters], dtype=np.int64),
-        nodes=Ragged(
-            indptr,
-            np.fromiter(chain.from_iterable(members), np.int64, int(indptr[-1])),
-            np.fromiter(
-                chain.from_iterable(nodes.values() for nodes in members),
-                np.float64,
-                int(indptr[-1]),
-            ),
-        ),
-        n2c_nodes=np.fromiter(assignment.keys(), np.int64, len(assignment)),
-        n2c_clusters=np.fromiter(assignment.values(), np.int64, len(assignment)),
+        centers=gdsp_result.centers,
+        nodes=nodes,
+        n2c_nodes=nodes.ids,
+        n2c_clusters=nodes.owners(),
         mean_dominating_set_size=gdsp_result.mean_dominating_set_size,
     )

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -562,23 +562,32 @@ class CoverageCache:
         with self._lock:
             return [part.describe() for part in self.parts.values()]
 
-    def __deepcopy__(self, memo: dict) -> "CoverageCache":
-        with self._lock:
-            clone = CoverageCache(limit=self.limit)
-            for key, part in self.parts.items():
-                clone.parts[key] = CoveragePart(
-                    tau_km=part.tau_km,
-                    preference_name=part.preference_name,
-                    preference_params=part.preference_params,
-                    instance_id=part.instance_id,
-                    index_version=part.index_version,
-                    num_trajectories=part.num_trajectories,
+    @holds_lock("_lock")
+    def _parts_without_views(self, copy_arrays: bool) -> "OrderedDict[tuple, CoveragePart]":
+        """The parts, in LRU order, each with its view dropped (views hold
+        the index and rebuild on demand); *copy_arrays* also copies the
+        entries and representative lists."""
+        parts: OrderedDict[tuple, CoveragePart] = OrderedDict()
+        for key, part in self.parts.items():
+            parts[key] = (
+                replace(
+                    part,
+                    view=None,
                     rows=part.rows.copy(),
                     cols=part.cols.copy(),
                     estimates=part.estimates.copy(),
                     rep_sites=list(part.rep_sites),
                     rep_clusters=list(part.rep_clusters),
                 )
+                if copy_arrays
+                else replace(part, view=None)
+            )
+        return parts
+
+    def __deepcopy__(self, memo: dict) -> "CoverageCache":
+        with self._lock:
+            clone = CoverageCache(limit=self.limit)
+            clone.parts = self._parts_without_views(copy_arrays=True)
         return clone
 
     def __getstate__(self) -> dict:
@@ -587,25 +596,7 @@ class CoverageCache:
         with self._lock:
             state = self.__dict__.copy()
             state["_lock"] = None
-            state["parts"] = OrderedDict(
-                (
-                    key,
-                    CoveragePart(
-                        tau_km=part.tau_km,
-                        preference_name=part.preference_name,
-                        preference_params=part.preference_params,
-                        instance_id=part.instance_id,
-                        index_version=part.index_version,
-                        num_trajectories=part.num_trajectories,
-                        rows=part.rows,
-                        cols=part.cols,
-                        estimates=part.estimates,
-                        rep_sites=part.rep_sites,
-                        rep_clusters=part.rep_clusters,
-                    ),
-                )
-                for key, part in self.parts.items()
-            )
+            state["parts"] = self._parts_without_views(copy_arrays=False)
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -15,64 +15,52 @@ Two selection backends are provided:
 * **FM sketches** — as in the paper, each node's dominating set is summarised
   by an FM sketch family and marginal counts are estimated via bitwise ORs.
 
-The resulting :class:`Cluster` records (center, member nodes with round-trip
-distance to the center) are consumed by the NetClus index builder.
+Both read the one bounded round-trip sweep
+(:meth:`~repro.network.shortest_path.ShortestPathEngine.bounded_round_trip_neighbors`),
+which yields every dominated node together with its round trip, and track
+coverage with one boolean mask.  The clustering leaves as arrays — the
+centers and a :class:`~repro.core.netclus.Ragged` of members (ids ascending,
+round trip to the center, both taken from the sweep) — which the NetClus
+index builder wraps as they are.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from repro.core.netclus import Ragged
 from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import ShortestPathEngine
 from repro.sketch.fm import FMSketchFamily
 from repro.utils.timer import Timer
 from repro.utils.validation import require_positive
 
-__all__ = ["Cluster", "GreedyGDSP", "GDSPResult"]
-
-
-@dataclass
-class Cluster:
-    """A GDSP cluster: a center node and its member nodes.
-
-    ``node_round_trip_km[i]`` is the round-trip distance from ``nodes[i]`` to
-    the cluster center (at most ``2R`` by construction).
-    """
-
-    cluster_id: int
-    center: int
-    nodes: list[int]
-    node_round_trip_km: list[float]
-
-    @property
-    def size(self) -> int:
-        """Number of member nodes."""
-        return len(self.nodes)
-
-    def round_trip_to_center(self, node: int) -> float:
-        """Round-trip distance from *node* (a member) to the cluster center."""
-        return self.node_round_trip_km[self.nodes.index(node)]
+__all__ = ["GreedyGDSP", "GDSPResult"]
 
 
 @dataclass
 class GDSPResult:
-    """Outcome of a Greedy-GDSP run."""
+    """Outcome of a Greedy-GDSP run.
+
+    Cluster ``c`` has center ``centers[c]`` and owns the member nodes
+    ``members.ids[members.indptr[c]:members.indptr[c + 1]]`` (ascending),
+    whose aligned ``members.vals`` are their round trips to the center (at
+    most ``2R`` by construction).  Clusters are numbered in greedy order.
+    """
 
     radius_km: float
-    clusters: list[Cluster]
-    node_to_cluster: dict[int, int]
+    centers: np.ndarray
+    members: Ragged
     build_seconds: float
     mean_dominating_set_size: float = 0.0
 
     @property
     def num_clusters(self) -> int:
         """Number of clusters produced (η in the paper)."""
-        return len(self.clusters)
+        return len(self.centers)
 
 
 class GreedyGDSP:
@@ -92,8 +80,6 @@ class GreedyGDSP:
         instead of exact lazy counting.
     num_sketches:
         Number of FM copies when ``use_fm_sketches`` is true.
-    chunk_size:
-        Source-chunk size for the bounded round-trip neighbourhood sweep.
     """
 
     def __init__(
@@ -102,94 +88,98 @@ class GreedyGDSP:
         engine: ShortestPathEngine | None = None,
         use_fm_sketches: bool = False,
         num_sketches: int = 30,
-        chunk_size: int = 512,
     ) -> None:
         self.network = network
         self.engine = engine if engine is not None else ShortestPathEngine(network)
         self.use_fm_sketches = use_fm_sketches
         self.num_sketches = num_sketches
-        self.chunk_size = chunk_size
 
     # ------------------------------------------------------------------ #
     def cluster(self, radius_km: float) -> GDSPResult:
         """Partition all nodes into clusters of round-trip radius ``2R``."""
         require_positive(radius_km, "radius_km")
-        self._current_radius_km = radius_km
         with Timer() as timer:
-            dominating = self.engine.bounded_round_trip_neighbors(
-                radius_km, chunk_size=self.chunk_size
-            )
+            indptr, ids, round_trips = self.engine.bounded_round_trip_neighbors(radius_km)
             if self.use_fm_sketches:
-                order = self._greedy_order_fm(dominating)
+                centers, picks = self._greedy_fm(indptr, ids)
             else:
-                order = self._greedy_order_lazy(dominating)
-            clusters, node_to_cluster = self._form_clusters(order, dominating)
-        mean_lambda = float(np.mean([len(v) for v in dominating.values()])) if dominating else 0.0
+                centers, picks = self._greedy_lazy(indptr, ids)
+            entries = np.concatenate([np.empty(0, dtype=np.int64), *picks])
+            members = Ragged(
+                np.cumsum([0, *map(len, picks)], dtype=np.int64),
+                ids[entries],
+                round_trips[entries],
+            )
+        num_nodes = len(indptr) - 1
         return GDSPResult(
             radius_km=radius_km,
-            clusters=clusters,
-            node_to_cluster=node_to_cluster,
+            centers=np.asarray(centers, dtype=np.int64),
+            members=members,
             build_seconds=timer.elapsed,
-            mean_dominating_set_size=mean_lambda,
+            mean_dominating_set_size=len(ids) / num_nodes if num_nodes else 0.0,
         )
 
     # ------------------------------------------------------------------ #
-    def _greedy_order_lazy(self, dominating: dict[int, np.ndarray]) -> list[int]:
+    # Both greedy orders return the centers in pick order and, per center,
+    # the sweep positions of the nodes it claims: those it dominates that
+    # no earlier center covered.  The center dominates itself, so it is
+    # always among its own claims.
+    @staticmethod
+    def _greedy_lazy(indptr: np.ndarray, ids: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
         """Exact greedy order using lazy marginal-coverage evaluation."""
-        uncovered: set[int] = set(dominating.keys())
-        covered: set[int] = set()
+        covered = np.zeros(len(indptr) - 1, dtype=bool)
+        uncovered = len(covered)
         # (negated upper bound, node); lazily refreshed
         heap: list[tuple[float, int]] = [
-            (-float(len(members)), node) for node, members in dominating.items()
+            (-float(size), node) for node, size in enumerate(np.diff(indptr).tolist())
         ]
         heapq.heapify(heap)
-        stale_gain: dict[int, float] = {node: float(len(m)) for node, m in dominating.items()}
-        order: list[int] = []
-        clustered: set[int] = set()
-        while uncovered and heap:
+        centers: list[int] = []
+        picks: list[np.ndarray] = []
+        # an uncovered node stays in the heap until it is picked, so the heap
+        # outlives the uncovered nodes
+        while uncovered:
             neg_gain, node = heapq.heappop(heap)
             # following the paper, a vertex that is already part of a cluster
             # (i.e. dominated by a previously selected center) is not
             # considered as a further center
-            if node in clustered or node in covered:
+            if covered[node]:
                 continue
-            current_gain = float(len(set(map(int, dominating[node])) - covered))
+            fresh = _unclaimed(node, indptr, ids, covered)
+            current_gain = float(len(fresh))
             if current_gain < -neg_gain - 1e-12:
                 heapq.heappush(heap, (-current_gain, node))
                 continue
-            order.append(node)
-            clustered.add(node)
-            newly = set(map(int, dominating[node])) - covered
-            covered |= newly
-            uncovered -= newly
-            uncovered.discard(node)
-            covered.add(node)
-        # any still-uncovered nodes become their own cluster centers
-        for node in sorted(uncovered):
-            order.append(node)
-        return order
+            centers.append(node)
+            picks.append(fresh)
+            covered[ids[fresh]] = True
+            uncovered -= len(fresh)
+        return centers, picks
 
-    def _greedy_order_fm(self, dominating: dict[int, np.ndarray]) -> list[int]:
+    def _greedy_fm(
+        self, indptr: np.ndarray, ids: np.ndarray
+    ) -> tuple[list[int], list[np.ndarray]]:
         """Greedy order with FM-sketch estimated marginal coverage."""
-        sketches = {
-            node: FMSketchFamily.from_items(members, self.num_sketches)
-            for node, members in dominating.items()
-        }
-        standalone = {node: sketches[node].estimate() for node in sketches}
-        nodes_sorted = sorted(standalone, key=standalone.get, reverse=True)
+        num_nodes = len(indptr) - 1
+        sketches = [
+            FMSketchFamily.from_items(ids[indptr[node] : indptr[node + 1]], self.num_sketches)
+            for node in range(num_nodes)
+        ]
+        standalone = [sketch.estimate() for sketch in sketches]
+        nodes_sorted = sorted(range(num_nodes), key=standalone.__getitem__, reverse=True)
         covered_sketch = FMSketchFamily(self.num_sketches)
         covered_estimate = 0.0
-        covered_exact: set[int] = set()
-        uncovered: set[int] = set(dominating.keys())
-        order: list[int] = []
-        clustered: set[int] = set()
+        covered = np.zeros(num_nodes, dtype=bool)
+        uncovered = num_nodes
+        centers: list[int] = []
+        picks: list[np.ndarray] = []
         while uncovered:
             best_node = -1
             best_gain = -np.inf
             for node in nodes_sorted:
                 # as in the exact variant, already-clustered nodes cannot
                 # become centers
-                if node in clustered or node in covered_exact:
+                if covered[node]:
                     continue
                 if standalone[node] <= best_gain:
                     break
@@ -203,54 +193,20 @@ class GreedyGDSP:
                     best_gain = gain
                     best_node = node
             if best_node < 0:
-                best_node = min(uncovered)
-            order.append(best_node)
-            clustered.add(best_node)
+                best_node = int(np.argmin(covered))
             covered_sketch.union_in_place(sketches[best_node])
             covered_estimate = covered_sketch.estimate()
-            newly = set(map(int, dominating[best_node])) - covered_exact
-            covered_exact |= newly
-            uncovered -= newly
-            uncovered.discard(best_node)
-            covered_exact.add(best_node)
-        return order
+            fresh = _unclaimed(best_node, indptr, ids, covered)
+            centers.append(best_node)
+            picks.append(fresh)
+            covered[ids[fresh]] = True
+            uncovered -= len(fresh)
+        return centers, picks
 
-    # ------------------------------------------------------------------ #
-    def _form_clusters(
-        self,
-        order: list[int],
-        dominating: dict[int, np.ndarray],
-    ) -> tuple[list[Cluster], dict[int, int]]:
-        clusters: list[Cluster] = []
-        node_to_cluster: dict[int, int] = {}
-        assigned: set[int] = set()
-        for center in order:
-            if center in assigned:
-                continue
-            members = [int(n) for n in dominating.get(center, np.asarray([center]))]
-            new_members = [n for n in members if n not in assigned]
-            if center not in new_members:
-                new_members.append(center)
-            # exact round-trip distances center -> member (bounded sweep)
-            center_rt = self._center_round_trips_for(center, new_members)
-            cluster = Cluster(
-                cluster_id=len(clusters),
-                center=center,
-                nodes=new_members,
-                node_round_trip_km=[center_rt[n] for n in new_members],
-            )
-            clusters.append(cluster)
-            for node in new_members:
-                node_to_cluster[node] = cluster.cluster_id
-                assigned.add(node)
-        return clusters, node_to_cluster
 
-    def _center_round_trips_for(
-        self, center: int, members: Sequence[int]
-    ) -> dict[int, float]:
-        # members are within round-trip 2R of the center by construction, so a
-        # bounded sweep (limit 2R) suffices and keeps per-cluster cost low
-        limit = 2.0 * getattr(self, "_current_radius_km", np.inf)
-        forward = self.engine.distances_from([center], limit=limit)[0]
-        backward = self.engine.distances_to([center], limit=limit)[0]
-        return {int(n): float(forward[n] + backward[n]) for n in members}
+def _unclaimed(
+    node: int, indptr: np.ndarray, ids: np.ndarray, covered: np.ndarray
+) -> np.ndarray:
+    """Sweep positions of the nodes *node* dominates that are not yet covered."""
+    start = indptr[node]
+    return start + np.flatnonzero(~covered[ids[start : indptr[node + 1]]])

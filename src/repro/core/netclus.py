@@ -40,8 +40,9 @@ Updates can be applied one at a time (:meth:`NetClusIndex.add_trajectory`
 and friends) or, far cheaper per item, as a batch through
 :class:`UpdateBatch`/:meth:`NetClusIndex.apply_updates` and the plural
 ``add_trajectories``/``remove_trajectories``/``add_sites``/``remove_sites``
-APIs, which share per-instance lookup structures and the shortest-path
-engine across the whole batch.  Every mutation bumps the monotonic
+APIs, which share per-instance lookup structures across the whole batch.
+Cluster membership itself is fixed offline: a site must be a node the
+build clustered.  Every mutation bumps the monotonic
 :attr:`NetClusIndex.version` counter, which downstream caches (the
 placement service) use to detect staleness.
 """
@@ -62,7 +63,6 @@ from repro.core.greedy import IncGreedy
 from repro.core.preference import PreferenceFunction
 from repro.core.query import TOPSQuery, TOPSResult
 from repro.network.graph import RoadNetwork
-from repro.network.shortest_path import ShortestPathEngine
 from repro.trajectory.model import Trajectory, TrajectoryDataset
 from repro.utils.timer import Timer
 from repro.utils.validation import require, require_positive
@@ -338,9 +338,9 @@ class NetClusInstance:
         """Dense node→cluster and node→round-trip lookup arrays (cached).
 
         Indexed by node id up to the largest clustered node; ``-1`` / ``inf``
-        mark a node outside every cluster.  Cluster membership is fixed
-        after the offline build except for the rare dynamic attach of an
-        unclustered node (:meth:`attach_node`), which drops the cache.
+        mark a node outside every cluster.  Cluster membership is fixed by
+        the offline build: no update changes ``nodes`` or ``n2c_*``, so the
+        cache never goes stale.
         """
         if self._node_lookup is None:
             size = 0
@@ -350,10 +350,7 @@ class NetClusInstance:
             cluster_of = np.full(size, -1, dtype=np.int64)
             cluster_of[self.n2c_nodes] = self.n2c_clusters
             round_trip_of = np.full(size, np.inf, dtype=np.float64)
-            # only the owning cluster's leg counts (a node can also appear
-            # in another cluster's nodes after a dynamic attach)
-            owned = cluster_of[self.nodes.ids] == self.nodes.owners()
-            round_trip_of[self.nodes.ids[owned]] = self.nodes.vals[owned]
+            round_trip_of[self.nodes.ids] = self.nodes.vals
             self._node_lookup = (cluster_of, round_trip_of)
         return self._node_lookup
 
@@ -365,17 +362,6 @@ class NetClusInstance:
         inside = (nodes >= 0) & (nodes < len(cluster_of))
         found[inside] = cluster_of[nodes[inside]]
         return found
-
-    def attach_node(self, node: int, cluster_id: int, round_trip_km: float) -> None:
-        """Make an unclustered *node* a member of cluster *cluster_id*."""
-        self.n2c_nodes = np.append(self.n2c_nodes, np.int64(node))
-        self.n2c_clusters = np.append(self.n2c_clusters, np.int64(cluster_id))
-        self.nodes = self.nodes.append(
-            np.asarray([cluster_id], dtype=np.int64),
-            np.asarray([node], dtype=np.int64),
-            np.asarray([round_trip_km], dtype=np.float64),
-        )
-        self._node_lookup = None
 
     def mean_trajectory_list_size(self) -> float:
         """Average |T L| across clusters (Table 11)."""
@@ -671,7 +657,6 @@ class NetClusIndex:
         # format-v1 payload, which re-elect by proximity as before.
         self._node_visit_counts = node_visit_counts
         self._trajectory_nodes = trajectory_nodes
-        self._engine: ShortestPathEngine | None = None
         #: the network's payload arrays and graph fingerprint, cached by the
         #: first save or seeded by a load (no update changes the network)
         self._network_payload: tuple[dict[str, np.ndarray], str] | None = None
@@ -712,7 +697,6 @@ class NetClusIndex:
         tau_max_km: float = 8.0,
         use_fm_sketches: bool = False,
         num_sketches: int = 30,
-        gdsp_chunk_size: int = 512,
         max_instances: int | None = None,
         representative_strategy: str = "closest",
     ) -> "NetClusIndex":
@@ -764,7 +748,6 @@ class NetClusIndex:
             tau_max_km=tau_max_km,
             use_fm_sketches=use_fm_sketches,
             num_sketches=num_sketches,
-            gdsp_chunk_size=gdsp_chunk_size,
             max_instances=max_instances,
             representative_strategy=representative_strategy,
         )
@@ -1046,8 +1029,25 @@ class NetClusIndex:
                 f"trajectory id {traj_id} already present",
             )
             added_trajectories.add(traj_id)
-        for site in batch.add_sites:
+        self._require_clustered_sites(batch.add_sites)
+
+    def _require_clustered_sites(self, sites: Sequence[int]) -> None:
+        """Raise unless every site is a network node that each instance clustered.
+
+        Clusters are fixed by the offline build, so a node added to the
+        network afterwards (e.g. by
+        :meth:`~repro.network.graph.RoadNetwork.insert_site_on_edge`) belongs
+        to no cluster and cannot become a site without a rebuild.
+        """
+        for site in sites:
             require(self.network.has_node(site), f"site {site} is not a network node")
+        for instance in self.instances:
+            unclustered = np.flatnonzero(instance.cluster_ids_of(sites) < 0)
+            if len(unclustered):
+                raise ValueError(
+                    f"site {sites[unclustered[0]]} joined the network after the "
+                    "build; no cluster holds it (rebuild the index)"
+                )
 
     def add_trajectory(self, trajectory: Trajectory) -> None:
         """Add a new trajectory to every index instance."""
@@ -1149,13 +1149,15 @@ class NetClusIndex:
 
         Already-registered sites are skipped (like :meth:`add_site`).  Each
         affected cluster re-elects its representative under the index's
-        ``representative_strategy``, exactly as a fresh build would.
+        ``representative_strategy``, exactly as a fresh build would.  A site
+        that is not a network node, or that joined the network after the
+        build, raises ``ValueError`` before anything changes.
         """
+        sites = [int(site) for site in sites]
+        self._require_clustered_sites(sites)
         new_sites: list[int] = []
         new_site_set: set[int] = set()
         for site in sites:
-            site = int(site)
-            require(self.network.has_node(site), f"site {site} is not a network node")
             if site not in self.sites and site not in new_site_set:
                 new_sites.append(site)
                 new_site_set.add(site)
@@ -1163,19 +1165,7 @@ class NetClusIndex:
             return 0
         self.sites.update(new_site_set)
         for instance in self.instances:
-            affected = instance.cluster_ids_of(new_sites)
-            for position in np.flatnonzero(affected < 0).tolist():
-                # node unseen by this instance (should not happen when the
-                # instance clustered every node); attach to nearest center
-                site = new_sites[position]
-                cluster_id = self._nearest_cluster(instance, site)
-                instance.attach_node(
-                    site,
-                    cluster_id,
-                    self._round_trip_to_center(int(instance.centers[cluster_id]), site),
-                )
-                affected[position] = cluster_id
-            self._reelect(instance, affected)
+            self._reelect(instance, instance.cluster_ids_of(new_sites))
         self.version += 1
         return len(new_sites)
 
@@ -1252,23 +1242,6 @@ class NetClusIndex:
         for instance in self.instances:
             cluster_ids = instance.cluster_ids_of(node_ids)
             self._reelect(instance, cluster_ids[cluster_ids >= 0])
-
-    def _shortest_path_engine(self) -> ShortestPathEngine:
-        """The shared shortest-path engine (built once, reused by updates)."""
-        if self._engine is None:
-            self._engine = ShortestPathEngine(self.network)
-        return self._engine
-
-    def _nearest_cluster(self, instance: NetClusInstance, node: int) -> int:
-        engine = self._shortest_path_engine()
-        round_trip = engine.round_trip_from(node)
-        return int(np.argmin(round_trip[instance.centers]))
-
-    def _round_trip_to_center(self, center: int, node: int) -> float:
-        engine = self._shortest_path_engine()
-        forward = engine.distances_from([center])[0][node]
-        backward = engine.distances_to([center])[0][node]
-        return float(forward + backward)
 
     # ------------------------------------------------------------------ #
     @property

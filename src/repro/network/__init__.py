@@ -1,11 +1,7 @@
 """Road-network substrate: graph model, shortest paths, generators, and I/O."""
 
 from repro.network.graph import RoadNetwork, Node, Edge
-from repro.network.shortest_path import (
-    ShortestPathEngine,
-    dijkstra_single_source,
-    bounded_round_trip_neighbors,
-)
+from repro.network.shortest_path import ShortestPathEngine, dijkstra_single_source
 from repro.network.generators import (
     grid_network,
     star_network,
@@ -26,7 +22,6 @@ __all__ = [
     "Edge",
     "ShortestPathEngine",
     "dijkstra_single_source",
-    "bounded_round_trip_neighbors",
     "grid_network",
     "star_network",
     "polycentric_network",

@@ -7,8 +7,10 @@ Two layers are provided:
   small ad-hoc queries; also serves as the reference implementation in tests.
 * :class:`ShortestPathEngine` — bulk computations on the CSR adjacency via
   :func:`scipy.sparse.csgraph.dijkstra`: multi-source distance tables
-  (``d(site -> v)`` and ``d(v -> site)`` for every node), bounded round-trip
-  neighbourhoods (used by Greedy-GDSP) and pairwise round-trip distances.
+  (``d(site -> v)`` and ``d(v -> site)`` for every node), pairwise
+  round-trip distances and the bounded round-trip sweep of Greedy-GDSP,
+  which returns every dominated node *with* its round trip in CSR form, so
+  clustering never recomputes a member's distance to its center.
 
 All distances are in kilometres; unreachable pairs are ``inf``.
 """
@@ -28,8 +30,11 @@ __all__ = [
     "dijkstra_single_source",
     "shortest_path_nodes",
     "ShortestPathEngine",
-    "bounded_round_trip_neighbors",
 ]
+
+#: sources per block of the bounded round-trip sweep; bounds the two dense
+#: ``(chunk, N)`` distance blocks it holds at a time
+ROUND_TRIP_CHUNK = 512
 
 
 def dijkstra_single_source(
@@ -118,9 +123,9 @@ class ShortestPathEngine:
     * ``distances_from(sources)`` — ``d(s -> v)`` for every source and node;
     * ``distances_to(targets)`` — ``d(v -> t)`` for every target and node;
     * ``round_trip_matrix(nodes)`` — pairwise ``dr(u, v) = d(u,v) + d(v,u)``;
-    * ``bounded_round_trip_neighbors`` — nodes within round-trip ``2R`` of each
-      node (the GDSP dominance relation), computed in source chunks to bound
-      memory.
+    * ``bounded_round_trip_neighbors(R)`` — every node's nodes within
+      round-trip ``2R`` (the GDSP dominance relation) with those round trips,
+      as CSR arrays computed in source blocks to bound memory.
     """
 
     def __init__(self, network: RoadNetwork) -> None:
@@ -152,14 +157,6 @@ class ShortestPathEngine:
             self._csr_rev, directed=True, indices=np.asarray(targets, dtype=np.int64), limit=limit
         )
 
-    def single_source(self, source: int, limit: float = np.inf) -> np.ndarray:
-        """Return a length-``N`` vector of ``d(source -> node)``."""
-        return self.distances_from([source], limit=limit)[0]
-
-    def single_target(self, target: int, limit: float = np.inf) -> np.ndarray:
-        """Return a length-``N`` vector of ``d(node -> target)``."""
-        return self.distances_to([target], limit=limit)[0]
-
     def round_trip_matrix(
         self, nodes: Sequence[int], limit: float = np.inf
     ) -> np.ndarray:
@@ -170,60 +167,36 @@ class ShortestPathEngine:
         forward = self.distances_from(nodes, limit=limit)[:, list(nodes)]
         return forward + forward.T
 
-    def round_trip_from(self, source: int, limit: float = np.inf) -> np.ndarray:
-        """Round-trip distance from *source* to every node: ``d(s,v) + d(v,s)``."""
-        out = self.distances_from([source], limit=limit)[0]
-        back = self.distances_to([source], limit=limit)[0]
-        return out + back
-
     # ------------------------------------------------------------------ #
     def bounded_round_trip_neighbors(
-        self,
-        radius: float,
-        nodes: Sequence[int] | None = None,
-        chunk_size: int = 512,
-    ) -> dict[int, np.ndarray]:
-        """For each node, the nodes within round-trip distance ``2 * radius``.
+        self, radius: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's dominated nodes and their round trips, in CSR form.
 
         This is the dominance relation of the Generalized Dominating Set
         Problem (Problem 2 in the paper): ``u`` dominates ``v`` when
-        ``d(u, v) + d(v, u) <= 2R``.  Sources are processed in chunks of
-        *chunk_size* to keep the dense distance blocks small.
+        ``dr(u, v) = d(u, v) + d(v, u) <= 2R``.  Sources are swept in blocks
+        of :data:`ROUND_TRIP_CHUNK` to keep the dense distance blocks small.
 
         Returns
         -------
-        dict
-            ``{node: sorted int array of dominated nodes}`` (always including
-            the node itself).
+        tuple
+            ``(indptr, ids, round_trips)``: node ``u`` dominates
+            ``ids[indptr[u]:indptr[u + 1]]`` (ascending, always including
+            ``u`` itself), and ``round_trips`` holds the aligned ``dr(u, v)``
+            summed as ``d(u, v) + d(v, u)``.
         """
-        if nodes is None:
-            nodes = list(range(self.num_nodes))
-        nodes = list(nodes)
         threshold = 2.0 * radius
-        result: dict[int, np.ndarray] = {}
-        for start in range(0, len(nodes), chunk_size):
-            chunk = nodes[start : start + chunk_size]
-            fwd = self.distances_from(chunk, limit=threshold)
-            bwd = self.distances_to(chunk, limit=threshold)
-            round_trip = fwd + bwd
-            for row, node in enumerate(chunk):
-                dominated = np.flatnonzero(round_trip[row] <= threshold)
-                result[node] = dominated.astype(np.int64)
-        return result
-
-
-def bounded_round_trip_neighbors(
-    network: RoadNetwork,
-    radius: float,
-    chunk_size: int = 512,
-    engine: ShortestPathEngine | None = None,
-) -> dict[int, np.ndarray]:
-    """Convenience wrapper: GDSP dominance neighbourhoods for every node.
-
-    Pass an *engine* already built over *network* to reuse its CSR
-    adjacencies; without one, a fresh :class:`ShortestPathEngine` (two CSR
-    conversions) is constructed for this single call.
-    """
-    if engine is None:
-        engine = ShortestPathEngine(network)
-    return engine.bounded_round_trip_neighbors(radius, chunk_size=chunk_size)
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        ids: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        round_trips: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
+        for start in range(0, self.num_nodes, ROUND_TRIP_CHUNK):
+            chunk = np.arange(start, min(start + ROUND_TRIP_CHUNK, self.num_nodes))
+            forward = self.distances_from(chunk, limit=threshold)
+            round_trip = forward + self.distances_to(chunk, limit=threshold)
+            rows, cols = np.nonzero(round_trip <= threshold)
+            indptr[start + 1 : start + len(chunk) + 1] = np.bincount(rows, minlength=len(chunk))
+            ids.append(cols.astype(np.int64, copy=False))
+            round_trips.append(round_trip[rows, cols])
+        np.cumsum(indptr, out=indptr)
+        return indptr, np.concatenate(ids), np.concatenate(round_trips)

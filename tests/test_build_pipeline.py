@@ -18,7 +18,6 @@ from repro.core.gdsp import GreedyGDSP
 from repro.core.netclus import NetClusIndex, register_trajectory_batch
 from repro.core.query import TOPSQuery
 from repro.datasets import beijing_like
-from repro.network.shortest_path import ShortestPathEngine
 from repro.service.serialization import load_index, payload_digest, save_index
 
 
@@ -273,17 +272,3 @@ class TestRegistrationKernel:
         before = [dict(c.trajectory_list) for c in instance.clusters]
         register_trajectory_batch(instance, [], [])
         assert [dict(c.trajectory_list) for c in instance.clusters] == before
-
-
-class TestEngineWrapper:
-    def test_module_wrapper_reuses_engine(self, bundle):
-        from repro.network.shortest_path import bounded_round_trip_neighbors
-
-        engine = ShortestPathEngine(bundle.network)
-        via_engine = bounded_round_trip_neighbors(
-            bundle.network, radius=0.4, engine=engine
-        )
-        fresh = bounded_round_trip_neighbors(bundle.network, radius=0.4)
-        assert via_engine.keys() == fresh.keys()
-        for node in fresh:
-            np.testing.assert_array_equal(via_engine[node], fresh[node])

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.gdsp import GreedyGDSP
 from repro.network.generators import grid_network, random_planar_network
+from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import ShortestPathEngine
 
 
@@ -24,44 +26,42 @@ def gdsp(network, engine):
     return GreedyGDSP(network, engine=engine)
 
 
+def _member_lists(result):
+    """Per cluster, its member ids as a Python list."""
+    ids, bounds = result.members.ids.tolist(), result.members.indptr.tolist()
+    return [ids[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
 class TestClusteringInvariants:
     @pytest.mark.parametrize("radius", [0.3, 0.6, 1.2])
     def test_partition_covers_all_nodes(self, network, gdsp, radius):
         result = gdsp.cluster(radius)
-        clustered = set()
-        for cluster in result.clusters:
-            clustered.update(cluster.nodes)
-        assert clustered == set(network.node_ids())
+        assert set(result.members.ids.tolist()) == set(network.node_ids())
 
     @pytest.mark.parametrize("radius", [0.3, 0.6, 1.2])
     def test_clusters_are_disjoint(self, gdsp, radius):
         result = gdsp.cluster(radius)
-        seen = set()
-        for cluster in result.clusters:
-            for node in cluster.nodes:
-                assert node not in seen
-                seen.add(node)
+        assert len(np.unique(result.members.ids)) == len(result.members.ids)
 
     @pytest.mark.parametrize("radius", [0.3, 0.6, 1.2])
     def test_radius_invariant(self, gdsp, radius):
         """Every member's round-trip distance to its center is at most 2R."""
         result = gdsp.cluster(radius)
-        for cluster in result.clusters:
-            for round_trip in cluster.node_round_trip_km:
-                assert round_trip <= 2.0 * radius + 1e-9
+        assert (result.members.vals <= 2.0 * radius + 1e-9).all()
 
     @pytest.mark.parametrize("radius", [0.3, 0.6, 1.2])
-    def test_node_to_cluster_consistent(self, gdsp, radius):
+    def test_members_ascending_one_list_per_center(self, gdsp, radius):
         result = gdsp.cluster(radius)
-        for cluster in result.clusters:
-            for node in cluster.nodes:
-                assert result.node_to_cluster[node] == cluster.cluster_id
+        assert result.members.num_rows == result.num_clusters == len(result.centers)
+        for members in _member_lists(result):
+            assert members and members == sorted(members)
 
     def test_center_belongs_to_its_cluster(self, gdsp):
         result = gdsp.cluster(0.6)
-        for cluster in result.clusters:
-            assert cluster.center in cluster.nodes
-            assert cluster.round_trip_to_center(cluster.center) == pytest.approx(0.0)
+        for center, members in zip(result.centers.tolist(), _member_lists(result)):
+            assert center in members
+        centers = result.members.ids == np.repeat(result.centers, result.members.lengths())
+        assert (result.members.vals[centers] == 0.0).all()
 
     def test_larger_radius_fewer_clusters(self, gdsp):
         fine = gdsp.cluster(0.3)
@@ -77,6 +77,11 @@ class TestClusteringInvariants:
         assert result.build_seconds > 0.0
         assert result.mean_dominating_set_size >= 1.0
 
+    def test_empty_network_has_no_clusters(self):
+        result = GreedyGDSP(RoadNetwork()).cluster(0.5)
+        assert result.num_clusters == 0 and result.members.num_rows == 0
+        assert result.mean_dominating_set_size == 0.0
+
     def test_invalid_radius(self, gdsp):
         with pytest.raises(ValueError):
             gdsp.cluster(0.0)
@@ -89,13 +94,13 @@ class TestGreedyQuality:
         result = gdsp.cluster(radius)
         # naive baseline: scan nodes in id order, open a cluster whenever the
         # node is not yet dominated by an existing center
-        dominating = engine.bounded_round_trip_neighbors(radius)
+        indptr, ids, _ = engine.bounded_round_trip_neighbors(radius)
         covered: set[int] = set()
         naive_centers = 0
         for node in network.node_ids():
             if node not in covered:
                 naive_centers += 1
-                covered.update(int(v) for v in dominating[node])
+                covered.update(ids[indptr[node] : indptr[node + 1]].tolist())
         assert result.num_clusters <= naive_centers * 1.5
 
 
@@ -103,17 +108,12 @@ class TestFMVariant:
     def test_fm_clustering_valid_partition(self, network, engine):
         gdsp_fm = GreedyGDSP(network, engine=engine, use_fm_sketches=True, num_sketches=20)
         result = gdsp_fm.cluster(0.6)
-        clustered = set()
-        for cluster in result.clusters:
-            clustered.update(cluster.nodes)
-        assert clustered == set(network.node_ids())
+        assert sorted(result.members.ids.tolist()) == sorted(network.node_ids())
 
     def test_fm_radius_invariant(self, network, engine):
         gdsp_fm = GreedyGDSP(network, engine=engine, use_fm_sketches=True, num_sketches=20)
         result = gdsp_fm.cluster(0.6)
-        for cluster in result.clusters:
-            for round_trip in cluster.node_round_trip_km:
-                assert round_trip <= 1.2 + 1e-9
+        assert (result.members.vals <= 1.2 + 1e-9).all()
 
     def test_fm_cluster_count_close_to_exact(self, network, engine, gdsp):
         exact = gdsp.cluster(0.6).num_clusters
@@ -123,13 +123,21 @@ class TestFMVariant:
 
 
 class TestDirectedNetwork:
-    def test_asymmetric_round_trips_respected(self):
+    @pytest.mark.parametrize("use_fm", [False, True])
+    def test_every_member_stores_its_exact_round_trip(self, use_fm):
+        """Each member stores exactly ``d(c, v) + d(v, c)`` for its center c."""
         network = random_planar_network(50, area_km=4.0, seed=21)
-        gdsp = GreedyGDSP(network)
-        result = gdsp.cluster(0.5)
+        # make every street slower in one direction: d(u, v) != d(v, u)
+        for edge in list(network.edges()):
+            if edge.source < edge.target:
+                network.add_edge(edge.source, edge.target, 1.7 * edge.length)
         engine = ShortestPathEngine(network)
-        for cluster in result.clusters[:5]:
-            forward = engine.distances_from([cluster.center])[0]
-            backward = engine.distances_to([cluster.center])[0]
-            for node, stored in zip(cluster.nodes, cluster.node_round_trip_km):
-                assert stored == pytest.approx(forward[node] + backward[node], abs=1e-9)
+        result = GreedyGDSP(network, engine=engine, use_fm_sketches=use_fm).cluster(0.5)
+        forward = engine.distances_from(result.centers.tolist())
+        backward = engine.distances_to(result.centers.tolist())
+        owners = result.members.owners()
+        expected = forward[owners, result.members.ids] + backward[owners, result.members.ids]
+        assert result.num_clusters < network.num_nodes
+        assert result.members.vals.tobytes() == expected.tobytes()
+        # the legs differ, so a member's round trip is not twice one leg
+        assert not np.array_equal(forward, backward)

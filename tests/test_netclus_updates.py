@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.netclus import NetClusIndex
+from repro.core.netclus import NetClusIndex, UpdateBatch
 from repro.core.query import TOPSQuery
 from repro.network.generators import grid_network
+from repro.service.serialization import load_index, save_index
 from repro.trajectory.generators import commuter_trajectories
 
 
@@ -123,6 +124,26 @@ class TestAddSite:
         _, _, _, _, index = setup
         with pytest.raises(ValueError):
             index.add_site(99_999)
+
+    @pytest.mark.parametrize("via_batch", [False, True], ids=["add_site", "apply_updates"])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["fresh", "loaded"])
+    def test_node_added_after_build_is_refused(self, setup, tmp_path, loaded, via_batch):
+        """A node no cluster holds raises before the index changes at all."""
+        _, _, _, _, index = setup
+        if loaded:
+            index = load_index(save_index(index, tmp_path / "idx"))
+        query = TOPSQuery(k=3, tau_km=0.8)
+        sites, version, answer = set(index.sites), index.version, index.query(query)
+        new = index.network.insert_site_on_edge(0, 1, fraction=0.5)
+        with pytest.raises(ValueError, match="after the build"):
+            if via_batch:
+                index.apply_updates(UpdateBatch(add_sites=(new,)))
+            else:
+                index.add_site(new)
+        assert index.sites == sites
+        assert index.version == version
+        again = index.query(query)
+        assert (again.sites, again.utility) == (answer.sites, answer.utility)
 
     def test_added_sites_usable_in_queries(self, setup):
         network, _, _, _, index = setup

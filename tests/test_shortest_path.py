@@ -6,10 +6,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import repro.network.shortest_path as shortest_path
 from repro.network.generators import grid_network, random_planar_network
 from repro.network.shortest_path import (
     ShortestPathEngine,
-    bounded_round_trip_neighbors,
     dijkstra_single_source,
     shortest_path_nodes,
 )
@@ -104,9 +104,8 @@ class TestEngine:
         for node, dist in scalar.items():
             assert table[0, node] == pytest.approx(dist)
 
-    def test_single_source_vector_shape(self, network, engine):
-        vector = engine.single_source(0)
-        assert vector.shape == (network.num_nodes,)
+    def test_distances_from_table_shape(self, network, engine):
+        assert engine.distances_from([0]).shape == (1, network.num_nodes)
 
     def test_round_trip_matrix_symmetric(self, engine):
         nodes = [0, 3, 8, 12]
@@ -114,48 +113,79 @@ class TestEngine:
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 0.0)
 
-    def test_round_trip_from_consistency(self, engine):
-        round_trip = engine.round_trip_from(2)
+    def test_round_trip_matrix_sums_both_legs(self, engine):
         matrix = engine.round_trip_matrix([2, 9])
-        assert round_trip[9] == pytest.approx(matrix[0, 1])
+        legs = engine.distances_from([2])[0][9] + engine.distances_to([2])[0][9]
+        assert matrix[0, 1] == pytest.approx(legs)
 
     def test_empty_sources_rejected(self, engine):
         with pytest.raises(ValueError):
             engine.distances_from([])
 
 
+def _rows(csr):
+    """``{node: (dominated ids, round trips)}`` of a CSR sweep result."""
+    indptr, ids, round_trips = csr
+    return {
+        node: (ids[start:stop], round_trips[start:stop])
+        for node, (start, stop) in enumerate(zip(indptr[:-1], indptr[1:]))
+    }
+
+
 class TestBoundedRoundTripNeighbors:
-    def test_every_node_dominates_itself(self, network):
-        neighbors = bounded_round_trip_neighbors(network, radius=0.5)
-        for node, dominated in neighbors.items():
+    def test_csr_shape(self, network, engine):
+        indptr, ids, round_trips = engine.bounded_round_trip_neighbors(0.5)
+        assert indptr.dtype == ids.dtype == np.int64
+        assert round_trips.dtype == np.float64
+        assert len(indptr) == network.num_nodes + 1
+        assert indptr[0] == 0 and indptr[-1] == len(ids) == len(round_trips)
+        for dominated, _ in _rows((indptr, ids, round_trips)).values():
+            assert (np.diff(dominated) > 0).all()
+
+    def test_every_node_dominates_itself(self, engine):
+        neighbors = _rows(engine.bounded_round_trip_neighbors(0.5))
+        for node, (dominated, round_trips) in neighbors.items():
             assert node in dominated
+            assert round_trips[dominated == node][0] == 0.0
 
     def test_threshold_respected(self, network, engine):
         radius = 0.8
-        neighbors = engine.bounded_round_trip_neighbors(radius)
+        neighbors = _rows(engine.bounded_round_trip_neighbors(radius))
         matrix_nodes = [0, 1, 2, 3, 4]
         round_trips = engine.round_trip_matrix(matrix_nodes)
         for i, u in enumerate(matrix_nodes):
             for j, v in enumerate(matrix_nodes):
                 if round_trips[i, j] <= 2 * radius:
-                    assert v in neighbors[u]
+                    assert v in neighbors[u][0]
+        for _, stored in neighbors.values():
+            assert (stored <= 2 * radius).all()
 
-    def test_symmetry_of_domination(self, network):
-        neighbors = bounded_round_trip_neighbors(network, radius=0.7)
-        for u, dominated in neighbors.items():
-            for v in dominated:
-                assert u in neighbors[int(v)]
+    def test_round_trips_sum_both_legs(self, network, engine):
+        indptr, ids, round_trips = engine.bounded_round_trip_neighbors(0.7)
+        sources = np.repeat(np.arange(network.num_nodes), np.diff(indptr))
+        everyone = list(range(network.num_nodes))
+        forward, backward = engine.distances_from(everyone), engine.distances_to(everyone)
+        expected = forward[sources, ids] + backward[sources, ids]
+        assert round_trips.tobytes() == expected.tobytes()
 
-    def test_chunking_matches_unchunked(self, network, engine):
-        small_chunks = engine.bounded_round_trip_neighbors(0.6, chunk_size=7)
-        one_chunk = engine.bounded_round_trip_neighbors(0.6, chunk_size=10_000)
-        for node in small_chunks:
-            assert np.array_equal(small_chunks[node], one_chunk[node])
+    def test_symmetry_of_domination(self, engine):
+        neighbors = _rows(engine.bounded_round_trip_neighbors(0.7))
+        for u, (dominated, _) in neighbors.items():
+            for v in dominated.tolist():
+                assert u in neighbors[v][0]
+
+    def test_chunking_matches_unchunked(self, engine, monkeypatch):
+        monkeypatch.setattr(shortest_path, "ROUND_TRIP_CHUNK", 7)
+        small_chunks = engine.bounded_round_trip_neighbors(0.6)
+        monkeypatch.setattr(shortest_path, "ROUND_TRIP_CHUNK", 10_000)
+        one_chunk = engine.bounded_round_trip_neighbors(0.6)
+        for small, whole in zip(small_chunks, one_chunk):
+            assert small.tobytes() == whole.tobytes()
 
     def test_larger_radius_dominates_more(self, engine):
-        small = engine.bounded_round_trip_neighbors(0.3)
-        large = engine.bounded_round_trip_neighbors(1.0)
-        assert sum(len(v) for v in large.values()) >= sum(len(v) for v in small.values())
+        _, small, _ = engine.bounded_round_trip_neighbors(0.3)
+        _, large, _ = engine.bounded_round_trip_neighbors(1.0)
+        assert len(large) >= len(small)
 
 
 class TestGridSanity:
@@ -163,4 +193,4 @@ class TestGridSanity:
         grid = grid_network(4, 4, spacing_km=1.0)
         engine = ShortestPathEngine(grid)
         # node 0 is (0,0); node 15 is (3,3) -> network distance 6 km
-        assert engine.single_source(0)[15] == pytest.approx(6.0)
+        assert engine.distances_from([0])[0][15] == pytest.approx(6.0)
