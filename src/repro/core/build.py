@@ -271,16 +271,12 @@ def _clustered_instance(
     instance_id: int, radius_km: float, gamma: float, gdsp_result: GDSPResult
 ) -> NetClusInstance:
     """An instance holding one GDSP clustering, before any election or
-    registration: GDSP's centers and members, and the node → cluster
-    assignment they imply."""
-    nodes = gdsp_result.members
+    registration: GDSP's centers and members."""
     return NetClusInstance(
         instance_id=instance_id,
         radius_km=radius_km,
         gamma=gamma,
         centers=gdsp_result.centers,
-        nodes=nodes,
-        n2c_nodes=nodes.ids,
-        n2c_clusters=nodes.owners(),
+        nodes=gdsp_result.members,
         mean_dominating_set_size=gdsp_result.mean_dominating_set_size,
     )

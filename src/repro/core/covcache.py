@@ -10,8 +10,10 @@ artifact instead of a per-query throwaway:
   :class:`CoveragePart` per ``(τ, ψ-spec)`` key;
 * each part stores the *canonical coverage entries* of the clustered space
   (the min-reduced, column-major sorted ``(row, column, d̂r ≤ τ)`` triples)
-  plus the representative layout and the
-  :attr:`~repro.core.netclus.NetClusIndex.version` it is valid at;
+  and the :attr:`~repro.core.netclus.NetClusIndex.version` it is valid at;
+  its columns are the representatives of its instance at that version
+  (:meth:`~repro.core.netclus.NetClusInstance.representative_clusters`),
+  so the part stores no layout of its own;
 * each part keeps one *materialised view* over the canonical entries —
   the bitset index when ψ is binary, the sparse index otherwise (the
   ``"auto"`` rule of :func:`~repro.core.coverage.resolve_engine`) — built
@@ -120,7 +122,9 @@ class CoveragePart:
     :class:`~repro.core.netclus.ClusteredCoverage` built over them, or
     ``None`` until a lookup materialises it.  ``index_version`` is the
     :attr:`~repro.core.netclus.NetClusIndex.version` the entries are valid
-    at — a mismatch means the part must be refused, never served.
+    at — a mismatch means the part must be refused, never served.  Column
+    ``j`` is the ``j``-th cluster with a representative in instance
+    ``instance_id`` at that version.
     """
 
     tau_km: float
@@ -132,19 +136,12 @@ class CoveragePart:
     rows: np.ndarray
     cols: np.ndarray
     estimates: np.ndarray
-    rep_sites: list[int]
-    rep_clusters: list[int]
     view: "ClusteredCoverage | None" = field(default=None, repr=False)
 
     @property
     def num_entries(self) -> int:
         """Number of canonical ``(row, column)`` coverage entries."""
         return int(len(self.rows))
-
-    @property
-    def num_representatives(self) -> int:
-        """Number of representative columns."""
-        return len(self.rep_sites)
 
     def preference_fn(self) -> PreferenceFunction:
         """Instantiate the part's ψ from its registered spec."""
@@ -159,7 +156,6 @@ class CoveragePart:
             "instance_id": self.instance_id,
             "index_version": self.index_version,
             "num_trajectories": self.num_trajectories,
-            "num_representatives": self.num_representatives,
             "num_entries": self.num_entries,
         }
 
@@ -282,8 +278,6 @@ class CoverageCache:
         rows: np.ndarray,
         cols: np.ndarray,
         estimates: np.ndarray,
-        rep_sites: list[int],
-        rep_clusters: list[int],
         instance_id: int,
         prepared: "ClusteredCoverage | None" = None,
     ) -> CoveragePart | None:
@@ -308,8 +302,6 @@ class CoverageCache:
             rows=rows,
             cols=cols,
             estimates=estimates,
-            rep_sites=[int(s) for s in rep_sites],
-            rep_clusters=[int(c) for c in rep_clusters],
             view=prepared,
         )
         with self._lock:
@@ -458,7 +450,8 @@ class CoverageCache:
             rows = rows[keep] - insert_at[keep]
             cols, estimates = cols[keep], estimates[keep]
 
-        # 2. representative diff → carried vs recomputed columns
+        # 2. representative diff → carried vs recomputed columns; the old
+        #    columns are the clusters with a representative before the batch
         old_reps, old_rep_rt = probe.rep_state[part.instance_id]
         has_rep = instance.reps >= 0
         changed = (old_reps != instance.reps) | (has_rep & (old_rep_rt != instance.rep_rt))
@@ -466,7 +459,7 @@ class CoverageCache:
         new_position = np.full(len(has_rep), -1, dtype=np.int64)
         new_position[new_rep_clusters] = np.arange(len(new_rep_clusters))
         new_position[changed] = -1
-        old_to_new = new_position[np.asarray(part.rep_clusters, dtype=np.int64)]
+        old_to_new = new_position[np.flatnonzero(old_reps >= 0)]
         if len(cols):
             mapped = old_to_new[cols]
             keep = mapped >= 0
@@ -477,7 +470,7 @@ class CoverageCache:
         registry = index._trajectory_rows
         recompute = np.flatnonzero(changed & has_rep)
         if len(recompute):
-            new.append(instance.coverage_entries(registry, tau_km, recompute)[:3])
+            new.append(instance.coverage_entries(registry, tau_km, recompute))
 
         # 3. added trajectories × carried columns
         if batch.add_trajectories:
@@ -486,7 +479,7 @@ class CoverageCache:
                 for trajectory in batch.add_trajectories
             }
             carried = np.flatnonzero(~changed & has_rep)
-            new.append(instance.coverage_entries(subset, tau_km, carried)[:3])
+            new.append(instance.coverage_entries(subset, tau_km, carried))
 
         # 4. canonicalise the new entries, splice them into the carried ones
         if new:
@@ -497,8 +490,6 @@ class CoverageCache:
                 len(registry) + 1,
             )
         part.rows, part.cols, part.estimates = rows, cols, estimates
-        part.rep_sites = instance.reps[new_rep_clusters].tolist()
-        part.rep_clusters = new_rep_clusters.tolist()
         expected = (
             part.num_trajectories - int(removed.size) + len(batch.add_trajectories)
         )
@@ -531,8 +522,6 @@ class CoverageCache:
                 part.rows,
                 part.cols,
                 part.estimates,
-                part.rep_sites,
-                part.rep_clusters,
                 part.instance_id,
             )
         self.materialisations += 1
@@ -566,7 +555,7 @@ class CoverageCache:
     def _parts_without_views(self, copy_arrays: bool) -> "OrderedDict[tuple, CoveragePart]":
         """The parts, in LRU order, each with its view dropped (views hold
         the index and rebuild on demand); *copy_arrays* also copies the
-        entries and representative lists."""
+        entries."""
         parts: OrderedDict[tuple, CoveragePart] = OrderedDict()
         for key, part in self.parts.items():
             parts[key] = (
@@ -576,8 +565,6 @@ class CoverageCache:
                     rows=part.rows.copy(),
                     cols=part.cols.copy(),
                     estimates=part.estimates.copy(),
-                    rep_sites=list(part.rep_sites),
-                    rep_clusters=list(part.rep_clusters),
                 )
                 if copy_arrays
                 else replace(part, view=None)
@@ -611,8 +598,6 @@ def materialise_coverage(
     rows: np.ndarray,
     cols: np.ndarray,
     estimates: np.ndarray,
-    rep_sites: list[int],
-    rep_clusters: list[int],
     instance_id: int,
     instance: "NetClusInstance | None" = None,
 ) -> "ClusteredCoverage":
@@ -624,13 +609,16 @@ def materialise_coverage(
     :class:`~repro.core.bitcov.BitsetCoverageIndex`, any other ψ keeps them
     as they are in a :class:`~repro.core.coverage.SparseCoverageIndex`.
     Both give the same selections and per-trajectory utilities.
-    *instance* defaults to the index's instance with id *instance_id*.
+    *instance* defaults to the index's instance with id *instance_id*; the
+    columns are its representatives as they stand, so call this only at
+    the index version the entries were computed at.
     """
     from repro.core.netclus import ClusteredCoverage
 
     trajectory_ids = index.trajectory_ids
     if instance is None:
         instance = _instance_of(index, instance_id)
+    rep_sites = instance.reps[instance.representative_clusters()]
     coverage: SparseCoverageIndex | BitsetCoverageIndex
     if resolve_engine("auto", preference) == "bitset":
         coverage = BitsetCoverageIndex.from_coverage_lists(
@@ -657,13 +645,7 @@ def materialise_coverage(
             trajectory_ids=trajectory_ids,
             canonical=True,
         )
-    return ClusteredCoverage(
-        instance=instance,
-        coverage=coverage,
-        representative_sites=list(rep_sites),
-        representative_clusters=list(rep_clusters),
-        index_version=index.version,
-    )
+    return ClusteredCoverage(instance=instance, coverage=coverage, index_version=index.version)
 
 
 def splice_entries(

@@ -474,7 +474,8 @@ class SparseCoverageIndex:
         num_trajectories, num_sites = detours.shape
         with np.errstate(invalid="ignore"):
             covered = np.isfinite(detours) & (detours <= float(tau_km))
-        rows, cols = np.nonzero(covered)
+        # column-major, like every other caller's entries
+        cols, rows = np.nonzero(covered.T)
         self._init_from_entries(
             rows,
             cols,
@@ -486,7 +487,6 @@ class SparseCoverageIndex:
             site_labels,
             trajectory_ids,
             trajectory_weights,
-            entry_order="row",
         )
 
     # ------------------------------------------------------------------ #
@@ -547,7 +547,6 @@ class SparseCoverageIndex:
             site_labels,
             trajectory_ids,
             trajectory_weights,
-            entry_order="col",
         )
         return index
 
@@ -564,8 +563,8 @@ class SparseCoverageIndex:
         site_labels: Sequence[int] | None,
         trajectory_ids: Sequence[int] | None,
         trajectory_weights: np.ndarray | None,
-        entry_order: str | None = None,
     ) -> None:
+        """Fill the index from unique covered cells in column-major order."""
         self.num_trajectories = int(num_trajectories)
         self.num_sites = int(num_sites)
         self.tau_km = float(tau_km)
@@ -592,47 +591,27 @@ class SparseCoverageIndex:
         scores = np.asarray(preference(detour_values, self.tau_km), dtype=np.float64)
         scores = np.atleast_1d(scores) * self.trajectory_weights[rows]
 
-        # one sort suffices: the callers tell us which order the entries
-        # already have ("row" from np.nonzero, "col" after the duplicate
-        # reduction in from_coverage_lists)
-        if entry_order == "col":
-            csc_rows, csc_cols = rows, cols
-            csc_data = scores
-        else:
-            if entry_order != "row":
-                rorder = np.lexsort((cols, rows))
-                rows, cols = rows[rorder], cols[rorder]
-                scores = scores[rorder]
-            corder = np.lexsort((rows, cols))
-            csc_rows, csc_cols = rows[corder], cols[corder]
-            csc_data = scores[corder]
-
-        # CSC (column-major) — the greedy hot path iterates site columns
-        self._csc_rows = csc_rows
-        self._csc_data = csc_data
-        counts = np.bincount(csc_cols, minlength=self.num_sites)
+        # CSC (column-major) — the greedy hot path iterates site columns;
+        # the entries already are in this order
+        self._csc_rows = rows
+        self._csc_data = scores
+        counts = np.bincount(cols, minlength=self.num_sites)
         self._csc_indptr = np.zeros(self.num_sites + 1, dtype=np.int64)
         np.cumsum(counts, out=self._csc_indptr[1:])
         self._entry_cols = np.repeat(np.arange(self.num_sites, dtype=np.int64), counts)
 
-        # CSR (row-major) — SC(T_j) lookups and per-trajectory scans
-        if entry_order == "col":
-            # column-major input with unique cells: a stable sort on the
-            # row alone keeps the columns ascending within each row
-            rorder = np.argsort(rows, kind="stable")
-            csr_rows, csr_cols, csr_data = rows[rorder], cols[rorder], scores[rorder]
-        else:
-            csr_rows, csr_cols, csr_data = rows, cols, scores
-        self._csr_cols = csr_cols
-        self._csr_data = csr_data
-        row_counts = np.bincount(csr_rows, minlength=self.num_trajectories)
+        # CSR (row-major) — SC(T_j) lookups and per-trajectory scans; with
+        # unique cells, a stable sort on the row alone keeps the columns
+        # ascending within each row
+        rorder = np.argsort(rows, kind="stable")
+        self._csr_cols = cols[rorder]
+        self._csr_data = scores[rorder]
+        row_counts = np.bincount(rows, minlength=self.num_trajectories)
         self._csr_indptr = np.zeros(self.num_trajectories + 1, dtype=np.int64)
         np.cumsum(row_counts, out=self._csr_indptr[1:])
 
         # np.bincount with float weights already returns float64
-        self._site_weights = np.bincount(
-            csc_cols, weights=csc_data, minlength=self.num_sites
-        )
+        self._site_weights = np.bincount(cols, weights=scores, minlength=self.num_sites)
         self._label_to_col: dict[int, int] | None = None
         self.kernel_timer: KernelTimer | None = None
 

@@ -253,8 +253,11 @@ class NetClusInstance:
     * ``tl`` — the trajectory lists ``T L(g_i)`` (trajectory id,
       ``dr(T, c_i)``), in registration order;
     * ``nb`` — the neighbour lists ``CL(g_i)`` (cluster id,
-      ``dr(c_i, c_j)``), nearest first;
-    * ``n2c_nodes`` / ``n2c_clusters`` — the node → cluster assignment.
+      ``dr(c_i, c_j)``), nearest first.
+
+    Everything else is read off these: the node → cluster assignment is
+    ``nodes`` read the other way round, and the coverage columns are the
+    clusters with ``reps >= 0`` (:meth:`representative_clusters`).
 
     Updates replace an array with an edited copy rather than writing into
     it, so a loaded instance never writes through to its file.
@@ -268,8 +271,6 @@ class NetClusInstance:
         *,
         centers: np.ndarray,
         nodes: Ragged,
-        n2c_nodes: np.ndarray,
-        n2c_clusters: np.ndarray,
         reps: np.ndarray | None = None,
         rep_rt: np.ndarray | None = None,
         tl: Ragged | None = None,
@@ -283,8 +284,6 @@ class NetClusInstance:
         self.gamma = gamma
         self.centers = centers
         self.nodes = nodes
-        self.n2c_nodes = n2c_nodes
-        self.n2c_clusters = n2c_clusters
         self.reps = np.full(num_clusters, -1, dtype=np.int64) if reps is None else reps
         self.rep_rt = (
             np.full(num_clusters, np.inf, dtype=np.float64) if rep_rt is None else rep_rt
@@ -305,6 +304,15 @@ class NetClusInstance:
     def num_representatives(self) -> int:
         """Number of clusters that have a representative candidate site."""
         return int(np.count_nonzero(self.reps >= 0))
+
+    def representative_clusters(self) -> np.ndarray:
+        """Ids of the clusters that have a representative, ascending.
+
+        This is the column layout of every clustered coverage at the
+        current state: column ``j`` is the representative
+        ``reps[representative_clusters()[j]]``.
+        """
+        return np.flatnonzero(self.reps >= 0)
 
     @property
     def tau_range(self) -> tuple[float, float]:
@@ -331,24 +339,21 @@ class NetClusInstance:
 
     @property
     def node_to_cluster(self) -> dict[int, int]:
-        """A snapshot of the node → cluster assignment, in insertion order."""
-        return dict(zip(self.n2c_nodes.tolist(), self.n2c_clusters.tolist()))
+        """A snapshot of the node → cluster assignment, cluster by cluster."""
+        return dict(zip(self.nodes.ids.tolist(), self.nodes.owners().tolist()))
 
     def node_lookup_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense node→cluster and node→round-trip lookup arrays (cached).
 
-        Indexed by node id up to the largest clustered node; ``-1`` / ``inf``
-        mark a node outside every cluster.  Cluster membership is fixed by
-        the offline build: no update changes ``nodes`` or ``n2c_*``, so the
-        cache never goes stale.
+        Read off ``nodes``, indexed by node id up to the largest clustered
+        node; ``-1`` / ``inf`` mark a node outside every cluster.  Cluster
+        membership is fixed by the offline build: no update changes
+        ``nodes``, so the cache never goes stale.
         """
         if self._node_lookup is None:
-            size = 0
-            for ids in (self.n2c_nodes, self.nodes.ids):
-                if len(ids):
-                    size = max(size, int(ids.max()) + 1)
+            size = int(self.nodes.ids.max()) + 1 if len(self.nodes.ids) else 0
             cluster_of = np.full(size, -1, dtype=np.int64)
-            cluster_of[self.n2c_nodes] = self.n2c_clusters
+            cluster_of[self.nodes.ids] = self.nodes.owners()
             round_trip_of = np.full(size, np.inf, dtype=np.float64)
             round_trip_of[self.nodes.ids] = self.nodes.vals
             self._node_lookup = (cluster_of, round_trip_of)
@@ -381,7 +386,7 @@ class NetClusInstance:
         trajectory_rows: dict[int, int],
         tau_km: float,
         cluster_ids: Sequence[int] | np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The clustered-space coverage entries with ``d̂r ≤ τ`` (Section 5.1).
 
         Every representative ``r_i`` is estimated against the trajectories
@@ -404,12 +409,10 @@ class NetClusInstance:
 
         Returns
         -------
-        (rows, cols, estimates, representative_sites, representative_cluster_ids)
-            Columns are positions in the list of clusters that have a
-            representative (ascending cluster id), which the last two lists
-            describe in full.
+        (rows, cols, estimates)
+            Columns are positions in :meth:`representative_clusters`.
         """
-        rep_clusters = np.flatnonzero(self.reps >= 0)
+        rep_clusters = self.representative_clusters()
         if cluster_ids is None:
             columns = np.arange(len(rep_clusters), dtype=np.int64)
         else:
@@ -452,8 +455,6 @@ class NetClusInstance:
             members.ids[entries][within],
             np.repeat(pair_cols, lengths)[within],
             estimates[within],
-            self.reps[rep_clusters].tolist(),
-            rep_clusters.tolist(),
         )
 
     def _membership(self, trajectory_rows: dict[int, int]) -> Ragged:
@@ -502,29 +503,30 @@ class ClusteredCoverage:
     coverage:
         The coverage index over the cluster representatives: bitset for a
         binary ψ, sparse otherwise (see :func:`materialise_coverage`).
-    representative_sites:
-        Node id of each representative, aligned with coverage columns.
-    representative_clusters:
-        Cluster id of each representative, aligned with coverage columns.
     index_version:
         The :attr:`NetClusIndex.version` the structures were built at;
         :meth:`NetClusIndex.query` refuses a prepared coverage whose version
         no longer matches the (since-mutated) index.
+    representative_clusters:
+        Cluster id of each representative, aligned with coverage columns:
+        :meth:`NetClusInstance.representative_clusters` read at
+        construction, which must happen at ``index_version``.
+    representative_sites:
+        Node id of each representative, aligned with coverage columns.
     """
 
     def __init__(
         self,
         instance: NetClusInstance,
         coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex,
-        representative_sites: list[int],
-        representative_clusters: list[int],
         index_version: int = 0,
     ) -> None:
         self.instance = instance
         self.coverage = coverage
-        self.representative_sites = list(representative_sites)
-        self.representative_clusters = list(representative_clusters)
         self.index_version = int(index_version)
+        clusters = instance.representative_clusters()
+        self.representative_clusters = clusters.tolist()
+        self.representative_sites = instance.reps[clusters].tolist()
 
     @property
     def tau_km(self) -> float:
@@ -854,19 +856,11 @@ class NetClusIndex:
                 return warm
         if instance is None:
             instance = self.instance_for(tau_km)
-        rows, cols, estimates, rep_sites, rep_clusters = instance.coverage_entries(
-            self._trajectory_rows, tau_km
+        entries = canonical_entries(
+            *instance.coverage_entries(self._trajectory_rows, tau_km), tau_km
         )
-        entries = canonical_entries(rows, cols, estimates, tau_km)
         prepared = materialise_coverage(
-            self,
-            tau_km,
-            preference,
-            *entries,
-            rep_sites,
-            rep_clusters,
-            instance.instance_id,
-            instance=instance,
+            self, tau_km, preference, *entries, instance.instance_id, instance=instance
         )
         if self.coverage_cache is not None:
             self.coverage_cache.store_entries(
@@ -874,8 +868,6 @@ class NetClusIndex:
                 tau_km,
                 preference,
                 *entries,
-                rep_sites,
-                rep_clusters,
                 instance.instance_id,
                 prepared=prepared,
             )
@@ -1212,7 +1204,7 @@ class NetClusIndex:
     def _ensure_writable_visit_counts(self) -> None:
         """Copy-on-write the visit-count array before in-place mutation.
 
-        A format-v4 load hands the index a read-only zero-copy view over the
+        A load hands the index a read-only zero-copy view over the
         mmap'd payload blob; the first mutating update materialises a private
         writable copy, so updates never write through to the on-disk file.
         """

@@ -472,7 +472,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print()
         header = (
             f"{'part':>4} {'tau_km':>7} {'preference':<14} {'inst':>4} "
-            f"{'version':>7} {'entries':>9} {'reps':>6}"
+            f"{'version':>7} {'entries':>9}"
         )
         print(f"coverage parts   : {len(coverage_parts)} warm")
         print(header)
@@ -481,8 +481,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             print(
                 f"{entry['slot']:>4} {entry['tau_km']:>7.2f} "
                 f"{entry['preference']:<14} {entry['instance_id']:>4} "
-                f"{entry['index_version']:>7} {entry['num_entries']:>9} "
-                f"{entry['num_representatives']:>6}"
+                f"{entry['index_version']:>7} {entry['num_entries']:>9}"
             )
     if args.timings:
         _print_probe_timings(args.index, manifest)

@@ -5,7 +5,7 @@
 manifest read, no payload pages touched) and *loaded* lazily: the first
 query against a tenant constructs its
 :class:`~repro.service.placement.PlacementService` from the directory via
-the format-v4 mmap loader, so a farm of dozens of cities starts in
+the mmap loader, so a farm of dozens of cities starts in
 milliseconds and pays per-tenant load cost only on first use.
 
 **Memory budget.** ``memory_budget_bytes`` caps the summed

@@ -338,8 +338,10 @@ class PlacementService:
         # (it mutates on reads too — LRU recency), and the lazy index build
         # runs at most once behind its own lock.  Saves share the index
         # read lock with queries but serialise among themselves on
-        # ``_save_lock``: every save stages through the same temporary
-        # file names, so two concurrent saves would race on them.
+        # ``_save_lock``: each save stages under file names of its own,
+        # but its blob rename and its manifest rename are two separate
+        # commits, so two interleaved saves could pair one save's blob
+        # with the other's manifest.
         self._index_lock = _ReadWriteLock()
         self._cache_lock = threading.RLock()
         self._build_lock = threading.Lock()
@@ -457,7 +459,8 @@ class PlacementService:
         :func:`~repro.service.serialization.save_index`).  Takes the index
         read lock, so a save never captures a mid-update index, and inside
         it a save mutex, so two saves through one service never interleave
-        their staging files (queries are not blocked by a save).
+        their blob and manifest commits (queries are not blocked by a
+        save).
         """
         index = self.index
         with self._index_lock.read_locked(), self._save_lock:

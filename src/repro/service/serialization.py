@@ -1,6 +1,6 @@
 """Versioned on-disk persistence for :class:`~repro.core.netclus.NetClusIndex`.
 
-An index directory (format v4) holds exactly two files:
+An index directory (format v5) holds exactly two files:
 
 * ``payload.bin`` — one *aligned packed blob*: every payload array's raw
   little-endian bytes at a 64-byte-aligned offset, in sorted key order.
@@ -8,7 +8,9 @@ An index directory (format v4) holds exactly two files:
   candidate-site set, the trajectory registry, the visit-count bookkeeping
   of ``most_frequent`` indexes, per instance the cluster arrays in
   flattened CSR-style form, and the optional coverage parts (see
-  ``docs/index-format.md`` for the full key listing).
+  ``docs/index-format.md`` for the full key listing).  Each fact is stored
+  once: the node → cluster assignment is read off the member lists and a
+  part's representative columns off its instance's ``reps``.
 * ``manifest.json`` — human-readable metadata: format version, the
   ``payload_arrays`` offset table (offset, nbytes, dtype, shape per key),
   build parameters (γ, τ_min, τ_max, representative strategy, instance
@@ -32,12 +34,13 @@ out zero-copy array views, so a cold load does no per-cluster work:
 
 * every :class:`~repro.core.netclus.NetClusInstance` wraps its arrays'
   views directly, after O(length) structural checks (offsets, id ranges,
-  dtypes, lengths) that turn a damaged blob into
+  dtypes, lengths, no node in two clusters) that turn a damaged blob into
   :class:`IndexFormatError` instead of a wrong answer;
 * coverage parts (the canonical per-(τ, ψ) entries of the index's
   :class:`~repro.core.covcache.CoverageCache`) attach as zero-copy views
-  after one vectorised pass proves them canonical: rows and columns in
-  range, finite estimates within τ, cells in strictly increasing
+  after one vectorised pass proves them canonical: rows in range, columns
+  below the representative count of the part's instance, finite
+  estimates within τ, cells in strictly increasing
   ``(column, row)`` order.  Materialisation and patching trust that order,
   so a part failing the pass raises :class:`IndexFormatError` rather than
   answering wrongly.  A part recorded at a different ``index_version``
@@ -56,14 +59,17 @@ verification; :func:`save_index` hashes the bytes as it writes them) but
 not hashed on load.  A loaded index keeps the network's views and verified
 fingerprint, so re-saving it never re-flattens the network.
 
-:func:`save_index` writes v4 only.  Directories written by older releases
-(v1–v3: a compressed ``payload.npz`` holding the same arrays under the
-same keys) still load: the ``.npz`` is hash-checked against the manifest's
-``payload_sha256``, decompressed once into read-only arrays, and from
-there every load follows the v4 path.  v1 directories come back with
-``version`` 0; v1 ``most_frequent`` indexes carry no visit counts (their
-re-elections fall back to proximity).  Saving a loaded legacy index
-rewrites the directory as v4 — that is the migration.  Manifests from
+:func:`save_index` writes v5 only.  v4 directories hold the same blob
+plus derived copies of each instance's node → cluster assignment and of
+each part's representative layout, which loads never read.  Directories
+written by older releases (v1–v3: a compressed ``payload.npz`` holding
+the v4 arrays under the same keys) still load: the ``.npz`` is
+hash-checked against the manifest's ``payload_sha256``, decompressed once
+into read-only arrays, and from there every load follows the blob path.
+v1 directories come back with ``version`` 0; v1 ``most_frequent`` indexes
+carry no visit counts (their re-elections fall back to proximity).  Saving
+a loaded older index rewrites the directory as v5 — that is the
+migration.  Manifests from
 older releases may also carry ``shards``/``shard_sizes`` keys (the layout
 of a since-removed sharded query path); loads ignore them and saves no
 longer write them.
@@ -74,8 +80,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import uuid
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Callable, TypeVar
 
 import numpy as np
 
@@ -99,18 +106,18 @@ __all__ = [
 ]
 
 #: the only version written by :func:`save_index`; bump on any layout change
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 #: the versions :func:`load_index` can read (v1–v3 through the legacy
 #: ``.npz`` adapter; see the module docstring)
-SUPPORTED_FORMAT_VERSIONS = (1, 2, 3, 4)
+SUPPORTED_FORMAT_VERSIONS = (1, 2, 3, 4, 5)
 FORMAT_NAME = "netclus-index"
 MANIFEST_FILE = "manifest.json"
 #: the payload: one packed blob of raw array bytes, described by the
-#: manifest's ``payload_arrays`` offset table
+#: manifest's ``payload_arrays`` offset table (format v4 and later)
 PAYLOAD_BLOB_FILE = "payload.bin"
 #: the compressed payload of v1–v3 directories (read, never written)
 LEGACY_PAYLOAD_FILE = "payload.npz"
-#: every array in the v4 blob starts at a multiple of this (cache-line
+#: every array in the blob starts at a multiple of this (cache-line
 #: alignment; comfortably covers any numpy itemsize)
 BLOB_ALIGN = 64
 #: index of the ``build_seconds`` entry inside each ``i<id>_meta`` payload
@@ -213,12 +220,40 @@ def _file_sha256(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# format v4: packed blob + offset table
+# the packed blob + offset table (format v4 and later)
 # ---------------------------------------------------------------------- #
+_T = TypeVar("_T")
+
+
+def _commit_file(directory: Path, name: str, write: Callable[[IO[bytes]], _T]) -> _T:
+    """Write *directory*/*name* through a staging file of its own; return
+    what *write* returned.
+
+    *write* fills a fresh staging file in *directory*, which is then
+    atomically renamed over *name*.  Every call stages under a name no
+    other call uses (a random suffix, created exclusively), so concurrent
+    saves into one directory never write or rename away each other's
+    staging file; a write or rename that fails unlinks it.  The rename
+    also means a re-save over a directory whose previous blob is still
+    mmap-mapped (a loaded index — e.g. the farm's write-through save after
+    updates) never truncates the mapped inode: the old mapping keeps the
+    old inode alive while new loads see the new file.
+    """
+    staging = directory / f"{name}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(staging, "xb") as handle:
+            result = write(handle)
+        os.replace(staging, directory / name)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
+    return result
+
+
 def _write_blob(
-    path: Path, payload: dict[str, np.ndarray]
+    handle: IO[bytes], payload: dict[str, np.ndarray]
 ) -> tuple[dict[str, dict[str, Any]], int, str]:
-    """Write the v4 packed blob; return (offset table, total bytes, SHA-256).
+    """Write the packed blob; return (offset table, total bytes, SHA-256).
 
     Arrays are laid out in sorted key order, each at a 64-byte-aligned
     offset, as raw contiguous little-endian bytes.  The layout is fully
@@ -226,45 +261,36 @@ def _write_blob(
     byte-identical blobs (the same property ``payload_digest`` relies on).
     The SHA-256 covers exactly the bytes written, padding included, so it
     is the file's hash without reading the file back.
-
-    The blob is written to a temporary sibling and atomically renamed
-    into place: a re-save over a directory whose previous blob is still
-    mmap-mapped (a loaded v4 index — e.g. the farm's write-through save
-    after updates) must not truncate the mapped inode; the old mapping
-    keeps the old inode alive while new loads see the new file.
     """
     table: dict[str, dict[str, Any]] = {}
     cursor = 0
     digest = hashlib.sha256()
-    staging = path.with_name(path.name + ".tmp")
-    with open(staging, "wb") as handle:
-        for key in sorted(payload):
-            array = np.ascontiguousarray(payload[key])
-            if array.dtype.byteorder == ">":  # pragma: no cover - LE platforms
-                array = array.astype(array.dtype.newbyteorder("<"))
-            pad = (-cursor) % BLOB_ALIGN
-            if pad:
-                handle.write(b"\x00" * pad)
-                digest.update(b"\x00" * pad)
-                cursor += pad
-            table[key] = {
-                "offset": cursor,
-                "nbytes": int(array.nbytes),
-                "dtype": array.dtype.str,
-                "shape": list(array.shape),
-            }
-            raw = array.reshape(-1).view(np.uint8).data
-            handle.write(raw)
-            digest.update(raw)
-            cursor += int(array.nbytes)
-    os.replace(staging, path)
+    for key in sorted(payload):
+        array = np.ascontiguousarray(payload[key])
+        if array.dtype.byteorder == ">":  # pragma: no cover - LE platforms
+            array = array.astype(array.dtype.newbyteorder("<"))
+        pad = (-cursor) % BLOB_ALIGN
+        if pad:
+            handle.write(b"\x00" * pad)
+            digest.update(b"\x00" * pad)
+            cursor += pad
+        table[key] = {
+            "offset": cursor,
+            "nbytes": int(array.nbytes),
+            "dtype": array.dtype.str,
+            "shape": list(array.shape),
+        }
+        raw = array.reshape(-1).view(np.uint8).data
+        handle.write(raw)
+        digest.update(raw)
+        cursor += int(array.nbytes)
     return table, cursor, digest.hexdigest()
 
 
 def _open_blob(
     directory: Path, manifest: dict[str, Any]
 ) -> tuple[np.memmap, dict[str, dict[str, Any]]]:
-    """Map a v4 blob read-only after validating its offset table.
+    """Map a blob read-only after validating its offset table.
 
     Raises :class:`IndexFormatError` on a missing blob, a size/truncation
     mismatch against the manifest's ``payload_total_bytes``, or any
@@ -276,7 +302,7 @@ def _open_blob(
         raise IndexFormatError(f"no {PAYLOAD_BLOB_FILE} in {directory}")
     table = manifest.get("payload_arrays")
     if not isinstance(table, dict) or not table:
-        raise IndexFormatError("v4 manifest has no payload_arrays offset table")
+        raise IndexFormatError("manifest has no payload_arrays offset table")
     total = int(manifest.get("payload_total_bytes", -1))
     actual = blob_path.stat().st_size
     if actual != total:
@@ -314,7 +340,7 @@ def _open_blob(
 def _blob_views(
     blob: np.memmap, table: dict[str, dict[str, Any]]
 ) -> dict[str, np.ndarray]:
-    """Zero-copy read-only array views over a validated v4 blob."""
+    """Zero-copy read-only array views over a validated blob."""
     # one .view(np.ndarray) drops the memmap wrapper, whose per-slice and
     # per-element bookkeeping costs microseconds a call; the plain ndarray
     # keeps the mapping alive through .base and stays zero-copy + read-only
@@ -339,13 +365,17 @@ def save_index(
     dataset: TrajectoryDataset | None = None,
     trajectory_content: str | None = None,
 ) -> Path:
-    """Persist *index* to directory *path* (created if missing) in format v4.
+    """Persist *index* to directory *path* (created if missing) in format v5.
 
     Writes the ``payload.bin`` packed blob and ``manifest.json`` (offset
     table, metadata, fingerprints).  Returns the directory path.  The
     format is documented in ``docs/index-format.md``; load with
-    :func:`load_index`.  Saving over a v1–v3 directory migrates it: its
-    ``payload.npz`` is removed once the new manifest has been committed.
+    :func:`load_index`.  Saving over an older directory migrates it: a
+    v1–v3 ``payload.npz`` is removed once the new manifest has been
+    committed.  The blob and the manifest are each renamed into place from
+    a staging file of this call's own (:func:`_commit_file`), but as two
+    separate commits, so concurrent saves into one directory must still be
+    serialised by the caller.
 
     When *dataset* (the trajectories the index was built on) is supplied,
     its content fingerprint is recorded too, letting :func:`load_index`
@@ -368,7 +398,9 @@ def save_index(
     payload = _payload_arrays(index)
     coverage_arrays, coverage_parts = _coverage_part_arrays(index)
     payload.update(coverage_arrays)
-    blob_keys, total_bytes, payload_sha256 = _write_blob(directory / PAYLOAD_BLOB_FILE, payload)
+    blob_keys, total_bytes, payload_sha256 = _commit_file(
+        directory, PAYLOAD_BLOB_FILE, lambda handle: _write_blob(handle, payload)
+    )
 
     manifest = {
         "format": FORMAT_NAME,
@@ -419,19 +451,16 @@ def save_index(
             for instance in index.instances
         ],
     }
-    manifest_staging = directory / (MANIFEST_FILE + ".tmp")
-    with open(manifest_staging, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(manifest_staging, directory / MANIFEST_FILE)
-    # only now is the directory v4: unlinking a v1–v3 payload any earlier
+    manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    _commit_file(directory, MANIFEST_FILE, lambda handle: handle.write(manifest_bytes))
+    # only now is the directory v5: unlinking a v1–v3 payload any earlier
     # would leave its still-current legacy manifest without a payload
     (directory / LEGACY_PAYLOAD_FILE).unlink(missing_ok=True)
     return directory
 
 
 #: payload arrays making up one persisted coverage part, in slot order
-_COVERAGE_PART_KEYS = ("rows", "cols", "est", "rep_sites", "rep_clusters")
+_COVERAGE_PART_KEYS = ("rows", "cols", "est")
 
 
 def _coverage_part_arrays(
@@ -455,8 +484,6 @@ def _coverage_part_arrays(
         arrays[prefix + "rows"] = np.asarray(part.rows, dtype=np.int64)
         arrays[prefix + "cols"] = np.asarray(part.cols, dtype=np.int64)
         arrays[prefix + "est"] = np.asarray(part.estimates, dtype=np.float64)
-        arrays[prefix + "rep_sites"] = np.asarray(part.rep_sites, dtype=np.int64)
-        arrays[prefix + "rep_clusters"] = np.asarray(part.rep_clusters, dtype=np.int64)
         entries.append({"slot": slot, **part.describe()})
     return arrays, entries
 
@@ -475,8 +502,9 @@ def _attach_coverage_parts(
     each is read once here: materialisation (``canonical=True``) and
     :func:`~repro.core.covcache.splice_entries` trust a part to be
     canonical, so rows, columns, estimates and the cell order are checked
-    before the part is attached.  Instance ids are checked against the
-    manifest's *instance_ids*.
+    before the part is attached.  A part's columns are its instance's
+    representatives, so every column must lie below that instance's
+    representative count; the instance id must be one of *instance_ids*.
     """
     from repro.core.covcache import CoveragePart, coverage_cache_key
     from repro.core.coverage import cell_keys
@@ -512,13 +540,12 @@ def _attach_coverage_parts(
         instance_id = int(entry["instance_id"])
         if instance_id not in known_instance_ids:
             raise IndexFormatError(f"{label}: index has no instance {instance_id}")
+        num_columns = index.instances[instance_ids.index(instance_id)].num_representatives
         rows = arrays[prefix + "rows"]
         cols = arrays[prefix + "cols"]
         estimates = arrays[prefix + "est"]
         if rows.dtype != np.int64 or cols.dtype != np.int64 or estimates.dtype != np.float64:
             raise IndexFormatError(f"{label}: entry arrays have wrong dtypes")
-        rep_sites = arrays[prefix + "rep_sites"]
-        rep_clusters = arrays[prefix + "rep_clusters"]
         declared = int(entry.get("num_entries", len(rows)))
         if not (len(rows) == len(cols) == len(estimates) == declared):
             raise IndexFormatError(
@@ -526,8 +553,6 @@ def _attach_coverage_parts(
                 f"(rows={len(rows)}, cols={len(cols)}, est={len(estimates)}, "
                 f"declared={declared})"
             )
-        if len(rep_sites) != len(rep_clusters):
-            raise IndexFormatError(f"{label}: representative arrays are inconsistent")
         num_trajectories = int(entry.get("num_trajectories", index.num_trajectories))
         if num_trajectories != index.num_trajectories:
             raise IndexFormatError(
@@ -535,7 +560,7 @@ def _attach_coverage_parts(
                 f"({num_trajectories} != {index.num_trajectories})"
             )
         _require_range(rows, num_trajectories, f"{label}: rows")
-        _require_range(cols, len(rep_sites), f"{label}: cols")
+        _require_range(cols, num_columns, f"{label}: cols")
         if not (np.isfinite(estimates) & (estimates <= tau_km)).all():
             raise IndexFormatError(f"{label}: an estimate is not finite or exceeds τ")
         keys = cell_keys(rows, cols, num_trajectories + 1)
@@ -554,8 +579,6 @@ def _attach_coverage_parts(
                 rows=rows,
                 cols=cols,
                 estimates=estimates,
-                rep_sites=rep_sites.tolist(),
-                rep_clusters=rep_clusters.tolist(),
             ),
         )
 
@@ -673,8 +696,6 @@ def _instance_arrays(instance: NetClusInstance) -> dict[str, np.ndarray]:
         prefix + "centers": instance.centers,
         prefix + "reps": instance.reps,
         prefix + "rep_rt": instance.rep_rt,
-        prefix + "n2c_nodes": instance.n2c_nodes,
-        prefix + "n2c_clusters": instance.n2c_clusters,
     }
     for key in _RAGGED_KEYS:
         ragged: Ragged = getattr(instance, key)
@@ -848,7 +869,7 @@ def _legacy_arrays(directory: Path, fingerprints: dict[str, Any]) -> dict[str, n
 
     The compressed ``payload.npz`` holds the same arrays under the same
     keys as the v4 blob.  It is hash-checked against the manifest, then
-    decompressed once; from here on the load is the v4 path.
+    decompressed once; from here on the load is the blob path.
     """
     payload_path = directory / LEGACY_PAYLOAD_FILE
     if not payload_path.is_file():
@@ -880,8 +901,6 @@ def _rebuild_network(arrays: dict[str, np.ndarray]) -> RoadNetwork:
 _INSTANCE_INT_KEYS = (
     "centers",
     "reps",
-    "n2c_nodes",
-    "n2c_clusters",
     *(key + part for key in _RAGGED_KEYS for part in ("_indptr", "_ids")),
 )
 _INSTANCE_FLOAT_KEYS = ("meta", "rep_rt", *(key + "_vals" for key in _RAGGED_KEYS))
@@ -892,12 +911,13 @@ def _load_instance(
 ) -> NetClusInstance:
     """Wrap one instance's payload arrays after checking their structure.
 
-    A v4 load hashes nothing, so these O(length) checks are what stands
+    A blob load hashes nothing, so these O(length) checks are what stands
     between a damaged blob and a query: every ``indptr`` runs from 0 up to
     its list's length without decreasing, cluster ids lie in ``[0, η)``,
-    node ids in ``[0, num_nodes)``, every representative is ``-1`` or such
-    a node with a finite round-trip, and dtypes and lengths agree.  Any
-    failure raises :class:`IndexFormatError`.
+    node ids in ``[0, num_nodes)``, no node is a member of two clusters
+    (the node → cluster assignment is read off the member lists), every
+    representative is ``-1`` or such a node with a finite round-trip, and
+    dtypes and lengths agree.  Any failure raises :class:`IndexFormatError`.
     """
     prefix = f"i{instance_id}_"
     label = f"instance {instance_id}"
@@ -917,8 +937,6 @@ def _load_instance(
         raise IndexFormatError(f"{label}: meta holds {len(found['meta'])} values, not 4")
     if not len(found["reps"]) == len(found["rep_rt"]) == num_clusters:
         raise IndexFormatError(f"{label}: reps/rep_rt lengths differ from the cluster count")
-    if len(found["n2c_nodes"]) != len(found["n2c_clusters"]):
-        raise IndexFormatError(f"{label}: n2c_nodes and n2c_clusters lengths differ")
     ragged: dict[str, Ragged] = {}
     for key in _RAGGED_KEYS:
         indptr, ids, vals = (found[key + part] for part in ("_indptr", "_ids", "_vals"))
@@ -929,12 +947,12 @@ def _load_instance(
         ragged[key] = Ragged(indptr, ids, vals)
     for suffix, bound in (
         ("nb_ids", num_clusters),
-        ("n2c_clusters", num_clusters),
         ("nodes_ids", num_nodes),
-        ("n2c_nodes", num_nodes),
         ("centers", num_nodes),
     ):
         _require_range(found[suffix], bound, f"{label}: {suffix}")
+    if np.any(np.bincount(found["nodes_ids"], minlength=num_nodes) > 1):
+        raise IndexFormatError(f"{label}: a node is a member of two clusters")
     reps, rep_rt = found["reps"], found["rep_rt"]
     has_rep = reps >= 0
     _require_range(reps[has_rep], num_nodes, f"{label}: reps")
@@ -947,8 +965,6 @@ def _load_instance(
         gamma=float(meta[1]),
         centers=found["centers"],
         nodes=ragged["nodes"],
-        n2c_nodes=found["n2c_nodes"],
-        n2c_clusters=found["n2c_clusters"],
         reps=reps,
         rep_rt=rep_rt,
         tl=ragged["tl"],

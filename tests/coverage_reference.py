@@ -42,28 +42,28 @@ def answer_on(index, query, view, part=None):
 
 
 def cold_entries(index, tau_km):
-    """``(rows, cols, estimates, rep_sites, rep_clusters)`` computed cold:
-    the canonical ``≤ τ`` entries of the index's instance for τ."""
+    """``(rows, cols, estimates)`` computed cold: the canonical ``≤ τ``
+    entries of the index's instance for τ."""
     instance = index.instance_for(tau_km)
-    rows, cols, estimates, rep_sites, rep_clusters = instance.coverage_entries(
-        index._trajectory_rows, tau_km
+    return canonical_entries(
+        *instance.coverage_entries(index._trajectory_rows, tau_km), tau_km
     )
-    return (*canonical_entries(rows, cols, estimates, tau_km), rep_sites, rep_clusters)
 
 
 def reference_view(index, tau_km, preference, kind, part=None) -> ClusteredCoverage:
     """A ``"dense"`` or ``"sparse"`` view over the canonical entries.
 
     The entries are those of the coverage-cache *part* when given, else
-    computed cold from the index's instance for τ.
+    computed cold from the index's instance for τ; the columns are that
+    instance's representatives.
     """
     if part is None:
         instance = index.instance_for(tau_km)
-        rows, cols, estimates, rep_sites, rep_clusters = cold_entries(index, tau_km)
+        rows, cols, estimates = cold_entries(index, tau_km)
     else:
         instance = next(i for i in index.instances if i.instance_id == part.instance_id)
         rows, cols, estimates = part.rows, part.cols, part.estimates
-        rep_sites, rep_clusters = part.rep_sites, part.rep_clusters
+    rep_sites = instance.reps[instance.representative_clusters()]
     ids = index.trajectory_ids
     if kind == "dense":
         detours = np.full((len(ids), len(rep_sites)), np.inf)
@@ -84,9 +84,7 @@ def reference_view(index, tau_km, preference, kind, part=None) -> ClusteredCover
             site_labels=rep_sites,
             trajectory_ids=ids,
         )
-    return ClusteredCoverage(
-        instance, coverage, rep_sites, rep_clusters, index_version=index.version
-    )
+    return ClusteredCoverage(instance, coverage, index_version=index.version)
 
 
 def seed_reference_views(index, kind) -> int:

@@ -152,7 +152,8 @@ class TestEstimatedDetours:
         instance = index.instance_for(0.8)
         rows = {tid: i for i, tid in enumerate(tiny_problem.trajectories.ids())}
         # an effectively infinite τ keeps every estimate, not just the covers
-        entry_rows, entry_cols, estimates, rep_sites, _ = instance.coverage_entries(rows, 1e9)
+        entry_rows, entry_cols, estimates = instance.coverage_entries(rows, 1e9)
+        rep_sites = instance.reps[instance.representative_clusters()]
         oracle = tiny_problem.oracle
         exact = np.stack(
             [
@@ -168,7 +169,8 @@ class TestEstimatedDetours:
         query_tau = 0.8
         instance = index.instance_for(query_tau)
         rows = {tid: i for i, tid in enumerate(tiny_problem.trajectories.ids())}
-        entry_rows, entry_cols, _, rep_sites, _ = instance.coverage_entries(rows, query_tau)
+        entry_rows, entry_cols, _ = instance.coverage_entries(rows, query_tau)
+        rep_sites = instance.reps[instance.representative_clusters()].tolist()
         oracle = tiny_problem.oracle
         for col, site in enumerate(rep_sites):
             approx_cover = set(entry_rows[entry_cols == col].tolist())

@@ -214,7 +214,8 @@ class TestDetourProperties:
         instance = index.instance_for(tau)
         rows = {tid: i for i, tid in enumerate(dataset.ids())}
         # an effectively infinite τ keeps every estimate, not just the covers
-        entry_rows, entry_cols, estimates, rep_sites, _ = instance.coverage_entries(rows, 1e9)
+        entry_rows, entry_cols, estimates = instance.coverage_entries(rows, 1e9)
+        rep_sites = instance.reps[instance.representative_clusters()]
         exact = np.stack(
             [
                 oracle.detour_vector(t)[[oracle.site_index[s] for s in rep_sites]]
@@ -273,7 +274,8 @@ class TestDetourProperties:
             return matrix
 
         instance = index.instance_for(tau)
-        rows, cols, estimates, _, rep_clusters = instance.coverage_entries(registry, tau)
+        rows, cols, estimates = instance.coverage_entries(registry, tau)
+        rep_clusters = instance.representative_clusters().tolist()
         full = canonical_entries(rows, cols, estimates, tau)
         dense = np.full((len(registry), len(rep_clusters)), np.inf)
         dense[full[0], full[1]] = full[2]
@@ -281,7 +283,7 @@ class TestDetourProperties:
 
         subset = {tid: row for tid, row in registry.items() if rng.random() < 0.5}
         cluster_ids = [c.cluster_id for c in instance.clusters if rng.random() < 0.5]
-        rows, cols, estimates, _, _ = instance.coverage_entries(subset, tau, cluster_ids)
+        rows, cols, estimates = instance.coverage_entries(subset, tau, cluster_ids)
         restricted = canonical_entries(rows, cols, estimates, tau)
         wanted = set(cluster_ids)
         columns = [col for col, cid in enumerate(rep_clusters) if cid in wanted]

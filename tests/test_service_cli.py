@@ -58,7 +58,7 @@ def test_build_rejects_scale_for_fixed_datasets(tmp_path):
 def test_inspect_prints_manifest(built_index, capsys):
     assert main(["inspect", "--index", str(built_index)]) == 0
     out = capsys.readouterr().out
-    assert "netclus-index v4" in out
+    assert "netclus-index v5" in out
     assert "gamma=0.75" in out
     assert "graph sha256" in out
 

@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import shutil
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -166,7 +168,7 @@ def test_manifest_contents(saved_index):
     index, path = saved_index
     manifest = load_manifest(path)
     assert manifest["format"] == "netclus-index"
-    assert manifest["format_version"] == 4
+    assert manifest["format_version"] == 5
     assert manifest["payload_arrays"]  # v4 offset table
     assert manifest["payload_total_bytes"] == (path / "payload.bin").stat().st_size
     assert manifest["index_version"] == index.version
@@ -299,9 +301,9 @@ WARM_QUERIES = [
 ]
 
 
-@pytest.fixture(params=["v3", "v4"])
+@pytest.fixture(params=["v3", "v5"])
 def warm_saved_index(request, tiny_problem, tmp_path):
-    """An index with a warm coverage cache, persisted with its parts (v4),
+    """An index with a warm coverage cache, persisted with its parts (v5),
     or a copy of the legacy fixture holding the same parts (v3)."""
     index = tiny_problem.build_netclus_index(
         gamma=0.75, tau_min_km=0.4, tau_max_km=4.0
@@ -551,23 +553,24 @@ def test_v4_missing_blob_raises(saved_index, tmp_path):
 
 
 def test_v4_loaded_views_are_read_only(warm_saved_index):
+    """A loaded part's entries and the instance arrays its columns are
+    read off are all read-only."""
     _, path = warm_saved_index
     loaded = load_index(path)
-    for instance in loaded.instances:
-        assert instance is not None  # materialises through the lazy ladder
     for part in loaded.coverage_cache.parts.values():
-        assert not part.rows.flags.writeable
-        assert not part.cols.flags.writeable
-        assert not part.estimates.flags.writeable
+        instance = next(i for i in loaded.instances if i.instance_id == part.instance_id)
+        for array in (part.rows, part.cols, part.estimates, instance.reps):
+            assert not array.flags.writeable
         with pytest.raises(ValueError):
             part.rows[0] = 0
+        assert part.cols.max() < instance.num_representatives
 
 
 def _instance_state(instance):
     """Every state array of one instance, by payload key suffix."""
     state = {
         key: getattr(instance, key)
-        for key in ("centers", "reps", "rep_rt", "n2c_nodes", "n2c_clusters")
+        for key in ("centers", "reps", "rep_rt")
     }
     for key in ("nodes", "tl", "nb"):
         ragged = getattr(instance, key)
@@ -676,9 +679,10 @@ CORRUPTIONS = {
     "nb_indptr_short_end": _poke("i1_nb_indptr", -1, lambda a: a["i1_nb_indptr"][-1] - 1),
     "nb_id_negative": _poke("i1_nb_ids", 0, -1),
     "nb_id_out_of_range": _poke("i1_nb_ids", 0, lambda a: len(a["i1_centers"])),
-    "n2c_cluster_out_of_range": _poke("i1_n2c_clusters", 0, lambda a: len(a["i1_centers"])),
     "node_id_out_of_range": _poke("i1_nodes_ids", 0, lambda a: len(a["net_node_ids"])),
-    "n2c_node_negative": _poke("i1_n2c_nodes", 0, -3),
+    "node_in_two_clusters": _poke(
+        "i1_nodes_ids", 0, lambda a: a["i1_nodes_ids"][a["i1_nodes_indptr"][-2]]
+    ),
     "center_out_of_range": _poke("i1_centers", 0, lambda a: len(a["net_node_ids"])),
     "rep_below_minus_one": _poke("i1_reps", 0, -2),
     "rep_out_of_range": _poke(
@@ -812,7 +816,7 @@ def test_v4_loaded_index_resaves_identically(warm_saved_index, tmp_path):
     include_timings = not (path / "payload.npz").is_file()
     loaded = load_index(path)
     resaved = save_index(loaded, tmp_path / "resave.ncx")
-    assert load_manifest(resaved)["format_version"] == 4
+    assert load_manifest(resaved)["format_version"] == 5
     digests = {payload_digest(x, include_timings=include_timings) for x in (loaded, index)}
     assert len(digests) == 1
     reloaded = load_index(resaved)
@@ -875,7 +879,7 @@ def test_legacy_directory_answers_like_a_fresh_build(saved_index, tmp_path, vari
     """Every legacy variant loads read-only (v1 at version 0), attaches
     parts only when it has them, keeps its stage records (their stale
     ``workers`` counts ignored), answers byte-identically to a fresh
-    build on the chosen and reference views, and re-saves as a v4
+    build on the chosen and reference views, and re-saves as a v5
     directory."""
     index, _ = saved_index
     path = _legacy_copy(tmp_path, mutate=LEGACY_VARIANTS[variant])
@@ -893,7 +897,7 @@ def test_legacy_directory_answers_like_a_fresh_build(saved_index, tmp_path, vari
     _assert_same_answers(index, loaded, WARM_QUERIES + MIXED_QUERIES)
 
     resaved = save_index(loaded, tmp_path / "resaved.ncx")
-    assert load_manifest(resaved)["format_version"] == 4
+    assert load_manifest(resaved)["format_version"] == 5
     assert load_manifest(resaved)["build_stats"] == [
         stat.as_dict() for stat in loaded.build_stats
     ]
@@ -916,7 +920,7 @@ def test_legacy_resave_after_update_migrates_in_place(tiny_problem, tmp_path):
 
     assert not (path / "payload.npz").exists()
     assert (path / "payload.bin").is_file()
-    assert load_manifest(path)["format_version"] == 4
+    assert load_manifest(path)["format_version"] == 5
     assert _directory_digests(LEGACY_FIXTURE) == fixture_before
 
     fresh = tiny_problem.build_netclus_index(gamma=0.75, tau_min_km=0.4, tau_max_km=4.0)
@@ -948,6 +952,159 @@ def test_crash_before_manifest_commit_keeps_legacy_directory(
     monkeypatch.undo()
 
     assert load_manifest(path)["format_version"] == 3
+    assert not list(path.glob("*.tmp"))  # the failed save cleaned up its staging
     recovered = load_index(path)
     assert len(recovered.coverage_cache.describe_parts()) == len(WARM_QUERIES)
     _assert_same_answers(index, recovered, WARM_QUERIES + MIXED_QUERIES)
+
+
+def test_concurrent_saves_into_one_directory_never_collide(saved_index, tmp_path):
+    """Two threads saving one index into one directory: every save stages
+    under its own names, so none renames another's staging file away, and
+    the directory ends loadable with no staging file left behind."""
+    index, _ = saved_index
+    target = tmp_path / "city.ncx"
+    start = threading.Barrier(2)
+    errors: list[BaseException] = []
+
+    def saver() -> None:
+        try:
+            start.wait()
+            for _ in range(30):
+                save_index(index, target)
+        except BaseException as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=saver) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(entry.name for entry in target.iterdir()) == ["manifest.json", "payload.bin"]
+    manifest = load_manifest(target)
+    payload = (target / "payload.bin").read_bytes()
+    assert manifest["fingerprints"]["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+    assert payload_digest(load_index(target)) == payload_digest(index)
+
+
+def _roll_n2c_clusters(arrays, pick):
+    for key in [key for key in arrays if key.endswith("_n2c_clusters")]:
+        arrays[key] = np.roll(arrays[key], 1)
+
+
+def _flip_selected_label(arrays, pick):
+    """Relabel the column of site *pick* in part slot 0 (``WARM_QUERIES[0]``)."""
+    labels = arrays["cov0_rep_sites"].copy()
+    at = int(np.flatnonzero(labels == pick)[0])
+    labels[at] = labels[at - 1]
+    arrays["cov0_rep_sites"] = labels
+
+
+#: damage to the derived copies a legacy payload carries, which loads
+#: must not read (v4 directories carry the same copies)
+DERIVED_TAMPERING = {
+    "n2c_clusters_rolled": _roll_n2c_clusters,
+    "rep_site_label_flipped": _flip_selected_label,
+}
+
+
+@pytest.mark.parametrize("tampering", sorted(DERIVED_TAMPERING))
+def test_tampered_derived_copies_change_no_answer(tiny_problem, tmp_path, tampering):
+    """Damaging the node → cluster copy or a part's representative labels
+    inside a legacy payload (its hash updated to match) changes no answer:
+    cold, warm, with existing sites, and after one update batch."""
+    intact_path = _legacy_copy(tmp_path, "intact.ncx")
+    intact = load_index(intact_path)
+    pick = intact.query(WARM_QUERIES[0]).sites[0]
+    path = _legacy_copy(tmp_path, "tampered.ncx")
+    payload = path / "payload.npz"
+    with np.load(payload) as stored:
+        arrays = {key: stored[key] for key in stored.files}
+    DERIVED_TAMPERING[tampering](arrays, pick)
+    np.savez_compressed(payload, **arrays)
+    digest = hashlib.sha256(payload.read_bytes()).hexdigest()
+    _set_manifest(path, lambda m: m["fingerprints"].update(payload_sha256=digest))
+
+    queries = WARM_QUERIES + MIXED_QUERIES
+    intact, tampered = load_index(intact_path), load_index(path)
+    cold_intact = load_index(intact_path, with_coverage=False)
+    cold_tampered = load_index(path, with_coverage=False)
+    _assert_same_answers(cold_intact, cold_tampered, queries)
+    _assert_same_answers(intact, tampered, queries)
+    existing = sorted(intact.sites)[::9][:4]
+    for query in queries:
+        a = intact.query(query, existing_sites=existing)
+        b = tampered.query(query, existing_sites=existing)
+        assert a.sites == b.sites
+        assert (
+            np.asarray(a.per_trajectory_utility).tobytes()
+            == np.asarray(b.per_trajectory_utility).tobytes()
+        )
+
+    trajectories = list(tiny_problem.trajectories)[:6]
+    next_id = max(intact.trajectory_ids) + 1
+    batch = UpdateBatch(
+        remove_trajectories=intact.trajectory_ids[:6],
+        add_trajectories=[
+            Trajectory(next_id + i, t.nodes, t.cumulative_km, t.timestamps)
+            for i, t in enumerate(trajectories)
+        ],
+        remove_sites=sorted(intact.sites)[:2],
+    )
+    for loaded in (intact, tampered):
+        loaded.apply_updates(batch)
+    _assert_same_answers(intact, tampered, queries)
+
+
+@pytest.mark.parametrize("warm_saved_index", ["v5"], indirect=True)
+def test_v4_directory_loads_without_reading_its_derived_copies(warm_saved_index, tmp_path):
+    """A v4 directory (the v5 blob plus a node → cluster copy per instance
+    and a representative layout per part) loads through the same path and
+    answers like the index it was saved from, even with every copy wrong."""
+    index, path = warm_saved_index
+    manifest = load_manifest(path)
+    views = serialization._blob_views(*serialization._open_blob(path, manifest))
+    arrays = {key: np.array(view) for key, view in views.items()}
+    del views
+    for instance in index.instances:
+        prefix = f"i{instance.instance_id}_"
+        arrays[prefix + "n2c_nodes"] = instance.nodes.ids[::-1].copy()
+        arrays[prefix + "n2c_clusters"] = np.roll(instance.nodes.owners(), 1)
+    for entry in manifest["coverage_parts"]:
+        instance = index.instances[entry["instance_id"]]
+        reps = instance.reps[instance.representative_clusters()]
+        arrays[f"cov{entry['slot']}_rep_sites"] = reps[::-1].copy()
+        arrays[f"cov{entry['slot']}_rep_clusters"] = np.zeros(len(reps), dtype=np.int64)
+        entry["num_representatives"] = len(reps)
+    v4 = tmp_path / "v4.ncx"
+    v4.mkdir()
+    table, total, digest = serialization._commit_file(
+        v4, "payload.bin", lambda handle: serialization._write_blob(handle, arrays)
+    )
+    manifest.update(format_version=4, payload_arrays=table, payload_total_bytes=total)
+    manifest["fingerprints"]["payload_sha256"] = digest
+    (v4 / "manifest.json").write_text(json.dumps(manifest))
+
+    loaded = load_index(v4)
+    _assert_same_answers(index, loaded, WARM_QUERIES + MIXED_QUERIES)
+    batch = UpdateBatch(
+        remove_sites=sorted(index.sites)[:2],
+        remove_trajectories=list(index.trajectory_ids)[:5],
+    )
+    index.apply_updates(batch)
+    loaded.apply_updates(batch)
+    _assert_same_answers(index, loaded, WARM_QUERIES + MIXED_QUERIES)
+    resaved = load_manifest(save_index(loaded, v4))
+    assert resaved["format_version"] == 5
+    assert not [
+        key
+        for key in resaved["payload_arrays"]
+        if "_n2c_" in key or key.endswith(("_rep_sites", "_rep_clusters"))
+    ]

@@ -10,7 +10,7 @@ deep copy of that build.
   coverage parts' entries.  ψ picks the service's views, so every
   binary-ψ spec is answered by the bitset kernels on one side and the
   sparse kernels on the other.
-* **mmap** — v4 loads answer like the in-memory index on a query
+* **mmap** — mapped loads answer like the in-memory index on a query
   battery: plain, with persisted warm coverage parts, and after the same
   :class:`UpdateBatch` is applied to both (the load's copy-on-write path).
 * **covcache** — a warm service whose coverage parts are patched by a
@@ -95,22 +95,22 @@ def _compare(label: str, requests, want, got) -> int:
 
 
 def _sparse_view(index: NetClusIndex, part) -> ClusteredCoverage:
-    """A sparse view over one coverage part's canonical entries."""
+    """A sparse view over one coverage part's canonical entries; its
+    columns are the representatives of the part's instance."""
     instance = next(i for i in index.instances if i.instance_id == part.instance_id)
+    sites = instance.reps[instance.representative_clusters()]
     coverage = SparseCoverageIndex.from_coverage_lists(
         part.rows,
         part.cols,
         part.estimates,
         num_trajectories=len(index.trajectory_ids),
-        num_sites=len(part.rep_sites),
+        num_sites=len(sites),
         tau_km=part.tau_km,
         preference=part.preference_fn(),
-        site_labels=part.rep_sites,
+        site_labels=sites,
         trajectory_ids=index.trajectory_ids,
     )
-    return ClusteredCoverage(
-        instance, coverage, part.rep_sites, part.rep_clusters, index_version=index.version
-    )
+    return ClusteredCoverage(instance, coverage, index_version=index.version)
 
 
 def check_bitset(index: NetClusIndex) -> int:
@@ -167,7 +167,7 @@ def check_mmap(fresh: NetClusIndex, root: Path) -> int:
     failures += _compare("mmap post-update", MMAP_QUERIES, _probe(fresh), _probe(loaded))
     if not failures:
         print(
-            f"OK mmap    : {len(MMAP_QUERIES)} queries equal after v4 save/load — "
+            f"OK mmap    : {len(MMAP_QUERIES)} queries equal after save/load — "
             "plain, warm covcache, post-update"
         )
     return failures
@@ -213,15 +213,14 @@ def _compare_entries(label: str, index: NetClusIndex) -> int:
     failures = 0
     for part in index.coverage_cache.parts.values():
         instance = index.instance_for(part.tau_km)
-        rows, cols, estimates, rep_sites, rep_clusters = instance.coverage_entries(
-            index._trajectory_rows, part.tau_km
+        want = canonical_entries(
+            *instance.coverage_entries(index._trajectory_rows, part.tau_km), part.tau_km
         )
-        want = canonical_entries(rows, cols, estimates, part.tau_km)
         got = (part.rows, part.cols, part.estimates)
         same = part.instance_id == instance.instance_id and all(
             g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want)
         )
-        if not same or (part.rep_sites, part.rep_clusters) != (rep_sites, rep_clusters):
+        if not same:
             print(
                 f"FAIL [{label}]: part (tau={part.tau_km}, psi={part.preference_name}) "
                 "entries differ from a cold build"
