@@ -83,16 +83,11 @@ class BuildStats:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "BuildStats":
-        """Inverse of :meth:`as_dict` (manifest loading).
-
-        Older manifests' per-stage ``"workers"`` counts are ignored.
-        """
+        """Inverse of :meth:`as_dict` (manifest loading)."""
         return cls(
             stage=str(payload["stage"]),
             seconds=float(payload["seconds"]),
-            per_instance_seconds=tuple(
-                float(s) for s in payload.get("per_instance_seconds", ())
-            ),
+            per_instance_seconds=tuple(float(s) for s in payload["per_instance_seconds"]),
         )
 
 

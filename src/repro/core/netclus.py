@@ -655,8 +655,12 @@ class NetClusIndex:
         # visit-count bookkeeping backing "most_frequent" re-election: the
         # per-node distinct-trajectory counts and, per trajectory, its unique
         # node array (needed to decrement counts on removal).  ``None`` for
-        # "closest" indexes — and for "most_frequent" indexes loaded from a
-        # format-v1 payload, which re-elect by proximity as before.
+        # "closest" indexes.
+        require(
+            representative_strategy != "most_frequent"
+            or (node_visit_counts is not None and trajectory_nodes is not None),
+            "a most_frequent index needs node_visit_counts and trajectory_nodes",
+        )
         self._node_visit_counts = node_visit_counts
         self._trajectory_nodes = trajectory_nodes
         #: the network's payload arrays and graph fingerprint, cached by the
@@ -782,7 +786,7 @@ class NetClusIndex:
         is_site = np.isin(members, np.fromiter(sites, np.int64, len(sites)))
         owners, entries, members = owners[is_site], entries[is_site], members[is_site]
         legs = instance.nodes.vals[entries]
-        if strategy == "most_frequent" and visit_counts is not None:
+        if strategy == "most_frequent":
             order = np.lexsort((entries, legs, -visit_counts[members], owners))
         else:
             order = np.lexsort((entries, legs, owners))
@@ -1084,7 +1088,7 @@ class NetClusIndex:
         node_arrays = [t.nodes_array() for t in trajectories]
         for instance in self.instances:
             register_trajectory_batch(instance, traj_ids, node_arrays)
-        if self._tracks_visits:
+        if self.representative_strategy == "most_frequent":
             self._ensure_writable_visit_counts()
             touched: set[int] = set()
             num_nodes = len(self._node_visit_counts)
@@ -1123,13 +1127,11 @@ class NetClusIndex:
         removed_ids = np.fromiter(removed, np.int64, len(removed))
         for instance in self.instances:
             instance.tl = instance.tl.keep(~np.isin(instance.tl.ids, removed_ids))
-        if self._tracks_visits:
+        if self.representative_strategy == "most_frequent":
             self._ensure_writable_visit_counts()
             touched: set[int] = set()
             for traj_id in sorted(removed):
-                unique_nodes = self._trajectory_nodes.pop(traj_id, None)
-                if unique_nodes is None:
-                    continue
+                unique_nodes = self._trajectory_nodes.pop(traj_id)
                 self._node_visit_counts[unique_nodes] -= 1
                 touched.update(int(n) for n in unique_nodes)
             self._reelect_clusters_of_nodes(touched)
@@ -1192,15 +1194,6 @@ class NetClusIndex:
     # ------------------------------------------------------------------ #
     # update internals
     # ------------------------------------------------------------------ #
-    @property
-    def _tracks_visits(self) -> bool:
-        """Whether visit counts are maintained for ``most_frequent`` elections."""
-        return (
-            self.representative_strategy == "most_frequent"
-            and self._node_visit_counts is not None
-            and self._trajectory_nodes is not None
-        )
-
     def _ensure_writable_visit_counts(self) -> None:
         """Copy-on-write the visit-count array before in-place mutation.
 
@@ -1208,10 +1201,7 @@ class NetClusIndex:
         mmap'd payload blob; the first mutating update materialises a private
         writable copy, so updates never write through to the on-disk file.
         """
-        if (
-            self._node_visit_counts is not None
-            and not self._node_visit_counts.flags.writeable
-        ):
+        if not self._node_visit_counts.flags.writeable:
             self._node_visit_counts = np.array(self._node_visit_counts, dtype=np.int64)
 
     def _reelect(self, instance: NetClusInstance, cluster_ids: np.ndarray) -> None:

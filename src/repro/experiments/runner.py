@@ -203,9 +203,7 @@ def build_context(
             "tau_max_km": tau_max_km,
             "representative_strategy": "closest",
         }
-        mismatched = any(
-            saved_params.get(key) != value for key, value in requested.items()
-        )
+        mismatched = any(saved_params[key] != value for key, value in requested.items())
         # a --max-instances-capped index has the right params but a short
         # ladder; the full ladder has ⌊log_{1+γ}(τ_max/τ_min)⌋ + 1 instances
         expected_instances = (

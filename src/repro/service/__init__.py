@@ -4,7 +4,7 @@ NetClus is an *index*: built once per city, then queried many times for TOPS
 placements at varying (τ, k, cost, capacity).  This package turns the
 in-memory :class:`~repro.core.netclus.NetClusIndex` into a service:
 
-* :mod:`repro.service.serialization` — versioned on-disk format
+* :mod:`repro.service.serialization` — the on-disk format, v5 only
   (:func:`save_index` / :func:`load_index`): a packed ``payload.bin`` blob,
   mapped read-only on load, plus a JSON manifest with format version, the
   blob's offset table, build parameters and graph/trajectory fingerprints.
@@ -28,8 +28,14 @@ in-memory :class:`~repro.core.netclus.NetClusIndex` into a service:
   /healthz``; bounded admission with 503 backpressure, per-request
   timeouts, and graceful drain on shutdown.  Blocking placement work runs
   on a sized thread pool so the event loop never stalls.
+* :mod:`repro.service.farm` — :class:`IndexFarm`, many tenant indexes in
+  one process under one memory budget: tenants load lazily from their
+  directories, the least recently used are evicted to fit, and every
+  update writes through to the tenant's directory, so eviction never
+  changes an answer.  The server serves a farm on tenant-scoped
+  endpoints (``POST /t/<tenant>/query``, ``POST /t/<tenant>/update``).
 * ``python -m repro.service`` — the ``build`` / ``query`` / ``serve`` /
-  ``update`` / ``inspect`` CLI.
+  ``farm`` / ``update`` / ``inspect`` CLI.
 
 See ``docs/architecture.md`` for where this layer sits and
 ``docs/index-format.md`` for the on-disk format specification.
@@ -39,7 +45,6 @@ from repro.service.farm import IndexFarm, TenantRecord, UnknownTenantError
 from repro.service.placement import PlacementService, ServiceStats
 from repro.service.serialization import (
     FORMAT_VERSION,
-    SUPPORTED_FORMAT_VERSIONS,
     IndexFormatError,
     graph_fingerprint,
     load_index,
@@ -76,6 +81,5 @@ __all__ = [
     "trajectory_fingerprint",
     "payload_digest",
     "FORMAT_VERSION",
-    "SUPPORTED_FORMAT_VERSIONS",
     "IndexFormatError",
 ]

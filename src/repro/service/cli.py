@@ -56,7 +56,7 @@ from repro.datasets import (
 from repro.datasets.base import DatasetBundle
 from repro.service.placement import PlacementService
 from repro.service.serialization import load_manifest, save_index
-from repro.service.specs import QuerySpec
+from repro.service.specs import QuerySpec, update_batch_from_dict
 
 __all__ = ["main"]
 
@@ -332,52 +332,21 @@ def _cmd_farm(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 # update
 # ---------------------------------------------------------------------- #
-def _load_json(path: str, expected: str) -> list:
-    with open(path) as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, list):
-        raise SystemExit(f"{path}: expected a JSON array of {expected}")
-    return payload
-
-
 def _cmd_update(args: argparse.Namespace) -> int:
-    from repro.core.netclus import UpdateBatch
     from repro.service.serialization import load_index
-    from repro.trajectory.model import Trajectory
     from repro.utils.timer import Timer
 
-    if not any(
-        (args.add_trajectories, args.remove_trajectories, args.add_sites, args.remove_sites)
-    ):
+    keys = ("add_trajectories", "remove_trajectories", "add_sites", "remove_sites")
+    files = {key: getattr(args, key) for key in keys if getattr(args, key)}
+    if not files:
         raise SystemExit("update: no delta files given (nothing to do)")
-    content_fingerprint = (
-        load_manifest(args.index).get("fingerprints", {}).get("trajectory_content")
-    )
+    content_fingerprint = load_manifest(args.index)["fingerprints"].get("trajectory_content")
     index = load_index(args.index)
-    add_trajectories = []
-    if args.add_trajectories:
-        for entry in _load_json(args.add_trajectories, "trajectory objects"):
-            if not isinstance(entry, dict) or "traj_id" not in entry or "nodes" not in entry:
-                raise SystemExit(
-                    f"{args.add_trajectories}: each entry needs 'traj_id' and 'nodes'"
-                )
-            add_trajectories.append(
-                Trajectory.from_nodes(
-                    int(entry["traj_id"]),
-                    [int(n) for n in entry["nodes"]],
-                    index.network,
-                )
-            )
-    batch = UpdateBatch(
-        add_trajectories=add_trajectories,
-        remove_trajectories=(
-            _load_json(args.remove_trajectories, "trajectory ids")
-            if args.remove_trajectories
-            else ()
-        ),
-        add_sites=_load_json(args.add_sites, "node ids") if args.add_sites else (),
-        remove_sites=_load_json(args.remove_sites, "node ids") if args.remove_sites else (),
-    )
+    delta = {key: json.loads(Path(path).read_text()) for key, path in files.items()}
+    try:
+        batch = update_batch_from_dict(delta, index.network)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise SystemExit(f"update: bad delta: {exc}") from None
     version_before = index.version
     with Timer() as timer:
         applied = index.apply_updates(batch)
@@ -424,14 +393,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     params = manifest["build_params"]
     prints = manifest["fingerprints"]
     print(f"format           : {manifest['format']} v{manifest['format_version']}")
-    print(f"update version   : {manifest.get('index_version', 0)}")
+    print(f"update version   : {manifest['index_version']}")
     print(
         f"build params     : gamma={params['gamma']}, "
         f"tau=[{params['tau_min_km']}, {params['tau_max_km']}] km"
     )
-    max_instances = params.get("max_instances")
+    max_instances = params["max_instances"]
     print(
-        f"representatives  : {params.get('representative_strategy', 'closest')}, "
+        f"representatives  : {params['representative_strategy']}, "
         f"instance cap "
         f"{'none (full ladder)' if max_instances is None else max_instances}"
     )
@@ -447,7 +416,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"graph sha256     : {prints['graph'][:16]}…")
     print(f"trajectories sha : {prints['trajectories'][:16]}…")
     print(f"payload sha256   : {prints['payload_sha256'][:16]}…")
-    build_stats = manifest.get("build_stats", [])
+    build_stats = manifest["build_stats"]
     if build_stats:
         print()
         print("offline pipeline :")
@@ -467,7 +436,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             f"{f'[{low:.2f}, {high:.2f})':>18} {entry['num_clusters']:>9} "
             f"{entry['num_representatives']:>6} {entry['build_seconds']:>8.2f}"
         )
-    coverage_parts = manifest.get("coverage_parts", [])
+    coverage_parts = manifest["coverage_parts"]
     if coverage_parts:
         print()
         header = (

@@ -141,7 +141,7 @@ class IndexFarm:
             record = TenantRecord(
                 name=name,
                 directory=path,
-                storage_bytes=int(manifest.get("storage_bytes", 0)),
+                storage_bytes=manifest["storage_bytes"],
             )
             self._tenants[name] = record
             return record
@@ -202,7 +202,7 @@ class IndexFarm:
                 record.loads += 1
                 self._loads_total += 1
                 manifest = load_manifest(record.directory)
-                record.storage_bytes = int(manifest.get("storage_bytes", 0))
+                record.storage_bytes = manifest["storage_bytes"]
             self._enforce_budget(keep=name)
             return record.service
 
@@ -289,7 +289,7 @@ class IndexFarm:
         with self._lock:
             record = self._record(name)
             manifest = load_manifest(record.directory)
-            record.storage_bytes = int(manifest.get("storage_bytes", 0))
+            record.storage_bytes = manifest["storage_bytes"]
             self._enforce_budget(keep=name)
         return applied
 

@@ -54,25 +54,14 @@ Integrity rests on the offset table: the blob's size must equal the
 manifest's ``payload_total_bytes`` (truncation check) and every entry must
 lie in bounds with ``nbytes`` matching its dtype/shape product — any
 mismatch raises :class:`IndexFormatError` before a single page is touched.
-The whole-file ``payload_sha256`` fingerprint is still written (offline
+The whole-file ``payload_sha256`` fingerprint is written (offline
 verification; :func:`save_index` hashes the bytes as it writes them) but
 not hashed on load.  A loaded index keeps the network's views and verified
 fingerprint, so re-saving it never re-flattens the network.
 
-:func:`save_index` writes v5 only.  v4 directories hold the same blob
-plus derived copies of each instance's node → cluster assignment and of
-each part's representative layout, which loads never read.  Directories
-written by older releases (v1–v3: a compressed ``payload.npz`` holding
-the v4 arrays under the same keys) still load: the ``.npz`` is
-hash-checked against the manifest's ``payload_sha256``, decompressed once
-into read-only arrays, and from there every load follows the blob path.
-v1 directories come back with ``version`` 0; v1 ``most_frequent`` indexes
-carry no visit counts (their re-elections fall back to proximity).  Saving
-a loaded older index rewrites the directory as v5 — that is the
-migration.  Manifests from
-older releases may also carry ``shards``/``shard_sizes`` keys (the layout
-of a since-removed sharded query path); loads ignore them and saves no
-longer write them.
+v5 is the only format :func:`save_index` writes and :func:`load_index`
+reads: another version, or a manifest missing or mangling any key v5
+writes (:data:`_MANIFEST_SCHEMA`), raises :class:`IndexFormatError`.
 """
 
 from __future__ import annotations
@@ -93,7 +82,6 @@ from repro.trajectory.model import TrajectoryDataset
 
 __all__ = [
     "FORMAT_VERSION",
-    "SUPPORTED_FORMAT_VERSIONS",
     "FORMAT_NAME",
     "IndexFormatError",
     "save_index",
@@ -105,18 +93,14 @@ __all__ = [
     "payload_digest",
 ]
 
-#: the only version written by :func:`save_index`; bump on any layout change
+#: the only version :func:`save_index` writes and :func:`load_index` reads;
+#: bump on any layout change
 FORMAT_VERSION = 5
-#: the versions :func:`load_index` can read (v1–v3 through the legacy
-#: ``.npz`` adapter; see the module docstring)
-SUPPORTED_FORMAT_VERSIONS = (1, 2, 3, 4, 5)
 FORMAT_NAME = "netclus-index"
 MANIFEST_FILE = "manifest.json"
 #: the payload: one packed blob of raw array bytes, described by the
-#: manifest's ``payload_arrays`` offset table (format v4 and later)
+#: manifest's ``payload_arrays`` offset table
 PAYLOAD_BLOB_FILE = "payload.bin"
-#: the compressed payload of v1–v3 directories (read, never written)
-LEGACY_PAYLOAD_FILE = "payload.npz"
 #: every array in the blob starts at a multiple of this (cache-line
 #: alignment; comfortably covers any numpy itemsize)
 BLOB_ALIGN = 64
@@ -129,9 +113,10 @@ META_BUILD_SECONDS_SLOT = 2
 class IndexFormatError(RuntimeError):
     """Raised when an on-disk index cannot be loaded safely.
 
-    Covers unknown format names/versions, missing files, payload corruption
-    (payload hash mismatch), and graph/trajectory fingerprint mismatches
-    against what the caller supplied.
+    Covers unknown format names/versions, missing files, a missing or
+    malformed manifest key, payload corruption (blob size, offset table,
+    array structure), and graph/trajectory fingerprint mismatches against
+    what the caller supplied.
     """
 
 
@@ -211,16 +196,8 @@ def dataset_matches(index: NetClusIndex, dataset: TrajectoryDataset) -> bool:
     )
 
 
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------- #
-# the packed blob + offset table (format v4 and later)
+# the packed blob + offset table
 # ---------------------------------------------------------------------- #
 _T = TypeVar("_T")
 
@@ -287,10 +264,8 @@ def _write_blob(
     return table, cursor, digest.hexdigest()
 
 
-def _open_blob(
-    directory: Path, manifest: dict[str, Any]
-) -> tuple[np.memmap, dict[str, dict[str, Any]]]:
-    """Map a blob read-only after validating its offset table.
+def _map_blob(directory: Path, manifest: dict[str, Any]) -> dict[str, np.ndarray]:
+    """Map the blob read-only; return a zero-copy view per offset-table entry.
 
     Raises :class:`IndexFormatError` on a missing blob, a size/truncation
     mismatch against the manifest's ``payload_total_bytes``, or any
@@ -300,17 +275,19 @@ def _open_blob(
     blob_path = directory / PAYLOAD_BLOB_FILE
     if not blob_path.is_file():
         raise IndexFormatError(f"no {PAYLOAD_BLOB_FILE} in {directory}")
-    table = manifest.get("payload_arrays")
-    if not isinstance(table, dict) or not table:
-        raise IndexFormatError("manifest has no payload_arrays offset table")
-    total = int(manifest.get("payload_total_bytes", -1))
+    total = manifest["payload_total_bytes"]
     actual = blob_path.stat().st_size
     if actual != total:
         raise IndexFormatError(
             f"payload blob size mismatch: {PAYLOAD_BLOB_FILE} holds {actual} "
             f"bytes, manifest declares {total} (truncated or corrupted index)"
         )
-    for key, entry in table.items():
+    # one .view(np.ndarray) drops the memmap wrapper, whose per-slice and
+    # per-element bookkeeping costs microseconds a call; the plain ndarray
+    # keeps the mapping alive through .base and stays zero-copy + read-only
+    raw = np.memmap(blob_path, dtype=np.uint8, mode="r").view(np.ndarray)
+    views: dict[str, np.ndarray] = {}
+    for key, entry in manifest["payload_arrays"].items():
         try:
             offset = int(entry["offset"])
             nbytes = int(entry["nbytes"])
@@ -333,23 +310,6 @@ def _open_blob(
                 f"payload array {key!r}: offset-table entry out of bounds "
                 f"(offset={offset}, nbytes={nbytes}, blob={total})"
             )
-    blob = np.memmap(blob_path, dtype=np.uint8, mode="r")
-    return blob, table
-
-
-def _blob_views(
-    blob: np.memmap, table: dict[str, dict[str, Any]]
-) -> dict[str, np.ndarray]:
-    """Zero-copy read-only array views over a validated blob."""
-    # one .view(np.ndarray) drops the memmap wrapper, whose per-slice and
-    # per-element bookkeeping costs microseconds a call; the plain ndarray
-    # keeps the mapping alive through .base and stays zero-copy + read-only
-    raw = blob.view(np.ndarray)
-    views: dict[str, np.ndarray] = {}
-    for key, entry in table.items():
-        offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-        dtype = np.dtype(str(entry["dtype"]))
-        shape = tuple(int(dim) for dim in entry["shape"])
         view = raw[offset : offset + nbytes].view(dtype).reshape(shape)
         view.flags.writeable = False  # inherited from mode="r"; made explicit
         views[key] = view
@@ -370,12 +330,10 @@ def save_index(
     Writes the ``payload.bin`` packed blob and ``manifest.json`` (offset
     table, metadata, fingerprints).  Returns the directory path.  The
     format is documented in ``docs/index-format.md``; load with
-    :func:`load_index`.  Saving over an older directory migrates it: a
-    v1–v3 ``payload.npz`` is removed once the new manifest has been
-    committed.  The blob and the manifest are each renamed into place from
-    a staging file of this call's own (:func:`_commit_file`), but as two
-    separate commits, so concurrent saves into one directory must still be
-    serialised by the caller.
+    :func:`load_index`.  The blob and the manifest are each renamed into
+    place from a staging file of this call's own (:func:`_commit_file`),
+    but as two separate commits, so concurrent saves into one directory
+    must still be serialised by the caller.
 
     When *dataset* (the trajectories the index was built on) is supplied,
     its content fingerprint is recorded too, letting :func:`load_index`
@@ -415,12 +373,8 @@ def save_index(
             "max_instances": index.max_instances,
         },
         "index_version": index.version,
-        **(
-            {"build_stats": [stat.as_dict() for stat in index.build_stats]}
-            if index.build_stats
-            else {}
-        ),
-        **({"coverage_parts": coverage_parts} if coverage_parts else {}),
+        "build_stats": [stat.as_dict() for stat in index.build_stats],
+        "coverage_parts": coverage_parts,
         "num_instances": index.num_instances,
         "num_trajectories": index.num_trajectories,
         "num_sites": len(index.sites),
@@ -453,9 +407,6 @@ def save_index(
     }
     manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     _commit_file(directory, MANIFEST_FILE, lambda handle: handle.write(manifest_bytes))
-    # only now is the directory v5: unlinking a v1–v3 payload any earlier
-    # would leave its still-current legacy manifest without a payload
-    (directory / LEGACY_PAYLOAD_FILE).unlink(missing_ok=True)
     return directory
 
 
@@ -489,10 +440,7 @@ def _coverage_part_arrays(
 
 
 def _attach_coverage_parts(
-    index: NetClusIndex,
-    manifest: dict[str, Any],
-    arrays: dict[str, np.ndarray],
-    instance_ids: list[int],
+    index: NetClusIndex, manifest: dict[str, Any], arrays: dict[str, np.ndarray]
 ) -> None:
     """Attach the manifest's coverage parts to *index*.
 
@@ -504,56 +452,49 @@ def _attach_coverage_parts(
     canonical, so rows, columns, estimates and the cell order are checked
     before the part is attached.  A part's columns are its instance's
     representatives, so every column must lie below that instance's
-    representative count; the instance id must be one of *instance_ids*.
+    representative count; the instance id must be one of the index's.
     """
     from repro.core.covcache import CoveragePart, coverage_cache_key
     from repro.core.coverage import cell_keys
     from repro.core.preference import is_registered, make_preference
 
-    part_entries = manifest.get("coverage_parts", [])
+    part_entries = manifest["coverage_parts"]
     if not part_entries:
         return
-    cache = index.enable_coverage_cache(limit=max(len(part_entries), 1))
-    known_instance_ids = set(instance_ids)
+    cache = index.enable_coverage_cache(limit=len(part_entries))
+    instances = {instance.instance_id: instance for instance in index.instances}
     for entry in part_entries:
-        if int(entry.get("index_version", -1)) != index.version:
+        if entry["index_version"] != index.version:
             continue  # stale part: refuse, fall back to a cold rebuild
-        slot = int(entry["slot"])
+        slot = entry["slot"]
         prefix = f"cov{slot}_"
         label = f"coverage part {slot}"
         missing = [key for key in _COVERAGE_PART_KEYS if prefix + key not in arrays]
         if missing:
-            raise IndexFormatError(
-                f"{label}: payload arrays missing ({', '.join(missing)})"
-            )
-        name = str(entry.get("preference", ""))
-        params = {
-            str(k): float(v) for k, v in dict(entry.get("preference_params", {})).items()
-        }
+            raise IndexFormatError(f"{label}: payload arrays missing ({', '.join(missing)})")
+        name, params = entry["preference"], entry["preference_params"]
         try:
-            preference = make_preference(name, **params)
+            preference = make_preference(name, **{k: float(v) for k, v in params.items()})
         except Exception as exc:
-            raise IndexFormatError(f"{label}: unknown preference {name!r}") from exc
+            raise IndexFormatError(f"{label}: unknown preference {name!r} {params}") from exc
         if not is_registered(preference):
             raise IndexFormatError(f"{label}: unregistered preference {name!r}")
         tau_km = float(entry["tau_km"])
-        instance_id = int(entry["instance_id"])
-        if instance_id not in known_instance_ids:
+        instance_id = entry["instance_id"]
+        if instance_id not in instances:
             raise IndexFormatError(f"{label}: index has no instance {instance_id}")
-        num_columns = index.instances[instance_ids.index(instance_id)].num_representatives
-        rows = arrays[prefix + "rows"]
-        cols = arrays[prefix + "cols"]
-        estimates = arrays[prefix + "est"]
+        num_columns = instances[instance_id].num_representatives
+        rows, cols, estimates = (arrays[prefix + key] for key in _COVERAGE_PART_KEYS)
         if rows.dtype != np.int64 or cols.dtype != np.int64 or estimates.dtype != np.float64:
             raise IndexFormatError(f"{label}: entry arrays have wrong dtypes")
-        declared = int(entry.get("num_entries", len(rows)))
+        declared = entry["num_entries"]
         if not (len(rows) == len(cols) == len(estimates) == declared):
             raise IndexFormatError(
                 f"{label}: entry arrays are inconsistent "
                 f"(rows={len(rows)}, cols={len(cols)}, est={len(estimates)}, "
                 f"declared={declared})"
             )
-        num_trajectories = int(entry.get("num_trajectories", index.num_trajectories))
+        num_trajectories = entry["num_trajectories"]
         if num_trajectories != index.num_trajectories:
             raise IndexFormatError(
                 f"{label}: registry size mismatch "
@@ -649,15 +590,19 @@ def _network_arrays(network: RoadNetwork) -> dict[str, np.ndarray]:
     }
 
 
+#: the visit-count bookkeeping arrays of a ``most_frequent`` index
+_VISIT_KEYS = ("visit_counts", "traj_nodes_indptr", "traj_nodes_flat")
+
+
 def _visit_arrays(index: NetClusIndex) -> dict[str, np.ndarray]:
-    """Visit-count bookkeeping arrays (format v2, ``most_frequent`` only).
+    """Visit-count bookkeeping arrays (``most_frequent`` indexes only).
 
     ``visit_counts`` is the per-node distinct-trajectory count;
     ``traj_nodes_indptr``/``traj_nodes_flat`` hold each trajectory's unique
     node array (in registry order), which dynamic removal needs to decrement
-    the counts.  An index that does not track visits contributes nothing.
+    the counts.  A ``closest`` index contributes nothing.
     """
-    if not index._tracks_visits:
+    if index.representative_strategy != "most_frequent":
         return {}
     node_lists = [index._trajectory_nodes[traj_id] for traj_id in index.trajectory_ids]
     counts = np.asarray([len(nodes) for nodes in node_lists], dtype=np.int64)
@@ -708,28 +653,118 @@ def _instance_arrays(instance: NetClusInstance) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------- #
 # load
 # ---------------------------------------------------------------------- #
+#: every key a v5 manifest holds and what its value must be: ``int``,
+#: ``float`` (any JSON number) or ``str``; a dict is an object with those
+#: keys, a one-element list a list of such values, a longer list exactly
+#: that many values, a tuple one of its members.  Only
+#: ``fingerprints.trajectory_content`` is optional.
+_MANIFEST_SCHEMA: dict[str, Any] = {
+    # the arrays every index holds; _map_blob checks each table entry
+    "payload_arrays": {key: dict for key in (*_NETWORK_KEYS, "sites", "trajectory_ids")},
+    "payload_total_bytes": int,
+    "build_params": {
+        "gamma": float,
+        "tau_min_km": float,
+        "tau_max_km": float,
+        "representative_strategy": ("closest", "most_frequent"),
+        "max_instances": (int, None),
+    },
+    "index_version": int,
+    "build_stats": [{"stage": str, "seconds": float, "per_instance_seconds": [float]}],
+    "coverage_parts": [
+        {
+            "slot": int,
+            "tau_km": float,
+            "preference": str,
+            "preference_params": dict,
+            "instance_id": int,
+            "index_version": int,
+            "num_trajectories": int,
+            "num_entries": int,
+        }
+    ],
+    "num_instances": int,
+    "num_trajectories": int,
+    "num_sites": int,
+    "num_nodes": int,
+    "num_edges": int,
+    "storage_bytes": int,
+    "build_seconds": float,
+    "fingerprints": {"payload_sha256": str, "graph": str, "trajectories": str},
+    "instances": [
+        {
+            "instance_id": int,
+            "radius_km": float,
+            "tau_range_km": [float, float],
+            "num_clusters": int,
+            "num_representatives": int,
+            "build_seconds": float,
+            "mean_dominating_set_size": float,
+        }
+    ],
+}
+
+
+def _check_schema(value: Any, kind: Any, where: str) -> None:
+    """Raise :class:`IndexFormatError` unless *value* is of *kind*."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise IndexFormatError(f"{where} is not a JSON object")
+        for key, item_kind in kind.items():
+            if key not in value:
+                raise IndexFormatError(f"{where}.{key} is missing")
+            _check_schema(value[key], item_kind, f"{where}.{key}")
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise IndexFormatError(f"{where} is not a JSON array")
+        kinds = kind * len(value) if len(kind) == 1 else kind
+        if len(value) != len(kinds):
+            raise IndexFormatError(f"{where} holds {len(value)} values, not {len(kinds)}")
+        for position, (item, item_kind) in enumerate(zip(value, kinds)):
+            _check_schema(item, item_kind, f"{where}[{position}]")
+    elif not _is_kind(value, kind):
+        raise IndexFormatError(f"{where} is malformed ({value!r})")
+
+
+def _is_kind(value: Any, kind: Any) -> bool:
+    if isinstance(kind, tuple):
+        return any(_is_kind(value, option) for option in kind)
+    if kind is float:
+        kind = (int, float)
+    elif not isinstance(kind, type):
+        return bool(value == kind)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def load_manifest(path: str | Path) -> dict[str, Any]:
     """Read and validate the manifest of an index directory.
 
-    Checks the format name and version only; :func:`load_index` additionally
-    verifies the payload and fingerprints.
+    Checks the format name and version and that every key v5 writes is
+    present and well-typed (:data:`_MANIFEST_SCHEMA`); :func:`load_index`
+    additionally verifies the payload and fingerprints.
     """
     directory = Path(path)
     manifest_path = directory / MANIFEST_FILE
     if not manifest_path.is_file():
         raise IndexFormatError(f"no {MANIFEST_FILE} in {directory}")
     with open(manifest_path) as handle:
-        manifest = json.load(handle)
-    if manifest.get("format") != FORMAT_NAME:
-        raise IndexFormatError(
-            f"not a {FORMAT_NAME} directory (format={manifest.get('format')!r})"
-        )
+        try:
+            manifest = json.load(handle)
+        except ValueError as exc:
+            raise IndexFormatError(f"{MANIFEST_FILE} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
+        found = manifest.get("format") if isinstance(manifest, dict) else None
+        raise IndexFormatError(f"not a {FORMAT_NAME} directory (format={found!r})")
     version = manifest.get("format_version")
-    if version not in SUPPORTED_FORMAT_VERSIONS:
+    if version != FORMAT_VERSION:
         raise IndexFormatError(
-            f"unsupported format version {version!r} (this build reads "
-            f"versions {sorted(SUPPORTED_FORMAT_VERSIONS)})"
+            f"unsupported format version {version!r} (this build reads only "
+            f"version {FORMAT_VERSION})"
         )
+    # v5 directories saved without warm parts by earlier writers carry no
+    # coverage_parts key; it means exactly what the empty list means
+    manifest.setdefault("coverage_parts", [])
+    _check_schema(manifest, _MANIFEST_SCHEMA, "manifest")
     return manifest
 
 
@@ -774,17 +809,12 @@ def load_index(
     """
     directory = Path(path)
     manifest = load_manifest(directory)
-    fingerprints = manifest.get("fingerprints", {})
-    arrays: dict[str, np.ndarray]
-    if int(manifest["format_version"]) >= 4:
-        # map the packed blob once; views are zero-copy and read-only, and
-        # nothing below this line decompresses or hashes the payload —
-        # integrity rests on the offset-table validation in _open_blob plus
-        # the structural fingerprint checks over the arrays actually read
-        blob, table = _open_blob(directory, manifest)
-        arrays = _blob_views(blob, table)
-    else:
-        arrays = _legacy_arrays(directory, fingerprints)
+    fingerprints = manifest["fingerprints"]
+    # map the packed blob once; views are zero-copy and read-only, and
+    # nothing below this line hashes the payload — integrity rests on the
+    # offset-table validation in _map_blob plus the structural and
+    # fingerprint checks over the arrays actually read
+    arrays = _map_blob(directory, manifest)
 
     if network is None:
         network = _rebuild_network(arrays)
@@ -794,19 +824,19 @@ def load_index(
     else:
         network_arrays = _network_arrays(network)
     actual_graph = _graph_fingerprint_from_arrays(network_arrays)
-    if actual_graph != fingerprints.get("graph"):
+    if actual_graph != fingerprints["graph"]:
         raise IndexFormatError(
             "graph fingerprint mismatch: the supplied road network is not "
             "the one this index was built on"
         )
     trajectory_ids = arrays["trajectory_ids"].tolist()
-    if trajectory_fingerprint(trajectory_ids) != fingerprints.get("trajectories"):
+    if trajectory_fingerprint(trajectory_ids) != fingerprints["trajectories"]:
         raise IndexFormatError(
             "trajectory fingerprint mismatch: payload registry does not "
             "match the manifest"
         )
     if dataset is not None:
-        if trajectory_fingerprint(dataset.ids()) != fingerprints.get("trajectories"):
+        if trajectory_fingerprint(dataset.ids()) != fingerprints["trajectories"]:
             raise IndexFormatError(
                 "trajectory fingerprint mismatch: the supplied dataset is not "
                 "the one this index was built on"
@@ -822,68 +852,57 @@ def load_index(
             )
 
     params = manifest["build_params"]
-    instance_ids = [int(entry["instance_id"]) for entry in manifest["instances"]]
-    node_visit_counts = None
-    trajectory_nodes = None
-    if "visit_counts" in arrays:  # most_frequent indexes only (v2 and later)
-        # zero-copy read-only views; NetClusIndex copies-on-write
-        node_visit_counts = arrays["visit_counts"]
-        indptr = arrays["traj_nodes_indptr"]
-        flat = arrays["traj_nodes_flat"]
-        trajectory_nodes = {
-            traj_id: flat[int(indptr[row]) : int(indptr[row + 1])]
-            for row, traj_id in enumerate(trajectory_ids)
-        }
+    node_visit_counts: np.ndarray | None = None
+    trajectory_nodes: dict[int, np.ndarray] | None = None
+    if params["representative_strategy"] == "most_frequent":
+        node_visit_counts, trajectory_nodes = _load_visits(
+            arrays, trajectory_ids, network.num_nodes
+        )
     index = NetClusIndex(
         network=network,
         sites=arrays["sites"].tolist(),
         instances=[
-            _load_instance(arrays, instance_id, network.num_nodes)
-            for instance_id in instance_ids
+            _load_instance(arrays, entry["instance_id"], network.num_nodes)
+            for entry in manifest["instances"]
         ],
         tau_min_km=float(params["tau_min_km"]),
         tau_max_km=float(params["tau_max_km"]),
         gamma=float(params["gamma"]),
         trajectory_ids=trajectory_ids,
-        representative_strategy=str(params.get("representative_strategy", "closest")),
-        version=int(manifest.get("index_version", 0)),
+        representative_strategy=params["representative_strategy"],
+        version=manifest["index_version"],
         node_visit_counts=node_visit_counts,
         trajectory_nodes=trajectory_nodes,
-        build_stats=[
-            BuildStats.from_dict(entry) for entry in manifest.get("build_stats", [])
-        ],
-        max_instances=(
-            int(params["max_instances"])
-            if params.get("max_instances") is not None
-            else None
-        ),
+        build_stats=[BuildStats.from_dict(entry) for entry in manifest["build_stats"]],
+        max_instances=params["max_instances"],
     )
     index._network_payload = (network_arrays, actual_graph)
     if with_coverage:
-        _attach_coverage_parts(index, manifest, arrays, instance_ids)
+        _attach_coverage_parts(index, manifest, arrays)
     return index
 
 
-def _legacy_arrays(directory: Path, fingerprints: dict[str, Any]) -> dict[str, np.ndarray]:
-    """The payload arrays of a v1–v3 directory, as read-only arrays.
-
-    The compressed ``payload.npz`` holds the same arrays under the same
-    keys as the v4 blob.  It is hash-checked against the manifest, then
-    decompressed once; from here on the load is the blob path.
-    """
-    payload_path = directory / LEGACY_PAYLOAD_FILE
-    if not payload_path.is_file():
-        raise IndexFormatError(f"no {LEGACY_PAYLOAD_FILE} in {directory}")
-    if _file_sha256(payload_path) != fingerprints.get("payload_sha256"):
-        raise IndexFormatError(
-            f"payload fingerprint mismatch: {LEGACY_PAYLOAD_FILE} does not match "
-            "the manifest (corrupted or partially written index)"
-        )
-    with np.load(payload_path) as payload:
-        arrays = {key: payload[key] for key in payload.files}
-    for array in arrays.values():
-        array.flags.writeable = False
-    return arrays
+def _load_visits(
+    arrays: dict[str, np.ndarray], trajectory_ids: list[int], num_nodes: int
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The visit-count bookkeeping of a ``most_frequent`` index, as zero-copy
+    read-only views (``NetClusIndex`` copies them on write).  Re-elections
+    rank by these counts, so missing or malformed arrays raise
+    :class:`IndexFormatError`."""
+    missing = [key for key in _VISIT_KEYS if key not in arrays]
+    if missing:
+        raise IndexFormatError(f"most_frequent index without visit arrays {missing}")
+    counts, indptr, flat = (arrays[key] for key in _VISIT_KEYS)
+    if any(array.dtype != np.int64 or array.ndim != 1 for array in (counts, indptr, flat)):
+        raise IndexFormatError("visit arrays are not 1-d int64 arrays")
+    if len(counts) != num_nodes or len(indptr) != len(trajectory_ids) + 1:
+        raise IndexFormatError("visit arrays do not match the network and registry")
+    _require_offsets(indptr, len(flat), "traj_nodes_indptr")
+    _require_range(flat, num_nodes, "traj_nodes_flat")
+    return counts, {
+        traj_id: flat[int(indptr[row]) : int(indptr[row + 1])]
+        for row, traj_id in enumerate(trajectory_ids)
+    }
 
 
 def _rebuild_network(arrays: dict[str, np.ndarray]) -> RoadNetwork:
@@ -942,8 +961,7 @@ def _load_instance(
         indptr, ids, vals = (found[key + part] for part in ("_indptr", "_ids", "_vals"))
         if len(indptr) != num_clusters + 1 or len(ids) != len(vals):
             raise IndexFormatError(f"{label}: {key} arrays have inconsistent lengths")
-        if indptr[0] != 0 or indptr[-1] != len(ids) or np.any(indptr[1:] < indptr[:-1]):
-            raise IndexFormatError(f"{label}: {key}_indptr is not a valid offset array")
+        _require_offsets(indptr, len(ids), f"{label}: {key}_indptr")
         ragged[key] = Ragged(indptr, ids, vals)
     for suffix, bound in (
         ("nb_ids", num_clusters),
@@ -972,6 +990,13 @@ def _load_instance(
         build_seconds=float(meta[2]),
         mean_dominating_set_size=float(meta[3]),
     )
+
+
+def _require_offsets(indptr: np.ndarray, length: int, label: str) -> None:
+    """Raise :class:`IndexFormatError` unless *indptr* runs from 0 up to
+    *length* without decreasing."""
+    if indptr[0] != 0 or indptr[-1] != length or np.any(indptr[1:] < indptr[:-1]):
+        raise IndexFormatError(f"{label} is not a valid offset array")
 
 
 def _require_range(values: np.ndarray, bound: int, label: str) -> None:

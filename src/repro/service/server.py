@@ -70,8 +70,7 @@ from repro.core.query import TOPSResult
 from repro.network.graph import RoadNetwork
 from repro.service.farm import IndexFarm
 from repro.service.placement import PlacementService
-from repro.service.specs import QuerySpec
-from repro.trajectory.model import Trajectory
+from repro.service.specs import QuerySpec, update_batch_from_dict
 from repro.utils.concurrency import guarded_by
 from repro.utils.validation import require
 
@@ -699,34 +698,8 @@ class PlacementServer:
             payload = json.loads(body or b"null")
         except json.JSONDecodeError as exc:
             raise _BadRequest(f"body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise _BadRequest("expected a JSON object with update-delta keys")
-        known = {"add_trajectories", "remove_trajectories", "add_sites", "remove_sites"}
-        unknown = set(payload) - known
-        if unknown:
-            raise _BadRequest(f"unknown update fields: {sorted(unknown)}")
-        if not any(payload.get(key) for key in known):
-            raise _BadRequest("empty update: no delta keys given")
-        add_trajectories = []
         try:
-            for entry in payload.get("add_trajectories", ()):
-                if not isinstance(entry, dict) or {"traj_id", "nodes"} - entry.keys():
-                    raise _BadRequest("each added trajectory needs 'traj_id' and 'nodes'")
-                add_trajectories.append(
-                    Trajectory.from_nodes(
-                        int(entry["traj_id"]), [int(n) for n in entry["nodes"]], network
-                    )
-                )
-            return UpdateBatch(
-                add_trajectories=add_trajectories,
-                remove_trajectories=[
-                    int(t) for t in payload.get("remove_trajectories", ())
-                ],
-                add_sites=[int(s) for s in payload.get("add_sites", ())],
-                remove_sites=[int(s) for s in payload.get("remove_sites", ())],
-            )
-        except _BadRequest:
-            raise
+            return update_batch_from_dict(payload, network)
         except (ValueError, TypeError, KeyError) as exc:
             raise _BadRequest(f"bad update delta: {exc}") from None
 

@@ -10,21 +10,25 @@ uniform costs), and ``existing_sites`` (TOPS with existing services).
 Being a frozen dataclass of primitives, a spec can be used directly as an
 LRU-cache key and round-trips through JSON/CSV (:meth:`QuerySpec.to_dict` /
 :meth:`QuerySpec.from_dict`), which is what the ``python -m repro.service
-query`` CLI reads.
+query`` CLI reads.  :func:`update_batch_from_dict` is the matching parser
+for update deltas (``POST /update`` and the ``update`` CLI).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.core.netclus import UpdateBatch
 from repro.core.preference import PreferenceFunction, make_preference
 from repro.core.query import TOPSQuery
+from repro.network.graph import RoadNetwork
+from repro.trajectory.model import Trajectory
 from repro.utils.validation import require, require_positive
 
-__all__ = ["QuerySpec"]
+__all__ = ["QuerySpec", "update_batch_from_dict"]
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,11 @@ class QuerySpec:
         Recognised keys: ``k``, ``tau_km``, ``preference``,
         ``preference_params`` (object), ``capacity``, ``budget``,
         ``site_cost``, ``existing_sites`` (list).  Unknown keys raise, so a
-        typo in a batch file fails loudly instead of being ignored.  ``k``
-        must be integral (``3``, ``3.0`` or the CSV string ``"3"``; never
-        ``2.5`` or a bool), and τ, budget and site cost finite.
+        typo in a batch file fails loudly instead of being ignored.  ``k``,
+        ``capacity`` must be integral (``3``, ``3.0`` or the CSV string
+        ``"3"``; never ``2.5`` or a bool), ``existing_sites`` a list of
+        integral JSON numbers, and τ, budget and site cost finite, positive
+        numbers.
         """
         known = {
             "k",
@@ -187,20 +193,53 @@ class QuerySpec:
         require(not unknown, f"unknown QuerySpec fields: {sorted(unknown)}")
         require("k" in payload and "tau_km" in payload, "a spec needs k and tau_km")
         params = payload.get("preference_params", {})
+        capacity = payload.get("capacity")
+        budget = payload.get("budget")
         return cls(
             k=_integral(payload["k"], "k"),
-            tau_km=float(payload["tau_km"]),
+            tau_km=_number(payload["tau_km"], "tau_km"),
             preference=str(payload.get("preference", "binary")),
             preference_params=tuple(sorted((str(k), float(v)) for k, v in params.items())),
-            capacity=_opt_int(payload.get("capacity")),
-            budget=_opt_float(payload.get("budget")),
-            site_cost=float(payload.get("site_cost", 1.0) or 1.0),
-            existing_sites=tuple(int(s) for s in payload.get("existing_sites", ())),
+            capacity=None if capacity is None else _integral(capacity, "capacity"),
+            budget=None if budget is None else _number(budget, "budget"),
+            site_cost=_number(payload.get("site_cost", 1.0), "site_cost"),
+            existing_sites=tuple(_ids(payload.get("existing_sites", []), "existing_sites")),
         )
 
-    def with_k(self, k: int) -> "QuerySpec":
-        """A copy of this spec with a different k."""
-        return replace(self, k=k)
+
+def update_batch_from_dict(payload: Any, network: RoadNetwork) -> UpdateBatch:
+    """Build an :class:`~repro.core.netclus.UpdateBatch` from a JSON delta.
+
+    Keys: ``add_trajectories`` (``{"traj_id": ..., "nodes": [...]}``
+    objects; nodes must follow edges of *network*), ``remove_trajectories``,
+    ``add_sites``, ``remove_sites``.  Every id must be an integral JSON
+    number and every id list a list of them; anything else, and an empty
+    delta, raises ``ValueError``.
+    """
+    require(isinstance(payload, Mapping), "expected a JSON object with update-delta keys")
+    known = {"add_trajectories", "remove_trajectories", "add_sites", "remove_sites"}
+    unknown = set(payload) - known
+    require(not unknown, f"unknown update fields: {sorted(unknown)}")
+    require(any(payload.get(key) for key in known), "empty update: no delta keys given")
+    entries = payload.get("add_trajectories", [])
+    require(isinstance(entries, list), f"add_trajectories must be a list, got {entries!r}")
+    add_trajectories: list[Trajectory] = []
+    for entry in entries:
+        require(
+            isinstance(entry, Mapping) and {"traj_id", "nodes"} <= entry.keys(),
+            "each added trajectory needs 'traj_id' and 'nodes'",
+        )
+        add_trajectories.append(
+            Trajectory.from_nodes(
+                _id(entry["traj_id"], "traj_id"), _ids(entry["nodes"], "nodes"), network
+            )
+        )
+    return UpdateBatch(
+        add_trajectories=add_trajectories,
+        remove_trajectories=_ids(payload.get("remove_trajectories", []), "remove_trajectories"),
+        add_sites=_ids(payload.get("add_sites", []), "add_sites"),
+        remove_sites=_ids(payload.get("remove_sites", []), "remove_sites"),
+    )
 
 
 def _integral(value: Any, name: str) -> int:
@@ -211,18 +250,25 @@ def _integral(value: Any, name: str) -> int:
     return int(value)
 
 
+def _number(value: Any, name: str) -> float:
+    """A float from a JSON number or CSV string, refusing bools."""
+    require(not isinstance(value, bool), f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _id(value: Any, name: str) -> int:
+    """An id from a JSON number: ``3`` or ``3.0``, never ``"3"``, ``2.5`` or a bool."""
+    is_number = isinstance(value, (numbers.Integral, float))
+    require(is_number, f"{name} must be an integer, got {value!r}")
+    return _integral(value, name)
+
+
+def _ids(value: Any, name: str) -> list[int]:
+    """A list of ids (see :func:`_id`)."""
+    require(isinstance(value, (list, tuple)), f"{name} must be a list, got {value!r}")
+    return [_id(item, name) for item in value]
+
+
 def _require_finite_positive(value: float, name: str) -> None:
     require_positive(value, name)
     require(math.isfinite(value), f"{name} must be finite, got {value!r}")
-
-
-def _opt_int(value: Any) -> int | None:
-    if value is None or value == "":
-        return None
-    return int(value)
-
-
-def _opt_float(value: Any) -> float | None:
-    if value is None or value == "":
-        return None
-    return float(value)

@@ -145,11 +145,6 @@ class FMSketchFamily:
         )
         np.bitwise_or(self.bits, other.bits, out=self.bits)
 
-    @staticmethod
-    def union_bits(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
-        """Vectorised OR of two raw bit arrays (used in tight greedy loops)."""
-        return np.bitwise_or(bits_a, bits_b)
-
     # ------------------------------------------------------------------ #
     def estimate(self) -> float:
         """Estimate the number of distinct inserted items."""

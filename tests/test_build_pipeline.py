@@ -193,19 +193,6 @@ class TestManifestStats:
         assert loaded.max_instances == 2
         assert loaded.num_instances == 2
 
-    def test_manifest_without_stats_loads_empty(self, tmp_path, sequential_index):
-        import json
-
-        directory = save_index(sequential_index, tmp_path / "idx")
-        manifest_path = directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest.pop("build_stats")
-        manifest["build_params"].pop("max_instances")
-        manifest_path.write_text(json.dumps(manifest))
-        loaded = load_index(directory)
-        assert loaded.build_stats == []
-        assert loaded.max_instances is None
-
 
 class TestRegistrationKernel:
     """The shared kernel is the only trajectory-registration implementation."""

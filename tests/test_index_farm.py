@@ -13,6 +13,9 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -327,6 +330,73 @@ def test_http_tenant_query_matches_direct(served_farm, tenant_dirs):
     assert result["per_trajectory_utility"] == pytest.approx(
         list(direct.per_trajectory_utility)
     )
+
+
+class GatedFarm(IndexFarm):
+    """A farm whose ``batch_query`` counts calls per tenant and waits on a
+    test-held gate (open at first), so requests stay in flight on demand."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.gate = threading.Event()
+        self.gate.set()
+        self.calls: Counter[str] = Counter()
+        self._calls_lock = threading.Lock()
+
+    def batch_query(self, name, specs, use_cache=True):
+        with self._calls_lock:
+            self.calls[name] += 1
+        assert self.gate.wait(timeout=20), "test gate never released"
+        return super().batch_query(name, specs, use_cache=use_cache)
+
+
+def _wait_until(predicate, message):
+    deadline = time.monotonic() + 10
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {message}"
+        time.sleep(0.005)
+
+
+def test_http_coalescing_is_tenant_scoped(tenant_dirs):
+    """While one spec is in flight for a tenant, the same spec for that
+    tenant joins it (one ``batch_query``), but the same spec for another
+    tenant runs on its own and answers from that tenant's index."""
+    farm = GatedFarm()
+    for name in ("nyk", "bjg"):
+        farm.add_tenant(name, tenant_dirs[name])
+    spec = {"k": 4, "tau_km": 1.0}
+    replies: dict[str, tuple] = {}
+
+    def post(key, tenant):
+        replies[key] = _http(handle.address, "POST", f"/t/{tenant}/query", [spec])
+
+    with serve_in_background(farm=farm) as handle:
+        farm.gate.clear()
+        threads = {
+            key: threading.Thread(target=post, args=(key, tenant))
+            for key, tenant in (("nyk1", "nyk"), ("nyk2", "nyk"), ("bjg", "bjg"))
+        }
+        threads["nyk1"].start()
+        _wait_until(lambda: farm.calls["nyk"] == 1, "the first nyk request")
+        threads["nyk2"].start()
+        _wait_until(lambda: handle.server.stats.coalesced_specs == 1, "nyk to coalesce")
+        threads["bjg"].start()
+        _wait_until(lambda: farm.calls["bjg"] == 1, "the bjg request")
+        farm.gate.set()
+        for thread in threads.values():
+            thread.join(timeout=20)
+        assert handle.server.stats.coalesced_specs == 1
+    farm.close()
+
+    assert farm.calls == {"nyk": 1, "bjg": 1}
+    assert {key: reply[0] for key, reply in replies.items()} == dict.fromkeys(replies, 200)
+    answers = {key: reply[1]["results"][0] for key, reply in replies.items()}
+    assert answers["nyk1"] == answers["nyk2"]
+    for key, tenant in (("nyk1", "nyk"), ("bjg", "bjg")):
+        direct = PlacementService.from_path(tenant_dirs[tenant]).query(QuerySpec(**spec))
+        assert answers[key]["sites"] == list(direct.sites)
+        assert answers[key]["per_trajectory_utility"] == list(direct.per_trajectory_utility)
+    assert answers["nyk1"]["sites"] != answers["bjg"]["sites"]  # distinct cities
 
 
 def test_http_unknown_tenant_404(served_farm):

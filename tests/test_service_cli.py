@@ -240,6 +240,21 @@ def test_update_rejects_malformed_trajectory_file(built_index, tmp_path):
         main(["update", "--index", str(built_index), "--add-trajectories", str(bad)])
 
 
+@pytest.mark.parametrize("delta", ['"12"', '["4"]', "[2.9]", "[true]", '{"0": 1}'])
+def test_update_rejects_non_integral_ids(built_index, tmp_path, delta):
+    """Delta files go through the server's parser: a file that is not a
+    list of integral ids exits without touching the index."""
+    from repro.service.serialization import load_index
+
+    before = (built_index / "payload.bin").read_bytes()
+    bad = tmp_path / "remove_sites.json"
+    bad.write_text(delta)
+    with pytest.raises(SystemExit, match="bad delta"):
+        main(["update", "--index", str(built_index), "--remove-sites", str(bad)])
+    assert (built_index / "payload.bin").read_bytes() == before
+    assert load_index(built_index).version == 0
+
+
 def test_site_only_update_keeps_content_fingerprint(built_index, tmp_path):
     """A site-only delta carries the trajectory_content fingerprint over;
     a trajectory delta (content no longer verifiable) drops it."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import shutil
 import sys
 import threading
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 from coverage_reference import answer_on, views_for
 
-from repro.core.netclus import UpdateBatch
 from repro.core.query import TOPSQuery
 from repro.core.preference import ConvexProbabilityPreference, LinearPreference
 from repro.network.generators import grid_network
@@ -29,27 +27,6 @@ from repro.service import serialization
 from repro.service.serialization import payload_digest, trajectory_fingerprint
 from repro.trajectory.generators import commuter_trajectories
 from repro.trajectory.model import Trajectory
-
-
-#: a format-v3 directory (compressed ``payload.npz``) written by an older
-#: release from the ``tiny_problem`` data with the ``WARM_QUERIES`` parts;
-#: see ``tests/fixtures/legacy/README.md`` for how it was made
-LEGACY_FIXTURE = Path(__file__).parent / "fixtures" / "legacy" / "v3_warm.ncx"
-
-
-def _legacy_copy(tmp_path, name="legacy.ncx", mutate=None):
-    """A writable copy of the legacy fixture, its manifest optionally edited."""
-    path = shutil.copytree(LEGACY_FIXTURE, tmp_path / name)
-    if mutate is not None:
-        _set_manifest(path, mutate)
-    return path
-
-
-def _directory_digests(path):
-    return {
-        entry.name: hashlib.sha256(entry.read_bytes()).hexdigest()
-        for entry in sorted(path.iterdir())
-    }
 
 
 def _assert_same_answers(a_index, b_index, queries):
@@ -229,14 +206,9 @@ def test_save_refuses_foreign_dataset(saved_index, tiny_problem, tmp_path):
 
 
 def test_load_refuses_corrupted_payload(saved_index, tmp_path):
-    """v3's whole-file hash catches an appended byte; v4's size check does."""
+    """The blob size check catches an appended byte."""
     index, _ = saved_index
-    path = _legacy_copy(tmp_path, "corrupt3.ncx")
-    payload = path / "payload.npz"
-    payload.write_bytes(payload.read_bytes() + b"tampered")
-    with pytest.raises(IndexFormatError, match="payload fingerprint"):
-        load_index(path)
-    path = save_index(index, tmp_path / "corrupt4.ncx")
+    path = save_index(index, tmp_path / "corrupt.ncx")
     blob = path / "payload.bin"
     blob.write_bytes(blob.read_bytes() + b"tampered")
     with pytest.raises(IndexFormatError, match="size mismatch"):
@@ -252,6 +224,139 @@ def test_load_refuses_unknown_version(saved_index, tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(IndexFormatError, match="version"):
         load_index(path)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_load_refuses_older_format_versions(saved_index, tmp_path, version):
+    """v5 is the only format read: a v5 directory relabelled as any older
+    version is refused, naming the version."""
+    _, path = saved_index
+    relabelled = shutil.copytree(path, tmp_path / "old.ncx")
+    _set_manifest(relabelled, lambda m: m.update(format_version=version))
+    with pytest.raises(IndexFormatError, match=f"format version {version} "):
+        load_index(relabelled)
+
+
+#: every manifest key save_index writes (key paths; ints index lists)
+MANIFEST_KEYS = [
+    ("format",),
+    ("format_version",),
+    ("payload_arrays",),
+    *(
+        ("payload_arrays", key)
+        for key in (*serialization._NETWORK_KEYS, "sites", "trajectory_ids")
+    ),
+    ("payload_total_bytes",),
+    ("index_version",),
+    ("build_params",),
+    *(
+        ("build_params", key)
+        for key in (
+            "gamma",
+            "tau_min_km",
+            "tau_max_km",
+            "representative_strategy",
+            "max_instances",
+        )
+    ),
+    ("build_stats",),
+    *(("build_stats", 0, key) for key in ("stage", "seconds", "per_instance_seconds")),
+    *(
+        ("coverage_parts", 0, key)
+        for key in (
+            "slot",
+            "tau_km",
+            "preference",
+            "preference_params",
+            "instance_id",
+            "index_version",
+            "num_trajectories",
+            "num_entries",
+        )
+    ),
+    *(
+        (key,)
+        for key in (
+            "num_instances",
+            "num_trajectories",
+            "num_sites",
+            "num_nodes",
+            "num_edges",
+            "storage_bytes",
+            "build_seconds",
+            "fingerprints",
+            "instances",
+        )
+    ),
+    *(("fingerprints", key) for key in ("payload_sha256", "graph", "trajectories")),
+    *(
+        ("instances", 0, key)
+        for key in (
+            "instance_id",
+            "radius_km",
+            "tau_range_km",
+            "num_clusters",
+            "num_representatives",
+            "build_seconds",
+            "mean_dominating_set_size",
+        )
+    ),
+]
+
+
+def _edit_key(key_path, edit):
+    def mutate(manifest):
+        *parents, last = key_path
+        for key in parents:
+            manifest = manifest[key]
+        edit(manifest, last)
+
+    return mutate
+
+
+def _drop(container, key):
+    del container[key]
+
+
+def _mangle(container, key):
+    container[key] = 7 if isinstance(container[key], str) else "x"
+
+
+def _lengthen(container, key):
+    container[key] = [*container[key], 9.0]
+
+
+def _cut_to_one(container, key):
+    container[key] = container[key][:1]
+
+
+#: (key path, edit): every key dropped and mangled, plus list-length cases
+MANIFEST_EDITS = [
+    *((key_path, edit) for key_path in MANIFEST_KEYS for edit in (_drop, _mangle)),
+    (("instances", 0, "tau_range_km"), _lengthen),
+    (("instances", 0, "tau_range_km"), _cut_to_one),
+]
+EDIT_NAMES = {_drop: "missing", _mangle: "malformed", _lengthen: "three", _cut_to_one: "one"}
+
+
+@pytest.mark.parametrize(
+    ("key_path", "edit"),
+    MANIFEST_EDITS,
+    ids=[f"{'.'.join(map(str, path))}-{EDIT_NAMES[edit]}" for path, edit in MANIFEST_EDITS],
+)
+def test_load_refuses_incomplete_manifest(warm_saved_index, key_path, edit):
+    """Every key a v5 manifest holds is required and typed: a missing or
+    malformed one (a ``tau_range_km`` that is not a pair included) raises
+    IndexFormatError, never a KeyError or a silent default, and so does
+    ``inspect``."""
+    from repro.service.cli import main
+
+    _, path = warm_saved_index
+    _set_manifest(path, _edit_key(key_path, edit))
+    with pytest.raises(IndexFormatError):
+        load_index(path)
+    with pytest.raises(IndexFormatError):
+        main(["inspect", "--index", str(path)])
 
 
 def test_load_refuses_foreign_format(tmp_path):
@@ -291,9 +396,7 @@ def test_index_version_round_trips(tiny_problem, tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# persisted coverage parts — load matrix: every part test below runs
-# against the committed legacy v3 directory (compressed .npz) and a fresh
-# v4 save (packed mmap blob) of the same warm index
+# persisted coverage parts
 # ---------------------------------------------------------------------- #
 WARM_QUERIES = [
     TOPSQuery(k=4, tau_km=1.0),
@@ -301,18 +404,15 @@ WARM_QUERIES = [
 ]
 
 
-@pytest.fixture(params=["v3", "v5"])
-def warm_saved_index(request, tiny_problem, tmp_path):
-    """An index with a warm coverage cache, persisted with its parts (v5),
-    or a copy of the legacy fixture holding the same parts (v3)."""
+@pytest.fixture()
+def warm_saved_index(tiny_problem, tmp_path):
+    """An index with a warm coverage cache, persisted with its parts."""
     index = tiny_problem.build_netclus_index(
         gamma=0.75, tau_min_km=0.4, tau_max_km=4.0
     )
     index.enable_coverage_cache()
     for query in WARM_QUERIES:
         index.query(query)
-    if request.param == "v3":
-        return index, _legacy_copy(tmp_path, "warm.ncx")
     return index, save_index(index, tmp_path / "warm.ncx")
 
 
@@ -323,14 +423,19 @@ def _set_manifest(path, mutate):
     manifest_path.write_text(json.dumps(manifest))
 
 
-def test_without_parts_loads_cold(saved_index):
-    """An index saved without a cache has no parts and loads cold."""
+def test_without_parts_loads_cold(saved_index, tmp_path):
+    """An index saved without a cache lists no parts and loads cold, as
+    does a manifest without the key (earlier v5 writers omitted it)."""
     _, path = saved_index
-    assert "coverage_parts" not in load_manifest(path)
+    assert json.loads((path / "manifest.json").read_text())["coverage_parts"] == []
     assert load_index(path).coverage_cache is None
+    bare = shutil.copytree(path, tmp_path / "bare.ncx")
+    _set_manifest(bare, lambda m: m.pop("coverage_parts"))
+    assert load_manifest(bare)["coverage_parts"] == []
+    assert load_index(bare).coverage_cache is None
 
 
-def test_v3_parts_round_trip(warm_saved_index):
+def test_parts_round_trip(warm_saved_index):
     index, path = warm_saved_index
     manifest = load_manifest(path)
     assert len(manifest["coverage_parts"]) == len(WARM_QUERIES)
@@ -383,13 +488,13 @@ def test_legacy_shard_keys_are_ignored(warm_saved_index, tmp_path, capsys):
     assert "shards" not in resaved and "shard_sizes" not in resaved
 
 
-def test_v3_with_coverage_false_skips_parts(warm_saved_index):
+def test_part_with_coverage_false_skips_parts(warm_saved_index):
     _, path = warm_saved_index
     loaded = load_index(path, with_coverage=False)
     assert loaded.coverage_cache is None
 
 
-def test_v3_stale_part_refused_not_crash(warm_saved_index):
+def test_part_stale_part_refused_not_crash(warm_saved_index):
     """A part recorded at a different index_version is skipped — the load
     succeeds and the key falls back to a cold rebuild with correct answers."""
     index, path = warm_saved_index
@@ -410,7 +515,7 @@ def test_v3_stale_part_refused_not_crash(warm_saved_index):
         )
 
 
-def test_v3_all_parts_stale_loads_without_cacheless_crash(warm_saved_index):
+def test_part_all_parts_stale_loads_without_cacheless_crash(warm_saved_index):
     index, path = warm_saved_index
 
     def bump_all(manifest):
@@ -427,7 +532,7 @@ def test_v3_all_parts_stale_loads_without_cacheless_crash(warm_saved_index):
     ).sites
 
 
-def test_v3_truncated_part_raises(warm_saved_index):
+def test_part_truncated_part_raises(warm_saved_index):
     """A manifest declaring more entries than the payload holds is corrupt."""
     _, path = warm_saved_index
 
@@ -440,7 +545,7 @@ def test_v3_truncated_part_raises(warm_saved_index):
         load_index(path)
 
 
-def test_v3_missing_part_arrays_raise(warm_saved_index):
+def test_part_missing_part_arrays_raise(warm_saved_index):
     """A part slot with no payload arrays behind it is corrupt."""
     _, path = warm_saved_index
 
@@ -452,7 +557,7 @@ def test_v3_missing_part_arrays_raise(warm_saved_index):
         load_index(path)
 
 
-def test_v3_unknown_preference_part_raises(warm_saved_index):
+def test_part_unknown_preference_part_raises(warm_saved_index):
     _, path = warm_saved_index
 
     def rename(manifest):
@@ -463,7 +568,7 @@ def test_v3_unknown_preference_part_raises(warm_saved_index):
         load_index(path)
 
 
-def test_v3_registry_size_mismatch_raises(warm_saved_index):
+def test_part_registry_size_mismatch_raises(warm_saved_index):
     _, path = warm_saved_index
 
     def shrink(manifest):
@@ -476,22 +581,16 @@ def test_v3_registry_size_mismatch_raises(warm_saved_index):
 
 
 def test_tampered_payload_still_refused(warm_saved_index):
-    """Appending bytes to the payload is refused in either format."""
+    """Appending bytes to a warm index's payload is refused."""
     _, path = warm_saved_index
-    payload = path / "payload.npz"
-    if payload.is_file():
-        payload.write_bytes(payload.read_bytes() + b"x")
-        expected = "payload fingerprint"
-    else:
-        payload = path / "payload.bin"
-        payload.write_bytes(payload.read_bytes() + b"x")
-        expected = "size mismatch"
-    with pytest.raises(IndexFormatError, match=expected):
+    payload = path / "payload.bin"
+    payload.write_bytes(payload.read_bytes() + b"x")
+    with pytest.raises(IndexFormatError, match="size mismatch"):
         load_index(path)
 
 
 # ---------------------------------------------------------------------- #
-# format v4: packed mmap blob + offset table + copy-on-write (PR 10)
+# the packed mmap blob + offset table + copy-on-write
 # ---------------------------------------------------------------------- #
 def _tamper_offset_table(path, mutate):
     def inner(manifest):
@@ -539,8 +638,11 @@ def test_v4_offset_out_of_bounds_raises(saved_index, tmp_path):
 def test_v4_missing_offset_table_raises(saved_index, tmp_path):
     index, _ = saved_index
     path = save_index(index, tmp_path / "notable.ncx")
+    _set_manifest(path, lambda m: m.update(payload_arrays={}))
+    with pytest.raises(IndexFormatError, match="payload_arrays.net_node_ids is missing"):
+        load_index(path)
     _set_manifest(path, lambda m: m.pop("payload_arrays"))
-    with pytest.raises(IndexFormatError, match="offset table"):
+    with pytest.raises(IndexFormatError, match="payload_arrays is missing"):
         load_index(path)
 
 
@@ -709,7 +811,7 @@ def test_v4_corrupt_instance_arrays_refused_at_load(corruptible_index, tmp_path,
     intact = load_index(path).query(TOPSQuery(k=5, tau_km=0.8))
     assert intact.sites == expected_sites
     manifest = load_manifest(path)
-    views = serialization._blob_views(*serialization._open_blob(path, manifest))
+    views = serialization._map_blob(path, manifest)
     arrays = {key: np.array(view) for key, view in views.items()}
     del views
     CORRUPTIONS[corruption](path, manifest["payload_arrays"], arrays)
@@ -758,7 +860,7 @@ def test_v4_corrupt_coverage_part_refused_at_load(corruptible_part, tmp_path, co
     path = Path(shutil.copytree(source, tmp_path / "city.ncx"))
     assert load_index(path).query(PART_QUERY).sites == expected_sites
     manifest = load_manifest(path)
-    views = serialization._blob_views(*serialization._open_blob(path, manifest))
+    views = serialization._map_blob(path, manifest)
     arrays = {key: np.array(view) for key, view in views.items()}
     del views
     for mutate in PART_CORRUPTIONS[corruption]:
@@ -812,18 +914,87 @@ def test_v4_loaded_index_resaves_identically(warm_saved_index, tmp_path):
     """save(load(dir)) reproduces the payload — the farm's write-through
     eviction path depends on a loaded index serialising like the original."""
     index, path = warm_saved_index
-    # the legacy fixture's build_seconds slots come from another build
-    include_timings = not (path / "payload.npz").is_file()
     loaded = load_index(path)
     resaved = save_index(loaded, tmp_path / "resave.ncx")
     assert load_manifest(resaved)["format_version"] == 5
-    digests = {payload_digest(x, include_timings=include_timings) for x in (loaded, index)}
-    assert len(digests) == 1
+    assert payload_digest(loaded) == payload_digest(index)
     reloaded = load_index(resaved)
     for query in WARM_QUERIES:
         assert reloaded.query(query).sites == index.query(
             query
         ).sites
+
+
+@pytest.fixture()
+def most_frequent_saved(tmp_path):
+    """A ``most_frequent`` index and its saved directory."""
+    from repro.core.netclus import NetClusIndex
+
+    network = grid_network(6, 6, spacing_km=0.5)
+    index = NetClusIndex.build(
+        network,
+        commuter_trajectories(network, 40, seed=7),
+        network.node_ids()[::3],
+        gamma=0.75,
+        tau_min_km=0.4,
+        tau_max_km=2.0,
+        representative_strategy="most_frequent",
+    )
+    return index, save_index(index, tmp_path / "mf.ncx")
+
+
+@pytest.mark.parametrize("key", ["visit_counts", "traj_nodes_indptr", "traj_nodes_flat"])
+def test_most_frequent_without_visit_arrays_refused(most_frequent_saved, key):
+    """A most_frequent index re-elects by visit counts, so a payload
+    without its visit arrays is refused rather than loaded to re-elect by
+    proximity; the index constructor refuses the same gap."""
+    from repro.core.netclus import NetClusIndex
+
+    index, path = most_frequent_saved
+    network = index.network
+    _tamper_offset_table(path, lambda table: table.pop(key))
+    with pytest.raises(IndexFormatError, match="without visit arrays"):
+        load_index(path)
+    with pytest.raises(ValueError, match="most_frequent"):
+        NetClusIndex(
+            network=network,
+            sites=index.sites,
+            instances=index.instances,
+            tau_min_km=index.tau_min_km,
+            tau_max_km=index.tau_max_km,
+            gamma=index.gamma,
+            trajectory_ids=index.trajectory_ids,
+            representative_strategy="most_frequent",
+        )
+
+
+VISIT_CORRUPTIONS = {
+    "indptr_nonzero_start": _poke("traj_nodes_indptr", 0, 1),
+    "indptr_decreases": _poke(
+        "traj_nodes_indptr", 1, lambda a: a["traj_nodes_indptr"][2] + 1
+    ),
+    "indptr_short_end": _poke(
+        "traj_nodes_indptr", -1, lambda a: a["traj_nodes_indptr"][-1] - 1
+    ),
+    "flat_negative": _poke("traj_nodes_flat", 0, -1),
+    "flat_out_of_range": _poke("traj_nodes_flat", 0, lambda a: len(a["net_node_ids"])),
+    "counts_wrong_length": _retable(_shorten("visit_counts")),
+    "flat_wrong_dtype": _retable(lambda table: table["traj_nodes_flat"].update(dtype="<f8")),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(VISIT_CORRUPTIONS))
+def test_most_frequent_damaged_visit_arrays_refused(most_frequent_saved, corruption):
+    """Removals decrement counts through the offset array, so a damaged
+    one is refused at load instead of slicing the wrong node lists."""
+    _, path = most_frequent_saved
+    manifest = load_manifest(path)
+    views = serialization._map_blob(path, manifest)
+    arrays = {key: np.array(view) for key, view in views.items()}
+    del views
+    VISIT_CORRUPTIONS[corruption](path, manifest["payload_arrays"], arrays)
+    with pytest.raises(IndexFormatError, match="visit arrays|traj_nodes"):
+        load_index(path)
 
 
 def test_most_frequent_visit_data_round_trips(tmp_path):
@@ -851,95 +1022,15 @@ def test_most_frequent_visit_data_round_trips(tmp_path):
             assert cluster_a.representative == cluster_b.representative
 
 
-# ---------------------------------------------------------------------- #
-# legacy v1–v3 directories: read through the v4 load path, migrated by
-# the next save
-# ---------------------------------------------------------------------- #
-def _as_v1(manifest):
-    """v1 had no index_version and no coverage parts."""
-    manifest.update(format_version=1)
-    del manifest["index_version"]
-    del manifest["coverage_parts"]
-
-
-def _as_v2(manifest):
-    manifest.update(format_version=2)
-    del manifest["coverage_parts"]
-
-
-def _without_parts(manifest):
-    del manifest["coverage_parts"]
-
-
-LEGACY_VARIANTS = {"v1": _as_v1, "v2": _as_v2, "v3": None, "v3-no-parts": _without_parts}
-
-
-@pytest.mark.parametrize("variant", sorted(LEGACY_VARIANTS))
-def test_legacy_directory_answers_like_a_fresh_build(saved_index, tmp_path, variant):
-    """Every legacy variant loads read-only (v1 at version 0), attaches
-    parts only when it has them, keeps its stage records (their stale
-    ``workers`` counts ignored), answers byte-identically to a fresh
-    build on the chosen and reference views, and re-saves as a v5
-    directory."""
-    index, _ = saved_index
-    path = _legacy_copy(tmp_path, mutate=LEGACY_VARIANTS[variant])
-    manifest = load_manifest(path)
-    arrays = serialization._legacy_arrays(path, manifest["fingerprints"])
-    assert not any(array.flags.writeable for array in arrays.values())
-    loaded = load_index(path)
-    assert loaded.version == manifest.get("index_version", 0) == index.version
-    assert (loaded.coverage_cache is not None) == ("coverage_parts" in manifest)
-    assert all(stat["workers"] == 1 for stat in manifest["build_stats"])
-    assert [stat.as_dict() for stat in loaded.build_stats] == [
-        {key: value for key, value in stat.items() if key != "workers"}
-        for stat in manifest["build_stats"]
-    ]
-    _assert_same_answers(index, loaded, WARM_QUERIES + MIXED_QUERIES)
-
-    resaved = save_index(loaded, tmp_path / "resaved.ncx")
-    assert load_manifest(resaved)["format_version"] == 5
-    assert load_manifest(resaved)["build_stats"] == [
-        stat.as_dict() for stat in loaded.build_stats
-    ]
-    assert sorted(entry.name for entry in resaved.iterdir()) == ["manifest.json", "payload.bin"]
-    _assert_same_answers(index, load_index(resaved), WARM_QUERIES + MIXED_QUERIES)
-
-
-def test_legacy_resave_after_update_migrates_in_place(tiny_problem, tmp_path):
-    """Load the legacy fixture, update it and save over it: the directory
-    becomes v4 and answers like a fresh build given the same update."""
-    fixture_before = _directory_digests(LEGACY_FIXTURE)
-    path = _legacy_copy(tmp_path)
-    loaded = load_index(path)
-    batch = UpdateBatch(
-        remove_sites=sorted(loaded.sites)[:2],
-        remove_trajectories=list(loaded.trajectory_ids)[:5],
-    )
-    loaded.apply_updates(batch)
-    save_index(loaded, path)
-
-    assert not (path / "payload.npz").exists()
-    assert (path / "payload.bin").is_file()
-    assert load_manifest(path)["format_version"] == 5
-    assert _directory_digests(LEGACY_FIXTURE) == fixture_before
-
-    fresh = tiny_problem.build_netclus_index(gamma=0.75, tau_min_km=0.4, tau_max_km=4.0)
-    fresh.apply_updates(batch)
-    reloaded = load_index(path)
-    # the patched warm parts were persisted at the post-update version
-    assert len(reloaded.coverage_cache.describe_parts()) == len(WARM_QUERIES)
-    _assert_same_answers(fresh, reloaded, WARM_QUERIES + MIXED_QUERIES)
-
-
-def test_crash_before_manifest_commit_keeps_legacy_directory(
-    saved_index, tmp_path, monkeypatch
+def test_crash_before_manifest_commit_keeps_previous_directory(
+    warm_saved_index, monkeypatch
 ):
-    """A migration that dies before its manifest rename leaves the legacy
-    payload in place: the directory still loads as the legacy index."""
-    index, _ = saved_index
-    path = _legacy_copy(tmp_path)
-    loaded = load_index(path)
-    real_replace = os.replace
+    """A re-save that dies at the manifest rename unlinks its staging file
+    and leaves the directory's manifest as it was: it still loads and
+    answers like the index it holds."""
+    index, path = warm_saved_index
+    manifest_before = (path / "manifest.json").read_bytes()
+    real_replace = serialization.os.replace
 
     def crash_on_manifest(src, dst):
         if Path(dst).name == "manifest.json":
@@ -948,11 +1039,11 @@ def test_crash_before_manifest_commit_keeps_legacy_directory(
 
     monkeypatch.setattr(serialization.os, "replace", crash_on_manifest)
     with pytest.raises(OSError, match="simulated crash"):
-        save_index(loaded, path)
+        save_index(load_index(path), path)
     monkeypatch.undo()
 
-    assert load_manifest(path)["format_version"] == 3
     assert not list(path.glob("*.tmp"))  # the failed save cleaned up its staging
+    assert (path / "manifest.json").read_bytes() == manifest_before
     recovered = load_index(path)
     assert len(recovered.coverage_cache.describe_parts()) == len(WARM_QUERIES)
     _assert_same_answers(index, recovered, WARM_QUERIES + MIXED_QUERIES)
@@ -992,119 +1083,3 @@ def test_concurrent_saves_into_one_directory_never_collide(saved_index, tmp_path
     payload = (target / "payload.bin").read_bytes()
     assert manifest["fingerprints"]["payload_sha256"] == hashlib.sha256(payload).hexdigest()
     assert payload_digest(load_index(target)) == payload_digest(index)
-
-
-def _roll_n2c_clusters(arrays, pick):
-    for key in [key for key in arrays if key.endswith("_n2c_clusters")]:
-        arrays[key] = np.roll(arrays[key], 1)
-
-
-def _flip_selected_label(arrays, pick):
-    """Relabel the column of site *pick* in part slot 0 (``WARM_QUERIES[0]``)."""
-    labels = arrays["cov0_rep_sites"].copy()
-    at = int(np.flatnonzero(labels == pick)[0])
-    labels[at] = labels[at - 1]
-    arrays["cov0_rep_sites"] = labels
-
-
-#: damage to the derived copies a legacy payload carries, which loads
-#: must not read (v4 directories carry the same copies)
-DERIVED_TAMPERING = {
-    "n2c_clusters_rolled": _roll_n2c_clusters,
-    "rep_site_label_flipped": _flip_selected_label,
-}
-
-
-@pytest.mark.parametrize("tampering", sorted(DERIVED_TAMPERING))
-def test_tampered_derived_copies_change_no_answer(tiny_problem, tmp_path, tampering):
-    """Damaging the node → cluster copy or a part's representative labels
-    inside a legacy payload (its hash updated to match) changes no answer:
-    cold, warm, with existing sites, and after one update batch."""
-    intact_path = _legacy_copy(tmp_path, "intact.ncx")
-    intact = load_index(intact_path)
-    pick = intact.query(WARM_QUERIES[0]).sites[0]
-    path = _legacy_copy(tmp_path, "tampered.ncx")
-    payload = path / "payload.npz"
-    with np.load(payload) as stored:
-        arrays = {key: stored[key] for key in stored.files}
-    DERIVED_TAMPERING[tampering](arrays, pick)
-    np.savez_compressed(payload, **arrays)
-    digest = hashlib.sha256(payload.read_bytes()).hexdigest()
-    _set_manifest(path, lambda m: m["fingerprints"].update(payload_sha256=digest))
-
-    queries = WARM_QUERIES + MIXED_QUERIES
-    intact, tampered = load_index(intact_path), load_index(path)
-    cold_intact = load_index(intact_path, with_coverage=False)
-    cold_tampered = load_index(path, with_coverage=False)
-    _assert_same_answers(cold_intact, cold_tampered, queries)
-    _assert_same_answers(intact, tampered, queries)
-    existing = sorted(intact.sites)[::9][:4]
-    for query in queries:
-        a = intact.query(query, existing_sites=existing)
-        b = tampered.query(query, existing_sites=existing)
-        assert a.sites == b.sites
-        assert (
-            np.asarray(a.per_trajectory_utility).tobytes()
-            == np.asarray(b.per_trajectory_utility).tobytes()
-        )
-
-    trajectories = list(tiny_problem.trajectories)[:6]
-    next_id = max(intact.trajectory_ids) + 1
-    batch = UpdateBatch(
-        remove_trajectories=intact.trajectory_ids[:6],
-        add_trajectories=[
-            Trajectory(next_id + i, t.nodes, t.cumulative_km, t.timestamps)
-            for i, t in enumerate(trajectories)
-        ],
-        remove_sites=sorted(intact.sites)[:2],
-    )
-    for loaded in (intact, tampered):
-        loaded.apply_updates(batch)
-    _assert_same_answers(intact, tampered, queries)
-
-
-@pytest.mark.parametrize("warm_saved_index", ["v5"], indirect=True)
-def test_v4_directory_loads_without_reading_its_derived_copies(warm_saved_index, tmp_path):
-    """A v4 directory (the v5 blob plus a node → cluster copy per instance
-    and a representative layout per part) loads through the same path and
-    answers like the index it was saved from, even with every copy wrong."""
-    index, path = warm_saved_index
-    manifest = load_manifest(path)
-    views = serialization._blob_views(*serialization._open_blob(path, manifest))
-    arrays = {key: np.array(view) for key, view in views.items()}
-    del views
-    for instance in index.instances:
-        prefix = f"i{instance.instance_id}_"
-        arrays[prefix + "n2c_nodes"] = instance.nodes.ids[::-1].copy()
-        arrays[prefix + "n2c_clusters"] = np.roll(instance.nodes.owners(), 1)
-    for entry in manifest["coverage_parts"]:
-        instance = index.instances[entry["instance_id"]]
-        reps = instance.reps[instance.representative_clusters()]
-        arrays[f"cov{entry['slot']}_rep_sites"] = reps[::-1].copy()
-        arrays[f"cov{entry['slot']}_rep_clusters"] = np.zeros(len(reps), dtype=np.int64)
-        entry["num_representatives"] = len(reps)
-    v4 = tmp_path / "v4.ncx"
-    v4.mkdir()
-    table, total, digest = serialization._commit_file(
-        v4, "payload.bin", lambda handle: serialization._write_blob(handle, arrays)
-    )
-    manifest.update(format_version=4, payload_arrays=table, payload_total_bytes=total)
-    manifest["fingerprints"]["payload_sha256"] = digest
-    (v4 / "manifest.json").write_text(json.dumps(manifest))
-
-    loaded = load_index(v4)
-    _assert_same_answers(index, loaded, WARM_QUERIES + MIXED_QUERIES)
-    batch = UpdateBatch(
-        remove_sites=sorted(index.sites)[:2],
-        remove_trajectories=list(index.trajectory_ids)[:5],
-    )
-    index.apply_updates(batch)
-    loaded.apply_updates(batch)
-    _assert_same_answers(index, loaded, WARM_QUERIES + MIXED_QUERIES)
-    resaved = load_manifest(save_index(loaded, v4))
-    assert resaved["format_version"] == 5
-    assert not [
-        key
-        for key in resaved["payload_arrays"]
-        if "_n2c_" in key or key.endswith(("_rep_sites", "_rep_clusters"))
-    ]

@@ -142,9 +142,10 @@ def test_bad_spec_400(served):
     assert "typo" in body["error"]
     status, _, _ = request(handle.address, "POST", "/query", [])
     assert status == 400
-    # non-finite floats (an overflowing literal or JSON's Infinity) and a k
-    # that is not an integer: each is a client error, never a 500 or a
-    # truncated k, and never a 200 whose body is not valid JSON
+    # non-finite floats (an overflowing literal or JSON's Infinity), a k,
+    # capacity or existing site that is not an integer, and a zero site
+    # cost: each is a client error, never a 500, a truncated or defaulted
+    # number, and never a 200 whose body is not valid JSON
     host, port = handle.address
     for raw in (
         b'[{"k": 3, "tau_km": 1e400}]',
@@ -153,6 +154,13 @@ def test_bad_spec_400(served):
         b'[{"k": true, "tau_km": 0.8}]',
         b'[{"k": 1, "tau_km": 0.8, "budget": 1e400}]',
         b'[{"k": 1, "tau_km": 0.8, "budget": 3.0, "site_cost": Infinity}]',
+        b'[{"k": 3, "tau_km": 0.8, "capacity": 2.5}]',
+        b'[{"k": 3, "tau_km": 0.8, "capacity": true}]',
+        b'[{"k": 3, "tau_km": 0.8, "existing_sites": [3.7]}]',
+        b'[{"k": 3, "tau_km": 0.8, "existing_sites": [true]}]',
+        b'[{"k": 3, "tau_km": 0.8, "existing_sites": "37"}]',
+        b'[{"k": 3, "tau_km": 0.8, "existing_sites": ["3"]}]',
+        b'[{"k": 1, "tau_km": 0.8, "budget": 3.0, "site_cost": 0}]',
     ):
         conn = http.client.HTTPConnection(host, port, timeout=10)
         try:
@@ -451,7 +459,7 @@ def test_update_add_trajectory_over_http(mutable_served, tiny_problem):
 
 
 def test_update_rejects_bad_deltas(mutable_served):
-    handle, _ = mutable_served
+    handle, service = mutable_served
     status, _, body = request(handle.address, "POST", "/update", {"bogus": [1]})
     assert status == 400
     assert "unknown update fields" in body["error"]
@@ -463,6 +471,31 @@ def test_update_rejects_bad_deltas(mutable_served):
         handle.address, "POST", "/update", {"remove_sites": [99999]}
     )
     assert status == 400
+    # ids must be lists of integers: a string is not the list of its
+    # digits, and a fraction or a bool is not an id
+    network = service.index.network
+    node = next(n for n in network.node_ids() if network.successors(n))
+    walk = [node, next(iter(network.successors(node)))]
+    new_id = max(service.index.trajectory_ids) + 1
+    site = min(service.index.sites)
+    for delta in (
+        {"remove_sites": "12"},
+        {"remove_sites": [str(site)]},
+        {"add_trajectories": [{"traj_id": str(new_id), "nodes": walk}]},
+        {"add_trajectories": [{"traj_id": new_id, "nodes": [str(n) for n in walk]}]},
+        {"remove_sites": 12},
+        {"remove_sites": [2.9]},
+        {"add_sites": [True]},
+        {"remove_trajectories": [True]},
+        {"add_trajectories": [{"traj_id": new_id + 0.5, "nodes": walk}]},
+        {"add_trajectories": [{"traj_id": new_id, "nodes": "12"}]},
+    ):
+        status, _, body = request(handle.address, "POST", "/update", delta)
+        assert status == 400, delta
+        assert "error" in body
+    assert service.index.version == 0
+    _, _, health = request(handle.address, "GET", "/healthz")
+    assert health["index_version"] == 0
 
 
 def test_concurrent_keep_alive_queries_and_updates_all_succeed(mutable_served):
