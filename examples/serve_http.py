@@ -3,11 +3,14 @@
 The in-process :class:`~repro.service.PlacementService` becomes a network
 service through :class:`~repro.service.PlacementServer` — a stdlib-only
 asyncio HTTP/1.1 layer with request coalescing, bounded admission and a
-worker pool.  This example walks the serving lifecycle without leaving
-one process:
+worker pool.  The server serves an :class:`~repro.service.IndexFarm`; a
+service registered with ``add_service`` answers on the plain ``/query``
+and ``/update`` endpoints.  This example walks the serving lifecycle
+without leaving one process:
 
 1. build a small city index,
-2. start the server on an ephemeral port (dedicated event-loop thread),
+2. register its service in a farm and start the server on an ephemeral
+   port (dedicated event-loop thread),
 3. answer a batch of specs over real sockets — and show the placements
    are byte-identical to a direct in-process ``batch_query``,
 4. apply a site-closure delta through ``POST /update`` and watch the
@@ -33,7 +36,7 @@ import numpy as np
 
 from repro import PlacementService, QuerySpec, TOPSProblem
 from repro.network import grid_network
-from repro.service import serve_in_background
+from repro.service import IndexFarm, serve_in_background
 from repro.trajectory import commuter_trajectories
 
 
@@ -53,8 +56,11 @@ def main() -> None:
     index = problem.build_netclus_index(gamma=0.75, tau_min_km=0.4, tau_max_km=4.0)
     service = PlacementService(index)
 
-    # 2. Serve it: ephemeral port, dedicated event-loop thread.
-    with serve_in_background(service, max_inflight=32) as handle:
+    # 2. Serve it: a farm of this one service, ephemeral port, dedicated
+    #    event-loop thread.
+    farm = IndexFarm()
+    farm.add_service(service)
+    with serve_in_background(farm, max_inflight=32) as handle:
         host, port = handle.address
         print(f"serving       : http://{host}:{port}")
         conn = http.client.HTTPConnection(host, port, timeout=30)

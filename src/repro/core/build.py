@@ -153,7 +153,11 @@ def build_index(
     base_radius = tau_min_km / 4.0
     radii = [base_radius * (1.0 + gamma) ** p for p in range(num_instances)]
     engine = ShortestPathEngine(network)
-    visit_counts = dataset.node_visit_counts(network.num_nodes)
+    visit_counts = (
+        dataset.node_visit_counts(network.num_nodes)
+        if representative_strategy == "most_frequent"
+        else None
+    )
     stats: list[BuildStats] = []
 
     # stage 1 — per-instance GDSP clustering
@@ -248,9 +252,7 @@ def build_index(
         gamma=gamma,
         trajectory_ids=traj_ids,
         representative_strategy=representative_strategy,
-        node_visit_counts=(
-            visit_counts if representative_strategy == "most_frequent" else None
-        ),
+        node_visit_counts=visit_counts,
         trajectory_nodes=(
             {t.traj_id: np.unique(t.nodes_array()) for t in dataset}
             if representative_strategy == "most_frequent"

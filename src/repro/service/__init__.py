@@ -22,18 +22,21 @@ in-memory :class:`~repro.core.netclus.NetClusIndex` into a service:
   lock, :meth:`PlacementService.apply_updates` mutates exclusively, and
   the cache/counters are mutex-guarded.
 * :mod:`repro.service.server` — :class:`PlacementServer`, the asyncio
-  HTTP/1.1 front end over a service: ``POST /query`` with identical
-  in-flight specs coalesced onto one future, ``POST /update`` through the
-  writer lock, ``GET /metrics`` (Prometheus-style text) and ``GET
-  /healthz``; bounded admission with 503 backpressure, per-request
-  timeouts, and graceful drain on shutdown.  Blocking placement work runs
-  on a sized thread pool so the event loop never stalls.
+  HTTP/1.1 front end over one farm: ``POST /t/<tenant>/query`` (and plain
+  ``POST /query`` for the default tenant) with identical in-flight specs
+  coalesced onto one future, ``POST /t/<tenant>/update`` (``POST
+  /update``) through the writer lock, ``GET /metrics`` (Prometheus-style
+  text) and ``GET /healthz``; bounded admission with 503 backpressure,
+  per-request timeouts, and graceful drain on shutdown.  Blocking
+  placement work runs on a sized thread pool so the event loop never
+  stalls.
 * :mod:`repro.service.farm` — :class:`IndexFarm`, many tenant indexes in
   one process under one memory budget: tenants load lazily from their
   directories, the least recently used are evicted to fit, and every
   update writes through to the tenant's directory, so eviction never
-  changes an answer.  The server serves a farm on tenant-scoped
-  endpoints (``POST /t/<tenant>/query``, ``POST /t/<tenant>/update``).
+  changes an answer.  ``add_service`` adds one in-memory service as the
+  directory-less default tenant (never evicted, never saved) — the
+  shape ``python -m repro.service serve`` serves.
 * ``python -m repro.service`` — the ``build`` / ``query`` / ``serve`` /
   ``farm`` / ``update`` / ``inspect`` CLI.
 

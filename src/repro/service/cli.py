@@ -54,8 +54,10 @@ from repro.datasets import (
     new_york_like,
 )
 from repro.datasets.base import DatasetBundle
+from repro.service.farm import IndexFarm
 from repro.service.placement import PlacementService
 from repro.service.serialization import load_manifest, save_index
+from repro.service.server import PlacementServer
 from repro.service.specs import QuerySpec, update_batch_from_dict
 
 __all__ = ["main"]
@@ -198,19 +200,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# serve
+# serve / farm
 # ---------------------------------------------------------------------- #
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _serve_until_signal(
+    farm: IndexFarm, args: argparse.Namespace, banner: Callable[[str], list[str]]
+) -> PlacementServer:
+    """Serve *farm* until SIGINT/SIGTERM, drain, and return the stopped server.
+
+    *banner* maps the bound ``http://host:port`` URL to the startup lines;
+    the first one carries the URL, which scripts read the port from.
+    """
     import asyncio
     import signal
 
-    from repro.service.server import PlacementServer
-
-    service = PlacementService.from_path(
-        args.index, coverage_cache=True if args.coverage_cache else None
-    )
     server = PlacementServer(
-        service,
+        farm,
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
@@ -228,22 +232,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             except NotImplementedError:  # pragma: no cover - non-Unix loops
                 pass
         host, port = server.address
-        print(
-            f"Serving {args.index} on http://{host}:{port} "
-            f"(max-inflight {server.max_inflight}, "
-            f"{server.worker_threads} worker threads, "
-            f"request timeout {server.request_timeout:g}s)",
-            flush=True,
-        )
-        print(
-            "Endpoints: POST /query | POST /update | GET /metrics | GET /healthz",
-            flush=True,
-        )
+        for line in banner(f"http://{host}:{port}"):
+            print(line, flush=True)
         await stop.wait()
         print("Signal received — draining in-flight requests...", flush=True)
         await server.shutdown(drain_timeout=args.drain_timeout)
 
     asyncio.run(_serve())
+    farm.close()
+    return server
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    # one directory-less tenant: served on the plain endpoints, and never
+    # written through, so serving never changes --index on disk
+    farm = IndexFarm()
+    farm.add_service(
+        PlacementService.from_path(
+            args.index, coverage_cache=True if args.coverage_cache else None
+        )
+    )
+    server = _serve_until_signal(
+        farm,
+        args,
+        lambda url: [
+            f"Serving {args.index} on {url} (max-inflight {args.max_inflight}, "
+            f"{args.worker_threads} worker threads, "
+            f"request timeout {args.request_timeout:g}s)",
+            "Endpoints: POST /query | POST /update | GET /metrics | GET /healthz",
+        ],
+    )
     stats = server.stats
     print(
         f"Served {stats.requests_total['query']} query / "
@@ -254,16 +272,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------- #
-# farm
-# ---------------------------------------------------------------------- #
 def _cmd_farm(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from repro.service.farm import IndexFarm
-    from repro.service.server import PlacementServer
-
     farm = IndexFarm(
         memory_budget_bytes=(
             None if args.memory_budget_mb is None else int(args.memory_budget_mb * 1e6)
@@ -275,49 +284,23 @@ def _cmd_farm(args: argparse.Namespace) -> int:
         if not separator or not name or not directory:
             raise SystemExit(f"--tenant expects NAME=INDEX_DIR, got {entry!r}")
         farm.add_tenant(name, directory)
-    server = PlacementServer(
-        farm=farm,
-        host=args.host,
-        port=args.port,
-        max_inflight=args.max_inflight,
-        worker_threads=args.worker_threads,
-        request_timeout=args.request_timeout,
+    budget = (
+        "no memory budget"
+        if farm.memory_budget_bytes is None
+        else f"budget {farm.memory_budget_bytes / 1e6:.0f} MB"
     )
-
-    async def _serve() -> None:
-        await server.start()
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-Unix loops
-                pass
-        host, port = server.address
-        budget = (
-            "no memory budget"
-            if farm.memory_budget_bytes is None
-            else f"budget {farm.memory_budget_bytes / 1e6:.0f} MB"
-        )
-        print(
-            f"Serving {len(farm.tenants())} tenant(s) on http://{host}:{port} "
-            f"({budget}, max-inflight {server.max_inflight}, "
-            f"{server.worker_threads} worker threads)",
-            flush=True,
-        )
-        print(
+    server = _serve_until_signal(
+        farm,
+        args,
+        lambda url: [
+            f"Serving {len(farm.tenants())} tenant(s) on {url} "
+            f"({budget}, max-inflight {args.max_inflight}, "
+            f"{args.worker_threads} worker threads)",
             "Endpoints: POST /t/<tenant>/query | POST /t/<tenant>/update | "
             "GET /metrics | GET /healthz",
-            flush=True,
-        )
-        for name in farm.tenants():
-            print(f"  tenant {name}", flush=True)
-        await stop.wait()
-        print("Signal received — draining in-flight requests...", flush=True)
-        await server.shutdown(drain_timeout=args.drain_timeout)
-
-    asyncio.run(_serve())
-    farm.close()
+            *(f"  tenant {name}" for name in farm.tenants()),
+        ],
+    )
     stats = server.stats
     print(
         f"Served {stats.requests_total['query']} query / "
@@ -480,6 +463,48 @@ def _print_probe_timings(index_path: str, manifest: dict) -> None:
 
 
 # ---------------------------------------------------------------------- #
+def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
+    """The HTTP serving flags ``serve`` and ``farm`` share."""
+    parser.add_argument("--host", default="127.0.0.1", help="bind address")
+    parser.add_argument(
+        "--port", type=int, default=8321, help="bind port (0 picks an ephemeral port)"
+    )
+    parser.add_argument(
+        "--max-inflight",
+        type=int,
+        default=64,
+        help="bound on concurrently admitted query/update requests; the "
+        "next request is answered 503 instead of queueing without bound",
+    )
+    parser.add_argument(
+        "--worker-threads",
+        type=int,
+        default=4,
+        help="thread-pool size for blocking placement work (tenant loads "
+        "and evictions also happen here, never on the event loop)",
+    )
+    parser.add_argument(
+        "--request-timeout",
+        type=float,
+        default=30.0,
+        help="per-request budget in seconds before a 504 is answered",
+    )
+    parser.add_argument(
+        "--drain-timeout",
+        type=float,
+        default=10.0,
+        help="seconds to let in-flight requests finish on shutdown",
+    )
+    parser.add_argument(
+        "--coverage-cache",
+        action="store_true",
+        help="keep materialised coverage warm across requests — POST /update "
+        "patches the cached parts instead of forcing a coverage rebuild on "
+        "the next query (an index saved with coverage parts enables this "
+        "automatically)",
+    )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Command-line entry point (returns the process exit code)."""
     parser = argparse.ArgumentParser(
@@ -541,44 +566,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve", help="serve an index over HTTP (asyncio front end)"
     )
     serve.add_argument("--index", required=True, help="index directory (from build)")
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port", type=int, default=8321, help="bind port (0 picks an ephemeral port)"
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=64,
-        help="bound on concurrently admitted query/update requests; the "
-        "next request is answered 503 instead of queueing without bound",
-    )
-    serve.add_argument(
-        "--worker-threads",
-        type=int,
-        default=4,
-        help="thread-pool size for blocking placement work (the event loop "
-        "itself never computes a placement)",
-    )
-    serve.add_argument(
-        "--request-timeout",
-        type=float,
-        default=30.0,
-        help="per-request budget in seconds before a 504 is answered",
-    )
-    serve.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=10.0,
-        help="seconds to let in-flight requests finish on shutdown",
-    )
-    serve.add_argument(
-        "--coverage-cache",
-        action="store_true",
-        help="keep materialised coverage warm across requests — POST /update "
-        "patches the cached parts instead of forcing a coverage rebuild on "
-        "the next query (an index saved with coverage parts enables this "
-        "automatically)",
-    )
+    _add_serving_flags(serve)
     serve.set_defaults(func=_cmd_serve)
 
     farm = sub.add_parser(
@@ -600,46 +588,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "least-recently-used tenants are evicted to fit (evicted tenants "
         "reload transparently on their next query); default: no budget",
     )
-    farm.add_argument("--host", default="127.0.0.1", help="bind address")
-    farm.add_argument(
-        "--port", type=int, default=8321, help="bind port (0 picks an ephemeral port)"
-    )
-    farm.add_argument(
-        "--max-inflight",
-        type=int,
-        default=64,
-        help="bound on concurrently admitted query/update requests; the "
-        "next request is answered 503 instead of queueing without bound",
-    )
-    farm.add_argument(
-        "--worker-threads",
-        type=int,
-        default=4,
-        help="thread-pool size for blocking placement work (tenant loads "
-        "and evictions also happen here, never on the event loop)",
-    )
-    farm.add_argument(
-        "--request-timeout",
-        type=float,
-        default=30.0,
-        help="per-request budget in seconds before a 504 is answered",
-    )
-    farm.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=10.0,
-        help="seconds to let in-flight requests finish on shutdown",
-    )
+    _add_serving_flags(farm)
     # accepted and ignored: the farm_http benchmark's frozen server
     # command line still passes both (ψ picks the coverage structure)
     farm.add_argument("--engine", choices=["auto"], help=argparse.SUPPRESS)
     farm.add_argument("--query-workers", help=argparse.SUPPRESS)
-    farm.add_argument(
-        "--coverage-cache",
-        action="store_true",
-        help="keep materialised coverage warm per tenant across requests "
-        "(an index saved with coverage parts enables this automatically)",
-    )
     farm.set_defaults(func=_cmd_farm)
 
     update = sub.add_parser(

@@ -20,6 +20,12 @@ disk and — because every :meth:`apply_updates` writes through to the
 tenant directory before returning — always observes the fully updated
 index.  Evicting a tenant can never change any query result.
 
+**Directory-less tenant.** :meth:`add_service` registers an in-memory
+service under :data:`DEFAULT_TENANT`.  Having no directory, it has nothing
+to reload from or save to: it is never evicted and its updates are not
+written through.  ``python -m repro.service serve`` is a farm holding just
+this tenant.
+
 **Stats.** Each tenant keeps cumulative
 :class:`~repro.service.placement.ServiceStats` counters across evictions:
 the live service's counters are folded into the tenant record on
@@ -50,7 +56,12 @@ from repro.service.serialization import load_manifest
 from repro.service.specs import QuerySpec
 from repro.utils.validation import require
 
-__all__ = ["IndexFarm", "TenantRecord", "UnknownTenantError"]
+__all__ = ["DEFAULT_TENANT", "IndexFarm", "TenantRecord", "UnknownTenantError"]
+
+#: The name :meth:`IndexFarm.add_service` registers its service under;
+#: :meth:`IndexFarm.add_tenant` refuses it and no ``/t/<name>/`` path can
+#: address it, so the server routes the plain endpoints to it.
+DEFAULT_TENANT = ""
 
 
 class UnknownTenantError(KeyError):
@@ -62,9 +73,11 @@ class TenantRecord:
     """One tenant's registry entry (name, directory, residency, history)."""
 
     name: str
-    directory: Path
-    #: Table 9-style in-memory footprint, from the manifest at registration
-    #: and refreshed from the live index after every update batch
+    #: the index directory; ``None`` for an in-memory service, which is
+    #: never evicted and never written through
+    directory: Path | None
+    #: Table 9-style in-memory footprint, from the manifest (or the live
+    #: index) at registration and refreshed after every update batch
     storage_bytes: int
     #: the live service, or ``None`` while the tenant is evicted/not yet loaded
     service: PlacementService | None = None
@@ -81,6 +94,11 @@ class TenantRecord:
     def resident(self) -> bool:
         """Whether the tenant's index is currently in memory."""
         return self.service is not None
+
+    @property
+    def evictable(self) -> bool:
+        """Resident and reloadable from a directory."""
+        return self.service is not None and self.directory is not None
 
 
 class IndexFarm:
@@ -146,6 +164,31 @@ class IndexFarm:
             self._tenants[name] = record
             return record
 
+    def add_service(self, service: PlacementService) -> TenantRecord:
+        """Register an in-memory *service* as the :data:`DEFAULT_TENANT`.
+
+        The tenant has no directory: it stays resident whatever the
+        budget (other tenants are evicted around it), keeps its own
+        configuration (the farm's ``service_kwargs`` configure loaded
+        tenants) and :meth:`apply_updates` saves nothing for it.  Its
+        live index's ``storage_bytes`` counts against the budget, so a
+        lazily built service builds its index here.
+        """
+        with self._lock:
+            require(
+                DEFAULT_TENANT not in self._tenants,
+                "the default tenant is already registered",
+            )
+            record = TenantRecord(
+                name=DEFAULT_TENANT,
+                directory=None,
+                storage_bytes=service.index.storage_bytes(),
+                service=service,
+            )
+            self._tenants[DEFAULT_TENANT] = record
+            self._enforce_budget(keep=DEFAULT_TENANT)
+            return record
+
     def remove_tenant(self, name: str) -> None:
         """Drop a tenant from the farm (its directory is left untouched)."""
         with self._lock:
@@ -207,14 +250,14 @@ class IndexFarm:
             return record.service
 
     def _enforce_budget(self, keep: str) -> None:
-        """Evict LRU residents (never *keep*) until the budget holds."""
+        """Evict LRU evictable tenants (never *keep*) until the budget holds."""
         if self.memory_budget_bytes is None:
             return
         while True:
             resident = [
                 r
                 for r in self._tenants.values()
-                if r.resident and r.name != keep
+                if r.evictable and r.name != keep
             ]
             over = (
                 sum(r.storage_bytes for r in self._tenants.values() if r.resident)
@@ -226,15 +269,16 @@ class IndexFarm:
             self._evict_record(victim)
 
     def evict(self, name: str) -> bool:
-        """Explicitly evict one tenant; returns whether it was resident.
+        """Explicitly evict one tenant; returns whether it was evicted.
 
         Updates are written through on :meth:`apply_updates`, so eviction
         never persists anything — it only drops the in-memory index (and
         folds the service counters into the tenant's cumulative stats).
+        A directory-less tenant could not be reloaded, so it stays.
         """
         with self._lock:
             record = self._record(name)
-            if record.service is None:
+            if not record.evictable:
                 return False
             self._evict_record(record)
             return True
@@ -280,16 +324,17 @@ class IndexFarm:
         The updated index is saved back to the tenant's directory before
         this returns, so a later eviction-and-reload observes exactly the
         post-update state — eviction can never lose an update or change a
-        result.  The tenant's ``storage_bytes`` accounting is refreshed
-        from the re-saved manifest.
+        result.  A directory-less tenant has nowhere to save to and is
+        never evicted, so nothing is written for it.  The tenant's
+        ``storage_bytes`` accounting is refreshed from the live index.
         """
         service = self.service(name)
         applied = service.apply_updates(batch)
-        service.save(self._record(name).directory)
+        record = self._record(name)
+        if record.directory is not None:
+            service.save(record.directory)
         with self._lock:
-            record = self._record(name)
-            manifest = load_manifest(record.directory)
-            record.storage_bytes = manifest["storage_bytes"]
+            record.storage_bytes = service.index.storage_bytes()
             self._enforce_budget(keep=name)
         return applied
 
@@ -302,9 +347,13 @@ class IndexFarm:
         Never triggers a load — observability probes must not page a
         tenant in (the same policy as ``PlacementService.index_version``).
         """
+        service = self.resident_service(name)
+        return None if service is None else service.index_version
+
+    def resident_service(self, name: str) -> PlacementService | None:
+        """The tenant's live service, or ``None`` while evicted (no load)."""
         with self._lock:
-            record = self._record(name)
-            return None if record.service is None else record.service.index_version
+            return self._record(name).service
 
     def tenant_stats(self, name: str) -> dict[str, int | float]:
         """Cumulative ServiceStats counters for one tenant.
@@ -333,7 +382,9 @@ class IndexFarm:
                 "evictions_total": self._evictions_total,
                 "tenants": {
                     name: {
-                        "directory": str(record.directory),
+                        "directory": (
+                            None if record.directory is None else str(record.directory)
+                        ),
                         "resident": record.resident,
                         "storage_bytes": record.storage_bytes,
                         "loads": record.loads,
@@ -356,8 +407,8 @@ class IndexFarm:
             return self._evictions_total
 
     def close(self) -> None:
-        """Evict every resident tenant (folding stats); keep registrations."""
+        """Evict every evictable tenant (folding stats); keep registrations."""
         with self._lock:
             for record in self._tenants.values():
-                if record.service is not None:
+                if record.evictable:
                     self._evict_record(record, count=False)

@@ -1,37 +1,47 @@
-"""Asynchronous HTTP serving front end over :class:`PlacementService`.
+"""Asynchronous HTTP serving front end over an :class:`IndexFarm`.
 
-:class:`PlacementServer` turns the in-process placement service into a
-network service: a hand-rolled HTTP/1.1 front end on
-:func:`asyncio.start_server` (stdlib only — no web framework, no
-``http.server``) exposing four endpoints:
+:class:`PlacementServer` turns the in-process placement services of one
+:class:`~repro.service.farm.IndexFarm` into a network service: a
+hand-rolled HTTP/1.1 front end on :func:`asyncio.start_server` (stdlib
+only — no web framework, no ``http.server``).  There is one serving path:
+``python -m repro.service serve`` is a farm holding one directory-less
+tenant (:data:`~repro.service.farm.DEFAULT_TENANT`) and ``python -m
+repro.service farm`` is a farm of directory tenants.  The endpoints:
 
-``POST /query``
+``POST /t/<tenant>/query`` and ``POST /query``
     A JSON array of :class:`~repro.service.specs.QuerySpec` objects (or
-    ``{"specs": [...]}``) answered through
+    ``{"specs": [...]}``) answered through the tenant's
     :meth:`PlacementService.batch_query`; placements, utilities and
     per-trajectory utility vectors come back byte-identical to a direct
-    in-process call.
-``POST /update``
+    in-process call.  The plain path addresses the default tenant and
+    answers ``404`` when the farm has none.
+``POST /t/<tenant>/update`` and ``POST /update``
     One :class:`~repro.core.netclus.UpdateBatch` delta (the CLI's JSON
     vocabulary: ``add_trajectories`` / ``remove_trajectories`` /
-    ``add_sites`` / ``remove_sites``) applied through the service's
-    exclusive writer lock; the response reports the applied count and the
-    index-version bump.
+    ``add_sites`` / ``remove_sites``) applied through
+    :meth:`IndexFarm.apply_updates` (the service's exclusive writer lock,
+    then a write-through save for a tenant with a directory); the response
+    reports the applied count and the index-version bump.
 ``GET /metrics``
-    Prometheus-style text: every :class:`ServiceStats` counter plus the
-    server-level counters of :class:`ServerStats` (in-flight gauge,
-    coalesced specs, rejections, timeouts, p50/p99 latency reservoirs).
+    Prometheus-style text: farm gauges, every tenant's
+    :class:`ServiceStats` counters (plus kernel, coverage-cache and
+    index-version series for resident tenants) labelled ``tenant=...`` —
+    the default tenant's series carry no label — and the server-level
+    counters of :class:`ServerStats` (in-flight gauge, coalesced specs,
+    rejections, timeouts, p50/p99 latency reservoirs).
 ``GET /healthz``
-    Liveness: status, draining flag, index version.
+    Liveness: status, draining flag, tenancy, and the default tenant's
+    index version when there is one.
 
 The correctness mechanics, not the routing, are the point of this module:
 
 * **Request coalescing** — specs are hashable, so identical in-flight
-  specs collapse onto one future: while a ``QuerySpec`` is being computed,
-  every further request asking for it awaits the same result instead of
-  queueing duplicate work (``netclus_server_coalesced_specs_total``
-  counts the deduplicated specs, and ``ServiceStats`` proves the single
-  underlying ``batch_query``).
+  specs for one tenant collapse onto one future: while a ``QuerySpec`` is
+  being computed, every further request asking that tenant for it awaits
+  the same result instead of queueing duplicate work
+  (``netclus_server_coalesced_specs_total`` counts the deduplicated
+  specs, and ``ServiceStats`` proves the single underlying
+  ``batch_query``).
 * **Bounded admission + backpressure** — at most ``max_inflight``
   query/update requests are admitted at once; request number
   ``max_inflight + 1`` is rejected immediately with ``503`` and a
@@ -42,9 +52,10 @@ The correctness mechanics, not the routing, are the point of this module:
   (it cannot be cancelled mid-NumPy): it finishes on the worker pool,
   resolves the shared futures of any coalesced waiters and warms the
   service cache.
-* **Event-loop isolation** — every blocking service call runs on a sized
-  ``ThreadPoolExecutor`` (``worker_threads``), so the event loop keeps
-  accepting, parsing and answering while placements are computed.
+* **Event-loop isolation** — every blocking farm call (placements, tenant
+  loads and the evictions they trigger, write-through saves) runs on a
+  sized ``ThreadPoolExecutor`` (``worker_threads``), so the event loop
+  keeps accepting, parsing and answering meanwhile.
 * **Graceful drain** — :meth:`PlacementServer.shutdown` stops accepting,
   lets in-flight requests finish (bounded by ``drain_timeout``), then
   closes lingering keep-alive connections; requests arriving mid-drain
@@ -59,17 +70,17 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable
+from typing import Any
 
 from repro.core.netclus import UpdateBatch
 from repro.core.query import TOPSResult
 from repro.network.graph import RoadNetwork
-from repro.service.farm import IndexFarm
-from repro.service.placement import PlacementService
+from repro.service.farm import DEFAULT_TENANT, IndexFarm
 from repro.service.specs import QuerySpec, update_batch_from_dict
 from repro.utils.concurrency import guarded_by
 from repro.utils.validation import require
@@ -218,11 +229,16 @@ class ServerStats:
 def _render_metric(
     lines: list[str], name: str, kind: str, help_text: str, value: float, **labels: str
 ) -> None:
-    """Append one metric (with ``# HELP`` / ``# TYPE`` once per name)."""
+    """Append one metric (with ``# HELP`` / ``# TYPE`` once per name).
+
+    An empty label value is omitted, as Prometheus reads it: the default
+    tenant's series come out unlabelled.
+    """
     header = f"# HELP {name} {help_text}"
     if header not in lines:
         lines.append(header)
         lines.append(f"# TYPE {name} {kind}")
+    labels = {key: val for key, val in labels.items() if val}
     if labels:
         rendered = ",".join(f'{key}="{val}"' for key, val in sorted(labels.items()))
         lines.append(f"{name}{{{rendered}}} {value}")
@@ -259,35 +275,33 @@ class _Response:
 
 
 class PlacementServer:
-    """An asyncio HTTP/1.1 front end over one :class:`PlacementService`.
+    """An asyncio HTTP/1.1 front end over one :class:`IndexFarm`.
 
     Parameters
     ----------
-    service:
-        The placement service to serve.  Its readers-writer lock is what
-        makes concurrent ``/query`` + ``/update`` traffic safe; the
-        server adds coalescing, admission control and the HTTP surface.
     farm:
-        Alternative to *service*: an :class:`~repro.service.farm.IndexFarm`
-        serving N tenants from one process.  Farm mode replaces the plain
-        endpoints with tenant-scoped ones — ``POST /t/<tenant>/query`` and
-        ``POST /t/<tenant>/update`` (404 for unregistered tenants) — and
-        ``/metrics`` reports per-tenant service counters (``tenant``
-        label) plus farm-level residency/eviction gauges.  Coalescing is
-        tenant-scoped: identical specs for different tenants never share
-        a result.  Eviction and reload under the farm's memory budget are
+        The tenants to serve.  ``POST /t/<tenant>/query`` and
+        ``POST /t/<tenant>/update`` address a registered tenant (404
+        otherwise); plain ``POST /query`` and ``POST /update`` address the
+        farm's :data:`~repro.service.farm.DEFAULT_TENANT` — the in-memory
+        service :meth:`IndexFarm.add_service` registers — and answer 404
+        when there is none.  Each tenant's readers-writer lock is what
+        makes concurrent query + update traffic safe; the server adds
+        coalescing (keyed per tenant: identical specs for different
+        tenants never share a result), admission control and the HTTP
+        surface.  Eviction and reload under the farm's memory budget are
         invisible to clients (at worst a slower first query).
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start` — the test/bench harness
         relies on this).
     max_inflight:
-        Bound on concurrently admitted ``/query``/``/update`` requests.
+        Bound on concurrently admitted query/update requests.
         Request ``max_inflight + 1`` is answered ``503`` immediately —
         bounded admission instead of an unbounded queue.
     worker_threads:
-        Size of the thread pool blocking service calls run on.  The
-        event loop itself never computes a placement.
+        Size of the thread pool blocking farm calls run on.  The event
+        loop itself never computes a placement or loads a tenant.
     request_timeout:
         Per-request budget in seconds; exceeding it answers ``504``
         while the computation finishes in the background (coalesced
@@ -298,9 +312,8 @@ class PlacementServer:
 
     def __init__(
         self,
-        service: PlacementService | None = None,
+        farm: IndexFarm,
         *,
-        farm: IndexFarm | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 64,
@@ -308,14 +321,9 @@ class PlacementServer:
         request_timeout: float = 30.0,
         max_body_bytes: int = 8 << 20,
     ) -> None:
-        require(
-            (service is None) != (farm is None),
-            "PlacementServer needs exactly one of service or farm",
-        )
         require(max_inflight >= 1, "max_inflight must be >= 1")
         require(worker_threads >= 1, "worker_threads must be >= 1")
         require(request_timeout > 0, "request_timeout must be positive")
-        self.service = service
         self.farm = farm
         self.host = host
         self.port = port
@@ -327,9 +335,9 @@ class PlacementServer:
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
-        # coalescing key: (tenant, spec) — tenant is None in single mode,
-        # so identical specs for *different* tenants never share a future
-        self._inflight_specs: dict[tuple[str | None, QuerySpec], asyncio.Future] = {}
+        # coalescing key: (tenant, spec), so identical specs for
+        # *different* tenants never share a future
+        self._inflight_specs: dict[tuple[str, QuerySpec], asyncio.Future] = {}
         self._connections: set[asyncio.StreamWriter] = set()
         self._inflight_requests = 0
         self._draining = False
@@ -488,36 +496,29 @@ class PlacementServer:
                 "status": "ok",
                 "draining": self._draining,
                 "in_flight": self._inflight_requests,
+                "tenants": len(self.farm.tenants()),
+                "resident_tenants": self.farm.resident_tenants(),
             }
-            if self.farm is not None:
-                payload["tenants"] = len(self.farm.tenants())
-                payload["resident_tenants"] = self.farm.resident_tenants()
-            else:
-                payload["index_version"] = self._index_version()
+            if self.farm.has_tenant(DEFAULT_TENANT):
+                payload["index_version"] = self._index_version(DEFAULT_TENANT)
             return _Response.json(200, payload)
         if route == ("GET", "/metrics"):
             self.stats.requests_total["metrics"] += 1
             return _Response(200, self.render_metrics().encode(), "text/plain; version=0.0.4")
         if request.path.startswith("/t/"):
             return await self._dispatch_tenant(request)
-        if route == ("POST", "/query"):
-            self.stats.requests_total["query"] += 1
-            if self.farm is not None:
-                return _Response.error(404, "farm mode: use /t/<tenant>/query")
-            return await self._admitted(self._handle_query, request, "query")
-        if route == ("POST", "/update"):
-            self.stats.requests_total["update"] += 1
-            if self.farm is not None:
-                return _Response.error(404, "farm mode: use /t/<tenant>/update")
-            return await self._admitted(self._handle_update, request, "update")
+        if route in (("POST", "/query"), ("POST", "/update")):
+            endpoint = request.path[1:]
+            self.stats.requests_total[endpoint] += 1
+            if not self.farm.has_tenant(DEFAULT_TENANT):
+                return _Response.error(404, f"farm mode: use /t/<tenant>/{endpoint}")
+            return await self._admitted(request, endpoint, DEFAULT_TENANT)
         if request.path in ("/healthz", "/metrics", "/query", "/update"):
             return _Response.error(405, f"{request.method} not allowed on {request.path}")
         return _Response.error(404, f"no such endpoint: {request.path}")
 
     async def _dispatch_tenant(self, request: _Request) -> _Response:
         """Route ``/t/<tenant>/query`` and ``/t/<tenant>/update``."""
-        if self.farm is None:
-            return _Response.error(404, "tenant endpoints need a farm-mode server")
         parts = request.path.split("/")
         if len(parts) != 4 or parts[3] not in ("query", "update") or not parts[2]:
             return _Response.error(404, f"no such endpoint: {request.path}")
@@ -527,29 +528,14 @@ class PlacementServer:
         if not self.farm.has_tenant(tenant):
             return _Response.error(404, f"no such tenant: {tenant}")
         self.stats.requests_total[endpoint] += 1
-        if endpoint == "query":
-            return await self._admitted(
-                lambda req: self._handle_query(req, tenant), request, "query"
-            )
-        return await self._admitted(
-            lambda req: self._handle_update(req, tenant), request, "update"
-        )
+        return await self._admitted(request, endpoint, tenant)
 
-    def _index_version(self, tenant: str | None = None) -> int:
-        if self.farm is not None:
-            version = self.farm.index_version(tenant) if tenant is not None else None
-        else:
-            assert self.service is not None
-            version = self.service.index_version
+    def _index_version(self, tenant: str) -> int:
+        version = self.farm.index_version(tenant)
         return -1 if version is None else version
 
-    async def _admitted(
-        self,
-        handler: Callable[[_Request], Awaitable[_Response]],
-        request: _Request,
-        endpoint: str,
-    ) -> _Response:
-        """Run *handler* under admission control, timing and timeout."""
+    async def _admitted(self, request: _Request, endpoint: str, tenant: str) -> _Response:
+        """Run the *endpoint* handler under admission control, timing and timeout."""
         if self._draining:
             return _Response.error(503, "server is draining")
         if self._inflight_requests >= self.max_inflight:
@@ -559,7 +545,8 @@ class PlacementServer:
         self.stats.in_flight = self._inflight_requests
         start = self._loop.time()
         try:
-            work = asyncio.ensure_future(handler(request))
+            handler = self._handle_query if endpoint == "query" else self._handle_update
+            work = asyncio.ensure_future(handler(request, tenant))
             try:
                 response = await asyncio.wait_for(
                     asyncio.shield(work), self.request_timeout
@@ -600,9 +587,7 @@ class PlacementServer:
             raise _BadRequest(f"bad query spec: {exc}") from None
         return specs, use_cache
 
-    async def _handle_query(
-        self, request: _Request, tenant: str | None = None
-    ) -> _Response:
+    async def _handle_query(self, request: _Request, tenant: str) -> _Response:
         specs, use_cache = self._parse_specs(request.body)
         self.stats.specs_received += len(specs)
 
@@ -610,7 +595,7 @@ class PlacementServer:
         # flight (from any connection, or earlier in this very batch)
         # shares the existing future; the rest are owned by this request
         # and computed through ONE underlying batch_query call.  Keys are
-        # tenant-scoped, so farm tenants never share each other's results.
+        # tenant-scoped, so tenants never share each other's results.
         futures: list[asyncio.Future] = []
         owned: list[tuple[QuerySpec, asyncio.Future]] = []
         for spec in specs:
@@ -633,7 +618,7 @@ class PlacementServer:
             ],
             "index_version": self._index_version(tenant),
         }
-        if tenant is not None:
+        if tenant:
             body["tenant"] = tenant
         return _Response.json(200, body)
 
@@ -641,26 +626,19 @@ class PlacementServer:
         self,
         owned: list[tuple[QuerySpec, asyncio.Future]],
         use_cache: bool,
-        tenant: str | None = None,
+        tenant: str,
     ) -> None:
         """Answer the owned specs via one pooled ``batch_query`` call.
 
         Futures are always resolved (result or exception) and always
         removed from the in-flight table, even if the service raises —
         a failed computation must not wedge later requests for the same
-        spec.  In farm mode the call goes through the farm, so a lazy
-        tenant load (and any budget eviction it triggers) happens on the
-        worker pool, never on the event loop.
+        spec.  The call goes through the farm, so a lazy tenant load (and
+        any budget eviction it triggers) happens on the worker pool, never
+        on the event loop.
         """
         specs = [spec for spec, _ in owned]
-        if self.farm is not None:
-            assert tenant is not None
-            farm, name = self.farm, tenant
-            call = lambda: farm.batch_query(name, specs, use_cache=use_cache)  # noqa: E731
-        else:
-            service = self.service
-            assert service is not None
-            call = lambda: service.batch_query(specs, use_cache=use_cache)  # noqa: E731
+        call = functools.partial(self.farm.batch_query, tenant, specs, use_cache=use_cache)
         try:
             results = await self._loop.run_in_executor(self._executor, call)
         except Exception as exc:  # noqa: BLE001 - propagate to every waiter
@@ -703,27 +681,17 @@ class PlacementServer:
         except (ValueError, TypeError, KeyError) as exc:
             raise _BadRequest(f"bad update delta: {exc}") from None
 
-    async def _handle_update(
-        self, request: _Request, tenant: str | None = None
-    ) -> _Response:
-        if self.farm is not None:
-            assert tenant is not None
-            farm, name = self.farm, tenant
-            # resolving the tenant may page its index in — worker pool
-            service = await self._loop.run_in_executor(
-                self._executor, lambda: farm.service(name)
-            )
-            batch = self._parse_update(request.body, service.index.network)
-            apply = lambda: farm.apply_updates(name, batch)  # noqa: E731
-        else:
-            service = self.service
-            assert service is not None
-            batch = self._parse_update(request.body, service.index.network)
-            local = service
-            apply = lambda: local.apply_updates(batch)  # noqa: E731
+    async def _handle_update(self, request: _Request, tenant: str) -> _Response:
+        # resolving the tenant may page its index in — worker pool
+        service = await self._loop.run_in_executor(
+            self._executor, self.farm.service, tenant
+        )
+        batch = self._parse_update(request.body, service.index.network)
         version_before = service.index.version
         try:
-            applied = await self._loop.run_in_executor(self._executor, apply)
+            applied = await self._loop.run_in_executor(
+                self._executor, self.farm.apply_updates, tenant, batch
+            )
         except (ValueError, KeyError) as exc:
             # apply_updates validates the whole batch up front; a bad
             # member (unknown site, duplicate id, ...) is a client error
@@ -735,7 +703,7 @@ class PlacementServer:
             "index_version_before": version_before,
             "index_version": service.index.version,
         }
-        if tenant is not None:
+        if tenant:
             body["tenant"] = tenant
         return _Response.json(200, body)
 
@@ -743,12 +711,114 @@ class PlacementServer:
     # /metrics
     # ------------------------------------------------------------------ #
     def render_metrics(self) -> str:
-        """The Prometheus-style text body of ``GET /metrics``."""
+        """The Prometheus-style text body of ``GET /metrics``.
+
+        One loop renders every tenant: its cumulative service counters
+        (folded across evictions) always, and its kernel, coverage-cache
+        and index-version series while it is resident — rendering never
+        loads a tenant.
+        """
         lines: list[str] = []
-        if self.farm is not None:
-            self._render_farm_metrics(lines)
-        else:
-            self._render_service_metrics(lines)
+        farm = self.farm
+        described = farm.describe()
+        if described["memory_budget_bytes"] is not None:
+            _render_metric(
+                lines,
+                "netclus_farm_memory_budget_bytes",
+                "gauge",
+                "memory budget over resident tenant indexes",
+                described["memory_budget_bytes"],
+            )
+        _render_metric(
+            lines,
+            "netclus_farm_resident_bytes",
+            "gauge",
+            "summed storage bytes of resident tenant indexes",
+            described["resident_bytes"],
+        )
+        _render_metric(
+            lines,
+            "netclus_farm_loads_total",
+            "counter",
+            "tenant index loads from disk",
+            described["loads_total"],
+        )
+        _render_metric(
+            lines,
+            "netclus_farm_evictions_total",
+            "counter",
+            "tenant evictions under the memory budget",
+            described["evictions_total"],
+        )
+        for tenant, info in described["tenants"].items():
+            _render_metric(
+                lines,
+                "netclus_farm_tenant_resident",
+                "gauge",
+                "whether the tenant index is currently in memory",
+                1.0 if info["resident"] else 0.0,
+                tenant=tenant,
+            )
+            _render_metric(
+                lines,
+                "netclus_farm_tenant_storage_bytes",
+                "gauge",
+                "Table 9-style storage bytes of the tenant index",
+                info["storage_bytes"],
+                tenant=tenant,
+            )
+            for name, value in farm.tenant_stats(tenant).items():
+                kind = "counter" if isinstance(value, int) else "gauge"
+                _render_metric(
+                    lines,
+                    f"netclus_service_{name}",
+                    kind,
+                    f"PlacementService {name.replace('_', ' ')}",
+                    value,
+                    tenant=tenant,
+                )
+            service = farm.resident_service(tenant)
+            if service is None:
+                continue
+            for kernel, (calls, seconds) in service.stats.kernel_snapshot().items():
+                _render_metric(
+                    lines,
+                    "netclus_kernel_calls_total",
+                    "counter",
+                    "coverage kernel invocations per kernel",
+                    calls,
+                    kernel=kernel,
+                    tenant=tenant,
+                )
+                _render_metric(
+                    lines,
+                    "netclus_kernel_seconds_total",
+                    "counter",
+                    "cumulative seconds spent per coverage kernel",
+                    seconds,
+                    kernel=kernel,
+                    tenant=tenant,
+                )
+            if service.coverage_cache is not None:
+                for name, value in service.coverage_cache.stats().items():
+                    # every stat but the live part count is cumulative
+                    kind = "gauge" if name == "parts" else "counter"
+                    _render_metric(
+                        lines,
+                        f"netclus_covcache_{name}",
+                        kind,
+                        f"CoverageCache {name.replace('_', ' ')}",
+                        value,
+                        tenant=tenant,
+                    )
+            _render_metric(
+                lines,
+                "netclus_index_version",
+                "gauge",
+                "monotonic version of the served index",
+                self._index_version(tenant),
+                tenant=tenant,
+            )
         stats = self.stats
         for endpoint, count in sorted(stats.requests_total.items()):
             _render_metric(
@@ -830,120 +900,7 @@ class PlacementServer:
                 snapshot["count"],
                 endpoint=endpoint,
             )
-        if self.farm is None:
-            _render_metric(
-                lines,
-                "netclus_index_version",
-                "gauge",
-                "monotonic version of the served index",
-                self._index_version(),
-            )
         return "\n".join(lines) + "\n"
-
-    def _render_service_metrics(self, lines: list[str]) -> None:
-        """Single-tenant service/kernel/covcache counters (no labels)."""
-        service = self.service
-        assert service is not None
-        for name, value in service.stats.as_dict().items():
-            kind = "counter" if isinstance(value, int) else "gauge"
-            _render_metric(
-                lines,
-                f"netclus_service_{name}",
-                kind,
-                f"PlacementService {name.replace('_', ' ')}",
-                value,
-            )
-        for kernel, (calls, seconds) in service.stats.kernel_snapshot().items():
-            _render_metric(
-                lines,
-                "netclus_kernel_calls_total",
-                "counter",
-                "coverage kernel invocations per kernel",
-                calls,
-                kernel=kernel,
-            )
-            _render_metric(
-                lines,
-                "netclus_kernel_seconds_total",
-                "counter",
-                "cumulative seconds spent per coverage kernel",
-                seconds,
-                kernel=kernel,
-            )
-        coverage_cache = getattr(service, "coverage_cache", None)
-        if coverage_cache is not None:
-            for name, value in coverage_cache.stats().items():
-                # every stat but the live part count is cumulative
-                kind = "gauge" if name == "parts" else "counter"
-                _render_metric(
-                    lines,
-                    f"netclus_covcache_{name}",
-                    kind,
-                    f"CoverageCache {name.replace('_', ' ')}",
-                    value,
-                )
-
-    def _render_farm_metrics(self, lines: list[str]) -> None:
-        """Farm gauges plus per-tenant service counters (``tenant`` label)."""
-        farm = self.farm
-        assert farm is not None
-        snapshot = farm.describe()
-        if snapshot["memory_budget_bytes"] is not None:
-            _render_metric(
-                lines,
-                "netclus_farm_memory_budget_bytes",
-                "gauge",
-                "memory budget over resident tenant indexes",
-                snapshot["memory_budget_bytes"],
-            )
-        _render_metric(
-            lines,
-            "netclus_farm_resident_bytes",
-            "gauge",
-            "summed storage bytes of resident tenant indexes",
-            snapshot["resident_bytes"],
-        )
-        _render_metric(
-            lines,
-            "netclus_farm_loads_total",
-            "counter",
-            "tenant index loads from disk",
-            snapshot["loads_total"],
-        )
-        _render_metric(
-            lines,
-            "netclus_farm_evictions_total",
-            "counter",
-            "tenant evictions under the memory budget",
-            snapshot["evictions_total"],
-        )
-        for tenant, info in snapshot["tenants"].items():
-            _render_metric(
-                lines,
-                "netclus_farm_tenant_resident",
-                "gauge",
-                "whether the tenant index is currently in memory",
-                1.0 if info["resident"] else 0.0,
-                tenant=tenant,
-            )
-            _render_metric(
-                lines,
-                "netclus_farm_tenant_storage_bytes",
-                "gauge",
-                "Table 9-style storage bytes of the tenant index",
-                info["storage_bytes"],
-                tenant=tenant,
-            )
-            for name, value in farm.tenant_stats(tenant).items():
-                kind = "counter" if isinstance(value, int) else "gauge"
-                _render_metric(
-                    lines,
-                    f"netclus_service_{name}",
-                    kind,
-                    f"PlacementService {name.replace('_', ' ')}",
-                    value,
-                    tenant=tenant,
-                )
 
 
 # ---------------------------------------------------------------------- #
@@ -1011,18 +968,17 @@ class ServerHandle:
         self.close()
 
 
-def serve_in_background(
-    service: PlacementService | None = None, **server_kwargs: Any
-) -> ServerHandle:
+def serve_in_background(farm: IndexFarm, **server_kwargs: Any) -> ServerHandle:
     """Start a :class:`PlacementServer` on a dedicated thread; return its handle.
 
-    Pass ``farm=...`` instead of a service to serve an
-    :class:`~repro.service.farm.IndexFarm` (tenant-scoped endpoints).
-
+    To serve one in-memory service on the plain ``/query`` and ``/update``
+    endpoints, register it first with :meth:`IndexFarm.add_service`.
     ``port`` defaults to 0 (ephemeral) — read the real address back from
     ``handle.address``.  The handle is a context manager::
 
-        with serve_in_background(service) as handle:
+        farm = IndexFarm()
+        farm.add_service(service)
+        with serve_in_background(farm) as handle:
             host, port = handle.address
             ...  # real HTTP against the live server
 
@@ -1030,4 +986,4 @@ def serve_in_background(
     CLI's ``serve`` and ``farm`` subcommands run the same server on the
     main thread instead.
     """
-    return ServerHandle(PlacementServer(service, **server_kwargs)).start()
+    return ServerHandle(PlacementServer(farm, **server_kwargs)).start()

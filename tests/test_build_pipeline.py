@@ -172,6 +172,25 @@ def test_stage_fault_propagates(bundle, monkeypatch, stage):
         )
 
 
+def test_closest_build_never_counts_node_visits(bundle, monkeypatch):
+    """Only a most_frequent election reads node visit counts."""
+    monkeypatch.setattr(
+        type(bundle.trajectories), "node_visit_counts", _injected_fault
+    )
+    index = build_index(
+        bundle.network, bundle.trajectories, bundle.sites, tau_max_km=2.0
+    )
+    assert index.representative_strategy == "closest"
+    with pytest.raises(RuntimeError, match="injected build fault"):
+        build_index(
+            bundle.network,
+            bundle.trajectories,
+            bundle.sites,
+            tau_max_km=2.0,
+            representative_strategy="most_frequent",
+        )
+
+
 class TestManifestStats:
     def test_build_stats_round_trip_through_manifest(
         self, tmp_path, bundle, sequential_index

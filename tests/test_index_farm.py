@@ -30,7 +30,7 @@ from repro.service import (
     save_index,
     serve_in_background,
 )
-from repro.service.farm import UnknownTenantError
+from repro.service.farm import DEFAULT_TENANT, UnknownTenantError
 from repro.trajectory.generators import commuter_trajectories
 
 TENANTS = ("nyk", "bjg", "tky")
@@ -193,6 +193,39 @@ def test_explicit_evict_reports_residency(tenant_dirs):
     assert farm.evict("nyk") is False  # already out
 
 
+def test_directory_less_tenant_is_pinned_and_never_saved(tenant_dirs, monkeypatch):
+    """An in-memory tenant beside two directory tenants under a one-tenant
+    budget: loads churn the directory tenants, never it; its updates save
+    nothing; its stats are its live service's."""
+    farm = IndexFarm(memory_budget_bytes=_one_tenant_budget(tenant_dirs))
+    for name in ("nyk", "bjg"):
+        farm.add_tenant(name, tenant_dirs[name])
+    service = PlacementService(_build_city(seed=99))
+    record = farm.add_service(service)
+    assert record.directory is None and record.resident
+    with pytest.raises(ValueError):
+        farm.add_service(PlacementService(_build_city(seed=99)))
+    spec = QuerySpec(k=4, tau_km=1.0)
+    for name in ("nyk", DEFAULT_TENANT, "bjg", DEFAULT_TENANT, "nyk", "bjg"):
+        farm.query(name, spec)
+        assert DEFAULT_TENANT in farm.resident_tenants()
+    assert farm.loads_total == 4
+    assert farm.evictions_total == 3  # every load after the first evicted
+    assert record.evictions == 0 and record.service is service
+    assert farm.evict(DEFAULT_TENANT) is False
+
+    def no_save(*args, **kwargs):
+        raise AssertionError("a directory-less tenant was saved")
+
+    monkeypatch.setattr(PlacementService, "save", no_save)
+    ids = list(service.index.trajectory_ids)[:5]
+    assert farm.apply_updates(DEFAULT_TENANT, UpdateBatch(remove_trajectories=ids)) == 5
+    assert record.storage_bytes == service.index.storage_bytes()
+    assert farm.tenant_stats(DEFAULT_TENANT) == service.stats.as_dict()
+    farm.close()
+    assert farm.resident_tenants() == [DEFAULT_TENANT]
+
+
 # ---------------------------------------------------------------------- #
 # write-through updates
 # ---------------------------------------------------------------------- #
@@ -308,10 +341,12 @@ def _http(address, method, path, payload=None):
 
 @pytest.fixture()
 def served_farm(tenant_dirs):
-    farm = IndexFarm(memory_budget_bytes=_one_tenant_budget(tenant_dirs))
+    farm = IndexFarm(
+        memory_budget_bytes=_one_tenant_budget(tenant_dirs), coverage_cache=True
+    )
     for name, path in tenant_dirs.items():
         farm.add_tenant(name, path)
-    with serve_in_background(farm=farm) as handle:
+    with serve_in_background(farm) as handle:
         yield farm, handle
     farm.close()
 
@@ -370,7 +405,7 @@ def test_http_coalescing_is_tenant_scoped(tenant_dirs):
     def post(key, tenant):
         replies[key] = _http(handle.address, "POST", f"/t/{tenant}/query", [spec])
 
-    with serve_in_background(farm=farm) as handle:
+    with serve_in_background(farm) as handle:
         farm.gate.clear()
         threads = {
             key: threading.Thread(target=post, args=(key, tenant))
@@ -443,6 +478,14 @@ def test_http_metrics_carry_tenant_labels(served_farm):
     assert "netclus_farm_evictions_total" in text
     assert "netclus_farm_memory_budget_bytes" in text
     assert 'netclus_farm_tenant_resident{tenant="nyk"}' in text
+    # kernel, coverage-cache and version series of the resident tenant
+    assert farm.resident_tenants() == ["nyk"]
+    assert 'netclus_covcache_misses{tenant="nyk"} 1' in text
+    assert 'netclus_covcache_parts{tenant="nyk"}' in text
+    assert 'netclus_index_version{tenant="nyk"} 0' in text
+    assert 'netclus_kernel_calls_total{kernel="marginal_gains",tenant="nyk"}' in text
+    # a tenant that is not resident reports no live-index series
+    assert 'netclus_index_version{tenant="bjg"}' not in text
 
 
 def test_http_healthz_reports_tenancy(served_farm):

@@ -1,14 +1,24 @@
-"""The ``python -m repro.service`` CLI: build, query (JSON + CSV), inspect."""
+"""The ``python -m repro.service`` CLI: build, query (JSON + CSV), serve, inspect."""
 
 from __future__ import annotations
 
 import ast
+import http.client
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.service import cli
+from repro.core.netclus import UpdateBatch
+from repro.service import PlacementService, QuerySpec, cli
 from repro.service.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -416,3 +426,87 @@ def test_query_and_serve_have_no_engine_flag(command, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
+def _directory_bytes(directory: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _banner_address(process: subprocess.Popen, timeout: float = 60.0) -> tuple[str, int]:
+    """The ``http://host:port`` a starting server prints first."""
+    deadline = time.monotonic() + timeout
+    lines = []
+    while time.monotonic() < deadline:
+        ready, _, _ = select.select([process.stdout], [], [], 1.0)
+        if not ready:
+            continue
+        line = process.stdout.readline()
+        if not line:
+            break
+        lines.append(line)
+        match = re.search(r"http://([\d.]+):(\d+)", line)
+        if match:
+            return match[1], int(match[2])
+    raise AssertionError(f"server printed no address: {lines}")
+
+
+def _post(conn: http.client.HTTPConnection, path: str, payload) -> tuple[int, dict]:
+    conn.request("POST", path, body=json.dumps(payload))
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def test_serve_end_to_end_matches_the_service_and_never_writes(built_index):
+    """``serve`` in a child process answers like a direct service, exits 0
+    on SIGINT and leaves every file of its index directory unchanged."""
+    before = _directory_bytes(built_index)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve",
+         "--index", str(built_index), "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    try:
+        conn = http.client.HTTPConnection(*_banner_address(process), timeout=60)
+        direct = PlacementService.from_path(built_index)
+        specs = [QuerySpec(k=3, tau_km=0.8), QuerySpec(k=5, tau_km=1.2)]
+        status, served = _post(conn, "/query", [spec.to_dict() for spec in specs])
+        assert status == 200
+        for got, want in zip(served["results"], direct.batch_query(specs), strict=True):
+            assert got["sites"] == list(want.sites)
+            assert got["utility"] == want.utility
+            assert (
+                np.asarray(got["per_trajectory_utility"]).tobytes()
+                == np.asarray(want.per_trajectory_utility).tobytes()
+            )
+        assert served["index_version"] == direct.index_version
+
+        victim = served["results"][0]["sites"][0]
+        status, update = _post(conn, "/update", {"remove_sites": [victim]})
+        assert status == 200
+        applied = direct.apply_updates(UpdateBatch(remove_sites=[victim]))
+        assert update == {
+            "applied": applied,
+            "index_version_before": 0,
+            "index_version": direct.index_version,
+        }
+        conn.close()
+        process.send_signal(signal.SIGINT)
+        output, _ = process.communicate(timeout=60)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0, output
+    assert "shut down cleanly" in output
+    assert _directory_bytes(built_index) == before

@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.service.farm import IndexFarm
 from repro.service.placement import PlacementService
 from repro.service.server import (
     LatencyReservoir,
@@ -52,6 +53,13 @@ class GatedService(PlacementService):
             self.calls += 1
         assert self.gate.wait(timeout=20), "test gate never released"
         return super().batch_query(specs, use_cache=use_cache)
+
+
+def one_tenant_farm(service: PlacementService) -> IndexFarm:
+    """A farm serving *service* on the plain ``/query`` and ``/update``."""
+    farm = IndexFarm()
+    farm.add_service(service)
+    return farm
 
 
 def request(
@@ -92,7 +100,7 @@ def served(tiny_netclus):
     """A served (read-only) tiny index + a direct reference service."""
     service = PlacementService(tiny_netclus)
     reference = PlacementService(tiny_netclus)
-    with serve_in_background(service) as handle:
+    with serve_in_background(one_tenant_farm(service)) as handle:
         yield handle, service, reference
 
 
@@ -295,7 +303,7 @@ def test_identical_concurrent_specs_coalesce_to_one_batch_query(tiny_netclus):
     """Two concurrent requests for one spec run ONE underlying batch_query."""
     service = GatedService(tiny_netclus)
     spec = {"k": 4, "tau_km": 0.8}
-    with serve_in_background(service) as handle:
+    with serve_in_background(one_tenant_farm(service)) as handle:
         service.gate.clear()
         results: dict[str, tuple] = {}
         first = threading.Thread(
@@ -330,7 +338,7 @@ def test_identical_concurrent_specs_coalesce_to_one_batch_query(tiny_netclus):
 def test_duplicate_specs_within_one_request_coalesce(tiny_netclus):
     service = GatedService(tiny_netclus)
     spec = {"k": 3, "tau_km": 0.8}
-    with serve_in_background(service) as handle:
+    with serve_in_background(one_tenant_farm(service)) as handle:
         status, _, body = request(handle.address, "POST", "/query", [spec, spec, spec])
         assert status == 200
         assert service.calls == 1
@@ -346,7 +354,7 @@ def test_queue_full_rejects_503_without_corrupting_inflight_work(tiny_netclus):
     service = GatedService(tiny_netclus)
     reference = PlacementService(tiny_netclus)
     slow_spec = {"k": 4, "tau_km": 0.8}
-    with serve_in_background(service, max_inflight=1) as handle:
+    with serve_in_background(one_tenant_farm(service), max_inflight=1) as handle:
         service.gate.clear()
         results: dict[str, tuple] = {}
         first = threading.Thread(
@@ -384,7 +392,7 @@ def test_queue_full_rejects_503_without_corrupting_inflight_work(tiny_netclus):
 def test_request_timeout_answers_504_and_computation_survives(tiny_netclus):
     service = GatedService(tiny_netclus)
     spec = {"k": 3, "tau_km": 0.8}
-    with serve_in_background(service, request_timeout=0.2) as handle:
+    with serve_in_background(one_tenant_farm(service), request_timeout=0.2) as handle:
         service.gate.clear()
         status, _, body = request(handle.address, "POST", "/query", [spec], timeout=30)
         assert status == 504
@@ -412,7 +420,7 @@ def mutable_served(tiny_problem):
     """A freshly built (mutable) served index — mutation tests only."""
     index = tiny_problem.build_netclus_index(gamma=0.75, tau_min_km=0.4, tau_max_km=4.0)
     service = PlacementService(index)
-    with serve_in_background(service) as handle:
+    with serve_in_background(one_tenant_farm(service)) as handle:
         yield handle, service
 
 
@@ -562,7 +570,7 @@ def test_update_then_query_served_from_patched_coverage_cache(tiny_problem):
     )
     service = PlacementService(index, coverage_cache=True)
     spec = {"k": 5, "tau_km": 0.8}
-    with serve_in_background(service) as handle:
+    with serve_in_background(one_tenant_farm(service)) as handle:
         status, _, before = request(handle.address, "POST", "/query", [spec])
         assert status == 200
         assert service.stats.coverage_builds == 1  # the one cold warm-up build
@@ -623,7 +631,7 @@ def test_update_then_query_served_from_patched_coverage_cache(tiny_problem):
 def test_shutdown_drains_inflight_requests(tiny_netclus):
     service = GatedService(tiny_netclus)
     spec = {"k": 3, "tau_km": 1.6}
-    handle = serve_in_background(service)
+    handle = serve_in_background(one_tenant_farm(service))
     service.gate.clear()
     results: dict[str, tuple] = {}
     slow = threading.Thread(
@@ -648,7 +656,7 @@ def test_shutdown_drains_inflight_requests(tiny_netclus):
 
 
 def test_close_is_idempotent(tiny_netclus):
-    handle = serve_in_background(PlacementService(tiny_netclus))
+    handle = serve_in_background(one_tenant_farm(PlacementService(tiny_netclus)))
     handle.close()
     handle.close()
 
@@ -692,10 +700,10 @@ def test_latency_reservoir_validates():
 # construction validation
 # ---------------------------------------------------------------------- #
 def test_server_validates_parameters(tiny_netclus):
-    service = PlacementService(tiny_netclus)
+    farm = one_tenant_farm(PlacementService(tiny_netclus))
     with pytest.raises(ValueError):
-        PlacementServer(service, max_inflight=0)
+        PlacementServer(farm, max_inflight=0)
     with pytest.raises(ValueError):
-        PlacementServer(service, worker_threads=0)
+        PlacementServer(farm, worker_threads=0)
     with pytest.raises(ValueError):
-        PlacementServer(service, request_timeout=0.0)
+        PlacementServer(farm, request_timeout=0.0)
