@@ -8,21 +8,18 @@ from __future__ import annotations
 
 from repro.experiments.figures import table08_fm_sketches
 from repro.experiments.reporting import print_table
+from repro.experiments.runner import fm_netclus
 
 
 def test_fm_netclus_query_f30(benchmark, small_context, default_query):
     """FM-NetClus query with the paper's chosen f = 30."""
-    result = benchmark(
-        lambda: small_context.netclus.query(default_query, use_fm_sketches=True, num_sketches=30)
-    )
+    result = benchmark(lambda: fm_netclus(small_context.netclus, default_query, 30))
     assert len(result.sites) == default_query.k
 
 
 def test_fm_netclus_query_f4(benchmark, small_context, default_query):
     """FM-NetClus query with very few copies (cheapest, least accurate)."""
-    result = benchmark(
-        lambda: small_context.netclus.query(default_query, use_fm_sketches=True, num_sketches=4)
-    )
+    result = benchmark(lambda: fm_netclus(small_context.netclus, default_query, 4))
     assert len(result.sites) == default_query.k
 
 

@@ -22,9 +22,9 @@ per-instance breakdown) which the resulting index carries in
 :attr:`NetClusIndex.build_stats`; ``save_index`` persists the records in
 the manifest so ``inspect`` and the Table 11 driver can report the stage
 breakdown of a loaded index.  Every stage is deterministic (Greedy-GDSP's
-greedy order, FM-sketch hashing, the registration kernel's insertion
-order, the neighbour sort), so two builds of the same data serialize
-identically apart from their timings.
+greedy order, the registration kernel's insertion order, the neighbour
+sort), so two builds of the same data serialize identically apart from
+their timings.
 """
 
 from __future__ import annotations
@@ -127,8 +127,6 @@ def build_index(
     gamma: float = 0.75,
     tau_min_km: float = 0.4,
     tau_max_km: float = 8.0,
-    use_fm_sketches: bool = False,
-    num_sketches: int = 30,
     max_instances: int | None = None,
     representative_strategy: str = "closest",
 ) -> NetClusIndex:
@@ -161,12 +159,7 @@ def build_index(
     stats: list[BuildStats] = []
 
     # stage 1 — per-instance GDSP clustering
-    gdsp = GreedyGDSP(
-        network,
-        engine=engine,
-        use_fm_sketches=use_fm_sketches,
-        num_sketches=num_sketches,
-    )
+    gdsp = GreedyGDSP(network, engine=engine)
     gdsp_results = [gdsp.cluster(radius) for radius in radii]
     clustering_per_instance = [result.build_seconds for result in gdsp_results]
     stats.append(

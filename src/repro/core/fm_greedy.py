@@ -2,9 +2,10 @@
 
 For the *binary* instance of TOPS, selecting the site with the largest
 marginal utility is equivalent to selecting the site covering the largest
-number of not-yet-covered trajectories.  FMG therefore keeps one FM sketch
-family per site summarising its trajectory cover ``TC(s_i)``; the marginal
-utility of a site given the already-selected set is estimated as
+number of not-yet-covered trajectories.  FMG therefore keeps one row of FM
+sketches (:mod:`repro.sketch.fm`) per site summarising its trajectory cover
+``TC(s_i)``; the marginal utility of a site given the already-selected set
+is estimated as
 
 ``estimate(union(covered_sketch, TC_sketch(s_i))) − estimate(covered_sketch)``
 
@@ -24,24 +25,11 @@ import numpy as np
 
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex
 from repro.core.query import TOPSQuery, TOPSResult
-from repro.sketch.fm import FMSketchFamily
+from repro.sketch.fm import estimate_rows, hash_items
 from repro.utils.timer import Timer
 from repro.utils.validation import require
 
 __all__ = ["FMGreedy"]
-
-_PHI = 0.77351
-_WORD_BITS = 32
-
-
-def _estimate_rows(bits: np.ndarray) -> np.ndarray:
-    """Vectorised FM estimate for each row of an ``(n, f)`` uint32 bit matrix."""
-    inverted = (~bits).astype(np.uint32)
-    isolated = inverted & (-inverted.astype(np.int64)).astype(np.uint32)
-    lowest_unset = np.full(bits.shape, float(_WORD_BITS))
-    nonzero = isolated != 0
-    lowest_unset[nonzero] = np.log2(isolated[nonzero])
-    return np.power(2.0, lowest_unset.mean(axis=1)) / _PHI
 
 
 class FMGreedy:
@@ -75,19 +63,19 @@ class FMGreedy:
         self._bits = self._build_site_bit_matrix()
 
     def _build_site_bit_matrix(self) -> np.ndarray:
-        """One FM sketch family per site, stacked into an ``(n, f)`` matrix."""
-        bits = np.zeros((self.coverage.num_sites, self.num_sketches), dtype=np.uint32)
-        families: dict[int, FMSketchFamily] = {}
-        # pre-hash each trajectory id once into a reusable one-item family
-        for col in range(self.coverage.num_sites):
-            covered = self.coverage.trajectories_covered(col)
-            for row in covered:
-                traj_id = int(self.coverage.trajectory_ids[row])
-                family = families.get(traj_id)
-                if family is None:
-                    family = FMSketchFamily.from_items([traj_id], self.num_sketches)
-                    families[traj_id] = family
-                bits[col] |= family.bits
+        """One row of FM sketches per site: the OR of its covered trajectories' rows."""
+        num_sites = self.coverage.num_sites
+        covers = [self.coverage.trajectories_covered(col) for col in range(num_sites)]
+        sizes = np.array([len(rows) for rows in covers], dtype=np.int64)
+        bits = np.zeros((num_sites, self.num_sketches), dtype=np.uint32)
+        nonempty = sizes > 0
+        if nonempty.any():
+            hashed = hash_items(np.asarray(self.coverage.trajectory_ids), self.num_sketches)
+            # an empty cover contributes no rows, so each non-empty cover's
+            # segment ends where the next non-empty one starts
+            bits[nonempty] = np.bitwise_or.reduceat(
+                hashed[np.concatenate(covers)], (np.cumsum(sizes) - sizes)[nonempty], axis=0
+            )
         return bits
 
     # ------------------------------------------------------------------ #
@@ -101,7 +89,7 @@ class FMGreedy:
         blocked = np.zeros(self.coverage.num_sites, dtype=bool)
         for _ in range(min(k, self.coverage.num_sites)):
             unions = np.bitwise_or(self._bits, covered_bits[np.newaxis, :])
-            estimates = _estimate_rows(unions)
+            estimates = estimate_rows(unions)
             marginal = estimates - covered_estimate
             marginal[blocked] = -np.inf
             best = int(np.argmax(marginal))
@@ -111,9 +99,7 @@ class FMGreedy:
             blocked[best] = True
             gains.append(float(marginal[best]))
             covered_bits = np.bitwise_or(covered_bits, self._bits[best])
-            covered_estimate = float(
-                _estimate_rows(covered_bits[np.newaxis, :])[0]
-            )
+            covered_estimate = float(estimate_rows(covered_bits))
         return selected, covered_estimate, gains
 
     # ------------------------------------------------------------------ #

@@ -13,7 +13,8 @@ Two selection backends are provided:
   lazy (CELF-style) priority queue, giving the classic ``1 + ln n`` greedy
   guarantee;
 * **FM sketches** — as in the paper, each node's dominating set is summarised
-  by an FM sketch family and marginal counts are estimated via bitwise ORs.
+  by a row of FM sketches (:mod:`repro.sketch.fm`) and marginal counts are
+  estimated via bitwise ORs.
 
 Both read the one bounded round-trip sweep
 (:meth:`~repro.network.shortest_path.ShortestPathEngine.bounded_round_trip_neighbors`),
@@ -34,7 +35,7 @@ import numpy as np
 from repro.core.netclus import Ragged
 from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import ShortestPathEngine
-from repro.sketch.fm import FMSketchFamily
+from repro.sketch.fm import estimate_rows, hash_items
 from repro.utils.timer import Timer
 from repro.utils.validation import require_positive
 
@@ -75,24 +76,22 @@ class GreedyGDSP:
         building the multi-resolution NetClus index).  Constructing a fresh
         engine per solver costs two CSR conversions, so callers that
         already hold one should always pass it.
-    use_fm_sketches:
-        Estimate marginal coverage with FM sketches (the paper's approach)
-        instead of exact lazy counting.
-    num_sketches:
-        Number of FM copies when ``use_fm_sketches`` is true.
+    fm_sketches:
+        Estimate marginal coverage with this many FM sketch copies ``f``
+        (the paper's approach); ``None`` counts it exactly and lazily.
     """
 
     def __init__(
         self,
         network: RoadNetwork,
         engine: ShortestPathEngine | None = None,
-        use_fm_sketches: bool = False,
-        num_sketches: int = 30,
+        fm_sketches: int | None = None,
     ) -> None:
+        if fm_sketches is not None:
+            require_positive(fm_sketches, "fm_sketches")
         self.network = network
         self.engine = engine if engine is not None else ShortestPathEngine(network)
-        self.use_fm_sketches = use_fm_sketches
-        self.num_sketches = num_sketches
+        self.fm_sketches = fm_sketches
 
     # ------------------------------------------------------------------ #
     def cluster(self, radius_km: float) -> GDSPResult:
@@ -100,8 +99,8 @@ class GreedyGDSP:
         require_positive(radius_km, "radius_km")
         with Timer() as timer:
             indptr, ids, round_trips = self.engine.bounded_round_trip_neighbors(radius_km)
-            if self.use_fm_sketches:
-                centers, picks = self._greedy_fm(indptr, ids)
+            if self.fm_sketches is not None:
+                centers, picks = self._greedy_fm(indptr, ids, self.fm_sketches)
             else:
                 centers, picks = self._greedy_lazy(indptr, ids)
             entries = np.concatenate([np.empty(0, dtype=np.int64), *picks])
@@ -156,46 +155,42 @@ class GreedyGDSP:
             uncovered -= len(fresh)
         return centers, picks
 
+    @staticmethod
     def _greedy_fm(
-        self, indptr: np.ndarray, ids: np.ndarray
+        indptr: np.ndarray, ids: np.ndarray, num_sketches: int
     ) -> tuple[list[int], list[np.ndarray]]:
-        """Greedy order with FM-sketch estimated marginal coverage."""
+        """Greedy order with FM-sketch estimated marginal coverage.
+
+        Each pick scans the uncovered nodes in descending standalone
+        estimate (stable on ties), stops at the first node whose standalone
+        estimate cannot beat the best gain seen before it, and takes the
+        first best gain among the scanned nodes.  Every scanned gain is one
+        vectorised estimate over the candidates' sketch rows.
+        """
         num_nodes = len(indptr) - 1
-        sketches = [
-            FMSketchFamily.from_items(ids[indptr[node] : indptr[node + 1]], self.num_sketches)
-            for node in range(num_nodes)
-        ]
-        standalone = [sketch.estimate() for sketch in sketches]
-        nodes_sorted = sorted(range(num_nodes), key=standalone.__getitem__, reverse=True)
-        covered_sketch = FMSketchFamily(self.num_sketches)
+        # every node dominates itself, so no dominance segment is empty
+        sketches = np.bitwise_or.reduceat(
+            hash_items(np.arange(num_nodes), num_sketches)[ids], indptr[:-1], axis=0
+        )
+        standalone = estimate_rows(sketches)
+        order = np.argsort(-standalone, kind="stable")
+        covered_bits = np.zeros(num_sketches, dtype=np.uint32)
         covered_estimate = 0.0
         covered = np.zeros(num_nodes, dtype=bool)
         uncovered = num_nodes
         centers: list[int] = []
         picks: list[np.ndarray] = []
         while uncovered:
-            best_node = -1
-            best_gain = -np.inf
-            for node in nodes_sorted:
-                # as in the exact variant, already-clustered nodes cannot
-                # become centers
-                if covered[node]:
-                    continue
-                if standalone[node] <= best_gain:
-                    break
-                union = covered_sketch.union(sketches[node])
-                gain = union.estimate() - covered_estimate
-                # deterministic despite the raw comparison: FM-sketch
-                # estimates are pure functions of the input, and the
-                # strict `>` over the sorted candidate order always keeps
-                # the lowest-node winner on exact ties
-                if gain > best_gain:  # noqa: RA002
-                    best_gain = gain
-                    best_node = node
-            if best_node < 0:
-                best_node = int(np.argmin(covered))
-            covered_sketch.union_in_place(sketches[best_node])
-            covered_estimate = covered_sketch.estimate()
+            # as in the exact variant, already-clustered nodes cannot become
+            # centers
+            candidates = order[~covered[order]]
+            gains = estimate_rows(sketches[candidates] | covered_bits) - covered_estimate
+            best_before = np.maximum.accumulate(np.concatenate(([-np.inf], gains[:-1])))
+            stops = np.flatnonzero(standalone[candidates] <= best_before)
+            scanned = gains[: stops[0]] if len(stops) else gains
+            best_node = int(candidates[np.argmax(scanned)])
+            covered_bits |= sketches[best_node]
+            covered_estimate = float(estimate_rows(covered_bits))
             fresh = _unclaimed(best_node, indptr, ids, covered)
             centers.append(best_node)
             picks.append(fresh)

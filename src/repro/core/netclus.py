@@ -27,9 +27,10 @@ is selected so that ``4R_p ≤ τ < 4R_p(1+γ)``.  For every cluster
 representative the detour to a trajectory is *estimated* as
 ``d̂r(T_j, r_i) = dr(T_j, c_j) + dr(c_j, c_i) + dr(c_i, r_i)`` using only
 information stored offline, the approximate covers ``T̂C`` are formed, and
-Inc-Greedy (or FM-greedy for the binary instance) runs over the cluster
-representatives.  ψ alone picks how the covers are stored: packed bitsets
-for a binary ψ, sparse CSR/CSC lists otherwise
+Inc-Greedy runs over the cluster representatives (FM-NetClus, FM-greedy
+over the same covers, is composed by :mod:`repro.experiments.runner`).
+ψ alone picks how the covers are stored: packed bitsets for a binary ψ,
+sparse CSR/CSC lists otherwise
 (:func:`~repro.core.covcache.materialise_coverage`); the selections do
 not depend on it.
 
@@ -58,7 +59,6 @@ import numpy as np
 from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.covcache import DEFAULT_PART_LIMIT, CoverageCache, materialise_coverage
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex, canonical_entries
-from repro.core.fm_greedy import FMGreedy
 from repro.core.greedy import IncGreedy
 from repro.core.preference import PreferenceFunction
 from repro.core.query import TOPSQuery, TOPSResult
@@ -701,8 +701,6 @@ class NetClusIndex:
         gamma: float = 0.75,
         tau_min_km: float = 0.4,
         tau_max_km: float = 8.0,
-        use_fm_sketches: bool = False,
-        num_sketches: int = 30,
         max_instances: int | None = None,
         representative_strategy: str = "closest",
     ) -> "NetClusIndex":
@@ -725,8 +723,6 @@ class NetClusIndex:
             The supported coverage-threshold range; the paper sets these to
             the min/max round-trip distance between candidate sites, which the
             caller may compute and pass explicitly.
-        use_fm_sketches:
-            Run Greedy-GDSP with FM-sketch estimated coverage.
         max_instances:
             Optional cap on the number of index instances (testing aid).
         representative_strategy:
@@ -752,8 +748,6 @@ class NetClusIndex:
             gamma=gamma,
             tau_min_km=tau_min_km,
             tau_max_km=tau_max_km,
-            use_fm_sketches=use_fm_sketches,
-            num_sketches=num_sketches,
             max_instances=max_instances,
             representative_strategy=representative_strategy,
         )
@@ -880,8 +874,6 @@ class NetClusIndex:
     def query(
         self,
         query: TOPSQuery,
-        use_fm_sketches: bool = False,
-        num_sketches: int = 30,
         existing_sites: Sequence[int] = (),
         prepared: ClusteredCoverage | None = None,
     ) -> TOPSResult:
@@ -897,12 +889,6 @@ class NetClusIndex:
         ----------
         query:
             The TOPS query; ``query.tau_km`` is in kilometres.
-        use_fm_sketches:
-            Run FM-greedy over the representatives instead of Inc-Greedy
-            (only effective for a binary ψ; the result's ``algorithm`` is
-            then ``"fm-netclus"``).
-        num_sketches:
-            Number of FM sketches f when *use_fm_sketches* is set.
         existing_sites:
             Node ids of already-operating services (Section 7.3).
         prepared:
@@ -937,24 +923,16 @@ class NetClusIndex:
             existing_columns: list[int] = []
             if existing_sites:
                 existing_columns = prepared.existing_columns(existing_sites)
-            if use_fm_sketches and getattr(query.preference, "is_binary", False):
-                solver = FMGreedy(coverage, num_sketches=num_sketches)
-                inner = solver.solve(query)
-                columns = coverage.columns_for_labels(inner.sites)
-                utilities = coverage.per_trajectory_utility(columns)
-                algorithm = "fm-netclus"
-            else:
-                columns, utilities, _ = IncGreedy(coverage).select(
-                    query.k, existing_columns=existing_columns
-                )
-                algorithm = self.algorithm_name
+            columns, utilities, _ = IncGreedy(coverage).select(
+                query.k, existing_columns=existing_columns
+            )
             sites = tuple(int(coverage.site_labels[c]) for c in columns)
         return TOPSResult(
             sites=sites,
             utility=float(np.sum(utilities)),
             per_trajectory_utility=tuple(float(u) for u in utilities),
             elapsed_seconds=timer.elapsed,
-            algorithm=algorithm,
+            algorithm=self.algorithm_name,
             metadata={
                 "instance_id": prepared.instance.instance_id,
                 "instance_radius_km": prepared.instance.radius_km,

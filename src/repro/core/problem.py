@@ -160,7 +160,9 @@ class TOPSProblem:
             :meth:`build_netclus_index` / :meth:`placement_service`.
         existing_sites:
             Node ids of already-operating services (seed the greedy,
-            Section 7.3).
+            Section 7.3).  Only ``"inc-greedy"`` accepts them; the other
+            methods refuse a non-empty list with :class:`ValueError`
+            rather than answer as if no service existed.
         num_sketches:
             Number of FM sketches f for ``method="fm-greedy"``.
         engine:
@@ -181,6 +183,10 @@ class TOPSProblem:
         require(
             engine == "dense" or method != "optimal",
             "the optimal solver requires the dense engine",
+        )
+        require(
+            method not in ("fm-greedy", "optimal") or len(existing_sites) == 0,
+            f"method {method!r} cannot seed existing sites; use 'inc-greedy'",
         )
         with Timer() as timer:
             coverage = self.coverage(query, engine=engine)
@@ -210,8 +216,6 @@ class TOPSProblem:
         gamma: float = 0.75,
         tau_min_km: float = 0.4,
         tau_max_km: float = 8.0,
-        use_fm_sketches: bool = False,
-        num_sketches: int = 30,
         max_instances: int | None = None,
         representative_strategy: str = "closest",
     ) -> NetClusIndex:
@@ -229,8 +233,6 @@ class TOPSProblem:
             gamma=gamma,
             tau_min_km=tau_min_km,
             tau_max_km=tau_max_km,
-            use_fm_sketches=use_fm_sketches,
-            num_sketches=num_sketches,
             max_instances=max_instances,
             representative_strategy=representative_strategy,
         )

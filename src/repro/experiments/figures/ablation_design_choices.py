@@ -99,14 +99,11 @@ def run_gdsp_counting(
 ) -> list[dict]:
     """Cluster count and build time: exact lazy counting vs FM sketches."""
     rows: list[dict] = []
-    for use_fm in (False, True):
-        gdsp = GreedyGDSP(
-            bundle.network, use_fm_sketches=use_fm, num_sketches=num_sketches
-        )
-        result = gdsp.cluster(radius_km)
+    for counting, fm_sketches in (("exact-lazy", None), ("fm-sketch", num_sketches)):
+        result = GreedyGDSP(bundle.network, fm_sketches=fm_sketches).cluster(radius_km)
         rows.append(
             {
-                "counting": "fm-sketch" if use_fm else "exact-lazy",
+                "counting": counting,
                 "radius_km": radius_km,
                 "num_clusters": result.num_clusters,
                 "build_seconds": result.build_seconds,

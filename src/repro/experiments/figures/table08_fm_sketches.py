@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.core.query import TOPSQuery
 from repro.experiments.metrics import relative_error_percent
 from repro.experiments.reporting import print_table
-from repro.experiments.runner import ExperimentContext, build_context
+from repro.experiments.runner import ExperimentContext, build_context, fm_netclus
 from repro.utils.timer import Timer
 
 __all__ = ["run", "main"]
@@ -35,7 +35,7 @@ def run(
     rows: list[dict] = []
     for f in f_values:
         with Timer() as fm_timer:
-            fm_result = context.netclus.query(query, use_fm_sketches=True, num_sketches=f)
+            fm_result = fm_netclus(context.netclus, query, f)
         fm_pct = context.exact_utility_percent(fm_result, query)
         speedup = netclus_timer.elapsed / fm_timer.elapsed if fm_timer.elapsed else float("inf")
         rows.append(

@@ -244,8 +244,9 @@ class IndexFarm:
                 )
                 record.loads += 1
                 self._loads_total += 1
-                manifest = load_manifest(record.directory)
-                record.storage_bytes = manifest["storage_bytes"]
+                # the loaded index gives the manifest's figure without a
+                # second read of it
+                record.storage_bytes = record.service.index.storage_bytes()
             self._enforce_budget(keep=name)
             return record.service
 

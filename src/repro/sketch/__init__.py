@@ -1,5 +1,5 @@
 """Probabilistic counting substrate (Flajolet-Martin sketches)."""
 
-from repro.sketch.fm import FMSketch, FMSketchFamily
+from repro.sketch.fm import estimate_rows, hash_items
 
-__all__ = ["FMSketch", "FMSketchFamily"]
+__all__ = ["estimate_rows", "hash_items"]

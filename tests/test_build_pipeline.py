@@ -137,16 +137,6 @@ class TestBuildDeterminism:
             second, include_timings=False
         )
 
-    def test_fm_sketch_gdsp_determinism(self, bundle):
-        kwargs = dict(tau_max_km=2.0, max_instances=2, use_fm_sketches=True)
-        first, second = (
-            NetClusIndex.build(
-                bundle.network, bundle.trajectories, bundle.sites, **kwargs
-            )
-            for _ in range(2)
-        )
-        _assert_state_identical(first, second)
-
 
 def _injected_fault(*args, **kwargs):
     raise RuntimeError("injected build fault")

@@ -6,29 +6,36 @@ import numpy as np
 import pytest
 
 from repro.core.coverage import CoverageIndex
-from repro.core.fm_greedy import FMGreedy, _estimate_rows
+from repro.core.fm_greedy import FMGreedy
 from repro.core.greedy import IncGreedy
 from repro.core.preference import BinaryPreference, LinearPreference
 from repro.core.query import TOPSQuery
-from repro.sketch.fm import FMSketchFamily
+from repro.sketch.fm import hash_items
 
 
-class TestEstimateRows:
-    def test_matches_family_estimate(self):
-        family = FMSketchFamily.from_items(range(200), num_copies=16)
-        row_estimate = _estimate_rows(family.bits[np.newaxis, :])[0]
-        assert row_estimate == pytest.approx(family.estimate())
+class TestSiteSketches:
+    @staticmethod
+    def _expected(coverage, num_sketches):
+        ids = np.asarray(coverage.trajectory_ids)
+        return np.array(
+            [
+                np.bitwise_or.reduce(
+                    hash_items(ids[coverage.trajectories_covered(col)], num_sketches), axis=0
+                )
+                for col in range(coverage.num_sites)
+            ]
+        )
 
-    def test_empty_rows_estimate_small(self):
-        bits = np.zeros((3, 8), dtype=np.uint32)
-        assert np.all(_estimate_rows(bits) < 2.0)
+    def test_rows_are_the_or_of_covered_trajectories(self, grid_coverage):
+        fmg = FMGreedy(grid_coverage, num_sketches=12)
+        assert np.array_equal(fmg._bits, self._expected(grid_coverage, 12))
 
-    def test_more_items_larger_estimate(self):
-        small = FMSketchFamily.from_items(range(10), num_copies=24)
-        large = FMSketchFamily.from_items(range(1000), num_copies=24)
-        bits = np.vstack([small.bits, large.bits])
-        estimates = _estimate_rows(bits)
-        assert estimates[1] > estimates[0]
+    def test_sites_covering_nothing_get_empty_rows(self):
+        detours = np.asarray([[np.inf, 0.1, np.inf, np.inf], [np.inf, 0.5, np.inf, 0.2]])
+        coverage = CoverageIndex(detours, 1.0, BinaryPreference(), trajectory_ids=[40, 7])
+        bits = FMGreedy(coverage, num_sketches=6)._bits
+        assert not bits[[0, 2]].any()
+        assert np.array_equal(bits, self._expected(coverage, 6))
 
 
 class TestFMGreedy:

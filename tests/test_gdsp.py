@@ -106,25 +106,25 @@ class TestGreedyQuality:
 
 class TestFMVariant:
     def test_fm_clustering_valid_partition(self, network, engine):
-        gdsp_fm = GreedyGDSP(network, engine=engine, use_fm_sketches=True, num_sketches=20)
+        gdsp_fm = GreedyGDSP(network, engine=engine, fm_sketches=20)
         result = gdsp_fm.cluster(0.6)
         assert sorted(result.members.ids.tolist()) == sorted(network.node_ids())
 
     def test_fm_radius_invariant(self, network, engine):
-        gdsp_fm = GreedyGDSP(network, engine=engine, use_fm_sketches=True, num_sketches=20)
+        gdsp_fm = GreedyGDSP(network, engine=engine, fm_sketches=20)
         result = gdsp_fm.cluster(0.6)
         assert (result.members.vals <= 1.2 + 1e-9).all()
 
     def test_fm_cluster_count_close_to_exact(self, network, engine, gdsp):
         exact = gdsp.cluster(0.6).num_clusters
-        fm = GreedyGDSP(network, engine=engine, use_fm_sketches=True, num_sketches=30)
+        fm = GreedyGDSP(network, engine=engine, fm_sketches=30)
         approx = fm.cluster(0.6).num_clusters
         assert approx <= exact * 2
 
 
 class TestDirectedNetwork:
-    @pytest.mark.parametrize("use_fm", [False, True])
-    def test_every_member_stores_its_exact_round_trip(self, use_fm):
+    @pytest.mark.parametrize("fm_sketches", [None, 30])
+    def test_every_member_stores_its_exact_round_trip(self, fm_sketches):
         """Each member stores exactly ``d(c, v) + d(v, c)`` for its center c."""
         network = random_planar_network(50, area_km=4.0, seed=21)
         # make every street slower in one direction: d(u, v) != d(v, u)
@@ -132,7 +132,7 @@ class TestDirectedNetwork:
             if edge.source < edge.target:
                 network.add_edge(edge.source, edge.target, 1.7 * edge.length)
         engine = ShortestPathEngine(network)
-        result = GreedyGDSP(network, engine=engine, use_fm_sketches=use_fm).cluster(0.5)
+        result = GreedyGDSP(network, engine=engine, fm_sketches=fm_sketches).cluster(0.5)
         forward = engine.distances_from(result.centers.tolist())
         backward = engine.distances_to(result.centers.tolist())
         owners = result.members.owners()

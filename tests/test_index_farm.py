@@ -111,6 +111,33 @@ def test_registration_is_lazy(tenant_dirs):
     assert farm.loads_total == 0
 
 
+def test_each_load_reads_the_manifest_once(tenant_dirs, monkeypatch):
+    """A tenant load reads its manifest once (inside ``load_index``); the
+    storage accounting comes from the loaded index and equals the manifest."""
+    from repro.service import farm as farm_module
+    from repro.service import serialization
+
+    original = serialization.load_manifest
+    calls: list[str] = []
+
+    def counting_load_manifest(path):
+        calls.append(str(path))
+        return original(path)
+
+    monkeypatch.setattr(serialization, "load_manifest", counting_load_manifest)
+    monkeypatch.setattr(farm_module, "load_manifest", counting_load_manifest)
+    farm = IndexFarm()
+    record = farm.add_tenant("nyk", tenant_dirs["nyk"])
+    manifest_bytes = int(original(tenant_dirs["nyk"])["storage_bytes"])
+    calls.clear()
+    for _ in range(2):
+        farm.service("nyk")
+        assert record.storage_bytes == manifest_bytes
+        assert farm.evict("nyk")
+    assert record.loads == 2
+    assert calls == [str(tenant_dirs["nyk"])] * 2
+
+
 def test_remove_tenant_keeps_directory(tenant_dirs):
     farm = IndexFarm()
     farm.add_tenant("nyk", tenant_dirs["nyk"])

@@ -13,6 +13,7 @@ from repro.core.netclus import NetClusIndex
 from repro.core.problem import TOPSProblem
 from repro.core.query import TOPSQuery
 from repro.core.preference import LinearPreference
+from repro.experiments.runner import fm_netclus
 from repro.network.generators import grid_network
 from repro.network.shortest_path import shortest_path_nodes
 from repro.trajectory.gps import simulate_gps_trace
@@ -74,7 +75,7 @@ class TestCrossAlgorithmConsistency:
             "incg": tiny_problem.solve(query),
             "fmg": tiny_problem.solve(query, method="fm-greedy"),
             "netclus": tiny_netclus.query(query),
-            "fmnetclus": tiny_netclus.query(query, use_fm_sketches=True),
+            "fmnetclus": fm_netclus(tiny_netclus, query),
         }
         sites = set(tiny_problem.sites)
         for name, result in results.items():

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from coverage_reference import reference_kinds, reference_view
 
+from repro.core.fm_greedy import FMGreedy
 from repro.core.preference import BinaryPreference, LinearPreference
 from repro.core.query import TOPSQuery
+from repro.experiments.runner import fm_netclus
 
 
 @pytest.fixture(scope="module")
@@ -203,14 +205,18 @@ class TestQuery:
         assert result.algorithm == "netclus"
 
     def test_fm_variant(self, index):
-        result = index.query(TOPSQuery(k=3, tau_km=0.8), use_fm_sketches=True)
+        query = TOPSQuery(k=3, tau_km=0.8)
+        result = fm_netclus(index, query)
         assert result.algorithm == "fm-netclus"
         assert len(result.sites) == 3
+        assert result.metadata["instance_id"] == index.instance_for(0.8).instance_id
+        coverage = index.prepare_coverage(query.tau_km, query.preference).coverage
+        assert result.utility == coverage.utility_of(coverage.columns_for_labels(result.sites))
 
-    def test_fm_falls_back_for_graded_preference(self, index):
+    def test_fm_variant_refuses_graded_preference(self, index):
         query = TOPSQuery(k=3, tau_km=0.8, preference=LinearPreference())
-        result = index.query(query, use_fm_sketches=True)
-        assert result.algorithm == "netclus"
+        with pytest.raises(ValueError, match="binary"):
+            fm_netclus(index, query)
 
     def test_graded_preference_query(self, index, tiny_problem):
         query = TOPSQuery(k=4, tau_km=1.0, preference=LinearPreference())
@@ -254,11 +260,10 @@ class TestCoverageView:
 
     def test_views_agree_with_fm_sketches(self, index):
         query = TOPSQuery(k=4, tau_km=0.8)
-        chosen = index.query(query, use_fm_sketches=True)
+        chosen = fm_netclus(index, query)
         for reference in self._references(index, query):
-            expected = index.query(query, use_fm_sketches=True, prepared=reference)
+            expected = FMGreedy(reference.coverage).solve(query)
             assert chosen.sites == expected.sites
-            assert chosen.algorithm == expected.algorithm == "fm-netclus"
 
     def test_views_agree_with_existing_sites(self, index, tiny_problem):
         query = TOPSQuery(k=3, tau_km=0.8)

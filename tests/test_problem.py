@@ -59,6 +59,16 @@ class TestTOPSProblem:
             result = grid_problem.solve(binary_query, method=method)
             assert len(result.sites) == binary_query.k
 
+    def test_fm_greedy_refuses_existing_sites(self, grid_problem, binary_query):
+        """FM-greedy cannot seed services; it must not answer as if none existed."""
+        with pytest.raises(ValueError, match="existing sites"):
+            grid_problem.solve(binary_query, method="fm-greedy", existing_sites=[0, 11])
+
+    def test_optimal_refuses_existing_sites(self, medium_grid, grid_trajectories):
+        problem = TOPSProblem(medium_grid, grid_trajectories, sites=medium_grid.node_ids()[:8])
+        with pytest.raises(ValueError, match="existing sites"):
+            problem.solve(TOPSQuery(k=2, tau_km=1.0), method="optimal", existing_sites=[3])
+
     def test_unknown_method_rejected(self, grid_problem, binary_query):
         with pytest.raises(ValueError):
             grid_problem.solve(binary_query, method="magic")

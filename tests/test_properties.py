@@ -21,7 +21,7 @@ from repro.core.greedy import IncGreedy
 from repro.core.optimal import OptimalSolver
 from repro.core.preference import BinaryPreference, ExponentialPreference, LinearPreference
 from repro.core.query import TOPSQuery
-from repro.sketch.fm import FMSketchFamily
+from repro.sketch.fm import estimate_rows, hash_items
 
 # ---------------------------------------------------------------------- #
 # strategies
@@ -129,26 +129,24 @@ class TestGreedyProperties:
         assert all(b <= a + 1e-9 for a, b in zip(gains, gains[1:]))
 
 
-class TestFMSketchProperties:
-    @given(
-        items=st.lists(st.integers(0, 10_000), min_size=0, max_size=200, unique=True),
-        copies=st.integers(4, 32),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_union_with_self_is_identity(self, items, copies):
-        family = FMSketchFamily.from_items(items, num_copies=copies)
-        assert family.union(family) == family
+def fm_sketch(items: list[int], copies: int) -> np.ndarray:
+    """The ``(copies,)`` FM sketch row of a set: the OR of its items' rows."""
+    return np.bitwise_or.reduce(hash_items(np.array(items, dtype=np.int64), copies), axis=0)
 
+
+class TestFMSketchProperties:
     @given(
         items_a=st.lists(st.integers(0, 10_000), max_size=100, unique=True),
         items_b=st.lists(st.integers(0, 10_000), max_size=100, unique=True),
         copies=st.integers(4, 32),
     )
     @settings(max_examples=50, deadline=None)
-    def test_union_commutative(self, items_a, items_b, copies):
-        a = FMSketchFamily.from_items(items_a, num_copies=copies)
-        b = FMSketchFamily.from_items(items_b, num_copies=copies)
-        assert a.union(b) == b.union(a)
+    def test_union_is_or(self, items_a, items_b, copies):
+        """The sketch of A ∪ B is the bitwise OR of the sketches of A and B."""
+        union = sorted(set(items_a) | set(items_b))
+        assert np.array_equal(
+            fm_sketch(union, copies), fm_sketch(items_a, copies) | fm_sketch(items_b, copies)
+        )
 
     @given(
         items_a=st.lists(st.integers(0, 10_000), max_size=100, unique=True),
@@ -158,11 +156,10 @@ class TestFMSketchProperties:
     @settings(max_examples=50, deadline=None)
     def test_union_estimate_monotone(self, items_a, items_b, copies):
         """The union's estimate is at least each part's estimate (bits only grow)."""
-        a = FMSketchFamily.from_items(items_a, num_copies=copies)
-        b = FMSketchFamily.from_items(items_b, num_copies=copies)
-        union = a.union(b)
-        assert union.estimate() >= a.estimate() - 1e-9
-        assert union.estimate() >= b.estimate() - 1e-9
+        a, b = fm_sketch(items_a, copies), fm_sketch(items_b, copies)
+        union, part_a, part_b = estimate_rows(np.vstack([a | b, a, b]))
+        assert union >= part_a
+        assert union >= part_b
 
     @given(
         items=st.lists(st.integers(0, 10_000), max_size=150, unique=True),
@@ -170,9 +167,8 @@ class TestFMSketchProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_insertion_order_invariance(self, items, copies):
-        forward = FMSketchFamily.from_items(items, num_copies=copies)
-        backward = FMSketchFamily.from_items(list(reversed(items)), num_copies=copies)
-        assert forward == backward
+        forward = fm_sketch(items, copies)
+        assert np.array_equal(forward, fm_sketch(list(reversed(items)), copies))
 
 
 class TestDetourProperties:
