@@ -663,6 +663,9 @@ class NetClusIndex:
         )
         self._node_visit_counts = node_visit_counts
         self._trajectory_nodes = trajectory_nodes
+        #: the trajectories' content fingerprint, when known: a load reads it
+        #: from the manifest, a save writes it back, a trajectory update clears it
+        self.trajectory_content: str | None = None
         #: the network's payload arrays and graph fingerprint, cached by the
         #: first save or seeded by a load (no update changes the network)
         self._network_payload: tuple[dict[str, np.ndarray], str] | None = None
@@ -1067,7 +1070,6 @@ class NetClusIndex:
         for instance in self.instances:
             register_trajectory_batch(instance, traj_ids, node_arrays)
         if self.representative_strategy == "most_frequent":
-            self._ensure_writable_visit_counts()
             touched: set[int] = set()
             num_nodes = len(self._node_visit_counts)
             for trajectory in trajectories:
@@ -1081,6 +1083,7 @@ class NetClusIndex:
                 self._trajectory_nodes[trajectory.traj_id] = unique_nodes
                 touched.update(int(n) for n in unique_nodes)
             self._reelect_clusters_of_nodes(touched)
+        self.trajectory_content = None
         self.version += 1
         return len(trajectories)
 
@@ -1106,13 +1109,13 @@ class NetClusIndex:
         for instance in self.instances:
             instance.tl = instance.tl.keep(~np.isin(instance.tl.ids, removed_ids))
         if self.representative_strategy == "most_frequent":
-            self._ensure_writable_visit_counts()
             touched: set[int] = set()
             for traj_id in sorted(removed):
                 unique_nodes = self._trajectory_nodes.pop(traj_id)
                 self._node_visit_counts[unique_nodes] -= 1
                 touched.update(int(n) for n in unique_nodes)
             self._reelect_clusters_of_nodes(touched)
+        self.trajectory_content = None
         self.version += 1
         return len(removed)
 
@@ -1172,16 +1175,6 @@ class NetClusIndex:
     # ------------------------------------------------------------------ #
     # update internals
     # ------------------------------------------------------------------ #
-    def _ensure_writable_visit_counts(self) -> None:
-        """Copy-on-write the visit-count array before in-place mutation.
-
-        A load hands the index a read-only zero-copy view over the
-        mmap'd payload blob; the first mutating update materialises a private
-        writable copy, so updates never write through to the on-disk file.
-        """
-        if not self._node_visit_counts.flags.writeable:
-            self._node_visit_counts = np.array(self._node_visit_counts, dtype=np.int64)
-
     def _reelect(self, instance: NetClusInstance, cluster_ids: np.ndarray) -> None:
         """Re-run the representative election of these clusters from scratch."""
         self._elect_representative(

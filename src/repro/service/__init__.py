@@ -4,10 +4,11 @@ NetClus is an *index*: built once per city, then queried many times for TOPS
 placements at varying (τ, k, cost, capacity).  This package turns the
 in-memory :class:`~repro.core.netclus.NetClusIndex` into a service:
 
-* :mod:`repro.service.serialization` — the on-disk format, v5 only
-  (:func:`save_index` / :func:`load_index`): a packed ``payload.bin`` blob,
-  mapped read-only on load, plus a JSON manifest with format version, the
-  blob's offset table, build parameters and graph/trajectory fingerprints.
+* :mod:`repro.service.serialization` — the on-disk format, v6 only
+  (:func:`save_index` / :func:`load_index`): a packed payload blob, mapped
+  read-only on load, plus a JSON manifest with format version, the blob's
+  name and offset table, build parameters and graph/trajectory
+  fingerprints; renaming the manifest into place commits a save.
   A loaded index answers ``query`` / ``add_site`` / ``add_trajectory``
   identically to a freshly built one.
 * :mod:`repro.service.specs` — :class:`QuerySpec`, the hashable,

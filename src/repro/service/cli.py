@@ -144,13 +144,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 "--save-coverage needs a coverage cache; pass --coverage-cache "
                 "or query an index saved with coverage parts"
             )
-        directory = save_index(
-            service.index,
-            args.index,
-            trajectory_content=(
-                load_manifest(args.index).get("fingerprints", {}).get("trajectory_content")
-            ),
-        )
+        directory = save_index(service.index, args.index)
         parts = len(service.coverage_cache.describe_parts())
         print(f"Persisted {parts} coverage part(s) back to {directory}")
 
@@ -323,7 +317,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
     files = {key: getattr(args, key) for key in keys if getattr(args, key)}
     if not files:
         raise SystemExit("update: no delta files given (nothing to do)")
-    content_fingerprint = load_manifest(args.index)["fingerprints"].get("trajectory_content")
     index = load_index(args.index)
     delta = {key: json.loads(Path(path).read_text()) for key, path in files.items()}
     try:
@@ -333,16 +326,9 @@ def _cmd_update(args: argparse.Namespace) -> int:
     version_before = index.version
     with Timer() as timer:
         applied = index.apply_updates(batch)
-    out = args.out or args.index
-    trajectories_changed = bool(batch.add_trajectories or batch.remove_trajectories)
-    directory = save_index(
-        index,
-        out,
-        # a site-only delta leaves the trajectory content untouched, so the
-        # manifest's content fingerprint stays valid and is carried over;
-        # trajectory deltas invalidate it (no dataset here to recompute it)
-        trajectory_content=None if trajectories_changed else content_fingerprint,
-    )
+    # the index carries the manifest's content fingerprint through a
+    # site-only delta; a trajectory delta clears it
+    directory = save_index(index, args.out or args.index)
     print(
         f"Applied {applied} updates "
         f"(+{len(batch.add_trajectories)}/-{len(batch.remove_trajectories)} "

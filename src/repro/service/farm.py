@@ -38,8 +38,10 @@ guarded by one mutex.  Queries run *outside* it, on the tenant's own
 service (readers-writer locked), so slow placements on one tenant never
 block lookups or evictions of another.  An eviction concurrent with an
 in-flight query is safe: the query holds a reference to the old service
-object and finishes against it; the mmap keeps the (possibly replaced)
-blob inode alive.
+object and finishes against it; the mmap keeps the (possibly unlinked)
+blob inode alive.  A tenant's writer lock is held from an update batch's
+application until its write-through save commits, and a tenant holding it
+is never evicted, so no reload reads a directory that lags an update.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ class TenantRecord:
     evictions: int = 0
     #: ServiceStats counters folded in from evicted service generations
     folded_stats: dict[str, int | float] = field(default_factory=dict)
+    #: held across an update batch and its write-through save
+    writer: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
     def resident(self) -> bool:
@@ -97,8 +101,12 @@ class TenantRecord:
 
     @property
     def evictable(self) -> bool:
-        """Resident and reloadable from a directory."""
-        return self.service is not None and self.directory is not None
+        """Resident, reloadable from a directory and not mid-update."""
+        return (
+            self.service is not None
+            and self.directory is not None
+            and not self.writer.locked()
+        )
 
 
 class IndexFarm:
@@ -275,7 +283,8 @@ class IndexFarm:
         Updates are written through on :meth:`apply_updates`, so eviction
         never persists anything — it only drops the in-memory index (and
         folds the service counters into the tenant's cumulative stats).
-        A directory-less tenant could not be reloaded, so it stays.
+        A directory-less tenant could not be reloaded, and a tenant in the
+        middle of an update batch has not yet saved it, so both stay.
         """
         with self._lock:
             record = self._record(name)
@@ -325,18 +334,23 @@ class IndexFarm:
         The updated index is saved back to the tenant's directory before
         this returns, so a later eviction-and-reload observes exactly the
         post-update state — eviction can never lose an update or change a
-        result.  A directory-less tenant has nowhere to save to and is
-        never evicted, so nothing is written for it.  The tenant's
-        ``storage_bytes`` accounting is refreshed from the live index.
+        result.  The tenant's writer lock, held from the load through the
+        save, applies batches on one tenant one at a time and keeps the
+        tenant resident until its save commits.  A directory-less tenant
+        has nowhere to save to and is never evicted, so nothing is written
+        for it.  The tenant's ``storage_bytes`` accounting is refreshed
+        from the live index.
         """
-        service = self.service(name)
-        applied = service.apply_updates(batch)
-        record = self._record(name)
-        if record.directory is not None:
-            service.save(record.directory)
         with self._lock:
-            record.storage_bytes = service.index.storage_bytes()
-            self._enforce_budget(keep=name)
+            record = self._record(name)
+        with record.writer:
+            service = self.service(name)
+            applied = service.apply_updates(batch)
+            if record.directory is not None:
+                service.save(record.directory)
+            with self._lock:
+                record.storage_bytes = service.index.storage_bytes()
+                self._enforce_budget(keep=name)
         return applied
 
     # ------------------------------------------------------------------ #

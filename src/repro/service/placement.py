@@ -337,15 +337,11 @@ class PlacementService:
         # (apply_updates) take it exclusively; the cache has its own mutex
         # (it mutates on reads too — LRU recency), and the lazy index build
         # runs at most once behind its own lock.  Saves share the index
-        # read lock with queries but serialise among themselves on
-        # ``_save_lock``: each save stages under file names of its own,
-        # but its blob rename and its manifest rename are two separate
-        # commits, so two interleaved saves could pair one save's blob
-        # with the other's manifest.
+        # read lock with queries: a save commits with one manifest rename,
+        # so concurrent saves need nothing more.
         self._index_lock = _ReadWriteLock()
         self._cache_lock = threading.RLock()
         self._build_lock = threading.Lock()
-        self._save_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # construction / persistence
@@ -457,13 +453,11 @@ class PlacementService:
         Pass the *dataset* the index was built on to additionally record a
         trajectory-content fingerprint in the manifest (see
         :func:`~repro.service.serialization.save_index`).  Takes the index
-        read lock, so a save never captures a mid-update index, and inside
-        it a save mutex, so two saves through one service never interleave
-        their blob and manifest commits (queries are not blocked by a
-        save).
+        read lock, so a save never captures a mid-update index (queries
+        are not blocked by a save).
         """
         index = self.index
-        with self._index_lock.read_locked(), self._save_lock:
+        with self._index_lock.read_locked():
             return save_index(index, path, dataset=dataset)
 
     # ------------------------------------------------------------------ #

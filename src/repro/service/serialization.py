@@ -1,24 +1,29 @@
 """Versioned on-disk persistence for :class:`~repro.core.netclus.NetClusIndex`.
 
-An index directory (format v5) holds exactly two files:
+An index directory (format v6) holds exactly two files:
 
-* ``payload.bin`` — one *aligned packed blob*: every payload array's raw
-  little-endian bytes at a 64-byte-aligned offset, in sorted key order.
-  The arrays are the road network (nodes, coordinates, edges), the
-  candidate-site set, the trajectory registry, the visit-count bookkeeping
-  of ``most_frequent`` indexes, per instance the cluster arrays in
-  flattened CSR-style form, and the optional coverage parts (see
+* ``payload.<index_version>.<hex>.bin`` — one *aligned packed blob*: every
+  payload array's raw little-endian bytes at a 64-byte-aligned offset, in
+  sorted key order.  The arrays are the road network (nodes, coordinates,
+  edges), the candidate-site set, the trajectory registry, the per-trajectory
+  node lists of ``most_frequent`` indexes, per instance the cluster arrays
+  in flattened CSR-style form, and the optional coverage parts (see
   ``docs/index-format.md`` for the full key listing).  Each fact is stored
-  once: the node → cluster assignment is read off the member lists and a
-  part's representative columns off its instance's ``reps``.
-* ``manifest.json`` — human-readable metadata: format version, the
-  ``payload_arrays`` offset table (offset, nbytes, dtype, shape per key),
-  build parameters (γ, τ_min, τ_max, representative strategy, instance
-  cap), the index's dynamic-update ``version`` counter, the staged build
-  pipeline's per-stage :class:`~repro.core.build.BuildStats` records,
-  per-instance statistics, the coverage-part listing, and three
-  fingerprints — the SHA-256 of the payload file, of the road network, and
-  of the trajectory registry.
+  once: the node → cluster assignment is read off the member lists, a
+  part's representative columns off its instance's ``reps``, and the
+  per-node visit counts off the trajectory node lists.
+* ``manifest.json`` — human-readable metadata: format version, the name of
+  the blob (``payload_file``), its ``payload_arrays`` offset table (offset,
+  nbytes, dtype, shape per key), build parameters (γ, τ_min, τ_max,
+  representative strategy, instance cap), the index's dynamic-update
+  ``version`` counter, the staged build pipeline's per-stage
+  :class:`~repro.core.build.BuildStats` records, per-instance statistics,
+  the coverage-part listing, and the fingerprints — the SHA-256 of the
+  blob, of the road network, of the trajectory registry and, when known,
+  of the trajectory content.
+
+The manifest rename is a save's one commit (:func:`save_index`): a reader
+sees the old manifest and its blob or the new ones, never a mix.
 
 Loading refuses to proceed on any fingerprint or version mismatch
 (:class:`IndexFormatError`), so a stale or corrupted index can never silently
@@ -59,8 +64,8 @@ verification; :func:`save_index` hashes the bytes as it writes them) but
 not hashed on load.  A loaded index keeps the network's views and verified
 fingerprint, so re-saving it never re-flattens the network.
 
-v5 is the only format :func:`save_index` writes and :func:`load_index`
-reads: another version, or a manifest missing or mangling any key v5
+v6 is the only format :func:`save_index` writes and :func:`load_index`
+reads: another version, or a manifest missing or mangling any key v6
 writes (:data:`_MANIFEST_SCHEMA`), raises :class:`IndexFormatError`.
 """
 
@@ -69,9 +74,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import uuid
 from pathlib import Path
-from typing import IO, Any, Callable, TypeVar
+from typing import IO, Any
 
 import numpy as np
 
@@ -95,12 +101,12 @@ __all__ = [
 
 #: the only version :func:`save_index` writes and :func:`load_index` reads;
 #: bump on any layout change
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 FORMAT_NAME = "netclus-index"
 MANIFEST_FILE = "manifest.json"
-#: the payload: one packed blob of raw array bytes, described by the
-#: manifest's ``payload_arrays`` offset table
-PAYLOAD_BLOB_FILE = "payload.bin"
+#: the names a payload blob may have, ``payload.<index_version>.<hex>.bin``:
+#: the manifest's ``payload_file`` must match, so it never names a path
+_BLOB_NAME = re.compile(r"payload\.[0-9]+\.[0-9a-f]+\.bin")
 #: every array in the blob starts at a multiple of this (cache-line
 #: alignment; comfortably covers any numpy itemsize)
 BLOB_ALIGN = 64
@@ -199,32 +205,21 @@ def dataset_matches(index: NetClusIndex, dataset: TrajectoryDataset) -> bool:
 # ---------------------------------------------------------------------- #
 # the packed blob + offset table
 # ---------------------------------------------------------------------- #
-_T = TypeVar("_T")
+def _commit_file(directory: Path, name: str, data: bytes) -> None:
+    """Write *data* to *directory*/*name* through a staging file of its own.
 
-
-def _commit_file(directory: Path, name: str, write: Callable[[IO[bytes]], _T]) -> _T:
-    """Write *directory*/*name* through a staging file of its own; return
-    what *write* returned.
-
-    *write* fills a fresh staging file in *directory*, which is then
-    atomically renamed over *name*.  Every call stages under a name no
-    other call uses (a random suffix, created exclusively), so concurrent
-    saves into one directory never write or rename away each other's
-    staging file; a write or rename that fails unlinks it.  The rename
-    also means a re-save over a directory whose previous blob is still
-    mmap-mapped (a loaded index — e.g. the farm's write-through save after
-    updates) never truncates the mapped inode: the old mapping keeps the
-    old inode alive while new loads see the new file.
+    The staging file (a random suffix, created exclusively) is atomically
+    renamed over *name*, so concurrent saves never write or rename away
+    each other's staging file; a write or rename that fails unlinks it.
     """
     staging = directory / f"{name}.{uuid.uuid4().hex}.tmp"
     try:
         with open(staging, "xb") as handle:
-            result = write(handle)
+            handle.write(data)
         os.replace(staging, directory / name)
     except BaseException:
         staging.unlink(missing_ok=True)
         raise
-    return result
 
 
 def _write_blob(
@@ -265,21 +260,26 @@ def _write_blob(
 
 
 def _map_blob(directory: Path, manifest: dict[str, Any]) -> dict[str, np.ndarray]:
-    """Map the blob read-only; return a zero-copy view per offset-table entry.
+    """Map the blob the manifest names read-only; return a zero-copy view
+    per offset-table entry.
 
-    Raises :class:`IndexFormatError` on a missing blob, a size/truncation
-    mismatch against the manifest's ``payload_total_bytes``, or any
-    offset-table entry that is out of bounds or inconsistent with its
-    declared dtype/shape — all without touching a single payload page.
+    Raises :class:`IndexFormatError` on a ``payload_file`` that is not a
+    blob name (a path, ``..``), a missing blob, a size/truncation mismatch
+    against the manifest's ``payload_total_bytes``, or any offset-table
+    entry that is out of bounds or inconsistent with its declared
+    dtype/shape — all without touching a single payload page.
     """
-    blob_path = directory / PAYLOAD_BLOB_FILE
+    name = manifest["payload_file"]
+    if not _BLOB_NAME.fullmatch(name):
+        raise IndexFormatError(f"payload_file {name!r} is not a payload blob name")
+    blob_path = directory / name
     if not blob_path.is_file():
-        raise IndexFormatError(f"no {PAYLOAD_BLOB_FILE} in {directory}")
+        raise IndexFormatError(f"no {name} in {directory}")
     total = manifest["payload_total_bytes"]
     actual = blob_path.stat().st_size
     if actual != total:
         raise IndexFormatError(
-            f"payload blob size mismatch: {PAYLOAD_BLOB_FILE} holds {actual} "
+            f"payload blob size mismatch: {name} holds {actual} "
             f"bytes, manifest declares {total} (truncated or corrupted index)"
         )
     # one .view(np.ndarray) drops the memmap wrapper, whose per-slice and
@@ -323,26 +323,23 @@ def save_index(
     index: NetClusIndex,
     path: str | Path,
     dataset: TrajectoryDataset | None = None,
-    trajectory_content: str | None = None,
 ) -> Path:
-    """Persist *index* to directory *path* (created if missing) in format v5.
+    """Persist *index* to directory *path* (created if missing) in format v6.
 
-    Writes the ``payload.bin`` packed blob and ``manifest.json`` (offset
-    table, metadata, fingerprints).  Returns the directory path.  The
-    format is documented in ``docs/index-format.md``; load with
-    :func:`load_index`.  The blob and the manifest are each renamed into
-    place from a staging file of this call's own (:func:`_commit_file`),
-    but as two separate commits, so concurrent saves into one directory
-    must still be serialised by the caller.
+    Writes a fresh ``payload.<version>.<hex>.bin`` packed blob, commits it
+    by renaming ``manifest.json`` (which names it) into place, then unlinks
+    the blob the replaced manifest named; returns the directory path.
+    Every save writes under names of its own and unlinks only what it
+    replaced, so concurrent saves into one directory need no lock.  The
+    format, and what a kill at each step leaves, is documented in
+    ``docs/index-format.md``; load with :func:`load_index`.
 
-    When *dataset* (the trajectories the index was built on) is supplied,
-    its content fingerprint is recorded too, letting :func:`load_index`
-    distinguish datasets that merely share an id numbering — e.g. the same
-    city generated with two different seeds.  The dataset's id registry
-    must match the index's.  A caller that does not hold the dataset but
-    knows a still-valid content fingerprint (e.g. the ``update`` CLI
-    re-saving after a site-only delta) may pass it via
-    *trajectory_content* instead; it is ignored when *dataset* is given.
+    The manifest records the index's content fingerprint
+    (:attr:`~repro.core.netclus.NetClusIndex.trajectory_content`), or the
+    fingerprint of *dataset* (the trajectories the index was built on)
+    when one is supplied — letting :func:`load_index` distinguish datasets
+    that merely share an id numbering, e.g. one city generated with two
+    seeds.  The dataset's id registry must match the index's.
     """
     directory = Path(path)
     if dataset is not None and not dataset_matches(index, dataset):
@@ -350,21 +347,19 @@ def save_index(
             "dataset/index mismatch: the supplied dataset's trajectory ids "
             "do not match the index registry"
         )
-    if dataset is not None:
-        trajectory_content = dataset_fingerprint(dataset)
+    trajectory_content = (
+        index.trajectory_content if dataset is None else dataset_fingerprint(dataset)
+    )
     directory.mkdir(parents=True, exist_ok=True)
     payload = _payload_arrays(index)
     coverage_arrays, coverage_parts = _coverage_part_arrays(index)
     payload.update(coverage_arrays)
-    blob_keys, total_bytes, payload_sha256 = _commit_file(
-        directory, PAYLOAD_BLOB_FILE, lambda handle: _write_blob(handle, payload)
-    )
-
-    manifest = {
+    previous = _named_blob(directory)
+    blob_name = f"payload.{index.version}.{uuid.uuid4().hex}.bin"
+    manifest: dict[str, Any] = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
-        "payload_arrays": blob_keys,
-        "payload_total_bytes": total_bytes,
+        "payload_file": blob_name,
         "build_params": {
             "gamma": index.gamma,
             "tau_min_km": index.tau_min_km,
@@ -383,7 +378,6 @@ def save_index(
         "storage_bytes": index.storage_bytes(),
         "build_seconds": index.build_seconds(),
         "fingerprints": {
-            "payload_sha256": payload_sha256,
             "graph": _network_payload(index)[1],
             "trajectories": trajectory_fingerprint(index.trajectory_ids),
             **(
@@ -405,9 +399,31 @@ def save_index(
             for instance in index.instances
         ],
     }
-    manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-    _commit_file(directory, MANIFEST_FILE, lambda handle: handle.write(manifest_bytes))
+    blob_path = directory / blob_name
+    try:
+        with open(blob_path, "xb") as handle:
+            table, total_bytes, payload_sha256 = _write_blob(handle, payload)
+        manifest.update(payload_arrays=table, payload_total_bytes=total_bytes)
+        manifest["fingerprints"]["payload_sha256"] = payload_sha256
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        # the one commit: readers see the old manifest and its blob or this one
+        _commit_file(directory, MANIFEST_FILE, text.encode())
+    except BaseException:
+        blob_path.unlink(missing_ok=True)
+        raise
+    if previous is not None:
+        (directory / previous).unlink(missing_ok=True)
     return directory
+
+
+def _named_blob(directory: Path) -> str | None:
+    """The blob name the directory's manifest holds; ``None`` when there is
+    no manifest, it is unreadable or the name is not a blob name."""
+    try:
+        name = json.loads((directory / MANIFEST_FILE).read_bytes())["payload_file"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return name if isinstance(name, str) and _BLOB_NAME.fullmatch(name) else None
 
 
 #: payload arrays making up one persisted coverage part, in slot order
@@ -591,16 +607,16 @@ def _network_arrays(network: RoadNetwork) -> dict[str, np.ndarray]:
 
 
 #: the visit-count bookkeeping arrays of a ``most_frequent`` index
-_VISIT_KEYS = ("visit_counts", "traj_nodes_indptr", "traj_nodes_flat")
+_VISIT_KEYS = ("traj_nodes_indptr", "traj_nodes_flat")
 
 
 def _visit_arrays(index: NetClusIndex) -> dict[str, np.ndarray]:
     """Visit-count bookkeeping arrays (``most_frequent`` indexes only).
 
-    ``visit_counts`` is the per-node distinct-trajectory count;
     ``traj_nodes_indptr``/``traj_nodes_flat`` hold each trajectory's unique
     node array (in registry order), which dynamic removal needs to decrement
-    the counts.  A ``closest`` index contributes nothing.
+    the per-node counts; the counts themselves are derived from them on
+    load.  A ``closest`` index contributes nothing.
     """
     if index.representative_strategy != "most_frequent":
         return {}
@@ -614,7 +630,6 @@ def _visit_arrays(index: NetClusIndex) -> dict[str, np.ndarray]:
         else np.empty(0, dtype=np.int64)
     )
     return {
-        "visit_counts": np.asarray(index._node_visit_counts, dtype=np.int64),
         "traj_nodes_indptr": indptr,
         "traj_nodes_flat": flat,
     }
@@ -653,13 +668,15 @@ def _instance_arrays(instance: NetClusInstance) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------- #
 # load
 # ---------------------------------------------------------------------- #
-#: every key a v5 manifest holds and what its value must be: ``int``,
+#: every key a v6 manifest holds and what its value must be: ``int``,
 #: ``float`` (any JSON number) or ``str``; a dict is an object with those
 #: keys, a one-element list a list of such values, a longer list exactly
 #: that many values, a tuple one of its members.  Only
 #: ``fingerprints.trajectory_content`` is optional.
 _MANIFEST_SCHEMA: dict[str, Any] = {
-    # the arrays every index holds; _map_blob checks each table entry
+    # _map_blob checks the name and each offset-table entry
+    "payload_file": str,
+    # the arrays every index holds
     "payload_arrays": {key: dict for key in (*_NETWORK_KEYS, "sites", "trajectory_ids")},
     "payload_total_bytes": int,
     "build_params": {
@@ -739,7 +756,7 @@ def _is_kind(value: Any, kind: Any) -> bool:
 def load_manifest(path: str | Path) -> dict[str, Any]:
     """Read and validate the manifest of an index directory.
 
-    Checks the format name and version and that every key v5 writes is
+    Checks the format name and version and that every key v6 writes is
     present and well-typed (:data:`_MANIFEST_SCHEMA`); :func:`load_index`
     additionally verifies the payload and fingerprints.
     """
@@ -759,11 +776,8 @@ def load_manifest(path: str | Path) -> dict[str, Any]:
     if version != FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported format version {version!r} (this build reads only "
-            f"version {FORMAT_VERSION})"
+            f"version {FORMAT_VERSION}; rebuild the index)"
         )
-    # v5 directories saved without warm parts by earlier writers carry no
-    # coverage_parts key; it means exactly what the empty list means
-    manifest.setdefault("coverage_parts", [])
     _check_schema(manifest, _MANIFEST_SCHEMA, "manifest")
     return manifest
 
@@ -876,6 +890,7 @@ def load_index(
         build_stats=[BuildStats.from_dict(entry) for entry in manifest["build_stats"]],
         max_instances=params["max_instances"],
     )
+    index.trajectory_content = fingerprints.get("trajectory_content")
     index._network_payload = (network_arrays, actual_graph)
     if with_coverage:
         _attach_coverage_parts(index, manifest, arrays)
@@ -885,21 +900,22 @@ def load_index(
 def _load_visits(
     arrays: dict[str, np.ndarray], trajectory_ids: list[int], num_nodes: int
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The visit-count bookkeeping of a ``most_frequent`` index, as zero-copy
-    read-only views (``NetClusIndex`` copies them on write).  Re-elections
+    """The visit-count bookkeeping of a ``most_frequent`` index: the per-node
+    distinct-trajectory counts, derived as a fresh writable array, and each
+    trajectory's unique nodes as zero-copy read-only views.  Re-elections
     rank by these counts, so missing or malformed arrays raise
     :class:`IndexFormatError`."""
     missing = [key for key in _VISIT_KEYS if key not in arrays]
     if missing:
         raise IndexFormatError(f"most_frequent index without visit arrays {missing}")
-    counts, indptr, flat = (arrays[key] for key in _VISIT_KEYS)
-    if any(array.dtype != np.int64 or array.ndim != 1 for array in (counts, indptr, flat)):
+    indptr, flat = (arrays[key] for key in _VISIT_KEYS)
+    if any(array.dtype != np.int64 or array.ndim != 1 for array in (indptr, flat)):
         raise IndexFormatError("visit arrays are not 1-d int64 arrays")
-    if len(counts) != num_nodes or len(indptr) != len(trajectory_ids) + 1:
-        raise IndexFormatError("visit arrays do not match the network and registry")
+    if len(indptr) != len(trajectory_ids) + 1:
+        raise IndexFormatError("visit arrays do not match the registry")
     _require_offsets(indptr, len(flat), "traj_nodes_indptr")
     _require_range(flat, num_nodes, "traj_nodes_flat")
-    return counts, {
+    return np.bincount(flat, minlength=num_nodes), {
         traj_id: flat[int(indptr[row]) : int(indptr[row + 1])]
         for row, traj_id in enumerate(trajectory_ids)
     }

@@ -21,6 +21,9 @@ before exponentiation, as in the original paper by Flajolet and Martin.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from repro.utils.validation import require_positive
@@ -70,4 +73,13 @@ def estimate_rows(bits: np.ndarray) -> np.ndarray:
     # the lowest unset bit of a word is its count of trailing ones, the set
     # bits of w & ~(w + 1); a full word (w + 1 wraps to 0) counts 32
     lowest_unset = np.bitwise_count(bits & ~(bits + np.uint32(1)))
-    return np.power(2.0, lowest_unset.sum(axis=-1) / bits.shape[-1]) / _PHI
+    return _estimates(bits.shape[-1])[lowest_unset.sum(axis=-1)]
+
+
+@lru_cache(maxsize=None)
+def _estimates(num_sketches: int) -> np.ndarray:
+    """``2^(S/f) / phi`` for every possible sum ``S`` of ``f`` lowest-unset
+    indices, by scalar :func:`math.pow`, so an estimate never depends on
+    which SIMD kernel NumPy dispatches ``np.power`` to."""
+    sums = range(_WORD_BITS * num_sketches + 1)
+    return np.array([math.pow(2.0, total / num_sketches) / _PHI for total in sums])

@@ -9,6 +9,7 @@ hash, the salt, the ρ cap, the estimator or the FM-GDSP scan shows here.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ class TestEstimateRows:
 
     def test_empty_sketch_small(self):
         assert np.all(estimate_rows(np.zeros((3, 8), dtype=np.uint32)) < 2.0)
+
+    def test_every_sum_matches_the_scalar_formula(self):
+        """Every ``(S, f)`` pair estimates exactly ``math.pow(2, S / f) /
+        phi``, whichever SIMD kernel NumPy would pick for ``np.power``."""
+        for copies in range(1, 65):
+            sums = np.arange(32 * copies + 1)
+            # row S holds S // 32 full words, then one word of S % 32 ones
+            counts = np.clip(sums[:, np.newaxis] - 32 * np.arange(copies), 0, 32)
+            words = np.where(counts == 32, 0xFFFFFFFF, (1 << counts) - 1)
+            expected = [math.pow(2.0, int(total) / copies) / PHI for total in sums]
+            assert estimate_rows(words.astype(np.uint32)).tolist() == expected, copies
 
     def test_single_row_matches_matrix_row(self):
         bits = np.vstack([sketch(range(64), 12), sketch(range(500), 12)])

@@ -26,11 +26,13 @@ from repro.service import (
     IndexFarm,
     PlacementService,
     QuerySpec,
+    load_index,
     load_manifest,
     save_index,
     serve_in_background,
 )
 from repro.service.farm import DEFAULT_TENANT, UnknownTenantError
+from repro.service.serialization import payload_digest
 from repro.trajectory.generators import commuter_trajectories
 
 TENANTS = ("nyk", "bjg", "tky")
@@ -286,6 +288,100 @@ def test_update_refreshes_storage_accounting(tenant_dirs, tmp_path):
     ids = list(farm.service("nyk").index.trajectory_ids)[:10]
     farm.apply_updates("nyk", UpdateBatch(remove_trajectories=ids))
     assert record.storage_bytes < before
+
+
+def test_update_racing_an_eviction_is_not_lost(tenant_dirs, tmp_path, monkeypatch):
+    """While one update's write-through save runs, a load of another tenant
+    cannot evict the tenant and a second update waits for the save, so the
+    directory ends equal to applying both batches in order."""
+    import shutil
+
+    dirs = {
+        name: shutil.copytree(tenant_dirs[name], tmp_path / f"{name}.ncx")
+        for name in ("nyk", "bjg")
+    }
+    farm = IndexFarm(memory_budget_bytes=_one_tenant_budget(tenant_dirs))
+    for name, directory in dirs.items():
+        farm.add_tenant(name, directory)
+    sites = sorted(farm.service("nyk").index.sites)
+    batches = [UpdateBatch(remove_sites=sites[:1]), UpdateBatch(remove_sites=sites[1:2])]
+
+    saving, release = threading.Event(), threading.Event()
+    real_save = PlacementService.save
+    saves: list[object] = []
+
+    def gated_save(self, path, dataset=None):
+        saves.append(path)
+        if len(saves) == 1:  # hold the first update inside its save
+            saving.set()
+            assert release.wait(30)
+        return real_save(self, path, dataset=dataset)
+
+    monkeypatch.setattr(PlacementService, "save", gated_save)
+    errors: list[BaseException] = []
+
+    def update(batch):
+        try:
+            farm.apply_updates("nyk", batch)
+        except BaseException as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    first = threading.Thread(target=update, args=(batches[0],))
+    first.start()
+    assert saving.wait(30)
+    farm.query("bjg", QuerySpec(k=3, tau_km=1.0))  # loads bjg over the budget
+    assert "nyk" in farm.resident_tenants()
+    second = threading.Thread(target=update, args=(batches[1],))
+    second.start()
+    second.join(timeout=1.0)  # blocked on nyk's writer lock until the save
+    release.set()
+    for thread in (first, second):
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert errors == []
+
+    expected = load_index(tenant_dirs["nyk"])
+    for batch in batches:
+        expected.apply_updates(batch)
+    reloaded = load_index(dirs["nyk"])
+    assert reloaded.version == expected.version
+    assert payload_digest(reloaded) == payload_digest(expected)
+
+
+def _content_city(tmp_path):
+    """A tenant directory saved with its dataset's content fingerprint."""
+    network = grid_network(6, 6, spacing_km=0.5)
+    dataset = commuter_trajectories(network, 30, seed=11)
+    index = NetClusIndex.build(
+        network, dataset, network.node_ids()[::3], gamma=0.75, tau_min_km=0.4, tau_max_km=2.0
+    )
+    directory = save_index(index, tmp_path / "city.ncx", dataset=dataset)
+    return directory, dataset
+
+
+def test_site_only_update_keeps_content_fingerprint(tmp_path):
+    """The farm's write-through saves without a dataset; a site-only batch
+    leaves the trajectories as they were, so the fingerprint stays and a
+    load against the dataset still checks content."""
+    directory, dataset = _content_city(tmp_path)
+    fingerprint = load_manifest(directory)["fingerprints"]["trajectory_content"]
+    farm = IndexFarm()
+    farm.add_tenant("city", directory)
+    site = min(farm.service("city").index.sites)
+    farm.apply_updates("city", UpdateBatch(remove_sites=[site]))
+    assert load_manifest(directory)["fingerprints"]["trajectory_content"] == fingerprint
+    assert load_index(directory, dataset=dataset).trajectory_content == fingerprint
+
+
+def test_trajectory_update_drops_content_fingerprint(tmp_path):
+    """Removing a trajectory changes the content the fingerprint covered."""
+    directory, _ = _content_city(tmp_path)
+    farm = IndexFarm()
+    farm.add_tenant("city", directory)
+    victim = farm.service("city").index.trajectory_ids[0]
+    farm.apply_updates("city", UpdateBatch(remove_trajectories=[victim]))
+    assert "trajectory_content" not in load_manifest(directory)["fingerprints"]
+    assert farm.service("city").index.trajectory_content is None
 
 
 # ---------------------------------------------------------------------- #

@@ -42,8 +42,8 @@ def built_index(tmp_path_factory):
 
 
 def test_build_writes_index(built_index):
-    assert (built_index / "manifest.json").is_file()
-    assert (built_index / "payload.bin").is_file()
+    manifest = json.loads((built_index / "manifest.json").read_text())
+    assert (built_index / manifest["payload_file"]).is_file()
 
 
 def test_build_records_content_fingerprint(built_index):
@@ -68,7 +68,7 @@ def test_build_rejects_scale_for_fixed_datasets(tmp_path):
 def test_inspect_prints_manifest(built_index, capsys):
     assert main(["inspect", "--index", str(built_index)]) == 0
     out = capsys.readouterr().out
-    assert "netclus-index v5" in out
+    assert "netclus-index v6" in out
     assert "gamma=0.75" in out
     assert "graph sha256" in out
 
@@ -256,12 +256,12 @@ def test_update_rejects_non_integral_ids(built_index, tmp_path, delta):
     list of integral ids exits without touching the index."""
     from repro.service.serialization import load_index
 
-    before = (built_index / "payload.bin").read_bytes()
+    before = {entry.name: entry.read_bytes() for entry in built_index.iterdir()}
     bad = tmp_path / "remove_sites.json"
     bad.write_text(delta)
     with pytest.raises(SystemExit, match="bad delta"):
         main(["update", "--index", str(built_index), "--remove-sites", str(bad)])
-    assert (built_index / "payload.bin").read_bytes() == before
+    assert {entry.name: entry.read_bytes() for entry in built_index.iterdir()} == before
     assert load_index(built_index).version == 0
 
 

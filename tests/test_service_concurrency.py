@@ -279,13 +279,14 @@ class TestConcurrentSaves:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
 
-        payload = (target / "payload.bin").read_bytes()
         manifest = json.loads((target / "manifest.json").read_text())
+        payload = (target / manifest["payload_file"]).read_bytes()
         assert manifest["fingerprints"]["payload_sha256"] == hashlib.sha256(payload).hexdigest()
         assert not list(target.glob("*.tmp"))
         reference = tmp_path / "serial.ncx"
         service.save(reference)
-        assert payload == (reference / "payload.bin").read_bytes()
+        reference_manifest = json.loads((reference / "manifest.json").read_text())
+        assert payload == (reference / reference_manifest["payload_file"]).read_bytes()
 
         reloaded = PlacementService.from_path(target, cache_size=0)
         assert reloaded.index.version == service.index.version

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import shutil
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +24,11 @@ from repro.service import serialization
 from repro.service.serialization import payload_digest, trajectory_fingerprint
 from repro.trajectory.generators import commuter_trajectories
 from repro.trajectory.model import Trajectory
+
+
+def _blob(path):
+    """The payload blob the directory's manifest names."""
+    return path / load_manifest(path)["payload_file"]
 
 
 def _assert_same_answers(a_index, b_index, queries):
@@ -145,9 +147,10 @@ def test_manifest_contents(saved_index):
     index, path = saved_index
     manifest = load_manifest(path)
     assert manifest["format"] == "netclus-index"
-    assert manifest["format_version"] == 5
-    assert manifest["payload_arrays"]  # v4 offset table
-    assert manifest["payload_total_bytes"] == (path / "payload.bin").stat().st_size
+    assert manifest["format_version"] == 6
+    assert manifest["payload_file"].startswith(f"payload.{index.version}.")
+    assert manifest["payload_arrays"]  # the blob's offset table
+    assert manifest["payload_total_bytes"] == _blob(path).stat().st_size
     assert manifest["index_version"] == index.version
     assert manifest["build_params"]["gamma"] == pytest.approx(0.75)
     assert manifest["num_instances"] == index.num_instances
@@ -209,7 +212,7 @@ def test_load_refuses_corrupted_payload(saved_index, tmp_path):
     """The blob size check catches an appended byte."""
     index, _ = saved_index
     path = save_index(index, tmp_path / "corrupt.ncx")
-    blob = path / "payload.bin"
+    blob = _blob(path)
     blob.write_bytes(blob.read_bytes() + b"tampered")
     with pytest.raises(IndexFormatError, match="size mismatch"):
         load_index(path)
@@ -228,7 +231,7 @@ def test_load_refuses_unknown_version(saved_index, tmp_path):
 
 @pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_load_refuses_older_format_versions(saved_index, tmp_path, version):
-    """v5 is the only format read: a v5 directory relabelled as any older
+    """v6 is the only format read: a v6 directory relabelled as any older
     version is refused, naming the version."""
     _, path = saved_index
     relabelled = shutil.copytree(path, tmp_path / "old.ncx")
@@ -241,6 +244,7 @@ def test_load_refuses_older_format_versions(saved_index, tmp_path, version):
 MANIFEST_KEYS = [
     ("format",),
     ("format_version",),
+    ("payload_file",),
     ("payload_arrays",),
     *(
         ("payload_arrays", key)
@@ -345,7 +349,7 @@ EDIT_NAMES = {_drop: "missing", _mangle: "malformed", _lengthen: "three", _cut_t
     ids=[f"{'.'.join(map(str, path))}-{EDIT_NAMES[edit]}" for path, edit in MANIFEST_EDITS],
 )
 def test_load_refuses_incomplete_manifest(warm_saved_index, key_path, edit):
-    """Every key a v5 manifest holds is required and typed: a missing or
+    """Every key a v6 manifest holds is required and typed: a missing or
     malformed one (a ``tau_range_km`` that is not a pair included) raises
     IndexFormatError, never a KeyError or a silent default, and so does
     ``inspect``."""
@@ -424,15 +428,15 @@ def _set_manifest(path, mutate):
 
 
 def test_without_parts_loads_cold(saved_index, tmp_path):
-    """An index saved without a cache lists no parts and loads cold, as
-    does a manifest without the key (earlier v5 writers omitted it)."""
+    """An index saved without a cache lists no parts and loads cold; a
+    manifest without the key is refused like any other incomplete one."""
     _, path = saved_index
     assert json.loads((path / "manifest.json").read_text())["coverage_parts"] == []
     assert load_index(path).coverage_cache is None
     bare = shutil.copytree(path, tmp_path / "bare.ncx")
     _set_manifest(bare, lambda m: m.pop("coverage_parts"))
-    assert load_manifest(bare)["coverage_parts"] == []
-    assert load_index(bare).coverage_cache is None
+    with pytest.raises(IndexFormatError, match="coverage_parts is missing"):
+        load_manifest(bare)
 
 
 def test_parts_round_trip(warm_saved_index):
@@ -583,7 +587,7 @@ def test_part_registry_size_mismatch_raises(warm_saved_index):
 def test_tampered_payload_still_refused(warm_saved_index):
     """Appending bytes to a warm index's payload is refused."""
     _, path = warm_saved_index
-    payload = path / "payload.bin"
+    payload = _blob(path)
     payload.write_bytes(payload.read_bytes() + b"x")
     with pytest.raises(IndexFormatError, match="size mismatch"):
         load_index(path)
@@ -602,7 +606,7 @@ def _tamper_offset_table(path, mutate):
 def test_v4_truncated_blob_raises(saved_index, tmp_path):
     index, _ = saved_index
     path = save_index(index, tmp_path / "trunc.ncx")
-    blob = path / "payload.bin"
+    blob = _blob(path)
     blob.write_bytes(blob.read_bytes()[:-16])
     with pytest.raises(IndexFormatError, match="size mismatch"):
         load_index(path)
@@ -649,8 +653,9 @@ def test_v4_missing_offset_table_raises(saved_index, tmp_path):
 def test_v4_missing_blob_raises(saved_index, tmp_path):
     index, _ = saved_index
     path = save_index(index, tmp_path / "noblob.ncx")
-    (path / "payload.bin").unlink()
-    with pytest.raises(IndexFormatError, match="payload.bin"):
+    blob = _blob(path)
+    blob.unlink()
+    with pytest.raises(IndexFormatError, match=f"no {blob.name}"):
         load_index(path)
 
 
@@ -694,7 +699,7 @@ def test_v4_instances_are_views_copied_on_first_write(saved_index):
     first update copies only the arrays it edits."""
     _, path = saved_index
     loaded = load_index(path)
-    blob = (path / "payload.bin").resolve()
+    blob = _blob(path).resolve()
     before = [_instance_state(instance) for instance in loaded.instances]
     for state in before:
         for name, array in state.items():
@@ -745,7 +750,7 @@ def _poke(key, position, value):
     def mutate(path, table, arrays):
         entry = table[key]
         mapped = np.memmap(
-            path / "payload.bin",
+            _blob(path),
             dtype=np.dtype(entry["dtype"]),
             mode="r+",
             offset=entry["offset"],
@@ -889,7 +894,7 @@ def test_v4_apply_updates_never_writes_through(tmp_path):
     query = TOPSQuery(k=4, tau_km=1.0)
     index.query(query)
     path = save_index(index, tmp_path / "cow.ncx")
-    blob_before = (path / "payload.bin").read_bytes()
+    blob_before = _blob(path).read_bytes()
     manifest_before = (path / "manifest.json").read_bytes()
 
     loaded = load_index(path)
@@ -906,7 +911,7 @@ def test_v4_apply_updates_never_writes_through(tmp_path):
         np.asarray(a.per_trajectory_utility).tobytes()
         == np.asarray(b.per_trajectory_utility).tobytes()
     )
-    assert (path / "payload.bin").read_bytes() == blob_before
+    assert _blob(path).read_bytes() == blob_before
     assert (path / "manifest.json").read_bytes() == manifest_before
 
 
@@ -916,7 +921,7 @@ def test_v4_loaded_index_resaves_identically(warm_saved_index, tmp_path):
     index, path = warm_saved_index
     loaded = load_index(path)
     resaved = save_index(loaded, tmp_path / "resave.ncx")
-    assert load_manifest(resaved)["format_version"] == 5
+    assert load_manifest(resaved)["format_version"] == 6
     assert payload_digest(loaded) == payload_digest(index)
     reloaded = load_index(resaved)
     for query in WARM_QUERIES:
@@ -943,7 +948,7 @@ def most_frequent_saved(tmp_path):
     return index, save_index(index, tmp_path / "mf.ncx")
 
 
-@pytest.mark.parametrize("key", ["visit_counts", "traj_nodes_indptr", "traj_nodes_flat"])
+@pytest.mark.parametrize("key", ["traj_nodes_indptr", "traj_nodes_flat"])
 def test_most_frequent_without_visit_arrays_refused(most_frequent_saved, key):
     """A most_frequent index re-elects by visit counts, so a payload
     without its visit arrays is refused rather than loaded to re-elect by
@@ -978,7 +983,7 @@ VISIT_CORRUPTIONS = {
     ),
     "flat_negative": _poke("traj_nodes_flat", 0, -1),
     "flat_out_of_range": _poke("traj_nodes_flat", 0, lambda a: len(a["net_node_ids"])),
-    "counts_wrong_length": _retable(_shorten("visit_counts")),
+    "indptr_wrong_length": _retable(_shorten("traj_nodes_indptr")),
     "flat_wrong_dtype": _retable(lambda table: table["traj_nodes_flat"].update(dtype="<f8")),
 }
 
@@ -995,6 +1000,16 @@ def test_most_frequent_damaged_visit_arrays_refused(most_frequent_saved, corrupt
     VISIT_CORRUPTIONS[corruption](path, manifest["payload_arrays"], arrays)
     with pytest.raises(IndexFormatError, match="visit arrays|traj_nodes"):
         load_index(path)
+
+
+def test_most_frequent_visit_counts_are_derived(most_frequent_saved):
+    """The payload stores no visit counts: a load derives them from the
+    trajectory node lists, equal to the build's and writable."""
+    index, path = most_frequent_saved
+    assert "visit_counts" not in load_manifest(path)["payload_arrays"]
+    counts = load_index(path)._node_visit_counts
+    assert counts.dtype == np.int64 and counts.flags.writeable
+    assert counts.tobytes() == np.asarray(index._node_visit_counts).tobytes()
 
 
 def test_most_frequent_visit_data_round_trips(tmp_path):
@@ -1026,10 +1041,11 @@ def test_crash_before_manifest_commit_keeps_previous_directory(
     warm_saved_index, monkeypatch
 ):
     """A re-save that dies at the manifest rename unlinks its staging file
-    and leaves the directory's manifest as it was: it still loads and
+    and its blob and leaves the directory as it was: it still loads and
     answers like the index it holds."""
     index, path = warm_saved_index
     manifest_before = (path / "manifest.json").read_bytes()
+    files_before = sorted(entry.name for entry in path.iterdir())
     real_replace = serialization.os.replace
 
     def crash_on_manifest(src, dst):
@@ -1042,44 +1058,9 @@ def test_crash_before_manifest_commit_keeps_previous_directory(
         save_index(load_index(path), path)
     monkeypatch.undo()
 
-    assert not list(path.glob("*.tmp"))  # the failed save cleaned up its staging
+    # the failed save cleaned up its staging file and its blob
+    assert sorted(entry.name for entry in path.iterdir()) == files_before
     assert (path / "manifest.json").read_bytes() == manifest_before
     recovered = load_index(path)
     assert len(recovered.coverage_cache.describe_parts()) == len(WARM_QUERIES)
     _assert_same_answers(index, recovered, WARM_QUERIES + MIXED_QUERIES)
-
-
-def test_concurrent_saves_into_one_directory_never_collide(saved_index, tmp_path):
-    """Two threads saving one index into one directory: every save stages
-    under its own names, so none renames another's staging file away, and
-    the directory ends loadable with no staging file left behind."""
-    index, _ = saved_index
-    target = tmp_path / "city.ncx"
-    start = threading.Barrier(2)
-    errors: list[BaseException] = []
-
-    def saver() -> None:
-        try:
-            start.wait()
-            for _ in range(30):
-                save_index(index, target)
-        except BaseException as exc:  # surfaced by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=saver) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert sorted(entry.name for entry in target.iterdir()) == ["manifest.json", "payload.bin"]
-    manifest = load_manifest(target)
-    payload = (target / "payload.bin").read_bytes()
-    assert manifest["fingerprints"]["payload_sha256"] == hashlib.sha256(payload).hexdigest()
-    assert payload_digest(load_index(target)) == payload_digest(index)
