@@ -8,8 +8,8 @@ shortest-path engine:
    the road network and its radius ``R_p``).  GDSP emits the centers and the
    members with their round trips to the center, taken from its own
    dominance sweep, as the arrays the instance stores.
-2. **representatives** — per cluster, elect the representative candidate
-   site under the index's ``representative_strategy``.
+2. **representatives** — per cluster, elect the candidate site closest to
+   the center as its representative.
 3. **registration** — register every trajectory into every instance via
    the shared lexsort + grouped-minimum kernel
    (:func:`repro.core.netclus.register_trajectory_batch`) — the same
@@ -128,7 +128,6 @@ def build_index(
     tau_min_km: float = 0.4,
     tau_max_km: float = 8.0,
     max_instances: int | None = None,
-    representative_strategy: str = "closest",
 ) -> NetClusIndex:
     """Run the staged offline build pipeline; see the module docstring.
 
@@ -137,10 +136,6 @@ def build_index(
     require_positive(gamma, "gamma")
     require_positive(tau_min_km, "tau_min_km")
     require(tau_max_km > tau_min_km, "tau_max_km must exceed tau_min_km")
-    require(
-        representative_strategy in ("closest", "most_frequent"),
-        "representative_strategy must be 'closest' or 'most_frequent'",
-    )
     site_set = set(int(s) for s in sites)
     for site in sorted(site_set):
         require(network.has_node(site), f"site {site} is not a network node")
@@ -151,11 +146,6 @@ def build_index(
     base_radius = tau_min_km / 4.0
     radii = [base_radius * (1.0 + gamma) ** p for p in range(num_instances)]
     engine = ShortestPathEngine(network)
-    visit_counts = (
-        dataset.node_visit_counts(network.num_nodes)
-        if representative_strategy == "most_frequent"
-        else None
-    )
     stats: list[BuildStats] = []
 
     # stage 1 — per-instance GDSP clustering
@@ -177,11 +167,7 @@ def build_index(
         with Timer() as election_timer:
             instance = _clustered_instance(instance_id, radii[instance_id], gamma, gdsp_result)
             NetClusIndex._elect_representative(
-                instance,
-                np.arange(instance.num_clusters),
-                site_set,
-                representative_strategy,
-                visit_counts,
+                instance, np.arange(instance.num_clusters), site_set
             )
             instances.append(instance)
         election_per_instance.append(election_timer.elapsed)
@@ -244,13 +230,6 @@ def build_index(
         tau_max_km=tau_max_km,
         gamma=gamma,
         trajectory_ids=traj_ids,
-        representative_strategy=representative_strategy,
-        node_visit_counts=visit_counts,
-        trajectory_nodes=(
-            {t.traj_id: np.unique(t.nodes_array()) for t in dataset}
-            if representative_strategy == "most_frequent"
-            else None
-        ),
         build_stats=stats,
         max_instances=max_instances,
     )

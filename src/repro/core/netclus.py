@@ -623,10 +623,7 @@ class NetClusIndex:
         tau_max_km: float,
         gamma: float,
         trajectory_ids: Sequence[int],
-        representative_strategy: str = "closest",
         version: int = 0,
-        node_visit_counts: np.ndarray | None = None,
-        trajectory_nodes: dict[int, np.ndarray] | None = None,
         build_stats: Sequence["BuildStats"] | None = None,
         max_instances: int | None = None,
     ) -> None:
@@ -636,7 +633,6 @@ class NetClusIndex:
         self.tau_min_km = tau_min_km
         self.tau_max_km = tau_max_km
         self.gamma = gamma
-        self.representative_strategy = representative_strategy
         #: per-stage offline-phase records (clustering, representatives,
         #: registration, neighbors) from :mod:`repro.core.build`; empty for
         #: indexes loaded from manifests that predate the staged pipeline
@@ -652,17 +648,6 @@ class NetClusIndex:
         #: call; caches keyed on a selection (the placement service's LRU)
         #: compare it to detect staleness.  Persisted in the index manifest.
         self.version = int(version)
-        # visit-count bookkeeping backing "most_frequent" re-election: the
-        # per-node distinct-trajectory counts and, per trajectory, its unique
-        # node array (needed to decrement counts on removal).  ``None`` for
-        # "closest" indexes.
-        require(
-            representative_strategy != "most_frequent"
-            or (node_visit_counts is not None and trajectory_nodes is not None),
-            "a most_frequent index needs node_visit_counts and trajectory_nodes",
-        )
-        self._node_visit_counts = node_visit_counts
-        self._trajectory_nodes = trajectory_nodes
         #: the trajectories' content fingerprint, when known: a load reads it
         #: from the manifest, a save writes it back, a trajectory update clears it
         self.trajectory_content: str | None = None
@@ -705,7 +690,6 @@ class NetClusIndex:
         tau_min_km: float = 0.4,
         tau_max_km: float = 8.0,
         max_instances: int | None = None,
-        representative_strategy: str = "closest",
     ) -> "NetClusIndex":
         """Construct the index (offline phase).
 
@@ -728,11 +712,6 @@ class NetClusIndex:
             caller may compute and pass explicitly.
         max_instances:
             Optional cap on the number of index instances (testing aid).
-        representative_strategy:
-            How each cluster elects its representative site (Section 4.2):
-            ``"closest"`` — the candidate site nearest to the cluster center
-            (the paper's choice), or ``"most_frequent"`` — the candidate site
-            visited by the largest number of trajectories.
 
         Returns
         -------
@@ -752,7 +731,6 @@ class NetClusIndex:
             tau_min_km=tau_min_km,
             tau_max_km=tau_max_km,
             max_instances=max_instances,
-            representative_strategy=representative_strategy,
         )
 
     @staticmethod
@@ -760,19 +738,14 @@ class NetClusIndex:
         instance: NetClusInstance,
         cluster_ids: np.ndarray,
         sites: Collection[int],
-        strategy: str,
-        visit_counts: np.ndarray | None,
     ) -> None:
         """Elect the representative of each cluster in *cluster_ids* afresh.
 
-        ``"closest"`` picks the candidate site with the smallest round-trip
-        distance to the cluster center; ``"most_frequent"`` picks the site
-        visited by the largest number of trajectories (ties broken by
-        proximity to the center).  Remaining ties go to the earlier member
-        in GDSP order.  The stored ``rep_rt`` is always the representative's
-        distance to the center, as the online estimate needs it regardless
-        of how the representative was elected; a cluster without a
-        candidate site gets ``-1`` / ``inf``.
+        The winner is the candidate site with the smallest round-trip
+        distance to the cluster center (Section 4.2); ties go to the earlier
+        member in GDSP order.  ``rep_rt`` stores that distance, which the
+        online estimate needs; a cluster without a candidate site gets
+        ``-1`` / ``inf``.
         """
         cluster_ids = np.unique(np.asarray(cluster_ids, dtype=np.int64))
         if not len(cluster_ids):
@@ -783,10 +756,7 @@ class NetClusIndex:
         is_site = np.isin(members, np.fromiter(sites, np.int64, len(sites)))
         owners, entries, members = owners[is_site], entries[is_site], members[is_site]
         legs = instance.nodes.vals[entries]
-        if strategy == "most_frequent":
-            order = np.lexsort((entries, legs, -visit_counts[members], owners))
-        else:
-            order = np.lexsort((entries, legs, owners))
+        order = np.lexsort((entries, legs, owners))
         ranked = owners[order]
         # the first candidate of every cluster's run wins
         best = order[np.r_[True, ranked[1:] != ranked[:-1]]] if len(order) else order
@@ -1069,20 +1039,6 @@ class NetClusIndex:
         node_arrays = [t.nodes_array() for t in trajectories]
         for instance in self.instances:
             register_trajectory_batch(instance, traj_ids, node_arrays)
-        if self.representative_strategy == "most_frequent":
-            touched: set[int] = set()
-            num_nodes = len(self._node_visit_counts)
-            for trajectory in trajectories:
-                unique_nodes = np.unique(trajectory.nodes_array())
-                # nodes outside the network carry no visit count (they are
-                # invisible to most_frequent elections, like a fresh build)
-                unique_nodes = unique_nodes[
-                    (unique_nodes >= 0) & (unique_nodes < num_nodes)
-                ]
-                self._node_visit_counts[unique_nodes] += 1
-                self._trajectory_nodes[trajectory.traj_id] = unique_nodes
-                touched.update(int(n) for n in unique_nodes)
-            self._reelect_clusters_of_nodes(touched)
         self.trajectory_content = None
         self.version += 1
         return len(trajectories)
@@ -1108,13 +1064,6 @@ class NetClusIndex:
         removed_ids = np.fromiter(removed, np.int64, len(removed))
         for instance in self.instances:
             instance.tl = instance.tl.keep(~np.isin(instance.tl.ids, removed_ids))
-        if self.representative_strategy == "most_frequent":
-            touched: set[int] = set()
-            for traj_id in sorted(removed):
-                unique_nodes = self._trajectory_nodes.pop(traj_id)
-                self._node_visit_counts[unique_nodes] -= 1
-                touched.update(int(n) for n in unique_nodes)
-            self._reelect_clusters_of_nodes(touched)
         self.trajectory_content = None
         self.version += 1
         return len(removed)
@@ -1123,10 +1072,10 @@ class NetClusIndex:
         """Register candidate sites; returns how many were actually new.
 
         Already-registered sites are skipped (like :meth:`add_site`).  Each
-        affected cluster re-elects its representative under the index's
-        ``representative_strategy``, exactly as a fresh build would.  A site
-        that is not a network node, or that joined the network after the
-        build, raises ``ValueError`` before anything changes.
+        affected cluster re-elects its representative exactly as a fresh
+        build would.  A site that is not a network node, or that joined the
+        network after the build, raises ``ValueError`` before anything
+        changes.
         """
         sites = [int(site) for site in sites]
         self._require_clustered_sites(sites)
@@ -1140,7 +1089,7 @@ class NetClusIndex:
             return 0
         self.sites.update(new_site_set)
         for instance in self.instances:
-            self._reelect(instance, instance.cluster_ids_of(new_sites))
+            self._elect_representative(instance, instance.cluster_ids_of(new_sites), self.sites)
         self.version += 1
         return len(new_sites)
 
@@ -1166,35 +1115,10 @@ class NetClusIndex:
         for instance in self.instances:
             cluster_ids = instance.cluster_ids_of(removed_ids)
             cluster_ids = cluster_ids[cluster_ids >= 0]
-            self._reelect(
-                instance, cluster_ids[np.isin(instance.reps[cluster_ids], removed_ids)]
-            )
+            orphaned = cluster_ids[np.isin(instance.reps[cluster_ids], removed_ids)]
+            self._elect_representative(instance, orphaned, self.sites)
         self.version += 1
         return len(removed)
-
-    # ------------------------------------------------------------------ #
-    # update internals
-    # ------------------------------------------------------------------ #
-    def _reelect(self, instance: NetClusInstance, cluster_ids: np.ndarray) -> None:
-        """Re-run the representative election of these clusters from scratch."""
-        self._elect_representative(
-            instance,
-            cluster_ids,
-            self.sites,
-            self.representative_strategy,
-            self._node_visit_counts,
-        )
-
-    def _reelect_clusters_of_nodes(self, nodes: set[int]) -> None:
-        """Re-elect every cluster containing one of *nodes* (all instances).
-
-        Called when visit counts changed: under ``most_frequent`` a count
-        change can flip the election anywhere the trajectory passed.
-        """
-        node_ids = np.fromiter(nodes, np.int64, len(nodes))
-        for instance in self.instances:
-            cluster_ids = instance.cluster_ids_of(node_ids)
-            self._reelect(instance, cluster_ids[cluster_ids >= 0])
 
     # ------------------------------------------------------------------ #
     @property

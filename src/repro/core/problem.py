@@ -217,7 +217,6 @@ class TOPSProblem:
         tau_min_km: float = 0.4,
         tau_max_km: float = 8.0,
         max_instances: int | None = None,
-        representative_strategy: str = "closest",
     ) -> NetClusIndex:
         """Build a NetClus index over this problem's data (offline phase).
 
@@ -234,7 +233,6 @@ class TOPSProblem:
             tau_min_km=tau_min_km,
             tau_max_km=tau_max_km,
             max_instances=max_instances,
-            representative_strategy=representative_strategy,
         )
 
     def placement_service(self, cache_size: int = 128, **build_kwargs):

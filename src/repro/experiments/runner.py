@@ -230,7 +230,6 @@ def build_context(
             "gamma": gamma,
             "tau_min_km": tau_min_km,
             "tau_max_km": tau_max_km,
-            "representative_strategy": "closest",
         }
         mismatched = any(saved_params[key] != value for key, value in requested.items())
         # a --max-instances-capped index has the right params but a short

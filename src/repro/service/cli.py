@@ -98,7 +98,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         tau_min_km=args.tau_min,
         tau_max_km=args.tau_max,
         max_instances=args.max_instances,
-        representative_strategy=args.representative_strategy,
     )
     directory = save_index(index, args.out, dataset=bundle.trajectories)
     for stat in index.build_stats:
@@ -518,13 +517,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     build.add_argument("--tau-max", type=float, default=8.0, help="τ_max in km")
     build.add_argument(
         "--max-instances", type=int, default=None, help="cap the instance ladder"
-    )
-    build.add_argument(
-        "--representative-strategy",
-        default="closest",
-        choices=["closest", "most_frequent"],
-        help="how clusters elect their representative site: nearest to the "
-        "center (the paper's choice) or most visited by trajectories",
     )
     build.add_argument("--out", required=True, help="output index directory")
     build.set_defaults(func=_cmd_build)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.core.netclus import UpdateBatch
 from repro.core.query import TOPSQuery, TOPSResult
@@ -58,12 +58,28 @@ from repro.service.serialization import load_manifest
 from repro.service.specs import QuerySpec
 from repro.utils.validation import require
 
-__all__ = ["DEFAULT_TENANT", "IndexFarm", "TenantRecord", "UnknownTenantError"]
+__all__ = [
+    "DEFAULT_TENANT",
+    "AppliedUpdate",
+    "IndexFarm",
+    "TenantRecord",
+    "UnknownTenantError",
+]
 
 #: The name :meth:`IndexFarm.add_service` registers its service under;
 #: :meth:`IndexFarm.add_tenant` refuses it and no ``/t/<name>/`` path can
 #: address it, so the server routes the plain endpoints to it.
 DEFAULT_TENANT = ""
+
+
+class AppliedUpdate(NamedTuple):
+    """What :meth:`IndexFarm.apply_updates` did: the number of update items
+    applied and the index version before and after, both read from the
+    service the batch was applied to."""
+
+    applied: int
+    index_version_before: int
+    index_version: int
 
 
 class UnknownTenantError(KeyError):
@@ -328,7 +344,7 @@ class IndexFarm:
         service = self.service(name)
         return service.batch_query(specs, use_cache=use_cache)
 
-    def apply_updates(self, name: str, batch: UpdateBatch) -> int:
+    def apply_updates(self, name: str, batch: UpdateBatch) -> AppliedUpdate:
         """Apply an update batch to the named tenant, writing through.
 
         The updated index is saved back to the tenant's directory before
@@ -339,19 +355,22 @@ class IndexFarm:
         tenant resident until its save commits.  A directory-less tenant
         has nowhere to save to and is never evicted, so nothing is written
         for it.  The tenant's ``storage_bytes`` accounting is refreshed
-        from the live index.
+        from the live index.  Both versions returned are read under the
+        writer lock from the service the batch went to, which is a fresh
+        load when the tenant was evicted since the caller last resolved it.
         """
         with self._lock:
             record = self._record(name)
         with record.writer:
             service = self.service(name)
+            version_before = service.index.version
             applied = service.apply_updates(batch)
             if record.directory is not None:
                 service.save(record.directory)
             with self._lock:
                 record.storage_bytes = service.index.storage_bytes()
                 self._enforce_budget(keep=name)
-        return applied
+            return AppliedUpdate(applied, version_before, service.index.version)
 
     # ------------------------------------------------------------------ #
     # observability

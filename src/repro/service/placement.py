@@ -488,17 +488,6 @@ class PlacementService:
                 self._cache_version = index.version
         return applied
 
-    def invalidate_cache(self) -> None:
-        """Drop every cached result (manual override).
-
-        Calling this is no longer required after dynamic updates: the cache
-        is stamped with :attr:`NetClusIndex.version` and invalidates itself
-        as soon as a query observes a mutated index.  The method remains
-        for callers that want to force a drop (e.g. to free memory).
-        """
-        with self._cache_lock:
-            self._cache.clear()
-
     def _sync_cache_version(self) -> None:
         """Drop the cache if the index was mutated since it was populated."""
         if self._index is None:

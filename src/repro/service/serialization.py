@@ -5,25 +5,26 @@ An index directory (format v6) holds exactly two files:
 * ``payload.<index_version>.<hex>.bin`` — one *aligned packed blob*: every
   payload array's raw little-endian bytes at a 64-byte-aligned offset, in
   sorted key order.  The arrays are the road network (nodes, coordinates,
-  edges), the candidate-site set, the trajectory registry, the per-trajectory
-  node lists of ``most_frequent`` indexes, per instance the cluster arrays
-  in flattened CSR-style form, and the optional coverage parts (see
-  ``docs/index-format.md`` for the full key listing).  Each fact is stored
-  once: the node → cluster assignment is read off the member lists, a
-  part's representative columns off its instance's ``reps``, and the
-  per-node visit counts off the trajectory node lists.
+  edges), the candidate-site set, the trajectory registry, per instance
+  the cluster arrays in flattened CSR-style form, and the optional
+  coverage parts (see ``docs/index-format.md`` for the full key listing).
+  Each fact is stored once: the node → cluster assignment is read off the
+  member lists, and a part's representative columns off its instance's
+  ``reps``.
 * ``manifest.json`` — human-readable metadata: format version, the name of
   the blob (``payload_file``), its ``payload_arrays`` offset table (offset,
-  nbytes, dtype, shape per key), build parameters (γ, τ_min, τ_max,
-  representative strategy, instance cap), the index's dynamic-update
-  ``version`` counter, the staged build pipeline's per-stage
-  :class:`~repro.core.build.BuildStats` records, per-instance statistics,
-  the coverage-part listing, and the fingerprints — the SHA-256 of the
-  blob, of the road network, of the trajectory registry and, when known,
-  of the trajectory content.
+  nbytes, dtype, shape per key), build parameters (γ, τ_min, τ_max, the
+  representative rule — always ``"closest"`` — and the instance cap), the
+  index's dynamic-update ``version`` counter, the staged build pipeline's
+  per-stage :class:`~repro.core.build.BuildStats` records, per-instance
+  statistics, the coverage-part listing, and the fingerprints — the
+  SHA-256 of the blob, of the road network, of the trajectory registry
+  and, when known, of the trajectory content.
 
 The manifest rename is a save's one commit (:func:`save_index`): a reader
-sees the old manifest and its blob or the new ones, never a mix.
+sees the old manifest and its blob or the new ones, never a mix.  A load
+whose blob was unlinked by a save committing after its manifest read
+reads the manifest once more and maps the blob it names now.
 
 Loading refuses to proceed on any fingerprint or version mismatch
 (:class:`IndexFormatError`), so a stale or corrupted index can never silently
@@ -124,6 +125,10 @@ class IndexFormatError(RuntimeError):
     array structure), and graph/trajectory fingerprint mismatches against
     what the caller supplied.
     """
+
+
+class _MissingBlob(IndexFormatError):
+    """The blob a manifest names is not in the directory (see :func:`load_index`)."""
 
 
 # ---------------------------------------------------------------------- #
@@ -273,19 +278,20 @@ def _map_blob(directory: Path, manifest: dict[str, Any]) -> dict[str, np.ndarray
     if not _BLOB_NAME.fullmatch(name):
         raise IndexFormatError(f"payload_file {name!r} is not a payload blob name")
     blob_path = directory / name
-    if not blob_path.is_file():
-        raise IndexFormatError(f"no {name} in {directory}")
     total = manifest["payload_total_bytes"]
-    actual = blob_path.stat().st_size
-    if actual != total:
-        raise IndexFormatError(
-            f"payload blob size mismatch: {name} holds {actual} "
-            f"bytes, manifest declares {total} (truncated or corrupted index)"
-        )
-    # one .view(np.ndarray) drops the memmap wrapper, whose per-slice and
-    # per-element bookkeeping costs microseconds a call; the plain ndarray
-    # keeps the mapping alive through .base and stays zero-copy + read-only
-    raw = np.memmap(blob_path, dtype=np.uint8, mode="r").view(np.ndarray)
+    try:
+        actual = blob_path.stat().st_size
+        if actual != total:
+            raise IndexFormatError(
+                f"payload blob size mismatch: {name} holds {actual} "
+                f"bytes, manifest declares {total} (truncated or corrupted index)"
+            )
+        # one .view(np.ndarray) drops the memmap wrapper, whose per-slice and
+        # per-element bookkeeping costs microseconds a call; the plain ndarray
+        # keeps the mapping alive through .base and stays zero-copy + read-only
+        raw = np.memmap(blob_path, dtype=np.uint8, mode="r").view(np.ndarray)
+    except FileNotFoundError:
+        raise _MissingBlob(f"no {name} in {directory}") from None
     views: dict[str, np.ndarray] = {}
     for key, entry in manifest["payload_arrays"].items():
         try:
@@ -364,7 +370,7 @@ def save_index(
             "gamma": index.gamma,
             "tau_min_km": index.tau_min_km,
             "tau_max_km": index.tau_max_km,
-            "representative_strategy": index.representative_strategy,
+            "representative_strategy": "closest",
             "max_instances": index.max_instances,
         },
         "index_version": index.version,
@@ -545,7 +551,6 @@ def _payload_arrays(index: NetClusIndex) -> dict[str, np.ndarray]:
     payload = dict(_network_payload(index)[0])
     payload["sites"] = np.asarray(sorted(index.sites), dtype=np.int64)
     payload["trajectory_ids"] = np.asarray(index.trajectory_ids, dtype=np.int64)
-    payload.update(_visit_arrays(index))
     for instance in index.instances:
         payload.update(_instance_arrays(instance))
     return payload
@@ -606,35 +611,6 @@ def _network_arrays(network: RoadNetwork) -> dict[str, np.ndarray]:
     }
 
 
-#: the visit-count bookkeeping arrays of a ``most_frequent`` index
-_VISIT_KEYS = ("traj_nodes_indptr", "traj_nodes_flat")
-
-
-def _visit_arrays(index: NetClusIndex) -> dict[str, np.ndarray]:
-    """Visit-count bookkeeping arrays (``most_frequent`` indexes only).
-
-    ``traj_nodes_indptr``/``traj_nodes_flat`` hold each trajectory's unique
-    node array (in registry order), which dynamic removal needs to decrement
-    the per-node counts; the counts themselves are derived from them on
-    load.  A ``closest`` index contributes nothing.
-    """
-    if index.representative_strategy != "most_frequent":
-        return {}
-    node_lists = [index._trajectory_nodes[traj_id] for traj_id in index.trajectory_ids]
-    counts = np.asarray([len(nodes) for nodes in node_lists], dtype=np.int64)
-    indptr = np.zeros(len(node_lists) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    flat = (
-        np.concatenate(node_lists).astype(np.int64)
-        if node_lists
-        else np.empty(0, dtype=np.int64)
-    )
-    return {
-        "traj_nodes_indptr": indptr,
-        "traj_nodes_flat": flat,
-    }
-
-
 #: the per-cluster ragged lists of an instance, stored as
 #: ``<key>_indptr`` / ``<key>_ids`` / ``<key>_vals``
 _RAGGED_KEYS = ("nodes", "tl", "nb")
@@ -669,10 +645,10 @@ def _instance_arrays(instance: NetClusInstance) -> dict[str, np.ndarray]:
 # load
 # ---------------------------------------------------------------------- #
 #: every key a v6 manifest holds and what its value must be: ``int``,
-#: ``float`` (any JSON number) or ``str``; a dict is an object with those
-#: keys, a one-element list a list of such values, a longer list exactly
-#: that many values, a tuple one of its members.  Only
-#: ``fingerprints.trajectory_content`` is optional.
+#: ``float`` (any JSON number) or ``str``; a string value is that exact
+#: string, a dict an object with those keys, a one-element list a list of
+#: such values, a longer list exactly that many values, a tuple one of its
+#: members.  Only ``fingerprints.trajectory_content`` is optional.
 _MANIFEST_SCHEMA: dict[str, Any] = {
     # _map_blob checks the name and each offset-table entry
     "payload_file": str,
@@ -683,7 +659,8 @@ _MANIFEST_SCHEMA: dict[str, Any] = {
         "gamma": float,
         "tau_min_km": float,
         "tau_max_km": float,
-        "representative_strategy": ("closest", "most_frequent"),
+        # the only rule an index elects by (Section 4.2)
+        "representative_strategy": "closest",
         "max_instances": (int, None),
     },
     "index_version": int,
@@ -739,6 +716,11 @@ def _check_schema(value: Any, kind: Any, where: str) -> None:
             raise IndexFormatError(f"{where} holds {len(value)} values, not {len(kinds)}")
         for position, (item, item_kind) in enumerate(zip(value, kinds)):
             _check_schema(item, item_kind, f"{where}[{position}]")
+    elif isinstance(kind, str) and value != kind:
+        raise IndexFormatError(
+            f"{where} is {value!r}: this build reads only {kind!r} indexes "
+            f"(rebuild the index)"
+        )
     elif not _is_kind(value, kind):
         raise IndexFormatError(f"{where} is malformed ({value!r})")
 
@@ -791,6 +773,11 @@ def load_index(
 ) -> NetClusIndex:
     """Load a persisted index from directory *path*.
 
+    A save into *path* that commits between this load's manifest read and
+    its mapping of the blob unlinks the blob that manifest named; the load
+    then reads the manifest once more and maps the blob it names now, so
+    it returns the newer state rather than an error.
+
     Parameters
     ----------
     path:
@@ -823,12 +810,20 @@ def load_index(
     """
     directory = Path(path)
     manifest = load_manifest(directory)
-    fingerprints = manifest["fingerprints"]
     # map the packed blob once; views are zero-copy and read-only, and
     # nothing below this line hashes the payload — integrity rests on the
     # offset-table validation in _map_blob plus the structural and
     # fingerprint checks over the arrays actually read
-    arrays = _map_blob(directory, manifest)
+    try:
+        arrays = _map_blob(directory, manifest)
+    except _MissingBlob:
+        # a save that committed after the manifest read unlinks the blob
+        # that manifest named: map the one the new manifest names, once
+        fresh = load_manifest(directory)
+        if fresh["payload_file"] == manifest["payload_file"]:
+            raise
+        manifest, arrays = fresh, _map_blob(directory, fresh)
+    fingerprints = manifest["fingerprints"]
 
     if network is None:
         network = _rebuild_network(arrays)
@@ -866,12 +861,6 @@ def load_index(
             )
 
     params = manifest["build_params"]
-    node_visit_counts: np.ndarray | None = None
-    trajectory_nodes: dict[int, np.ndarray] | None = None
-    if params["representative_strategy"] == "most_frequent":
-        node_visit_counts, trajectory_nodes = _load_visits(
-            arrays, trajectory_ids, network.num_nodes
-        )
     index = NetClusIndex(
         network=network,
         sites=arrays["sites"].tolist(),
@@ -883,10 +872,7 @@ def load_index(
         tau_max_km=float(params["tau_max_km"]),
         gamma=float(params["gamma"]),
         trajectory_ids=trajectory_ids,
-        representative_strategy=params["representative_strategy"],
         version=manifest["index_version"],
-        node_visit_counts=node_visit_counts,
-        trajectory_nodes=trajectory_nodes,
         build_stats=[BuildStats.from_dict(entry) for entry in manifest["build_stats"]],
         max_instances=params["max_instances"],
     )
@@ -895,30 +881,6 @@ def load_index(
     if with_coverage:
         _attach_coverage_parts(index, manifest, arrays)
     return index
-
-
-def _load_visits(
-    arrays: dict[str, np.ndarray], trajectory_ids: list[int], num_nodes: int
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The visit-count bookkeeping of a ``most_frequent`` index: the per-node
-    distinct-trajectory counts, derived as a fresh writable array, and each
-    trajectory's unique nodes as zero-copy read-only views.  Re-elections
-    rank by these counts, so missing or malformed arrays raise
-    :class:`IndexFormatError`."""
-    missing = [key for key in _VISIT_KEYS if key not in arrays]
-    if missing:
-        raise IndexFormatError(f"most_frequent index without visit arrays {missing}")
-    indptr, flat = (arrays[key] for key in _VISIT_KEYS)
-    if any(array.dtype != np.int64 or array.ndim != 1 for array in (indptr, flat)):
-        raise IndexFormatError("visit arrays are not 1-d int64 arrays")
-    if len(indptr) != len(trajectory_ids) + 1:
-        raise IndexFormatError("visit arrays do not match the registry")
-    _require_offsets(indptr, len(flat), "traj_nodes_indptr")
-    _require_range(flat, num_nodes, "traj_nodes_flat")
-    return np.bincount(flat, minlength=num_nodes), {
-        traj_id: flat[int(indptr[row]) : int(indptr[row + 1])]
-        for row, traj_id in enumerate(trajectory_ids)
-    }
 
 
 def _rebuild_network(arrays: dict[str, np.ndarray]) -> RoadNetwork:

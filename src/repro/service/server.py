@@ -687,9 +687,10 @@ class PlacementServer:
             self._executor, self.farm.service, tenant
         )
         batch = self._parse_update(request.body, service.index.network)
-        version_before = service.index.version
         try:
-            applied = await self._loop.run_in_executor(
+            # the versions come from the service the batch went to: an
+            # eviction since the lookup above makes that a fresh load
+            outcome = await self._loop.run_in_executor(
                 self._executor, self.farm.apply_updates, tenant, batch
             )
         except (ValueError, KeyError) as exc:
@@ -697,12 +698,8 @@ class PlacementServer:
             # member (unknown site, duplicate id, ...) is a client error
             message = exc.args[0] if exc.args else str(exc)
             raise _BadRequest(str(message)) from None
-        self.stats.updates_applied += applied
-        body = {
-            "applied": applied,
-            "index_version_before": version_before,
-            "index_version": service.index.version,
-        }
+        self.stats.updates_applied += outcome.applied
+        body: dict[str, Any] = outcome._asdict()
         if tenant:
             body["tenant"] = tenant
         return _Response.json(200, body)

@@ -1,5 +1,5 @@
-"""Tests for the representative-strategy option, the ablation drivers and the
-run-all command-line entry point."""
+"""Tests for the representative-selection ablation, the other ablation
+drivers and the run-all command-line entry point."""
 
 from __future__ import annotations
 
@@ -7,58 +7,80 @@ import pytest
 
 from repro.core.netclus import NetClusIndex
 from repro.core.query import TOPSQuery
+from repro.datasets import beijing_like
 from repro.experiments import run_all
 from repro.experiments.figures import ablation_design_choices
 
 
 class TestRepresentativeStrategy:
-    def test_invalid_strategy_rejected(self, tiny_bundle):
-        problem = tiny_bundle.problem()
-        with pytest.raises(ValueError):
-            NetClusIndex.build(
-                tiny_bundle.network,
-                tiny_bundle.trajectories,
-                tiny_bundle.sites,
-                tau_min_km=0.4,
-                tau_max_km=2.0,
-                representative_strategy="weird",
-            )
-
-    def test_most_frequent_strategy_builds(self, tiny_bundle):
+    @staticmethod
+    def _closest_and_copy(bundle):
         index = NetClusIndex.build(
-            tiny_bundle.network,
-            tiny_bundle.trajectories,
-            tiny_bundle.sites,
+            bundle.network,
+            bundle.trajectories,
+            bundle.sites,
             tau_min_km=0.4,
             tau_max_km=2.0,
-            representative_strategy="most_frequent",
             max_instances=2,
         )
-        result = index.query(TOPSQuery(k=3, tau_km=0.8))
+        visit_counts = bundle.trajectories.node_visit_counts(bundle.network.num_nodes)
+        return index, visit_counts, ablation_design_choices.most_visited_copy(
+            index, visit_counts
+        )
+
+    def test_most_visited_copy_answers_and_leaves_the_index_alone(self, tiny_bundle):
+        index, _, copied = self._closest_and_copy(tiny_bundle)
+        before = [(i.reps.tobytes(), i.rep_rt.tobytes()) for i in index.instances]
+        result = copied.query(TOPSQuery(k=3, tau_km=0.8))
         assert len(result.sites) == 3
+        assert [(i.reps.tobytes(), i.rep_rt.tobytes()) for i in index.instances] == before
 
     def test_most_frequent_picks_heaviest_site(self, tiny_bundle):
-        visit_counts = tiny_bundle.trajectories.node_visit_counts(
-            tiny_bundle.network.num_nodes
-        )
-        index = NetClusIndex.build(
-            tiny_bundle.network,
-            tiny_bundle.trajectories,
-            tiny_bundle.sites,
-            tau_min_km=0.4,
-            tau_max_km=2.0,
-            representative_strategy="most_frequent",
-            max_instances=2,
-        )
+        _, visit_counts, copied = self._closest_and_copy(tiny_bundle)
         sites = set(tiny_bundle.sites)
-        instance = index.instances[-1]
+        instance = copied.instances[-1]
         for cluster in instance.clusters:
             if not cluster.has_representative:
                 continue
-            candidate_counts = [
-                visit_counts[n] for n in cluster.nodes if n in sites
-            ]
-            assert visit_counts[cluster.representative] == max(candidate_counts)
+            candidates = [n for n in cluster.nodes if n in sites]
+            best = max(visit_counts[n] for n in candidates)
+            # ties go to the candidate closest to the center
+            assert visit_counts[cluster.representative] == best
+            assert cluster.representative_round_trip_km == min(
+                cluster.nodes[n] for n in candidates if visit_counts[n] == best
+            )
+
+    @pytest.mark.parametrize(
+        "scale,expected",
+        [
+            (
+                "tiny",
+                {
+                    5: ("0x1.4aaaaaaaaaaabp+6", "0x1.4aaaaaaaaaaabp+6"),
+                    10: ("0x1.8555555555555p+6", "0x1.8555555555555p+6"),
+                },
+            ),
+            (
+                "small",
+                {
+                    5: ("0x1.3555555555555p+6", "0x1.3355555555555p+6"),
+                    10: ("0x1.5aaaaaaaaaaabp+6", "0x1.5955555555555p+6"),
+                },
+            ),
+        ],
+    )
+    def test_ablation_rows_are_pinned(self, scale, expected):
+        """The Section 4.2 comparison, to the bit: closest vs most visited."""
+        rows = ablation_design_choices.run_representative_strategy(
+            beijing_like(scale, seed=42)
+        )
+        assert {
+            row["k"]: (
+                row["closest_utility_pct"].hex(),
+                row["most_frequent_utility_pct"].hex(),
+            )
+            for row in rows
+        } == expected
 
     def test_strategies_reach_similar_quality(self, tiny_bundle):
         rows = ablation_design_choices.run_representative_strategy(

@@ -5,8 +5,9 @@ renames ``manifest.json`` (which names that blob) into place as its only
 commit, then unlinks the blob the replaced manifest named.  These tests
 kill a saving process at every filesystem step and check the directory
 still loads to one whole state, check that saves leave no garbage and
-need no lock, and check the loader's refusals (a ``payload_file`` that is
-not a blob name, a v5 directory).
+need no lock, check the loader's refusals (a ``payload_file`` that is not
+a blob name, a v5 directory, a ``most_frequent`` directory), and check
+that a load racing a save maps the blob the newer manifest names.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.service import (
     load_manifest,
     save_index,
 )
+from repro.service import serialization
 from repro.service.serialization import payload_digest
 from repro.trajectory.generators import commuter_trajectories
 
@@ -118,7 +120,6 @@ def city():
         gamma=0.75,
         tau_min_km=0.4,
         tau_max_km=2.0,
-        representative_strategy="most_frequent",
     )
     index.enable_coverage_cache()
     PlacementService(index).batch_query(SPECS)  # persist warm coverage parts
@@ -228,4 +229,54 @@ def test_v5_directory_is_refused(city, tmp_path):
     manifest["format_version"] = 5
     (directory / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(IndexFormatError, match="format version 5 .*rebuild"):
+        load_index(directory)
+
+
+def test_most_frequent_directory_is_refused(city, tmp_path):
+    """An index elects only the closest site, so a directory whose manifest
+    records the most-visited rule names it and asks for a rebuild instead
+    of loading an index whose next updates would re-elect by proximity."""
+    directory = save_index(city, tmp_path / "city.ncx")
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert manifest["build_params"]["representative_strategy"] == "closest"
+    manifest["build_params"]["representative_strategy"] = "most_frequent"
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(IndexFormatError, match="'most_frequent'.*rebuild"):
+        load_index(directory)
+
+
+def test_load_racing_a_save_maps_the_new_blob(city, tmp_path, monkeypatch):
+    """A save that commits between a load's manifest read and its mapping
+    unlinks the blob that manifest named; the load reads the manifest
+    again and returns the newer state."""
+    directory = save_index(city, tmp_path / "city.ncx")
+    post = load_index(directory)
+    post.apply_updates(UpdateBatch(remove_sites=sorted(post.sites)[:2]))
+    expected = _answers(post)
+    read_manifest = serialization.load_manifest
+    saved = []
+
+    def read_then_save(path):
+        manifest = read_manifest(path)
+        if not saved:
+            saved.append(save_index(post, directory))
+        return manifest
+
+    monkeypatch.setattr(serialization, "load_manifest", read_then_save)
+    loaded = load_index(directory)
+    assert saved and loaded.version == post.version
+    assert _answers(loaded) == expected
+
+
+def test_blob_vanishing_before_the_mapping_is_a_format_error(city, tmp_path, monkeypatch):
+    """A blob unlinked after its size check, with no newer manifest to
+    read, raises IndexFormatError rather than FileNotFoundError."""
+    directory = save_index(city, tmp_path / "city.ncx")
+
+    def unlinked(path, *args, **kwargs):
+        Path(path).unlink()
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(serialization.np, "memmap", unlinked)
+    with pytest.raises(IndexFormatError, match="no payload"):
         load_index(directory)

@@ -248,7 +248,8 @@ def test_directory_less_tenant_is_pinned_and_never_saved(tenant_dirs, monkeypatc
 
     monkeypatch.setattr(PlacementService, "save", no_save)
     ids = list(service.index.trajectory_ids)[:5]
-    assert farm.apply_updates(DEFAULT_TENANT, UpdateBatch(remove_trajectories=ids)) == 5
+    outcome = farm.apply_updates(DEFAULT_TENANT, UpdateBatch(remove_trajectories=ids))
+    assert outcome.applied == 5
     assert record.storage_bytes == service.index.storage_bytes()
     assert farm.tenant_stats(DEFAULT_TENANT) == service.stats.as_dict()
     farm.close()
@@ -268,8 +269,8 @@ def test_updates_write_through_and_survive_eviction(tenant_dirs, tmp_path):
     farm.add_tenant("nyk", directory)
     spec = QuerySpec(k=4, tau_km=1.0)
     sites = sorted(farm.service("nyk").index.sites)
-    applied = farm.apply_updates("nyk", UpdateBatch(remove_sites=sites[:2]))
-    assert applied == 2
+    outcome = farm.apply_updates("nyk", UpdateBatch(remove_sites=sites[:2]))
+    assert outcome == (2, 0, 1)
     updated = _probe(farm.query("nyk", spec))
     farm.evict("nyk")
     # the reload reads the written-through directory, not the stale state
@@ -426,7 +427,7 @@ def test_state_machine_matches_unevicted_direct_services(tenant_dirs, tmp_path):
             live_sites = sorted(mirrors[name].index.sites)
             if len(live_sites) > 4:
                 batch = UpdateBatch(remove_sites=live_sites[:1])
-                assert farm.apply_updates(name, batch) == mirrors[
+                assert farm.apply_updates(name, batch).applied == mirrors[
                     name
                 ].apply_updates(batch)
                 updates_done += 1
@@ -589,6 +590,40 @@ def test_http_eviction_between_requests_is_invisible(served_farm):
         first["results"][0]["per_trajectory_utility"]
         == second["results"][0]["per_trajectory_utility"]
     )
+
+
+def test_http_update_reports_the_versions_it_applied_to(tenant_dirs, tmp_path, monkeypatch):
+    """An eviction between the server's tenant lookup and the apply sends
+    the batch to a fresh load; ``/update`` reports that load's versions."""
+    import shutil
+
+    farm = IndexFarm()
+    for name in ("nyk", "bjg"):
+        farm.add_tenant(name, shutil.copytree(tenant_dirs[name], tmp_path / f"{name}.ncx"))
+    site = sorted(farm.service("nyk").index.sites)[0]
+    lookup = farm.service
+    evicted = []
+
+    def service_then_evict(name):
+        service = lookup(name)
+        if not evicted:
+            evicted.append(farm.evict(name))
+        return service
+
+    monkeypatch.setattr(farm, "service", service_then_evict)
+    with serve_in_background(farm) as handle:
+        status, body = _http(
+            handle.address, "POST", "/t/nyk/update", {"remove_sites": [site]}
+        )
+    assert status == 200 and evicted == [True]
+    assert body == {
+        "applied": 1,
+        "index_version_before": 0,
+        "index_version": 1,
+        "tenant": "nyk",
+    }
+    assert farm.index_version("nyk") == 1
+    farm.close()
 
 
 def test_http_metrics_carry_tenant_labels(served_farm):

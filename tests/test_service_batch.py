@@ -229,16 +229,6 @@ def test_cache_eviction_is_lru(tiny_netclus):
     assert service.stats.cache_hits == hits + 1
 
 
-def test_invalidate_cache(service):
-    spec = QuerySpec(k=4, tau_km=0.8)
-    service.query(spec)
-    assert service.cache_len == 1
-    service.invalidate_cache()
-    assert service.cache_len == 0
-    service.query(spec)
-    assert service.stats.cache_hits == 0
-
-
 # ---------------------------------------------------------------------- #
 # construction paths / spec validation
 # ---------------------------------------------------------------------- #
@@ -334,8 +324,8 @@ def test_existing_sites_spec(tiny_netclus, service):
 
 
 def test_cache_auto_invalidates_on_index_mutation(tiny_netclus):
-    """Mutating the index through its own API (no invalidate_cache() call)
-    must drop stale cached selections before the next query is served."""
+    """Mutating the index through its own API must drop stale cached
+    selections before the next query is served."""
     index = copy.deepcopy(tiny_netclus)
     service = PlacementService(index)
     spec = QuerySpec(k=4, tau_km=0.8)
@@ -343,7 +333,7 @@ def test_cache_auto_invalidates_on_index_mutation(tiny_netclus):
     assert service.cache_len == 1
 
     victim = before.sites[0]
-    service.index.remove_site(victim)  # rely on version, not invalidate_cache
+    service.index.remove_site(victim)  # the cache is version-stamped
     after = service.query(spec)
     assert service.stats.cache_hits == 0  # the stale entry was not served
     assert victim not in after.sites

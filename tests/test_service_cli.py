@@ -301,7 +301,7 @@ def test_site_only_update_keeps_content_fingerprint(built_index, tmp_path):
 
 
 class TestBuildPipelineFlags:
-    """`build --representative-strategy/--max-instances` and manifest round-trips."""
+    """`build --max-instances` and manifest round-trips."""
 
     @pytest.fixture(scope="class")
     def strategy_index(self, tmp_path_factory):
@@ -313,7 +313,6 @@ class TestBuildPipelineFlags:
                 "--scale", "tiny",
                 "--tau-max", "2.0",
                 "--max-instances", "3",
-                "--representative-strategy", "most_frequent",
                 "--out", str(path),
             ]
         )
@@ -323,7 +322,7 @@ class TestBuildPipelineFlags:
     def test_flags_round_trip_through_manifest(self, strategy_index):
         manifest = json.loads((strategy_index / "manifest.json").read_text())
         params = manifest["build_params"]
-        assert params["representative_strategy"] == "most_frequent"
+        assert params["representative_strategy"] == "closest"
         assert params["max_instances"] == 3
         stages = [stat["stage"] for stat in manifest["build_stats"]]
         assert stages == ["clustering", "representatives", "registration", "neighbors"]
@@ -332,7 +331,7 @@ class TestBuildPipelineFlags:
     def test_inspect_reports_flags_and_stages(self, strategy_index, capsys):
         assert main(["inspect", "--index", str(strategy_index)]) == 0
         out = capsys.readouterr().out
-        assert "most_frequent" in out
+        assert "representatives  : closest" in out
         assert "instance cap 3" in out
         assert "offline pipeline" in out
         assert "clustering" in out
@@ -362,7 +361,6 @@ class TestBuildPipelineFlags:
         direct = beijing_like(scale="tiny", seed=42).problem().build_netclus_index(
             tau_max_km=2.0,
             max_instances=3,
-            representative_strategy="most_frequent",
         )
         assert payload_digest(load_index(strategy_index), include_timings=False) == (
             payload_digest(direct, include_timings=False)

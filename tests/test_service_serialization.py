@@ -383,7 +383,7 @@ def test_fingerprints_are_deterministic(tiny_problem):
 
 
 # ---------------------------------------------------------------------- #
-# format v2: index version + visit-count bookkeeping (PR 3)
+# the index version counter
 # ---------------------------------------------------------------------- #
 def test_index_version_round_trips(tiny_problem, tmp_path):
     index = tiny_problem.build_netclus_index(
@@ -888,7 +888,6 @@ def test_v4_apply_updates_never_writes_through(tmp_path):
         gamma=0.75,
         tau_min_km=0.4,
         tau_max_km=2.0,
-        representative_strategy="most_frequent",
     )
     index.enable_coverage_cache()
     query = TOPSQuery(k=4, tau_km=1.0)
@@ -928,113 +927,6 @@ def test_v4_loaded_index_resaves_identically(warm_saved_index, tmp_path):
         assert reloaded.query(query).sites == index.query(
             query
         ).sites
-
-
-@pytest.fixture()
-def most_frequent_saved(tmp_path):
-    """A ``most_frequent`` index and its saved directory."""
-    from repro.core.netclus import NetClusIndex
-
-    network = grid_network(6, 6, spacing_km=0.5)
-    index = NetClusIndex.build(
-        network,
-        commuter_trajectories(network, 40, seed=7),
-        network.node_ids()[::3],
-        gamma=0.75,
-        tau_min_km=0.4,
-        tau_max_km=2.0,
-        representative_strategy="most_frequent",
-    )
-    return index, save_index(index, tmp_path / "mf.ncx")
-
-
-@pytest.mark.parametrize("key", ["traj_nodes_indptr", "traj_nodes_flat"])
-def test_most_frequent_without_visit_arrays_refused(most_frequent_saved, key):
-    """A most_frequent index re-elects by visit counts, so a payload
-    without its visit arrays is refused rather than loaded to re-elect by
-    proximity; the index constructor refuses the same gap."""
-    from repro.core.netclus import NetClusIndex
-
-    index, path = most_frequent_saved
-    network = index.network
-    _tamper_offset_table(path, lambda table: table.pop(key))
-    with pytest.raises(IndexFormatError, match="without visit arrays"):
-        load_index(path)
-    with pytest.raises(ValueError, match="most_frequent"):
-        NetClusIndex(
-            network=network,
-            sites=index.sites,
-            instances=index.instances,
-            tau_min_km=index.tau_min_km,
-            tau_max_km=index.tau_max_km,
-            gamma=index.gamma,
-            trajectory_ids=index.trajectory_ids,
-            representative_strategy="most_frequent",
-        )
-
-
-VISIT_CORRUPTIONS = {
-    "indptr_nonzero_start": _poke("traj_nodes_indptr", 0, 1),
-    "indptr_decreases": _poke(
-        "traj_nodes_indptr", 1, lambda a: a["traj_nodes_indptr"][2] + 1
-    ),
-    "indptr_short_end": _poke(
-        "traj_nodes_indptr", -1, lambda a: a["traj_nodes_indptr"][-1] - 1
-    ),
-    "flat_negative": _poke("traj_nodes_flat", 0, -1),
-    "flat_out_of_range": _poke("traj_nodes_flat", 0, lambda a: len(a["net_node_ids"])),
-    "indptr_wrong_length": _retable(_shorten("traj_nodes_indptr")),
-    "flat_wrong_dtype": _retable(lambda table: table["traj_nodes_flat"].update(dtype="<f8")),
-}
-
-
-@pytest.mark.parametrize("corruption", sorted(VISIT_CORRUPTIONS))
-def test_most_frequent_damaged_visit_arrays_refused(most_frequent_saved, corruption):
-    """Removals decrement counts through the offset array, so a damaged
-    one is refused at load instead of slicing the wrong node lists."""
-    _, path = most_frequent_saved
-    manifest = load_manifest(path)
-    views = serialization._map_blob(path, manifest)
-    arrays = {key: np.array(view) for key, view in views.items()}
-    del views
-    VISIT_CORRUPTIONS[corruption](path, manifest["payload_arrays"], arrays)
-    with pytest.raises(IndexFormatError, match="visit arrays|traj_nodes"):
-        load_index(path)
-
-
-def test_most_frequent_visit_counts_are_derived(most_frequent_saved):
-    """The payload stores no visit counts: a load derives them from the
-    trajectory node lists, equal to the build's and writable."""
-    index, path = most_frequent_saved
-    assert "visit_counts" not in load_manifest(path)["payload_arrays"]
-    counts = load_index(path)._node_visit_counts
-    assert counts.dtype == np.int64 and counts.flags.writeable
-    assert counts.tobytes() == np.asarray(index._node_visit_counts).tobytes()
-
-
-def test_most_frequent_visit_data_round_trips(tmp_path):
-    """Dynamic re-election on a loaded most_frequent index matches the
-    original's — the visit-count bookkeeping survives the round-trip."""
-    network = grid_network(6, 6, spacing_km=0.5)
-    dataset = commuter_trajectories(network, 40, seed=7)
-    from repro.core.netclus import NetClusIndex
-
-    index = NetClusIndex.build(
-        network,
-        dataset,
-        network.node_ids()[::3],
-        gamma=0.75,
-        tau_min_km=0.4,
-        tau_max_km=2.0,
-        representative_strategy="most_frequent",
-    )
-    loaded = load_index(save_index(index, tmp_path / "mf.ncx"))
-    for mutant in (index, loaded):
-        mutant.add_sites(network.node_ids())
-        mutant.remove_trajectories(list(dataset.ids())[:10])
-    for instance_a, instance_b in zip(index.instances, loaded.instances):
-        for cluster_a, cluster_b in zip(instance_a.clusters, instance_b.clusters):
-            assert cluster_a.representative == cluster_b.representative
 
 
 def test_crash_before_manifest_commit_keeps_previous_directory(

@@ -6,10 +6,8 @@ Covers the PR-3 update subsystem:
   in exactly the state the one-at-a-time calls produce (selection-identical,
   per-trajectory-utility-identical, cluster-state-identical);
 * randomized update sequences match an index rebuilt from scratch on the
-  final data, under both representative strategies, on the ψ-chosen
-  clustered coverage and on a dense reference of the same entries;
-* dynamic re-election honours ``representative_strategy="most_frequent"``
-  (the pre-PR-3 code always re-elected by proximity);
+  final data, on the ψ-chosen clustered coverage and on a dense reference
+  of the same entries;
 * the monotonic :attr:`NetClusIndex.version` counter;
 * the τ-boundary snap in :meth:`NetClusIndex.instance_for`.
 """
@@ -40,7 +38,7 @@ def world():
     return network, base, held_out, sites
 
 
-def build(world, strategy="closest"):
+def build(world):
     network, base, _, sites = world
     return NetClusIndex.build(
         network,
@@ -49,7 +47,6 @@ def build(world, strategy="closest"):
         gamma=0.75,
         tau_min_km=0.4,
         tau_max_km=3.0,
-        representative_strategy=strategy,
     )
 
 
@@ -85,10 +82,9 @@ def assert_same_answers(left: NetClusIndex, right: NetClusIndex, taus=(0.4, 0.8,
 # ---------------------------------------------------------------------- #
 # batched == sequential
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("strategy", ["closest", "most_frequent"])
-def test_apply_updates_matches_sequential_calls(world, strategy):
+def test_apply_updates_matches_sequential_calls(world):
     network, base, held_out, sites = world
-    index = build(world, strategy)
+    index = build(world)
     sequential = copy.deepcopy(index)
     batched = copy.deepcopy(index)
     remove_traj = list(base.ids())[:10]
@@ -142,11 +138,10 @@ def test_update_batch_len():
 # ---------------------------------------------------------------------- #
 # randomized update sequences == rebuild from scratch
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("strategy", ["closest", "most_frequent"])
 @pytest.mark.parametrize("view", ["chosen", "dense"])
-def test_randomized_updates_match_rebuild(world, strategy, view):
+def test_randomized_updates_match_rebuild(world, view):
     network, base, held_out, sites = world
-    index = build(world, strategy)
+    index = build(world)
     rng = np.random.default_rng(5)
     pool = list(held_out)
     live = list(base)
@@ -174,7 +169,6 @@ def test_randomized_updates_match_rebuild(world, strategy, view):
         gamma=0.75,
         tau_min_km=0.4,
         tau_max_km=3.0,
-        representative_strategy=strategy,
     )
     for tau in (0.4, 0.8, 1.6, 3.0):
         query = TOPSQuery(k=5, tau_km=tau)
@@ -184,80 +178,6 @@ def test_randomized_updates_match_rebuild(world, strategy, view):
         assert np.allclose(
             updated.per_trajectory_utility, fresh.per_trajectory_utility
         )
-
-
-# ---------------------------------------------------------------------- #
-# most_frequent dynamic re-election (satellite fix)
-# ---------------------------------------------------------------------- #
-def test_add_site_respects_most_frequent_strategy(world):
-    """Dynamic site additions must elect by visit count, not proximity."""
-    network, base, _, sites = world
-    index = build(world, strategy="most_frequent")
-    for node in network.node_ids():
-        index.add_site(node)
-    rebuilt = NetClusIndex.build(
-        network,
-        base,
-        network.node_ids(),
-        gamma=0.75,
-        tau_min_km=0.4,
-        tau_max_km=3.0,
-        representative_strategy="most_frequent",
-    )
-    for instance_u, instance_r in zip(index.instances, rebuilt.instances):
-        for cluster_u, cluster_r in zip(instance_u.clusters, instance_r.clusters):
-            assert cluster_u.representative == cluster_r.representative
-
-
-def test_remove_site_respects_most_frequent_strategy(world):
-    network, base, _, _ = world
-    index = build(world, strategy="most_frequent")
-    reference = build(world, strategy="most_frequent")
-    # remove every current representative of the coarsest instance so the
-    # re-elections have to pick a *different* site by visit count
-    victims = sorted(
-        {
-            c.representative
-            for c in index.instances[-1].clusters
-            if c.has_representative
-        }
-    )
-    keep = [s for s in sorted(reference.sites) if s not in set(victims)]
-    index.remove_sites(victims)
-    rebuilt = NetClusIndex.build(
-        network,
-        base,
-        keep,
-        gamma=0.75,
-        tau_min_km=0.4,
-        tau_max_km=3.0,
-        representative_strategy="most_frequent",
-    )
-    for instance_u, instance_r in zip(index.instances, rebuilt.instances):
-        for cluster_u, cluster_r in zip(instance_u.clusters, instance_r.clusters):
-            assert cluster_u.representative == cluster_r.representative
-
-
-def test_trajectory_updates_can_flip_most_frequent_election(world):
-    """Removing trajectories changes visit counts and hence elections."""
-    network, base, held_out, _ = world
-    index = build(world, strategy="most_frequent")
-    removed = list(base.ids())[: len(base.ids()) // 2]
-    index.remove_trajectories(removed)
-    index.add_trajectories(held_out)
-    live = [t for t in base if t.traj_id not in set(removed)] + list(held_out)
-    rebuilt = NetClusIndex.build(
-        network,
-        TrajectoryDataset(live),
-        sorted(index.sites),
-        gamma=0.75,
-        tau_min_km=0.4,
-        tau_max_km=3.0,
-        representative_strategy="most_frequent",
-    )
-    for instance_u, instance_r in zip(index.instances, rebuilt.instances):
-        for cluster_u, cluster_r in zip(instance_u.clusters, instance_r.clusters):
-            assert cluster_u.representative == cluster_r.representative
 
 
 # ---------------------------------------------------------------------- #
@@ -362,10 +282,10 @@ def test_batched_add_handles_foreign_node_ids_like_sequential(world):
     assert_same_state(sequential, index)
 
 
-def test_foreign_node_ids_under_most_frequent(world):
+def test_foreign_node_ids_survive_add_and_remove(world):
     from repro.trajectory.model import Trajectory
 
-    index = build(world, strategy="most_frequent")
+    index = build(world)
     traj = Trajectory(
         traj_id=max(index.trajectory_ids) + 1,
         nodes=(-1, 500, 7),

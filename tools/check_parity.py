@@ -1,7 +1,7 @@
 """CI gate: every alternative query path answers byte-identically.
 
 Generates the Beijing-like workload and builds its NetClus index once,
-then runs three sections.  Each prints one OK line and works on its own
+then runs four sections.  Each prints one OK line and works on its own
 deep copy of that build.
 
 * **bitset** — the service's answers on a mixed-ψ batch (binary-ψ
@@ -19,6 +19,13 @@ deep copy of that build.
   for byte) and answers like a cache-free service on a deep copy.  It
   does zero coverage builds after warm-up, and still answers identically
   with zero builds after a save with parts and a reload.
+* **farm** — two tenant directories of the build behind an
+  :class:`IndexFarm` whose memory budget fits one of them.  ``--ops``
+  rounds alternate between a seeded mixed delta for each tenant and a
+  query of each, so consecutive requests name different tenants and
+  every request reloads its tenant from the directory the last
+  write-through save left.  Every answer equals an in-memory service
+  that applied the same deltas.
 
 Every comparison checks the selected sites element by element and the
 per-trajectory utility vectors with ``np.ndarray.tobytes``.  Exits
@@ -45,6 +52,7 @@ from repro.core.coverage import SparseCoverageIndex, canonical_entries  # noqa: 
 from repro.core.netclus import ClusteredCoverage, NetClusIndex, UpdateBatch  # noqa: E402
 from repro.core.query import TOPSQuery  # noqa: E402
 from repro.datasets import beijing_like  # noqa: E402
+from repro.service.farm import IndexFarm  # noqa: E402
 from repro.service.placement import PlacementService  # noqa: E402
 from repro.service.serialization import load_index, save_index  # noqa: E402
 from repro.service.specs import QuerySpec  # noqa: E402
@@ -229,14 +237,18 @@ def _compare_entries(label: str, index: NetClusIndex) -> int:
     return failures
 
 
-def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
-    # a held-out trajectory pool for additions, ids above the live range
+def _held_out_pool(index: NetClusIndex) -> list[Trajectory]:
+    """Trajectories for additions, with ids above the live range."""
     extra = commuter_trajectories(index.network, 30, seed=777)
     next_id = max(index.trajectory_ids) + 1
-    pool = [
+    return [
         Trajectory.from_nodes(next_id + i, list(t.nodes), index.network)
         for i, t in enumerate(extra)
     ]
+
+
+def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
+    pool = _held_out_pool(index)
     specs = list(COVCACHE_SPECS)
     warm = PlacementService(index, coverage_cache=True)
     warm.batch_query(specs, use_cache=False)  # warm-up: the only cold builds
@@ -283,6 +295,62 @@ def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
     return failures
 
 
+def check_farm(index: NetClusIndex, num_ops: int, root: Path) -> int:
+    names = ("a", "b")
+    index.coverage_cache = None
+    index.enable_coverage_cache()
+    PlacementService(index).batch_query(list(COVCACHE_SPECS))  # persist warm parts
+    farm = IndexFarm(
+        memory_budget_bytes=int(index.storage_bytes() * 1.5), coverage_cache=True
+    )
+    mirrors: dict[str, PlacementService] = {}
+    streams = {}
+    for offset, name in enumerate(names):
+        farm.add_tenant(name, save_index(index, root / f"farm-{name}"))
+        mirror_index = copy.deepcopy(index)
+        mirror_index.coverage_cache = None
+        mirrors[name] = PlacementService(mirror_index)
+        rng = np.random.default_rng(DELTA_SEED + 1 + offset)
+        streams[name] = _delta_stream(rng, mirror_index, _held_out_pool(index), num_ops)
+
+    failures = deltas = queries = 0
+    specs = list(COVCACHE_SPECS)
+    for step in range(num_ops):
+        for name in names:
+            # a tenant whose delta stream ran dry is queried instead
+            batch = next(streams[name], None) if step % 2 == 0 else None
+            if batch is not None:
+                outcome = farm.apply_updates(name, batch)
+                applied = mirrors[name].apply_updates(batch)
+                if (outcome.applied, outcome.index_version) != (
+                    applied,
+                    mirrors[name].index.version,
+                ):
+                    print(f"FAIL [farm step={step} {name}]: {outcome}, {applied} applied")
+                    failures += 1
+                deltas += 1
+            else:
+                failures += _compare(
+                    f"farm step={step} tenant={name}",
+                    specs,
+                    mirrors[name].batch_query(specs, use_cache=False),
+                    farm.batch_query(name, specs, use_cache=False),
+                )
+                queries += 1
+    requests = deltas + queries
+    if farm.loads_total < requests:
+        print(f"FAIL [farm]: {farm.loads_total} loads for {requests} requests (one each)")
+        failures += 1
+    farm.close()
+    if not failures:
+        print(
+            f"OK farm    : {deltas} deltas and {queries} x {len(specs)} specs over two "
+            f"tenants equal in-memory services ({farm.loads_total} loads, "
+            f"{farm.evictions_total} evictions)"
+        )
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--scale", default="small", choices=["tiny", "small", "medium"])
@@ -298,6 +366,7 @@ def main(argv=None) -> int:
         failures = check_bitset(copy.deepcopy(index))
         failures += check_mmap(copy.deepcopy(index), root)
         failures += check_covcache(copy.deepcopy(index), args.ops, root)
+        failures += check_farm(copy.deepcopy(index), args.ops, root)
     if failures:
         print(f"FAIL: {failures} divergence(s)")
         return 1
