@@ -3,6 +3,7 @@ drivers and the run-all command-line entry point."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.netclus import NetClusIndex
@@ -49,6 +50,17 @@ class TestRepresentativeStrategy:
             assert cluster.representative_round_trip_km == min(
                 cluster.nodes[n] for n in candidates if visit_counts[n] == best
             )
+
+    def test_equal_visit_counts_keep_the_closest_election(self, tiny_bundle):
+        """Ties go to the site closest to the center, so with every node
+        visited equally often the copy elects exactly what the index did."""
+        index, visit_counts, _ = self._closest_and_copy(tiny_bundle)
+        flat = ablation_design_choices.most_visited_copy(
+            index, np.zeros_like(visit_counts)
+        )
+        for original, copied in zip(index.instances, flat.instances, strict=True):
+            assert copied.reps.tobytes() == original.reps.tobytes()
+            assert copied.rep_rt.tobytes() == original.rep_rt.tobytes()
 
     @pytest.mark.parametrize(
         "scale,expected",

@@ -12,9 +12,11 @@ that a load racing a save maps the blob the newer manifest names.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -280,3 +282,78 @@ def test_blob_vanishing_before_the_mapping_is_a_format_error(city, tmp_path, mon
     monkeypatch.setattr(serialization.np, "memmap", unlinked)
     with pytest.raises(IndexFormatError, match="no payload"):
         load_index(directory)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    ["most_visited", "", "Closest", None, 1, ["closest"]],
+    ids=["other-rule", "empty", "wrong-case", "null", "number", "list"],
+)
+def test_only_the_closest_rule_loads(city, tmp_path, strategy):
+    """The schema admits exactly the string ``"closest"``: any other value
+    names itself and asks for a rebuild."""
+    directory = save_index(city, tmp_path / "city.ncx")
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["build_params"]["representative_strategy"] = strategy
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    refusal = re.escape(f"is {strategy!r}: ") + ".*'closest'.*rebuild"
+    with pytest.raises(IndexFormatError, match=refusal):
+        load_index(directory)
+
+
+def test_manifest_without_a_representative_rule_is_refused(city, tmp_path):
+    directory = save_index(city, tmp_path / "city.ncx")
+    manifest = json.loads((directory / "manifest.json").read_text())
+    del manifest["build_params"]["representative_strategy"]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(IndexFormatError, match="representative_strategy is missing"):
+        load_index(directory)
+
+
+def test_save_between_size_check_and_mapping_maps_the_new_blob(city, tmp_path, monkeypatch):
+    """A save that commits after the blob's size check unlinks it before
+    ``np.memmap`` opens it; the load reads the manifest again and returns
+    the newer state."""
+    directory = save_index(city, tmp_path / "city.ncx")
+    post = load_index(directory)
+    post.apply_updates(UpdateBatch(remove_sites=sorted(post.sites)[:2]))
+    expected = _answers(post)
+    memmap = serialization.np.memmap
+    saved = []
+
+    def save_then_map(path, *args, **kwargs):
+        if not saved:
+            saved.append(save_index(post, directory))
+        return memmap(path, *args, **kwargs)
+
+    monkeypatch.setattr(serialization.np, "memmap", save_then_map)
+    loaded = load_index(directory)
+    assert saved and loaded.version == post.version
+    assert _answers(loaded) == expected
+
+
+def test_load_rereads_the_manifest_only_once(city, tmp_path, monkeypatch):
+    """A second save committing between the re-read and its mapping is not
+    chased: the load raises IndexFormatError naming the missing blob."""
+    directory = save_index(city, tmp_path / "city.ncx")
+    first = load_index(directory)
+    first.apply_updates(UpdateBatch(remove_sites=sorted(first.sites)[:1]))
+    second = copy.deepcopy(first)
+    second.apply_updates(UpdateBatch(remove_sites=sorted(second.sites)[:1]))
+    read_manifest = serialization.load_manifest
+    pending = [first, second]
+    reads = []
+
+    def read_then_save(path):
+        manifest = read_manifest(path)
+        reads.append(manifest["payload_file"])
+        if pending:
+            save_index(pending.pop(0), directory)
+        return manifest
+
+    monkeypatch.setattr(serialization, "load_manifest", read_then_save)
+    with pytest.raises(IndexFormatError, match="no payload") as excinfo:
+        load_index(directory)
+    assert len(reads) == 2 and not pending
+    assert f"no {reads[1]} " in str(excinfo.value)
+    assert not (directory / reads[1]).exists()

@@ -278,6 +278,29 @@ def test_updates_write_through_and_survive_eviction(tenant_dirs, tmp_path):
     assert farm.index_version("nyk") == 1
 
 
+def test_updates_across_evictions_report_consecutive_versions(tenant_dirs, tmp_path):
+    """Each update reports the version it started from and the one it
+    reached, counted on from the written-through directory after every
+    eviction."""
+    import shutil
+
+    directory = tmp_path / "nyk.ncx"
+    shutil.copytree(tenant_dirs["nyk"], directory)
+    farm = IndexFarm()
+    farm.add_tenant("nyk", directory)
+    sites = sorted(farm.service("nyk").index.sites)
+    outcomes = []
+    for step, site in enumerate(sites[:3]):
+        if step:
+            assert farm.evict("nyk") is True
+        outcomes.append(farm.apply_updates("nyk", UpdateBatch(remove_sites=[site])))
+    assert outcomes == [(1, 0, 1), (1, 1, 2), (1, 2, 3)]
+    assert [o.index_version_before for o in outcomes] == [0, 1, 2]
+    assert farm.index_version("nyk") == 3
+    assert load_manifest(directory)["index_version"] == 3
+    farm.close()
+
+
 def test_update_refreshes_storage_accounting(tenant_dirs, tmp_path):
     import shutil
 

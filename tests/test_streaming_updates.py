@@ -8,6 +8,8 @@ Covers the PR-3 update subsystem:
 * randomized update sequences match an index rebuilt from scratch on the
   final data, on the ψ-chosen clustered coverage and on a dense reference
   of the same entries;
+* site updates re-elect the closest site as a rebuild would, and
+  trajectory updates never re-elect;
 * the monotonic :attr:`NetClusIndex.version` counter;
 * the τ-boundary snap in :meth:`NetClusIndex.instance_for`.
 """
@@ -178,6 +180,80 @@ def test_randomized_updates_match_rebuild(world, view):
         assert np.allclose(
             updated.per_trajectory_utility, fresh.per_trajectory_utility
         )
+
+
+# ---------------------------------------------------------------------- #
+# dynamic re-election keeps the closest-site rule
+# ---------------------------------------------------------------------- #
+def assert_same_elections(left: NetClusIndex, right: NetClusIndex) -> None:
+    for instance_l, instance_r in zip(left.instances, right.instances, strict=True):
+        assert instance_l.reps.tobytes() == instance_r.reps.tobytes()
+        assert instance_l.rep_rt.tobytes() == instance_r.rep_rt.tobytes()
+
+
+def test_add_site_elects_the_closest_site_like_a_rebuild(world):
+    """Adding every node as a site elects what a build over all nodes does."""
+    network, base, _, _ = world
+    index = build(world)
+    for node in network.node_ids():
+        index.add_site(node)
+    rebuilt = NetClusIndex.build(
+        network,
+        base,
+        network.node_ids(),
+        gamma=0.75,
+        tau_min_km=0.4,
+        tau_max_km=3.0,
+    )
+    assert_same_elections(index, rebuilt)
+
+
+def test_remove_site_reelects_the_closest_site_like_a_rebuild(world):
+    network, base, _, _ = world
+    index = build(world)
+    # remove every current representative of the coarsest instance so the
+    # re-elections have to pick a *different* site
+    victims = sorted(
+        {
+            c.representative
+            for c in index.instances[-1].clusters
+            if c.has_representative
+        }
+    )
+    keep = [s for s in sorted(index.sites) if s not in set(victims)]
+    index.remove_sites(victims)
+    rebuilt = NetClusIndex.build(
+        network,
+        base,
+        keep,
+        gamma=0.75,
+        tau_min_km=0.4,
+        tau_max_km=3.0,
+    )
+    assert_same_elections(index, rebuilt)
+
+
+def test_trajectory_updates_leave_elections_alone(world):
+    """The closest site does not depend on who visits it, so trajectory
+    removals and additions never re-elect a representative."""
+    network, base, held_out, _ = world
+    index = build(world)
+    before = copy.deepcopy(index)
+    removed = list(base.ids())[: len(base.ids()) // 2]
+    index.remove_trajectories(removed)
+    index.add_trajectories(held_out)
+    assert index.version == 2
+    assert_same_elections(index, before)
+    live = [t for t in base if t.traj_id not in set(removed)] + list(held_out)
+    rebuilt = NetClusIndex.build(
+        network,
+        TrajectoryDataset(live),
+        sorted(index.sites),
+        gamma=0.75,
+        tau_min_km=0.4,
+        tau_max_km=3.0,
+    )
+    assert_same_elections(index, rebuilt)
 
 
 # ---------------------------------------------------------------------- #
