@@ -9,7 +9,7 @@ full service lifecycle:
    names it; renaming the manifest into place commits the save),
 3. reload it in a fresh :class:`~repro.service.PlacementService`,
 4. answer a mixed batch of query specs with shared-work amortisation,
-5. show the cache and the work counters doing their job.
+5. show the order cache and the work counters doing their job.
 
 Run with::
 
@@ -90,12 +90,21 @@ def main() -> None:
               f"{stats.coverage_builds} coverage builds, "
               f"{stats.greedy_runs} greedy runs")
 
-        # 5. Repeat a spec: the LRU cache answers without any new work.
+        # 5. The order cache keeps each key's greedy order: at τ=1.0 a
+        #    repeat and a new smaller k are prefixes of the k=9 order (no
+        #    greedy step), and a larger k for the linear ψ resumes its k=5
+        #    run with one greedy step instead of restarting.
         runs_before = stats.greedy_runs
         again = served.query(QuerySpec(k=6, tau_km=1.0))
         assert again.sites == results[1].sites
-        print(f"cache         : repeat query hit the cache "
-              f"(hits={stats.cache_hits}, greedy runs still {runs_before})")
+        smaller = served.query(QuerySpec(k=4, tau_km=1.0))
+        assert smaller.sites == results[2].sites[:4]
+        print(f"cache         : a repeat and a smaller k were prefixes of the "
+              f"stored order (hits={stats.cache_hits}, greedy runs still {runs_before})")
+        larger = served.query(QuerySpec(k=8, tau_km=1.0, preference="linear"))
+        assert larger.sites[:5] == results[6].sites
+        print(f"              : linear k=8 resumed the stored k=5 run "
+              f"(greedy runs {runs_before} -> {stats.greedy_runs})")
 
 
 if __name__ == "__main__":

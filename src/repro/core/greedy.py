@@ -23,11 +23,20 @@ protocol* (``marginal_gains`` / ``marginal_gain`` / ``site_column`` /
 :class:`~repro.core.coverage.SparseCoverageIndex` and a binary-ψ
 :class:`~repro.core.bitcov.BitsetCoverageIndex` alike.  The selection can
 also be seeded with *existing services* (Section 7.3).
+
+Every :meth:`IncGreedy.select` leaves a :class:`GreedyRun` on its solver:
+the selection order and, for Algorithm 1, its state after the last step.
+Because a selection for k is a prefix of the selection for any larger k,
+that run answers every smaller k by prefix replay, and
+:meth:`IncGreedy.resuming` continues it to a larger k exactly as a fresh
+run at that k would have gone.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +52,49 @@ from repro.core.query import TOPSQuery, TOPSResult
 from repro.utils.timer import Timer
 from repro.utils.validation import require
 
-__all__ = ["IncGreedy", "LazyGreedy", "greedy_max_coverage_columns"]
+__all__ = ["GreedyRun", "IncGreedy", "LazyGreedy", "greedy_max_coverage_columns"]
+
+
+@dataclass(frozen=True)
+class GreedyRun:
+    """Where one greedy selection stopped: enough to replay or resume it.
+
+    ``columns`` and ``gains`` are the selection order, ``utilities`` the
+    per-trajectory utility after the last step, and ``exhausted`` says the
+    run stopped short of its k because no candidate with positive gain was
+    left, so no larger k selects more.  ``undo`` holds, per step, the rows
+    that step changed and their values before it, so the utilities of any
+    prefix are restored exactly (:meth:`prefix_utilities`) without the
+    coverage.  An uncapacitated run also keeps Algorithm 1's per-site
+    ``marginal`` utilities; a capacitated (CELF) run keeps ``None`` and can
+    be replayed but not resumed.  ``existing`` are the seed columns of
+    already-operating services.  Nothing mutates a run once it is
+    returned: replays and resumes work on copies of its arrays.
+    """
+
+    columns: tuple[int, ...]
+    gains: tuple[float, ...]
+    utilities: np.ndarray
+    exhausted: bool
+    undo: tuple[tuple[np.ndarray, np.ndarray], ...]
+    existing: tuple[int, ...] = ()
+    marginal: np.ndarray | None = None
+
+    @property
+    def reach(self) -> float:
+        """The largest k whose selection is a prefix of this run."""
+        return math.inf if self.exhausted else len(self.columns)
+
+    def prefix_utilities(self, k: int) -> np.ndarray:
+        """Per-trajectory utilities after the first *k* steps (a copy).
+
+        Byte-identical to the utilities a fresh run at *k* returns: the
+        later steps' writes are undone, newest first.
+        """
+        utilities = self.utilities.copy()
+        for rows, before in reversed(self.undo[k:]):
+            utilities[rows] = before
+        return utilities
 
 
 class IncGreedy:
@@ -62,6 +113,28 @@ class IncGreedy:
         self, coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
     ) -> None:
         self.coverage = coverage
+        #: the run the last :meth:`select` finished
+        self.run: GreedyRun | None = None
+        self._start: GreedyRun | None = None
+
+    @classmethod
+    def resuming(
+        cls,
+        coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex,
+        run: GreedyRun,
+    ) -> "IncGreedy":
+        """A solver whose :meth:`select` continues *run* instead of restarting.
+
+        *coverage* must hold the same entries as the coverage *run* was
+        selected on (the same index version).  The next ``select`` must ask
+        for the same existing columns, no capacities, and a k of at least
+        ``len(run.columns)``; its answer is the one a fresh run at that k
+        gives, byte for byte.
+        """
+        require(run.marginal is not None, "only an uncapacitated run can be resumed")
+        solver = cls(coverage)
+        solver._start = run
+        return solver
 
     # ------------------------------------------------------------------ #
     def select(
@@ -70,7 +143,7 @@ class IncGreedy:
         existing_columns: Sequence[int] = (),
         capacities: np.ndarray | None = None,
     ) -> tuple[list[int], np.ndarray, list[float]]:
-        """Select *k* site columns greedily.
+        """Select *k* site columns greedily; the run is kept as :attr:`run`.
 
         Parameters
         ----------
@@ -98,15 +171,18 @@ class IncGreedy:
             k is always a prefix of the selection for any larger k.
         """
         require(k >= 1, "k must be >= 1")
+        existing = tuple(int(c) for c in existing_columns)
         if capacities is not None:
-            return LazyGreedy(self.coverage).select(
-                k, existing_columns=existing_columns, capacities=capacities
-            )
-        return self._select_incremental(k, existing_columns)
+            require(self._start is None, "a resumed run takes no capacities")
+            lazy = LazyGreedy(self.coverage)
+            selection = lazy.select(k, existing_columns=existing, capacities=capacities)
+            self.run = lazy.run
+            return selection
+        return self._select_incremental(k, existing)
 
     # ------------------------------------------------------------------ #
     def _select_incremental(
-        self, k: int, existing_columns: Sequence[int]
+        self, k: int, existing: tuple[int, ...]
     ) -> tuple[list[int], np.ndarray, list[float]]:
         """Algorithm 1 of the paper with α_ji maintained implicitly.
 
@@ -115,20 +191,31 @@ class IncGreedy:
         ``marginal`` and decremented when a covered trajectory's utility
         improves.  Runs entirely through the coverage protocol
         (``marginal_gains`` / ``site_column`` / ``gain_updates``), so the
-        same loop drives every engine.
+        same loop drives every engine.  A resumed solver starts from copies
+        of its run's state instead of from the seed utilities.
         """
         coverage = self.coverage
         weights = coverage.site_weights
-        num_sites = coverage.num_sites
-        utilities = np.zeros(coverage.num_trajectories, dtype=np.float64)
-        if existing_columns:
-            utilities = coverage.per_trajectory_utility(list(existing_columns))
-        forbidden = set(int(c) for c in existing_columns)
-        # U_1(s_i) = w_i adjusted for any existing-service seed utilities
-        marginal = coverage.marginal_gains(utilities)
+        start = self._start
         selected: list[int] = []
         gains: list[float] = []
-        for _ in range(min(k, num_sites - len(forbidden))):
+        undo: list[tuple[np.ndarray, np.ndarray]] = []
+        if start is None:
+            utilities = np.zeros(coverage.num_trajectories, dtype=np.float64)
+            if existing:
+                utilities = coverage.per_trajectory_utility(list(existing))
+            # U_1(s_i) = w_i adjusted for any existing-service seed utilities
+            marginal = coverage.marginal_gains(utilities)
+        else:
+            require(existing == start.existing, "a resumed run keeps its existing columns")
+            require(k >= len(start.columns), "a resumed run only grows")
+            utilities, marginal = start.utilities.copy(), start.marginal.copy()
+            selected, gains = list(start.columns), list(start.gains)
+            undo = list(start.undo)
+        forbidden = set(existing) | set(selected)
+        limit = min(k, coverage.num_sites - len(set(existing)))
+        # an exhausted run that is resumed stops again at the same step
+        while len(selected) < limit:
             masked = marginal.copy()
             if forbidden:
                 masked[list(forbidden)] = -np.inf
@@ -145,19 +232,27 @@ class IncGreedy:
             forbidden.add(int(best))
             gains.append(best_gain)
             covered, new_util = coverage.site_column(best)
-            if len(covered) == 0:
-                continue
             improved_mask = new_util > utilities[covered]
             improved = covered[improved_mask]
+            old_values = utilities[improved]
+            undo.append((improved, old_values))
             if len(improved) == 0:
                 continue
-            old_values = utilities[improved]
             new_values = new_util[improved_mask]
             # update marginal utility of every site covering an improved
             # trajectory: its residual gain for T_j drops from
             # max(0, ψ_ji − old) to max(0, ψ_ji − new)
             marginal -= coverage.gain_updates(improved, old_values, new_values)
             utilities[improved] = new_values
+        self.run = GreedyRun(
+            tuple(selected),
+            tuple(gains),
+            utilities,
+            len(selected) < k,
+            tuple(undo),
+            existing,
+            marginal,
+        )
         return selected, utilities, gains
 
     # ------------------------------------------------------------------ #
@@ -218,6 +313,8 @@ class LazyGreedy:
         self, coverage: CoverageIndex | SparseCoverageIndex | BitsetCoverageIndex
     ) -> None:
         self.coverage = coverage
+        #: the run the last :meth:`select` finished (never resumable)
+        self.run: GreedyRun | None = None
 
     # ------------------------------------------------------------------ #
     def select(
@@ -262,6 +359,7 @@ class LazyGreedy:
         iteration = 0
         selected: list[int] = []
         gains: list[float] = []
+        undo: list[tuple[np.ndarray, np.ndarray]] = []
         limit = min(k, num_sites - len(forbidden))
         while heap and len(selected) < limit:
             neg_gain, neg_weight, neg_col = heapq.heappop(heap)
@@ -304,8 +402,20 @@ class LazyGreedy:
                 heapq.heappush(heap, entry)
             selected.append(winner)
             gains.append(winner_gain)
+            before = utilities
             utilities = coverage.absorb(utilities, winner, capacity_of(winner))
+            # compared bit for bit, so a replayed prefix is byte-identical
+            changed = np.flatnonzero(utilities.view(np.uint64) != before.view(np.uint64))
+            undo.append((changed, before[changed]))
             iteration += 1
+        self.run = GreedyRun(
+            tuple(selected),
+            tuple(gains),
+            utilities,
+            len(selected) < k,
+            tuple(undo),
+            tuple(int(c) for c in existing_columns),
+        )
         return selected, utilities, gains
 
 

@@ -97,7 +97,7 @@ class ExperimentContext:
         """The placement service wrapping this context's NetClus index.
 
         Shared by every driver that queries the clustered space; the
-        drivers bypass its result cache (``use_cache=False``) so timing
+        drivers bypass its order cache (``use_cache=False``) so timing
         sweeps measure real query work, but batch amortisation and the
         service counters still apply.
         """
@@ -146,7 +146,7 @@ class ExperimentContext:
     def run_netclus(self, query: TOPSQuery) -> TOPSResult:
         """NetClus query (clustered space, greedy over representatives).
 
-        Routed through the shared :attr:`service` with the result cache
+        Routed through the shared :attr:`service` with the order cache
         bypassed, so each call measures real query work (instance
         resolution + coverage build + greedy), exactly like
         ``netclus.query`` — with identical selections.  The service's

@@ -16,9 +16,11 @@ in-memory :class:`~repro.core.netclus.NetClusIndex` into a service:
   (k, τ, ψ, capacity, budget, existing sites).
 * :mod:`repro.service.placement` — :class:`PlacementService`, the façade
   owning a loaded (or lazily built) index: ``batch_query`` with shared-work
-  amortisation across same-(τ, ψ) specs, an LRU result cache that
+  amortisation across same-(τ, ψ) specs, reuse of one greedy run across
+  k values, and an LRU order cache that keeps each selection key's greedy
+  order across batches (smaller k replayed, larger k resumed) and
   auto-invalidates off :attr:`NetClusIndex.version` when the index is
-  mutated, and warm-start reuse of one greedy run across k values.  The
+  mutated.  The
   service is safe for concurrent callers: queries share a readers-writer
   lock, :meth:`PlacementService.apply_updates` mutates exclusively, and
   the cache/counters are mutex-guarded.

@@ -350,7 +350,8 @@ class IndexFarm:
         The updated index is saved back to the tenant's directory before
         this returns, so a later eviction-and-reload observes exactly the
         post-update state — eviction can never lose an update or change a
-        result.  The tenant's writer lock, held from the load through the
+        result.  A batch that moved no index version (e.g. an empty one)
+        writes nothing.  The tenant's writer lock, held from the load through the
         save, applies batches on one tenant one at a time and keeps the
         tenant resident until its save commits.  A directory-less tenant
         has nowhere to save to and is never evicted, so nothing is written
@@ -365,7 +366,7 @@ class IndexFarm:
             service = self.service(name)
             version_before = service.index.version
             applied = service.apply_updates(batch)
-            if record.directory is not None:
+            if record.directory is not None and service.index.version != version_before:
                 service.save(record.directory)
             with self._lock:
                 record.storage_bytes = service.index.storage_bytes()

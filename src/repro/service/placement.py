@@ -7,31 +7,37 @@ shared work:
 
 1. **Coverage sharing** — specs with the same ``(τ, ψ)`` resolve the index
    instance and build the clustered-space coverage
-   (:meth:`NetClusIndex.prepare_coverage`) exactly once per batch.
-2. **Warm-started greedy** — specs that differ only in ``k`` share a single
-   greedy run at the largest k: a greedy selection for k is a prefix of the
-   selection for any larger k, so smaller-k answers are replayed from the
-   shared selection order (``utilities_for_selection``).
-3. **LRU result cache** — results are cached keyed on the (hashable) spec,
-   so repeated queries — the common case for a served index — are O(1).
-   The cache is stamped with the index's :attr:`~NetClusIndex.version` and
-   drops itself automatically when the index has been mutated through
-   dynamic updates (``service.index.add_site(...)``,
-   :meth:`~NetClusIndex.apply_updates`, ...), so a served selection can
-   never be stale.
+   (:meth:`NetClusIndex.prepare_coverage`) at most once per batch, and only
+   when one of them needs a greedy step.
+2. **Shared greedy orders** — specs that differ only in ``k`` share one
+   greedy run at the largest k: a greedy selection for k is a prefix of
+   the selection for any larger k, so a smaller k is replayed from the
+   run (:meth:`~repro.core.greedy.GreedyRun.prefix_utilities`).
+3. **Order cache** — the run of each ``(selection key, index version)`` is
+   kept, LRU-bounded, so a later batch answers any k the stored order
+   covers without a greedy step or any coverage work, and a larger k
+   resumes the stored Algorithm 1 state (:meth:`IncGreedy.resuming`)
+   instead of restarting.  Capacitated (CELF) runs restart at the larger k
+   and budgeted runs ignore k; both are stored the same way.  Keys carry
+   the index's :attr:`~NetClusIndex.version`, and the cache drops itself
+   when the index has been mutated through dynamic updates
+   (``service.index.add_site(...)``, :meth:`~NetClusIndex.apply_updates`,
+   ...), so a served selection can never be stale.
 
-``stats`` counts every resolution/build/run and every cache hit, and
-accumulates per-stage query timings (coverage build / greedy run / prefix
-replay seconds), which is both the service's observability surface and how
-the batch-amortisation contract is asserted in the test suite.
+``stats`` counts every resolution/build/run and every cache hit (a spec
+answered without a greedy step), and accumulates per-stage query timings
+(coverage build / greedy run / prefix replay seconds), which is both the
+service's observability surface and how the batch-amortisation contract
+is asserted in the test suite.
 
 The service is **safe for concurrent callers**: ``batch_query`` runs under
 a shared readers-writer lock (many batches in parallel), dynamic updates
 go through :meth:`PlacementService.apply_updates` which takes the lock
 exclusively — so a reader always observes either the pre- or the
-post-update index, never a half-applied batch — and the LRU cache and
-counters are mutex-guarded.  The lazy index build runs at most once no
-matter how many threads race the first query.
+post-update index, never a half-applied batch — and the order cache and
+counters are mutex-guarded.  Cached runs are never mutated: a resume
+works on copies and publishes a new, longer run.  The lazy index build
+runs at most once no matter how many threads race the first query.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.core.covcache import CoverageCache
-from repro.core.greedy import IncGreedy
+from repro.core.greedy import GreedyRun, IncGreedy
 from repro.core.netclus import ClusteredCoverage, NetClusIndex, UpdateBatch
 from repro.core.preference import is_registered
 from repro.core.query import TOPSQuery, TOPSResult
@@ -55,7 +61,7 @@ from repro.network.graph import RoadNetwork
 from repro.service.serialization import load_index, save_index
 from repro.service.specs import QuerySpec
 from repro.trajectory.model import TrajectoryDataset
-from repro.utils.concurrency import guarded_by, holds_lock
+from repro.utils.concurrency import guarded_by
 from repro.utils.timer import KernelTimer, Timer
 from repro.utils.validation import require
 
@@ -258,11 +264,36 @@ class ServiceStats:
 
 @dataclass
 class _PreparedGroup:
-    """One coverage group of a batch: shared structures + member spec indices."""
+    """One coverage group of a batch: the shared structures and their cost."""
 
     prepared: ClusteredCoverage
     build_seconds: float
-    members: list[int] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _Order:
+    """One order-cache entry: a greedy run and what answering from it needs.
+
+    ``labels`` are the node ids of the run's columns and ``instance`` the
+    metadata of the index instance it was selected on, so the entry answers
+    every k it covers without the coverage it was selected on.
+    """
+
+    run: GreedyRun
+    labels: tuple[int, ...]
+    instance: dict[str, Any]
+
+
+#: what the order cache stores per key: a greedy order, or the answer of a
+#: budgeted run (its k is ignored, so it covers every k)
+_Entry = _Order | TOPSResult
+
+
+def _covers(entry: _Entry | None, k: int) -> bool:
+    """Whether *entry* answers *k* without a greedy step."""
+    if isinstance(entry, _Order):
+        return k <= entry.run.reach
+    return entry is not None
 
 
 @guarded_by("_cache_lock", "_cache", "_cache_version")
@@ -284,7 +315,9 @@ class PlacementService:
         :func:`~repro.core.covcache.materialise_coverage`); any other value
         raises ``ValueError``.
     cache_size:
-        Capacity of the LRU result cache (0 disables caching).
+        How many greedy orders the LRU order cache keeps, one per
+        selection key (everything in a spec but ``k``) at the current index
+        version; 0 disables caching.
     coverage_cache, coverage_cache_limit:
         Coverage-cache policy: ``True`` enables the index's persistent
         :class:`~repro.core.covcache.CoverageCache` (zero-rebuild
@@ -330,7 +363,7 @@ class PlacementService:
         self._coverage_cache_limit = coverage_cache_limit
         if index is not None:
             self._apply_coverage_cache_policy(index)
-        self._cache: OrderedDict[QuerySpec, TOPSResult] = OrderedDict()
+        self._cache: OrderedDict[tuple, _Entry] = OrderedDict()
         self._cache_version: int | None = None
         self.stats = ServiceStats()
         # concurrency: readers (batch_query) share the index lock, writers
@@ -470,8 +503,9 @@ class PlacementService:
         applied under the exclusive index lock, so in-flight
         ``batch_query`` calls finish against the pre-update index and
         every call starting afterwards sees the fully updated one —
-        readers can never observe a half-applied batch.  The result cache
-        is dropped in the same critical section.  Returns the number of
+        readers can never observe a half-applied batch.  When the batch
+        moved the index version, the order cache is dropped in the same
+        critical section; an empty batch keeps it.  Returns the number of
         update items applied.
 
         Mutating through ``service.index.apply_updates(...)`` directly
@@ -482,10 +516,12 @@ class PlacementService:
         """
         index = self.index
         with self._index_lock.write_locked():
+            version_before = index.version
             applied = index.apply_updates(batch)
-            with self._cache_lock:
-                self._cache.clear()
-                self._cache_version = index.version
+            if index.version != version_before:
+                with self._cache_lock:
+                    self._cache.clear()
+                    self._cache_version = index.version
         return applied
 
     def _sync_cache_version(self) -> None:
@@ -499,7 +535,7 @@ class PlacementService:
 
     @property
     def cache_len(self) -> int:
-        """Number of results currently cached."""
+        """Number of greedy orders (and budgeted answers) currently cached."""
         with self._cache_lock:
             return len(self._cache)
 
@@ -524,7 +560,7 @@ class PlacementService:
         spec individually against a freshly prepared coverage (the batch
         only removes repeated work, never changes the computation).
 
-        With ``use_cache=False`` the LRU cache is neither consulted nor
+        With ``use_cache=False`` the order cache is neither consulted nor
         populated (timing studies); batch-level sharing still applies.
 
         A :class:`TOPSQuery` whose preference is a custom (unregistered)
@@ -566,32 +602,38 @@ class PlacementService:
                 else:
                     resolved[position] = self._coerce(spec)
 
-            pending: list[int] = []
-            with self._cache_lock:
-                for position, spec in enumerate(resolved):
-                    if spec is None:
-                        continue
-                    if use_cache and spec in self._cache:
-                        self._cache.move_to_end(spec)
-                        self.stats.bump(cache_hits=1)
-                        results[position] = self._cache[spec]
-                    else:
-                        if use_cache:
-                            self.stats.bump(cache_misses=1)
-                        pending.append(position)
-
-            groups = self._prepare_groups(resolved, pending)
-            for group in groups.values():
-                self._answer_group(resolved, group, results)
-
-            if use_cache and self.cache_size > 0:
-                # stamp the entries stored below with the version they were
-                # computed at; under the read lock the version cannot move,
-                # so the stamp and the computed results always agree
-                self._sync_cache_version()
-                with self._cache_lock:
-                    for position in pending:
-                        self._cache_store(resolved[position], results[position])
+            runs: dict[tuple, list[tuple[int, QuerySpec]]] = {}
+            for position, member in enumerate(resolved):
+                if member is not None:
+                    runs.setdefault(member.selection_key, []).append((position, member))
+            caching = use_cache and self.cache_size > 0
+            groups: dict[tuple, _PreparedGroup] = {}
+            instances: dict[float, object] = {}
+            for selection_key, members in runs.items():
+                # under the read lock the version cannot move, so the key
+                # and the run stored under it always agree
+                cache_key = (selection_key, index.version)
+                entry = self._cache_get(cache_key) if caching else None
+                if use_cache:
+                    hits = sum(_covers(entry, member.k) for _, member in members)
+                    self.stats.bump(cache_hits=hits, cache_misses=len(members) - hits)
+                lead = max((member for _, member in members), key=lambda m: m.k)
+                build_seconds = run_seconds = 0.0
+                if entry is None or not _covers(entry, lead.k):
+                    group = self._group_for(lead, groups, instances)
+                    build_seconds = group.build_seconds
+                    with Timer() as run_timer:
+                        entry = self._select(lead, group, entry)
+                    run_seconds = run_timer.elapsed
+                    self.stats.bump(greedy_runs=1, greedy_seconds=run_seconds)
+                    if caching:
+                        self._cache_store(cache_key, entry)
+                with Timer() as replay_timer:
+                    for position, member in members:
+                        results[position] = self._answer(
+                            member, entry, build_seconds, run_seconds
+                        )
+                self.stats.bump(replay_seconds=replay_timer.elapsed)
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
@@ -604,90 +646,60 @@ class PlacementService:
         require(isinstance(spec, QuerySpec), f"not a QuerySpec: {spec!r}")
         return spec
 
-    def _prepare_groups(
-        self, resolved: list[QuerySpec | None], pending: list[int]
-    ) -> dict[tuple, _PreparedGroup]:
-        """Build the shared coverage structures, one per (τ, ψ) group.
+    def _group_for(
+        self,
+        spec: QuerySpec,
+        groups: dict[tuple, _PreparedGroup],
+        instances: dict[float, object],
+    ) -> _PreparedGroup:
+        """The batch's shared coverage for *spec*'s (τ, ψ), prepared once.
 
         The index instance is resolved once per distinct τ and reused by
         every coverage group at that τ (``prepare_coverage(instance=...)``),
         so the ``instance_resolutions`` counter reports exactly the work
         performed.
         """
-        groups: dict[tuple, _PreparedGroup] = {}
-        instances: dict[float, object] = {}
-        cache = getattr(self.index, "coverage_cache", None)
-        for position in pending:
-            spec = resolved[position]
-            key = spec.coverage_key
-            if key not in groups:
-                preference = spec.preference_fn()
-                if cache is not None and cache.peek(self.index, spec.tau_km, preference):
-                    # warm part at the current index version: no instance
-                    # resolution, no coverage build — at most a view
-                    # materialisation over the canonical entries
-                    with Timer() as timer:
-                        prepared = self.index.prepare_coverage(spec.tau_km, preference)
-                    prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
-                    self.stats.bump(
-                        coverage_cache_hits=1,
-                        coverage_materialise_seconds=timer.elapsed,
-                    )
-                    groups[key] = _PreparedGroup(prepared=prepared, build_seconds=0.0)
-                    groups[key].members.append(position)
-                    continue
-                if cache is not None:
-                    self.stats.bump(coverage_cache_misses=1)
-                if spec.tau_km not in instances:
-                    instances[spec.tau_km] = self.index.instance_for(spec.tau_km)
-                    self.stats.bump(instance_resolutions=1)
-                with Timer() as timer:
-                    prepared = self.index.prepare_coverage(
-                        spec.tau_km,
-                        preference,
-                        instance=instances[spec.tau_km],
-                    )
-                prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
-                self.stats.bump(
-                    coverage_builds=1, coverage_build_seconds=timer.elapsed
-                )
-                groups[key] = _PreparedGroup(prepared=prepared, build_seconds=timer.elapsed)
-            groups[key].members.append(position)
-        return groups
+        key = spec.coverage_key
+        if key in groups:
+            return groups[key]
+        index = self.index
+        preference = spec.preference_fn()
+        cache = index.coverage_cache
+        if cache is not None and cache.peek(index, spec.tau_km, preference):
+            # warm part at the current index version: no instance
+            # resolution, no coverage build — at most a view
+            # materialisation over the canonical entries
+            with Timer() as timer:
+                prepared = index.prepare_coverage(spec.tau_km, preference)
+            prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
+            self.stats.bump(coverage_cache_hits=1, coverage_materialise_seconds=timer.elapsed)
+            groups[key] = _PreparedGroup(prepared=prepared, build_seconds=0.0)
+            return groups[key]
+        if cache is not None:
+            self.stats.bump(coverage_cache_misses=1)
+        if spec.tau_km not in instances:
+            instances[spec.tau_km] = index.instance_for(spec.tau_km)
+            self.stats.bump(instance_resolutions=1)
+        with Timer() as timer:
+            prepared = index.prepare_coverage(
+                spec.tau_km, preference, instance=instances[spec.tau_km]
+            )
+        prepared.coverage.attach_kernel_timer(self.stats.kernel_timer)
+        self.stats.bump(coverage_builds=1, coverage_build_seconds=timer.elapsed)
+        groups[key] = _PreparedGroup(prepared=prepared, build_seconds=timer.elapsed)
+        return groups[key]
 
-    def _answer_group(
-        self,
-        resolved: list[QuerySpec | None],
-        group: _PreparedGroup,
-        results: list[TOPSResult | None],
-    ) -> None:
-        """Answer every member of one coverage group."""
-        # subgroup by selection key: members differing only in k share a run
-        runs: dict[tuple, list[int]] = {}
-        for position in group.members:
-            runs.setdefault(resolved[position].selection_key, []).append(position)
-        for positions in runs.values():
-            spec = resolved[positions[0]]
-            if spec.budget is not None:
-                # members of one budget run group differ at most in the
-                # (ignored) k, so a single budgeted greedy answers them all
-                shared = self._run_budgeted(spec, group)
-                for position in positions:
-                    results[position] = shared
-            else:
-                self._run_shared_greedy(resolved, positions, group, results)
+    def _select(self, lead: QuerySpec, group: _PreparedGroup, entry: _Entry | None) -> _Entry:
+        """One greedy step for *lead*: resume *entry*'s run, or run afresh.
 
-    def _run_shared_greedy(
-        self,
-        resolved: list[QuerySpec | None],
-        positions: list[int],
-        group: _PreparedGroup,
-        results: list[TOPSResult | None],
-    ) -> None:
-        """One greedy run at the largest k answers every member spec."""
+        Only an uncapacitated run resumes; a capacitated (CELF) run restarts
+        at the larger k, and a budgeted spec runs its own greedy.  The
+        resumed solver works on copies, so *entry* stays as published.
+        """
+        if lead.budget is not None:
+            return self._run_budgeted(lead, group)
         prepared = group.prepared
         coverage = prepared.coverage
-        lead = resolved[max(positions, key=lambda p: resolved[p].k)]
         existing_columns = (
             prepared.existing_columns(lead.existing_sites) if lead.existing_sites else []
         )
@@ -696,40 +708,27 @@ class PlacementService:
             if lead.capacity is None
             else np.full(coverage.num_sites, int(lead.capacity), dtype=np.int64)
         )
-        with Timer() as run_timer:
-            columns, utilities, gains = IncGreedy(coverage).select(
-                lead.k, existing_columns=existing_columns, capacities=capacities
-            )
-        self.stats.bump(greedy_runs=1, greedy_seconds=run_timer.elapsed)
-        with Timer() as replay_timer:
-            for position in positions:
-                spec = resolved[position]
-                prefix = columns[: spec.k]
-                if len(prefix) == len(columns):
-                    spec_utilities = utilities
-                else:
-                    spec_utilities = coverage.utilities_for_selection(
-                        prefix, capacity=spec.capacity, seed_columns=existing_columns
-                    )
-                results[position] = self._wrap_result(
-                    spec,
-                    group,
-                    prefix,
-                    spec_utilities,
-                    gains[: spec.k],
-                    run_seconds=run_timer.elapsed,
-                )
-        self.stats.bump(replay_seconds=replay_timer.elapsed)
+        if isinstance(entry, _Order) and entry.run.marginal is not None:
+            solver = IncGreedy.resuming(coverage, entry.run)
+        else:
+            solver = IncGreedy(coverage)
+        solver.select(lead.k, existing_columns=existing_columns, capacities=capacities)
+        run = solver.run
+        assert run is not None
+        return _Order(
+            run=run,
+            labels=tuple(int(coverage.site_labels[c]) for c in run.columns),
+            instance=self._instance_metadata(prepared),
+        )
 
     def _run_budgeted(self, spec: QuerySpec, group: _PreparedGroup) -> TOPSResult:
         """TOPS-COST: the budgeted greedy with uniform per-site costs."""
         coverage = group.prepared.coverage
         costs = np.full(coverage.num_sites, float(spec.site_cost))
-        with Timer() as run_timer:
-            result = solve_tops_cost(coverage, spec.budget, costs)
-        self.stats.bump(greedy_runs=1, greedy_seconds=run_timer.elapsed)
+        result = solve_tops_cost(coverage, spec.budget, costs)
         metadata = dict(result.metadata)
-        metadata.update(self._group_metadata(group))
+        metadata.update(self._instance_metadata(group.prepared))
+        metadata["coverage_build_seconds"] = group.build_seconds
         return TOPSResult(
             sites=result.sites,
             utility=result.utility,
@@ -739,48 +738,61 @@ class PlacementService:
             metadata=metadata,
         )
 
-    def _wrap_result(
-        self,
-        spec: QuerySpec,
-        group: _PreparedGroup,
-        columns: Sequence[int],
-        utilities: np.ndarray,
-        gains: Sequence[float],
-        run_seconds: float,
+    @staticmethod
+    def _answer(
+        spec: QuerySpec, entry: _Entry, build_seconds: float, run_seconds: float
     ) -> TOPSResult:
-        coverage = group.prepared.coverage
-        sites = tuple(int(coverage.site_labels[c]) for c in columns)
-        metadata = self._group_metadata(group)
+        """*spec*'s answer: the prefix of *entry*'s order that its k selects."""
+        if isinstance(entry, TOPSResult):
+            return entry
+        run = entry.run
+        k = min(spec.k, len(run.columns))
+        utilities = run.utilities if k == len(run.columns) else run.prefix_utilities(k)
+        metadata: dict[str, Any] = dict(entry.instance)
+        metadata["coverage_build_seconds"] = build_seconds
         metadata["greedy_run_seconds"] = run_seconds
-        metadata["marginal_gains"] = [float(g) for g in gains]
+        metadata["marginal_gains"] = [float(g) for g in run.gains[:k]]
         if spec.capacity is not None:
             metadata["capacity"] = spec.capacity
         if spec.existing_sites:
             metadata["existing_sites"] = list(spec.existing_sites)
         return TOPSResult(
-            sites=sites,
+            sites=entry.labels[:k],
             utility=float(np.sum(utilities)),
             per_trajectory_utility=tuple(float(u) for u in utilities),
-            elapsed_seconds=run_seconds + group.build_seconds,
+            elapsed_seconds=run_seconds + build_seconds,
             algorithm=NetClusIndex.algorithm_name,
             metadata=metadata,
         )
 
-    def _group_metadata(self, group: _PreparedGroup) -> dict:
-        instance = group.prepared.instance
+    @staticmethod
+    def _instance_metadata(prepared: ClusteredCoverage) -> dict[str, Any]:
+        instance = prepared.instance
         return {
             "instance_id": instance.instance_id,
             "instance_radius_km": instance.radius_km,
             "num_clusters": instance.num_clusters,
-            "num_representatives": len(group.prepared.representative_sites),
-            "coverage_build_seconds": group.build_seconds,
+            "num_representatives": len(prepared.representative_sites),
         }
 
-    @holds_lock("_cache_lock")
-    def _cache_store(self, spec: QuerySpec, result: TOPSResult | None) -> None:
-        if result is None:  # pragma: no cover - defensive
-            return
-        self._cache[spec] = result
-        self._cache.move_to_end(spec)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
+    def _cache_get(self, key: tuple) -> _Entry | None:
+        with self._cache_lock:
+            entry = self._cache.get(key)
+            if entry is not None:
+                self._cache.move_to_end(key)
+            return entry
+
+    def _cache_store(self, key: tuple, entry: _Entry) -> None:
+        """Publish *entry* unless a concurrent batch stored a longer order."""
+        with self._cache_lock:
+            held = self._cache.get(key)
+            if (
+                isinstance(held, _Order)
+                and isinstance(entry, _Order)
+                and held.run.reach >= entry.run.reach
+            ):
+                entry = held
+            self._cache[key] = entry
+            self._cache.move_to_end(key)
+            while len(self._cache) > self.cache_size:
+                self._cache.popitem(last=False)

@@ -7,11 +7,12 @@ request — what a row of a batch file, a cache key, and a
 ``capacity`` (TOPS-CAPACITY), a ``budget``/``site_cost`` pair (TOPS-COST with
 uniform costs), and ``existing_sites`` (TOPS with existing services).
 
-Being a frozen dataclass of primitives, a spec can be used directly as an
-LRU-cache key and round-trips through JSON/CSV (:meth:`QuerySpec.to_dict` /
-:meth:`QuerySpec.from_dict`), which is what the ``python -m repro.service
-query`` CLI reads.  :func:`update_batch_from_dict` is the matching parser
-for update deltas (``POST /update`` and the ``update`` CLI).
+Being a frozen dataclass of primitives, a spec is hashable (its
+``selection_key`` keys the service's order cache) and round-trips through
+JSON/CSV (:meth:`QuerySpec.to_dict` / :meth:`QuerySpec.from_dict`), which
+is what the ``python -m repro.service query`` CLI reads.
+:func:`update_batch_from_dict` is the matching parser for update deltas
+(``POST /update`` and the ``update`` CLI).
 """
 
 from __future__ import annotations

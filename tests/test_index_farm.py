@@ -301,6 +301,30 @@ def test_updates_across_evictions_report_consecutive_versions(tenant_dirs, tmp_p
     farm.close()
 
 
+def test_empty_update_writes_nothing_and_keeps_the_orders(tenant_dirs, tmp_path):
+    """A batch that applies nothing moves no version: the tenant directory
+    keeps its blob and manifest bytes, and the service keeps its cached
+    greedy orders, so a repeated query runs no greedy step."""
+    import shutil
+
+    directory = tmp_path / "nyk.ncx"
+    shutil.copytree(tenant_dirs["nyk"], directory)
+    farm = IndexFarm()
+    farm.add_tenant("nyk", directory)
+    spec = QuerySpec(k=4, tau_km=1.0)
+    first = _probe(farm.query("nyk", spec))
+    manifest = (directory / "manifest.json").read_bytes()
+    blob = load_manifest(directory)["payload_file"]
+    assert farm.apply_updates("nyk", UpdateBatch()) == (0, 0, 0)
+    assert (directory / "manifest.json").read_bytes() == manifest
+    assert sorted(p.name for p in directory.glob("payload.*")) == [blob]
+    service = farm.service("nyk")
+    runs = service.stats.greedy_runs
+    assert _probe(farm.query("nyk", spec)) == first
+    assert service.stats.greedy_runs == runs
+    farm.close()
+
+
 def test_update_refreshes_storage_accounting(tenant_dirs, tmp_path):
     import shutil
 

@@ -1,19 +1,22 @@
 """The CI parity gate, ``tools/check_parity.py``, on the tiny workload.
 
-Each section must pass on a correct build, and the farm section must
-count a divergence when a tenant's write-through save is lost, so the
-gate can fail.  The module is loaded by path, as CI runs it.
+Each section must pass on a correct build; the farm section must count a
+divergence when a tenant's write-through save is lost, and the covcache
+section one when a resumed greedy run skips a state update, so the gate
+can fail.  The module is loaded by path, as CI runs it.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.core.greedy import IncGreedy
 from repro.datasets import beijing_like
 from repro.service.placement import PlacementService
 
@@ -52,6 +55,24 @@ def test_mmap_section_passes(parity, tiny_build, tmp_path, capsys):
 def test_covcache_section_passes(parity, tiny_build, tmp_path, capsys):
     assert parity.check_covcache(copy.deepcopy(tiny_build), 6, tmp_path) == 0
     assert "OK covcache: 6 deltas" in capsys.readouterr().out
+
+
+def test_covcache_section_counts_a_resume_that_skips_a_state_update(
+    parity, tiny_build, tmp_path, monkeypatch, capsys
+):
+    """A resume that starts from the utilities before the stored run's last
+    step diverges from the cache-free answers on the cached k sweep."""
+    resuming = IncGreedy.resuming.__func__
+
+    def skip_last_write(cls, coverage, run):
+        stale = run.prefix_utilities(len(run.columns) - 1)
+        return resuming(cls, coverage, dataclasses.replace(run, utilities=stale))
+
+    monkeypatch.setattr(IncGreedy, "resuming", classmethod(skip_last_write))
+    assert parity.check_covcache(copy.deepcopy(tiny_build), 2, tmp_path) > 0
+    out = capsys.readouterr().out
+    assert "FAIL [covcache cached step=" in out
+    assert "OK covcache" not in out
 
 
 def test_farm_section_reloads_on_every_request(parity, tiny_build, tmp_path, capsys):

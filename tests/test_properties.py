@@ -2,7 +2,8 @@
 
 These cover the mathematical properties the paper's guarantees rest on:
 monotonicity and submodularity of the utility, the greedy approximation bound
-against the exact optimum, the FM-sketch union/monotonicity laws, the detour
+against the exact optimum, resumed and replayed greedy runs against fresh
+ones, the FM-sketch union/monotonicity laws, the detour
 prefix-minimum equivalence, and the NetClus estimate/cover containment.
 """
 
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.bitcov import BitsetCoverageIndex
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex
 from repro.core.greedy import IncGreedy
 from repro.core.optimal import OptimalSolver
@@ -127,6 +129,78 @@ class TestGreedyProperties:
         coverage = make_coverage(detours, LinearPreference())
         _, _, gains = IncGreedy(coverage).select(min(k, coverage.num_sites))
         assert all(b <= a + 1e-9 for a, b in zip(gains, gains[1:]))
+
+
+ENGINES = {"dense": CoverageIndex, "sparse": SparseCoverageIndex, "bitset": BitsetCoverageIndex}
+
+
+def _engine_and_preference(data):
+    """A (coverage class, ψ) pair the engine supports: bitset is binary-only."""
+    engine = data.draw(st.sampled_from(sorted(ENGINES)))
+    if engine == "bitset":
+        return ENGINES[engine], BinaryPreference()
+    return ENGINES[engine], data.draw(PREFERENCES)
+
+
+def _existing(data, num_sites):
+    """No existing sites, or up to two distinct seed columns."""
+    count = data.draw(st.integers(0, min(2, num_sites - 1)))
+    return data.draw(
+        st.lists(st.integers(0, num_sites - 1), min_size=count, max_size=count, unique=True)
+    )
+
+
+def _same_selection(got, want):
+    columns, utilities, gains = got
+    assert columns == want[0]
+    assert gains == want[2]
+    assert utilities.tobytes() == want[1].tobytes()
+
+
+class TestGreedyRunProperties:
+    @given(detours=SMALL_DETOURS, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_resumed_run_equals_fresh_run(self, detours, data):
+        """Resuming a run from k1 to k2 answers exactly as a fresh run at k2:
+        columns, gains and per-trajectory utility bytes, on every engine."""
+        engine, preference = _engine_and_preference(data)
+        coverage = engine(np.asarray(detours), 1.0, preference)
+        existing = _existing(data, coverage.num_sites)
+        k1 = data.draw(st.integers(1, coverage.num_sites))
+        k2 = data.draw(st.integers(k1, coverage.num_sites + 1))
+        first = IncGreedy(coverage)
+        first.select(k1, existing_columns=existing)
+        resumed = IncGreedy.resuming(coverage, first.run)
+        got = resumed.select(k2, existing_columns=existing)
+        fresh = IncGreedy(coverage)
+        _same_selection(got, fresh.select(k2, existing_columns=existing))
+        assert resumed.run.marginal.tobytes() == fresh.run.marginal.tobytes()
+        assert resumed.run.exhausted == fresh.run.exhausted
+        # the resume worked on copies: the first run still replays as before
+        assert first.run.utilities.tobytes() == IncGreedy(coverage).select(
+            k1, existing_columns=existing
+        )[1].tobytes()
+
+    @given(detours=SMALL_DETOURS, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_replayed_prefix_equals_fresh_run(self, detours, data):
+        """A run at k answers every smaller k by prefix replay, byte for
+        byte, with and without capacities."""
+        engine, preference = _engine_and_preference(data)
+        coverage = engine(np.asarray(detours), 1.0, preference)
+        existing = _existing(data, coverage.num_sites)
+        capacity = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        capacities = None if capacity is None else np.full(coverage.num_sites, capacity)
+        k = data.draw(st.integers(1, coverage.num_sites))
+        solver = IncGreedy(coverage)
+        solver.select(k, existing_columns=existing, capacities=capacities)
+        run = solver.run
+        for smaller in range(1, len(run.columns) + 1):
+            want = IncGreedy(coverage).select(
+                smaller, existing_columns=existing, capacities=capacities
+            )
+            assert list(run.columns[:smaller]) == want[0]
+            assert run.prefix_utilities(smaller).tobytes() == want[1].tobytes()
 
 
 def fm_sketch(items: list[int], copies: int) -> np.ndarray:

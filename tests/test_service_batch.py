@@ -1,4 +1,4 @@
-"""PlacementService: batch == sequential, shared-work counters, LRU cache."""
+"""PlacementService: batch == sequential, shared-work counters, order cache."""
 
 from __future__ import annotations
 
@@ -184,18 +184,40 @@ def test_roundtrip_batch_acceptance_property(tiny_problem, tiny_netclus, tmp_pat
 
 
 # ---------------------------------------------------------------------- #
-# LRU cache behaviour
+# order cache behaviour
 # ---------------------------------------------------------------------- #
+def _same_bytes(a, b):
+    return a.sites == b.sites and (
+        np.asarray(a.per_trajectory_utility).tobytes()
+        == np.asarray(b.per_trajectory_utility).tobytes()
+    )
+
+
 def test_cache_hits_skip_all_work(service):
+    """A repeated spec, and any smaller k at its key, is answered from the
+    stored order: no greedy step and no coverage work."""
     spec = QuerySpec(k=4, tau_km=0.8)
     first = service.query(spec)
     runs = service.stats.greedy_runs
     builds = service.stats.coverage_builds
     second = service.query(spec)
-    assert second is first  # the cached object itself
-    assert service.stats.cache_hits == 1
+    smaller = service.query(QuerySpec(k=2, tau_km=0.8))
+    assert service.stats.cache_hits == 2
     assert service.stats.greedy_runs == runs
     assert service.stats.coverage_builds == builds
+    assert _same_bytes(second, first)
+    assert _same_bytes(smaller, service.query(QuerySpec(k=2, tau_km=0.8), use_cache=False))
+
+
+def test_larger_k_resumes_the_stored_order(service):
+    """A larger k at a cached key is one (resumed) greedy step and a miss."""
+    service.query(QuerySpec(k=3, tau_km=0.8))
+    runs = service.stats.greedy_runs
+    grown = service.query(QuerySpec(k=9, tau_km=0.8))
+    assert service.stats.greedy_runs == runs + 1
+    assert service.stats.cache_hits == 0
+    assert _same_bytes(grown, service.query(QuerySpec(k=9, tau_km=0.8), use_cache=False))
+    assert service.cache_len == 1
 
 
 def test_cache_respects_spec_identity(service):
@@ -214,13 +236,86 @@ def test_cache_bypass_does_not_populate(service):
     assert service.cache_len == 1
 
 
+#: k per round, rising and falling, so rounds replay, resume and restart
+K_SEQUENCE = (3, 9, 5, 14, 2, 20, 7, 20, 1)
+SELECTION_RULES = (
+    {},
+    {"capacity": 12},
+    {"existing_sites": "two"},
+    {"preference": "linear"},
+    {"preference": "exponential", "tau_km": 1.6},
+    {"budget": 3.0},
+)
+
+
+def _rule_spec(rule, k, existing):
+    fields = {"tau_km": 0.8, **rule}
+    if fields.get("existing_sites") == "two":
+        fields["existing_sites"] = existing
+    return QuerySpec(k=k, **fields)
+
+
+@pytest.mark.parametrize("coverage_cache", [False, True])
+def test_cached_orders_match_a_cache_free_service_across_updates(tiny_netclus, coverage_cache):
+    """Rounds of k rising and falling, with updates in between, answer
+    like a cache-free service byte for byte, and every spec the stored
+    order covers is a hit that runs no greedy step."""
+    from repro.core.netclus import UpdateBatch
+
+    cached = PlacementService(copy.deepcopy(tiny_netclus), coverage_cache=coverage_cache)
+    reference = PlacementService(copy.deepcopy(tiny_netclus), cache_size=0)
+    sites = sorted(tiny_netclus.sites)
+    existing = tuple(sites[1:3])
+    ids = list(tiny_netclus.trajectory_ids)
+    updates = {
+        2: UpdateBatch(remove_sites=sites[3:5]),
+        4: UpdateBatch(),
+        5: UpdateBatch(add_sites=sites[3:5], remove_trajectories=ids[:4]),
+        7: UpdateBatch(remove_sites=[sites[0]]),
+    }
+    longest: dict[tuple, int] = {}
+    for round_, k in enumerate(K_SEQUENCE):
+        if round_ in updates:
+            before = cached.index.version
+            cached.apply_updates(updates[round_])
+            reference.apply_updates(updates[round_])
+            if cached.index.version != before:
+                longest.clear()
+        specs = [_rule_spec(rule, k, existing) for rule in SELECTION_RULES]
+        # the stored order answers k when it is at least as long, or when it
+        # is a budgeted answer (k-free); runs shorter than k are
+        # recomputed, so the hit count is a lower bound
+        expected_hits = sum(
+            spec.selection_key in longest
+            and (spec.budget is not None or k <= longest[spec.selection_key])
+            for spec in specs
+        )
+        hits, runs = cached.stats.cache_hits, cached.stats.greedy_runs
+        got = cached.batch_query(specs)
+        assert cached.stats.cache_hits - hits >= expected_hits
+        assert cached.stats.greedy_runs - runs == len(specs) - (cached.stats.cache_hits - hits)
+        for spec in specs:
+            longest[spec.selection_key] = max(longest.get(spec.selection_key, 0), k)
+        for spec, a, b in zip(specs, got, reference.batch_query(specs)):
+            assert _same_bytes(a, b), (round_, spec)
+            assert a.utility == b.utility
+            assert a.metadata.get("marginal_gains") == b.metadata.get("marginal_gains")
+
+
 def test_cache_eviction_is_lru(tiny_netclus):
+    """The cache holds one order per selection key, least recently used
+    evicted first; k does not make a new entry."""
     service = PlacementService(tiny_netclus, cache_size=2)
-    s1, s2, s3 = (QuerySpec(k=k, tau_km=0.8) for k in (2, 3, 4))
+    s1, s2, s3 = (
+        QuerySpec(k=4, tau_km=0.8),
+        QuerySpec(k=4, tau_km=1.6),
+        QuerySpec(k=4, tau_km=0.8, capacity=10),
+    )
     service.query(s1)
     service.query(s2)
-    service.query(s1)  # refresh s1 → s2 becomes LRU
-    service.query(s3)  # evicts s2
+    service.query(QuerySpec(k=2, tau_km=0.8))  # refresh s1's key → s2's is LRU
+    assert service.cache_len == 2
+    service.query(s3)  # evicts s2's order
     assert service.cache_len == 2
     hits = service.stats.cache_hits
     service.query(s1)
@@ -340,7 +435,7 @@ def test_cache_auto_invalidates_on_index_mutation(tiny_netclus):
     assert after.sites == index.query(TOPSQuery(k=4, tau_km=0.8)).sites
 
     # the repopulated cache serves hits again until the next mutation
-    assert service.query(spec) is after
+    assert _same_bytes(service.query(spec), after)
     assert service.stats.cache_hits == 1
     service.index.add_site(victim)
     refreshed = service.query(spec)

@@ -5,7 +5,7 @@ The service contract under parallel callers:
 * ``batch_query`` may run from many threads at once;
 * dynamic updates through :meth:`PlacementService.apply_updates` are
   exclusive — a reader observes either the pre- or the post-update index,
-  never a mix, and the result cache can never serve a pre-update answer
+  never a mix, and the order cache can never serve a pre-update answer
   to a post-update query (no stale-cache reads);
 * the lazy index build happens exactly once however many threads race it;
 * saves through one service never interleave: two threads updating and
@@ -146,7 +146,11 @@ class TestQueryUpdateHammer:
     def test_cache_dropped_inside_update_critical_section(self, base_index):
         service = PlacementService(copy.deepcopy(base_index))
         service.batch_query(SPECS)
-        assert service.cache_len == len(SPECS)
+        # one order per selection key: k=3 and k=5 at τ=0.8 share one
+        keys = {spec.selection_key for spec in SPECS}
+        assert service.cache_len == len(keys) == 2
+        service.apply_updates(UpdateBatch())  # moves no version, keeps the orders
+        assert service.cache_len == len(keys)
         batch = UpdateBatch(remove_sites=(sorted(service.index.sites)[0],))
         service.apply_updates(batch)
         assert service.cache_len == 0
@@ -187,6 +191,51 @@ class TestConcurrentCacheAndBuild:
         stats = service.stats
         # every query either hit the cache or recomputed the same answer
         assert stats.cache_hits + stats.cache_misses == stats.queries_served
+
+    @pytest.mark.parametrize("preference", ["binary", "linear"])
+    def test_threads_growing_one_key_match_cache_free_answers(self, base_index, preference):
+        """Many threads ask one key for different k at once, so they replay,
+        resume and publish orders of one key concurrently; every answer
+        equals the cache-free one byte for byte and the stored order ends
+        at the largest k."""
+        ks = [2, 17, 5, 11, 1, 23, 8, 14, 3, 20, 6, 9]
+
+        def spec(k: int) -> QuerySpec:
+            return QuerySpec(k=k, tau_km=0.8, preference=preference)
+
+        def answer(result) -> tuple[tuple[int, ...], bytes]:
+            return tuple(result.sites), np.asarray(result.per_trajectory_utility).tobytes()
+
+        reference = PlacementService(copy.deepcopy(base_index), cache_size=0)
+        expected = {
+            k: answer(result)
+            for k, result in zip(ks, reference.batch_query([spec(k) for k in ks]))
+        }
+        service = PlacementService(copy.deepcopy(base_index), coverage_cache=True)
+        service.query(spec(1))  # warm the coverage part
+        start_barrier = threading.Barrier(8)
+
+        def run(worker: int) -> list[tuple[int, tuple[tuple[int, ...], bytes]]]:
+            start_barrier.wait()
+            observed = []
+            for step in range(3 * len(ks)):
+                k = ks[(worker * 5 + step) % len(ks)]
+                observed.append((k, answer(service.query(spec(k)))))
+            return observed
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, worker) for worker in range(8)]
+                observed = [item for f in futures for item in f.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [k for k, got in observed if got != expected[k]] == []
+        assert service.cache_len == 1
+        runs = service.stats.greedy_runs
+        assert tuple(service.query(spec(max(ks))).sites) == expected[max(ks)][0]
+        assert service.stats.greedy_runs == runs  # the longest order was kept
 
     def test_concurrent_greedy_on_shared_warm_views(self, base_index):
         """With the result cache off, every thread runs the greedy kernels

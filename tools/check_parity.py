@@ -16,9 +16,12 @@ deep copy of that build.
 * **covcache** — a warm service whose coverage parts are patched by a
   seeded stream of ``--ops`` mixed deltas holds, after every delta, the
   same canonical entries in every part as a cold build of its key (byte
-  for byte) and answers like a cache-free service on a deep copy.  It
-  does zero coverage builds after warm-up, and still answers identically
-  with zero builds after a save with parts and a reload.
+  for byte) and answers like a cache-free service on a deep copy.  After
+  every delta the warm service also answers a k sequence that rises and
+  falls through its order cache (replays, resumed runs and restarts), one
+  call per k, and each answer equals the cache-free service's.  It does
+  zero coverage builds after warm-up, and still answers identically with
+  zero builds after a save with parts and a reload.
 * **farm** — two tenant directories of the build behind an
   :class:`IndexFarm` whose memory budget fits one of them.  ``--ops``
   rounds alternate between a seeded mixed delta for each tenant and a
@@ -40,6 +43,7 @@ import argparse
 import copy
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -209,11 +213,28 @@ def _delta_stream(rng, index, pool, num_ops):
         yield batch
 
 
-def _cold_answers(index: NetClusIndex) -> list:
+#: the covcache section's cached-path rounds: k rises and falls, so the
+#: order cache replays prefixes, resumes runs and restarts CELF runs
+K_SEQUENCE = (4, 12, 2, 25, 9, 40, 1)
+
+
+def _k_sweep(k: int) -> list[QuerySpec]:
+    """Every covcache selection rule at one k."""
+    return [replace(spec, k=k) for spec in COVCACHE_SPECS]
+
+
+def _cold_answers(index: NetClusIndex, specs=COVCACHE_SPECS) -> list:
     cold_index = copy.deepcopy(index)
     cold_index.coverage_cache = None
-    cold = PlacementService(cold_index)
-    return cold.batch_query(list(COVCACHE_SPECS), use_cache=False)
+    cold = PlacementService(cold_index, cache_size=0)
+    return cold.batch_query(list(specs), use_cache=False)
+
+
+def _compare_cached_path(label: str, index: NetClusIndex, warm: PlacementService) -> int:
+    """The warm service's order cache against a cache-free cold service."""
+    sweep = [spec for k in K_SEQUENCE for spec in _k_sweep(k)]
+    got = [result for k in K_SEQUENCE for result in warm.batch_query(_k_sweep(k))]
+    return _compare(label, sweep, _cold_answers(index, sweep), got)
 
 
 def _compare_entries(label: str, index: NetClusIndex) -> int:
@@ -267,6 +288,7 @@ def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
             _cold_answers(index),
             warm.batch_query(specs, use_cache=False),
         )
+        failures += _compare_cached_path(f"covcache cached step={steps}", index, warm)
     extra_builds = warm.stats.coverage_builds - builds_after_warmup
     if extra_builds:
         print(f"FAIL [covcache]: {extra_builds} coverage builds after warm-up (expected 0)")
@@ -290,7 +312,9 @@ def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
         patches = warm.coverage_cache.stats()["patches"]
         print(
             f"OK covcache: {steps} deltas x {len(specs)} specs and parts equal cold rebuilds "
-            f"({patches} part patches, 0 builds after warm-up and after reload)"
+            f"({patches} part patches, 0 builds after warm-up and after reload); "
+            f"cached k sweeps {'/'.join(map(str, K_SEQUENCE))} equal cache-free answers "
+            f"({warm.stats.cache_hits} order-cache hits)"
         )
     return failures
 
