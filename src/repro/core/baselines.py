@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coverage import CoverageIndex
-from repro.core.query import TOPSQuery, TOPSResult
+from repro.core.query import TOPSQuery, TOPSResult, utility_tuple
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
 
@@ -35,7 +35,7 @@ def top_k_by_traffic(coverage: CoverageIndex, query: TOPSQuery) -> TOPSResult:
     return TOPSResult(
         sites=tuple(int(coverage.site_labels[c]) for c in columns),
         utility=float(np.sum(utilities)),
-        per_trajectory_utility=tuple(float(u) for u in utilities),
+        per_trajectory_utility=utility_tuple(utilities),
         elapsed_seconds=timer.elapsed,
         algorithm="top-k-by-traffic",
     )
@@ -54,7 +54,7 @@ def random_sites(
     return TOPSResult(
         sites=tuple(int(coverage.site_labels[c]) for c in columns),
         utility=float(np.sum(utilities)),
-        per_trajectory_utility=tuple(float(u) for u in utilities),
+        per_trajectory_utility=utility_tuple(utilities),
         elapsed_seconds=timer.elapsed,
         algorithm="random",
     )
@@ -88,7 +88,7 @@ def static_demand_greedy(
     return TOPSResult(
         sites=tuple(int(coverage.site_labels[c]) for c in columns),
         utility=float(np.sum(utilities)),
-        per_trajectory_utility=tuple(float(u) for u in utilities),
+        per_trajectory_utility=utility_tuple(utilities),
         elapsed_seconds=timer.elapsed,
         algorithm="static-demand",
     )

@@ -1,8 +1,11 @@
 """Persistent, incrementally maintained coverage parts.
 
-Coverage *construction* — not greedy — dominates steady-state query
-latency, so this module makes the per-(τ, ψ) coverage a first-class
-artifact instead of a per-query throwaway:
+The placement service answers most reads from its cached greedy orders
+(:class:`~repro.core.greedy.GreedyRun` prefixes), so coverage is read only
+when a greedy step runs: the first selection for a ``(τ, ψ)`` key, or a
+resume to a larger k. This module keeps the per-(τ, ψ) coverage as a
+first-class artifact so that such a step or resume — also the first one
+after an update — does not rebuild coverage cold:
 
 * :class:`CoverageCache` — attached to a
   :class:`~repro.core.netclus.NetClusIndex` via
@@ -24,7 +27,7 @@ artifact instead of a per-query throwaway:
   invalidating, the parts are *patched* — only the trajectory rows and
   representative columns the :class:`~repro.core.netclus.UpdateBatch`
   touched are recomputed, and a previously materialised view is rebuilt
-  from the patched entries so the very next query runs greedy with zero
+  from the patched entries so the next greedy step or resume does no
   coverage-build work.
 
 Parity is the repo's standard bar — byte-identical coverage structures,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex
-from repro.core.query import TOPSQuery, TOPSResult
+from repro.core.query import TOPSQuery, TOPSResult, utility_tuple
 from repro.sketch.fm import estimate_rows, hash_items
 from repro.utils.timer import Timer
 from repro.utils.validation import require
@@ -113,7 +113,7 @@ class FMGreedy:
         return TOPSResult(
             sites=sites,
             utility=float(np.sum(utilities)),
-            per_trajectory_utility=tuple(float(u) for u in utilities),
+            per_trajectory_utility=utility_tuple(utilities),
             elapsed_seconds=timer.elapsed,
             algorithm=self.algorithm_name,
             metadata={

@@ -48,7 +48,7 @@ from repro.core.coverage import (
     SparseCoverageIndex,
     tie_break_candidates,
 )
-from repro.core.query import TOPSQuery, TOPSResult
+from repro.core.query import TOPSQuery, TOPSResult, utility_tuple
 from repro.utils.timer import Timer
 from repro.utils.validation import require
 
@@ -288,7 +288,7 @@ class IncGreedy:
         return TOPSResult(
             sites=sites,
             utility=float(np.sum(utilities)),
-            per_trajectory_utility=tuple(float(u) for u in utilities),
+            per_trajectory_utility=utility_tuple(utilities),
             elapsed_seconds=timer.elapsed,
             algorithm=self.algorithm_name,
             metadata={"marginal_gains": gains},

@@ -61,7 +61,7 @@ from repro.core.covcache import DEFAULT_PART_LIMIT, CoverageCache, materialise_c
 from repro.core.coverage import CoverageIndex, SparseCoverageIndex, canonical_entries
 from repro.core.greedy import IncGreedy
 from repro.core.preference import PreferenceFunction
-from repro.core.query import TOPSQuery, TOPSResult
+from repro.core.query import TOPSQuery, TOPSResult, utility_tuple
 from repro.network.graph import RoadNetwork
 from repro.trajectory.model import Trajectory, TrajectoryDataset
 from repro.utils.timer import Timer
@@ -903,7 +903,7 @@ class NetClusIndex:
         return TOPSResult(
             sites=sites,
             utility=float(np.sum(utilities)),
-            per_trajectory_utility=tuple(float(u) for u in utilities),
+            per_trajectory_utility=utility_tuple(utilities),
             elapsed_seconds=timer.elapsed,
             algorithm=self.algorithm_name,
             metadata={

@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.core.coverage import CoverageIndex
-from repro.core.query import TOPSQuery, TOPSResult
+from repro.core.query import TOPSQuery, TOPSResult, utility_tuple
 from repro.utils.timer import Timer
 from repro.utils.validation import require
 
@@ -57,7 +57,7 @@ class OptimalSolver:
         return TOPSResult(
             sites=tuple(int(self.coverage.site_labels[c]) for c in columns),
             utility=float(utility),
-            per_trajectory_utility=tuple(float(u) for u in utilities),
+            per_trajectory_utility=utility_tuple(utilities),
             elapsed_seconds=timer.elapsed,
             algorithm=self.algorithm_name,
             metadata={"method": "branch-and-bound"},
@@ -88,7 +88,7 @@ class OptimalSolver:
                 return TOPSResult(
                     sites=(),
                     utility=0.0,
-                    per_trajectory_utility=tuple(0.0 for _ in range(num_trajectories)),
+                    per_trajectory_utility=utility_tuple(np.zeros(num_trajectories)),
                     elapsed_seconds=timer.elapsed,
                     algorithm=self.algorithm_name,
                     metadata={"method": "ilp"},
@@ -133,7 +133,7 @@ class OptimalSolver:
         return TOPSResult(
             sites=tuple(int(self.coverage.site_labels[c]) for c in columns),
             utility=float(np.sum(utilities)),
-            per_trajectory_utility=tuple(float(u) for u in utilities),
+            per_trajectory_utility=utility_tuple(utilities),
             elapsed_seconds=timer.elapsed,
             algorithm=self.algorithm_name,
             metadata={"method": "ilp", "milp_status": int(result.status)},
@@ -154,7 +154,7 @@ class OptimalSolver:
         return TOPSResult(
             sites=tuple(int(self.coverage.site_labels[c]) for c in best),
             utility=float(best_utility),
-            per_trajectory_utility=tuple(float(u) for u in utilities),
+            per_trajectory_utility=utility_tuple(utilities),
             elapsed_seconds=timer.elapsed,
             algorithm=self.algorithm_name,
             metadata={"method": "exhaustive"},

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.preference import BinaryPreference, PreferenceFunction
 from repro.utils.validation import require, require_non_negative, require_positive
 
-__all__ = ["TOPSQuery", "TOPSResult"]
+__all__ = ["TOPSQuery", "TOPSResult", "utility_tuple"]
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,9 @@ class TOPSResult:
         Total utility ``U(Q) = Σ_j max_{s in Q} ψ(T_j, s)``.
     per_trajectory_utility:
         Utility of each trajectory under the selected set, aligned with the
-        trajectory order of the dataset the solver was given.
+        trajectory order of the dataset the solver was given: a tuple of
+        plain Python floats. Every solver builds it with
+        :func:`utility_tuple`.
     elapsed_seconds:
         Wall-clock time of the online phase (selection), excluding any
         offline index construction.
@@ -94,3 +97,14 @@ class TOPSResult:
             for key, value in self.metadata.items()
             if key.endswith("_seconds") and isinstance(value, (int, float))
         }
+
+
+def utility_tuple(values: np.ndarray | Sequence[float]) -> tuple[float, ...]:
+    """The public ``per_trajectory_utility`` form of a utilities array.
+
+    ``ndarray.tolist()`` boxes each element in one C loop and yields exactly
+    the doubles ``float(u)`` would, ``-0.0`` and subnormals included. The
+    ``float64`` cast keeps int, bool and float32 inputs from coming back as
+    Python ints or from changing the JSON encoding.
+    """
+    return tuple(np.asarray(values, dtype=np.float64).tolist())

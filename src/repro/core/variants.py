@@ -41,7 +41,7 @@ from repro.core.coverage import (
     tie_break_candidates,
 )
 from repro.core.greedy import IncGreedy
-from repro.core.query import TOPSQuery, TOPSResult
+from repro.core.query import TOPSQuery, TOPSResult, utility_tuple
 from repro.utils.timer import Timer
 from repro.utils.validation import require, require_positive, require_probability
 
@@ -112,7 +112,7 @@ def solve_tops_cost(
     return TOPSResult(
         sites=tuple(int(coverage.site_labels[c]) for c in selected),
         utility=float(np.sum(utilities)),
-        per_trajectory_utility=tuple(float(u) for u in utilities),
+        per_trajectory_utility=utility_tuple(utilities),
         elapsed_seconds=timer.elapsed,
         algorithm="tops-cost",
         metadata={"budget": budget, "spent": spent, "num_sites": len(selected)},
@@ -133,7 +133,7 @@ def solve_tops_capacity(
     return TOPSResult(
         sites=tuple(int(coverage.site_labels[c]) for c in columns),
         utility=float(np.sum(utilities)),
-        per_trajectory_utility=tuple(float(u) for u in utilities),
+        per_trajectory_utility=utility_tuple(utilities),
         elapsed_seconds=timer.elapsed,
         algorithm="tops-capacity",
         metadata={"marginal_gains": gains},
@@ -197,7 +197,7 @@ def solve_tops_market_share(
     return TOPSResult(
         sites=tuple(int(coverage.site_labels[c]) for c in selected),
         utility=float(np.sum(utilities)),
-        per_trajectory_utility=tuple(float(u) for u in utilities),
+        per_trajectory_utility=utility_tuple(utilities),
         elapsed_seconds=timer.elapsed,
         algorithm="tops-market-share",
         metadata={
@@ -245,7 +245,7 @@ def solve_tops_min_inconvenience(
     return TOPSResult(
         sites=tuple(int(coverage.site_labels[c]) for c in columns),
         utility=float(np.sum(utilities)),
-        per_trajectory_utility=tuple(float(u) for u in utilities),
+        per_trajectory_utility=utility_tuple(utilities),
         elapsed_seconds=timer.elapsed,
         algorithm="tops-min-inconvenience",
         metadata={"total_deviation_km": total_deviation},

@@ -55,7 +55,7 @@ from repro.core.covcache import CoverageCache
 from repro.core.greedy import GreedyRun, IncGreedy
 from repro.core.netclus import ClusteredCoverage, NetClusIndex, UpdateBatch
 from repro.core.preference import is_registered
-from repro.core.query import TOPSQuery, TOPSResult
+from repro.core.query import TOPSQuery, TOPSResult, utility_tuple
 from repro.core.variants import solve_tops_cost
 from repro.network.graph import RoadNetwork
 from repro.service.serialization import load_index, save_index
@@ -759,7 +759,7 @@ class PlacementService:
         return TOPSResult(
             sites=entry.labels[:k],
             utility=float(np.sum(utilities)),
-            per_trajectory_utility=tuple(float(u) for u in utilities),
+            per_trajectory_utility=utility_tuple(utilities),
             elapsed_seconds=run_seconds + build_seconds,
             algorithm=NetClusIndex.algorithm_name,
             metadata=metadata,

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.preference import BinaryPreference
 from repro.core.problem import TOPSProblem
-from repro.core.query import TOPSQuery, TOPSResult
+from repro.core.query import TOPSQuery, TOPSResult, utility_tuple
 from repro.trajectory.model import TrajectoryDataset
 
 
@@ -35,6 +36,28 @@ class TestTOPSResult:
 
     def test_num_sites(self):
         assert TOPSResult(sites=(1, 2, 3), utility=0.0).num_sites == 3
+
+
+class TestUtilityTuple:
+    """The one constructor of ``per_trajectory_utility`` boxes like ``float(u)``."""
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.asarray([0.0, -0.0, 5e-324, 1e308, -1e308, 0.1, 1.5], dtype=np.float64),
+            np.asarray([0.0, -0.0, 1e-45, 1e-40, 3.4e38, 0.1, 1.5], dtype=np.float32),
+            np.asarray([0, -3, 7, 2**53 + 1, -(2**62)], dtype=np.int64),
+            np.asarray([True, False, True], dtype=bool),
+            np.asarray([], dtype=np.float64),
+        ],
+        ids=["float64", "float32", "int64", "bool", "empty"],
+    )
+    def test_matches_float_generator_by_repr(self, array):
+        boxed = utility_tuple(array)
+        expected = tuple(float(u) for u in array)
+        assert type(boxed) is tuple
+        assert [repr(x) for x in boxed] == [repr(x) for x in expected]
+        assert all(type(x) is float for x in boxed)
 
 
 class TestTOPSProblem:
