@@ -2,8 +2,9 @@
 
 The in-process :class:`~repro.service.PlacementService` becomes a network
 service through :class:`~repro.service.PlacementServer` — a stdlib-only
-asyncio HTTP/1.1 layer with request coalescing, bounded admission and a
-worker pool.  The server serves an :class:`~repro.service.IndexFarm`; a
+asyncio HTTP/1.1 layer with bounded admission and a worker pool; the
+service runs one greedy step per selection key at a time, so concurrent
+requests for one key share it.  The server serves an :class:`~repro.service.IndexFarm`; a
 service registered with ``add_service`` answers on the plain ``/query``
 and ``/update`` endpoints.  This example walks the serving lifecycle
 without leaving one process:

@@ -22,12 +22,13 @@ in-memory :class:`~repro.core.netclus.NetClusIndex` into a service:
   auto-invalidates off :attr:`NetClusIndex.version` when the index is
   mutated.  The
   service is safe for concurrent callers: queries share a readers-writer
-  lock, :meth:`PlacementService.apply_updates` mutates exclusively, and
-  the cache/counters are mutex-guarded.
+  lock, :meth:`PlacementService.apply_updates` mutates exclusively, the
+  cache/counters are mutex-guarded, and concurrent batches needing the
+  same selection key's greedy step run it once (one in-flight slot per
+  key; the others wait and read its order).
 * :mod:`repro.service.server` — :class:`PlacementServer`, the asyncio
   HTTP/1.1 front end over one farm: ``POST /t/<tenant>/query`` (and plain
-  ``POST /query`` for the default tenant) with identical in-flight specs
-  coalesced onto one future, ``POST /t/<tenant>/update`` (``POST
+  ``POST /query`` for the default tenant), ``POST /t/<tenant>/update`` (``POST
   /update``) through the writer lock, ``GET /metrics`` (Prometheus-style
   text) and ``GET /healthz``; bounded admission with 503 backpressure,
   per-request timeouts, and graceful drain on shutdown.  Blocking

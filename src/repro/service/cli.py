@@ -9,7 +9,7 @@ Six subcommands::
     python -m repro.service query --index city.ncx --specs specs.json
 
     # serving phase: the asyncio HTTP front end (POST /query, POST /update,
-    # GET /metrics, GET /healthz) with coalescing + bounded admission
+    # GET /metrics, GET /healthz) with bounded admission
     python -m repro.service serve --index city.ncx --port 8321 --max-inflight 64
 
     # multi-tenant serving: N indexes in one process under a memory budget
@@ -54,7 +54,7 @@ from repro.datasets import (
     new_york_like,
 )
 from repro.datasets.base import DatasetBundle
-from repro.service.farm import IndexFarm
+from repro.service.farm import DEFAULT_TENANT, IndexFarm
 from repro.service.placement import PlacementService
 from repro.service.serialization import load_manifest, save_index
 from repro.service.server import PlacementServer
@@ -259,7 +259,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"Served {stats.requests_total['query']} query / "
         f"{stats.requests_total['update']} update requests "
-        f"({stats.coalesced_specs} specs coalesced, "
+        f"({farm.tenant_stats(DEFAULT_TENANT)['coalesced_specs']} specs coalesced, "
         f"{stats.rejected_total} rejected); shut down cleanly."
     )
     return 0

@@ -2,7 +2,7 @@
 
 :class:`PlacementService` owns one :class:`~repro.core.netclus.NetClusIndex`
 — loaded from disk, passed in, or lazily built on first use — and answers
-batches of :class:`~repro.service.specs.QuerySpec` with three layers of
+batches of :class:`~repro.service.specs.QuerySpec` with four layers of
 shared work:
 
 1. **Coverage sharing** — specs with the same ``(τ, ψ)`` resolve the index
@@ -23,9 +23,16 @@ shared work:
    when the index has been mutated through dynamic updates
    (``service.index.add_site(...)``, :meth:`~NetClusIndex.apply_updates`,
    ...), so a served selection can never be stale.
+4. **Single flight** — a batch whose lead k the stored order does not
+   cover claims the key's in-flight slot before its greedy step, and a
+   concurrent batch on the same key waits for that step instead of
+   repeating it: it answers from the published order when that covers its
+   k, and otherwise claims the slot and resumes the order.  The claimant
+   is the key's only writer, so a published order only ever grows.
 
-``stats`` counts every resolution/build/run and every cache hit (a spec
-answered without a greedy step), and accumulates per-stage query timings
+``stats`` counts every resolution/build/run, every cache hit and miss at
+a batch's first look, and every miss answered by joining another batch's
+greedy step (``coalesced_specs``), and accumulates per-stage query timings
 (coverage build / greedy run / prefix replay seconds), which is both the
 service's observability surface and how the batch-amortisation contract
 is asserted in the test suite.
@@ -34,9 +41,11 @@ The service is **safe for concurrent callers**: ``batch_query`` runs under
 a shared readers-writer lock (many batches in parallel), dynamic updates
 go through :meth:`PlacementService.apply_updates` which takes the lock
 exclusively — so a reader always observes either the pre- or the
-post-update index, never a half-applied batch — and the order cache and
-counters are mutex-guarded.  Cached runs are never mutated: a resume
-works on copies and publishes a new, longer run.  The lazy index build
+post-update index, never a half-applied batch — and the order cache, its
+in-flight slots and the counters are mutex-guarded.  A batch holds at most
+one slot and waits on another's only while it holds none, so waits cannot
+form a cycle.  Cached runs are never mutated: a resume works on copies and
+publishes a new, longer run.  The lazy index build
 runs at most once no matter how many threads race the first query.
 """
 
@@ -134,6 +143,7 @@ class _ReadWriteLock:
     "queries_served",
     "cache_hits",
     "cache_misses",
+    "coalesced_specs",
     "instance_resolutions",
     "coverage_builds",
     "coverage_cache_hits",
@@ -161,6 +171,9 @@ class ServiceStats:
     queries_served: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: misses answered from an order another batch published while this
+    #: batch waited on the key's in-flight slot (no greedy step of its own)
+    coalesced_specs: int = 0
     instance_resolutions: int = 0
     coverage_builds: int = 0
     #: coverage groups served warm from the index's coverage cache (zero
@@ -212,6 +225,7 @@ class ServiceStats:
                 "queries_served": self.queries_served,
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
+                "coalesced_specs": self.coalesced_specs,
                 "instance_resolutions": self.instance_resolutions,
                 "coverage_builds": self.coverage_builds,
                 "coverage_cache_hits": self.coverage_cache_hits,
@@ -249,6 +263,7 @@ class ServiceStats:
             self.queries_served = 0
             self.cache_hits = 0
             self.cache_misses = 0
+            self.coalesced_specs = 0
             self.instance_resolutions = 0
             self.coverage_builds = 0
             self.coverage_cache_hits = 0
@@ -296,7 +311,7 @@ def _covers(entry: _Entry | None, k: int) -> bool:
     return entry is not None
 
 
-@guarded_by("_cache_lock", "_cache", "_cache_version")
+@guarded_by("_cache_lock", "_cache", "_cache_version", "_slots")
 class PlacementService:
     """A persistent placement service over one city's NetClus index.
 
@@ -365,11 +380,14 @@ class PlacementService:
             self._apply_coverage_cache_policy(index)
         self._cache: OrderedDict[tuple, _Entry] = OrderedDict()
         self._cache_version: int | None = None
+        #: in-flight slots: the event of the batch running a greedy step
+        #: for a cache key, set when it releases the key
+        self._slots: dict[tuple, threading.Event] = {}
         self.stats = ServiceStats()
         # concurrency: readers (batch_query) share the index lock, writers
-        # (apply_updates) take it exclusively; the cache has its own mutex
-        # (it mutates on reads too — LRU recency), and the lazy index build
-        # runs at most once behind its own lock.  Saves share the index
+        # (apply_updates) take it exclusively; the cache and its slots
+        # have their own mutex (reads mutate too — LRU recency), and the
+        # lazy index build runs at most once behind its own lock.  Saves share the index
         # read lock with queries: a save commits with one manifest rename,
         # so concurrent saves need nothing more.
         self._index_lock = _ReadWriteLock()
@@ -562,6 +580,8 @@ class PlacementService:
 
         With ``use_cache=False`` the order cache is neither consulted nor
         populated (timing studies); batch-level sharing still applies.
+        Neither it nor ``cache_size=0`` claims or waits on a key's
+        in-flight slot.
 
         A :class:`TOPSQuery` whose preference is a custom (unregistered)
         :class:`~repro.core.preference.PreferenceFunction` subclass —
@@ -613,21 +633,28 @@ class PlacementService:
                 # under the read lock the version cannot move, so the key
                 # and the run stored under it always agree
                 cache_key = (selection_key, index.version)
-                entry = self._cache_get(cache_key) if caching else None
-                if use_cache:
-                    hits = sum(_covers(entry, member.k) for _, member in members)
-                    self.stats.bump(cache_hits=hits, cache_misses=len(members) - hits)
                 lead = max((member for _, member in members), key=lambda m: m.k)
+                if caching:
+                    entry = self._claim(cache_key, members)
+                else:
+                    entry = None
+                    if use_cache:
+                        self.stats.bump(cache_misses=len(members))
                 build_seconds = run_seconds = 0.0
-                if entry is None or not _covers(entry, lead.k):
-                    group = self._group_for(lead, groups, instances)
-                    build_seconds = group.build_seconds
-                    with Timer() as run_timer:
-                        entry = self._select(lead, group, entry)
-                    run_seconds = run_timer.elapsed
-                    self.stats.bump(greedy_runs=1, greedy_seconds=run_seconds)
-                    if caching:
-                        self._cache_store(cache_key, entry)
+                if not _covers(entry, lead.k):
+                    # with caching on, this batch now holds the key's slot
+                    try:
+                        group = self._group_for(lead, groups, instances)
+                        build_seconds = group.build_seconds
+                        with Timer() as run_timer:
+                            entry = self._select(lead, group, entry)
+                        run_seconds = run_timer.elapsed
+                        self.stats.bump(greedy_runs=1, greedy_seconds=run_seconds)
+                        if caching:
+                            self._cache_store(cache_key, entry)
+                    finally:
+                        if caching:
+                            self._release(cache_key)
                 with Timer() as replay_timer:
                     for position, member in members:
                         results[position] = self._answer(
@@ -775,23 +802,44 @@ class PlacementService:
             "num_representatives": len(prepared.representative_sites),
         }
 
-    def _cache_get(self, key: tuple) -> _Entry | None:
+    def _claim(self, key: tuple, members: list[tuple[int, QuerySpec]]) -> _Entry | None:
+        """*key*'s cached entry, once it covers *members* or with *key* claimed.
+
+        Returns an entry covering every member, or the entry to resume
+        (``None`` for none) with this batch holding *key*'s in-flight slot:
+        the caller then runs the greedy step, publishes it and releases the
+        slot (:meth:`_release`).  While another batch holds the slot, this
+        one waits for its release and reads again.  The first read counts
+        the members' hits and misses; after a wait, members a published
+        order covers count as coalesced.
+        """
+        first_hits: int | None = None
+        while True:
+            with self._cache_lock:
+                entry = self._cache.get(key)
+                if entry is not None:
+                    self._cache.move_to_end(key)
+                hits = sum(_covers(entry, member.k) for _, member in members)
+                slot = None if hits == len(members) else self._slots.get(key)
+                if slot is None and hits < len(members):
+                    self._slots[key] = threading.Event()
+            if first_hits is None:
+                first_hits = hits
+                self.stats.bump(cache_hits=hits, cache_misses=len(members) - hits)
+            elif slot is None:
+                self.stats.bump(coalesced_specs=hits - first_hits)
+            if slot is None:
+                return entry
+            slot.wait()
+
+    def _release(self, key: tuple) -> None:
+        """Give up *key*'s slot and wake the batches waiting on it."""
         with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is not None:
-                self._cache.move_to_end(key)
-            return entry
+            self._slots.pop(key).set()
 
     def _cache_store(self, key: tuple, entry: _Entry) -> None:
-        """Publish *entry* unless a concurrent batch stored a longer order."""
+        """Publish *entry*: its batch holds *key*'s slot, the key's only writer."""
         with self._cache_lock:
-            held = self._cache.get(key)
-            if (
-                isinstance(held, _Order)
-                and isinstance(entry, _Order)
-                and held.run.reach >= entry.run.reach
-            ):
-                entry = held
             self._cache[key] = entry
             self._cache.move_to_end(key)
             while len(self._cache) > self.cache_size:

@@ -10,7 +10,7 @@ repro.service farm`` is a farm of directory tenants.  The endpoints:
 
 ``POST /t/<tenant>/query`` and ``POST /query``
     A JSON array of :class:`~repro.service.specs.QuerySpec` objects (or
-    ``{"specs": [...]}``) answered through the tenant's
+    ``{"specs": [...], "use_cache": true}``) answered through the tenant's
     :meth:`PlacementService.batch_query`; placements, utilities and
     per-trajectory utility vectors come back byte-identical to a direct
     in-process call.  The plain path addresses the default tenant and
@@ -27,21 +27,14 @@ repro.service farm`` is a farm of directory tenants.  The endpoints:
     :class:`ServiceStats` counters (plus kernel, coverage-cache and
     index-version series for resident tenants) labelled ``tenant=...`` —
     the default tenant's series carry no label — and the server-level
-    counters of :class:`ServerStats` (in-flight gauge, coalesced specs,
-    rejections, timeouts, p50/p99 latency reservoirs).
+    counters of :class:`ServerStats` (in-flight gauge, rejections,
+    timeouts, p50/p99 latency reservoirs).
 ``GET /healthz``
     Liveness: status, draining flag, tenancy, and the default tenant's
     index version when there is one.
 
 The correctness mechanics, not the routing, are the point of this module:
 
-* **Request coalescing** — specs are hashable, so identical in-flight
-  specs for one tenant collapse onto one future: while a ``QuerySpec`` is
-  being computed, every further request asking that tenant for it awaits
-  the same result instead of queueing duplicate work
-  (``netclus_server_coalesced_specs_total`` counts the deduplicated
-  specs, and ``ServiceStats`` proves the single underlying
-  ``batch_query``).
 * **Bounded admission + backpressure** — at most ``max_inflight``
   query/update requests are admitted at once; request number
   ``max_inflight + 1`` is rejected immediately with ``503`` and a
@@ -49,9 +42,9 @@ The correctness mechanics, not the routing, are the point of this module:
   and ``/metrics`` are always served.
 * **Per-request timeouts** — a request that exceeds ``request_timeout``
   seconds answers ``504``; the underlying computation is *not* abandoned
-  (it cannot be cancelled mid-NumPy): it finishes on the worker pool,
-  resolves the shared futures of any coalesced waiters and warms the
-  service cache.
+  (it cannot be cancelled mid-NumPy): it finishes on the worker pool and
+  publishes its greedy order for the requests waiting on it and later
+  ones.
 * **Event-loop isolation** — every blocking farm call (placements, tenant
   loads and the evictions they trigger, write-through saves) runs on a
   sized ``ThreadPoolExecutor`` (``worker_threads``), so the event loop
@@ -118,6 +111,13 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         raise _BadRequest("request or header line too long") from None
 
 
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """The nearest-rank *q*-quantile of sorted *ordered*; 0.0 if empty."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))]
+
+
 @guarded_by("_lock", "_samples", "_cursor", "_total", "_capacity")
 class LatencyReservoir:
     """A bounded ring of the most recent request latencies.
@@ -157,27 +157,20 @@ class LatencyReservoir:
         """The *q*-quantile (nearest-rank) of the windowed samples; 0.0 if empty."""
         require(0.0 <= q <= 1.0, "quantile must be in [0, 1]")
         with self._lock:
-            if not self._samples:
-                return 0.0
             ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-        if q >= 1.0:
-            rank = len(ordered) - 1
-        return ordered[rank]
+        return _nearest_rank(ordered, q)
 
     def snapshot(self) -> dict[str, float]:
         """p50/p90/p99 plus the sample count, as one consistent dict."""
         with self._lock:
             ordered = sorted(self._samples)
             total = self._total
-        if not ordered:
-            return {"count": float(total), "p50": 0.0, "p90": 0.0, "p99": 0.0}
-
-        def at(q: float) -> float:
-            rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-            return ordered[rank]
-
-        return {"count": float(total), "p50": at(0.5), "p90": at(0.9), "p99": at(0.99)}
+        return {
+            "count": float(total),
+            "p50": _nearest_rank(ordered, 0.5),
+            "p90": _nearest_rank(ordered, 0.9),
+            "p99": _nearest_rank(ordered, 0.99),
+        }
 
 
 @dataclass
@@ -186,8 +179,8 @@ class ServerStats:
 
     These sit *above* :class:`~repro.service.placement.ServiceStats`: the
     service counts placement work (coverage builds, greedy runs, cache
-    hits), the server counts HTTP traffic — admissions, rejections,
-    coalesced specs, timeouts — and keeps per-endpoint latency
+    hits, coalesced specs), the server counts HTTP traffic — admissions,
+    rejections, timeouts — and keeps per-endpoint latency
     reservoirs.  All mutation happens on the event loop; reads from other
     threads see at worst a one-request-stale counter, never a torn value
     (ints are swapped atomically).
@@ -198,7 +191,6 @@ class ServerStats:
     )
     responses_by_status: dict[int, int] = field(default_factory=dict)
     in_flight: int = 0
-    coalesced_specs: int = 0
     rejected_total: int = 0
     timeouts_total: int = 0
     specs_received: int = 0
@@ -217,7 +209,6 @@ class ServerStats:
             "requests_total": dict(self.requests_total),
             "responses_by_status": {str(k): v for k, v in self.responses_by_status.items()},
             "in_flight": self.in_flight,
-            "coalesced_specs": self.coalesced_specs,
             "rejected_total": self.rejected_total,
             "timeouts_total": self.timeouts_total,
             "specs_received": self.specs_received,
@@ -285,11 +276,11 @@ class PlacementServer:
         otherwise); plain ``POST /query`` and ``POST /update`` address the
         farm's :data:`~repro.service.farm.DEFAULT_TENANT` — the in-memory
         service :meth:`IndexFarm.add_service` registers — and answer 404
-        when there is none.  Each tenant's readers-writer lock is what
-        makes concurrent query + update traffic safe; the server adds
-        coalescing (keyed per tenant: identical specs for different
-        tenants never share a result), admission control and the HTTP
-        surface.  Eviction and reload under the farm's memory budget are
+        when there is none.  Each tenant's service makes concurrent
+        query + update traffic safe (its readers-writer lock) and runs one
+        greedy step per selection key at a time (its in-flight slots, per
+        tenant by construction); the server adds admission control and
+        the HTTP surface.  Eviction and reload under the farm's memory budget are
         invisible to clients (at worst a slower first query).
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
@@ -304,8 +295,8 @@ class PlacementServer:
         loop itself never computes a placement or loads a tenant.
     request_timeout:
         Per-request budget in seconds; exceeding it answers ``504``
-        while the computation finishes in the background (coalesced
-        waiters and the service cache still get the result).
+        while the computation finishes in the background (the service
+        still publishes its greedy order).
     max_body_bytes:
         Reject larger request bodies with ``413``.
     """
@@ -335,9 +326,6 @@ class PlacementServer:
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
-        # coalescing key: (tenant, spec), so identical specs for
-        # *different* tenants never share a future
-        self._inflight_specs: dict[tuple[str, QuerySpec], asyncio.Future] = {}
         self._connections: set[asyncio.StreamWriter] = set()
         self._inflight_requests = 0
         self._draining = False
@@ -553,7 +541,7 @@ class PlacementServer:
                 )
             except asyncio.TimeoutError:
                 # the computation is not cancelled: it completes on the
-                # worker pool, resolving coalesced waiters + the cache
+                # worker pool and publishes its order to the service cache
                 self.stats.timeouts_total += 1
                 return _Response.error(504, f"request exceeded {self.request_timeout}s")
             except _BadRequest as exc:
@@ -567,7 +555,7 @@ class PlacementServer:
             self.stats.latency[endpoint].record(self._loop.time() - start)
 
     # ------------------------------------------------------------------ #
-    # /query — coalescing core
+    # /query
     # ------------------------------------------------------------------ #
     @staticmethod
     def _parse_specs(body: bytes) -> tuple[list[QuerySpec], bool]:
@@ -577,7 +565,12 @@ class PlacementServer:
             raise _BadRequest(f"body is not valid JSON: {exc}") from None
         use_cache = True
         if isinstance(payload, dict):
-            use_cache = bool(payload.get("use_cache", True))
+            unknown = sorted(set(payload) - {"specs", "use_cache"})
+            if unknown:
+                raise _BadRequest(f"unknown request fields: {unknown}")
+            use_cache = payload.get("use_cache", True)
+            if not isinstance(use_cache, bool):
+                raise _BadRequest(f"use_cache must be true or false, got {use_cache!r}")
             payload = payload.get("specs")
         if not isinstance(payload, list) or not payload:
             raise _BadRequest("expected a non-empty JSON array of query specs")
@@ -590,27 +583,10 @@ class PlacementServer:
     async def _handle_query(self, request: _Request, tenant: str) -> _Response:
         specs, use_cache = self._parse_specs(request.body)
         self.stats.specs_received += len(specs)
-
-        # Coalesce: every spec resolves to a future.  A spec already in
-        # flight (from any connection, or earlier in this very batch)
-        # shares the existing future; the rest are owned by this request
-        # and computed through ONE underlying batch_query call.  Keys are
-        # tenant-scoped, so tenants never share each other's results.
-        futures: list[asyncio.Future] = []
-        owned: list[tuple[QuerySpec, asyncio.Future]] = []
-        for spec in specs:
-            existing = self._inflight_specs.get((tenant, spec))
-            if existing is not None:
-                self.stats.coalesced_specs += 1
-                futures.append(existing)
-            else:
-                future = self._loop.create_future()
-                self._inflight_specs[(tenant, spec)] = future
-                owned.append((spec, future))
-                futures.append(future)
-        if owned:
-            await self._compute_owned(owned, use_cache, tenant)
-        results: list[TOPSResult] = list(await asyncio.gather(*futures))
+        # a lazy tenant load (and any eviction it triggers) and the
+        # placement work both run on the worker pool, never on the loop
+        call = functools.partial(self.farm.batch_query, tenant, specs, use_cache=use_cache)
+        results = await self._loop.run_in_executor(self._executor, call)
         body = {
             "results": [
                 self._result_payload(spec, result)
@@ -621,39 +597,6 @@ class PlacementServer:
         if tenant:
             body["tenant"] = tenant
         return _Response.json(200, body)
-
-    async def _compute_owned(
-        self,
-        owned: list[tuple[QuerySpec, asyncio.Future]],
-        use_cache: bool,
-        tenant: str,
-    ) -> None:
-        """Answer the owned specs via one pooled ``batch_query`` call.
-
-        Futures are always resolved (result or exception) and always
-        removed from the in-flight table, even if the service raises —
-        a failed computation must not wedge later requests for the same
-        spec.  The call goes through the farm, so a lazy tenant load (and
-        any budget eviction it triggers) happens on the worker pool, never
-        on the event loop.
-        """
-        specs = [spec for spec, _ in owned]
-        call = functools.partial(self.farm.batch_query, tenant, specs, use_cache=use_cache)
-        try:
-            results = await self._loop.run_in_executor(self._executor, call)
-        except Exception as exc:  # noqa: BLE001 - propagate to every waiter
-            for _, future in owned:
-                if not future.done():
-                    future.set_exception(exc)
-            # gathering our own futures re-raises for this request; other
-            # coalesced waiters observe the same exception
-        else:
-            for (_, future), result in zip(owned, results):
-                if not future.done():
-                    future.set_result(result)
-        finally:
-            for spec, _ in owned:
-                self._inflight_specs.pop((tenant, spec), None)
 
     @staticmethod
     def _result_payload(spec: QuerySpec, result: TOPSResult) -> dict:
@@ -841,13 +784,6 @@ class PlacementServer:
             "gauge",
             "query/update requests currently admitted",
             stats.in_flight,
-        )
-        _render_metric(
-            lines,
-            "netclus_server_coalesced_specs_total",
-            "counter",
-            "specs answered by an already-in-flight identical spec",
-            stats.coalesced_specs,
         )
         _render_metric(
             lines,

@@ -539,8 +539,11 @@ def test_http_tenant_query_matches_direct(served_farm, tenant_dirs):
 
 
 class GatedFarm(IndexFarm):
-    """A farm whose ``batch_query`` counts calls per tenant and waits on a
-    test-held gate (open at first), so requests stay in flight on demand."""
+    """A farm whose tenants' greedy steps count per tenant and wait on a
+    test-held gate (open at first), so requests stay in flight on demand.
+
+    The gate wraps each loaded service's greedy step, so it holds a batch
+    after it claimed its selection key's in-flight slot."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
@@ -549,11 +552,19 @@ class GatedFarm(IndexFarm):
         self.calls: Counter[str] = Counter()
         self._calls_lock = threading.Lock()
 
-    def batch_query(self, name, specs, use_cache=True):
-        with self._calls_lock:
-            self.calls[name] += 1
-        assert self.gate.wait(timeout=20), "test gate never released"
-        return super().batch_query(name, specs, use_cache=use_cache)
+    def service(self, name):
+        service = super().service(name)
+        if "_select" not in vars(service):
+            select = service._select
+
+            def gated(*args):
+                with self._calls_lock:
+                    self.calls[name] += 1
+                assert self.gate.wait(timeout=20), "test gate never released"
+                return select(*args)
+
+            service._select = gated
+        return service
 
 
 def _wait_until(predicate, message):
@@ -564,9 +575,9 @@ def _wait_until(predicate, message):
 
 
 def test_http_coalescing_is_tenant_scoped(tenant_dirs):
-    """While one spec is in flight for a tenant, the same spec for that
-    tenant joins it (one ``batch_query``), but the same spec for another
-    tenant runs on its own and answers from that tenant's index."""
+    """While one spec's greedy step is in flight for a tenant, the same spec
+    for that tenant waits for it (one greedy step), but the same spec for
+    another tenant runs its own and answers from that tenant's index."""
     farm = GatedFarm()
     for name in ("nyk", "bjg"):
         farm.add_tenant(name, tenant_dirs[name])
@@ -583,20 +594,27 @@ def test_http_coalescing_is_tenant_scoped(tenant_dirs):
             for key, tenant in (("nyk1", "nyk"), ("nyk2", "nyk"), ("bjg", "bjg"))
         }
         threads["nyk1"].start()
-        _wait_until(lambda: farm.calls["nyk"] == 1, "the first nyk request")
+        _wait_until(lambda: farm.calls["nyk"] == 1, "the first nyk greedy step")
         threads["nyk2"].start()
-        _wait_until(lambda: handle.server.stats.coalesced_specs == 1, "nyk to coalesce")
+        _wait_until(
+            lambda: farm.tenant_stats("nyk")["cache_misses"] == 2, "nyk2 to wait on the slot"
+        )
         threads["bjg"].start()
-        _wait_until(lambda: farm.calls["bjg"] == 1, "the bjg request")
+        _wait_until(lambda: farm.calls["bjg"] == 1, "the bjg greedy step")
         farm.gate.set()
         for thread in threads.values():
             thread.join(timeout=20)
-        assert handle.server.stats.coalesced_specs == 1
+    stats = {tenant: farm.tenant_stats(tenant) for tenant in ("nyk", "bjg")}
     farm.close()
 
     assert farm.calls == {"nyk": 1, "bjg": 1}
+    assert {t: s["greedy_runs"] for t, s in stats.items()} == {"nyk": 1, "bjg": 1}
+    assert {t: s["coalesced_specs"] for t, s in stats.items()} == {"nyk": 1, "bjg": 0}
     assert {key: reply[0] for key, reply in replies.items()} == dict.fromkeys(replies, 200)
     answers = {key: reply[1]["results"][0] for key, reply in replies.items()}
+    # the joined request answers from the published order, so only its
+    # timing differs
+    answers["nyk2"]["elapsed_seconds"] = answers["nyk1"]["elapsed_seconds"]
     assert answers["nyk1"] == answers["nyk2"]
     for key, tenant in (("nyk1", "nyk"), ("bjg", "bjg")):
         direct = PlacementService.from_path(tenant_dirs[tenant]).query(QuerySpec(**spec))

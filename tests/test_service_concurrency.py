@@ -8,6 +8,9 @@ The service contract under parallel callers:
   never a mix, and the order cache can never serve a pre-update answer
   to a post-update query (no stale-cache reads);
 * the lazy index build happens exactly once however many threads race it;
+* one greedy step per selection key is in flight at a time: a batch that
+  finds the key's slot held waits for the published order, and a failed
+  step releases the slot for the next batch;
 * saves through one service never interleave: two threads updating and
   saving one directory leave it holding the final state, byte for byte.
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import http.client
 import json
 import sys
 import threading
@@ -29,9 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.core.greedy import IncGreedy
 from repro.core.netclus import NetClusIndex, UpdateBatch
 from repro.datasets import beijing_like
+from repro.service.farm import IndexFarm
 from repro.service.placement import PlacementService
+from repro.service.server import serve_in_background
 from repro.service.specs import QuerySpec
 
 
@@ -293,6 +300,142 @@ class TestConcurrentCacheAndBuild:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(hammer, range(500)))
         assert service.stats.queries_served == 500
+
+
+class _GatedService(PlacementService):
+    """A service whose greedy steps wait for ``gate`` after claiming their
+    key's slot; with ``fail_first`` the first step raises instead."""
+
+    def __init__(self, index, *, fail_first: bool = False, **kwargs) -> None:
+        super().__init__(index, **kwargs)
+        self.gate = threading.Event()
+        self.fail_first = fail_first
+
+    def _select(self, lead, group, entry):
+        assert self.gate.wait(timeout=30), "test gate never released"
+        if self.fail_first:
+            self.fail_first = False
+            raise RuntimeError("greedy step failed")
+        return super()._select(lead, group, entry)
+
+
+def _answer(result) -> tuple[tuple[int, ...], bytes]:
+    return tuple(result.sites), np.asarray(result.per_trajectory_utility).tobytes()
+
+
+def _wait_until(predicate, message: str) -> None:
+    deadline = time.monotonic() + 20
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {message}"
+        time.sleep(0.002)
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads every 10 µs, so they interleave inside the kernels."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("short_switch_interval")
+class TestSingleFlight:
+    THREADS = 8
+
+    def test_threads_asking_one_spec_run_one_greedy_step(self, base_index):
+        spec = QuerySpec(k=6, tau_km=0.8)
+        expected = _answer(PlacementService(copy.deepcopy(base_index), cache_size=0).query(spec))
+        service = _GatedService(copy.deepcopy(base_index))
+        with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
+            futures = [pool.submit(service.query, spec) for _ in range(self.THREADS)]
+            # the lead claimed the slot and the others found it held: each
+            # of them is committed to waiting for the lead's order
+            _wait_until(
+                lambda: service.stats.cache_misses == self.THREADS, "every thread to look"
+            )
+            service.gate.set()
+            answers = [_answer(future.result(timeout=60)) for future in futures]
+        assert answers == [expected] * self.THREADS
+        assert service.stats.greedy_runs == 1
+        assert service.stats.coalesced_specs == self.THREADS - 1
+        assert service.stats.cache_hits == 0
+        assert not service._slots
+
+    @pytest.mark.parametrize("preference", ["binary", "linear"])
+    def test_two_ks_at_one_key_run_one_fresh_step_and_at_most_one_resume(
+        self, base_index, preference, monkeypatch
+    ):
+        ks = (4, 11)
+        specs = {k: QuerySpec(k=k, tau_km=0.8, preference=preference) for k in ks}
+        reference = PlacementService(copy.deepcopy(base_index), cache_size=0)
+        expected = {k: _answer(reference.query(spec)) for k, spec in specs.items()}
+        resumes: list[int] = []
+        resuming = IncGreedy.resuming.__func__
+
+        def counted(cls, coverage, run):
+            resumes.append(len(run.columns))
+            return resuming(cls, coverage, run)
+
+        monkeypatch.setattr(IncGreedy, "resuming", classmethod(counted))
+        service = PlacementService(copy.deepcopy(base_index))
+        start_barrier = threading.Barrier(self.THREADS)
+
+        def run(worker: int) -> tuple[int, tuple[tuple[int, ...], bytes]]:
+            k = ks[worker % len(ks)]
+            start_barrier.wait()
+            return k, _answer(service.query(specs[k]))
+
+        with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
+            observed = list(pool.map(run, range(self.THREADS)))
+        assert [k for k, got in observed if got != expected[k]] == []
+        assert len(resumes) <= 1
+        assert service.stats.greedy_runs - len(resumes) == 1  # one fresh step
+        assert not service._slots
+
+    def test_failed_greedy_step_releases_its_slot(self, base_index):
+        """The lead's step raises: its request answers 500, and the request
+        waiting on the slot claims it and answers 200 with the right order."""
+        spec = {"k": 5, "tau_km": 0.8}
+        expected = PlacementService(copy.deepcopy(base_index), cache_size=0).query(
+            QuerySpec(**spec)
+        )
+        service = _GatedService(copy.deepcopy(base_index), fail_first=True)
+        farm = IndexFarm()
+        farm.add_service(service)
+        replies: dict[str, tuple[int, dict]] = {}
+
+        def post(key: str) -> None:
+            conn = http.client.HTTPConnection(*handle.address, timeout=60)
+            try:
+                conn.request("POST", "/query", body=json.dumps([spec]))
+                response = conn.getresponse()
+                replies[key] = (response.status, json.loads(response.read()))
+            finally:
+                conn.close()
+
+        with serve_in_background(farm) as handle:
+            lead = threading.Thread(target=post, args=("lead",))
+            lead.start()
+            _wait_until(lambda: service.stats.cache_misses == 1, "the lead to claim")
+            waiter = threading.Thread(target=post, args=("waiter",))
+            waiter.start()
+            _wait_until(lambda: service.stats.cache_misses == 2, "the waiter to wait")
+            service.gate.set()
+            lead.join(timeout=60)
+            waiter.join(timeout=60)
+        assert not lead.is_alive() and not waiter.is_alive()
+        assert replies["lead"][0] == 500
+        assert "greedy step failed" in replies["lead"][1]["error"]
+        assert replies["waiter"][0] == 200
+        got = replies["waiter"][1]["results"][0]
+        assert tuple(got["sites"]) == expected.sites
+        assert got["per_trajectory_utility"] == list(expected.per_trajectory_utility)
+        assert service.stats.greedy_runs == 1
+        assert service.stats.coalesced_specs == 0
+        assert not service._slots
 
 
 class TestConcurrentSaves:

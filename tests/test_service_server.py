@@ -6,10 +6,10 @@ ephemeral port on a dedicated event-loop thread and the tests speak plain
 ``http.client`` (or raw socket bytes) to it — the same server the CI
 serving-smoke job exercises.
 
-The coalescing / backpressure / timeout / drain tests inject a
-:class:`GatedService` whose ``batch_query`` blocks on an event until the
-test releases it, which makes "while the first request is still
-computing" a deterministic state instead of a sleep-tuned race.
+The single-flight / backpressure / timeout / drain tests inject a
+:class:`GatedService` whose greedy step blocks on an event until the test
+releases it, which makes "while the first request is still computing" a
+deterministic state instead of a sleep-tuned race.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ from repro.service.specs import QuerySpec
 
 
 class GatedService(PlacementService):
-    """A placement service whose ``batch_query`` waits for a test-held gate.
+    """A placement service whose greedy steps wait for a test-held gate.
 
-    ``calls`` counts the underlying ``batch_query`` invocations (the
-    coalescing assertions), and ``gate`` starts open so construction-time
-    queries run through.
+    The gate sits inside ``batch_query``, after the batch has claimed its
+    selection key's in-flight slot, so a second batch on that key is
+    provably waiting inside the service.  ``calls`` counts the greedy
+    steps entered, and ``gate`` starts open so construction-time queries
+    run through.
     """
 
     def __init__(self, index, **kwargs) -> None:
@@ -48,11 +50,11 @@ class GatedService(PlacementService):
         self.calls = 0
         self._call_count_lock = threading.Lock()
 
-    def batch_query(self, specs, use_cache=True):
+    def _select(self, lead, group, entry):
         with self._call_count_lock:
             self.calls += 1
         assert self.gate.wait(timeout=20), "test gate never released"
-        return super().batch_query(specs, use_cache=use_cache)
+        return super()._select(lead, group, entry)
 
 
 def one_tenant_farm(service: PlacementService) -> IndexFarm:
@@ -205,15 +207,35 @@ def test_served_placements_byte_identical_to_direct_service(served):
         ), f"per-trajectory utilities diverged for {spec}"
 
 
-def test_query_accepts_object_envelope(served):
+@pytest.mark.parametrize(
+    "extra", [{"use_cache": True}, {"use_cache": False}, {}], ids=["true", "false", "absent"]
+)
+def test_query_accepts_object_envelope(served, extra):
     handle, _, _ = served
     spec = {"k": 3, "tau_km": 0.8}
-    status, _, body = request(
-        handle.address, "POST", "/query", {"specs": [spec], "use_cache": False}
-    )
+    status, _, body = request(handle.address, "POST", "/query", {"specs": [spec], **extra})
     assert status == 200
     assert len(body["results"]) == 1
     assert body["results"][0]["spec"]["k"] == 3
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"use_cache": "false"}, {"use_cache": [0]}, {"use_cache": None}, {"usecache": False}],
+    ids=["string", "list", "null", "unknown-key"],
+)
+def test_query_envelope_refuses_non_boolean_use_cache_and_unknown_keys(served, extra):
+    handle, service, _ = served
+    _, _, health = request(handle.address, "GET", "/healthz")
+    version, served_before = health["index_version"], service.stats.queries_served
+    status, _, body = request(
+        handle.address, "POST", "/query", {"specs": [{"k": 3, "tau_km": 0.8}], **extra}
+    )
+    assert status == 400
+    assert "error" in body
+    assert service.stats.queries_served == served_before
+    _, _, health = request(handle.address, "GET", "/healthz")
+    assert health["index_version"] == version
 
 
 def test_metrics_exposes_service_and_server_counters(served):
@@ -293,14 +315,19 @@ def test_oversized_request_line_answers_400_and_close(served):
 
 
 # ---------------------------------------------------------------------- #
-# coalescing
+# one greedy step per selection key
 # ---------------------------------------------------------------------- #
 def _background_query(handle, payload, results, key):
     results[key] = request(handle.address, "POST", "/query", payload, timeout=30)
 
 
-def test_identical_concurrent_specs_coalesce_to_one_batch_query(tiny_netclus):
-    """Two concurrent requests for one spec run ONE underlying batch_query."""
+def _utility_bytes(entry) -> bytes:
+    return np.asarray(entry["per_trajectory_utility"], dtype=np.float64).tobytes()
+
+
+def test_identical_concurrent_specs_share_one_greedy_step(tiny_netclus):
+    """Two concurrent requests for one spec run ONE greedy step: the second
+    waits on the first's in-flight slot and answers from its order."""
     service = GatedService(tiny_netclus)
     spec = {"k": 4, "tau_km": 0.8}
     with serve_in_background(one_tenant_farm(service)) as handle:
@@ -310,41 +337,45 @@ def test_identical_concurrent_specs_coalesce_to_one_batch_query(tiny_netclus):
             target=_background_query, args=(handle, [spec], results, "first")
         )
         first.start()
-        wait_until(lambda: service.calls == 1, message="first request to reach the service")
+        wait_until(lambda: service.calls == 1, message="first request's greedy step")
         second = threading.Thread(
             target=_background_query, args=(handle, [spec], results, "second")
         )
         second.start()
+        # a miss that finds the slot held is committed to waiting on it
         wait_until(
-            lambda: handle.server.stats.coalesced_specs >= 1,
-            message="second request to coalesce",
+            lambda: service.stats.cache_misses == 2,
+            message="second request to wait on the slot",
         )
         service.gate.set()
         first.join(timeout=20)
         second.join(timeout=20)
 
         assert results["first"][0] == 200 and results["second"][0] == 200
-        assert results["first"][2]["results"][0]["sites"] == (
-            results["second"][2]["results"][0]["sites"]
-        )
-        # one underlying service call, one greedy run — the second request
-        # shared the first's future instead of queueing duplicate work
+        first_entry = results["first"][2]["results"][0]
+        second_entry = results["second"][2]["results"][0]
+        assert first_entry["sites"] == second_entry["sites"]
+        assert _utility_bytes(first_entry) == _utility_bytes(second_entry)
         assert service.calls == 1
         assert service.stats.greedy_runs == 1
         assert service.stats.coverage_builds == 1
-        assert handle.server.stats.coalesced_specs == 1
+        assert service.stats.coalesced_specs == 1
+        _, _, text = request(handle.address, "GET", "/metrics")
+        assert "netclus_service_coalesced_specs 1" in text.splitlines()
 
 
 def test_duplicate_specs_within_one_request_coalesce(tiny_netclus):
+    """Byte-equal specs in one request share the batch's one greedy run."""
     service = GatedService(tiny_netclus)
     spec = {"k": 3, "tau_km": 0.8}
     with serve_in_background(one_tenant_farm(service)) as handle:
         status, _, body = request(handle.address, "POST", "/query", [spec, spec, spec])
         assert status == 200
         assert service.calls == 1
-        assert handle.server.stats.coalesced_specs == 2
-        sites = [tuple(entry["sites"]) for entry in body["results"]]
-        assert sites[0] == sites[1] == sites[2]
+        assert service.stats.greedy_runs == 1
+        entries = body["results"]
+        assert entries[0]["sites"] == entries[1]["sites"] == entries[2]["sites"]
+        assert len({_utility_bytes(entry) for entry in entries}) == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -400,13 +431,10 @@ def test_request_timeout_answers_504_and_computation_survives(tiny_netclus):
         assert handle.server.stats.timeouts_total == 1
 
         # the computation was not abandoned: once the gate opens it
-        # completes, clears the in-flight table and warms the cache
+        # completes, releases its slot and warms the cache
         service.gate.set()
         wait_until(lambda: service.stats.greedy_runs >= 1, message="background completion")
-        wait_until(
-            lambda: not handle.server._inflight_specs,
-            message="in-flight table to clear",
-        )
+        wait_until(lambda: not service._slots, message="the slot table to empty")
         status, _, body = request(handle.address, "POST", "/query", [spec])
         assert status == 200
         wait_until(lambda: service.stats.cache_hits >= 1, message="cache hit")
