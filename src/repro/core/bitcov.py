@@ -171,13 +171,15 @@ class BitsetCoverageIndex:
         blocks = np.zeros((index.num_sites, num_words), dtype=np.uint64)
         if len(row_index):
             # scatter-OR: group entries by flat (col, word) cell, then OR
-            # each group's bits together with one reduceat pass
+            # each group's bits together with one reduceat pass; canonical
+            # (column-major) entries already arrive grouped
             bits = np.left_shift(
                 np.uint64(1), (row_index & (WORD_BITS - 1)).astype(np.uint64)
             )
             keys = col_index * num_words + (row_index >> 6)
-            order = np.argsort(keys, kind="stable")
-            keys, bits = keys[order], bits[order]
+            if np.any(keys[1:] < keys[:-1]):
+                order = np.argsort(keys, kind="stable")
+                keys, bits = keys[order], bits[order]
             boundary = np.empty(len(keys), dtype=bool)
             boundary[0] = True
             boundary[1:] = keys[1:] != keys[:-1]

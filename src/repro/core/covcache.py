@@ -26,13 +26,14 @@ after an update — does not rebuild coverage cold:
   bracket :meth:`~repro.core.netclus.NetClusIndex.apply_updates`: instead of
   invalidating, the parts are *patched* — only the trajectory rows and
   representative columns the :class:`~repro.core.netclus.UpdateBatch`
-  touched are recomputed, and a previously materialised view is rebuilt
-  from the patched entries so the next greedy step or resume does no
+  touched are recomputed, once per instance for all the parts it backs
+  (fact 4), and a previously materialised view is rebuilt from the
+  patched entries so the next greedy step or resume does no
   coverage-build work.
 
 Parity is the repo's standard bar — byte-identical coverage structures,
 selections and per-trajectory utilities against a cold build — and rests
-on three facts:
+on four facts:
 
 1. cold builds and cache hits materialise the view from the same
    canonical ≤ τ entries with the same function, so a warm view is the
@@ -47,7 +48,18 @@ on three facts:
    ``(row, column)`` pairs is associative — so canonicalising only the
    new entries and splicing them into the carried ones by cell key
    (:func:`splice_entries`) equals canonicalising the cold emission
-   stream.
+   stream;
+4. the touched entries of one instance, computed and canonicalised once
+   at the largest τ among its parts and then cut to ``estimate ≤ τ`` per
+   part, equal that part's own computation at its τ.  The kernel's only
+   other use of τ is its ``center_distance ≤ τ`` pre-filter, and with
+   non-negative legs ``(leg + center_distance) + rep_leg ≥
+   center_distance`` holds in floating point too (rounding is monotone),
+   so every pair the smaller τ skips yields only estimates above it.  A
+   ``min``-reduction commutes with a threshold filter: a cell's smallest
+   estimate is within τ exactly when some estimate is, and then it is
+   the smallest of those within τ.  The index loader refuses negative
+   or NaN legs, so the premise holds for every served index.
 
 Parts are persisted in the index directory's payload blob (see
 ``docs/index-format.md``); a part whose recorded ``index_version`` no
@@ -168,11 +180,24 @@ class _DeltaProbe:
     """Pre-mutation snapshot :meth:`CoverageCache.begin_delta` captures."""
 
     version_before: int
-    #: sorted registry rows of the trajectories about to be removed
-    removed_rows: np.ndarray
+    #: pre-batch registry row → post-batch row (``-1``: removed)
+    row_map: np.ndarray
+    #: how many rows the batch removes
+    num_removed: int
     #: per instance id (only those backing live parts): copies of the
     #: instance's ``(reps, rep_rt)`` arrays
     rep_state: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass
+class _InstanceDelta:
+    """What one batch changed in one instance, shared by the parts it backs."""
+
+    #: pre-batch column → post-batch column (``-1``: recomputed or gone)
+    old_to_new: np.ndarray
+    #: canonical entries of the recomputed columns and the added rows, at
+    #: the largest τ among the instance's parts
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @guarded_by(
@@ -354,12 +379,11 @@ class CoverageCache:
             if not self.parts:
                 return None
             instance_ids = {part.instance_id for part in self.parts.values()}
-        removed_rows = np.sort(
-            np.asarray(
-                [index._trajectory_rows[t] for t in batch.remove_trajectories],
-                dtype=np.int64,
-            )
-        )
+        removed = np.zeros(len(index._trajectory_rows), dtype=bool)
+        removed[[index._trajectory_rows[t] for t in batch.remove_trajectories]] = True
+        # a kept row moves down by the number of removed rows before it
+        row_map = np.cumsum(~removed, dtype=np.int64) - 1
+        row_map[removed] = -1
         rep_state = {
             instance.instance_id: (instance.reps.copy(), instance.rep_rt.copy())
             for instance in index.instances
@@ -367,7 +391,8 @@ class CoverageCache:
         }
         return _DeltaProbe(
             version_before=index.version,
-            removed_rows=removed_rows,
+            row_map=row_map,
+            num_removed=len(batch.remove_trajectories),
             rep_state=rep_state,
         )
 
@@ -376,40 +401,112 @@ class CoverageCache:
     ) -> int:
         """Patch every current part after the batch mutated the index.
 
-        Parts that were already stale when the batch started are refused
-        (dropped); a part whose patch fails for any reason is likewise
-        dropped — the fallback is always a clean cold rebuild, never a
-        possibly-wrong warm answer.  A previously materialised view is
-        rebuilt immediately from the patched entries ("query-ready
-        maintenance": the cost lands on the update, and the next query at
-        the key does zero coverage work).  Returns the number of parts
-        patched.
+        The touched entries are computed once per instance, not once per
+        part (fact 4 of the module docstring): :meth:`_instance_delta` runs
+        the representative diff and the ``coverage_entries`` calls at the
+        largest τ among the instance's live parts and canonicalises the
+        result, and each part then keeps the ``estimate ≤ τ`` share of it
+        (:meth:`_patch_part`).  Parts that were already stale when the batch
+        started are refused (dropped); a part whose patch fails for any
+        reason is likewise dropped — an instance delta that fails drops
+        the parts it backs — so the fallback is always a clean cold
+        rebuild, never a possibly-wrong warm answer.  A previously
+        materialised view is rebuilt immediately from the patched entries
+        ("query-ready maintenance": the cost lands on the update, and the
+        next query at the key does zero coverage work).  Returns the number
+        of parts patched.
         """
         if probe is None:
             return 0
         with self._lock:
-            items = list(self.parts.items())
-            patched = 0
-            for key, part in items:
+            by_instance: dict[int, list[tuple[tuple, CoveragePart]]] = {}
+            for key, part in list(self.parts.items()):
                 if part.index_version != probe.version_before:
                     del self.parts[key]
                     self.invalidations += 1
                     continue
+                by_instance.setdefault(part.instance_id, []).append((key, part))
+            patched = 0
+            for instance_id, members in by_instance.items():
                 try:
-                    with Timer() as patch_timer:
-                        self._patch_part(index, part, batch, probe)
-                        part.index_version = index.version
-                    # timed by _materialise into materialise_seconds
-                    if part.view is not None:
-                        part.view = self._materialise(index, part)
+                    with Timer() as delta_timer:
+                        delta = self._instance_delta(
+                            index,
+                            batch,
+                            probe,
+                            instance_id,
+                            max(part.tau_km for _, part in members),
+                        )
                 except Exception:
-                    self.parts.pop(key, None)
-                    self.invalidations += 1
+                    for key, _ in members:
+                        self.parts.pop(key, None)
+                        self.invalidations += 1
                     continue
-                self.patches += 1
-                self.patch_seconds += patch_timer.elapsed
-                patched += 1
+                self.patch_seconds += delta_timer.elapsed
+                for key, part in members:
+                    try:
+                        with Timer() as patch_timer:
+                            self._patch_part(index, part, batch, probe, delta)
+                            part.index_version = index.version
+                        # timed by _materialise into materialise_seconds
+                        if part.view is not None:
+                            part.view = self._materialise(index, part)
+                    except Exception:
+                        self.parts.pop(key, None)
+                        self.invalidations += 1
+                        continue
+                    self.patches += 1
+                    self.patch_seconds += patch_timer.elapsed
+                    patched += 1
             return patched
+
+    @holds_lock("_lock")
+    def _instance_delta(
+        self,
+        index: "NetClusIndex",
+        batch: "UpdateBatch",
+        probe: _DeltaProbe,
+        instance_id: int,
+        tau_km: float,
+    ) -> _InstanceDelta:
+        """The batch's effect on one instance, shared by every part it backs.
+
+        1. diff the instance's representative state — carried columns keep
+           their entries (column positions remapped by ``old_to_new``),
+           columns whose ``(representative, round_trip)`` changed (or
+           appeared) are recomputed over the full post-batch registry;
+        2. compute entries of the *added* trajectories against the carried
+           columns (the recomputed ones already include them);
+        3. canonicalise both at *tau_km*, the largest τ of the parts.
+        """
+        instance = _instance_of(index, instance_id)
+        old_reps, old_rep_rt = probe.rep_state[instance_id]
+        has_rep = instance.reps >= 0
+        changed = (old_reps != instance.reps) | (has_rep & (old_rep_rt != instance.rep_rt))
+        new_rep_clusters = np.flatnonzero(has_rep)
+        new_position = np.full(len(has_rep), -1, dtype=np.int64)
+        new_position[new_rep_clusters] = np.arange(len(new_rep_clusters))
+        new_position[changed] = -1
+        old_to_new = new_position[np.flatnonzero(old_reps >= 0)]
+
+        new: list[tuple[np.ndarray, ...]] = []
+        registry = index._trajectory_rows
+        recompute = np.flatnonzero(changed & has_rep)
+        if len(recompute):
+            new.append(instance.coverage_entries(registry, tau_km, recompute))
+        if batch.add_trajectories:
+            subset = {
+                trajectory.traj_id: registry[trajectory.traj_id]
+                for trajectory in batch.add_trajectories
+            }
+            carried = np.flatnonzero(~changed & has_rep)
+            new.append(instance.coverage_entries(subset, tau_km, carried))
+        if not new:
+            return _InstanceDelta(
+                old_to_new, (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+            )
+        entries = canonical_entries(*(np.concatenate(arrays) for arrays in zip(*new)), tau_km)
+        return _InstanceDelta(old_to_new, entries)
 
     @holds_lock("_lock")
     def _patch_part(
@@ -418,88 +515,37 @@ class CoverageCache:
         part: CoveragePart,
         batch: "UpdateBatch",
         probe: _DeltaProbe,
+        delta: _InstanceDelta,
     ) -> None:
         """Patch one part in place to the post-batch index state.
 
-        Four steps, each touching only what the batch touched:
-
-        1. delete the removed trajectories' rows and remap survivors to the
-           compacted registry (``new_row = row − #removed_before(row)``);
-        2. diff the instance's representative state — carried columns keep
-           their entries (column positions remapped), columns whose
-           ``(representative, round_trip)`` changed (or appeared) are
-           recomputed over the full post-batch registry;
-        3. compute entries of the *added* trajectories against the carried
-           columns (the recomputed ones already include them);
-        4. canonicalise only the new entries and splice them into the
-           carried ones (:func:`splice_entries`).  Steps 1–2 keep the
-           carried entries canonical — row compaction and the column
-           remap are both monotone — and the new entries cover cells the
-           carried ones do not (recomputed columns, added rows), so no
-           re-sort of the whole part is needed.
+        One gather remaps the carried entries — ``row_map[rows]`` drops the
+        removed trajectories and compacts the survivors, ``old_to_new[cols]``
+        drops the recomputed columns and renumbers the rest, under a single
+        keep mask — and the instance delta's entries within the part's τ
+        are spliced in (:func:`splice_entries`).  Both maps are monotone on
+        what they keep, so the carried entries stay canonical, and the new
+        entries cover cells the carried ones do not (recomputed columns,
+        added rows), so no re-sort of the whole part is needed.
         """
-        instance = _instance_of(index, part.instance_id)
-        tau_km = part.tau_km
-        rows, cols, estimates = part.rows, part.cols, part.estimates
-
-        # 1. removed trajectory rows: drop + compact
-        removed = probe.removed_rows
-        if removed.size:
-            insert_at = np.searchsorted(removed, rows, side="left")
-            hit = np.zeros(len(rows), dtype=bool)
-            in_range = insert_at < removed.size
-            hit[in_range] = removed[insert_at[in_range]] == rows[in_range]
-            keep = ~hit
-            rows = rows[keep] - insert_at[keep]
-            cols, estimates = cols[keep], estimates[keep]
-
-        # 2. representative diff → carried vs recomputed columns; the old
-        #    columns are the clusters with a representative before the batch
-        old_reps, old_rep_rt = probe.rep_state[part.instance_id]
-        has_rep = instance.reps >= 0
-        changed = (old_reps != instance.reps) | (has_rep & (old_rep_rt != instance.rep_rt))
-        new_rep_clusters = np.flatnonzero(has_rep)
-        new_position = np.full(len(has_rep), -1, dtype=np.int64)
-        new_position[new_rep_clusters] = np.arange(len(new_rep_clusters))
-        new_position[changed] = -1
-        old_to_new = new_position[np.flatnonzero(old_reps >= 0)]
-        if len(cols):
-            mapped = old_to_new[cols]
-            keep = mapped >= 0
-            rows, cols, estimates = rows[keep], mapped[keep], estimates[keep]
-
-        # raw (rows, cols, estimates) of the cells the batch touched
-        new: list[tuple[np.ndarray, ...]] = []
         registry = index._trajectory_rows
-        recompute = np.flatnonzero(changed & has_rep)
-        if len(recompute):
-            new.append(instance.coverage_entries(registry, tau_km, recompute))
-
-        # 3. added trajectories × carried columns
-        if batch.add_trajectories:
-            subset = {
-                trajectory.traj_id: registry[trajectory.traj_id]
-                for trajectory in batch.add_trajectories
-            }
-            carried = np.flatnonzero(~changed & has_rep)
-            new.append(instance.coverage_entries(subset, tau_km, carried))
-
-        # 4. canonicalise the new entries, splice them into the carried ones
-        if new:
-            rows, cols, estimates = splice_entries(
-                (rows, cols, estimates),
-                tuple(np.concatenate(arrays) for arrays in zip(*new)),
-                tau_km,
-                len(registry) + 1,
-            )
-        part.rows, part.cols, part.estimates = rows, cols, estimates
-        expected = (
-            part.num_trajectories - int(removed.size) + len(batch.add_trajectories)
-        )
+        row_map = probe.row_map
         require(
-            expected == len(registry),
+            part.num_trajectories == len(row_map)
+            and len(row_map) - probe.num_removed + len(batch.add_trajectories)
+            == len(registry),
             "coverage patch lost track of the registry size "
-            f"({expected} != {len(registry)})",
+            f"({part.num_trajectories} rows before, {len(registry)} after)",
+        )
+        rows = row_map[part.rows]
+        cols = delta.old_to_new[part.cols]
+        keep = (rows >= 0) & (cols >= 0)
+        new_rows, new_cols, new_estimates = delta.entries
+        within = new_estimates <= part.tau_km
+        part.rows, part.cols, part.estimates = splice_entries(
+            (rows[keep], cols[keep], part.estimates[keep]),
+            (new_rows[within], new_cols[within], new_estimates[within]),
+            len(registry) + 1,
         )
         part.num_trajectories = len(registry)
 
@@ -654,16 +700,13 @@ def materialise_coverage(
 def splice_entries(
     carried: tuple[np.ndarray, np.ndarray, np.ndarray],
     new: tuple[np.ndarray, np.ndarray, np.ndarray],
-    tau_km: float,
     width: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge raw *new* coverage triples into canonical *carried* ones.
+    """Merge canonical *new* coverage triples into canonical *carried* ones.
 
-    *carried* must already be canonical (:func:`canonical_entries`) and
-    *new* may hold duplicates, entries above τ and non-finite values, but
-    none of its cells may be a carried cell; every row must be below
-    *width*.  Only the new triples are canonicalised; they are then
-    inserted at the positions one ``np.searchsorted`` on the
+    Both sides must be canonical (:func:`canonical_entries`) and no new
+    cell may be a carried cell; every row must be below *width*.  The new
+    triples are inserted at the positions one ``np.searchsorted`` on the
     :func:`~repro.core.coverage.cell_keys` of both sides gives, so the
     result equals ``canonical_entries`` of the concatenation byte for byte
     at the cost of one pass over the carried entries instead of a sort.
@@ -671,7 +714,7 @@ def splice_entries(
     (``ValueError``), never merged silently.
     """
     rows, cols, estimates = carried
-    new_rows, new_cols, new_estimates = canonical_entries(*new, tau_km)
+    new_rows, new_cols, new_estimates = new
     if not len(new_rows):
         return rows, cols, estimates
     carried_keys = cell_keys(rows, cols, width)

@@ -407,6 +407,22 @@ def cell_keys(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
     return cols * width + rows
 
 
+def _stable_row_order(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """``np.argsort(rows, kind="stable")`` for rows in ``[0, num_rows)``,
+    ``num_rows ≤ 2³²``.
+
+    Two stable passes over 16-bit halves, low then high: numpy sorts
+    16-bit keys by radix, so each pass is linear, where a stable sort of
+    int64 keys is a comparison sort.  Sorting stably by the high half after
+    the low half orders by the whole key and keeps equal keys in input
+    order.
+    """
+    require(num_rows <= 1 << 32, f"{num_rows} rows exceed the 2**32 row-order bound")
+    order = np.argsort((rows & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (rows[order] >> 16).astype(np.uint16)
+    return order[np.argsort(high, kind="stable")]
+
+
 def canonical_entries(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -603,7 +619,7 @@ class SparseCoverageIndex:
         # CSR (row-major) — SC(T_j) lookups and per-trajectory scans; with
         # unique cells, a stable sort on the row alone keeps the columns
         # ascending within each row
-        rorder = np.argsort(rows, kind="stable")
+        rorder = _stable_row_order(rows, self.num_trajectories)
         self._csr_cols = cols[rorder]
         self._csr_data = scores[rorder]
         row_counts = np.bincount(rows, minlength=self.num_trajectories)

@@ -913,8 +913,10 @@ def _load_instance(
     its list's length without decreasing, cluster ids lie in ``[0, η)``,
     node ids in ``[0, num_nodes)``, no node is a member of two clusters
     (the node → cluster assignment is read off the member lists), every
-    representative is ``-1`` or such a node with a finite round-trip, and
-    dtypes and lengths agree.  Any failure raises :class:`IndexFormatError`.
+    representative is ``-1`` or such a node with a finite round-trip, no
+    distance (legs, neighbour and member round trips, representative round
+    trips) is negative or NaN, and dtypes and lengths agree.  Any failure
+    raises :class:`IndexFormatError`.
     """
     prefix = f"i{instance_id}_"
     label = f"instance {instance_id}"
@@ -954,6 +956,16 @@ def _load_instance(
     _require_range(reps[has_rep], num_nodes, f"{label}: reps")
     if np.any(reps < -1) or not np.all(np.isfinite(rep_rt[has_rep])):
         raise IndexFormatError(f"{label}: reps/rep_rt hold an invalid representative")
+    # the coverage cache's shared per-instance delta needs legs >= 0
+    # (fact 4 of repro.core.covcache); `x >= 0` is False for NaN
+    for suffix, values in (
+        ("tl_vals", found["tl_vals"]),
+        ("nb_vals", found["nb_vals"]),
+        ("nodes_vals", found["nodes_vals"]),
+        ("rep_rt", rep_rt[has_rep]),
+    ):
+        if not np.all(values >= 0):
+            raise IndexFormatError(f"{label}: {suffix} holds a negative or NaN distance")
     meta = found["meta"]
     return NetClusInstance(
         instance_id=int(instance_id),

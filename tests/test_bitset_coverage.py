@@ -166,6 +166,40 @@ class TestProtocolParity:
         assert large.storage_bytes() < dense.storage_bytes()
 
 
+class TestUnsortedInput:
+    """Canonical input skips the scatter-OR sort; any other input keeps it
+    and packs the same blocks."""
+
+    @pytest.mark.parametrize("num_trajectories", [70, 300])
+    def test_blocks_equal_those_of_the_canonical_input(self, rng, num_trajectories):
+        from repro.core.coverage import canonical_entries
+
+        tau, num_sites, size = 0.8, 12, 900
+        raw = (
+            rng.integers(0, num_trajectories, size),
+            rng.integers(0, num_sites, size),
+            rng.random(size) * 1.2,
+        )
+        canonical = canonical_entries(*raw, tau)
+        shuffle = rng.permutation(len(canonical[0]))
+        duplicated = np.concatenate([shuffle, shuffle[: len(shuffle) // 2]])
+        inputs = {
+            "canonical": canonical,
+            "shuffled": tuple(array[shuffle] for array in canonical),
+            "duplicated": tuple(array[duplicated] for array in canonical),
+            "raw, above tau": raw,
+        }
+        blocks = {
+            name: BitsetCoverageIndex.from_coverage_lists(
+                *arrays, num_trajectories, num_sites, tau, BinaryPreference()
+            )._blocks
+            for name, arrays in inputs.items()
+        }
+        assert np.count_nonzero(blocks["canonical"])
+        for name, packed in blocks.items():
+            assert packed.tobytes() == blocks["canonical"].tobytes(), name
+
+
 class TestConstructionGuards:
     def test_refuses_non_binary_preference(self, rng):
         detours = random_detours(rng, 20, 5)

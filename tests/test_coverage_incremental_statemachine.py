@@ -44,10 +44,13 @@ from repro.network.generators import grid_network
 from repro.service.serialization import load_index, payload_digest, save_index
 from repro.trajectory.generators import commuter_trajectories
 
-#: the (τ, ψ) keys every parity sweep probes
+#: the (τ, ψ) keys every parity sweep probes; pairs of them at different
+#: τ and ψ share an instance, so one instance delta backs several parts
 KEYS: tuple[tuple[float, PreferenceFunction], ...] = (
     (1.2, BinaryPreference()),
     (2.0, LinearPreference()),
+    (0.9, LinearPreference()),
+    (1.5, BinaryPreference()),
 )
 NUM_OPS = 12
 
@@ -228,6 +231,19 @@ def assert_parity(warm, seed, ops, step):
                 pytest.fail(f"per-trajectory utilities diverged {context}")
 
 
+def assert_shared_instance(index):
+    """Some instance backs parts at different τ *and* different ψ, so each
+    batch cuts one shared delta to several thresholds."""
+    by_instance: dict[int, list] = {}
+    for part in index.coverage_cache.parts.values():
+        by_instance.setdefault(part.instance_id, []).append(part)
+    assert any(
+        len({part.tau_km for part in parts}) >= 2
+        and len({part.preference_name for part in parts}) >= 2
+        for parts in by_instance.values()
+    ), {i: [(p.tau_km, p.preference_name) for p in parts] for i, parts in by_instance.items()}
+
+
 @pytest.mark.parametrize("seed", [11, 23, 47])
 def test_statemachine_parity(world, seed):
     network, base, held_out, sites = world
@@ -240,6 +256,7 @@ def test_statemachine_parity(world, seed):
     # warm every (τ, ψ) key up front so each later batch exercises a patch
     for tau, preference in KEYS:
         warm.query(TOPSQuery(k=5, tau_km=tau, preference=preference))
+    assert_shared_instance(warm)
 
     batches_applied = 0
     for step, op in enumerate(ops):
@@ -430,3 +447,44 @@ def test_patch_seconds_exclude_rematerialisation(world, monkeypatch):
     assert after["materialisations"] == before["materialisations"] + 1
     assert after["materialise_seconds"] - before["materialise_seconds"] >= 0.2
     assert after["patch_seconds"] - before["patch_seconds"] < 0.2
+
+
+def test_failed_instance_delta_drops_only_the_parts_it_backs(world, monkeypatch):
+    """An instance delta that raises drops every part of that instance and
+    no other; the survivors are patched and the dropped keys rebuild cold."""
+    from repro.core.netclus import NetClusInstance
+
+    network, base, held_out, sites = world
+    index = build(world)
+    index.enable_coverage_cache()
+    for tau, preference in KEYS:
+        index.query(TOPSQuery(k=5, tau_km=tau, preference=preference))
+    failing = index.instance_for(1.2).instance_id
+    doomed = {
+        key for key, part in index.coverage_cache.parts.items() if part.instance_id == failing
+    }
+    assert 2 <= len(doomed) < len(KEYS)
+    real = NetClusInstance.coverage_entries
+
+    def coverage_entries(self, *args, **kwargs):
+        if self.instance_id == failing:
+            raise RuntimeError("injected")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(NetClusInstance, "coverage_entries", coverage_entries)
+    before = index.coverage_cache.stats()
+    index.apply_updates(UpdateBatch(add_trajectories=held_out[:2]))
+    after = index.coverage_cache.stats()
+    assert after["patches"] - before["patches"] == len(KEYS) - len(doomed)
+    assert after["invalidations"] - before["invalidations"] == len(doomed)
+    assert set(index.coverage_cache.parts).isdisjoint(doomed)
+
+    monkeypatch.undo()
+    cold = copy.deepcopy(index)
+    cold.coverage_cache = None
+    for tau, preference in KEYS:
+        query = TOPSQuery(k=5, tau_km=tau, preference=preference)
+        a, b = index.query(query), cold.query(query)
+        assert list(a.sites) == list(b.sites)
+        utilities = [np.asarray(r.per_trajectory_utility).tobytes() for r in (a, b)]
+        assert utilities[0] == utilities[1]

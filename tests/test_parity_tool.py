@@ -79,7 +79,7 @@ def test_farm_section_reloads_on_every_request(parity, tiny_build, tmp_path, cap
     assert parity.check_farm(copy.deepcopy(tiny_build), 6, tmp_path) == 0
     out = capsys.readouterr().out
     # 3 delta rounds and 3 query rounds over two tenants: 12 requests, 12 loads
-    assert "OK farm    : 6 deltas and 6 x 9 specs" in out
+    assert f"OK farm    : 6 deltas and 6 x {len(parity.COVCACHE_SPECS)} specs" in out
     assert "(12 loads, 11 evictions)" in out
 
 

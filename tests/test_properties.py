@@ -405,8 +405,8 @@ class TestSpliceProperties:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_splice_equals_full_canonicalisation(self, mode, data):
-        """Splicing raw new triples into a canonical carried part equals
-        canonicalising the concatenation, byte for byte, whenever the new
+        """Splicing canonicalised raw new triples into a canonical carried
+        part equals canonicalising the concatenation, byte for byte, whenever the new
         cells lie in recomputed columns or added rows (what a patch
         produces)."""
         from repro.core.covcache import splice_entries
@@ -441,7 +441,7 @@ class TestSpliceProperties:
             )
         new = _triples(new_raw)
 
-        got = splice_entries(carried, new, tau, num_rows + 1)
+        got = splice_entries(carried, canonical_entries(*new, tau), num_rows + 1)
         want = canonical_entries(
             *(np.concatenate(pair) for pair in zip(carried, new)), tau
         )

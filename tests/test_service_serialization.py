@@ -800,6 +800,15 @@ CORRUPTIONS = {
     "rep_rt_not_finite": _poke(
         "i1_rep_rt", slice(None), lambda a: np.where(a["i1_reps"] >= 0, np.nan, np.inf)
     ),
+    "rep_rt_negative": _poke(
+        "i1_rep_rt", slice(None), lambda a: np.where(a["i1_reps"] >= 0, -0.5, np.inf)
+    ),
+    "tl_vals_negative": _poke("i1_tl_vals", 0, -0.25),
+    "tl_vals_nan": _poke("i1_tl_vals", -1, np.nan),
+    "nb_vals_negative": _poke("i1_nb_vals", 0, -0.25),
+    "nb_vals_nan": _poke("i1_nb_vals", -1, np.nan),
+    "nodes_vals_negative": _poke("i1_nodes_vals", 0, -0.25),
+    "nodes_vals_nan": _poke("i1_nodes_vals", -1, np.nan),
     "reps_wrong_dtype": _retable(lambda table: table["i1_reps"].update(dtype="<f8")),
     "rep_rt_wrong_length": _retable(_shorten("i1_rep_rt")),
     "tl_vals_wrong_length": _retable(_shorten("i1_tl_vals")),

@@ -198,27 +198,66 @@ class TestCanonicalEntries:
             canonical_entries([0], [-3], [0.1], tau_km=1.0)
 
 
+class TestRowOrder:
+    """The CSR arrays equal those an int64 stable ``argsort`` of the rows
+    gives, the order ``_init_from_entries`` builds by 16-bit radix passes."""
+
+    @staticmethod
+    def argsort_csr(rows, cols, estimates, num_trajectories, tau):
+        scores = LinearPreference()(estimates, tau)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(num_trajectories + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_trajectories), out=indptr[1:])
+        return indptr, cols[order], scores[order]
+
+    @pytest.mark.parametrize(
+        ("num_trajectories", "num_entries"), [(50, 400), (3000, 20000), (200_000, 300)]
+    )
+    def test_csr_equals_int64_stable_argsort(self, rng, num_trajectories, num_entries):
+        tau = 1.0
+        rows, cols, estimates = canonical_entries(
+            rng.integers(0, num_trajectories, num_entries),
+            rng.integers(0, 40, num_entries),
+            rng.random(num_entries) * 1.5,
+            tau,
+        )
+        index = SparseCoverageIndex.from_coverage_lists(
+            rows, cols, estimates, num_trajectories, 40, tau, LinearPreference(),
+            canonical=True,
+        )
+        # rows above 2**16 exercise the high radix pass
+        assert num_trajectories < 2**16 or int(rows.max()) >= 2**16
+        want = self.argsort_csr(rows, cols, estimates, num_trajectories, tau)
+        got = (index._csr_indptr, index._csr_cols, index._csr_data)
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes()
+
+    def test_rows_beyond_the_radix_bound_are_refused(self):
+        from repro.core.coverage import _stable_row_order
+
+        assert _stable_row_order(np.asarray([3, 1, 2]), 2**32).tolist() == [1, 2, 0]
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            _stable_row_order(np.asarray([0]), 2**32 + 1)
+
+
 class TestSpliceEntries:
     def carried(self):
         return canonical_entries([0, 1, 0, 2], [0, 0, 2, 2], [0.1, 0.2, 0.3, 0.4], 1.0)
 
     def test_splice_key_overflow_is_refused(self):
-        new = (np.asarray([0]), np.asarray([1]), np.asarray([0.5]))
+        new = canonical_entries([0], [1], [0.5], 1.0)
         with pytest.raises(ValueError, match="overflow"):
-            splice_entries(self.carried(), new, 1.0, 2**62)
+            splice_entries(self.carried(), new, 2**62)
 
     def test_new_cell_overlapping_a_carried_one_is_refused(self):
-        new = (np.asarray([1]), np.asarray([0]), np.asarray([0.05]))
+        new = canonical_entries([1], [0], [0.05], 1.0)
         with pytest.raises(ValueError, match="overlap"):
-            splice_entries(self.carried(), new, 1.0, 4)
+            splice_entries(self.carried(), new, 4)
 
     def test_new_entries_land_between_carried_ones(self):
-        new = (
-            np.asarray([2, 3, 1, 2]),
-            np.asarray([1, 2, 1, 1]),
-            np.asarray([0.6, 0.7, 2.0, 0.5]),
-        )
-        rows, cols, estimates = splice_entries(self.carried(), new, 1.0, 4)
+        new = canonical_entries([2, 3, 1, 2], [1, 2, 1, 1], [0.6, 0.7, 2.0, 0.5], 1.0)
+        rows, cols, estimates = splice_entries(self.carried(), new, 4)
         assert rows.tolist() == [0, 1, 2, 0, 2, 3]
         assert cols.tolist() == [0, 0, 1, 2, 2, 2]
         assert estimates.tolist() == [0.1, 0.2, 0.5, 0.3, 0.4, 0.7]

@@ -83,10 +83,12 @@ MIXED_SPECS = BINARY_SPECS + (
     QuerySpec(k=5, tau_km=0.8, preference="linear"),
     QuerySpec(k=5, tau_km=0.8, preference="exponential"),
 )
-#: four (τ, ψ) coverage-cache keys plus every selection rule
+#: five (τ, ψ) coverage-cache keys plus every selection rule; τ = 1.0
+#: resolves to 0.8's instance, so one instance delta backs parts at two τ
 COVCACHE_SPECS = BINARY_SPECS + (
     QuerySpec(k=5, tau_km=0.8, preference="linear"),
     QuerySpec(k=5, tau_km=1.6, preference="exponential"),
+    QuerySpec(k=5, tau_km=1.0, preference="linear"),
 )
 
 
@@ -308,11 +310,22 @@ def check_covcache(index: NetClusIndex, num_ops: int, root: Path) -> int:
             f"{reloaded.stats.coverage_builds} coverage builds (expected 0)"
         )
         failures += 1
+    taus_per_instance: dict[int, list[float]] = {}
+    for part in warm.coverage_cache.parts.values():
+        taus_per_instance.setdefault(part.instance_id, []).append(part.tau_km)
+    if max((len(set(taus)) for taus in taus_per_instance.values()), default=0) < 2:
+        print("FAIL [covcache]: no instance backs parts at two τ (shared delta untested)")
+        failures += 1
     if not failures:
         patches = warm.coverage_cache.stats()["patches"]
+        sharing = ", ".join(
+            f"{instance_id}:{len(taus)}"
+            for instance_id, taus in sorted(taus_per_instance.items())
+        )
         print(
             f"OK covcache: {steps} deltas x {len(specs)} specs and parts equal cold rebuilds "
-            f"({patches} part patches, 0 builds after warm-up and after reload); "
+            f"({patches} part patches, 0 builds after warm-up and after reload; "
+            f"parts per instance {sharing}); "
             f"cached k sweeps {'/'.join(map(str, K_SEQUENCE))} equal cache-free answers "
             f"({warm.stats.cache_hits} order-cache hits)"
         )
